@@ -5,7 +5,8 @@ the randomized identity suite, so that is what gets timed: raw scalar
 throughput, the 4x4 matrix product kernel, and a slice of the identity
 suite over the three bundled carriers.  Each configuration runs in a
 subprocess because the core is selected at import time (KCERT_PURE=1
-forces the fallback).
+forces the fallback).  Each column is labelled with the scalar type that
+actually ran; a speedup is printed only when the two types differ.
 
 Usage: python benchmarks/bench_scalars.py [--samples N]
 """
@@ -67,32 +68,45 @@ def run_config(pure, samples):
     return json.loads(proc.stdout)
 
 
+def backend(result):
+    """Name of the scalar type a worker actually ran on."""
+    return "_ratcore.Rat" if result["compiled"] else "Fraction"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=100,
                         help="identity-suite samples per identity (default 100)")
     args = parser.parse_args()
-    compiled = run_config(pure=False, samples=args.samples)
+    default = run_config(pure=False, samples=args.samples)
     pure = run_config(pure=True, samples=args.samples)
-    if not compiled["compiled"]:
-        print("note: compiled core unavailable, both runs use the fallback")
+    labels = (f"default: {backend(default)}", f"KCERT_PURE=1: {backend(pure)}")
+    compare = backend(default) != backend(pure)
+    if not compare:
+        print(f"note: both runs used {backend(default)} (the compiled core is not "
+              "built), so no speedup is shown")
     rows = [
-        ("scalar throughput (Mops/s)", compiled["scalar_mops"], pure["scalar_mops"]),
-        ("4x4 matmul (us)", compiled["matmul4_us"], pure["matmul4_us"]),
+        ("scalar throughput (Mops/s)", default["scalar_mops"], pure["scalar_mops"]),
+        ("4x4 matmul (us)", default["matmul4_us"], pure["matmul4_us"]),
     ]
-    for name in compiled["suite_seconds"]:
+    for name in default["suite_seconds"]:
         rows.append(
             (f"identity suite, {name} (s)",
-             compiled["suite_seconds"][name], pure["suite_seconds"][name])
+             default["suite_seconds"][name], pure["suite_seconds"][name])
         )
     width = max(len(r[0]) for r in rows)
-    print(f"{'benchmark':<{width}}  {'compiled':>10}  {'pure':>10}  {'speedup':>8}")
+    cols = max(len(label) for label in labels)
+    header = f"{'benchmark':<{width}}  {labels[0]:>{cols}}  {labels[1]:>{cols}}"
+    print(header + (f"  {'speedup':>8}" if compare else ""))
     for name, fast, slow in rows:
-        if "Mops" in name:
-            speedup = fast / slow if slow else float("inf")
-        else:
-            speedup = slow / fast if fast else float("inf")
-        print(f"{name:<{width}}  {fast:>10}  {slow:>10}  {speedup:>7.1f}x")
+        line = f"{name:<{width}}  {fast:>{cols}}  {slow:>{cols}}"
+        if compare:
+            if "Mops" in name:
+                speedup = fast / slow if slow else float("inf")
+            else:
+                speedup = slow / fast if fast else float("inf")
+            line += f"  {speedup:>7.1f}x"
+        print(line)
 
 
 if __name__ == "__main__":

@@ -72,12 +72,15 @@ def _emit(report, fmt, path):
 
 
 def _int_param(args, doc, key, default):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    value = doc.command.get(key, default)
+    """A flag value when given, else the spec's command value; both must be
+    nonnegative integers."""
+    value = getattr(args, key)
+    source = "--" + key.replace("_", "-")
+    if value is None:
+        value = doc.command.get(key, default)
+        source = f"command.{key}"
     if not isinstance(value, int) or value < 0:
-        raise SpecError(f"command.{key} must be a nonnegative integer")
+        raise SpecError(f"{source} must be a nonnegative integer")
     return value
 
 

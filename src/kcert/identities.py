@@ -162,7 +162,10 @@ class Sampler:
 
     def invertible(self, algebra, n, factors=None):
         """Random invertible certificate: a unit diagonal times up to four
-        elementary matrices."""
+        elementary matrices.  Each elementary factor is applied as row and
+        column operations rather than products: m @ E(a) is one column
+        operation on the matrix, E(-a) @ m_inv one row operation on the
+        inverse."""
         cert = InvertibleCert.from_unit_diag(
             algebra, [self.unit(algebra) for _ in range(n)]
         )
@@ -175,7 +178,9 @@ class Sampler:
                 while j == i:
                     j = self.rng.randrange(n)
                 e = ElementaryMatrix(algebra, n, i, j, self.payload(algebra))
-                cert = cert.compose(elementary_expand(e))
+                cert = InvertibleCert(
+                    e.right_mul(cert.m), e.negated().left_mul(cert.m_inv), check=False
+                )
         return cert
 
     def idempotent(self, algebra, n):

@@ -6,6 +6,10 @@ when an explicit two-sided inverse is carried along, and verify() recomputes
 the defining equations rather than trusting them.  Levels are recomputed
 from entries; the worst-case rule level(a.b) >= min(levels) - 1 is a lower
 bound the tests assert, never a substitute for recomputation.
+
+Products sum only the term pairs whose two factors are both nonzero, in
+increasing index order, starting from the algebra's zero.  The skipped
+terms are exactly zero, so this is the exact product, not an approximation.
 """
 
 from .algebras import TRIVIAL, AlgebraElement
@@ -138,22 +142,25 @@ class FilteredMatrix:
         )
 
     def __matmul__(self, other):
+        """Exact product, row by row over nonzero entries (Gustavson's
+        sparse product): entry (i, j) is zero + a[i][k] * b[k][j] summed in
+        increasing k over the k where both factors are nonzero.  The skipped
+        terms are exactly zero, so the sum is exact."""
         self._same(other)
         if self.algebra.kind == TRIVIAL and _mat_mul_fast is not None:
             return FilteredMatrix(self.algebra, _mat_mul_fast(self.rows, other.rows))
-        n = self.n
         zero = self.algebra.zero()
-        bt = tuple(zip(*other.rows))
+        cols = range(self.n)
+        b_nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
         out = []
         for arow in self.rows:
-            orow = []
-            for bcol in bt:
-                acc = zero
-                for a, b in zip(arow, bcol):
-                    if a and b:
-                        acc = acc + a * b
-                orow.append(acc)
-            out.append(tuple(orow))
+            acc = {}
+            for a, brow in zip(arow, b_nonzero):
+                if a:
+                    for j, b in brow:
+                        s = acc.get(j)
+                        acc[j] = zero + a * b if s is None else s + a * b
+            out.append(tuple([acc.get(j, zero) for j in cols]))
         return FilteredMatrix(self.algebra, out)
 
     def __eq__(self, other):
@@ -440,6 +447,32 @@ class ElementaryMatrix:
 
     def negated(self):
         return ElementaryMatrix(self.algebra, self.n, self.i, self.j, -self.entry)
+
+    def _same(self, m):
+        if m.algebra != self.algebra or m.n != self.n:
+            raise MatrixError("elementary matrix and operand mismatch")
+
+    def right_mul(self, m):
+        """m @ E as one column operation: column j += column i * entry,
+        touching only the rows where column i is nonzero."""
+        self._same(m)
+        i, j, a = self.i, self.j, self.entry
+        return FilteredMatrix(
+            self.algebra,
+            tuple(
+                row[:j] + (row[j] + row[i] * a,) + row[j + 1:] if row[i] else row
+                for row in m.rows
+            ),
+        )
+
+    def left_mul(self, m):
+        """E @ m as one row operation: row i += entry * row j, touching only
+        the columns where row j is nonzero."""
+        self._same(m)
+        i, j, a = self.i, self.j, self.entry
+        rows = list(m.rows)
+        rows[i] = tuple(x + a * y if y else x for x, y in zip(rows[i], rows[j]))
+        return FilteredMatrix(self.algebra, rows)
 
 
 def elementary_expand(e):

@@ -295,14 +295,6 @@ class DoubleInvertible:
         return f"DoubleInvertible(n={self.n}, level={self.level})"
 
 
-def i1_star(dm):
-    return dm.m1
-
-
-def i2_star(dm):
-    return dm.m2
-
-
 def lift_via_whitehead(u, leg):
     """Invertible lift of diag(u, u^{-1}) through a surjective leg: the four
     factors lift entrywise by the section, each staying exactly invertible,

@@ -97,6 +97,29 @@ def test_zero_samples_gives_empty_pass(tmp_path, capsys):
     assert "samples=0" in out
 
 
+@pytest.mark.parametrize("command,spec,flag,value", [
+    ("verify", "trivial_q.json", "--samples", "-5"),
+    ("verify", "trivial_q.json", "--seed", "-3"),
+    ("verify", "trivial_q.json", "--max-size", "-1"),
+    ("exactness", "quotient_clutching.json", "--samples", "-1"),
+    ("exactness", "quotient_clutching.json", "--seed", "-1"),
+])
+def test_negative_flag_is_spec_error(capsys, command, spec, flag, value):
+    code, out, err = run_cli(capsys, command, "--spec", spec_path(spec), flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"spec error: {flag} must be a nonnegative integer" in err
+
+
+def test_negative_spec_value_names_the_key(tmp_path, capsys):
+    doc = {"algebra": {"kind": "trivial"}, "command": {"name": "verify", "seed": -1}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 2
+    assert "spec error: command.seed must be a nonnegative integer" in err
+
+
 def test_claimed_level_validated(tmp_path, capsys):
     doc = {
         "algebra": {"kind": "trivial"},

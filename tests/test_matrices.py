@@ -6,6 +6,7 @@ from kcert.matrices import (
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
+    MatrixError,
     apply_hom_idempotent,
     apply_hom_invertible,
     apply_hom_matrix,
@@ -22,8 +23,15 @@ from kcert.matrices import (
     rotation_swap_cert,
     section_matrix,
 )
-from kcert.identities import o_multiplicativity_counterexample
-from kcert.scalars import Poly, rat
+from kcert.identities import Sampler, o_multiplicativity_counterexample
+from kcert.instances import (
+    poly_algebra,
+    propagation_algebra,
+    quotient_algebra,
+    suite_algebras,
+    trivial_algebra,
+)
+from kcert.scalars import Poly, QuotElem, rat
 
 
 def test_identity_neutral(trivial, sampler):
@@ -182,3 +190,130 @@ def test_invertible_cert_failure(trivial):
     m = FilteredMatrix.scalar_diag(trivial, 2, 2)
     with pytest.raises(CertificateFailure):
         InvertibleCert(m, m, check=True)
+
+
+# -- the product against a dense reference -----------------------------------
+
+PARITY_ALGEBRAS = {
+    "Q": trivial_algebra,
+    "Q[x]": poly_algebra,
+    "Q[x]/(x^2-1)": quotient_algebra,
+    "kernels": propagation_algebra,
+}
+
+
+def dense_product(a, b):
+    """Textbook triple loop: every entry is zero + the sum over all k of
+    a[i][k] * b[k][j], zero terms included."""
+    n = a.n
+    zero = a.algebra.zero()
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                acc = acc + a.rows[i][k] * b.rows[k][j]
+            row.append(acc)
+        rows.append(row)
+    return FilteredMatrix(a.algebra, rows)
+
+
+def assert_same_entries(got, want):
+    assert got == want
+    for grow, wrow in zip(got.rows, want.rows):
+        assert [type(g) for g in grow] == [type(w) for w in wrow]
+
+
+def sparse_matrix(sampler, algebra, n):
+    """A sampled matrix with about half of its entries forced to zero."""
+    zero = algebra.zero()
+    return FilteredMatrix(
+        algebra,
+        tuple(
+            tuple(
+                sampler.payload(algebra) if sampler.rng.random() < 0.5 else zero
+                for _ in range(n)
+            )
+            for _ in range(n)
+        ),
+    )
+
+
+def parity_operands(sampler, algebra, n):
+    perm = tuple(sampler.rng.sample(range(n), n))
+    yield FilteredMatrix.zeros(algebra, n)
+    yield FilteredMatrix.identity(algebra, n)
+    yield permutation_cert(algebra, perm).m
+    yield sampler.matrix(algebra, n)
+    yield sparse_matrix(sampler, algebra, n)
+    yield sampler.invertible(algebra, n, factors=4).m
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_ALGEBRAS))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_product_matches_dense_reference(name, n):
+    algebra = PARITY_ALGEBRAS[name]()
+    sampler = Sampler(n)
+    operands = list(parity_operands(sampler, algebra, n))
+    for a in operands:
+        for b in operands:
+            assert_same_entries(a @ b, dense_product(a, b))
+
+
+def test_zero_divisor_products_cancel_to_zero():
+    algebra = quotient_algebra()
+    x_minus_1 = algebra.parse_payload(["-1", "1"])
+    x_plus_1 = algebra.parse_payload(["1", "1"])
+    assert not x_minus_1 * x_plus_1
+    for n in range(1, 5):
+        a = FilteredMatrix(algebra, [[x_minus_1] * n] * n)
+        b = FilteredMatrix(algebra, [[x_plus_1] * n] * n)
+        product = a @ b
+        assert_same_entries(product, dense_product(a, b))
+        assert product.is_zero()
+        assert all(isinstance(p, QuotElem) for row in product.rows for p in row)
+
+
+def test_cancelling_sums_give_zero():
+    algebra = trivial_algebra()
+    a = FilteredMatrix.from_elements(algebra, [["1", "1"], ["2", "-2"]])
+    b = FilteredMatrix.from_elements(algebra, [["1", "3"], ["-1", "3"]])
+    product = a @ b
+    assert_same_entries(product, dense_product(a, b))
+    assert product.rows[0][0] == 0 and product.rows[1][1] == 0
+
+
+# -- elementary factors as row and column operations ---------------------------
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_ALGEBRAS))
+def test_elementary_row_and_column_operations(name):
+    algebra = PARITY_ALGEBRAS[name]()
+    sampler = Sampler(7)
+    for n in range(2, 6):
+        for _ in range(10):
+            i, j = sampler.rng.sample(range(n), 2)
+            e = ElementaryMatrix(algebra, n, i, j, sampler.payload(algebra))
+            for m in (sampler.matrix(algebra, n), sparse_matrix(sampler, algebra, n)):
+                assert e.right_mul(m) == m @ e.expand()
+                assert e.left_mul(m) == e.expand() @ m
+
+
+def test_elementary_operations_reject_mismatch(trivial, quotient):
+    e = ElementaryMatrix(trivial, 2, 0, 1, rat(3))
+    for m in (FilteredMatrix.identity(trivial, 3), FilteredMatrix.identity(quotient, 2)):
+        with pytest.raises(MatrixError):
+            e.right_mul(m)
+        with pytest.raises(MatrixError):
+            e.left_mul(m)
+
+
+@pytest.mark.parametrize("name", sorted(suite_algebras()))
+def test_sampled_invertibles_verify(name):
+    algebra = suite_algebras()[name]
+    sampler = Sampler(11)
+    for n in range(1, 6):
+        for factors in (None, 4):
+            for _ in range(8):
+                sampler.invertible(algebra, n, factors=factors).verify()
