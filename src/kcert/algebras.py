@@ -380,16 +380,6 @@ class AlgebraElement:
         return f"<{self.payload!r} deg {self.degree}>"
 
 
-def alg_mul(a, b):
-    """Product in the algebra; degree(a*b) >= min(deg a, deg b) - 1."""
-    return a * b
-
-
-def degree_of(a):
-    """The computed filtration degree of an element."""
-    return a.degree
-
-
 IDENTITY = "identity"
 QUOTIENT = "quotient"
 RESTRICTION = "restriction"
@@ -501,13 +491,3 @@ class FilteredHom:
 
     def __repr__(self):
         return f"FilteredHom({self.kind}, {self.source.kind} -> {self.target.kind})"
-
-
-def hom_apply(h, a):
-    """Image of an element; degree never drops under a filtered hom."""
-    return h.apply(a)
-
-
-def hom_section(h, b):
-    """Deterministic right inverse of a surjective hom."""
-    return h.section(b)

@@ -24,7 +24,7 @@ from .matrices import (
     block2,
     section_matrix,
 )
-from .mv import DoubleIdempotent, DoubleMatrix, glue_idempotents
+from .mv import DoubleMatrix, glue_idempotents
 
 
 BoundaryOutput = namedtuple(
@@ -117,8 +117,8 @@ def _boundary_core(inp):
         FilteredMatrix.zeros(diagram.lambda2, size),
         e_block(diagram.lambda2, inp.m, inp.n),
     )
-    p_double = DoubleIdempotent(DoubleMatrix(diagram, p_mat, e2_leg2, check=True))
-    minus = DoubleIdempotent(
+    p_double = IdempotentCert(DoubleMatrix(diagram, p_mat, e2_leg2))
+    minus = IdempotentCert(
         DoubleMatrix(
             diagram,
             block2(zero, zero, zero, e_block(diagram.lambda1, inp.m, inp.n)),
@@ -201,7 +201,7 @@ def boundary_first_form(diagram, u):
         FilteredMatrix.identity(diagram.lambda2, n), check=False
     )
     glued = glue_idempotents(one, one2, u, diagram)
-    minus = DoubleIdempotent(
+    minus = IdempotentCert(
         DoubleMatrix.diag_bits(diagram, (1,) * n + (0,) * n), check=False
     )
     return glued, minus
@@ -241,8 +241,8 @@ def verify_lift_independence_a(inp, k):
     bad2 = tilde.p.p.first_mismatch(conj_cert.m @ base.p.p @ conj_cert.m_inv)
     checks.append(("P~ = conj P conj^-1", bad2))
     ident2 = InvertibleCert.identity(diagram.lambda2, 2 * inp.u.n)
-    bad3 = tilde.p_double.dm.m2.first_mismatch(
-        ident2.m @ base.p_double.dm.m2 @ ident2.m_inv
+    bad3 = tilde.p_double.p.m2.first_mismatch(
+        ident2.m @ base.p_double.p.m2 @ ident2.m_inv
     )
     checks.append(("second leg fixed", bad3))
     failures = [(tag, bad) for tag, bad in checks if bad is not None]

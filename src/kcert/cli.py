@@ -71,9 +71,9 @@ def _emit(report, fmt, path):
         sys.stdout.write(text)
 
 
-def _int_param(args, doc, key, default):
+def _int_param(args, doc, key, default, least=0):
     """A flag value when given, else the spec's command value; both must be
-    nonnegative integers."""
+    integers of at least ``least`` (and never negative)."""
     value = getattr(args, key)
     source = "--" + key.replace("_", "-")
     if value is None:
@@ -81,6 +81,8 @@ def _int_param(args, doc, key, default):
         source = f"command.{key}"
     if not isinstance(value, int) or value < 0:
         raise SpecError(f"{source} must be a nonnegative integer")
+    if value < least:
+        raise SpecError(f"{source} must be at least {least}: {value} checks nothing")
     return value
 
 
@@ -88,7 +90,7 @@ def _run_verify(args, doc):
     if doc.algebra is None:
         raise SpecError("verify requires an 'algebra' section")
     seed = _int_param(args, doc, "seed", 0)
-    samples = _int_param(args, doc, "samples", 100)
+    samples = _int_param(args, doc, "samples", 100, least=1)
     max_size = max(1, _int_param(args, doc, "max_size", 3))
     return verify_report(doc.algebra, seed, samples, max_size)
 
@@ -129,7 +131,7 @@ def _run_exactness(args, doc):
     if doc.diagram is None:
         raise SpecError("exactness requires a 'diagram' section")
     seed = _int_param(args, doc, "seed", 0)
-    samples = _int_param(args, doc, "samples", 25)
+    samples = _int_param(args, doc, "samples", 25, least=1)
     corrupt = bool(doc.command.get("corrupt_witness", False))
     return exactness_report(doc.diagram, seed, samples, corrupt_witness=corrupt)
 

@@ -32,17 +32,11 @@ from .matrices import (
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
-    apply_hom_matrix,
+    apply_hom_invertible,
     block_swap_cert,
     o_map,
     permutation_cert,
 )
-
-
-def image_cert(hom, cert):
-    return InvertibleCert(
-        apply_hom_matrix(hom, cert.m), apply_hom_matrix(hom, cert.m_inv), check=False
-    )
 
 
 def encode_matrix(mat):
@@ -114,16 +108,19 @@ def boundary_report(diagram, u, lift_a=None, lift_b=None, m=0,
     }
     if out is not None:
         run("P certifies idempotent", lambda: out.p.verify())
-        run("double matrix constraint", lambda: out.p_double.verify())
+        run(
+            "double matrix constraint",
+            lambda: (out.p_double.p.verify(), out.p_double.verify()),
+        )
         report["s0"] = encode_matrix(out.s0)
         report["s1"] = encode_matrix(out.s1)
         report["l"] = encode_matrix(out.l.m)
         report["l_inv"] = encode_matrix(out.l.m_inv)
         report["p"] = encode_matrix(out.p.p)
-        report["p_double"] = encode_double(out.p_double.dm)
+        report["p_double"] = encode_double(out.p_double.p)
         report["class"] = {
-            "plus": encode_double(out.p_double.dm),
-            "minus": encode_double(out.minus.dm),
+            "plus": encode_double(out.p_double.p),
+            "minus": encode_double(out.minus.p),
         }
         report["levels"] = {
             "input": u.level,
@@ -165,7 +162,9 @@ def gen_k0_middle(diagram, sampler):
     minus2 = IdempotentCert(FilteredMatrix.identity(lam2, 1), check=False)
     c1p = c1.pad(2)
     c2p = c2.pad(2)
-    v = image_cert(diagram.j1, c1p).compose(image_cert(diagram.j2, c2p).inverse())
+    v = apply_hom_invertible(diagram.j1, c1p).compose(
+        apply_hom_invertible(diagram.j2, c2p).inverse()
+    )
     xi = IdempotentCert(FilteredMatrix.zeros(diagram.lambda_prime, 1), check=False)
     witness = K0MiddleWitness(xi, v.pad(1))
     _, report = exactness_k0_middle(diagram, (plus1, minus1), (plus2, minus2), witness)
@@ -190,7 +189,7 @@ def gen_i_after_boundary(diagram, sampler):
 def kernel_boundary_witness(diagram, u_tilde):
     """For a liftable transition the boundary trivializes literally; L.swap
     is its recorded trivializer on both legs."""
-    u = image_cert(diagram.j1, u_tilde)
+    u = apply_hom_invertible(diagram.j1, u_tilde)
     inp = BoundaryInput(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv, m=0)
     out = boundary_second_form(inp)
     w = out.l.compose(block_swap_cert(diagram.lambda1, u.n))

@@ -18,20 +18,21 @@ from .matrices import (
     IdempotentCert,
     InvertibleCert,
     MatrixError,
+    apply_hom_invertible,
     apply_hom_matrix,
     block2,
     block_swap_cert,
     involution_cert,
     is_o_shaped,
-    permutation_cert,
+    o_blocks,
 )
 from .mv import (
-    DoubleIdempotent,
-    DoubleInvertible,
     DoubleMatrix,
+    double_invertible,
     glue_idempotents,
     k0_common_form,
     lift_via_whitehead,
+    normalize_difference,
 )
 from .scalars import is_dyadic, rat
 
@@ -129,22 +130,12 @@ class EquivalenceCertificate:
         return min(levels, default=None)
 
 
-def _is_idempotent_rep(x):
-    return isinstance(x, (IdempotentCert, DoubleIdempotent))
-
-
 def _conjugate_rep(x, w):
     if isinstance(x, IdempotentCert):
         return IdempotentCert(w.m @ x.p @ w.m_inv, check=False)
     if isinstance(x, InvertibleCert):
         return InvertibleCert(
             w.m @ x.m @ w.m_inv, w.m @ x.m_inv @ w.m_inv, check=False
-        )
-    if isinstance(x, DoubleIdempotent):
-        return w.conjugate_idempotent(x)
-    if isinstance(x, DoubleInvertible):
-        return DoubleInvertible(
-            w.dm @ x.dm @ w.dm_inv, w.dm @ x.dm_inv @ w.dm_inv, check=False
         )
     raise MatrixError(f"cannot conjugate {type(x).__name__}")
 
@@ -156,10 +147,6 @@ def _rep_equal(x, y):
         bad = x.p.first_mismatch(y.p)
     elif isinstance(x, InvertibleCert):
         bad = x.m.first_mismatch(y.m) or x.m_inv.first_mismatch(y.m_inv)
-    elif isinstance(x, DoubleIdempotent):
-        bad = x.dm.first_mismatch(y.dm)
-    elif isinstance(x, DoubleInvertible):
-        bad = x.dm.first_mismatch(y.dm) or x.dm_inv.first_mismatch(y.dm_inv)
     else:
         raise MatrixError(f"cannot compare {type(x).__name__}")
     return bad is None, bad
@@ -173,16 +160,11 @@ def _apply_steps(x, steps):
             step.witness.verify()
             x = _conjugate_rep(x, step.witness)
         elif isinstance(step, OAbsorb):
-            if _is_idempotent_rep(x):
+            if isinstance(x, IdempotentCert):
                 raise CertificateFailure("O-absorption applies to invertibles only")
-            xi = step.summand
-            if isinstance(xi, InvertibleCert):
-                if not is_o_shaped(xi):
-                    raise CertificateFailure("absorbed summand is not O-shaped")
-            else:
-                if not (is_o_shaped(xi.leg1) and is_o_shaped(xi.leg2)):
-                    raise CertificateFailure("absorbed summand is not O-shaped")
-            x = x.direct_sum(xi)
+            if not is_o_shaped(step.summand):
+                raise CertificateFailure("absorbed summand is not O-shaped")
+            x = x.direct_sum(step.summand)
         else:
             raise CertificateFailure(f"unknown certificate step {step!r}")
     return x
@@ -265,20 +247,6 @@ class ExactnessReport:
 K0MiddleWitness = namedtuple("K0MiddleWitness", ["xi", "v"])
 
 
-def _double_perm(diagram, perm):
-    return DoubleInvertible.from_certs(
-        diagram,
-        permutation_cert(diagram.lambda1, perm),
-        permutation_cert(diagram.lambda2, perm),
-        check=False,
-    )
-
-
-def _double_from_same(diagram, cert):
-    """(w, w) as a double invertible; valid on same-leg diagrams."""
-    return DoubleInvertible.from_certs(diagram, cert, cert, check=True)
-
-
 def exactness_k0_middle(diagram, d1, d2, witness):
     """Exactness at the leg pair: a matched pair of K0 differences comes from
     a glued class.  The witness conjugates the xi-stabilized common forms
@@ -322,15 +290,13 @@ def exactness_k0_middle(diagram, d1, d2, witness):
     big = q1p.n
     report.require(
         "leg1 recovery is literal",
-        glued.double.dm.m1.first_mismatch(q1p.p.pad(big, fill=0)),
+        glued.double.p.m1.first_mismatch(q1p.p.pad(big, fill=0)),
     )
     expect2 = glued.u_tilde.m @ q2p.p.pad(big, fill=0) @ glued.u_tilde.m_inv
     report.require("leg2 recovery by recorded conjugator",
-                   glued.double.dm.m2.first_mismatch(expect2))
+                   glued.double.p.m2.first_mismatch(expect2))
     minus_rank = n_minus + k
-    minus = DoubleIdempotent(
-        DoubleMatrix.diag_bits(diagram, (1,) * minus_rank), check=False
-    )
+    minus = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * minus_rank), check=False)
     report.witnesses["minus_rank"] = minus_rank
     return K0Rep(glued.double, minus), report
 
@@ -340,18 +306,14 @@ def exactness_boundary_zero(diagram, u_tilde):
     lifts are the element and its inverse, so both defect matrices vanish
     and the double idempotent is literally the trivial block."""
     report = ExactnessReport("boundary_zero")
-    u = InvertibleCert(
-        apply_hom_matrix(diagram.j1, u_tilde.m),
-        apply_hom_matrix(diagram.j1, u_tilde.m_inv),
-        check=False,
-    )
+    u = apply_hom_invertible(diagram.j1, u_tilde)
     inp = BoundaryInput(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv, m=0)
     out = boundary_second_form(inp)
     report.add("S0 = 0", out.s0.is_zero(), "S0 nonzero")
     report.add("S1 = 0", out.s1.is_zero(), "S1 nonzero")
     report.require(
         "boundary class is the literal zero difference",
-        out.p_double.dm.first_mismatch(out.minus.dm),
+        out.p_double.p.first_mismatch(out.minus.p),
     )
     return report
 
@@ -364,8 +326,6 @@ def exactness_boundary_zero_oshape(diagram, xi):
         report.add("input is O-shaped", False, "not O-shaped")
         return report
     report.add("input is O-shaped", True)
-    from .matrices import o_blocks
-
     lifted = lift_via_whitehead(o_blocks(xi), diagram.j1)
     inner = exactness_boundary_zero(diagram, lifted)
     for name, ok, detail in inner.checks:
@@ -391,7 +351,7 @@ def exactness_i_after_boundary(diagram, u, m=0):
     )
     report.require(
         "leg2: literal e2 = e2",
-        out.p_double.dm.m2.first_mismatch(out.e2),
+        out.p_double.p.m2.first_mismatch(out.e2),
     )
     report.witnesses["conjugator_level"] = conj.level
     return report
@@ -416,7 +376,7 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
     out = boundary_second_form(inp)
     size = 2 * u.n
     try:
-        double_w = DoubleInvertible.from_certs(diagram, u1, u2, check=True)
+        double_invertible(diagram, u1, u2)
     except CertificateFailure as exc:
         report.add("witness is a double invertible", False, exc)
         return None, report
@@ -432,18 +392,18 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
     ):
         return None, report
     if not report.require(
-        "witness fixes leg2", out.p_double.dm.m2.first_mismatch(u2.m @ out.e2 @ u2.m_inv)
+        "witness fixes leg2", out.p_double.p.m2.first_mismatch(u2.m @ out.e2 @ u2.m_inv)
     ):
         return None, report
     # Inner automorphisms compose: conjugating by (U1^{-1}, U1^{-1}) sends
     # the first leg back to the literal e2.
-    back = _double_from_same(diagram, u1.inverse())
-    normal = back.conjugate_idempotent(out.p_double)
-    report.require("normal form leg1 is literal e2", normal.dm.m1.first_mismatch(e2))
+    back = double_invertible(diagram, u1.inverse(), u1.inverse())
+    normal = _conjugate_rep(out.p_double, back)
+    report.require("normal form leg1 is literal e2", normal.p.m1.first_mismatch(e2))
     v = u1.inverse().compose(u2)
     report.require(
         "normal form leg2 = V e2 V^-1",
-        normal.dm.m2.first_mismatch(v.m @ out.e2 @ v.m_inv),
+        normal.p.m2.first_mismatch(v.m @ out.e2 @ v.m_inv),
     )
     swap = block_swap_cert(diagram.lambda1, u.n)
     g = swap.compose(u1.inverse()).compose(out.l)
@@ -470,31 +430,6 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
     return (w1, w2), report
 
 
-def normalize_difference_double(plus, minus):
-    """Double-leg version of the difference normalization."""
-    diagram = plus.dm.diagram
-    comp = minus.complement()
-    p_bar = DoubleIdempotent(plus.dm.direct_sum(comp.dm), check=False)
-    w = DoubleInvertible(
-        block2_double(minus.dm, comp.dm, comp.dm, minus.dm),
-        block2_double(minus.dm, comp.dm, comp.dm, minus.dm),
-        check=False,
-    )
-    swap = _double_perm(
-        diagram, tuple(range(minus.n, 2 * minus.n)) + tuple(range(minus.n))
-    )
-    return p_bar, minus.n, w.compose(swap)
-
-
-def block2_double(a, b, c, d):
-    return DoubleMatrix(
-        a.diagram,
-        block2(a.m1, b.m1, c.m1, d.m1),
-        block2(a.m2, b.m2, c.m2, d.m2),
-        check=False,
-    )
-
-
 def exactness_kernel_i(diagram, d, q, u1, u2):
     """Kernel of the legs: a double K0 difference killed by both legs is a
     boundary.  Trivialize the minus part, stabilize by q, conjugate by
@@ -509,13 +444,21 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
     report.add("diagram has equal legs", True)
     plus, minus = d.plus, d.minus
     m_sz, n_sz = plus.n, minus.n
-    p_bar, _, trivializer = normalize_difference_double(plus, minus)
-    scalar_bits = (0,) * n_sz + (1,) * n_sz
-    scalar = DoubleMatrix.diag_bits(diagram, scalar_bits)
+    # Normalize each leg alone: both legs get the same block2 and the same
+    # swap permutation, so the pairs satisfy the pullback constraint.
+    p_bar1, _, t1 = normalize_difference(
+        IdempotentCert(plus.p.m1, check=False), IdempotentCert(minus.p.m1, check=False)
+    )
+    p_bar2, _, t2 = normalize_difference(
+        IdempotentCert(plus.p.m2, check=False), IdempotentCert(minus.p.m2, check=False)
+    )
+    p_bar = IdempotentCert(DoubleMatrix(diagram, p_bar1.p, p_bar2.p, check=False), check=False)
+    trivializer = double_invertible(diagram, t1, t2, check=False)
+    scalar = DoubleMatrix.diag_bits(diagram, (0,) * n_sz + (1,) * n_sz)
     report.require(
         "minus part trivializes",
-        (trivializer.dm @ scalar @ trivializer.dm_inv).first_mismatch(
-            minus.dm.direct_sum(minus.complement().dm)
+        (trivializer.m @ scalar @ trivializer.m_inv).first_mismatch(
+            minus.p.direct_sum(minus.complement().p)
         ),
     )
     p_tilde = p_bar.pad(q)
@@ -526,27 +469,23 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
         return None, report
     report.require(
         "witness u1 trivializes leg1",
-        p_tilde.dm.m1.first_mismatch(u1.m @ eps @ u1.m_inv),
+        p_tilde.p.m1.first_mismatch(u1.m @ eps @ u1.m_inv),
     )
     report.require(
         "witness u2 trivializes leg2",
-        p_tilde.dm.m2.first_mismatch(u2.m @ eps @ u2.m_inv),
+        p_tilde.p.m2.first_mismatch(u2.m @ eps @ u2.m_inv),
     )
     if not report.passed:
         return None, report
-    back = _double_from_same(diagram, u2.inverse())
-    p_tt = back.conjugate_idempotent(p_tilde)
+    back = double_invertible(diagram, u2.inverse(), u2.inverse())
+    p_tt = _conjugate_rep(p_tilde, back)
     v = u2.inverse().compose(u1)
     report.require(
         "conjugated leg1 = V eps V^-1",
-        p_tt.dm.m1.first_mismatch(v.m @ eps @ v.m_inv),
+        p_tt.p.m1.first_mismatch(v.m @ eps @ v.m_inv),
     )
-    report.require("conjugated leg2 is literal eps", p_tt.dm.m2.first_mismatch(eps))
-    phi = InvertibleCert(
-        apply_hom_matrix(diagram.j1, v.m),
-        apply_hom_matrix(diagram.j1, v.m_inv),
-        check=False,
-    )
+    report.require("conjugated leg2 is literal eps", p_tt.p.m2.first_mismatch(eps))
+    phi = apply_hom_invertible(diagram.j1, v)
     eps_prime = e_block(diagram.lambda_prime, total - n_sz, n_sz)
     report.require(
         "phi commutes with the scalar block",
@@ -563,26 +502,26 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
     zero = FilteredMatrix.zeros(diagram.lambda1, total)
     report.require(
         "boundary block reproduces conjugated class (leg1)",
-        out.p.p.first_mismatch(block2(zero, zero, zero, p_tt.dm.m1)),
+        out.p.p.first_mismatch(block2(zero, zero, zero, p_tt.p.m1)),
     )
     report.require(
         "boundary block reproduces conjugated class (leg2)",
-        out.p_double.dm.m2.first_mismatch(
+        out.p_double.p.m2.first_mismatch(
             block2(
                 FilteredMatrix.zeros(diagram.lambda2, total),
                 FilteredMatrix.zeros(diagram.lambda2, total),
                 FilteredMatrix.zeros(diagram.lambda2, total),
-                p_tt.dm.m2,
+                p_tt.p.m2,
             )
         ),
     )
     # Chain back to the input class: un-conjugate, un-stabilize, un-normalize.
-    forward = _double_from_same(diagram, u2)
-    restored = forward.conjugate_idempotent(p_tt)
-    report.require("conjugating back restores p~", restored.dm.first_mismatch(p_tilde.dm))
+    forward = double_invertible(diagram, u2, u2)
+    restored = _conjugate_rep(p_tt, forward)
+    report.require("conjugating back restores p~", restored.p.first_mismatch(p_tilde.p))
     report.require(
         "un-stabilizing restores the normalized plus part",
-        p_tilde.dm.first_mismatch(p_bar.dm.pad(q, fill=0)),
+        p_tilde.p.first_mismatch(p_bar.p.pad(q, fill=0)),
     )
     report.witnesses["phi_level"] = phi.level
     report.witnesses["output_level"] = out.p_double.level

@@ -229,16 +229,6 @@ class FilteredMatrix:
         return f"FilteredMatrix(n={self.n}, level={self.level}, kind={self.algebra.kind})"
 
 
-def mat_mul(a, b):
-    """Exact matrix product; level >= min(level a, level b) - 1."""
-    return a @ b
-
-
-def direct_sum(a, b):
-    """Block diagonal sum; level is the min of the levels."""
-    return a.direct_sum(b)
-
-
 def block2(a, b, c, d):
     """Assemble [[a, b], [c, d]] from equal-size square blocks."""
     if not (a.n == b.n == c.n == d.n):
@@ -265,7 +255,12 @@ def split2(m):
 
 
 class InvertibleCert:
-    """An invertible matrix carried together with its explicit inverse."""
+    """An invertible matrix carried together with its explicit inverse.
+
+    The matrices may be of any square type with ``algebra``, ``n``,
+    ``level``, ``@``, ``==``, ``direct_sum``, ``pad``, ``first_mismatch`` and
+    a classmethod ``identity(algebra, n)``: a FilteredMatrix, or a double
+    matrix over a pullback diagram."""
 
     __slots__ = ("m", "m_inv")
 
@@ -290,7 +285,7 @@ class InvertibleCert:
         return min(self.m.level, self.m_inv.level)
 
     def verify(self):
-        ident = FilteredMatrix.identity(self.m.algebra, self.m.n)
+        ident = type(self.m).identity(self.m.algebra, self.m.n)
         bad = (self.m @ self.m_inv).first_mismatch(ident)
         if bad is None:
             bad = (self.m_inv @ self.m).first_mismatch(ident)
@@ -364,7 +359,10 @@ class InvertibleCert:
 
 
 class IdempotentCert:
-    """An idempotent matrix; verify() recomputes p @ p == p."""
+    """An idempotent matrix; verify() recomputes p @ p == p.
+
+    Takes the same matrix types as InvertibleCert; complement() also needs
+    ``-``."""
 
     __slots__ = ("p",)
 
@@ -396,7 +394,7 @@ class IdempotentCert:
     def complement(self):
         """1 - p, also idempotent."""
         return IdempotentCert(
-            FilteredMatrix.identity(self.p.algebra, self.p.n) - self.p, check=False
+            type(self.p).identity(self.p.algebra, self.p.n) - self.p, check=False
         )
 
     def direct_sum(self, other):
@@ -413,12 +411,6 @@ class IdempotentCert:
 
     def __repr__(self):
         return f"IdempotentCert(n={self.n}, level={self.level})"
-
-
-def check_idempotent(m):
-    """Certificate iff m @ m == m exactly; CertificateFailure carries the
-    first offending entry otherwise."""
-    return IdempotentCert(m, check=True)
 
 
 class ElementaryMatrix:
@@ -497,13 +489,14 @@ def o_map(u):
 
 
 def is_o_shaped(cert):
-    """True when cert is literally diag(alpha, alpha^{-1}) on half blocks."""
+    """True when cert is literally diag(alpha, alpha^{-1}) on half blocks;
+    the matrices also need ``sub_block`` and ``is_zero``."""
     if cert.n % 2:
         return False
     a, b, c, d = split2(cert.m)
     if not (b.is_zero() and c.is_zero()):
         return False
-    ident = FilteredMatrix.identity(cert.algebra, a.n)
+    ident = type(cert.m).identity(cert.algebra, a.n)
     return (a @ d) == ident and (d @ a) == ident
 
 

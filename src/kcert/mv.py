@@ -1,12 +1,17 @@
 """Pullback diagrams, double matrices, and constructive gluing.
 
 The pullback ring is never materialized: a double matrix is a pair over the
-two legs whose images in the overlap ring agree exactly, validated on every
-construction.  Gluing follows the lift-through-sections recipe: the
-transition invertible u becomes diag(u, u^{-1}), which factors into three
-elementary block matrices and a rotation; each elementary factor lifts
-entrywise through the surjective leg to an invertible elementary matrix, so
-the product lifts invertibly with an explicit inverse.
+two legs whose images in the overlap ring agree exactly (Milnor's
+patching), validated on construction unless the pair is built from pairs
+already known to agree.  Its operations act legwise and its algebra is the
+diagram, so an idempotent or invertible over the pullback is a plain
+IdempotentCert or InvertibleCert whose matrices are double matrices.
+
+Gluing follows the lift-through-sections recipe: the transition invertible
+u becomes diag(u, u^{-1}), which factors into three elementary block
+matrices and a rotation; each elementary factor lifts entrywise through the
+surjective leg to an invertible elementary matrix, so the product lifts
+invertibly with an explicit inverse.
 """
 
 from collections import namedtuple
@@ -17,6 +22,7 @@ from .matrices import (
     IdempotentCert,
     InvertibleCert,
     MatrixError,
+    apply_hom_invertible,
     apply_hom_matrix,
     block2,
     block_swap_cert,
@@ -58,6 +64,17 @@ class MVDiagram:
         kernel-recovery recipes assume."""
         return self.lambda1 == self.lambda2 and self.j1 == self.j2
 
+    def _components(self):
+        return (self.lambda1, self.lambda2, self.lambda_prime, self.j1, self.j2)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return isinstance(other, MVDiagram) and self._components() == other._components()
+
+    def __hash__(self):
+        return hash(self._components())
+
     def describe(self):
         return {
             "lambda1": self.lambda1.describe(),
@@ -72,7 +89,10 @@ class MVDiagram:
 
 
 class DoubleMatrix:
-    """A pair (m1, m2) with j1*(m1) = j2*(m2) exactly."""
+    """A pair (m1, m2) with j1*(m1) = j2*(m2) exactly: a square matrix over
+    the pullback, whose algebra is the diagram.  Every operation acts
+    legwise, so the certificate classes take it as they take a
+    FilteredMatrix."""
 
     __slots__ = ("diagram", "m1", "m2")
 
@@ -98,21 +118,16 @@ class DoubleMatrix:
         return self
 
     @property
+    def algebra(self):
+        return self.diagram
+
+    @property
     def n(self):
         return self.m1.n
 
     @property
     def level(self):
         return min(self.m1.level, self.m2.level)
-
-    @classmethod
-    def scalar_diag(cls, diagram, value, n):
-        return cls(
-            diagram,
-            FilteredMatrix.scalar_diag(diagram.lambda1, value, n),
-            FilteredMatrix.scalar_diag(diagram.lambda2, value, n),
-            check=False,
-        )
 
     @classmethod
     def diag_bits(cls, diagram, bits):
@@ -125,7 +140,12 @@ class DoubleMatrix:
 
     @classmethod
     def identity(cls, diagram, n):
-        return cls.scalar_diag(diagram, 1, n)
+        return cls(
+            diagram,
+            FilteredMatrix.identity(diagram.lambda1, n),
+            FilteredMatrix.identity(diagram.lambda2, n),
+            check=False,
+        )
 
     def __add__(self, other):
         self._same(other)
@@ -143,9 +163,11 @@ class DoubleMatrix:
         return DoubleMatrix(self.diagram, self.m1 @ other.m1, self.m2 @ other.m2, check=False)
 
     def _same(self, other):
-        if not isinstance(other, DoubleMatrix) or other.diagram is not self.diagram:
-            if not isinstance(other, DoubleMatrix) or other.diagram.describe() != self.diagram.describe():
-                raise MatrixError("double matrices over different diagrams")
+        if not isinstance(other, DoubleMatrix) or other.diagram != self.diagram:
+            raise MatrixError("double matrices over different diagrams")
+
+    def is_zero(self):
+        return self.m1.is_zero() and self.m2.is_zero()
 
     def direct_sum(self, other):
         self._same(other)
@@ -160,13 +182,21 @@ class DoubleMatrix:
             self.diagram, self.m1.pad(k, fill), self.m2.pad(k, fill), check=False
         )
 
+    def sub_block(self, r0, r1, c0, c1):
+        return DoubleMatrix(
+            self.diagram,
+            self.m1.sub_block(r0, r1, c0, c1),
+            self.m2.sub_block(r0, r1, c0, c1),
+            check=False,
+        )
+
     def first_mismatch(self, other):
-        bad = self.m1.first_mismatch(other.m1)
-        if bad is not None:
-            return ("leg1",) + bad
-        bad = self.m2.first_mismatch(other.m2)
-        if bad is not None:
-            return ("leg2",) + bad
+        """((leg, (i, j)), residual) of the first differing entry, or None."""
+        self._same(other)
+        for leg, mine, theirs in (("leg1", self.m1, other.m1), ("leg2", self.m2, other.m2)):
+            bad = mine.first_mismatch(theirs)
+            if bad is not None:
+                return (leg, bad[0]), bad[1]
         return None
 
     def __eq__(self, other):
@@ -183,116 +213,15 @@ class DoubleMatrix:
         return f"DoubleMatrix(n={self.n}, level={self.level})"
 
 
-def make_double(m1, m2, diagram):
-    """Validated double matrix; reports the first mismatched entry."""
-    return DoubleMatrix(diagram, m1, m2, check=True)
-
-
-class DoubleIdempotent:
-    """Double matrix whose legs both certify idempotent."""
-
-    __slots__ = ("dm",)
-
-    def __init__(self, dm, check=True):
-        self.dm = dm
-        if check:
-            self.verify()
-
-    def verify(self):
-        self.dm.verify()
-        IdempotentCert(self.dm.m1, check=True)
-        IdempotentCert(self.dm.m2, check=True)
-        return self
-
-    @property
-    def n(self):
-        return self.dm.n
-
-    @property
-    def level(self):
-        return self.dm.level
-
-    def complement(self):
-        ident = DoubleMatrix.identity(self.dm.diagram, self.n)
-        return DoubleIdempotent(ident - self.dm, check=False)
-
-    def direct_sum(self, other):
-        return DoubleIdempotent(self.dm.direct_sum(other.dm), check=False)
-
-    def pad(self, k):
-        return DoubleIdempotent(self.dm.pad(k, fill=0), check=False) if k else self
-
-    def __eq__(self, other):
-        return isinstance(other, DoubleIdempotent) and self.dm == other.dm
-
-    def __repr__(self):
-        return f"DoubleIdempotent(n={self.n}, level={self.level})"
-
-
-class DoubleInvertible:
-    """Pair of invertible certificates whose forward and inverse parts are
-    both valid double matrices."""
-
-    __slots__ = ("dm", "dm_inv")
-
-    def __init__(self, dm, dm_inv, check=True):
-        self.dm = dm
-        self.dm_inv = dm_inv
-        if check:
-            self.verify()
-
-    def verify(self):
-        self.dm.verify()
-        self.dm_inv.verify()
-        InvertibleCert(self.dm.m1, self.dm_inv.m1, check=True)
-        InvertibleCert(self.dm.m2, self.dm_inv.m2, check=True)
-        return self
-
-    @classmethod
-    def from_certs(cls, diagram, cert1, cert2, check=True):
-        return cls(
-            DoubleMatrix(diagram, cert1.m, cert2.m, check=check),
-            DoubleMatrix(diagram, cert1.m_inv, cert2.m_inv, check=check),
-            check=False,
-        )
-
-    @property
-    def n(self):
-        return self.dm.n
-
-    @property
-    def level(self):
-        return min(self.dm.level, self.dm_inv.level)
-
-    @property
-    def leg1(self):
-        return InvertibleCert(self.dm.m1, self.dm_inv.m1, check=False)
-
-    @property
-    def leg2(self):
-        return InvertibleCert(self.dm.m2, self.dm_inv.m2, check=False)
-
-    def inverse(self):
-        return DoubleInvertible(self.dm_inv, self.dm, check=False)
-
-    def compose(self, other):
-        return DoubleInvertible(self.dm @ other.dm, other.dm_inv @ self.dm_inv, check=False)
-
-    def direct_sum(self, other):
-        return DoubleInvertible(
-            self.dm.direct_sum(other.dm), self.dm_inv.direct_sum(other.dm_inv), check=False
-        )
-
-    def pad(self, k):
-        if k == 0:
-            return self
-        return DoubleInvertible(self.dm.pad(k, fill=1), self.dm_inv.pad(k, fill=1), check=False)
-
-    def conjugate_idempotent(self, p):
-        return DoubleIdempotent(self.dm @ p.dm @ self.dm_inv, check=False)
-
-    def __repr__(self):
-        return f"DoubleInvertible(n={self.n}, level={self.level})"
+def double_invertible(diagram, cert1, cert2, check=True):
+    """Invertible certificate over the pullback from one certificate per
+    leg; with check, both the forward and the inverse pair are validated
+    as double matrices."""
+    return InvertibleCert(
+        DoubleMatrix(diagram, cert1.m, cert2.m, check=check),
+        DoubleMatrix(diagram, cert1.m_inv, cert2.m_inv, check=check),
+        check=False,
+    )
 
 
 def lift_via_whitehead(u, leg):
@@ -360,7 +289,7 @@ def glue_idempotents(p1, p2, u, diagram):
     leg1 = p1.p.pad(n, fill=0)
     p2_stab = p2.p.pad(n, fill=0)
     leg2 = u_tilde.m @ p2_stab @ u_tilde.m_inv
-    double = DoubleIdempotent(make_double(leg1, leg2, diagram))
+    double = IdempotentCert(DoubleMatrix(diagram, leg1, leg2))
     return GluedIdempotent(double, p1, p2, u, u_tilde)
 
 
@@ -369,14 +298,10 @@ def glue_with_lifted_transition(p1, p2, u_tilde, diagram):
     already lifts over the second leg."""
     if u_tilde.algebra != diagram.lambda2:
         raise MatrixError("lift must live over the second leg")
-    u = InvertibleCert(
-        apply_hom_matrix(diagram.j2, u_tilde.m),
-        apply_hom_matrix(diagram.j2, u_tilde.m_inv),
-        check=False,
-    )
+    u = apply_hom_invertible(diagram.j2, u_tilde)
     _check_conjugation_pre(diagram, p1.p, p2.p, u, "lifted idempotent gluing")
     leg2 = u_tilde.m @ p2.p @ u_tilde.m_inv
-    return DoubleIdempotent(make_double(p1.p, leg2, diagram))
+    return IdempotentCert(DoubleMatrix(diagram, p1.p, leg2))
 
 
 def normalize_difference(p1, p2):
@@ -416,9 +341,7 @@ def glue_k0_classes(d1, d2, u, diagram):
             f"conjugator size {u.n} does not match the common form size {q1.n}"
         )
     glued = glue_idempotents(q1, q2, u, diagram)
-    minus = DoubleIdempotent(
-        DoubleMatrix.diag_bits(diagram, (1,) * n_minus), check=False
-    )
+    minus = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * n_minus), check=False)
     return glued, minus, n_minus
 
 
@@ -442,7 +365,7 @@ def glue_invertibles(s1, s2, u, diagram):
         u_tilde.m @ s2_stab.m_inv @ u_tilde.m_inv,
         check=False,
     )
-    return DoubleInvertible.from_certs(diagram, leg1, leg2, check=True)
+    return double_invertible(diagram, leg1, leg2)
 
 
 OLift = namedtuple("OLift", ["u_tilde", "xi_tilde", "forward", "perm"])

@@ -63,21 +63,6 @@ def encode_rational(value):
     return str(value)
 
 
-def rational_arith(a, b, op):
-    """Field arithmetic on scalars; op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise ZeroDivisionError("division by zero rational")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 class Poly:
     """Univariate polynomial over the scalars, coefficients lowest degree
     first with no trailing zero; () is the zero polynomial."""
@@ -320,16 +305,6 @@ class QuotElem:
 
     def __repr__(self):
         return f"QuotElem({self.modulus!r}, {self.rep!r})"
-
-
-def quot_reduce(p, m):
-    """Reduce a polynomial modulo a monic modulus of degree >= 1."""
-    return QuotElem(m, p)
-
-
-def quot_invert(e):
-    """Inverse of a quotient-ring element; raises NotInvertible."""
-    return e.invert()
 
 
 def is_dyadic(value):

@@ -117,6 +117,7 @@ def test_criterion_4_boundary_clutching():
     one_minus_x2 = FilteredMatrix(diagram.lambda1, ((Poly([1, 0, -1]),),))
     ok = out.s0 == one_minus_x2 and out.s1 == one_minus_x2
     out.p.verify()
+    out.p_double.p.verify()
     out.p_double.verify()
     closed = (
         out.s0 @ out.s0,

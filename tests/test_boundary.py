@@ -47,7 +47,7 @@ def test_trivial_diagram_invertible_lift_gives_zero(trivial_mv):
     )
     out = boundary_second_form(inp)
     assert out.s0.is_zero() and out.s1.is_zero()
-    assert out.p_double.dm == out.minus.dm  # the literal zero difference
+    assert out.p_double.p == out.minus.p  # the literal zero difference
 
 
 def test_clutching_boundary_closed_form(clutching):
@@ -59,6 +59,7 @@ def test_clutching_boundary_closed_form(clutching):
     assert out.s0 == FilteredMatrix(clutching.lambda1, ((one_minus_x2,),))
     assert out.s1 == FilteredMatrix(clutching.lambda1, ((one_minus_x2,),))
     out.p.verify()
+    out.p_double.p.verify()
     out.p_double.verify()
     # closed form checked inside; cross-check the intertwining laws directly
     a, b = inp.lift_a, inp.lift_b
@@ -86,6 +87,7 @@ def test_intertwining_for_arbitrary_lifts(clutching, sampler):
         )
         out = boundary_second_form(inp)
         out.p.verify()
+        out.p_double.p.verify()
         out.p_double.verify()
         a, b = inp.lift_a, inp.lift_b
         assert out.s1 @ a == a @ out.s0
@@ -109,7 +111,7 @@ def test_extended_reduces_to_second_form(clutching):
     second = boundary_second_form(BoundaryInput(clutching, u, lift_a=x, lift_b=x))
     extended = boundary_extended_form(BoundaryInput(clutching, u, lift_a=x, lift_b=x, m=0))
     assert second.p.p == extended.p.p
-    assert second.p_double.dm == extended.p_double.dm
+    assert second.p_double.p == extended.p_double.p
 
 
 def test_extended_block_diagonal(clutching):
@@ -126,6 +128,7 @@ def test_extended_block_diagonal(clutching):
     inp = BoundaryInput(clutching, u, m=1)
     out = boundary_extended_form(inp)
     out.p.verify()
+    out.p_double.p.verify()
     out.p_double.verify()
     # the m-padding must not change the certified class content: the
     # e-block cuts the x-part exactly as the m = 0 boundary of x does
@@ -163,17 +166,19 @@ def test_inverse_lifts_shape(clutching, sampler):
     inp = BoundaryInput(clutching, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv, m=1)
     out = boundary_extended_form(inp)
     assert out.s0.is_zero() and out.s1.is_zero()
-    assert out.p_double.dm == out.minus.dm
+    assert out.p_double.p == out.minus.p
 
 
 def test_first_form_matches_second_up_to_certificates(clutching):
     u = _x_cert(clutching)
     glued, minus = boundary_first_form(clutching, u)
+    glued.double.p.verify()
     glued.double.verify()
-    assert minus.dm.m1 == FilteredMatrix.diag_bits(clutching.lambda1, (1, 0))
+    assert minus.p.m1 == FilteredMatrix.diag_bits(clutching.lambda1, (1, 0))
     # stabilized transition glues to the same certified shape
     stab = u.pad(1)
     glued2, _ = boundary_first_form(clutching, stab)
+    glued2.double.p.verify()
     glued2.double.verify()
 
 

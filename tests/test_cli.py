@@ -88,13 +88,25 @@ def test_malformed_rational_rejected(tmp_path, capsys):
     assert "spec error" in err
 
 
-def test_zero_samples_gives_empty_pass(tmp_path, capsys):
-    doc = {"algebra": {"kind": "trivial"}, "command": {"name": "verify"}}
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run_cli(capsys, "verify", "--spec", str(path), "--samples", "0")
-    assert code == 0
-    assert "samples=0" in out
+def test_zero_samples_is_spec_error(tmp_path, capsys):
+    # zero samples would check nothing, so neither the flag nor the spec
+    # value may turn into a pass
+    for command, spec in (("verify", "trivial_q.json"),
+                          ("exactness", "quotient_clutching.json")):
+        code, out, err = run_cli(
+            capsys, command, "--spec", spec_path(spec), "--samples", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "spec error: --samples must be at least 1" in err
+        doc = json.loads(resources.files("kcert.specs").joinpath(spec).read_text())
+        doc["command"] = {"name": command, "samples": 0}
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--spec", str(path))
+        assert code == 2
+        assert out == ""
+        assert "spec error: command.samples must be at least 1" in err
 
 
 @pytest.mark.parametrize("command,spec,flag,value", [

@@ -51,3 +51,49 @@ def test_report_hash(tmp_path, name, seed, fmt):
     assert main(argv) == 0
     digest = hashlib.sha256(report.read_bytes()).hexdigest()
     assert digest == GOLDEN[(name, seed, fmt)]
+
+
+# The bundled specs' own commands never run the equal-legs segments
+# (kernel_boundary, kernel_i), which are the ones built on double
+# invertibles; these pins run exactness on the clutching spec.
+EXACTNESS_GOLDEN = {
+    (None, "text"): "903757af9cedb058b75f45a471bf6dff88b6246f7e1309d5521a7a90f00d5d06",
+    (None, "json"): "8aff262a5626cbe3ac38f80d51199ce5faccafe7acf8d93904ae80a9242db709",
+    (11, "text"): "0ab19e8fcfe54c6e066d460a7943c9fd0142e4788da0480a8862756dc4e32561",
+    (11, "json"): "5dd74fc9d568e61caa99e8c9e588067da44cc2a9b8a15ab48c2ae0ded2b10bd5",
+}
+
+CORRUPT_GOLDEN = {
+    "text": "65e78706614651701ab18606052b9b3049e3d417a389232c593b574db4562bdf",
+    "json": "803aa9b4f93d83d34f0c5be01d4c9eb067a22bf2e59d86ba56d9a43f9e29ac2d",
+}
+
+
+def _report_digest(argv, report, expect_code):
+    assert main(argv + ["--report", str(report)]) == expect_code
+    return hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed,fmt", sorted(EXACTNESS_GOLDEN, key=str))
+def test_exactness_clutching_hash(tmp_path, seed, fmt):
+    path = str(resources.files("kcert.specs").joinpath("quotient_clutching.json"))
+    argv = ["exactness", "--spec", path, "--samples", "3", "--format", fmt]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    digest = _report_digest(argv, tmp_path / "report", 0)
+    assert digest == EXACTNESS_GOLDEN[(seed, fmt)]
+
+
+@pytest.mark.parametrize("fmt", sorted(CORRUPT_GOLDEN))
+def test_corrupt_witness_hash(tmp_path, fmt):
+    base = json.loads(
+        resources.files("kcert.specs").joinpath("quotient_clutching.json").read_text()
+    )
+    base["command"] = {"name": "exactness", "seed": 7, "samples": 2,
+                       "corrupt_witness": True}
+    del base["matrices"]
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(base))
+    argv = ["exactness", "--spec", str(path), "--format", fmt]
+    digest = _report_digest(argv, tmp_path / "report", 1)
+    assert digest == CORRUPT_GOLDEN[fmt]

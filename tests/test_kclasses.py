@@ -36,7 +36,7 @@ from kcert.matrices import (
     o_map,
     rotation_swap_cert,
 )
-from kcert.mv import DoubleIdempotent, DoubleMatrix
+from kcert.mv import DoubleMatrix, DoubleMismatch
 from kcert.scalars import Poly, QuotElem, rat
 
 
@@ -236,7 +236,7 @@ def test_kernel_i_round_trip_clutching(clutching):
 
 
 def test_kernel_i_trivial_difference(trivial_mv):
-    one = DoubleIdempotent(DoubleMatrix.diag_bits(trivial_mv, (1,)), check=False)
+    one = IdempotentCert(DoubleMatrix.diag_bits(trivial_mv, (1,)), check=False)
     d = K0Rep(one, one)
     # witnesses: the plus part normalizes to diag(1, 0); align with diag(0, 1)
     from kcert.matrices import permutation_cert
@@ -286,12 +286,12 @@ def test_k0_glue_push_reglue_round_trip(clutching):
     u = _x_cert(clutching)
     glued, minus = boundary_first_form(clutching, u)
     d1 = (
-        IdempotentCert(glued.double.dm.m1, check=False),
-        IdempotentCert(minus.dm.m1, check=False),
+        IdempotentCert(glued.double.p.m1, check=False),
+        IdempotentCert(minus.p.m1, check=False),
     )
     d2 = (
-        IdempotentCert(glued.double.dm.m2, check=False),
-        IdempotentCert(minus.dm.m2, check=False),
+        IdempotentCert(glued.double.p.m2, check=False),
+        IdempotentCert(minus.p.m2, check=False),
     )
     from kcert.kclasses import K0MiddleWitness, exactness_k0_middle
     from kcert.mv import k0_common_form
@@ -345,13 +345,83 @@ def test_forged_certificates_rejected(trivial, sampler):
 
 
 def test_double_mismatch_position_reported(clutching):
-    from kcert.mv import make_double, DoubleMismatch
-
     x = FilteredMatrix(clutching.lambda1, ((Poly([0, 1]),),))
     one = FilteredMatrix.identity(clutching.lambda2, 1)
     try:
-        make_double(x, one, clutching)
+        DoubleMatrix(clutching, x, one)
         assert False, "mismatch must raise"
     except DoubleMismatch as exc:
         assert exc.position == (0, 0)
         assert exc.residual is not None
+
+
+def _o_double(clutching, junk):
+    """Double invertible diag(2, 1/2) on leg1; on leg2 the same plus an
+    off-diagonal entry that dies in the overlap ring, so leg2 is not
+    O-shaped unless the entry is zero."""
+    l1, l2 = clutching.lambda1, clutching.lambda2
+    two, half, zero = Poly([2]), Poly([rat(1, 2)]), l1.zero()
+    k = Poly(junk)
+    return InvertibleCert(
+        DoubleMatrix(
+            clutching,
+            FilteredMatrix(l1, ((two, zero), (zero, half))),
+            FilteredMatrix(l2, ((two, k), (zero, half))),
+        ),
+        DoubleMatrix(
+            clutching,
+            FilteredMatrix(l1, ((half, zero), (zero, two))),
+            FilteredMatrix(l2, ((half, -k), (zero, two))),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "junk,passes", [([], True), ([-1, 0, 1], False)], ids=["both-legs", "leg1-only"]
+)
+def test_o_absorb_of_double_needs_both_legs_o_shaped(clutching, sampler, junk, passes):
+    from kcert.mv import double_invertible
+
+    s = sampler.invertible(clutching.lambda1, 1)
+    x = double_invertible(clutching, s, s)
+    xi = _o_double(clutching, junk)
+    cert = EquivalenceCertificate(lhs_steps=(OAbsorb(xi),))
+    result = check_certificate(cert, x, x.direct_sum(xi))
+    assert result.passed is passes
+    if not passes:
+        assert "not O-shaped" in result.residual
+
+
+@pytest.mark.parametrize("single_first", [True, False], ids=["single-lhs", "double-lhs"])
+def test_single_against_double_rep_fails_cleanly(clutching, single_first):
+    single = IdempotentCert(FilteredMatrix.diag_bits(clutching.lambda1, (1,)))
+    double = IdempotentCert(DoubleMatrix.diag_bits(clutching, (1,)))
+    lhs, rhs = (single, double) if single_first else (double, single)
+    result = check_certificate(EquivalenceCertificate(), lhs, rhs)
+    assert result.passed is False
+    assert result.residual is not None
+
+
+def test_double_witness_conjugating_single_rep_fails_cleanly(clutching, sampler):
+    from kcert.mv import double_invertible
+
+    p = IdempotentCert(FilteredMatrix.diag_bits(clutching.lambda1, (1, 0)))
+    w = sampler.invertible(clutching.lambda1, 2)
+    cert = EquivalenceCertificate(lhs_steps=(Conjugate(double_invertible(clutching, w, w)),))
+    assert not check_certificate(cert, p, p).passed
+
+
+def test_kernel_boundary_rejects_disagreeing_witness_legs(clutching, sampler):
+    u_tilde = sampler.invertible(clutching.lambda1, 2)
+    u, w = kernel_boundary_witness(clutching, u_tilde)
+    two = InvertibleCert(
+        FilteredMatrix.scalar_diag(clutching.lambda1, 2, w.n),
+        FilteredMatrix.scalar_diag(clutching.lambda1, rat(1, 2), w.n),
+    )
+    pair, report = exactness_kernel_boundary(
+        clutching, u, (w, w.compose(two)), lift_a=u_tilde.m, lift_b=u_tilde.m_inv
+    )
+    assert pair is None and not report.passed
+    name, ok, detail = report.checks[-1]
+    assert name == "witness is a double invertible" and not ok
+    assert "legs disagree in the overlap ring" in detail

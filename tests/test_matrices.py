@@ -11,13 +11,10 @@ from kcert.matrices import (
     apply_hom_invertible,
     apply_hom_matrix,
     block_swap_cert,
-    check_idempotent,
     conjugate,
-    direct_sum,
     elementary_expand,
     involution_cert,
     is_o_shaped,
-    mat_mul,
     o_map,
     permutation_cert,
     rotation_swap_cert,
@@ -37,19 +34,19 @@ from kcert.scalars import Poly, QuotElem, rat
 def test_identity_neutral(trivial, sampler):
     m = sampler.matrix(trivial, 3)
     ident = FilteredMatrix.identity(trivial, 3)
-    assert mat_mul(ident, m) == m
-    assert mat_mul(m, ident) == m
-    assert mat_mul(ident, m).level == m.level
+    assert ident @ m == m
+    assert m @ ident == m
+    assert (ident @ m).level == m.level
 
 
 def test_size_and_algebra_mismatch(trivial, quotient, sampler):
     a = sampler.matrix(trivial, 2)
     b = sampler.matrix(trivial, 3)
     with pytest.raises(ValueError):
-        mat_mul(a, b)
+        a @ b
     c = sampler.matrix(quotient, 2)
     with pytest.raises(ValueError):
-        mat_mul(a, c)
+        a @ c
 
 
 @pytest.mark.parametrize("kind", ["trivial", "quotient", "propagation"])
@@ -83,11 +80,11 @@ def test_elementary_laws(quotient):
 
 def test_check_idempotent(trivial):
     good = FilteredMatrix.diag_bits(trivial, (1, 0))
-    cert = check_idempotent(good)
+    cert = IdempotentCert(good)
     assert cert.level == trivial.max_level
     bad = FilteredMatrix.scalar_diag(trivial, rat(1, 2), 2)
     with pytest.raises(CertificateFailure) as err:
-        check_idempotent(bad)
+        IdempotentCert(bad)
     assert err.value.position == (0, 0)
     assert err.value.residual == rat(-1, 4)
 

@@ -5,13 +5,18 @@ from kcert.matrices import (
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
+    MatrixError,
+    apply_hom_invertible,
     apply_hom_matrix,
+    conjugate,
     o_map,
 )
 from kcert.mv import (
+    DoubleMatrix,
     DoubleMismatch,
     K1GlueWitness,
     MVDiagram,
+    double_invertible,
     glue_idempotents,
     glue_invertibles,
     glue_k0_classes,
@@ -20,7 +25,6 @@ from kcert.mv import (
     glue_with_lifted_transition,
     lift_o_element,
     lift_via_whitehead,
-    make_double,
     normalize_difference,
 )
 from kcert.scalars import Poly, QuotElem, rat
@@ -32,22 +36,25 @@ def _x_cert(diagram):
     return InvertibleCert(m, m)
 
 
-def _img_cert(hom, cert):
-    return InvertibleCert(
-        apply_hom_matrix(hom, cert.m), apply_hom_matrix(hom, cert.m_inv), check=False
-    )
+def _verify_double(cert):
+    """Recheck the pullback constraint of every matrix of a certificate over
+    double matrices, then the certificate itself."""
+    mats = (cert.p,) if isinstance(cert, IdempotentCert) else (cert.m, cert.m_inv)
+    for mat in mats:
+        mat.verify()
+    return cert.verify()
 
 
-def test_make_double_examples(clutching):
+def test_double_matrix_examples(clutching):
     one1 = FilteredMatrix.identity(clutching.lambda1, 1)
     one2 = FilteredMatrix.identity(clutching.lambda2, 1)
-    make_double(one1, one2, clutching).verify()
+    DoubleMatrix(clutching, one1, one2).verify()
     x = FilteredMatrix(clutching.lambda1, ((Poly([0, 1]),),))
-    make_double(x, x, clutching).verify()
+    DoubleMatrix(clutching, x, x).verify()
     shifted = FilteredMatrix(clutching.lambda1, ((Poly([-1, 1, 1]),),))  # x + (x^2 - 1)
-    make_double(x, shifted, clutching).verify()
+    DoubleMatrix(clutching, x, shifted).verify()
     with pytest.raises(DoubleMismatch):
-        make_double(x, one2, clutching)
+        DoubleMatrix(clutching, x, one2)
 
 
 def test_lift_via_whitehead(clutching, sampler):
@@ -62,9 +69,9 @@ def test_glue_trivial_units(clutching):
     one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1), check=False)
     unit = InvertibleCert.identity(clutching.lambda_prime, 1)
     glued = glue_idempotents(one1, one2, unit, clutching)
-    glued.double.verify()
-    assert glued.double.dm.m1 == FilteredMatrix.diag_bits(clutching.lambda1, (1, 0))
-    assert glued.double.dm.m2 == FilteredMatrix.diag_bits(clutching.lambda2, (1, 0))
+    _verify_double(glued.double)
+    assert glued.double.p.m1 == FilteredMatrix.diag_bits(clutching.lambda1, (1, 0))
+    assert glued.double.p.m2 == FilteredMatrix.diag_bits(clutching.lambda2, (1, 0))
 
 
 def test_glue_clutching_idempotent(clutching):
@@ -72,11 +79,11 @@ def test_glue_clutching_idempotent(clutching):
     one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1), check=False)
     u = _x_cert(clutching)
     glued = glue_idempotents(one1, one2, u, clutching)
-    glued.double.verify()
+    _verify_double(glued.double)
     # leg1 is the literal stabilization, leg2 the recorded conjugate
-    assert glued.double.dm.m1 == one1.p.pad(1, fill=0)
+    assert glued.double.p.m1 == one1.p.pad(1, fill=0)
     expect = glued.u_tilde.m @ one2.p.pad(1, fill=0) @ glued.u_tilde.m_inv
-    assert glued.double.dm.m2 == expect
+    assert glued.double.p.m2 == expect
     assert glued.double.level >= max(0, min(one1.level, one2.level, u.level) - 4)
 
 
@@ -95,25 +102,22 @@ def test_glue_conjugated_by_double_matches_normal_form(clutching, sampler):
     one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1), check=False)
     glued = glue_idempotents(one1, one2, _x_cert(clutching), clutching)
     w = sampler.invertible(clutching.lambda1, 2)
-    from kcert.mv import DoubleInvertible
-
-    dw = DoubleInvertible.from_certs(clutching, w, w, check=True)
-    conj = dw.conjugate_idempotent(glued.double)
-    conj.verify()
+    dw = double_invertible(clutching, w, w, check=True)
+    _verify_double(conjugate(glued.double, dw))
 
 
 def test_glue_with_lifted_transition(clutching, sampler):
     # a transition that already lifts: u = j2(u~) for an invertible u~
     u_tilde = sampler.invertible(clutching.lambda2, 1)
-    u = _img_cert(clutching.j2, u_tilde)
+    u = apply_hom_invertible(clutching.j2, u_tilde)
     p1_mat = u.m @ FilteredMatrix.diag_bits(clutching.lambda_prime, (1,)) @ u.m_inv
     # p1 over lambda1 must hit u j2(p2) u^-1; take p2 = 1, p1 = lift of u j(1) u^-1 = 1
     one1 = IdempotentCert(FilteredMatrix.identity(clutching.lambda1, 1), check=False)
     one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1), check=False)
     double = glue_with_lifted_transition(one1, one2, u_tilde, clutching)
-    double.verify()
+    _verify_double(double)
     assert double.n == 1  # no size doubling
-    assert double.dm.m2 == u_tilde.m @ one2.p @ u_tilde.m_inv
+    assert double.p.m2 == u_tilde.m @ one2.p @ u_tilde.m_inv
 
 
 def test_normalize_difference(trivial, sampler):
@@ -144,13 +148,13 @@ def test_glue_k0_classes(clutching, sampler):
     minus2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1), check=False)
     q1, q2, n_minus, _ = k0_common_form((plus1, minus1), (plus2, minus2))
     pad = q1.n - 2
-    v = _img_cert(clutching.j1, c1.pad(pad)).compose(
-        _img_cert(clutching.j2, c2.pad(pad)).inverse()
+    v = apply_hom_invertible(clutching.j1, c1.pad(pad)).compose(
+        apply_hom_invertible(clutching.j2, c2.pad(pad)).inverse()
     )
     glued, minus, n = glue_k0_classes(
         (plus1, minus1), (plus2, minus2), v, clutching
     )
-    glued.double.verify()
+    _verify_double(glued.double)
     assert n == n_minus == 2
 
 
@@ -160,12 +164,12 @@ def test_glue_invertibles(clutching, sampler):
     # need j1(s1) = u j2(s2) u^-1; over the commutative overlap conjugation
     # is trivial, so s2 = s1 works
     glued = glue_invertibles(s1, s1, u, clutching)
-    glued.verify()
-    assert glued.dm.m1 == s1.pad(1).m
+    _verify_double(glued)
+    assert glued.m.m1 == s1.pad(1).m
     assert glued.level >= max(0, min(s1.level, u.level) - 4)
     one = InvertibleCert.identity(clutching.lambda_prime, 1)
     triv = glue_invertibles(s1, s1, one, clutching)
-    triv.verify()
+    _verify_double(triv)
 
 
 def test_lift_o_element(clutching, sampler):
@@ -191,7 +195,7 @@ def test_glue_k1_plain(clutching, sampler):
     out = glue_k1_classes(u1, u1, K1GlueWitness(None, None, one), clutching)
     (term, coeff), = out.terms
     assert coeff == rat(1)
-    term.verify()
+    _verify_double(term)
 
 
 def test_glue_k1_half_and_quarter(clutching, sampler):
@@ -201,7 +205,7 @@ def test_glue_k1_half_and_quarter(clutching, sampler):
     out = glue_k1_classes(u1, u1, K1GlueWitness(xi, xi, one), clutching)
     (term, coeff), = out.terms
     assert coeff == rat(1, 2)
-    term.verify()
+    _verify_double(term)
     again = glue_k1_classes(
         u1, u1, K1GlueWitness(xi, xi, one), clutching, coefficient=coeff
     )
@@ -232,4 +236,72 @@ def test_cover_diagram_gluing(cover, sampler):
         FilteredMatrix(cover.lambda_prime, ((unit_inv,),)),
     )
     glued = glue_idempotents(one1, one2, u, cover)
-    glued.double.verify()
+    _verify_double(glued.double)
+
+
+def _poly_double(diagram, leg1, leg2):
+    """1x1 double matrix from two coefficient lists."""
+    return DoubleMatrix(
+        diagram,
+        FilteredMatrix(diagram.lambda1, ((Poly(leg1),),)),
+        FilteredMatrix(diagram.lambda2, ((Poly(leg2),),)),
+    )
+
+
+@pytest.mark.parametrize("leg1,leg2,bad_leg", [
+    ([0, 0, 1], [1], "leg1"),  # x^2 is 1 in the overlap, but not idempotent
+    ([1], [0, 0, 1], "leg2"),
+], ids=["leg1", "leg2"])
+def test_non_idempotent_double_names_the_leg(clutching, leg1, leg2, bad_leg):
+    p = _poly_double(clutching, leg1, leg2)
+    with pytest.raises(CertificateFailure) as err:
+        IdempotentCert(p)
+    assert err.value.position == (bad_leg, (0, 0))
+    assert err.value.residual is not None
+    assert bad_leg in str(err.value)
+
+
+@pytest.mark.parametrize("inv1,inv2,bad_leg", [
+    # 1/2 + (x^2 - 1) has the overlap image of 1/2, but it is no inverse of 2
+    ([rat(-1, 2), 0, 1], [rat(1, 2)], "leg1"),
+    ([rat(1, 2)], [rat(-1, 2), 0, 1], "leg2"),
+], ids=["leg1", "leg2"])
+def test_wrong_double_inverse_names_the_leg(clutching, inv1, inv2, bad_leg):
+    two = _poly_double(clutching, [2], [2])
+    with pytest.raises(CertificateFailure) as err:
+        InvertibleCert(two, _poly_double(clutching, inv1, inv2))
+    assert err.value.position == (bad_leg, (0, 0))
+    assert not isinstance(err.value, DoubleMismatch)
+
+
+def test_double_certificates_use_double_identity(clutching):
+    half = _poly_double(clutching, [rat(1, 2)], [rat(1, 2)])
+    cert = InvertibleCert(_poly_double(clutching, [2], [2]), half)
+    assert cert.algebra == clutching
+    p = IdempotentCert(_poly_double(clutching, [1], [1]))
+    assert p.complement().p == DoubleMatrix.diag_bits(clutching, (0,))
+
+
+def test_double_invertible_rejects_disagreeing_legs(clutching, sampler):
+    s = sampler.invertible(clutching.lambda1, 1)
+    two = InvertibleCert(
+        FilteredMatrix.scalar_diag(clutching.lambda2, 2, 1),
+        FilteredMatrix.scalar_diag(clutching.lambda2, rat(1, 2), 1),
+    )
+    with pytest.raises(DoubleMismatch):
+        double_invertible(clutching, s, s.compose(two))
+    # unchecked, the pair is taken as given
+    double_invertible(clutching, s, s.compose(two), check=False)
+
+
+def test_diagram_equality_is_structural(clutching, cover):
+    from kcert.instances import clutching_diagram
+
+    other = clutching_diagram()
+    assert other is not clutching
+    assert other == clutching and hash(other) == hash(clutching)
+    assert cover != clutching
+    one = DoubleMatrix.identity(clutching, 1)
+    assert (one @ DoubleMatrix.identity(other, 1)) == one
+    with pytest.raises(MatrixError):
+        one @ DoubleMatrix.identity(cover, 1)
