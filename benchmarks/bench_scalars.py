@@ -2,8 +2,9 @@
 
 The hot path of the whole artifact is exact small-matrix arithmetic inside
 the randomized identity suite, so that is what gets timed: raw scalar
-throughput, the 4x4 matrix product kernel, and a slice of the identity
-suite over the three bundled carriers.  Each configuration runs in a
+throughput, the 4x4 matrix product kernel, the polynomial product behind
+every Q[x] and Q[x]/(m) entry (degree 3 x 3 and 8 x 8), and a slice of the
+identity suite over the three bundled carriers.  Each configuration runs in a
 subprocess because the core is selected at import time (KCERT_PURE=1
 forces the fallback).  Each column is labelled with the scalar type that
 actually ran; a speedup is printed only when the two types differ.
@@ -47,6 +48,20 @@ for _ in range(reps):
     m @ m
 out["matmul4_us"] = round((time.perf_counter() - t) / reps * 1e6, 1)
 
+from kcert.scalars import Poly
+poly_mul = {}
+for degree in (3, 8):
+    p, q = (
+        Poly([scalars.rat((7 * i + s) % 11 - 5 or 1, i % 4 + 1) for i in range(degree + 1)])
+        for s in (1, 2)
+    )
+    reps = 20000 // degree
+    t = time.perf_counter()
+    for _ in range(reps):
+        p * q
+    poly_mul[degree] = round((time.perf_counter() - t) / reps * 1e6, 1)
+out["poly_mul_us"] = poly_mul
+
 suite = {}
 for name, algebra in suite_algebras().items():
     t = time.perf_counter()
@@ -89,6 +104,11 @@ def main():
         ("scalar throughput (Mops/s)", default["scalar_mops"], pure["scalar_mops"]),
         ("4x4 matmul (us)", default["matmul4_us"], pure["matmul4_us"]),
     ]
+    for degree in default["poly_mul_us"]:
+        rows.append(
+            (f"Poly product, degree {degree} x {degree} (us)",
+             default["poly_mul_us"][degree], pure["poly_mul_us"][degree])
+        )
     for name in default["suite_seconds"]:
         rows.append(
             (f"identity suite, {name} (s)",

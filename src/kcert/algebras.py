@@ -444,7 +444,12 @@ class FilteredHom:
         if self.kind == INCLUSION:
             return self.target.from_rational(payload)
         if self.kind == QUOTIENT:
-            return QuotElem(self.target.modulus, payload)
+            # The target's constructor checked that the modulus is monic of
+            # degree >= 1, so only the reduction of QuotElem.__init__ is needed.
+            modulus = self.target.modulus
+            if payload.degree >= modulus.degree:
+                _, payload = payload.divmod_by(modulus)
+            return QuotElem._reduced(modulus, payload)
         table = {}
         for (i, j), v in payload.table.items():
             a = self._tgt_index.get(i)

@@ -178,16 +178,21 @@ def boundary_second_form(inp):
     return out
 
 
-def boundary_extended_form(inp):
-    """Extended form for any m >= 0; reduces exactly to the second form when
-    m = 0.  Requires U to commute with diag(0_m, 1_n)."""
-    out = _boundary_core(inp)
+def check_extended_form(inp, out):
+    """Compare the P of ``out``, the boundary built from ``inp``, with the
+    extended closed form; returns ``out``."""
     bad = out.p.p.first_mismatch(closed_form_p(inp, out.s0, out.s1))
     if bad is not None:
         raise CertificateFailure(
             f"extended closed form disagrees with L e1 L^-1 at {bad[0]}", *bad
         )
     return out
+
+
+def boundary_extended_form(inp):
+    """Extended form for any m >= 0; reduces exactly to the second form when
+    m = 0.  Requires U to commute with diag(0_m, 1_n)."""
+    return check_extended_form(inp, _boundary_core(inp))
 
 
 def boundary_first_form(diagram, u):
@@ -221,14 +226,14 @@ def independence_conjugator_a(inp, k):
     )
 
 
-def verify_lift_independence_a(inp, k):
+def verify_lift_independence_a(inp, k, base):
     """Recompute the boundary with A + K and verify the explicit conjugator
-    maps L to L~ and the double idempotent to the perturbed one, exactly."""
+    maps L to L~ and the double idempotent to the perturbed one, exactly.
+    ``base`` is the boundary already built from ``inp``."""
     diagram = inp.diagram
     img = apply_hom_matrix(diagram.j1, k)
     if not img.is_zero():
         raise CertificateFailure("perturbation K must die in the overlap ring")
-    base = boundary_extended_form(inp)
     shifted = BoundaryInput(
         diagram, inp.u, lift_a=inp.lift_a + k, lift_b=inp.lift_b, m=inp.m
     )
@@ -272,14 +277,14 @@ def independence_deltas(inp, h):
     return d11, d12, d21, d22
 
 
-def verify_lift_independence_b(inp, h):
+def verify_lift_independence_b(inp, h, base):
     """Recompute the boundary with B + H and verify L~~ L^{-1} matches the
-    displayed delta blocks and conjugates the double idempotent."""
+    displayed delta blocks and conjugates the double idempotent.  ``base``
+    is the boundary already built from ``inp``."""
     diagram = inp.diagram
     img = apply_hom_matrix(diagram.j1, h)
     if not img.is_zero():
         raise CertificateFailure("perturbation H must die in the overlap ring")
-    base = boundary_extended_form(inp)
     shifted = BoundaryInput(
         diagram, inp.u, lift_a=inp.lift_a, lift_b=inp.lift_b + h, m=inp.m
     )

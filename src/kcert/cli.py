@@ -9,6 +9,7 @@ stderr, never into the report.  Exit codes: 0 all checks pass, 1 a check
 failed, 2 spec error."""
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -143,7 +144,11 @@ COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on the first ``main`` call and reused:
+    parsing leaves no state in it, and building one per call costs about a
+    millisecond and a few hundred objects for the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="kcert",
         description="exact certificate checks for glued idempotents, "
@@ -158,7 +163,11 @@ def main(argv=None):
         p.add_argument("--max-size", type=int, default=None)
         p.add_argument("--report", default=None, help="write the report here")
         p.add_argument("--format", choices=("text", "json"), default="text")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
         doc = SpecDocument.from_path(args.spec)

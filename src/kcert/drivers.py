@@ -13,6 +13,7 @@ from .boundary import (
     boundary_extended_form,
     boundary_first_form,
     boundary_second_form,
+    check_extended_form,
     verify_lift_independence_a,
     verify_lift_independence_b,
 )
@@ -130,15 +131,25 @@ def boundary_report(diagram, u, lift_a=None, lift_b=None, m=0,
             "p": out.p.level,
             "p_double": out.p_double.level,
         }
+        # The lift checks reuse `out` as their base.  At m = 0 it was only
+        # compared with the second closed form, so the first lift check that
+        # runs compares it with the extended closed form as well.
+        extended = [out] if m else []
+
+        def base():
+            if not extended:
+                extended.append(check_extended_form(inp, out))
+            return extended[0]
+
         if perturb_a is not None:
             run(
                 "lift independence in A (explicit conjugator)",
-                lambda: verify_lift_independence_a(inp, perturb_a),
+                lambda: verify_lift_independence_a(inp, perturb_a, base()),
             )
         if perturb_b is not None:
             run(
                 "lift independence in B (delta blocks)",
-                lambda: verify_lift_independence_b(inp, perturb_b),
+                lambda: verify_lift_independence_b(inp, perturb_b, base()),
             )
     ok = all(c["ok"] for c in checks)
     report["result"] = "pass" if ok else "fail"

@@ -6,10 +6,18 @@ when the extension built, otherwise `fractions.Fraction`.  Both are
 immutable, always reduced, keep the denominator positive and print as
 "num/den" (denominator omitted when 1), so everything downstream is
 agnostic to the choice.  Set KCERT_PURE=1 to force the pure fallback.
+
+On the pure path a polynomial product is fraction-free: each operand's
+coefficients are scaled to integers over the lcm of its denominators, the
+integers are convolved, and each result coefficient is built once as
+``Rat(c, da * db)``, one gcd per coefficient instead of a reduced Fraction
+multiply and add per pair of coefficients.  Coefficients stay reduced
+rationals, so equality, hashing and encodings do not depend on the path.
 """
 
 import os
 import re
+from math import lcm
 
 _FORCE_PURE = os.environ.get("KCERT_PURE", "") == "1"
 
@@ -140,15 +148,19 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _P_ZERO
-        out = [R0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        while out and not out[-1]:
-            out.pop()
-        return Poly._raw(tuple(out))
+        na, da = _integer_coeffs(a)
+        nb, db = _integer_coeffs(b)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(na):
+            if x:
+                for k, y in enumerate(nb, i):
+                    out[k] += x * y
+        d = da * db
+        # out[-1] = na[-1] * nb[-1] is nonzero, so there is no trailing zero.
+        # A list, not a generator: tuple(<genexpr>) over-allocates and
+        # resizes, which churns the interpreter's tuple freelists and shows
+        # as peak RSS.
+        return Poly._raw(tuple([Rat(c, d) if c else R0 for c in out]))
 
     def scale(self, value):
         v = rat(value)
@@ -207,6 +219,15 @@ class Poly:
 _P_ZERO = Poly._raw(())
 _P_ONE = Poly._raw((R1,))
 _P_X = Poly._raw((R0, R1))
+
+
+def _integer_coeffs(coeffs):
+    """(ints, den) with coeffs[i] == ints[i] / den, den the lcm of the
+    coefficient denominators."""
+    den = lcm(*[c.denominator for c in coeffs])
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def poly_egcd(a, b):

@@ -11,6 +11,7 @@ import pytest
 
 from kcert.boundary import (
     BoundaryInput,
+    boundary_extended_form,
     boundary_first_form,
     boundary_second_form,
     verify_lift_independence_a,
@@ -136,17 +137,18 @@ def test_criterion_5_well_definedness():
     u = _x_cert(diagram)
     x = FilteredMatrix(diagram.lambda1, ((Poly([0, 1]),),))
     inp = BoundaryInput(diagram, u, lift_a=x, lift_b=x)
+    base = boundary_extended_form(inp)
     sampler = Sampler(5)
     kernel = Poly([-1, 0, 1])
     count = 0
     for _ in range(100):
         factor = sampler.matrix(diagram.lambda1, 1).rows[0][0]
         k = FilteredMatrix(diagram.lambda1, ((factor * kernel,),))
-        verify_lift_independence_a(inp, k)
+        verify_lift_independence_a(inp, k, base)
         count += 1
         factor = sampler.matrix(diagram.lambda1, 1).rows[0][0]
         h = FilteredMatrix(diagram.lambda1, ((factor * kernel,),))
-        verify_lift_independence_b(inp, h)
+        verify_lift_independence_b(inp, h, base)
         count += 1
     _report("5 well-definedness", count == 200, f"{count} perturbations, conjugators exact")
 

@@ -186,15 +186,18 @@ def test_lift_independence_a(clutching, sampler):
     u = _x_cert(clutching)
     x = _x_lift(clutching)
     inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
+    base = boundary_extended_form(inp)
     zero = FilteredMatrix.zeros(clutching.lambda1, 1)
-    conj, tilde = verify_lift_independence_a(inp, zero)
+    conj, tilde = verify_lift_independence_a(inp, zero, base)
     assert conj.m == FilteredMatrix.identity(clutching.lambda1, 2)
     k = FilteredMatrix(clutching.lambda1, ((Poly([-1, 0, 1]),),))
-    conj, tilde = verify_lift_independence_a(inp, k)
+    conj, tilde = verify_lift_independence_a(inp, k, base)
     conj.verify()
     tilde.p.verify()
     with pytest.raises(CertificateFailure):
-        verify_lift_independence_a(inp, FilteredMatrix.identity(clutching.lambda1, 1))
+        verify_lift_independence_a(
+            inp, FilteredMatrix.identity(clutching.lambda1, 1), base
+        )
 
 
 def test_lift_independence_b(clutching):
@@ -202,7 +205,7 @@ def test_lift_independence_b(clutching):
     x = _x_lift(clutching)
     inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
     h = FilteredMatrix(clutching.lambda1, ((Poly([-1, 0, 1]),),))
-    conj, tilde = verify_lift_independence_b(inp, h)
+    conj, tilde = verify_lift_independence_b(inp, h, boundary_extended_form(inp))
     conj.verify()
     # the four displayed blocks match the independent recomputation
     d11, d12, d21, d22 = independence_deltas(inp, h)

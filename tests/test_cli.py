@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import kcert
 from kcert.cli import main
 from kcert.specdoc import SpecDocument, SpecError
 
@@ -54,6 +58,33 @@ def test_determinism_bytes(capsys):
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
     json.loads(out1)
+
+
+def test_back_to_back_calls_match_single_calls(tmp_path):
+    # main() reuses one argument parser per process; no flag of one call may
+    # leak into the next (--seed given, then omitted), so each report must be
+    # byte-equal to the same call alone in a fresh interpreter
+    trivial, clutching = spec_path("trivial_q.json"), spec_path("quotient_clutching.json")
+    calls = [
+        ["verify", "--spec", trivial, "--samples", "3", "--seed", "11", "--format", "json"],
+        ["verify", "--spec", trivial, "--samples", "3"],
+        ["exactness", "--spec", clutching, "--samples", "2", "--seed", "5"],
+        ["boundary", "--spec", clutching, "--format", "json"],
+        ["exactness", "--spec", clutching, "--samples", "2", "--format", "json"],
+        ["verify", "--spec", trivial, "--max-size", "2", "--samples", "3"],
+    ]
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(kcert.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    for i, argv in enumerate(calls):
+        together, alone = tmp_path / f"together{i}", tmp_path / f"alone{i}"
+        assert main(argv + ["--report", str(together)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "kcert", *argv, "--report", str(alone)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert together.read_bytes() == alone.read_bytes()
 
 
 def test_wall_clock_goes_to_stderr(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -206,3 +207,130 @@ def test_poly_divmod_reconstruction(a_coeffs, m_coeffs):
     q, r = a.divmod_by(m)
     assert q * m + r == a
     assert r.degree < m.degree
+
+
+# -- Poly product against a schoolbook Fraction reference --------------------
+
+
+def _near(power):
+    return st.integers(-2, 2).map(lambda d: 2 ** power + d)
+
+
+_numerators = st.one_of(
+    st.integers(-9, 9),
+    st.just(0),
+    _near(63),
+    _near(63).map(lambda v: -v),
+    _near(127),
+    _near(127).map(lambda v: -v),
+)
+_denominators = st.one_of(st.integers(1, 9), _near(63), _near(127))
+_coeffs = st.lists(
+    st.tuples(_numerators, _denominators).map(lambda nd: Fraction(*nd)), max_size=6
+)
+
+
+def _schoolbook(a, b):
+    """Product of two Fraction coefficient lists, trailing zeros stripped."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _schoolbook_rem(a, m):
+    """Remainder of a Fraction list modulo a monic Fraction list."""
+    rem = list(a)
+    dd = len(m) - 1
+    for i in range(len(rem) - 1, dd - 1, -1):
+        q = rem[i]
+        for k in range(dd + 1):
+            rem[i - dd + k] -= q * m[k]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+def _poly(fracs):
+    return Poly([rat(c.numerator, c.denominator) for c in fracs])
+
+
+def _fracs(p):
+    return [Fraction(c.numerator, c.denominator) for c in p.coeffs]
+
+
+def _assert_matches(p, expect):
+    """p has exactly the reduced coefficients of the Fraction list expect."""
+    assert [(c.numerator, c.denominator) for c in p.coeffs] == [
+        (c.numerator, c.denominator) for c in expect
+    ]
+    assert hash(p) == hash(_poly(expect))
+    for c in p.coeffs:
+        assert isinstance(c, Rat)
+        assert c.denominator > 0
+        assert gcd(c.numerator, c.denominator) == 1
+    assert not p.coeffs or p.coeffs[-1]
+
+
+@settings(max_examples=300)
+@given(_coeffs, _coeffs)
+def test_poly_mul_matches_schoolbook(a, b):
+    # zero coefficients, unequal lengths, constants and the zero polynomial
+    # all come from the strategy
+    pa, pb = _poly(a), _poly(b)
+    _assert_matches(pa * pb, _schoolbook(_fracs(pa), _fracs(pb)))
+
+
+@settings(max_examples=100)
+@given(_coeffs)
+def test_poly_mul_cancellations(a):
+    # p(x) * p(-x) is even: every odd coefficient cancels to zero
+    p = _poly(a)
+    mirrored = Poly([-c if i % 2 else c for i, c in enumerate(p.coeffs)])
+    prod = p * mirrored
+    assert all(c == 0 for c in prod.coeffs[1::2])
+    _assert_matches(prod, _schoolbook(_fracs(p), _fracs(mirrored)))
+    _assert_matches(p * Poly.zero(), [])
+    _assert_matches(Poly.zero() * p, [])
+
+
+def test_poly_mul_examples():
+    f = Fraction
+    _assert_matches(Poly([1, 1]) * Poly([1, -1]), [f(1), f(0), f(-1)])
+    _assert_matches(Poly.const(rat(1, 2)) * Poly.const(2), [f(1)])
+    _assert_matches(Poly([rat(1, 6), 0, rat(2, 3)]) * Poly.x(),
+                    [f(0), f(1, 6), f(0), f(2, 3)])
+    big = f(2 ** 127 - 1, 2 ** 63 + 1)
+    a, b = [big, f(0), -big], [f(1, 3), big]
+    _assert_matches(_poly(a) * _poly(b), _schoolbook(a, b))
+
+
+_MODULI = {
+    "x^2 - 1": [Fraction(-1), Fraction(0), Fraction(1)],
+    "x^3 - x/3 + 2/7": [Fraction(2, 7), Fraction(-1, 3), Fraction(0), Fraction(1)],
+}
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(_MODULI)), _coeffs, _coeffs)
+def test_quot_mul_matches_schoolbook(name, a, b):
+    m = _MODULI[name]
+    modulus = _poly(m)
+    ea, eb = QuotElem(modulus, _poly(a)), QuotElem(modulus, _poly(b))
+    expect = _schoolbook_rem(_schoolbook(_fracs(ea.rep), _fracs(eb.rep)), m)
+    prod = ea * eb
+    _assert_matches(prod.rep, expect)
+    assert hash(prod) == hash(QuotElem(modulus, _poly(expect)))
+
+
+@settings(max_examples=100)
+@given(_numerators.filter(bool), _numerators.filter(bool))
+def test_quot_mul_zero_divisors_cancel(c, d):
+    # (1 + x)(1 - x) = 1 - x^2 is zero modulo x^2 - 1, for any scalings
+    modulus = Poly([-1, 0, 1])
+    prod = QuotElem(modulus, Poly([c, c])) * QuotElem(modulus, Poly([d, -d]))
+    _assert_matches(prod.rep, [])
+    assert hash(prod) == hash(QuotElem(modulus, Poly.zero()))
