@@ -3,8 +3,11 @@
 The hot path of the whole artifact is exact small-matrix arithmetic inside
 the randomized identity suite, so that is what gets timed: raw scalar
 throughput, the 4x4 matrix product kernel, the polynomial product behind
-every Q[x] and Q[x]/(m) entry (degree 3 x 3 and 8 x 8), and a slice of the
-identity suite over the three bundled carriers.  Each configuration runs in a
+every Q[x] and Q[x]/(m) entry (degree 3 x 3 and 8 x 8), the other payload
+products (a kernel on 4 points, an element of Q[x]/(x^2 - 1)), the algebra
+equality every matrix operation checks, between two propagation algebras
+built separately (equal, not identical), and a slice of the identity suite
+over the three bundled carriers.  Each configuration runs in a
 subprocess because the core is selected at import time (KCERT_PURE=1
 forces the fallback).  Each column is labelled with the scalar type that
 actually ran; a speedup is printed only when the two types differ.
@@ -62,6 +65,31 @@ for degree in (3, 8):
     poly_mul[degree] = round((time.perf_counter() - t) / reps * 1e6, 1)
 out["poly_mul_us"] = poly_mul
 
+
+def per_call_us(fn, reps):
+    t = time.perf_counter()
+    for _ in range(reps):
+        fn()
+    return round((time.perf_counter() - t) / reps * 1e6, 2)
+
+
+from kcert.algebras import Kernel
+from kcert.instances import propagation_algebra, x2_minus_1
+k, l = (
+    Kernel({(i, j): scalars.rat((3 * i + 5 * j + s) % 7 - 3 or 1, j + 1)
+            for i in range(4) for j in range(4)})
+    for s in (1, 2)
+)
+u, v = (scalars.QuotElem(x2_minus_1(), Poly([scalars.rat(s, 3), scalars.rat(-2, s + 4)]))
+        for s in (1, 2))
+alg_a, alg_b = propagation_algebra(), propagation_algebra()
+assert alg_a is not alg_b
+out["payload_us"] = {
+    "Kernel product, 4 points": per_call_us(lambda: k * l, 2000),
+    "QuotElem product mod x^2 - 1": per_call_us(lambda: u * v, 20000),
+    "algebra == (propagation, built twice)": per_call_us(lambda: alg_a == alg_b, 100000),
+}
+
 suite = {}
 for name, algebra in suite_algebras().items():
     t = time.perf_counter()
@@ -109,6 +137,8 @@ def main():
             (f"Poly product, degree {degree} x {degree} (us)",
              default["poly_mul_us"][degree], pure["poly_mul_us"][degree])
         )
+    for name in default["payload_us"]:
+        rows.append((f"{name} (us)", default["payload_us"][name], pure["payload_us"][name]))
     for name in default["suite_seconds"]:
         rows.append(
             (f"identity suite, {name} (s)",

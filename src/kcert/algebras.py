@@ -7,6 +7,11 @@ at 0, scalar multiples of 1 sit at max_level, and addition never loses a
 level.  The propagation carrier realizes this through supports: the radius
 schedule r(mu) = R / 2^mu satisfies r(mu) + r(mu) = r(mu - 1) exactly, so
 support addition under composition yields the degree law.
+
+Algebras and homs are immutable after construction.  Each builds its
+structural signature once, so ``==`` is an identity check or one tuple
+comparison, and a propagation algebra builds its table of per-pair levels
+once, so a kernel's degree is the lowest level over its support.
 """
 
 from .scalars import Poly, QuotElem, R0, R1, Rat, encode_rational, parse_rational, rat
@@ -147,7 +152,7 @@ class PropagationSpace:
 class LocalizedAlgebra:
     """A unital algebra together with its computable degree function."""
 
-    __slots__ = ("kind", "max_level", "space", "diagonal", "modulus")
+    __slots__ = ("kind", "max_level", "space", "diagonal", "modulus", "_levels", "_sig")
 
     def __init__(self, kind, max_level=DEFAULT_MAX_LEVEL, space=None,
                  diagonal=False, modulus=None):
@@ -158,13 +163,19 @@ class LocalizedAlgebra:
         self.space = None
         self.diagonal = False
         self.modulus = None
+        self._levels = None
         if kind == TRIVIAL:
-            pass
+            self._sig = (kind, max_level)
         elif kind == PROPAGATION:
             if not isinstance(space, PropagationSpace):
                 raise ValueError("propagation algebra needs a PropagationSpace")
             self.space = space
             self.diagonal = bool(diagonal)
+            n = space.size
+            self._levels = {
+                (i, j): self._level_of(space.dist[i][j]) for i in range(n) for j in range(n)
+            }
+            self._sig = (kind, max_level, space.signature(), self.diagonal)
         elif kind == QUOTIENT_LEG:
             if modulus is not None:
                 if not isinstance(modulus, Poly):
@@ -172,6 +183,7 @@ class LocalizedAlgebra:
                 if modulus.degree < 1 or not modulus.is_monic():
                     raise ValueError("modulus must be monic of degree >= 1")
             self.modulus = modulus
+            self._sig = (kind, max_level, None if modulus is None else modulus.coeffs)
         else:
             raise ValueError(f"unknown algebra kind {kind!r}")
 
@@ -236,26 +248,23 @@ class LocalizedAlgebra:
             return isinstance(payload, Poly)
         return isinstance(payload, QuotElem) and payload.modulus == self.modulus
 
-    def degree(self, payload):
-        """Largest mu <= max_level with payload in the mu-th subspace."""
-        if self.kind != PROPAGATION:
-            return self.max_level
-        if payload.is_zero():
-            return self.max_level
-        space = self.space
-        reach = R0
-        for (i, j) in payload.table:
-            d = space.dist[i][j]
-            if d > reach:
-                reach = d
+    def _level_of(self, reach):
+        """Largest mu <= max_level with reach <= r(mu); max_level at reach 0."""
         if not reach:
             return self.max_level
+        space = self.space
         mu = 0
-        if reach > space.radius(0):
-            return 0
         while mu < self.max_level and space.radius(mu + 1) >= reach:
             mu += 1
         return mu
+
+    def degree(self, payload):
+        """Largest mu <= max_level with payload in the mu-th subspace.  For a
+        kernel that is the lowest pair level over its support: the level is
+        monotone in the distance, so this is the level of the farthest reach."""
+        if self.kind != PROPAGATION:
+            return self.max_level
+        return min(map(self._levels.__getitem__, payload.table), default=self.max_level)
 
     def is_zero(self, payload):
         return not payload
@@ -316,19 +325,13 @@ class LocalizedAlgebra:
             out["modulus"] = [str(c) for c in self.modulus.coeffs]
         return out
 
-    def _signature(self):
-        if self.kind == PROPAGATION:
-            return (self.kind, self.max_level, self.space.signature(), self.diagonal)
-        if self.kind == QUOTIENT_LEG:
-            mod = None if self.modulus is None else self.modulus.coeffs
-            return (self.kind, self.max_level, mod)
-        return (self.kind, self.max_level)
-
     def __eq__(self, other):
-        return isinstance(other, LocalizedAlgebra) and self._signature() == other._signature()
+        return self is other or (
+            isinstance(other, LocalizedAlgebra) and self._sig == other._sig
+        )
 
     def __hash__(self):
-        return hash(self._signature())
+        return hash(self._sig)
 
     def __repr__(self):
         return f"LocalizedAlgebra({self.describe()!r})"
@@ -392,7 +395,7 @@ class FilteredHom:
     (diagonal propagation algebras on Y subset X), and the non-surjective
     scalar inclusion of the trivial carrier into any other."""
 
-    __slots__ = ("kind", "source", "target", "surjective", "_src_index", "_tgt_index")
+    __slots__ = ("kind", "source", "target", "surjective", "_src_index", "_tgt_index", "_sig")
 
     def __init__(self, kind, source, target):
         self.kind = kind
@@ -435,6 +438,7 @@ class FilteredHom:
                         raise ValueError("restricted space must inherit the metric")
         else:
             raise ValueError(f"unknown hom kind {kind!r}")
+        self._sig = (kind, source._sig, target._sig)
 
     # -- payload maps ------------------------------------------------------
 
@@ -482,14 +486,11 @@ class FilteredHom:
             raise ValueError("element not in the hom's target algebra")
         return AlgebraElement(self.source, self.section_payload(elem.payload))
 
-    def _signature(self):
-        return (self.kind, self.source._signature(), self.target._signature())
-
     def __eq__(self, other):
-        return isinstance(other, FilteredHom) and self._signature() == other._signature()
+        return self is other or (isinstance(other, FilteredHom) and self._sig == other._sig)
 
     def __hash__(self):
-        return hash(self._signature())
+        return hash(self._sig)
 
     def describe(self):
         return {"type": self.kind}

@@ -17,7 +17,7 @@ import time
 
 from .matrices import CertificateFailure, InvertibleCert, MatrixError
 from .drivers import boundary_report, exactness_report, verify_report
-from .specdoc import SpecDocument, SpecError
+from .specdoc import SpecDocument, SpecError, is_json_int
 
 
 def _render_text(report):
@@ -80,7 +80,7 @@ def _int_param(args, doc, key, default, least=0):
     if value is None:
         value = doc.command.get(key, default)
         source = f"command.{key}"
-    if not isinstance(value, int) or value < 0:
+    if not is_json_int(value) or value < 0:
         raise SpecError(f"{source} must be a nonnegative integer")
     if value < least:
         raise SpecError(f"{source} must be at least {least}: {value} checks nothing")
@@ -117,7 +117,7 @@ def _run_boundary(args, doc):
     perturb_a = doc.matrices.get(doc.command.get("perturb_a", ""))
     perturb_b = doc.matrices.get(doc.command.get("perturb_b", ""))
     m = doc.command.get("m", 0)
-    if not isinstance(m, int) or m < 0:
+    if not is_json_int(m) or m < 0:
         raise SpecError("command.m must be a nonnegative integer")
     try:
         return boundary_report(
@@ -133,7 +133,9 @@ def _run_exactness(args, doc):
         raise SpecError("exactness requires a 'diagram' section")
     seed = _int_param(args, doc, "seed", 0)
     samples = _int_param(args, doc, "samples", 25, least=1)
-    corrupt = bool(doc.command.get("corrupt_witness", False))
+    corrupt = doc.command.get("corrupt_witness", False)
+    if not isinstance(corrupt, bool):
+        raise SpecError("command.corrupt_witness must be true or false")
     return exactness_report(doc.diagram, seed, samples, corrupt_witness=corrupt)
 
 

@@ -39,6 +39,12 @@ def _require(cond, message):
         raise SpecError(message)
 
 
+def is_json_int(value):
+    """A JSON integer: ``json`` loads ``true``/``false`` as ``bool``, a
+    subclass of ``int`` that must not pass as a count or level."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_keys(obj, allowed, where):
     _require(isinstance(obj, dict), f"{where} must be an object")
     unknown = set(obj) - allowed
@@ -49,7 +55,7 @@ def parse_algebra(obj, where="algebra"):
     _check_keys(obj, ALGEBRA_KEYS, where)
     kind = obj.get("kind")
     max_level = obj.get("max_level", 16)
-    _require(isinstance(max_level, int) and max_level >= 1, f"{where}: bad max_level")
+    _require(is_json_int(max_level) and max_level >= 1, f"{where}: bad max_level")
     try:
         if kind == "trivial":
             return LocalizedAlgebra.trivial(max_level=max_level)
@@ -58,10 +64,12 @@ def parse_algebra(obj, where="algebra"):
             dist = obj.get("dist")
             _require(isinstance(points, list) and points, f"{where}: points required")
             _require(isinstance(dist, list), f"{where}: dist required")
+            diagonal = obj.get("diagonal", False)
+            _require(isinstance(diagonal, bool), f"{where}: diagonal must be true or false")
             rows = [[parse_rational(v) for v in row] for row in dist]
             space = PropagationSpace(points, rows, parse_rational(obj.get("radius_base", "1")))
             return LocalizedAlgebra.propagation(
-                space, diagonal=bool(obj.get("diagonal", False)), max_level=max_level
+                space, diagonal=diagonal, max_level=max_level
             )
         if kind == "quotient-pullback-leg":
             modulus = obj.get("modulus")
@@ -113,7 +121,7 @@ def parse_matrix(obj, algebra, where="matrix"):
     _check_keys(obj, MATRIX_KEYS, where)
     size = obj.get("size")
     entries = obj.get("entries")
-    _require(isinstance(size, int) and size >= 1, f"{where}: bad size")
+    _require(is_json_int(size) and size >= 1, f"{where}: bad size")
     _require(
         isinstance(entries, list) and len(entries) == size,
         f"{where}: entries must be a {size}x{size} grid",
@@ -128,6 +136,7 @@ def parse_matrix(obj, algebra, where="matrix"):
     mat = FilteredMatrix(algebra, rows)
     claimed = obj.get("level")
     if claimed is not None:
+        _require(is_json_int(claimed), f"{where}: claimed level must be an integer")
         _require(
             claimed == mat.level,
             f"{where}: claimed level {claimed} but recomputed {mat.level}",

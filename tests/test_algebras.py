@@ -1,3 +1,7 @@
+import json
+import random
+from importlib import resources
+
 import pytest
 
 from kcert.algebras import (
@@ -12,7 +16,9 @@ from kcert.algebras import (
 )
 from kcert.identities import Sampler
 from kcert.instances import line_space, quotient_algebra
+from kcert.matrices import FilteredMatrix, MatrixError
 from kcert.scalars import Poly, rat
+from kcert.specdoc import parse_algebra, parse_diagram
 
 
 def test_radius_schedule_law(propagation):
@@ -185,3 +191,165 @@ def test_scalar_inclusion_hom(trivial):
         h.section(target.element(target.one()))
     with pytest.raises(ValueError):
         FilteredHom(INCLUSION, target, target)
+
+
+# -- equality contract -------------------------------------------------------
+
+PROPAGATION_SPEC = {
+    "kind": "propagation", "max_level": 16, "diagonal": False,
+    "points": ["a", "b", "c"],
+    "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
+    "radius_base": "4",
+}
+QUOTIENT_SPEC = {"kind": "quotient-pullback-leg", "max_level": 16, "modulus": ["-1", "0", "1"]}
+ALGEBRA_SPECS = {
+    "trivial": {"kind": "trivial", "max_level": 16},
+    "poly": {"kind": "quotient-pullback-leg", "max_level": 16},
+    "quotient": QUOTIENT_SPEC,
+    "propagation": PROPAGATION_SPEC,
+    "propagation-diagonal": dict(PROPAGATION_SPEC, diagonal=True),
+}
+
+
+def _parse_twice(spec, parse=parse_algebra):
+    # a JSON round trip, so the two parses share no objects
+    return parse(json.loads(json.dumps(spec))), parse(json.loads(json.dumps(spec)))
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_SPECS))
+def test_separately_parsed_algebras_are_equal(name):
+    a, b = _parse_twice(ALGEBRA_SPECS[name])
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert FilteredMatrix.identity(a, 2) == FilteredMatrix.identity(b, 2)
+    assert (FilteredMatrix.identity(a, 2) @ FilteredMatrix.identity(b, 2)).algebra == a
+
+
+@pytest.mark.parametrize("spec", ["quotient_clutching.json", "propagation_cover.json"])
+def test_separately_parsed_homs_are_equal(spec):
+    raw = json.loads(resources.files("kcert.specs").joinpath(spec).read_text())
+    d1, d2 = _parse_twice(raw["diagram"], parse_diagram)
+    for h1, h2 in ((d1.j1, d2.j1), (d1.j2, d2.j2)):
+        assert h1 is not h2
+        assert h1 == h2 and hash(h1) == hash(h2)
+    assert d1 == d2 and hash(d1) == hash(d2)
+
+
+def _with_distance(spec, i, j, value):
+    dist = [list(row) for row in spec["dist"]]
+    dist[i][j] = dist[j][i] = value
+    return dict(spec, dist=dist)
+
+
+NEAR_TWINS = {
+    "kind": (ALGEBRA_SPECS["trivial"], ALGEBRA_SPECS["poly"]),
+    "max_level": (PROPAGATION_SPEC, dict(PROPAGATION_SPEC, max_level=15)),
+    "diagonal": (PROPAGATION_SPEC, ALGEBRA_SPECS["propagation-diagonal"]),
+    "distance": (PROPAGATION_SPEC, _with_distance(PROPAGATION_SPEC, 0, 2, "3/2")),
+    "radius_base": (PROPAGATION_SPEC, dict(PROPAGATION_SPEC, radius_base="8")),
+    "points": (PROPAGATION_SPEC, dict(PROPAGATION_SPEC, points=["a", "b", "d"])),
+    "modulus": (QUOTIENT_SPEC, dict(QUOTIENT_SPEC, modulus=["1", "0", "1"])),
+    "no modulus": (QUOTIENT_SPEC, ALGEBRA_SPECS["poly"]),
+}
+
+
+@pytest.mark.parametrize("component", sorted(NEAR_TWINS))
+def test_one_changed_component_gives_unequal_algebras(component):
+    a, b = (parse_algebra(spec) for spec in NEAR_TWINS[component])
+    assert a != b and b != a
+    assert not a == b
+    ma, mb = FilteredMatrix.identity(a, 2), FilteredMatrix.identity(b, 2)
+    assert ma != mb
+    for op in (lambda x, y: x @ y, lambda x, y: x + y, lambda x, y: x - y,
+               lambda x, y: x.direct_sum(y)):
+        with pytest.raises(MatrixError):
+            op(ma, mb)
+        with pytest.raises(MatrixError):
+            op(mb, ma)
+
+
+def test_changed_leg_gives_unequal_homs():
+    top = LocalizedAlgebra.poly_ring()
+    h = FilteredHom(QUOTIENT, top, quotient_algebra())
+    other = FilteredHom(QUOTIENT, top, quotient_algebra(Poly([1, 0, 1])))
+    lower = FilteredHom(QUOTIENT, LocalizedAlgebra.poly_ring(15), quotient_algebra())
+    assert h != other and h != lower
+    triv = LocalizedAlgebra.trivial()
+    assert FilteredHom(IDENTITY, triv, triv) != FilteredHom(
+        IDENTITY, LocalizedAlgebra.trivial(3), LocalizedAlgebra.trivial(3)
+    )
+
+
+# -- degree parity -------------------------------------------------------------
+
+
+def reference_degree(algebra, payload):
+    """The degree as the farthest reach of the support, walked down the radius
+    schedule: the definition the level table must reproduce."""
+    if payload.is_zero():
+        return algebra.max_level
+    space = algebra.space
+    reach = rat(0)
+    for (i, j) in payload.table:
+        d = space.dist[i][j]
+        if d > reach:
+            reach = d
+    if not reach:
+        return algebra.max_level
+    if reach > space.radius(0):
+        return 0
+    mu = 0
+    while mu < algebra.max_level and space.radius(mu + 1) >= reach:
+        mu += 1
+    return mu
+
+
+def _third_space():
+    # non-integer distances, and a zero distance between distinct points
+    third, half = rat(1, 3), rat(3, 2)
+    return PropagationSpace(
+        ("a", "b", "c", "d"),
+        [[0, third, half, half],
+         [third, 0, half, half],
+         [half, half, 0, 0],
+         [half, half, 0, 0]],
+        rat(5, 3),
+    )
+
+
+DEGREE_SPACES = {
+    "line1": lambda: line_space(1),
+    "line2": lambda: line_space(2),
+    "line4": lambda: line_space(4),
+    "line4-R4": lambda: line_space(4, 4),
+    "line6": lambda: line_space(6),
+    "thirds": _third_space,
+}
+
+
+SATURATING = {("line4", 1), ("line4-R4", 1), ("line6", 1), ("thirds", 1)}
+
+
+@pytest.mark.parametrize("max_level", [1, 3, 16])
+@pytest.mark.parametrize("space_name", sorted(DEGREE_SPACES))
+def test_degree_table_matches_reach_loop(space_name, max_level):
+    space = DEGREE_SPACES[space_name]()
+    algebra = LocalizedAlgebra.propagation(space, max_level=max_level)
+    n = space.size
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    rng = random.Random(f"{space_name}-{max_level}")
+    kernels = [Kernel({}), Kernel({(i, i): rat(i + 1) for i in range(n)})]
+    kernels += [Kernel({p: rat(1)}) for p in pairs]
+    for _ in range(300):
+        support = rng.sample(pairs, rng.randint(1, len(pairs)))
+        kernels.append(Kernel({p: rat(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+                               for p in support}))
+    saturated = False
+    for k in kernels:
+        want = reference_degree(algebra, k)
+        assert algebra.degree(k) == want, k
+        assert AlgebraElement(algebra, k).degree == want
+        saturated |= want == max_level and any(space.dist[i][j] for i, j in k.table)
+    # there the schedule stops at max_level while r(max_level) still covers a reach
+    assert saturated == ((space_name, max_level) in SATURATING)

@@ -243,3 +243,88 @@ def test_boundary_rejects_sectionless_first_leg(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "boundary", "--spec", str(path))
     assert code == 2 and "surjective" in err
+
+
+def _bundled(name):
+    return json.loads(resources.files("kcert.specs").joinpath(name).read_text())
+
+
+def _trivial_with_matrix(**matrix):
+    return {
+        "algebra": {"kind": "trivial"},
+        "matrices": {"M": dict({"algebra": "algebra", "size": 1, "entries": [["2"]]},
+                               **matrix)},
+        "command": {"name": "verify", "samples": 2},
+    }
+
+
+def _with_command(name, **command):
+    doc = _bundled(name)
+    doc["command"].update(command)
+    return doc
+
+
+def _propagation(**algebra):
+    return {
+        "algebra": dict({"kind": "propagation", "points": ["a", "b"],
+                         "dist": [["0", "1"], ["1", "0"]], "radius_base": "2"},
+                        **algebra),
+        "command": {"name": "verify", "samples": 2, "max_size": 2},
+    }
+
+
+# JSON true loads as a bool, which Python counts as the int 1; each integer
+# field must reject it rather than run with 1 (or echo "true" in the report)
+@pytest.mark.parametrize("command,doc,message", [
+    ("verify", _with_command("trivial_q.json", samples=True),
+     "command.samples must be a nonnegative integer"),
+    ("verify", _with_command("trivial_q.json", seed=True),
+     "command.seed must be a nonnegative integer"),
+    ("verify", _with_command("trivial_q.json", max_size=True),
+     "command.max_size must be a nonnegative integer"),
+    ("verify", {"algebra": {"kind": "trivial", "max_level": True},
+                "command": {"name": "verify", "samples": 2}},
+     "algebra: bad max_level"),
+    ("verify", _trivial_with_matrix(size=True), "matrix M: bad size"),
+    ("verify", dict(_trivial_with_matrix(level=True),
+                    algebra={"kind": "trivial", "max_level": 1}),
+     "matrix M: claimed level must be an integer"),
+    ("boundary", _with_command("quotient_clutching.json", m=True),
+     "command.m must be a nonnegative integer"),
+], ids=["samples", "seed", "max_size", "max_level", "size", "level", "m"])
+def test_boolean_is_not_an_integer(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"spec error: {message}" in err
+
+
+# a string "false" is truthy, so coercing with bool() would turn it on
+@pytest.mark.parametrize("command,doc,message", [
+    ("verify", _propagation(diagonal="false"), "algebra: diagonal must be true or false"),
+    ("verify", _propagation(diagonal=0), "algebra: diagonal must be true or false"),
+    ("exactness", _with_command("quotient_clutching.json", samples=2,
+                                corrupt_witness="false"),
+     "command.corrupt_witness must be true or false"),
+    ("exactness", _with_command("quotient_clutching.json", samples=2, corrupt_witness=1),
+     "command.corrupt_witness must be true or false"),
+], ids=["diagonal-string", "diagonal-int", "corrupt_witness-string",
+        "corrupt_witness-int"])
+def test_boolean_field_needs_a_boolean(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"spec error: {message}" in err
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_boolean_diagonal_accepted(tmp_path, capsys, diagonal):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_propagation(diagonal=diagonal)))
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 0 and "result: pass" in out
+    assert SpecDocument.from_path(str(path)).algebra.diagonal is diagonal
