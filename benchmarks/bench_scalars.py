@@ -6,11 +6,13 @@ throughput, the 4x4 matrix product kernel, the polynomial product behind
 every Q[x] and Q[x]/(m) entry (degree 3 x 3 and 8 x 8), the other payload
 products (a kernel on 4 points, an element of Q[x]/(x^2 - 1)), the algebra
 equality every matrix operation checks, between two propagation algebras
-built separately (equal, not identical), and a slice of the identity suite
-over the three bundled carriers.  Each configuration runs in a
-subprocess because the core is selected at import time (KCERT_PURE=1
-forces the fallback).  Each column is labelled with the scalar type that
-actually ran; a speedup is printed only when the two types differ.
+built separately (equal, not identical), the matrix product over each
+carrier (Q, Q[x], Q[x]/(x^2 - 1), kernels on 4 points; sampled n x n
+operands, n = 2, 4, 6), and a slice of the identity suite over the three
+bundled carriers.  Each configuration runs in a subprocess because the
+core is selected at import time (KCERT_PURE=1 forces the fallback).
+Each column is labelled with the scalar type that actually ran; a speedup
+is printed only when the two types differ.
 
 Usage: python benchmarks/bench_scalars.py [--samples N]
 """
@@ -90,6 +92,23 @@ out["payload_us"] = {
     "algebra == (propagation, built twice)": per_call_us(lambda: alg_a == alg_b, 100000),
 }
 
+from kcert.identities import Sampler
+from kcert.instances import poly_algebra, quotient_algebra
+sampler = Sampler(5)
+matmul_us = {}
+for label, algebra in (
+    ("Q", trivial_algebra()),
+    ("Q[x]", poly_algebra()),
+    ("Q[x]/(x^2 - 1)", quotient_algebra()),
+    ("propagation, 4 points", propagation_algebra()),
+):
+    for size in (2, 4, 6):
+        x, y = sampler.matrix(algebra, size), sampler.matrix(algebra, size)
+        matmul_us[f"FilteredMatrix @, {label}, n = {size}"] = per_call_us(
+            lambda: x @ y, 2000 // size
+        )
+out["matmul_us"] = matmul_us
+
 suite = {}
 for name, algebra in suite_algebras().items():
     t = time.perf_counter()
@@ -139,6 +158,8 @@ def main():
         )
     for name in default["payload_us"]:
         rows.append((f"{name} (us)", default["payload_us"][name], pure["payload_us"][name]))
+    for name in default["matmul_us"]:
+        rows.append((f"{name} (us)", default["matmul_us"][name], pure["matmul_us"][name]))
     for name in default["suite_seconds"]:
         rows.append(
             (f"identity suite, {name} (s)",

@@ -32,6 +32,13 @@ class Kernel:
     def __init__(self, table):
         self.table = {k: v for k, v in table.items() if v}
 
+    @classmethod
+    def _raw(cls, table):
+        """A kernel on a table that already holds no zero value."""
+        k = object.__new__(cls)
+        k.table = table
+        return k
+
     def __add__(self, other):
         if not isinstance(other, Kernel):
             return NotImplemented
@@ -43,7 +50,7 @@ class Kernel:
                 out[k] = s
             elif k in out:
                 del out[k]
-        return Kernel(out) if out else _K_ZERO
+        return Kernel._raw(out) if out else _K_ZERO
 
     def __sub__(self, other):
         if not isinstance(other, Kernel):
@@ -51,9 +58,7 @@ class Kernel:
         return self + (-other)
 
     def __neg__(self):
-        k = object.__new__(Kernel)
-        k.table = {key: -v for key, v in self.table.items()}
-        return k
+        return Kernel._raw({key: -v for key, v in self.table.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Kernel):
@@ -68,6 +73,7 @@ class Kernel:
                 s = out.get(key)
                 s = v * w if s is None else s + v * w
                 out[key] = s
+        # Cancelling sums can leave zero values, so this one filters.
         return Kernel(out)
 
     def is_zero(self):
@@ -226,7 +232,7 @@ class LocalizedAlgebra:
         if self.kind == PROPAGATION:
             if not v:
                 return _K_ZERO
-            return Kernel({(i, i): v for i in range(self.space.size)})
+            return Kernel._raw({(i, i): v for i in range(self.space.size)})
         if self.modulus is None:
             return Poly.const(v)
         return QuotElem(self.modulus, Poly.const(v))
@@ -460,7 +466,7 @@ class FilteredHom:
             b = self._tgt_index.get(j)
             if a is not None and b is not None:
                 table[(a, b)] = v
-        return Kernel(table)
+        return Kernel._raw(table)
 
     def section_payload(self, payload):
         if self.kind == IDENTITY:
@@ -472,7 +478,7 @@ class FilteredHom:
         table = {}
         for (a, b), v in payload.table.items():
             table[(self._src_index[a], self._src_index[b])] = v
-        return Kernel(table)
+        return Kernel._raw(table)
 
     def apply(self, elem):
         if elem.algebra != self.source:

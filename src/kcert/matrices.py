@@ -7,13 +7,24 @@ the defining equations rather than trusting them.  Levels are recomputed
 from entries; the worst-case rule level(a.b) >= min(levels) - 1 is a lower
 bound the tests assert, never a substitute for recomputation.
 
-Products sum only the term pairs whose two factors are both nonzero, in
-increasing index order, starting from the algebra's zero.  The skipped
-terms are exactly zero, so this is the exact product, not an approximation.
+Products are fraction-free, with one kernel per carrier (cf. Bareiss, Math.
+Comp. 22, 1968).  Each operand is read once as integers over the lcm of all
+its denominators; the kernel multiplies and adds plain ints over the
+nonzero entries only and builds each result coefficient once as
+``Rat(c, da * db)``, one gcd per coefficient instead of a reduced rational
+multiply and add per term.  Over Q the integers form an n x n grid; kernels
+on |X| points form a sparse (n|X|) x (n|X|) block matrix; over Q[x] each
+entry accumulates an integer coefficient list, and over Q[x]/(m) that list
+is reduced mod m once per entry, by integer pseudo-division; reducing the
+sum instead of each term is exact because reduction mod m is a ring map.
+Payloads stay reduced, so equality, hashing and encodings do not depend on
+how a product was computed.
 """
 
-from .algebras import TRIVIAL, AlgebraElement
-from .scalars import R1, _mat_mul_fast, rat
+from math import lcm
+
+from .algebras import PROPAGATION, TRIVIAL, AlgebraElement, Kernel
+from .scalars import R0, R1, Poly, QuotElem, Rat, _integer_coeffs, _mat_mul_fast, rat
 
 
 class MatrixError(ValueError):
@@ -33,7 +44,7 @@ class FilteredMatrix:
     __slots__ = ("algebra", "n", "rows", "_level")
 
     def __init__(self, algebra, rows):
-        rows = tuple(tuple(row) for row in rows)
+        rows = tuple([tuple(row) for row in rows])
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -43,6 +54,16 @@ class FilteredMatrix:
         self.rows = rows
         self._level = None
 
+    @classmethod
+    def _raw(cls, algebra, rows):
+        """A matrix on rows that are already a tuple of n tuples of length n."""
+        m = object.__new__(cls)
+        m.algebra = algebra
+        m.n = len(rows)
+        m.rows = rows
+        m._level = None
+        return m
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -51,17 +72,13 @@ class FilteredMatrix:
 
     @classmethod
     def zeros(cls, algebra, n):
-        z = algebra.zero()
-        return cls(algebra, tuple(tuple(z for _ in range(n)) for _ in range(n)))
+        return cls._raw(algebra, ((algebra.zero(),) * n,) * n)
 
     @classmethod
     def scalar_diag(cls, algebra, value, n):
-        z = algebra.zero()
-        v = algebra.from_rational(rat(value))
-        return cls(
-            algebra,
-            tuple(tuple(v if i == j else z for j in range(n)) for i in range(n)),
-        )
+        z = (algebra.zero(),)
+        v = (algebra.from_rational(rat(value)),)
+        return cls._raw(algebra, tuple([z * i + v + z * (n - 1 - i) for i in range(n)]))
 
     @classmethod
     def diag_bits(cls, algebra, bits):
@@ -118,50 +135,40 @@ class FilteredMatrix:
 
     def __add__(self, other):
         self._same(other)
-        return FilteredMatrix(
-            self.algebra,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return FilteredMatrix._raw(self.algebra, tuple([
+            tuple([a + b for a, b in zip(ra, rb)])
+            for ra, rb in zip(self.rows, other.rows)
+        ]))
 
     def __sub__(self, other):
         self._same(other)
-        return FilteredMatrix(
-            self.algebra,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return FilteredMatrix._raw(self.algebra, tuple([
+            tuple([a - b for a, b in zip(ra, rb)])
+            for ra, rb in zip(self.rows, other.rows)
+        ]))
 
     def __neg__(self):
-        return FilteredMatrix(
-            self.algebra, tuple(tuple(-a for a in row) for row in self.rows)
+        return FilteredMatrix._raw(
+            self.algebra, tuple([tuple([-a for a in row]) for row in self.rows])
         )
 
     def __matmul__(self, other):
-        """Exact product, row by row over nonzero entries (Gustavson's
-        sparse product): entry (i, j) is zero + a[i][k] * b[k][j] summed in
-        increasing k over the k where both factors are nonzero.  The skipped
-        terms are exactly zero, so the sum is exact."""
+        """Exact product by the carrier's fraction-free kernel: each operand
+        is read once as integers over one common denominator, only nonzero
+        entries are multiplied, and each result coefficient is built once
+        (see the module docstring).  Every entry is the exact, reduced
+        sum over k of a[i][k] * b[k][j]."""
         self._same(other)
-        if self.algebra.kind == TRIVIAL and _mat_mul_fast is not None:
-            return FilteredMatrix(self.algebra, _mat_mul_fast(self.rows, other.rows))
-        zero = self.algebra.zero()
-        cols = range(self.n)
-        b_nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
-        out = []
-        for arow in self.rows:
-            acc = {}
-            for a, brow in zip(arow, b_nonzero):
-                if a:
-                    for j, b in brow:
-                        s = acc.get(j)
-                        acc[j] = zero + a * b if s is None else s + a * b
-            out.append(tuple([acc.get(j, zero) for j in cols]))
-        return FilteredMatrix(self.algebra, out)
+        algebra = self.algebra
+        if algebra.kind == TRIVIAL:
+            if _mat_mul_fast is not None:
+                return FilteredMatrix(algebra, _mat_mul_fast(self.rows, other.rows))
+            rows = _rational_product(self.rows, other.rows)
+        elif algebra.kind == PROPAGATION:
+            rows = _kernel_product(self.rows, other.rows, algebra)
+        else:
+            rows = _poly_product(self.rows, other.rows, algebra)
+        return FilteredMatrix._raw(algebra, rows)
 
     def __eq__(self, other):
         return (
@@ -191,14 +198,13 @@ class FilteredMatrix:
     def direct_sum(self, other):
         if other.algebra != self.algebra:
             raise MatrixError("algebra mismatch")
-        z = self.algebra.zero()
-        n, m = self.n, other.n
-        rows = []
-        for i in range(n):
-            rows.append(self.rows[i] + tuple(z for _ in range(m)))
-        for i in range(m):
-            rows.append(tuple(z for _ in range(n)) + other.rows[i])
-        return FilteredMatrix(self.algebra, rows)
+        z = (self.algebra.zero(),)
+        right = z * other.n
+        left = z * self.n
+        return FilteredMatrix._raw(
+            self.algebra,
+            tuple([row + right for row in self.rows] + [left + row for row in other.rows]),
+        )
 
     def pad(self, k, fill=0):
         """Stabilize by a k-block of zeros (idempotents) or ones (invertibles)."""
@@ -212,9 +218,10 @@ class FilteredMatrix:
         return self.direct_sum(block)
 
     def sub_block(self, r0, r1, c0, c1):
-        return FilteredMatrix(
-            self.algebra, tuple(row[c0:c1] for row in self.rows[r0:r1])
-        )
+        rows = tuple([row[c0:c1] for row in self.rows[r0:r1]])
+        if rows and len(rows[0]) != len(rows):
+            raise MatrixError("matrix must be square")
+        return FilteredMatrix._raw(self.algebra, rows)
 
     def first_mismatch(self, other):
         """Position and residual of the first differing entry, or None."""
@@ -229,16 +236,160 @@ class FilteredMatrix:
         return f"FilteredMatrix(n={self.n}, level={self.level}, kind={self.algebra.kind})"
 
 
+# -- fraction-free product kernels ----------------------------------------------
+# Each returns the product's rows.  An operand is read once: its common
+# denominator is the lcm over all of its rational coefficients, and each
+# coefficient becomes the integer numerator * (den // denominator).
+
+
+def _rational_product(a, b):
+    """Q: an n x n integer grid product over the nonzero entries."""
+    da = lcm(*[x.denominator for row in a for x in row])
+    db = lcm(*[x.denominator for row in b for x in row])
+    b_nonzero = [
+        [(j, y.numerator * (db // y.denominator)) for j, y in enumerate(row) if y]
+        for row in b
+    ]
+    d = da * db
+    n = len(a)
+    out = []
+    for row in a:
+        acc = [0] * n
+        for x, brow in zip(row, b_nonzero):
+            if x:
+                x = x.numerator * (da // x.denominator)
+                for j, y in brow:
+                    acc[j] += x * y
+        out.append(tuple([Rat(c, d) if c else R0 for c in acc]))
+    return tuple(out)
+
+
+def _kernel_product(a, b, algebra):
+    """Kernels on the algebra's points: a sparse (n*points) x (n*points)
+    integer block product.  B is indexed once by (block row, point); the
+    sums are keyed by (block column, point pair) and only nonzero sums are
+    kept."""
+    points = algebra.space.size
+    zero = algebra.zero()
+    da = lcm(*[v.denominator for row in a for p in row for v in p.table.values()])
+    db = lcm(*[v.denominator for row in b for p in row for v in p.table.values()])
+    b_index = [[] for _ in range(len(b) * points)]
+    for k, row in enumerate(b):
+        base = k * points
+        for j, p in enumerate(row):
+            for (q, r), w in p.table.items():
+                b_index[base + q].append((j, r, w.numerator * (db // w.denominator)))
+    d = da * db
+    n = len(a)
+    out = []
+    for row in a:
+        # acc[j] maps s * points + r to the integer sum for pair (s, r).
+        acc = [{} for _ in range(n)]
+        for k, p in enumerate(row):
+            base = k * points
+            for (s, q), v in p.table.items():
+                terms = b_index[base + q]
+                if terms:
+                    v = v.numerator * (da // v.denominator)
+                    key = s * points
+                    for j, r, w in terms:
+                        t = acc[j]
+                        t[key + r] = t.get(key + r, 0) + v * w
+        entries = []
+        for t in acc:
+            table = {divmod(key, points): Rat(c, d) for key, c in t.items() if c}
+            entries.append(Kernel._raw(table) if table else zero)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def _int_polys(rows):
+    """Each polynomial as an integer coefficient list over the lcm of all
+    coefficient denominators; [] for zero."""
+    den = lcm(*[c.denominator for row in rows for p in row for c in p.coeffs])
+    return [
+        [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in row]
+        for row in rows
+    ], den
+
+
+def _poly_product(a, b, algebra):
+    """Q[x] and Q[x]/(m): each entry accumulates an integer coefficient
+    list; over Q[x]/(m) the finished list is reduced mod m once."""
+    modulus = algebra.modulus
+    if modulus is not None:
+        a = [[e.rep for e in row] for row in a]
+        b = [[e.rep for e in row] for row in b]
+    na, da = _int_polys(a)
+    nb, db = _int_polys(b)
+    b_nonzero = [[(j, q) for j, q in enumerate(row) if q] for row in nb]
+    d = da * db
+    if modulus is not None:
+        m_int = _integer_coeffs(modulus.coeffs)[0]
+    zero = algebra.zero()
+    n = len(a)
+    out = []
+    for row in na:
+        acc = [None] * n
+        for p, brow in zip(row, b_nonzero):
+            if p:
+                for j, q in brow:
+                    c = acc[j]
+                    size = len(p) + len(q) - 1
+                    if c is None:
+                        c = acc[j] = [0] * size
+                    elif len(c) < size:
+                        c.extend([0] * (size - len(c)))
+                    for s, x in enumerate(p):
+                        if x:
+                            for t, y in enumerate(q, s):
+                                c[t] += x * y
+        entries = []
+        for c in acc:
+            den = d
+            if c and modulus is not None:
+                den *= _reduce_ints(c, m_int)
+            while c and not c[-1]:
+                c.pop()
+            if not c:
+                entries.append(zero)
+                continue
+            poly = Poly._raw(tuple([Rat(v, den) if v else R0 for v in c]))
+            entries.append(poly if modulus is None else QuotElem._reduced(modulus, poly))
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def _reduce_ints(c, m_int):
+    """Reduce the integer coefficient list c in place modulo m_int, an
+    integer multiple e * m of a monic m (e = m_int[-1]), by pseudo-division:
+    each step replaces c by e * c - q * x^k * m_int, which clears the top
+    coefficient.  Returns e ** steps: c / e ** steps is then the remainder
+    of the input mod m."""
+    e = m_int[-1]
+    dm = len(m_int) - 1
+    scale = 1
+    for i in range(len(c) - 1, dm - 1, -1):
+        q = c[i]
+        if q:
+            if e != 1:
+                for t in range(i):
+                    c[t] *= e
+                scale *= e
+            for k in range(dm):
+                c[i - dm + k] -= q * m_int[k]
+    del c[dm:]
+    return scale
+
+
 def block2(a, b, c, d):
     """Assemble [[a, b], [c, d]] from equal-size square blocks."""
     if not (a.n == b.n == c.n == d.n):
         raise MatrixError("blocks must share one size")
-    rows = []
-    for i in range(a.n):
-        rows.append(a.rows[i] + b.rows[i])
-    for i in range(c.n):
-        rows.append(c.rows[i] + d.rows[i])
-    return FilteredMatrix(a.algebra, rows)
+    return FilteredMatrix._raw(
+        a.algebra,
+        tuple([x + y for x, y in zip(a.rows, b.rows)] + [x + y for x, y in zip(c.rows, d.rows)]),
+    )
 
 
 def split2(m):
@@ -449,13 +600,10 @@ class ElementaryMatrix:
         touching only the rows where column i is nonzero."""
         self._same(m)
         i, j, a = self.i, self.j, self.entry
-        return FilteredMatrix(
-            self.algebra,
-            tuple(
-                row[:j] + (row[j] + row[i] * a,) + row[j + 1:] if row[i] else row
-                for row in m.rows
-            ),
-        )
+        return FilteredMatrix._raw(self.algebra, tuple([
+            row[:j] + (row[j] + row[i] * a,) + row[j + 1:] if row[i] else row
+            for row in m.rows
+        ]))
 
     def left_mul(self, m):
         """E @ m as one row operation: row i += entry * row j, touching only
@@ -463,8 +611,8 @@ class ElementaryMatrix:
         self._same(m)
         i, j, a = self.i, self.j, self.entry
         rows = list(m.rows)
-        rows[i] = tuple(x + a * y if y else x for x, y in zip(rows[i], rows[j]))
-        return FilteredMatrix(self.algebra, rows)
+        rows[i] = tuple([x + a * y if y else x for x, y in zip(rows[i], rows[j])])
+        return FilteredMatrix._raw(self.algebra, tuple(rows))
 
 
 def elementary_expand(e):

@@ -1,5 +1,10 @@
-import pytest
+from math import gcd
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kcert.algebras import PROPAGATION, TRIVIAL, Kernel, LocalizedAlgebra
 from kcert.matrices import (
     CertificateFailure,
     ElementaryMatrix,
@@ -22,6 +27,7 @@ from kcert.matrices import (
 )
 from kcert.identities import Sampler, o_multiplicativity_counterexample
 from kcert.instances import (
+    line_space,
     poly_algebra,
     propagation_algebra,
     quotient_algebra,
@@ -47,6 +53,13 @@ def test_size_and_algebra_mismatch(trivial, quotient, sampler):
     c = sampler.matrix(quotient, 2)
     with pytest.raises(ValueError):
         a @ c
+
+
+def test_sub_block_must_be_square(trivial, sampler):
+    m = sampler.matrix(trivial, 4)
+    assert m.sub_block(1, 3, 2, 4).rows == tuple(row[2:4] for row in m.rows[1:3])
+    with pytest.raises(MatrixError):
+        m.sub_block(0, 2, 0, 3)
 
 
 @pytest.mark.parametrize("kind", ["trivial", "quotient", "propagation"])
@@ -196,6 +209,8 @@ PARITY_ALGEBRAS = {
     "Q[x]": poly_algebra,
     "Q[x]/(x^2-1)": quotient_algebra,
     "kernels": propagation_algebra,
+    "Q[x]/(x^3-x/2+1/3)": lambda: quotient_algebra(Poly([rat(1, 3), rat(-1, 2), 0, 1])),
+    "diagonal kernels": lambda: LocalizedAlgebra.propagation(line_space(4), diagonal=True),
 }
 
 
@@ -314,3 +329,97 @@ def test_sampled_invertibles_verify(name):
         for factors in (None, 4):
             for _ in range(8):
                 sampler.invertible(algebra, n, factors=factors).verify()
+
+
+# -- the product against the dense reference on generated operands -------------
+# Operands draw their entries from a small pool of payloads, their negations
+# and zero, so sums of x and -x cancel often; coefficients sit within 2 of
+# 2**63 and 2**127 as well as small; quotient pools also take multiples of
+# 1 + x and 1 - x, the zero divisors of Q[x]/(x^2-1).
+
+
+def _near(power):
+    return st.integers(-2, 2).map(lambda d: 2 ** power + d)
+
+
+_numerators = st.one_of(
+    st.integers(-3, 3),
+    _near(63),
+    _near(63).map(lambda v: -v),
+    _near(127),
+    _near(127).map(lambda v: -v),
+)
+_denominators = st.one_of(st.integers(1, 4), _near(63), _near(127))
+_scalars = st.builds(rat, _numerators, _denominators)
+_polys = st.lists(_scalars, max_size=4).map(Poly)
+
+
+def _payloads(algebra):
+    if algebra.kind == TRIVIAL:
+        return _scalars
+    if algebra.kind == PROPAGATION:
+        points = range(algebra.space.size)
+        keys = (
+            st.sampled_from(points).map(lambda i: (i, i))
+            if algebra.diagonal
+            else st.tuples(st.sampled_from(points), st.sampled_from(points))
+        )
+        return st.dictionaries(keys, _scalars, max_size=4).map(Kernel)
+    if algebra.modulus is None:
+        return _polys
+    m = algebra.modulus
+    divisors = st.builds(
+        lambda c, s: Poly([c, c * s]), _scalars.filter(bool), st.sampled_from((1, -1))
+    )
+    return st.one_of(_polys, divisors).map(lambda p: QuotElem(m, p))
+
+
+@st.composite
+def _operands(draw, algebra):
+    n = draw(st.integers(0, 6))
+    pool = draw(st.lists(_payloads(algebra), min_size=1, max_size=3))
+    pool += [-p for p in pool] + [algebra.zero()]
+    entries = st.sampled_from(pool)
+    a, b = (
+        FilteredMatrix(algebra, [[draw(entries) for _ in range(n)] for _ in range(n)])
+        for _ in range(2)
+    )
+    return a, b
+
+
+def _coefficients(payload):
+    if isinstance(payload, QuotElem):
+        payload = payload.rep
+    if isinstance(payload, Poly):
+        return payload.coeffs
+    if isinstance(payload, Kernel):
+        return tuple(payload.table.values())
+    return (payload,)
+
+
+def assert_canonical(payload, algebra):
+    for c in _coefficients(payload):
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+    if isinstance(payload, QuotElem):
+        assert payload.rep.degree < algebra.modulus.degree
+        payload = payload.rep
+    if isinstance(payload, Poly):
+        assert not payload.coeffs or payload.coeffs[-1]
+    if isinstance(payload, Kernel):
+        assert all(payload.table.values())
+        assert algebra.accepts(payload)
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_ALGEBRAS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_products_match_dense_reference(name, data):
+    algebra = PARITY_ALGEBRAS[name]()
+    a, b = data.draw(_operands(algebra))
+    got, want = a @ b, dense_product(a, b)
+    assert_same_entries(got, want)
+    assert hash(got) == hash(want)
+    for grow, wrow in zip(got.rows, want.rows):
+        for g, w in zip(grow, wrow):
+            assert hash(g) == hash(w)
+            assert_canonical(g, algebra)
