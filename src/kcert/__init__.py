@@ -2,7 +2,7 @@
 filtered algebras, the connecting homomorphism, and six-term exactness
 witnesses, all verified by recomputation rather than trusted."""
 
-from .scalars import COMPILED, Rat, rat
+from .scalars import Rat, rat
 
-__all__ = ["COMPILED", "Rat", "rat"]
+__all__ = ["Rat", "rat"]
 __version__ = "0.1.0"

@@ -158,7 +158,8 @@ class PropagationSpace:
 class LocalizedAlgebra:
     """A unital algebra together with its computable degree function."""
 
-    __slots__ = ("kind", "max_level", "space", "diagonal", "modulus", "_levels", "_sig")
+    __slots__ = ("kind", "max_level", "space", "diagonal", "modulus", "_levels", "_sig",
+                 "_zero")
 
     def __init__(self, kind, max_level=DEFAULT_MAX_LEVEL, space=None,
                  diagonal=False, modulus=None):
@@ -171,12 +172,14 @@ class LocalizedAlgebra:
         self.modulus = None
         self._levels = None
         if kind == TRIVIAL:
+            self._zero = R0
             self._sig = (kind, max_level)
         elif kind == PROPAGATION:
             if not isinstance(space, PropagationSpace):
                 raise ValueError("propagation algebra needs a PropagationSpace")
             self.space = space
             self.diagonal = bool(diagonal)
+            self._zero = _K_ZERO
             n = space.size
             self._levels = {
                 (i, j): self._level_of(space.dist[i][j]) for i in range(n) for j in range(n)
@@ -189,6 +192,9 @@ class LocalizedAlgebra:
                 if modulus.degree < 1 or not modulus.is_monic():
                     raise ValueError("modulus must be monic of degree >= 1")
             self.modulus = modulus
+            self._zero = (
+                Poly.zero() if modulus is None else QuotElem._reduced(modulus, Poly.zero())
+            )
             self._sig = (kind, max_level, None if modulus is None else modulus.coeffs)
         else:
             raise ValueError(f"unknown algebra kind {kind!r}")
@@ -214,13 +220,7 @@ class LocalizedAlgebra:
     # -- payloads ----------------------------------------------------------
 
     def zero(self):
-        if self.kind == TRIVIAL:
-            return R0
-        if self.kind == PROPAGATION:
-            return _K_ZERO
-        if self.modulus is None:
-            return Poly.zero()
-        return QuotElem(self.modulus, Poly.zero())
+        return self._zero
 
     def one(self):
         return self.from_rational(R1)

@@ -24,7 +24,7 @@ how a product was computed.
 from math import lcm
 
 from .algebras import PROPAGATION, TRIVIAL, AlgebraElement, Kernel
-from .scalars import R0, R1, Poly, QuotElem, Rat, _integer_coeffs, _mat_mul_fast, rat
+from .scalars import R0, R1, Poly, QuotElem, Rat, _integer_coeffs, rat
 
 
 class MatrixError(ValueError):
@@ -115,11 +115,15 @@ class FilteredMatrix:
     @property
     def level(self):
         if self._level is None:
-            deg = self.algebra.degree
-            self._level = min(
-                (deg(p) for row in self.rows for p in row),
-                default=self.algebra.max_level,
-            )
+            algebra = self.algebra
+            if algebra._levels is None:
+                # Without a level table every payload sits at max_level.
+                self._level = algebra.max_level
+            else:
+                deg = algebra.degree
+                self._level = min(
+                    (deg(p) for row in self.rows for p in row), default=algebra.max_level
+                )
         return self._level
 
     def entry(self, i, j):
@@ -161,8 +165,6 @@ class FilteredMatrix:
         self._same(other)
         algebra = self.algebra
         if algebra.kind == TRIVIAL:
-            if _mat_mul_fast is not None:
-                return FilteredMatrix(algebra, _mat_mul_fast(self.rows, other.rows))
             rows = _rational_product(self.rows, other.rows)
         elif algebra.kind == PROPAGATION:
             rows = _kernel_product(self.rows, other.rows, algebra)

@@ -1,41 +1,23 @@
 """Exact scalar layer: rationals, univariate polynomials and quotient-ring
 elements over the rationals.
 
-The rational type is picked at import time: the compiled `_ratcore.Rat`
-when the extension built, otherwise `fractions.Fraction`.  Both are
-immutable, always reduced, keep the denominator positive and print as
-"num/den" (denominator omitted when 1), so everything downstream is
-agnostic to the choice.  Set KCERT_PURE=1 to force the pure fallback.
+The rational type is ``fractions.Fraction``, exported as ``Rat``: immutable,
+always reduced, with a positive denominator, printing as "num/den"
+(denominator omitted when 1).  There is one scalar type and no switch that
+selects another, so the exact arithmetic every certificate rests on has a
+single implementation.
 
-On the pure path a polynomial product is fraction-free: each operand's
-coefficients are scaled to integers over the lcm of its denominators, the
-integers are convolved, and each result coefficient is built once as
+A polynomial product is fraction-free: each operand's coefficients are
+scaled to integers over the lcm of its denominators, the integers are
+convolved, and each result coefficient is built once as
 ``Rat(c, da * db)``, one gcd per coefficient instead of a reduced Fraction
 multiply and add per pair of coefficients.  Coefficients stay reduced
-rationals, so equality, hashing and encodings do not depend on the path.
+rationals, so equality, hashing and encodings match a schoolbook product.
 """
 
-import os
 import re
+from fractions import Fraction as Rat
 from math import lcm
-
-_FORCE_PURE = os.environ.get("KCERT_PURE", "") == "1"
-
-try:
-    if _FORCE_PURE:
-        raise ImportError("pure scalars forced by KCERT_PURE")
-    from . import _ratcore
-
-    Rat = _ratcore.Rat
-    _poly_mul_fast = _ratcore.poly_mul_rats
-    _mat_mul_fast = _ratcore.mat_mul_rats
-    COMPILED = True
-except ImportError:
-    from fractions import Fraction as Rat
-
-    _poly_mul_fast = None
-    _mat_mul_fast = None
-    COMPILED = False
 
 R0 = Rat(0)
 R1 = Rat(1)
@@ -143,8 +125,6 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        if _poly_mul_fast is not None:
-            return Poly._raw(_poly_mul_fast(self.coeffs, other.coeffs))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _P_ZERO

@@ -15,7 +15,7 @@ from kcert.algebras import (
     PropagationSpace,
 )
 from kcert.identities import Sampler
-from kcert.instances import line_space, quotient_algebra
+from kcert.instances import line_space, poly_algebra, quotient_algebra, suite_algebras
 from kcert.matrices import FilteredMatrix, MatrixError
 from kcert.scalars import Poly, rat
 from kcert.specdoc import parse_algebra, parse_diagram
@@ -52,6 +52,14 @@ def test_unit_and_zero_cases(propagation, sampler):
     x = propagation.element(sampler.payload(propagation))
     assert one * x == x
     assert x * one == x
+
+
+@pytest.mark.parametrize("kind", ["trivial", "poly", "quotient", "propagation"])
+def test_zero_is_built_once(kind):
+    algebra = {**suite_algebras(), "poly": poly_algebra()}[kind]
+    assert algebra.zero() is algebra.zero()
+    assert algebra.zero() == algebra.from_rational(0)
+    assert algebra.accepts(algebra.zero()) and not algebra.zero()
 
 
 @pytest.mark.parametrize("kind", ["trivial", "quotient", "propagation"])

@@ -62,13 +62,27 @@ def test_sub_block_must_be_square(trivial, sampler):
         m.sub_block(0, 2, 0, 3)
 
 
-@pytest.mark.parametrize("kind", ["trivial", "quotient", "propagation"])
-def test_level_laws(all_algebras, kind, sampler):
-    algebra = all_algebras[kind]
+def _entry_level(m):
+    """Reference level: the lowest entry degree, max_level for n = 0."""
+    deg = m.algebra.degree
+    return min((deg(p) for row in m.rows for p in row), default=m.algebra.max_level)
+
+
+@pytest.mark.parametrize("kind", ["trivial", "poly", "quotient", "propagation"])
+def test_level_laws(kind, sampler):
+    algebra = {**suite_algebras(), "poly": poly_algebra()}[kind]
+    empty = FilteredMatrix.zeros(algebra, 0)
+    assert empty.n == 0 and empty.level == algebra.max_level
+    nonzero = FilteredMatrix.scalar_diag(algebra, rat(-2, 3), 3)
+    assert not nonzero.is_zero() and nonzero.level == algebra.max_level
     for _ in range(200):
         n = sampler.size(3)
         a = sampler.matrix(algebra, n)
         b = sampler.matrix(algebra, n)
+        assert a.level == _entry_level(a) and b.level == _entry_level(b)
+        if kind != "propagation":
+            # Over Q, Q[x] and Q[x]/(m) every payload sits at max_level.
+            assert a.level == algebra.max_level
         assert (a @ b).level >= max(0, min(a.level, b.level) - 1)
         assert (a + b).level >= min(a.level, b.level)
         assert a.direct_sum(b).level == min(a.level, b.level)
