@@ -8,8 +8,12 @@ products (a kernel on 4 points, an element of Q[x]/(x^2 - 1)), the algebra
 equality every matrix operation checks, between two propagation algebras
 built separately (equal, not identical), the matrix product over each
 carrier (Q, Q[x], Q[x]/(x^2 - 1), kernels on 4 points; sampled n x n
-operands, n = 2, 4, 6), and a slice of the identity suite over the three
-bundled carriers.  Everything runs in this process and prints one column.
+operands, n = 2, 4, 6), the image of a sampled Q[x] matrix in Q[x]/(x^2 - 1)
+(n = 2, 4, 6), the conjugation u p u^-1 over Q[x]/(x^2 - 1) (n = 2, 4), and a
+slice of the identity suite over the three bundled carriers.  Operands are
+reused across calls, as certificates reuse them, so a matrix's integer form
+is computed once per row.  Everything runs in this process and prints one
+column.
 
 Usage: python benchmarks/bench_scalars.py [--samples N]
 """
@@ -17,7 +21,7 @@ Usage: python benchmarks/bench_scalars.py [--samples N]
 import argparse
 import time
 
-from kcert.algebras import Kernel
+from kcert.algebras import QUOTIENT, FilteredHom, Kernel
 from kcert.identities import Sampler, run_identity_suite
 from kcert.instances import (
     poly_algebra,
@@ -27,7 +31,7 @@ from kcert.instances import (
     trivial_algebra,
     x2_minus_1,
 )
-from kcert.matrices import FilteredMatrix
+from kcert.matrices import FilteredMatrix, apply_hom_matrix, conjugate
 from kcert.scalars import Poly, QuotElem, Rat, rat
 
 
@@ -95,6 +99,22 @@ def matmul_rows():
     return rows
 
 
+def quotient_rows():
+    sampler = Sampler(5)
+    source, target = poly_algebra(), quotient_algebra()
+    h = FilteredHom(QUOTIENT, source, target)
+    rows = []
+    for size in (2, 4, 6):
+        m = sampler.matrix(source, size)
+        rows.append((f"apply_hom_matrix, Q[x] -> Q[x]/(x^2 - 1), n = {size}",
+                     per_call_us(lambda: apply_hom_matrix(h, m), 2000 // size)))
+    for size in (2, 4):
+        u, p = sampler.invertible(target, size, factors=4), sampler.matrix(target, size)
+        rows.append((f"u p u^-1, Q[x]/(x^2 - 1), n = {size}",
+                     per_call_us(lambda: conjugate(p, u), 1000 // size)))
+    return rows
+
+
 def suite_rows(samples):
     rows = []
     for name, algebra in suite_algebras().items():
@@ -115,7 +135,7 @@ def main():
         ("4x4 matmul (us)", matmul4_us()),
     ]
     rows += [(f"Poly product, degree {d} x {d} (us)", poly_mul_us(d)) for d in (3, 8)]
-    rows += [(f"{name} (us)", us) for name, us in payload_rows() + matmul_rows()]
+    rows += [(f"{name} (us)", us) for name, us in payload_rows() + matmul_rows() + quotient_rows()]
     rows += [(f"{name} (s)", s) for name, s in suite_rows(args.samples)]
     label = Rat.__name__
     width = max(len(name) for name, _ in rows)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcert.algebras import PROPAGATION, TRIVIAL, Kernel, LocalizedAlgebra
+from kcert.algebras import (
+    PROPAGATION,
+    QUOTIENT,
+    TRIVIAL,
+    FilteredHom,
+    Kernel,
+    LocalizedAlgebra,
+)
 from kcert.matrices import (
     CertificateFailure,
     ElementaryMatrix,
@@ -12,6 +19,7 @@ from kcert.matrices import (
     IdempotentCert,
     InvertibleCert,
     MatrixError,
+    _poly_ints,
     apply_hom_idempotent,
     apply_hom_invertible,
     apply_hom_matrix,
@@ -389,9 +397,11 @@ def _payloads(algebra):
 
 
 @st.composite
-def _operands(draw, algebra):
+def _operands(draw, algebra, payloads=None):
     n = draw(st.integers(0, 6))
-    pool = draw(st.lists(_payloads(algebra), min_size=1, max_size=3))
+    if payloads is None:
+        payloads = _payloads(algebra)
+    pool = draw(st.lists(payloads, min_size=1, max_size=3))
     pool += [-p for p in pool] + [algebra.zero()]
     entries = st.sampled_from(pool)
     a, b = (
@@ -437,3 +447,83 @@ def test_generated_products_match_dense_reference(name, data):
         for g, w in zip(grow, wrow):
             assert hash(g) == hash(w)
             assert_canonical(g, algebra)
+
+
+# -- the carried integer form and the fraction-free quotient image ---------------
+# Matrices over Q[x] and Q[x]/(m) carry their integer form once it is computed
+# or seeded by a product; the quotient image reduces from it.  Neither may
+# differ from a fresh conversion or from the per-entry payload map, and the
+# carried lists must survive being read again.
+
+MODULI = {
+    "x^2-1": Poly([-1, 0, 1]),
+    "x^3-x/2+1/3": Poly([rat(1, 3), rat(-1, 2), 0, 1]),
+}
+
+
+def _hom_entries(m):
+    """Polynomials of degree up to 6, so most need reducing, and p + q * m,
+    whose part above deg m cancels in the reduction (all of it when p = 0)."""
+    return st.one_of(
+        st.lists(_scalars, max_size=7).map(Poly),
+        st.builds(lambda p, q: p + q * m, _polys, _polys),
+    )
+
+
+def payload_image(h, m):
+    """The per-entry reference: h.apply_payload on every entry."""
+    return FilteredMatrix(h.target, [[h.apply_payload(p) for p in row] for row in m.rows])
+
+
+@pytest.mark.parametrize("modulus", sorted(MODULI))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quotient_image_matches_payload_map(modulus, data):
+    m = MODULI[modulus]
+    h = FilteredHom(QUOTIENT, poly_algebra(), quotient_algebra(m))
+    a, b = data.draw(_operands(poly_algebra(), _hom_entries(m)))
+    # A fresh operand, one whose form was computed as a product operand, and
+    # one whose form a product seeded.
+    for operand in (FilteredMatrix(a.algebra, a.rows), a, a @ b):
+        got, want = apply_hom_matrix(h, operand), payload_image(h, operand)
+        assert_same_entries(got, want)
+        assert hash(got) == hash(want)
+        for row in got.rows:
+            for p in row:
+                assert_canonical(p, h.target)
+
+
+@pytest.mark.parametrize("name", ["Q[x]", "Q[x]/(x^2-1)", "Q[x]/(x^3-x/2+1/3)"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_carries_the_fresh_integer_form(name, data):
+    algebra = PARITY_ALGEBRAS[name]()
+    a, b = data.draw(_operands(algebra))
+    product = a @ b
+    if algebra.modulus is None or algebra.modulus == MODULI["x^2-1"]:
+        # Only a reduction by a non-integral modulus leaves the form unseeded.
+        assert product._ints is not None
+    if product._ints is not None:
+        assert product._ints == _poly_ints(FilteredMatrix(algebra, product.rows))
+
+
+@pytest.mark.parametrize("modulus", sorted(MODULI))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_carried_forms_survive_reuse(modulus, data):
+    m = MODULI[modulus]
+    h = FilteredHom(QUOTIENT, poly_algebra(), quotient_algebra(m))
+    a, b = data.draw(_operands(poly_algebra(), _hom_entries(m)))
+    fresh = FilteredMatrix(a.algebra, a.rows)
+    ab_want = dense_product(a, b)
+    image_want = payload_image(h, fresh)
+    ab = a @ b
+    for _ in range(2):
+        assert_same_entries(apply_hom_matrix(h, a), image_want)
+        assert_same_entries(a @ b, ab_want)
+        assert_same_entries(apply_hom_matrix(h, ab), payload_image(h, ab_want))
+        assert_same_entries(ab @ a, dense_product(ab_want, fresh))
+        image = apply_hom_matrix(h, a)
+        assert_same_entries(image @ image, dense_product(image_want, image_want))
+    assert _poly_ints(a) == _poly_ints(fresh)
+    assert _poly_ints(ab) == _poly_ints(FilteredMatrix(a.algebra, ab.rows))
