@@ -21,7 +21,7 @@ Usage: python benchmarks/bench_scalars.py [--samples N]
 import argparse
 import time
 
-from kcert.algebras import QUOTIENT, FilteredHom, Kernel
+from kcert.algebras import Kernel, QuotientHom
 from kcert.identities import Sampler, run_identity_suite
 from kcert.instances import (
     poly_algebra,
@@ -102,7 +102,7 @@ def matmul_rows():
 def quotient_rows():
     sampler = Sampler(5)
     source, target = poly_algebra(), quotient_algebra()
-    h = FilteredHom(QUOTIENT, source, target)
+    h = QuotientHom(source, target)
     rows = []
     for size in (2, 4, 6):
         m = sampler.matrix(source, size)

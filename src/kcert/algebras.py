@@ -1,5 +1,11 @@
-"""Filtered (localized) algebras: the degree interface, three concrete
-carriers, and filtered homomorphisms with deterministic sections.
+"""Filtered (localized) algebras: the degree interface, the carriers, and
+filtered homomorphisms with deterministic sections.
+
+One class per carrier (TrivialAlgebra, PropagationAlgebra, PolyAlgebra,
+QuotientAlgebra) owns its payload conversions, codec, identity-suite draws
+and fraction-free matrix product; one class per hom kind (IdentityHom,
+QuotientHom, RestrictionHom, InclusionHom) owns its payload map, section and
+construction checks.  ``kind`` and ``type`` name them in reports.
 
 Degrees are always recomputed from the payload, never trusted from input.
 The filtration is decreasing, degree(a*b) >= min(deg a, deg b) - 1 floored
@@ -12,13 +18,37 @@ Algebras and homs are immutable after construction.  Each builds its
 structural signature once, so ``==`` is an identity check or one tuple
 comparison, and a propagation algebra builds its table of per-pair levels
 once, so a kernel's degree is the lowest level over its support.
+
+Matrix products are fraction-free (cf. Bareiss, Math. Comp. 22, 1968):
+each operand is read once as integers over the lcm of its denominators,
+only nonzero entries are multiplied, and each result coefficient is built
+once as ``Rat(c, da * db)``, one gcd per coefficient instead of a reduced
+rational multiply and add per term.  Over Q the integers form an n x n
+grid; kernels on |X| points form a sparse (n|X|) x (n|X|) block matrix;
+over Q[x] each entry accumulates an integer coefficient list, and over
+Q[x]/(m) that list is reduced mod m once per entry, which is exact because
+reduction mod m is a ring map.  A Q[x] or Q[x]/(m) matrix carries its
+integer form in the private slot ``_ints`` (see _poly_ints and
+_poly_product), and the quotient hom maps a matrix through that form.
+Payloads stay reduced, so equality, hashing and encodings do not depend on
+how a product was computed.  Products and images are built through the
+operand's own matrix class, so this module needs no import of matrices.py.
 """
 
-from .scalars import Poly, QuotElem, R0, R1, Rat, encode_rational, parse_rational, rat
+from math import gcd, lcm
 
-TRIVIAL = "trivial"
-PROPAGATION = "propagation"
-QUOTIENT_LEG = "quotient-pullback-leg"
+from .scalars import (
+    NotInvertible,
+    Poly,
+    QuotElem,
+    R0,
+    R1,
+    Rat,
+    _integer_coeffs,
+    encode_rational,
+    parse_rational,
+    rat,
+)
 
 DEFAULT_MAX_LEVEL = 16
 
@@ -156,66 +186,39 @@ class PropagationSpace:
 
 
 class LocalizedAlgebra:
-    """A unital algebra together with its computable degree function."""
+    """A unital algebra together with its computable degree function: the
+    base of the four carrier classes."""
 
-    __slots__ = ("kind", "max_level", "space", "diagonal", "modulus", "_levels", "_sig",
-                 "_zero")
+    __slots__ = ("max_level", "_sig", "_zero")
+    kind = None
+    # Per-pair levels of a propagation algebra; without a table every
+    # payload sits at max_level.
+    _levels = None
 
-    def __init__(self, kind, max_level=DEFAULT_MAX_LEVEL, space=None,
-                 diagonal=False, modulus=None):
+    def __init__(self, max_level, zero, *signature):
         if max_level < 1:
             raise ValueError("max_level must be >= 1")
-        self.kind = kind
         self.max_level = max_level
-        self.space = None
-        self.diagonal = False
-        self.modulus = None
-        self._levels = None
-        if kind == TRIVIAL:
-            self._zero = R0
-            self._sig = (kind, max_level)
-        elif kind == PROPAGATION:
-            if not isinstance(space, PropagationSpace):
-                raise ValueError("propagation algebra needs a PropagationSpace")
-            self.space = space
-            self.diagonal = bool(diagonal)
-            self._zero = _K_ZERO
-            n = space.size
-            self._levels = {
-                (i, j): self._level_of(space.dist[i][j]) for i in range(n) for j in range(n)
-            }
-            self._sig = (kind, max_level, space.signature(), self.diagonal)
-        elif kind == QUOTIENT_LEG:
-            if modulus is not None:
-                if not isinstance(modulus, Poly):
-                    raise TypeError("modulus must be a Poly")
-                if modulus.degree < 1 or not modulus.is_monic():
-                    raise ValueError("modulus must be monic of degree >= 1")
-            self.modulus = modulus
-            self._zero = (
-                Poly.zero() if modulus is None else QuotElem._reduced(modulus, Poly.zero())
-            )
-            self._sig = (kind, max_level, None if modulus is None else modulus.coeffs)
-        else:
-            raise ValueError(f"unknown algebra kind {kind!r}")
+        self._zero = zero
+        self._sig = (self.kind, max_level, *signature)
 
     # -- constructors ------------------------------------------------------
 
-    @classmethod
-    def trivial(cls, max_level=DEFAULT_MAX_LEVEL):
-        return cls(TRIVIAL, max_level)
+    @staticmethod
+    def trivial(max_level=DEFAULT_MAX_LEVEL):
+        return TrivialAlgebra(max_level)
 
-    @classmethod
-    def propagation(cls, space, diagonal=False, max_level=DEFAULT_MAX_LEVEL):
-        return cls(PROPAGATION, max_level, space=space, diagonal=diagonal)
+    @staticmethod
+    def propagation(space, diagonal=False, max_level=DEFAULT_MAX_LEVEL):
+        return PropagationAlgebra(space, diagonal, max_level)
 
-    @classmethod
-    def poly_ring(cls, max_level=DEFAULT_MAX_LEVEL):
-        return cls(QUOTIENT_LEG, max_level)
+    @staticmethod
+    def poly_ring(max_level=DEFAULT_MAX_LEVEL):
+        return PolyAlgebra(max_level)
 
-    @classmethod
-    def quotient_ring(cls, modulus, max_level=DEFAULT_MAX_LEVEL):
-        return cls(QUOTIENT_LEG, max_level, modulus=modulus)
+    @staticmethod
+    def quotient_ring(modulus, max_level=DEFAULT_MAX_LEVEL):
+        return QuotientAlgebra(modulus, max_level)
 
     # -- payloads ----------------------------------------------------------
 
@@ -225,52 +228,14 @@ class LocalizedAlgebra:
     def one(self):
         return self.from_rational(R1)
 
-    def from_rational(self, value):
-        v = rat(value)
-        if self.kind == TRIVIAL:
-            return v
-        if self.kind == PROPAGATION:
-            if not v:
-                return _K_ZERO
-            return Kernel._raw({(i, i): v for i in range(self.space.size)})
-        if self.modulus is None:
-            return Poly.const(v)
-        return QuotElem(self.modulus, Poly.const(v))
-
-    def accepts(self, payload):
-        if self.kind == TRIVIAL:
-            return isinstance(payload, Rat)
-        if self.kind == PROPAGATION:
-            if not isinstance(payload, Kernel):
-                return False
-            n = self.space.size
-            for (i, j) in payload.table:
-                if not (0 <= i < n and 0 <= j < n):
-                    return False
-                if self.diagonal and i != j:
-                    return False
-            return True
-        if self.modulus is None:
-            return isinstance(payload, Poly)
-        return isinstance(payload, QuotElem) and payload.modulus == self.modulus
-
-    def _level_of(self, reach):
-        """Largest mu <= max_level with reach <= r(mu); max_level at reach 0."""
-        if not reach:
-            return self.max_level
-        space = self.space
-        mu = 0
-        while mu < self.max_level and space.radius(mu + 1) >= reach:
-            mu += 1
-        return mu
-
     def degree(self, payload):
         """Largest mu <= max_level with payload in the mu-th subspace.  For a
         kernel that is the lowest pair level over its support: the level is
         monotone in the distance, so this is the level of the farthest reach."""
-        if self.kind != PROPAGATION:
+        levels = self._levels
+        if levels is None:
             return self.max_level
-        return min(map(self._levels.__getitem__, payload.table), default=self.max_level)
+        return min(map(levels.__getitem__, payload.table), default=self.max_level)
 
     def is_zero(self, payload):
         return not payload
@@ -284,52 +249,8 @@ class LocalizedAlgebra:
             raise ValueError(f"payload {payload!r} not in {self.describe()}")
         return AlgebraElement(self, payload)
 
-    # -- text encoding (CLI file formats) ----------------------------------
-
-    def encode_payload(self, payload):
-        if self.kind == TRIVIAL:
-            return encode_rational(payload)
-        if self.kind == PROPAGATION:
-            points = self.space.points
-            return [
-                [points[i], points[j], encode_rational(v)]
-                for (i, j), v in sorted(payload.table.items())
-            ]
-        coeffs = payload.coeffs if self.modulus is None else payload.rep.coeffs
-        return [encode_rational(c) for c in coeffs]
-
-    def parse_payload(self, obj):
-        if self.kind == TRIVIAL:
-            return parse_rational(obj)
-        if self.kind == PROPAGATION:
-            if not isinstance(obj, list):
-                raise ValueError("propagation element must be a list of triples")
-            table = {}
-            for triple in obj:
-                if not isinstance(triple, list) or len(triple) != 3:
-                    raise ValueError(f"bad kernel triple {triple!r}")
-                i = self.space.index_of(triple[0])
-                j = self.space.index_of(triple[1])
-                if self.diagonal and i != j:
-                    raise ValueError("off-diagonal entry in a diagonal algebra")
-                if (i, j) in table:
-                    raise ValueError(f"duplicate kernel entry {triple[:2]!r}")
-                table[(i, j)] = parse_rational(triple[2])
-            return Kernel(table)
-        if not isinstance(obj, list):
-            raise ValueError("polynomial element must be a coefficient array")
-        p = Poly([parse_rational(c) for c in obj])
-        return p if self.modulus is None else QuotElem(self.modulus, p)
-
     def describe(self):
-        out = {"kind": self.kind, "max_level": self.max_level}
-        if self.kind == PROPAGATION:
-            out["points"] = list(self.space.points)
-            out["radius_base"] = str(self.space.radius_base)
-            out["diagonal"] = self.diagonal
-        elif self.kind == QUOTIENT_LEG and self.modulus is not None:
-            out["modulus"] = [str(c) for c in self.modulus.coeffs]
-        return out
+        return {"kind": self.kind, "max_level": self.max_level}
 
     def __eq__(self, other):
         return self is other or (
@@ -340,7 +261,255 @@ class LocalizedAlgebra:
         return hash(self._sig)
 
     def __repr__(self):
-        return f"LocalizedAlgebra({self.describe()!r})"
+        return f"{type(self).__name__}({self.describe()!r})"
+
+
+class TrivialAlgebra(LocalizedAlgebra):
+    """Q, with every element at max_level."""
+
+    __slots__ = ()
+    kind = "trivial"
+
+    def __init__(self, max_level=DEFAULT_MAX_LEVEL):
+        super().__init__(max_level, R0)
+
+    def from_rational(self, value):
+        return rat(value)
+
+    def accepts(self, payload):
+        return isinstance(payload, Rat)
+
+    def encode_payload(self, payload):
+        return encode_rational(payload)
+
+    def parse_payload(self, obj):
+        return parse_rational(obj)
+
+    def _random_payload(self, sampler):
+        return sampler.rational()
+
+    def _random_unit(self, sampler):
+        v = sampler.rational(allow_zero=False)
+        return v, R1 / v
+
+    def _product(self, a, b):
+        return a._raw(self, _rational_product(a.rows, b.rows))
+
+
+class PropagationAlgebra(LocalizedAlgebra):
+    """Finite-support kernels on a PropagationSpace, filtered by reach; a
+    diagonal algebra holds only kernels supported on the diagonal."""
+
+    __slots__ = ("space", "diagonal", "_levels")
+    kind = "propagation"
+
+    def __init__(self, space, diagonal=False, max_level=DEFAULT_MAX_LEVEL):
+        if not isinstance(space, PropagationSpace):
+            raise ValueError("propagation algebra needs a PropagationSpace")
+        diagonal = bool(diagonal)
+        super().__init__(max_level, _K_ZERO, space.signature(), diagonal)
+        self.space = space
+        self.diagonal = diagonal
+        n = space.size
+        self._levels = {
+            (i, j): self._level_of(space.dist[i][j]) for i in range(n) for j in range(n)
+        }
+
+    def _level_of(self, reach):
+        """Largest mu <= max_level with reach <= r(mu); max_level at reach 0."""
+        if not reach:
+            return self.max_level
+        space = self.space
+        mu = 0
+        while mu < self.max_level and space.radius(mu + 1) >= reach:
+            mu += 1
+        return mu
+
+    def from_rational(self, value):
+        v = rat(value)
+        if not v:
+            return _K_ZERO
+        return Kernel._raw({(i, i): v for i in range(self.space.size)})
+
+    def accepts(self, payload):
+        if not isinstance(payload, Kernel):
+            return False
+        n = self.space.size
+        for (i, j) in payload.table:
+            if not (0 <= i < n and 0 <= j < n):
+                return False
+            if self.diagonal and i != j:
+                return False
+        return True
+
+    def encode_payload(self, payload):
+        points = self.space.points
+        return [
+            [points[i], points[j], encode_rational(v)]
+            for (i, j), v in sorted(payload.table.items())
+        ]
+
+    def parse_payload(self, obj):
+        if not isinstance(obj, list):
+            raise ValueError("propagation element must be a list of triples")
+        table = {}
+        for triple in obj:
+            if not isinstance(triple, list) or len(triple) != 3:
+                raise ValueError(f"bad kernel triple {triple!r}")
+            i = self.space.index_of(triple[0])
+            j = self.space.index_of(triple[1])
+            if self.diagonal and i != j:
+                raise ValueError("off-diagonal entry in a diagonal algebra")
+            if (i, j) in table:
+                raise ValueError(f"duplicate kernel entry {triple[:2]!r}")
+            table[(i, j)] = parse_rational(triple[2])
+        return Kernel(table)
+
+    def describe(self):
+        space = self.space
+        return dict(super().describe(), points=list(space.points),
+                    radius_base=str(space.radius_base), diagonal=self.diagonal)
+
+    def _random_payload(self, sampler):
+        n = self.space.size
+        table = {}
+        for _ in range(sampler.rng.randint(0, 3)):
+            i = sampler.rng.randrange(n)
+            j = i if self.diagonal else sampler.rng.randrange(n)
+            table[(i, j)] = sampler.rational(allow_zero=False)
+        return Kernel(table)
+
+    def _random_unit(self, sampler):
+        space = self.space
+        lam = sampler.rational(allow_zero=False)
+        if self.diagonal:
+            table = {}
+            inv = {}
+            for i in range(space.size):
+                v = sampler.rational(allow_zero=False)
+                table[(i, i)] = v
+                inv[(i, i)] = R1 / v
+            return Kernel(table), Kernel(inv)
+        # lam * 1 + nilpotent strictly-upper kernel; invert by the finite
+        # geometric series.
+        nil = {}
+        for _ in range(sampler.rng.randint(0, 2)):
+            i = sampler.rng.randrange(space.size - 1) if space.size > 1 else 0
+            j = sampler.rng.randrange(i + 1, space.size) if space.size > 1 else 0
+            if i != j:
+                nil[(i, j)] = sampler.rational(allow_zero=False)
+        one = self.one()
+        n_k = Kernel(nil)
+        u = self.from_rational(lam) + n_k
+        lam_inv = R1 / lam
+        scaled = self.from_rational(-lam_inv) * n_k
+        acc = one
+        power = one
+        while True:
+            power = power * scaled
+            if power.is_zero():
+                break
+            acc = acc + power
+        u_inv = self.from_rational(lam_inv) * acc
+        return u, u_inv
+
+    def _product(self, a, b):
+        return a._raw(self, _kernel_product(a.rows, b.rows, self))
+
+
+class PolyAlgebra(LocalizedAlgebra):
+    """Q[x], the polynomial leg of a quotient pullback; every element sits
+    at max_level."""
+
+    __slots__ = ()
+    kind = "quotient-pullback-leg"
+    modulus = None
+
+    def __init__(self, max_level=DEFAULT_MAX_LEVEL):
+        super().__init__(max_level, Poly.zero(), None)
+
+    def from_rational(self, value):
+        return Poly.const(rat(value))
+
+    def accepts(self, payload):
+        return isinstance(payload, Poly)
+
+    def encode_payload(self, payload):
+        return [encode_rational(c) for c in payload.coeffs]
+
+    def parse_payload(self, obj):
+        return _parse_poly(obj)
+
+    def _random_payload(self, sampler):
+        return _random_poly(sampler, 2)
+
+    def _random_unit(self, sampler):
+        v = sampler.rational(allow_zero=False)
+        return Poly.const(v), Poly.const(R1 / v)
+
+    def _product(self, a, b):
+        return _poly_product(a, b)
+
+
+class QuotientAlgebra(LocalizedAlgebra):
+    """Q[x]/(m) for a monic modulus m of degree >= 1, the overlap of a
+    quotient pullback; every element sits at max_level."""
+
+    __slots__ = ("modulus",)
+    kind = "quotient-pullback-leg"
+
+    def __init__(self, modulus, max_level=DEFAULT_MAX_LEVEL):
+        if not isinstance(modulus, Poly):
+            raise TypeError("modulus must be a Poly")
+        if modulus.degree < 1 or not modulus.is_monic():
+            raise ValueError("modulus must be monic of degree >= 1")
+        super().__init__(
+            max_level, QuotElem._reduced(modulus, Poly.zero()), modulus.coeffs
+        )
+        self.modulus = modulus
+
+    def from_rational(self, value):
+        return QuotElem(self.modulus, Poly.const(rat(value)))
+
+    def accepts(self, payload):
+        return isinstance(payload, QuotElem) and payload.modulus == self.modulus
+
+    def encode_payload(self, payload):
+        return [encode_rational(c) for c in payload.rep.coeffs]
+
+    def parse_payload(self, obj):
+        return QuotElem(self.modulus, _parse_poly(obj))
+
+    def describe(self):
+        return dict(super().describe(), modulus=[str(c) for c in self.modulus.coeffs])
+
+    def _random_payload(self, sampler):
+        return QuotElem(self.modulus, _random_poly(sampler, 2))
+
+    def _random_unit(self, sampler):
+        for _ in range(64):
+            e = QuotElem(self.modulus, _random_poly(sampler, self.modulus.degree - 1))
+            if e.is_zero():
+                continue
+            try:
+                return e, e.invert()
+            except NotInvertible:
+                continue
+        return self.one(), self.one()
+
+    def _product(self, a, b):
+        return _poly_product(a, b)
+
+
+def _parse_poly(obj):
+    if not isinstance(obj, list):
+        raise ValueError("polynomial element must be a coefficient array")
+    return Poly([parse_rational(c) for c in obj])
+
+
+def _random_poly(sampler, top):
+    """A polynomial of random degree 0..top with small rational coefficients."""
+    return Poly([sampler.rational() for _ in range(sampler.rng.randint(0, top) + 1)])
 
 
 class AlgebraElement:
@@ -389,77 +558,149 @@ class AlgebraElement:
         return f"<{self.payload!r} deg {self.degree}>"
 
 
-IDENTITY = "identity"
-QUOTIENT = "quotient"
-RESTRICTION = "restriction"
-INCLUSION = "scalar-inclusion"
-
-
 class FilteredHom:
     """Unital filtered homomorphism with a deterministic section when
-    surjective.  Kinds: identity, quotient (Q[x] -> Q[x]/(m)), restriction
-    (diagonal propagation algebras on Y subset X), and the non-surjective
-    scalar inclusion of the trivial carrier into any other."""
+    surjective: the base of the four hom classes."""
 
-    __slots__ = ("kind", "source", "target", "surjective", "_src_index", "_tgt_index", "_sig")
+    __slots__ = ("source", "target", "_sig")
+    type = None
+    surjective = True
 
-    def __init__(self, kind, source, target):
-        self.kind = kind
+    def __init__(self, source, target):
         self.source = source
         self.target = target
-        self.surjective = True
-        self._src_index = None
-        self._tgt_index = None
-        if kind == IDENTITY:
-            if source != target:
-                raise ValueError("identity hom needs equal source and target")
-        elif kind == QUOTIENT:
-            if source.kind != QUOTIENT_LEG or source.modulus is not None:
-                raise ValueError("quotient hom source must be the polynomial ring")
-            if target.kind != QUOTIENT_LEG or target.modulus is None:
-                raise ValueError("quotient hom target must be a quotient ring")
-        elif kind == INCLUSION:
-            if source.kind != TRIVIAL:
-                raise ValueError("scalar inclusion needs the trivial source")
-            self.surjective = False
-        elif kind == RESTRICTION:
-            if source.kind != PROPAGATION or target.kind != PROPAGATION:
-                raise ValueError("restriction hom needs propagation algebras")
-            if not (source.diagonal and target.diagonal):
-                # Restricting a full kernel algebra is not multiplicative:
-                # products may route through points outside the subspace.
-                raise ValueError("restriction hom requires diagonal algebras")
-            if source.max_level != target.max_level:
-                raise ValueError("restriction hom must preserve max_level")
-            src, tgt = source.space, target.space
-            missing = [p for p in tgt.points if p not in src.points]
-            if missing:
-                raise ValueError(f"target points {missing} not in source space")
-            self._src_index = tuple(src.index_of(p) for p in tgt.points)
-            self._tgt_index = {src.index_of(p): k for k, p in enumerate(tgt.points)}
-            for a in range(tgt.size):
-                for b in range(tgt.size):
-                    ia, ib = self._src_index[a], self._src_index[b]
-                    if tgt.dist[a][b] != src.dist[ia][ib]:
-                        raise ValueError("restricted space must inherit the metric")
-        else:
-            raise ValueError(f"unknown hom kind {kind!r}")
-        self._sig = (kind, source._sig, target._sig)
+        self._sig = (self.type, source._sig, target._sig)
 
-    # -- payload maps ------------------------------------------------------
+    def apply(self, elem):
+        if elem.algebra != self.source:
+            raise ValueError("element not in the hom's source algebra")
+        return AlgebraElement(self.target, self.apply_payload(elem.payload))
+
+    def section(self, elem):
+        if elem.algebra != self.target:
+            raise ValueError("element not in the hom's target algebra")
+        return AlgebraElement(self.source, self.section_payload(elem.payload))
+
+    def _apply_matrix(self, m):
+        """Entrywise image of a matrix over the source."""
+        f = self.apply_payload
+        return m._raw(self.target, tuple([tuple([f(p) for p in row]) for row in m.rows]))
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, FilteredHom) and self._sig == other._sig)
+
+    def __hash__(self):
+        return hash(self._sig)
+
+    def describe(self):
+        return {"type": self.type}
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.source.kind} -> {self.target.kind})"
+
+
+class IdentityHom(FilteredHom):
+    """The identity of one algebra, its own section."""
+
+    __slots__ = ()
+    type = "identity"
+
+    def __init__(self, source, target):
+        if source != target:
+            raise ValueError("identity hom needs equal source and target")
+        super().__init__(source, target)
 
     def apply_payload(self, payload):
-        if self.kind == IDENTITY:
-            return payload
-        if self.kind == INCLUSION:
-            return self.target.from_rational(payload)
-        if self.kind == QUOTIENT:
-            # The target's constructor checked that the modulus is monic of
-            # degree >= 1, so only the reduction of QuotElem.__init__ is needed.
-            modulus = self.target.modulus
-            if payload.degree >= modulus.degree:
-                _, payload = payload.divmod_by(modulus)
-            return QuotElem._reduced(modulus, payload)
+        return payload
+
+    def section_payload(self, payload):
+        return payload
+
+
+class QuotientHom(FilteredHom):
+    """Q[x] -> Q[x]/(m); the section takes the canonical representative."""
+
+    __slots__ = ()
+    type = "quotient"
+
+    def __init__(self, source, target):
+        if not isinstance(source, PolyAlgebra):
+            raise ValueError("quotient hom source must be the polynomial ring")
+        if not isinstance(target, QuotientAlgebra):
+            raise ValueError("quotient hom target must be a quotient ring")
+        super().__init__(source, target)
+
+    def apply_payload(self, payload):
+        # The target's constructor checked that the modulus is monic of
+        # degree >= 1, so only the reduction of QuotElem.__init__ is needed.
+        modulus = self.target.modulus
+        if payload.degree >= modulus.degree:
+            _, payload = payload.divmod_by(modulus)
+        return QuotElem._reduced(modulus, payload)
+
+    def section_payload(self, payload):
+        return payload.rep
+
+    def _apply_matrix(self, m):
+        """Entries of degree < deg m are kept as they are; the others are
+        reduced from the matrix's integer form by integer pseudo-division,
+        on a copy of the carried list, and decoded once."""
+        target = self.target
+        modulus = target.modulus
+        dm = modulus.degree
+        m_int = _integer_coeffs(modulus.coeffs)[0]
+        zero = target.zero()
+        int_rows, den = _poly_ints(m)
+        out = []
+        for row, irow in zip(m.rows, int_rows):
+            entries = [zero] * m.n
+            for j, c in irow:
+                if len(c) <= dm:
+                    entries[j] = QuotElem._reduced(modulus, row[j])
+                    continue
+                c = list(c)
+                scale = _reduce_ints(c, m_int)
+                while c and not c[-1]:
+                    c.pop()
+                if c:
+                    d = den * scale
+                    poly = Poly._raw(tuple([Rat(v, d) if v else R0 for v in c]))
+                    entries[j] = QuotElem._reduced(modulus, poly)
+            out.append(tuple(entries))
+        return m._raw(target, tuple(out))
+
+
+class RestrictionHom(FilteredHom):
+    """Restriction of functions on X to Y subset X, between diagonal
+    propagation algebras; the section extends by zero."""
+
+    __slots__ = ("_src_index", "_tgt_index")
+    type = "restriction"
+
+    def __init__(self, source, target):
+        if not (isinstance(source, PropagationAlgebra)
+                and isinstance(target, PropagationAlgebra)):
+            raise ValueError("restriction hom needs propagation algebras")
+        if not (source.diagonal and target.diagonal):
+            # Restricting a full kernel algebra is not multiplicative:
+            # products may route through points outside the subspace.
+            raise ValueError("restriction hom requires diagonal algebras")
+        if source.max_level != target.max_level:
+            raise ValueError("restriction hom must preserve max_level")
+        src, tgt = source.space, target.space
+        missing = [p for p in tgt.points if p not in src.points]
+        if missing:
+            raise ValueError(f"target points {missing} not in source space")
+        self._src_index = tuple(src.index_of(p) for p in tgt.points)
+        self._tgt_index = {src.index_of(p): k for k, p in enumerate(tgt.points)}
+        for a in range(tgt.size):
+            for b in range(tgt.size):
+                ia, ib = self._src_index[a], self._src_index[b]
+                if tgt.dist[a][b] != src.dist[ia][ib]:
+                    raise ValueError("restricted space must inherit the metric")
+        super().__init__(source, target)
+
+    def apply_payload(self, payload):
         table = {}
         for (i, j), v in payload.table.items():
             a = self._tgt_index.get(i)
@@ -469,37 +710,225 @@ class FilteredHom:
         return Kernel._raw(table)
 
     def section_payload(self, payload):
-        if self.kind == IDENTITY:
-            return payload
-        if self.kind == INCLUSION:
-            raise ValueError("section of a non-surjective hom")
-        if self.kind == QUOTIENT:
-            return payload.rep
         table = {}
         for (a, b), v in payload.table.items():
             table[(self._src_index[a], self._src_index[b])] = v
         return Kernel._raw(table)
 
-    def apply(self, elem):
-        if elem.algebra != self.source:
-            raise ValueError("element not in the hom's source algebra")
-        return AlgebraElement(self.target, self.apply_payload(elem.payload))
 
-    def section(self, elem):
-        if not self.surjective:
-            raise ValueError("section of a non-surjective hom")
-        if elem.algebra != self.target:
-            raise ValueError("element not in the hom's target algebra")
-        return AlgebraElement(self.source, self.section_payload(elem.payload))
+class InclusionHom(FilteredHom):
+    """The scalars into any carrier; not surjective, so it has no section."""
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, FilteredHom) and self._sig == other._sig)
+    __slots__ = ()
+    type = "scalar-inclusion"
+    surjective = False
 
-    def __hash__(self):
-        return hash(self._sig)
+    def __init__(self, source, target):
+        if not isinstance(source, TrivialAlgebra):
+            raise ValueError("scalar inclusion needs the trivial source")
+        super().__init__(source, target)
 
-    def describe(self):
-        return {"type": self.kind}
+    def apply_payload(self, payload):
+        return self.target.from_rational(payload)
 
-    def __repr__(self):
-        return f"FilteredHom({self.kind}, {self.source.kind} -> {self.target.kind})"
+    def section_payload(self, payload):
+        raise ValueError("section of a non-surjective hom")
+
+
+# -- fraction-free product kernels ----------------------------------------------
+# An operand is read once: its common denominator is the lcm over all of its
+# rational coefficients, and each coefficient becomes the integer
+# numerator * (den // denominator).
+
+
+def _rational_product(a, b):
+    """Q: an n x n integer grid product over the nonzero entries."""
+    da = lcm(*[x.denominator for row in a for x in row])
+    db = lcm(*[x.denominator for row in b for x in row])
+    b_nonzero = [
+        [(j, y.numerator * (db // y.denominator)) for j, y in enumerate(row) if y]
+        for row in b
+    ]
+    d = da * db
+    n = len(a)
+    out = []
+    for row in a:
+        acc = [0] * n
+        for x, brow in zip(row, b_nonzero):
+            if x:
+                x = x.numerator * (da // x.denominator)
+                for j, y in brow:
+                    acc[j] += x * y
+        out.append(tuple([Rat(c, d) if c else R0 for c in acc]))
+    return tuple(out)
+
+
+def _kernel_product(a, b, algebra):
+    """Kernels on the algebra's points: a sparse (n*points) x (n*points)
+    integer block product.  Row k of B is indexed by point when a nonzero
+    entry of A's block column k first needs it, and the common denominators
+    and the row's sums are set up only when a nonzero row of B is met; the
+    sums are keyed by (block column, point pair) and only nonzero sums are
+    kept."""
+    points = algebra.space.size
+    zero = algebra.zero()
+    n = len(a)
+    b_index = [None] * n
+    da = db = None
+    out = []
+    for row in a:
+        # acc[j] maps s * points + r to the integer sum for pair (s, r).
+        acc = None
+        for k, p in enumerate(row):
+            if not p.table:
+                continue
+            index = b_index[k]
+            if index is None:
+                # () marks a zero row of B: it contributes no term.
+                index = ()
+                for j, e in enumerate(b[k]):
+                    if e.table:
+                        if not index:
+                            index = [[] for _ in range(points)]
+                            if db is None:
+                                db = _kernel_den(b)
+                        for (q, r), w in e.table.items():
+                            index[q].append((j, r, w.numerator * (db // w.denominator)))
+                b_index[k] = index
+            if not index:
+                continue
+            if acc is None:
+                acc = [{} for _ in range(n)]
+                if da is None:
+                    da = _kernel_den(a)
+            for (s, q), v in p.table.items():
+                terms = index[q]
+                if terms:
+                    v = v.numerator * (da // v.denominator)
+                    key = s * points
+                    for j, r, w in terms:
+                        t = acc[j]
+                        t[key + r] = t.get(key + r, 0) + v * w
+        if acc is None:
+            out.append((zero,) * n)
+            continue
+        d = da * db
+        entries = []
+        for t in acc:
+            table = {divmod(key, points): Rat(c, d) for key, c in t.items() if c}
+            entries.append(Kernel._raw(table) if table else zero)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def _kernel_den(rows):
+    """The lcm of the denominators of every kernel value in rows."""
+    return lcm(*[v.denominator for row in rows for p in row for v in p.table.values()])
+
+
+def _poly_ints(m):
+    """The integer form of a Q[x] or Q[x]/(m) matrix, computed on first use
+    and carried on the matrix: per row the (column, integer coefficient
+    list) of each nonzero entry, over den, the lcm of all coefficient
+    denominators.  The lists are shared by every later reader, so none may
+    mutate them."""
+    ints = m._ints
+    if ints is None:
+        rows = m.rows
+        if m.algebra.modulus is not None:
+            rows = [[e.rep for e in row] for row in rows]
+        den = lcm(*[c.denominator for row in rows for p in row for c in p.coeffs])
+        ints = m._ints = [
+            [
+                (j, [c.numerator * (den // c.denominator) for c in p.coeffs])
+                for j, p in enumerate(row)
+                if p.coeffs
+            ]
+            for row in rows
+        ], den
+    return ints
+
+
+def _poly_product(a, b):
+    """Q[x] and Q[x]/(m): each entry accumulates an integer coefficient
+    list; over Q[x]/(m) the finished list is reduced mod m once.  The
+    product carries its own integer form, divided by the gcd of the common
+    denominator and all coefficients, unless a reduction scaled an entry."""
+    algebra = a.algebra
+    modulus = algebra.modulus
+    na, da = _poly_ints(a)
+    nb, db = _poly_ints(b)
+    d = da * db
+    if modulus is not None:
+        m_int = _integer_coeffs(modulus.coeffs)[0]
+    zero = algebra.zero()
+    n = a.n
+    g = d
+    seed = True
+    out = []
+    out_ints = []
+    for arow in na:
+        acc = [None] * n
+        for k, p in arow:
+            for j, q in nb[k]:
+                c = acc[j]
+                size = len(p) + len(q) - 1
+                if c is None:
+                    c = acc[j] = [0] * size
+                elif len(c) < size:
+                    c.extend([0] * (size - len(c)))
+                for s, x in enumerate(p):
+                    if x:
+                        for t, y in enumerate(q, s):
+                            c[t] += x * y
+        entries = []
+        ints = []
+        for j, c in enumerate(acc):
+            den = d
+            if c and modulus is not None:
+                scale = _reduce_ints(c, m_int)
+                if scale != 1:
+                    den *= scale
+                    seed = False
+            while c and not c[-1]:
+                c.pop()
+            if not c:
+                entries.append(zero)
+                continue
+            if g != 1:
+                g = gcd(g, *c)
+            ints.append((j, c))
+            poly = Poly._raw(tuple([Rat(v, den) if v else R0 for v in c]))
+            entries.append(poly if modulus is None else QuotElem._reduced(modulus, poly))
+        out.append(tuple(entries))
+        out_ints.append(ints)
+    product = a._raw(algebra, tuple(out))
+    if seed:
+        # lcm_i(d / gcd(d, c_i)) = d / gcd(d, c_1, ..., c_k): this is the
+        # form _poly_ints would compute from the decoded entries.
+        if g != 1:
+            out_ints = [[(j, [v // g for v in c]) for j, c in row] for row in out_ints]
+        product._ints = out_ints, d // g
+    return product
+
+
+def _reduce_ints(c, m_int):
+    """Reduce the integer coefficient list c in place modulo m_int, an
+    integer multiple e * m of a monic m (e = m_int[-1]), by pseudo-division:
+    each step replaces c by e * c - q * x^k * m_int, which clears the top
+    coefficient.  Returns e ** steps: c / e ** steps is then the remainder
+    of the input mod m."""
+    e = m_int[-1]
+    dm = len(m_int) - 1
+    scale = 1
+    for i in range(len(c) - 1, dm - 1, -1):
+        q = c[i]
+        if q:
+            if e != 1:
+                for t in range(i):
+                    c[t] *= e
+                scale *= e
+            for k in range(dm):
+                c[i - dm + k] -= q * m_int[k]
+    del c[dm:]
+    return scale

@@ -96,6 +96,15 @@ def _run_verify(args, doc):
     return verify_report(doc.algebra, seed, samples, max_size)
 
 
+def _named_matrix(doc, key):
+    """The matrix that command.<key> names, unwrapped from its certificate."""
+    name = doc.command[key]
+    if not isinstance(name, str):
+        raise SpecError(f"command.{key} must name a matrix")
+    m = doc.matrix(name)
+    return m.m if isinstance(m, InvertibleCert) else m
+
+
 def _run_boundary(args, doc):
     if doc.diagram is None:
         raise SpecError("boundary requires a 'diagram' section")
@@ -107,15 +116,10 @@ def _run_boundary(args, doc):
     u = doc.matrix(name, want_cert=True)
     if u.algebra != doc.diagram.lambda_prime:
         raise SpecError(f"matrix {name!r} must live over lambda_prime")
-    lift_a = lift_b = None
-    if "lift_a" in doc.command:
-        lift_a = doc.matrix(doc.command["lift_a"])
-        lift_a = lift_a.m if isinstance(lift_a, InvertibleCert) else lift_a
-    if "lift_b" in doc.command:
-        lift_b = doc.matrix(doc.command["lift_b"])
-        lift_b = lift_b.m if isinstance(lift_b, InvertibleCert) else lift_b
-    perturb_a = doc.matrices.get(doc.command.get("perturb_a", ""))
-    perturb_b = doc.matrices.get(doc.command.get("perturb_b", ""))
+    lift_a, lift_b, perturb_a, perturb_b = (
+        _named_matrix(doc, key) if key in doc.command else None
+        for key in ("lift_a", "lift_b", "perturb_a", "perturb_b")
+    )
     m = doc.command.get("m", 0)
     if not is_json_int(m) or m < 0:
         raise SpecError("command.m must be a nonnegative integer")

@@ -11,7 +11,6 @@ at zero.
 
 import random
 
-from .algebras import QUOTIENT_LEG, TRIVIAL
 from .matrices import (
     ElementaryMatrix,
     FilteredMatrix,
@@ -23,7 +22,7 @@ from .matrices import (
     permutation_cert,
     rotation_swap_cert,
 )
-from .scalars import NotInvertible, Poly, QuotElem, R1, rat
+from .scalars import rat
 
 
 class IdentityReport:
@@ -55,7 +54,8 @@ class IdentityReport:
 
 
 class Sampler:
-    """Deterministic random inputs: small rationals, sparse kernels, and
+    """Deterministic random inputs: small rationals, each carrier's own
+    payload and unit draws (``_random_payload``, ``_random_unit``), and
     invertibles built from products of elementary matrices and unit
     diagonals so inverses come for free."""
 
@@ -76,83 +76,14 @@ class Sampler:
         return rat(num, self.rng.randint(1, 3))
 
     def payload(self, algebra):
-        if algebra.kind == TRIVIAL:
-            return self.rational()
-        if algebra.kind == QUOTIENT_LEG:
-            deg = self.rng.randint(0, 2)
-            p = Poly([self.rational() for _ in range(deg + 1)])
-            if algebra.modulus is None:
-                return p
-            return QuotElem(algebra.modulus, p)
-        space = algebra.space
-        n = space.size
-        table = {}
-        for _ in range(self.rng.randint(0, 3)):
-            i = self.rng.randrange(n)
-            j = i if algebra.diagonal else self.rng.randrange(n)
-            v = self.rational(allow_zero=False)
-            table[(i, j)] = v
-        from .algebras import Kernel
-
-        return Kernel(table)
+        return algebra._random_payload(self)
 
     def element(self, algebra):
         return algebra.element(self.payload(algebra))
 
     def unit(self, algebra):
         """A unit of the algebra with its exact inverse."""
-        if algebra.kind == TRIVIAL:
-            v = self.rational(allow_zero=False)
-            return v, R1 / v
-        if algebra.kind == QUOTIENT_LEG:
-            if algebra.modulus is None:
-                v = self.rational(allow_zero=False)
-                return Poly.const(v), Poly.const(R1 / v)
-            for _ in range(64):
-                deg = self.rng.randint(0, algebra.modulus.degree - 1)
-                p = Poly([self.rational() for _ in range(deg + 1)])
-                e = QuotElem(algebra.modulus, p)
-                if e.is_zero():
-                    continue
-                try:
-                    return e, e.invert()
-                except NotInvertible:
-                    continue
-            return algebra.one(), algebra.one()
-        from .algebras import Kernel
-
-        space = algebra.space
-        lam = self.rational(allow_zero=False)
-        if algebra.diagonal:
-            table = {}
-            inv = {}
-            for i in range(space.size):
-                v = self.rational(allow_zero=False)
-                table[(i, i)] = v
-                inv[(i, i)] = R1 / v
-            return Kernel(table), Kernel(inv)
-        # lam * 1 + nilpotent strictly-upper kernel; invert by the finite
-        # geometric series.
-        nil = {}
-        for _ in range(self.rng.randint(0, 2)):
-            i = self.rng.randrange(space.size - 1) if space.size > 1 else 0
-            j = self.rng.randrange(i + 1, space.size) if space.size > 1 else 0
-            if i != j:
-                nil[(i, j)] = self.rational(allow_zero=False)
-        one = algebra.one()
-        n_k = Kernel(nil)
-        u = algebra.from_rational(lam) + n_k
-        lam_inv = R1 / lam
-        scaled = algebra.from_rational(-lam_inv) * n_k
-        acc = one
-        power = one
-        while True:
-            power = power * scaled
-            if power.is_zero():
-                break
-            acc = acc + power
-        u_inv = algebra.from_rational(lam_inv) * acc
-        return u, u_inv
+        return algebra._random_unit(self)
 
     def matrix(self, algebra, n):
         return FilteredMatrix(

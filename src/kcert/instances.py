@@ -2,12 +2,11 @@
 random suites and the three pullback diagrams the CLI ships."""
 
 from .algebras import (
-    IDENTITY,
-    QUOTIENT,
-    RESTRICTION,
-    FilteredHom,
+    IdentityHom,
     LocalizedAlgebra,
     PropagationSpace,
+    QuotientHom,
+    RestrictionHom,
 )
 from .mv import MVDiagram
 from .scalars import Poly, rat
@@ -58,7 +57,7 @@ def suite_algebras(max_level=16):
 def trivial_diagram(max_level=16):
     """Both legs the identity on the scalars."""
     alg = trivial_algebra(max_level)
-    j = FilteredHom(IDENTITY, alg, alg)
+    j = IdentityHom(alg, alg)
     return MVDiagram(alg, alg, alg, j, j)
 
 
@@ -67,7 +66,7 @@ def clutching_diagram(max_level=16):
     map with the canonical-representative section."""
     top = poly_algebra(max_level)
     overlap = quotient_algebra(max_level=max_level)
-    j = FilteredHom(QUOTIENT, top, overlap)
+    j = QuotientHom(top, overlap)
     return MVDiagram(top, top, overlap, j, j)
 
 
@@ -87,8 +86,8 @@ def cover_diagram(max_level=16):
     a1 = LocalizedAlgebra.propagation(y1, diagonal=True, max_level=max_level)
     a2 = LocalizedAlgebra.propagation(y2, diagonal=True, max_level=max_level)
     ap = LocalizedAlgebra.propagation(overlap, diagonal=True, max_level=max_level)
-    j1 = FilteredHom(RESTRICTION, a1, ap)
-    j2 = FilteredHom(RESTRICTION, a2, ap)
+    j1 = RestrictionHom(a1, ap)
+    j2 = RestrictionHom(a2, ap)
     return MVDiagram(a1, a2, ap, j1, j2)
 
 

@@ -7,40 +7,14 @@ the defining equations rather than trusting them.  Levels are recomputed
 from entries; the worst-case rule level(a.b) >= min(levels) - 1 is a lower
 bound the tests assert, never a substitute for recomputation.
 
-Products are fraction-free, with one kernel per carrier (cf. Bareiss, Math.
-Comp. 22, 1968).  Each operand is read once as integers over the lcm of all
-its denominators; the kernel multiplies and adds plain ints over the
-nonzero entries only and builds each result coefficient once as
-``Rat(c, da * db)``, one gcd per coefficient instead of a reduced rational
-multiply and add per term.  Over Q the integers form an n x n grid; kernels
-on |X| points form a sparse (n|X|) x (n|X|) block matrix; over Q[x] each
-entry accumulates an integer coefficient list, and over Q[x]/(m) that list
-is reduced mod m once per entry, by integer pseudo-division; reducing the
-sum instead of each term is exact because reduction mod m is a ring map.
-Payloads stay reduced, so equality, hashing and encodings do not depend on
-how a product was computed.
-
-A Q[x] or Q[x]/(m) matrix carries that integer form across operations: the
-private slot ``_ints`` holds, per row, the (column, integer coefficient
-list) of each nonzero entry over one common denominator.  It is filled the
-first time the matrix is a product operand, so a matrix reused in a chain
-or a certificate is converted once.  A product seeds it on its result from
-the integer lists it already holds: they sit over d = da * db, and since
-lcm_i(d / gcd(d, c_i)) = d / gcd(d, c_1, ..., c_k), dividing d and every
-coefficient by g = gcd(d, c_1, ..., c_k) gives exactly the form a fresh
-conversion of the decoded entries would.  A reduction by a non-integral
-monic m scales entries by different powers of its leading integer
-coefficient; such a product leaves the slot empty.  The quotient hom
-Q[x] -> Q[x]/(m) maps a matrix through the same form: entries of degree
-< deg m are kept, the others are reduced by integer pseudo-division on a
-copy of the carried list, and each image entry is decoded once.  The
-carried lists are shared and never mutated.
+Products are fraction-free: ``@`` checks its operands and hands them to the
+carrier's own product kernel (see algebras.py), and a hom maps a matrix
+through its own entrywise image, which for the quotient hom reuses the
+integer form a Q[x] matrix carries in the private slot ``_ints``.
 """
 
-from math import gcd, lcm
-
-from .algebras import PROPAGATION, QUOTIENT, TRIVIAL, AlgebraElement, Kernel
-from .scalars import R0, R1, Poly, QuotElem, Rat, _integer_coeffs, rat
+from .algebras import AlgebraElement
+from .scalars import R1, rat
 
 
 class MatrixError(ValueError):
@@ -175,18 +149,10 @@ class FilteredMatrix:
         )
 
     def __matmul__(self, other):
-        """Exact product by the carrier's fraction-free kernel: each operand
-        is read as integers over one common denominator (over Q[x] and
-        Q[x]/(m) once per matrix), only nonzero entries are multiplied, and
-        each result coefficient is built once (see the module docstring).  Every entry is the exact, reduced
-        sum over k of a[i][k] * b[k][j]."""
+        """Exact product by the carrier's fraction-free kernel: every entry
+        is the exact, reduced sum over k of a[i][k] * b[k][j]."""
         self._same(other)
-        algebra = self.algebra
-        if algebra.kind == TRIVIAL:
-            return FilteredMatrix._raw(algebra, _rational_product(self.rows, other.rows))
-        if algebra.kind == PROPAGATION:
-            return FilteredMatrix._raw(algebra, _kernel_product(self.rows, other.rows, algebra))
-        return _poly_product(self, other)
+        return self.algebra._product(self, other)
 
     def __eq__(self, other):
         return (
@@ -255,205 +221,6 @@ class FilteredMatrix:
 
     def __repr__(self):
         return f"FilteredMatrix(n={self.n}, level={self.level}, kind={self.algebra.kind})"
-
-
-# -- fraction-free product kernels ----------------------------------------------
-# Each returns the product's rows.  An operand is read once: its common
-# denominator is the lcm over all of its rational coefficients, and each
-# coefficient becomes the integer numerator * (den // denominator).
-
-
-def _rational_product(a, b):
-    """Q: an n x n integer grid product over the nonzero entries."""
-    da = lcm(*[x.denominator for row in a for x in row])
-    db = lcm(*[x.denominator for row in b for x in row])
-    b_nonzero = [
-        [(j, y.numerator * (db // y.denominator)) for j, y in enumerate(row) if y]
-        for row in b
-    ]
-    d = da * db
-    n = len(a)
-    out = []
-    for row in a:
-        acc = [0] * n
-        for x, brow in zip(row, b_nonzero):
-            if x:
-                x = x.numerator * (da // x.denominator)
-                for j, y in brow:
-                    acc[j] += x * y
-        out.append(tuple([Rat(c, d) if c else R0 for c in acc]))
-    return tuple(out)
-
-
-def _kernel_product(a, b, algebra):
-    """Kernels on the algebra's points: a sparse (n*points) x (n*points)
-    integer block product.  Row k of B is indexed by point when a nonzero
-    entry of A's block column k first needs it, and the common denominators
-    and the row's sums are set up only when a nonzero row of B is met; the
-    sums are keyed by (block column, point pair) and only nonzero sums are
-    kept."""
-    points = algebra.space.size
-    zero = algebra.zero()
-    n = len(a)
-    b_index = [None] * n
-    da = db = None
-    out = []
-    for row in a:
-        # acc[j] maps s * points + r to the integer sum for pair (s, r).
-        acc = None
-        for k, p in enumerate(row):
-            if not p.table:
-                continue
-            index = b_index[k]
-            if index is None:
-                # () marks a zero row of B: it contributes no term.
-                index = ()
-                for j, e in enumerate(b[k]):
-                    if e.table:
-                        if not index:
-                            index = [[] for _ in range(points)]
-                            if db is None:
-                                db = _kernel_den(b)
-                        for (q, r), w in e.table.items():
-                            index[q].append((j, r, w.numerator * (db // w.denominator)))
-                b_index[k] = index
-            if not index:
-                continue
-            if acc is None:
-                acc = [{} for _ in range(n)]
-                if da is None:
-                    da = _kernel_den(a)
-            for (s, q), v in p.table.items():
-                terms = index[q]
-                if terms:
-                    v = v.numerator * (da // v.denominator)
-                    key = s * points
-                    for j, r, w in terms:
-                        t = acc[j]
-                        t[key + r] = t.get(key + r, 0) + v * w
-        if acc is None:
-            out.append((zero,) * n)
-            continue
-        d = da * db
-        entries = []
-        for t in acc:
-            table = {divmod(key, points): Rat(c, d) for key, c in t.items() if c}
-            entries.append(Kernel._raw(table) if table else zero)
-        out.append(tuple(entries))
-    return tuple(out)
-
-
-def _kernel_den(rows):
-    """The lcm of the denominators of every kernel value in rows."""
-    return lcm(*[v.denominator for row in rows for p in row for v in p.table.values()])
-
-
-def _poly_ints(m):
-    """The integer form of a Q[x] or Q[x]/(m) matrix, computed on first use
-    and carried on the matrix: per row the (column, integer coefficient
-    list) of each nonzero entry, over den, the lcm of all coefficient
-    denominators.  The lists are shared by every later reader, so none may
-    mutate them."""
-    ints = m._ints
-    if ints is None:
-        rows = m.rows
-        if m.algebra.modulus is not None:
-            rows = [[e.rep for e in row] for row in rows]
-        den = lcm(*[c.denominator for row in rows for p in row for c in p.coeffs])
-        ints = m._ints = [
-            [
-                (j, [c.numerator * (den // c.denominator) for c in p.coeffs])
-                for j, p in enumerate(row)
-                if p.coeffs
-            ]
-            for row in rows
-        ], den
-    return ints
-
-
-def _poly_product(a, b):
-    """Q[x] and Q[x]/(m): each entry accumulates an integer coefficient
-    list; over Q[x]/(m) the finished list is reduced mod m once.  The
-    product carries its own integer form, divided by the gcd of the common
-    denominator and all coefficients, unless a reduction scaled an entry."""
-    algebra = a.algebra
-    modulus = algebra.modulus
-    na, da = _poly_ints(a)
-    nb, db = _poly_ints(b)
-    d = da * db
-    if modulus is not None:
-        m_int = _integer_coeffs(modulus.coeffs)[0]
-    zero = algebra.zero()
-    n = a.n
-    g = d
-    seed = True
-    out = []
-    out_ints = []
-    for arow in na:
-        acc = [None] * n
-        for k, p in arow:
-            for j, q in nb[k]:
-                c = acc[j]
-                size = len(p) + len(q) - 1
-                if c is None:
-                    c = acc[j] = [0] * size
-                elif len(c) < size:
-                    c.extend([0] * (size - len(c)))
-                for s, x in enumerate(p):
-                    if x:
-                        for t, y in enumerate(q, s):
-                            c[t] += x * y
-        entries = []
-        ints = []
-        for j, c in enumerate(acc):
-            den = d
-            if c and modulus is not None:
-                scale = _reduce_ints(c, m_int)
-                if scale != 1:
-                    den *= scale
-                    seed = False
-            while c and not c[-1]:
-                c.pop()
-            if not c:
-                entries.append(zero)
-                continue
-            if g != 1:
-                g = gcd(g, *c)
-            ints.append((j, c))
-            poly = Poly._raw(tuple([Rat(v, den) if v else R0 for v in c]))
-            entries.append(poly if modulus is None else QuotElem._reduced(modulus, poly))
-        out.append(tuple(entries))
-        out_ints.append(ints)
-    product = FilteredMatrix._raw(algebra, tuple(out))
-    if seed:
-        # lcm_i(d / gcd(d, c_i)) = d / gcd(d, c_1, ..., c_k): this is the
-        # form _poly_ints would compute from the decoded entries.
-        if g != 1:
-            out_ints = [[(j, [v // g for v in c]) for j, c in row] for row in out_ints]
-        product._ints = out_ints, d // g
-    return product
-
-
-def _reduce_ints(c, m_int):
-    """Reduce the integer coefficient list c in place modulo m_int, an
-    integer multiple e * m of a monic m (e = m_int[-1]), by pseudo-division:
-    each step replaces c by e * c - q * x^k * m_int, which clears the top
-    coefficient.  Returns e ** steps: c / e ** steps is then the remainder
-    of the input mod m."""
-    e = m_int[-1]
-    dm = len(m_int) - 1
-    scale = 1
-    for i in range(len(c) - 1, dm - 1, -1):
-        q = c[i]
-        if q:
-            if e != 1:
-                for t in range(i):
-                    c[t] *= e
-                scale *= e
-            for k in range(dm):
-                c[i - dm + k] -= q * m_int[k]
-    del c[dm:]
-    return scale
 
 
 def block2(a, b, c, d):
@@ -774,41 +541,7 @@ def apply_hom_matrix(h, m):
     """Entrywise image of a matrix under a filtered hom."""
     if m.algebra != h.source:
         raise MatrixError("matrix not over the hom's source algebra")
-    if h.kind == QUOTIENT:
-        return _quotient_image(m, h.target)
-    f = h.apply_payload
-    return FilteredMatrix(
-        h.target, tuple(tuple(f(p) for p in row) for row in m.rows)
-    )
-
-
-def _quotient_image(m, target):
-    """Image of a Q[x] matrix in Q[x]/(m): entries of degree < deg m are
-    kept as they are; the others are reduced from the matrix's integer
-    form by integer pseudo-division, on a copy of the carried list, and
-    decoded once."""
-    modulus = target.modulus
-    dm = modulus.degree
-    m_int = _integer_coeffs(modulus.coeffs)[0]
-    zero = target.zero()
-    int_rows, den = _poly_ints(m)
-    out = []
-    for row, irow in zip(m.rows, int_rows):
-        entries = [zero] * m.n
-        for j, c in irow:
-            if len(c) <= dm:
-                entries[j] = QuotElem._reduced(modulus, row[j])
-                continue
-            c = list(c)
-            scale = _reduce_ints(c, m_int)
-            while c and not c[-1]:
-                c.pop()
-            if c:
-                d = den * scale
-                poly = Poly._raw(tuple([Rat(v, d) if v else R0 for v in c]))
-                entries[j] = QuotElem._reduced(modulus, poly)
-        out.append(tuple(entries))
-    return FilteredMatrix._raw(target, tuple(out))
+    return h._apply_matrix(m)
 
 
 def apply_hom_invertible(h, cert):

@@ -7,13 +7,15 @@ Claimed levels are re-derived and rejected on mismatch."""
 import json
 
 from .algebras import (
-    IDENTITY,
-    INCLUSION,
-    QUOTIENT,
-    RESTRICTION,
-    FilteredHom,
+    IdentityHom,
+    InclusionHom,
     LocalizedAlgebra,
+    PolyAlgebra,
+    PropagationAlgebra,
     PropagationSpace,
+    QuotientHom,
+    RestrictionHom,
+    TrivialAlgebra,
 )
 from .matrices import FilteredMatrix, InvertibleCert
 from .mv import MVDiagram
@@ -51,37 +53,51 @@ def _check_keys(obj, allowed, where):
     _require(not unknown, f"{where} has unknown keys {sorted(unknown)}")
 
 
+def _propagation(obj, where, max_level):
+    points = obj.get("points")
+    dist = obj.get("dist")
+    _require(isinstance(points, list) and points, f"{where}: points required")
+    _require(isinstance(dist, list), f"{where}: dist required")
+    # A string row would otherwise be read character by character.
+    _require(all(isinstance(row, list) for row in dist), f"{where}: dist rows must be arrays")
+    diagonal = obj.get("diagonal", False)
+    _require(isinstance(diagonal, bool), f"{where}: diagonal must be true or false")
+    rows = [[parse_rational(v) for v in row] for row in dist]
+    space = PropagationSpace(points, rows, parse_rational(obj.get("radius_base", "1")))
+    return LocalizedAlgebra.propagation(space, diagonal=diagonal, max_level=max_level)
+
+
+def _pullback_leg(obj, where, max_level):
+    modulus = obj.get("modulus")
+    if modulus is None:
+        return LocalizedAlgebra.poly_ring(max_level=max_level)
+    _require(isinstance(modulus, list), f"{where}: modulus must be a coefficient array")
+    return LocalizedAlgebra.quotient_ring(
+        Poly([parse_rational(c) for c in modulus]), max_level=max_level
+    )
+
+
+# The document's "kind" names the carrier; Q[x] and Q[x]/(m) share one,
+# told apart by the modulus.
+ALGEBRA_PARSERS = {
+    TrivialAlgebra.kind: lambda obj, where, max_level: LocalizedAlgebra.trivial(max_level),
+    PropagationAlgebra.kind: _propagation,
+    PolyAlgebra.kind: _pullback_leg,
+}
+HOM_CLASSES = {h.type: h for h in (IdentityHom, QuotientHom, RestrictionHom, InclusionHom)}
+
+
 def parse_algebra(obj, where="algebra"):
     _check_keys(obj, ALGEBRA_KEYS, where)
     kind = obj.get("kind")
     max_level = obj.get("max_level", 16)
     _require(is_json_int(max_level) and max_level >= 1, f"{where}: bad max_level")
+    parse = ALGEBRA_PARSERS.get(kind) if isinstance(kind, str) else None
+    _require(parse is not None, f"{where}: unknown kind {kind!r}")
     try:
-        if kind == "trivial":
-            return LocalizedAlgebra.trivial(max_level=max_level)
-        if kind == "propagation":
-            points = obj.get("points")
-            dist = obj.get("dist")
-            _require(isinstance(points, list) and points, f"{where}: points required")
-            _require(isinstance(dist, list), f"{where}: dist required")
-            diagonal = obj.get("diagonal", False)
-            _require(isinstance(diagonal, bool), f"{where}: diagonal must be true or false")
-            rows = [[parse_rational(v) for v in row] for row in dist]
-            space = PropagationSpace(points, rows, parse_rational(obj.get("radius_base", "1")))
-            return LocalizedAlgebra.propagation(
-                space, diagonal=diagonal, max_level=max_level
-            )
-        if kind == "quotient-pullback-leg":
-            modulus = obj.get("modulus")
-            if modulus is None:
-                return LocalizedAlgebra.poly_ring(max_level=max_level)
-            _require(isinstance(modulus, list), f"{where}: modulus must be a coefficient array")
-            return LocalizedAlgebra.quotient_ring(
-                Poly([parse_rational(c) for c in modulus]), max_level=max_level
-            )
+        return parse(obj, where, max_level)
     except (ValueError, TypeError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
-    raise SpecError(f"{where}: unknown kind {kind!r}")
 
 
 def parse_diagram(obj, where="diagram"):
@@ -97,15 +113,10 @@ def parse_diagram(obj, where="diagram"):
         spec = obj.get(leg)
         _check_keys(spec or {}, HOM_KEYS, f"{where}.{leg}")
         _require(spec and "type" in spec, f"{where}.{leg}: type required")
-        kind = {
-            "identity": IDENTITY,
-            "quotient": QUOTIENT,
-            "restriction": RESTRICTION,
-            "scalar-inclusion": INCLUSION,
-        }.get(spec["type"])
-        _require(kind is not None, f"{where}.{leg}: unknown type {spec['type']!r}")
+        hom = HOM_CLASSES.get(spec["type"]) if isinstance(spec["type"], str) else None
+        _require(hom is not None, f"{where}.{leg}: unknown type {spec['type']!r}")
         try:
-            homs[leg] = FilteredHom(kind, algebras[src], algebras["lambda_prime"])
+            homs[leg] = hom(algebras[src], algebras["lambda_prime"])
         except ValueError as exc:
             raise SpecError(f"{where}.{leg}: {exc}") from exc
     try:

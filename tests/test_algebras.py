@@ -5,17 +5,27 @@ from importlib import resources
 import pytest
 
 from kcert.algebras import (
-    IDENTITY,
-    QUOTIENT,
-    RESTRICTION,
     AlgebraElement,
-    FilteredHom,
+    IdentityHom,
+    InclusionHom,
     Kernel,
     LocalizedAlgebra,
+    PolyAlgebra,
+    PropagationAlgebra,
     PropagationSpace,
+    QuotientAlgebra,
+    QuotientHom,
+    RestrictionHom,
+    TrivialAlgebra,
 )
 from kcert.identities import Sampler
-from kcert.instances import line_space, poly_algebra, quotient_algebra, suite_algebras
+from kcert.instances import (
+    line_space,
+    poly_algebra,
+    quotient_algebra,
+    suite_algebras,
+    trivial_algebra,
+)
 from kcert.matrices import FilteredMatrix, MatrixError
 from kcert.scalars import Poly, rat
 from kcert.specdoc import parse_algebra, parse_diagram
@@ -93,7 +103,7 @@ def test_mixed_algebra_rejected(trivial, quotient):
 
 def test_quotient_hom_and_section(quotient):
     top = LocalizedAlgebra.poly_ring()
-    h = FilteredHom(QUOTIENT, top, quotient)
+    h = QuotientHom(top, quotient)
     x3 = top.element(Poly([0, 0, 0, 1]))
     img = h.apply(x3)
     assert img.payload.rep == Poly([0, 1])  # x^3 = x mod x^2 - 1
@@ -107,7 +117,7 @@ def test_restriction_hom_roundtrip():
     whole = LocalizedAlgebra.propagation(line_space(5), diagonal=True)
     sub = LocalizedAlgebra.propagation(line_space(3), diagonal=True)
     # points "0","1","2" with the inherited metric
-    h = FilteredHom(RESTRICTION, whole, sub)
+    h = RestrictionHom(whole, sub)
     f = whole.element(Kernel({(0, 0): rat(2), (3, 3): rat(5)}))
     img = h.apply(f)
     assert img.payload == Kernel({(0, 0): rat(2)})
@@ -120,7 +130,7 @@ def test_restriction_requires_diagonal():
     whole = LocalizedAlgebra.propagation(line_space(5))
     sub = LocalizedAlgebra.propagation(line_space(3))
     with pytest.raises(ValueError):
-        FilteredHom(RESTRICTION, whole, sub)
+        RestrictionHom(whole, sub)
 
 
 def test_section_is_right_inverse_randomized(clutching, cover):
@@ -148,7 +158,7 @@ def test_homs_are_unital_and_multiplicative(clutching, cover):
 
 
 def test_identity_hom(trivial):
-    h = FilteredHom(IDENTITY, trivial, trivial)
+    h = IdentityHom(trivial, trivial)
     e = trivial.element(rat(5, 3))
     assert h.apply(e) == e
 
@@ -188,17 +198,15 @@ def test_support_addition_law(propagation, sampler):
 
 
 def test_scalar_inclusion_hom(trivial):
-    from kcert.algebras import INCLUSION
-
     target = LocalizedAlgebra.poly_ring()
-    h = FilteredHom(INCLUSION, trivial, target)
+    h = InclusionHom(trivial, target)
     assert not h.surjective
     e = trivial.element(rat(3, 2))
     assert h.apply(e).payload == Poly([rat(3, 2)])
     with pytest.raises(ValueError):
         h.section(target.element(target.one()))
     with pytest.raises(ValueError):
-        FilteredHom(INCLUSION, target, target)
+        InclusionHom(target, target)
 
 
 # -- equality contract -------------------------------------------------------
@@ -279,14 +287,101 @@ def test_one_changed_component_gives_unequal_algebras(component):
 
 def test_changed_leg_gives_unequal_homs():
     top = LocalizedAlgebra.poly_ring()
-    h = FilteredHom(QUOTIENT, top, quotient_algebra())
-    other = FilteredHom(QUOTIENT, top, quotient_algebra(Poly([1, 0, 1])))
-    lower = FilteredHom(QUOTIENT, LocalizedAlgebra.poly_ring(15), quotient_algebra())
+    h = QuotientHom(top, quotient_algebra())
+    other = QuotientHom(top, quotient_algebra(Poly([1, 0, 1])))
+    lower = QuotientHom(LocalizedAlgebra.poly_ring(15), quotient_algebra())
     assert h != other and h != lower
     triv = LocalizedAlgebra.trivial()
-    assert FilteredHom(IDENTITY, triv, triv) != FilteredHom(
-        IDENTITY, LocalizedAlgebra.trivial(3), LocalizedAlgebra.trivial(3)
+    assert IdentityHom(triv, triv) != IdentityHom(
+        LocalizedAlgebra.trivial(3), LocalizedAlgebra.trivial(3)
     )
+
+
+# -- one class per carrier and per hom -------------------------------------------
+
+
+def _diagonal(space, max_level=16):
+    return LocalizedAlgebra.propagation(space, diagonal=True, max_level=max_level)
+
+
+def _two_points(d):
+    return PropagationSpace(("0", "1"), [[0, d], [d, 0]], 4)
+
+
+INVALID_HOMS = {
+    "identity-unequal": (IdentityHom, lambda: (trivial_algebra(), trivial_algebra(3)),
+                         "equal source and target"),
+    "quotient-source": (QuotientHom, lambda: (quotient_algebra(), quotient_algebra()),
+                        "source must be the polynomial ring"),
+    "quotient-target": (QuotientHom, lambda: (poly_algebra(), poly_algebra()),
+                        "target must be a quotient ring"),
+    "restriction-carrier": (RestrictionHom, lambda: (poly_algebra(), quotient_algebra()),
+                            "needs propagation algebras"),
+    "restriction-max-level": (
+        RestrictionHom, lambda: (_diagonal(line_space(5)), _diagonal(line_space(3), 15)),
+        "must preserve max_level"),
+    "restriction-foreign-point": (
+        RestrictionHom, lambda: (_diagonal(line_space(5)), _diagonal(
+            PropagationSpace(("0", "9"), [[0, 1], [1, 0]], 4))),
+        "not in source space"),
+    "restriction-metric": (
+        RestrictionHom, lambda: (_diagonal(line_space(5)), _diagonal(_two_points(2))),
+        "must inherit the metric"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_HOMS))
+def test_hom_rejects_invalid_pairing(case):
+    hom, algebras, message = INVALID_HOMS[case]
+    with pytest.raises(ValueError, match=message):
+        hom(*algebras())
+
+
+def _leg(cls, **described):
+    return cls, dict({"kind": cls.kind, "max_level": 16}, **described)
+
+
+def _cover_leg(*points):
+    return _leg(PropagationAlgebra, points=list(points), radius_base="4", diagonal=True)
+
+
+# What each parse builds, per part (the algebra, or a diagram's three algebras
+# and two homs), with the description reports embed.
+PARSED_CLASSES = {
+    "trivial": [_leg(TrivialAlgebra)],
+    "poly": [_leg(PolyAlgebra)],
+    "quotient": [_leg(QuotientAlgebra, modulus=["-1", "0", "1"])],
+    "propagation": [_leg(PropagationAlgebra, points=["a", "b", "c"], radius_base="4",
+                         diagonal=False)],
+    "propagation-diagonal": [_leg(PropagationAlgebra, points=["a", "b", "c"],
+                                  radius_base="4", diagonal=True)],
+    "quotient_clutching.json": [
+        _leg(PolyAlgebra), _leg(PolyAlgebra),
+        _leg(QuotientAlgebra, modulus=["-1", "0", "1"]),
+        (QuotientHom, {"type": "quotient"}), (QuotientHom, {"type": "quotient"}),
+    ],
+    "propagation_cover.json": [
+        _cover_leg("0", "1", "2"), _cover_leg("2", "3", "4"), _cover_leg("2"),
+        (RestrictionHom, {"type": "restriction"}), (RestrictionHom, {"type": "restriction"}),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSED_CLASSES))
+def test_parsed_classes_and_descriptions(name):
+    if name in ALGEBRA_SPECS:
+        parts = [parse_algebra(ALGEBRA_SPECS[name])]
+    else:
+        raw = json.loads(resources.files("kcert.specs").joinpath(name).read_text())
+        d = parse_diagram(raw["diagram"])
+        parts = [d.lambda1, d.lambda2, d.lambda_prime, d.j1, d.j2]
+        assert d.describe() == {
+            role: described for role, (_, described)
+            in zip(("lambda1", "lambda2", "lambda_prime", "j1", "j2"), PARSED_CLASSES[name])
+        }
+    for part, (cls, described) in zip(parts, PARSED_CLASSES[name], strict=True):
+        assert type(part) is cls
+        assert part.describe() == described
 
 
 # -- degree parity -------------------------------------------------------------

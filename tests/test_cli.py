@@ -328,3 +328,35 @@ def test_boolean_diagonal_accepted(tmp_path, capsys, diagonal):
     code, out, _ = run_cli(capsys, "verify", "--spec", str(path))
     assert code == 0 and "result: pass" in out
     assert SpecDocument.from_path(str(path)).algebra.diagonal is diagonal
+
+
+def _clutching_with_leg(**j1):
+    doc = _bundled("quotient_clutching.json")
+    doc["diagram"]["j1"] = j1
+    return doc
+
+
+# A misspelt perturbation name used to drop the lift-independence check and
+# pass; a non-string name or hom type crashed on an unhashable lookup (exit 1);
+# a string dist row was read character by character.
+@pytest.mark.parametrize("command,doc,message", [
+    ("boundary", _with_command("quotient_clutching.json", perturb_a="KX"),
+     "matrix 'KX' not defined"),
+    ("boundary", _with_command("quotient_clutching.json", perturb_b="HX"),
+     "matrix 'HX' not defined"),
+    ("boundary", _with_command("quotient_clutching.json", lift_a=["A"]),
+     "command.lift_a must name a matrix"),
+    ("boundary", _with_command("quotient_clutching.json", perturb_a=["K"]),
+     "command.perturb_a must name a matrix"),
+    ("boundary", _clutching_with_leg(type=["quotient"]),
+     "diagram.j1: unknown type ['quotient']"),
+    ("verify", _propagation(dist=["01", "10"]), "algebra: dist rows must be arrays"),
+], ids=["perturb_a-undefined", "perturb_b-undefined", "lift_a-list", "perturb_a-list",
+        "hom-type-list", "dist-string-rows"])
+def test_malformed_name_or_row_is_spec_error(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"spec error: {message}" in err

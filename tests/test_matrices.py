@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcert.algebras import (
-    PROPAGATION,
-    QUOTIENT,
-    TRIVIAL,
-    FilteredHom,
     Kernel,
     LocalizedAlgebra,
+    PolyAlgebra,
+    PropagationAlgebra,
+    QuotientHom,
+    TrivialAlgebra,
+    _poly_ints,
 )
 from kcert.matrices import (
     CertificateFailure,
@@ -19,7 +20,6 @@ from kcert.matrices import (
     IdempotentCert,
     InvertibleCert,
     MatrixError,
-    _poly_ints,
     apply_hom_idempotent,
     apply_hom_invertible,
     apply_hom_matrix,
@@ -377,9 +377,9 @@ _polys = st.lists(_scalars, max_size=4).map(Poly)
 
 
 def _payloads(algebra):
-    if algebra.kind == TRIVIAL:
+    if isinstance(algebra, TrivialAlgebra):
         return _scalars
-    if algebra.kind == PROPAGATION:
+    if isinstance(algebra, PropagationAlgebra):
         points = range(algebra.space.size)
         keys = (
             st.sampled_from(points).map(lambda i: (i, i))
@@ -387,7 +387,7 @@ def _payloads(algebra):
             else st.tuples(st.sampled_from(points), st.sampled_from(points))
         )
         return st.dictionaries(keys, _scalars, max_size=4).map(Kernel)
-    if algebra.modulus is None:
+    if isinstance(algebra, PolyAlgebra):
         return _polys
     m = algebra.modulus
     divisors = st.builds(
@@ -480,7 +480,7 @@ def payload_image(h, m):
 @given(data=st.data())
 def test_quotient_image_matches_payload_map(modulus, data):
     m = MODULI[modulus]
-    h = FilteredHom(QUOTIENT, poly_algebra(), quotient_algebra(m))
+    h = QuotientHom(poly_algebra(), quotient_algebra(m))
     a, b = data.draw(_operands(poly_algebra(), _hom_entries(m)))
     # A fresh operand, one whose form was computed as a product operand, and
     # one whose form a product seeded.
@@ -512,7 +512,7 @@ def test_product_carries_the_fresh_integer_form(name, data):
 @given(data=st.data())
 def test_carried_forms_survive_reuse(modulus, data):
     m = MODULI[modulus]
-    h = FilteredHom(QUOTIENT, poly_algebra(), quotient_algebra(m))
+    h = QuotientHom(poly_algebra(), quotient_algebra(m))
     a, b = data.draw(_operands(poly_algebra(), _hom_entries(m)))
     fresh = FilteredMatrix(a.algebra, a.rows)
     ab_want = dense_product(a, b)
