@@ -31,7 +31,7 @@ from kcert.instances import (
     trivial_algebra,
     x2_minus_1,
 )
-from kcert.matrices import FilteredMatrix, apply_hom_matrix, conjugate
+from kcert.matrices import FilteredMatrix, apply_hom_matrix
 from kcert.scalars import Poly, QuotElem, Rat, rat
 
 
@@ -111,7 +111,7 @@ def quotient_rows():
     for size in (2, 4):
         u, p = sampler.invertible(target, size, factors=4), sampler.matrix(target, size)
         rows.append((f"u p u^-1, Q[x]/(x^2 - 1), n = {size}",
-                     per_call_us(lambda: conjugate(p, u), 1000 // size)))
+                     per_call_us(lambda: u.m @ p @ u.m_inv, 1000 // size)))
     return rows
 
 

@@ -765,65 +765,41 @@ def _rational_product(a, b):
 
 def _kernel_product(a, b, algebra):
     """Kernels on the algebra's points: a sparse (n*points) x (n*points)
-    integer block product.  Row k of B is indexed by point when a nonzero
-    entry of A's block column k first needs it, and the common denominators
-    and the row's sums are set up only when a nonzero row of B is met; the
+    integer block product.  B is indexed once by (block row, point); the
     sums are keyed by (block column, point pair) and only nonzero sums are
     kept."""
     points = algebra.space.size
     zero = algebra.zero()
+    da = lcm(*[v.denominator for row in a for p in row for v in p.table.values()])
+    db = lcm(*[v.denominator for row in b for p in row for v in p.table.values()])
+    b_index = [[] for _ in range(len(b) * points)]
+    for k, row in enumerate(b):
+        base = k * points
+        for j, p in enumerate(row):
+            for (q, r), w in p.table.items():
+                b_index[base + q].append((j, r, w.numerator * (db // w.denominator)))
+    d = da * db
     n = len(a)
-    b_index = [None] * n
-    da = db = None
     out = []
     for row in a:
         # acc[j] maps s * points + r to the integer sum for pair (s, r).
-        acc = None
+        acc = [{} for _ in range(n)]
         for k, p in enumerate(row):
-            if not p.table:
-                continue
-            index = b_index[k]
-            if index is None:
-                # () marks a zero row of B: it contributes no term.
-                index = ()
-                for j, e in enumerate(b[k]):
-                    if e.table:
-                        if not index:
-                            index = [[] for _ in range(points)]
-                            if db is None:
-                                db = _kernel_den(b)
-                        for (q, r), w in e.table.items():
-                            index[q].append((j, r, w.numerator * (db // w.denominator)))
-                b_index[k] = index
-            if not index:
-                continue
-            if acc is None:
-                acc = [{} for _ in range(n)]
-                if da is None:
-                    da = _kernel_den(a)
+            base = k * points
             for (s, q), v in p.table.items():
-                terms = index[q]
+                terms = b_index[base + q]
                 if terms:
                     v = v.numerator * (da // v.denominator)
                     key = s * points
                     for j, r, w in terms:
                         t = acc[j]
                         t[key + r] = t.get(key + r, 0) + v * w
-        if acc is None:
-            out.append((zero,) * n)
-            continue
-        d = da * db
         entries = []
         for t in acc:
             table = {divmod(key, points): Rat(c, d) for key, c in t.items() if c}
             entries.append(Kernel._raw(table) if table else zero)
         out.append(tuple(entries))
     return tuple(out)
-
-
-def _kernel_den(rows):
-    """The lcm of the denominators of every kernel value in rows."""
-    return lcm(*[v.denominator for row in rows for p in row for v in p.table.values()])
 
 
 def _poly_ints(m):

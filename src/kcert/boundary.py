@@ -22,6 +22,7 @@ from .matrices import (
     MatrixError,
     apply_hom_matrix,
     block2,
+    expect_equal,
     section_matrix,
 )
 from .mv import DoubleMatrix, glue_idempotents
@@ -65,20 +66,11 @@ class BoundaryInput:
             raise MatrixError("lift sizes must match U")
         if not (0 <= m <= u.n):
             raise MatrixError("block split must satisfy 0 <= m <= size")
-        bad = apply_hom_matrix(diagram.j1, lift_a).first_mismatch(u.m)
-        if bad is not None:
-            raise CertificateFailure(f"lift A has the wrong image at {bad[0]}", *bad)
-        bad = apply_hom_matrix(diagram.j1, lift_b).first_mismatch(u.m_inv)
-        if bad is not None:
-            raise CertificateFailure(f"lift B has the wrong image at {bad[0]}", *bad)
+        expect_equal(apply_hom_matrix(diagram.j1, lift_a), u.m, "lift A has the wrong image")
+        expect_equal(apply_hom_matrix(diagram.j1, lift_b), u.m_inv, "lift B has the wrong image")
         if m > 0:
             e = e_block(diagram.lambda_prime, m, u.n - m)
-            bad = (u.m @ e).first_mismatch(e @ u.m)
-            if bad is not None:
-                raise CertificateFailure(
-                    f"U must commute with the stabilization block, fails at {bad[0]}",
-                    *bad,
-                )
+            expect_equal(u.m @ e, e @ u.m, "U must commute with the stabilization block, fails")
         self.diagram = diagram
         self.u = u
         self.m = m
@@ -106,25 +98,13 @@ def _boundary_core(inp):
             bad = img.first_mismatch(FilteredMatrix.zeros(diagram.lambda_prime, size))
             raise CertificateFailure(f"{tag} does not die in the overlap ring", *bad)
     l = _build_l(diagram.lambda1, a, b, s0, s1)
-    e1_top = e_block(diagram.lambda1, inp.m, inp.n)
-    zero = FilteredMatrix.zeros(diagram.lambda1, size)
-    e1 = block2(e1_top, zero, zero, zero)
+    e1 = e_block(diagram.lambda1, inp.m, inp.n).pad(size)
     p_mat = l.m @ e1 @ l.m_inv
     p = IdempotentCert(p_mat, check=True)
-    e2_leg2 = block2(
-        FilteredMatrix.zeros(diagram.lambda2, size),
-        FilteredMatrix.zeros(diagram.lambda2, size),
-        FilteredMatrix.zeros(diagram.lambda2, size),
-        e_block(diagram.lambda2, inp.m, inp.n),
-    )
+    e2_leg2 = e_block(diagram.lambda2, size + inp.m, inp.n)
     p_double = IdempotentCert(DoubleMatrix(diagram, p_mat, e2_leg2))
     minus = IdempotentCert(
-        DoubleMatrix(
-            diagram,
-            block2(zero, zero, zero, e_block(diagram.lambda1, inp.m, inp.n)),
-            e2_leg2,
-            check=False,
-        ),
+        DoubleMatrix(diagram, e_block(diagram.lambda1, size + inp.m, inp.n), e2_leg2, check=False),
         check=False,
     )
     return BoundaryOutput(
@@ -170,22 +150,17 @@ def boundary_second_form(inp):
         out.s1 @ inp.lift_a,
         FilteredMatrix.identity(inp.diagram.lambda1, size) - out.s1 @ out.s1,
     )
-    bad = out.p.p.first_mismatch(expect)
-    if bad is not None:
-        raise CertificateFailure(
-            f"closed form disagrees with L e1 L^-1 at {bad[0]}", *bad
-        )
+    expect_equal(out.p.p, expect, "closed form disagrees with L e1 L^-1")
     return out
 
 
 def check_extended_form(inp, out):
     """Compare the P of ``out``, the boundary built from ``inp``, with the
     extended closed form; returns ``out``."""
-    bad = out.p.p.first_mismatch(closed_form_p(inp, out.s0, out.s1))
-    if bad is not None:
-        raise CertificateFailure(
-            f"extended closed form disagrees with L e1 L^-1 at {bad[0]}", *bad
-        )
+    expect_equal(
+        out.p.p, closed_form_p(inp, out.s0, out.s1),
+        "extended closed form disagrees with L e1 L^-1",
+    )
     return out
 
 
@@ -294,13 +269,12 @@ def verify_lift_independence_b(inp, h, base):
         d11.plus_scalar(1), d12, d21, d22.plus_scalar(1)
     )
     observed = tilde.l.m @ base.l.m_inv
-    bad = observed.first_mismatch(expect)
-    if bad is not None:
-        raise CertificateFailure(f"delta block formula fails at {bad[0]}", *bad)
+    expect_equal(observed, expect, "delta block formula fails")
     conj_cert = InvertibleCert(observed, base.l.m @ tilde.l.m_inv, check=True)
-    bad = tilde.p.p.first_mismatch(conj_cert.m @ base.p.p @ conj_cert.m_inv)
-    if bad is not None:
-        raise CertificateFailure(f"perturbed idempotent not conjugate at {bad[0]}", *bad)
+    expect_equal(
+        tilde.p.p, conj_cert.m @ base.p.p @ conj_cert.m_inv,
+        "perturbed idempotent not conjugate",
+    )
     return conj_cert, tilde
 
 
@@ -315,15 +289,12 @@ def boundary_alt_lifting(inp, l_any):
     produces a conjugate idempotent, with conjugator L' L^{-1}."""
     diagram = inp.diagram
     base = boundary_extended_form(inp)
-    bad = apply_hom_matrix(diagram.j1, l_any.m).first_mismatch(rotation_image(inp.u))
-    if bad is not None:
-        raise CertificateFailure(
-            f"alternative L does not lift the block rotation at {bad[0]}", *bad
-        )
+    expect_equal(
+        apply_hom_matrix(diagram.j1, l_any.m), rotation_image(inp.u),
+        "alternative L does not lift the block rotation",
+    )
     e1 = base.l.m_inv @ base.p.p @ base.l.m  # recover e1 = L^-1 P L exactly
     p_alt = IdempotentCert(l_any.m @ e1 @ l_any.m_inv, check=True)
     conj = l_any.compose(base.l.inverse())
-    bad = p_alt.p.first_mismatch(conj.m @ base.p.p @ conj.m_inv)
-    if bad is not None:
-        raise CertificateFailure(f"alt-lift conjugacy fails at {bad[0]}", *bad)
+    expect_equal(p_alt.p, conj.m @ base.p.p @ conj.m_inv, "alt-lift conjugacy fails")
     return p_alt, conj, base

@@ -135,6 +135,8 @@ def _run_boundary(args, doc):
 def _run_exactness(args, doc):
     if doc.diagram is None:
         raise SpecError("exactness requires a 'diagram' section")
+    if not (doc.diagram.j1.surjective and doc.diagram.j2.surjective):
+        raise SpecError("exactness requires surjective j1 and j2 with sections")
     seed = _int_param(args, doc, "seed", 0)
     samples = _int_param(args, doc, "samples", 25, least=1)
     corrupt = doc.command.get("corrupt_witness", False)

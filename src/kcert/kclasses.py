@@ -20,7 +20,6 @@ from .matrices import (
     MatrixError,
     apply_hom_invertible,
     apply_hom_matrix,
-    block2,
     block_swap_cert,
     involution_cert,
     is_o_shaped,
@@ -264,7 +263,7 @@ def exactness_k0_middle(diagram, d1, d2, witness):
         return None, report
     xi_bar = xi.complement()
     c = involution_cert(xi).compose(block_swap_cert(xi.algebra, k))
-    scalar = FilteredMatrix.diag_bits(xi.algebra, (0,) * k + (1,) * k)
+    scalar = e_block(xi.algebra, k, k)
     report.require(
         "padding trivializer", (c.m @ scalar @ c.m_inv).first_mismatch(
             xi.p.direct_sum(xi_bar.p)
@@ -274,13 +273,8 @@ def exactness_k0_middle(diagram, d1, d2, witness):
     one_s = InvertibleCert.identity(diagram.lambda_prime, s)
     t = one_s.direct_sum(c)
     u_final = t.inverse().compose(v.pad(k)).compose(t)
-    ebits = (0,) * k + (1,) * k
-    q1p = IdempotentCert(
-        q1.p.direct_sum(FilteredMatrix.diag_bits(diagram.lambda1, ebits)), check=False
-    )
-    q2p = IdempotentCert(
-        q2.p.direct_sum(FilteredMatrix.diag_bits(diagram.lambda2, ebits)), check=False
-    )
+    q1p = IdempotentCert(q1.p.direct_sum(e_block(diagram.lambda1, k, k)), check=False)
+    q2p = IdempotentCert(q2.p.direct_sum(e_block(diagram.lambda2, k, k)), check=False)
     lhs2 = apply_hom_matrix(diagram.j1, q1p.p)
     rhs2 = u_final.m @ apply_hom_matrix(diagram.j2, q2p.p) @ u_final.m_inv
     if not report.require("composite conjugation", lhs2.first_mismatch(rhs2)):
@@ -343,8 +337,7 @@ def exactness_i_after_boundary(diagram, u, m=0):
     size = u.n
     swap = block_swap_cert(diagram.lambda1, size)
     conj = out.l.compose(swap)
-    zero = FilteredMatrix.zeros(diagram.lambda1, size)
-    e2_leg1 = block2(zero, zero, zero, e_block(diagram.lambda1, m, size - m))
+    e2_leg1 = e_block(diagram.lambda1, size + m, size - m)
     report.require(
         "leg1: P = (L.swap) e2 (L.swap)^-1",
         out.p.p.first_mismatch(conj.m @ e2_leg1 @ conj.m_inv),
@@ -381,12 +374,7 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
         report.add("witness is a double invertible", False, exc)
         return None, report
     report.add("witness is a double invertible", True)
-    e2 = block2(
-        FilteredMatrix.zeros(diagram.lambda1, u.n),
-        FilteredMatrix.zeros(diagram.lambda1, u.n),
-        FilteredMatrix.zeros(diagram.lambda1, u.n),
-        e_block(diagram.lambda1, 0, u.n),
-    )
+    e2 = e_block(diagram.lambda1, u.n, u.n)
     if not report.require(
         "witness trivializes leg1", out.p.p.first_mismatch(u1.m @ e2 @ u1.m_inv)
     ):
@@ -499,20 +487,16 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
     out = boundary_extended_form(inp)
     report.add("S0 = 0", out.s0.is_zero(), "S0 nonzero")
     report.add("S1 = 0", out.s1.is_zero(), "S1 nonzero")
-    zero = FilteredMatrix.zeros(diagram.lambda1, total)
     report.require(
         "boundary block reproduces conjugated class (leg1)",
-        out.p.p.first_mismatch(block2(zero, zero, zero, p_tt.p.m1)),
+        out.p.p.first_mismatch(
+            FilteredMatrix.zeros(diagram.lambda1, total).direct_sum(p_tt.p.m1)
+        ),
     )
     report.require(
         "boundary block reproduces conjugated class (leg2)",
         out.p_double.p.m2.first_mismatch(
-            block2(
-                FilteredMatrix.zeros(diagram.lambda2, total),
-                FilteredMatrix.zeros(diagram.lambda2, total),
-                FilteredMatrix.zeros(diagram.lambda2, total),
-                p_tt.p.m2,
-            )
+            FilteredMatrix.zeros(diagram.lambda2, total).direct_sum(p_tt.p.m2)
         ),
     )
     # Chain back to the input class: un-conjugate, un-stabilize, un-normalize.

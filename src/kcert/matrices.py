@@ -30,6 +30,14 @@ class CertificateFailure(ValueError):
         self.residual = residual
 
 
+def expect_equal(lhs, rhs, what, failure=CertificateFailure):
+    """Raise ``failure`` naming the first entry where lhs and rhs differ,
+    with its position and residual lhs - rhs; return None when equal."""
+    bad = lhs.first_mismatch(rhs)
+    if bad is not None:
+        raise failure(f"{what} at {bad[0]}", *bad)
+
+
 class FilteredMatrix:
     __slots__ = ("algebra", "n", "rows", "_level", "_ints")
 
@@ -74,17 +82,12 @@ class FilteredMatrix:
 
     @classmethod
     def diag_bits(cls, algebra, bits):
-        """0/1 scalar diagonal matrix from an iterable of bits."""
-        z = algebra.zero()
-        o = algebra.one()
-        bits = tuple(bits)
+        """0/1 scalar diagonal matrix from a sequence of bits."""
+        z = (algebra.zero(),)
+        o = (algebra.one(),)
         n = len(bits)
-        return cls(
-            algebra,
-            tuple(
-                tuple((o if bits[i] else z) if i == j else z for j in range(n))
-                for i in range(n)
-            ),
+        return cls._raw(
+            algebra, tuple([z * i + (o if b else z) + z * (n - 1 - i) for i, b in enumerate(bits)])
         )
 
     @classmethod
@@ -278,13 +281,8 @@ class InvertibleCert:
 
     def verify(self):
         ident = type(self.m).identity(self.m.algebra, self.m.n)
-        bad = (self.m @ self.m_inv).first_mismatch(ident)
-        if bad is None:
-            bad = (self.m_inv @ self.m).first_mismatch(ident)
-        if bad is not None:
-            raise CertificateFailure(
-                f"inverse certificate fails at {bad[0]}", bad[0], bad[1]
-            )
+        expect_equal(self.m @ self.m_inv, ident, "inverse certificate fails")
+        expect_equal(self.m_inv @ self.m, ident, "inverse certificate fails")
         return self
 
     @classmethod
@@ -376,11 +374,7 @@ class IdempotentCert:
         return self.p.level
 
     def verify(self):
-        bad = (self.p @ self.p).first_mismatch(self.p)
-        if bad is not None:
-            raise CertificateFailure(
-                f"idempotent certificate fails at {bad[0]}", bad[0], bad[1]
-            )
+        expect_equal(self.p @ self.p, self.p, "idempotent certificate fails")
         return self
 
     def complement(self):
@@ -459,15 +453,6 @@ class ElementaryMatrix:
 def elementary_expand(e):
     """Invertible certificate E(a) with inverse E(-a)."""
     return InvertibleCert(e.expand(), e.negated().expand(), check=False)
-
-
-def conjugate(p, u):
-    """u p u^{-1}; conjugating an idempotent certificate re-certifies it."""
-    if isinstance(p, IdempotentCert):
-        return IdempotentCert(u.m @ p.p @ u.m_inv, check=True)
-    if isinstance(p, FilteredMatrix):
-        return u.m @ p @ u.m_inv
-    raise MatrixError("conjugate expects a matrix or idempotent certificate")
 
 
 def o_map(u):
@@ -549,10 +534,6 @@ def apply_hom_invertible(h, cert):
     return InvertibleCert(
         apply_hom_matrix(h, cert.m), apply_hom_matrix(h, cert.m_inv), check=False
     )
-
-
-def apply_hom_idempotent(h, cert):
-    return IdempotentCert(apply_hom_matrix(h, cert.p), check=False)
 
 
 def section_matrix(h, m):

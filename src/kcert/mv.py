@@ -26,6 +26,7 @@ from .matrices import (
     apply_hom_matrix,
     block2,
     block_swap_cert,
+    expect_equal,
     involution_cert,
     o_blocks,
     o_map,
@@ -108,13 +109,12 @@ class DoubleMatrix:
             self.verify()
 
     def verify(self):
-        left = apply_hom_matrix(self.diagram.j1, self.m1)
-        right = apply_hom_matrix(self.diagram.j2, self.m2)
-        bad = left.first_mismatch(right)
-        if bad is not None:
-            raise DoubleMismatch(
-                f"legs disagree in the overlap ring at {bad[0]}", bad[0], bad[1]
-            )
+        expect_equal(
+            apply_hom_matrix(self.diagram.j1, self.m1),
+            apply_hom_matrix(self.diagram.j2, self.m2),
+            "legs disagree in the overlap ring",
+            DoubleMismatch,
+        )
         return self
 
     @property
@@ -249,11 +249,8 @@ def lift_via_whitehead(u, leg):
     bwd = f4_inv @ f1_inv @ f2_inv @ f1_inv
     lifted = InvertibleCert(fwd, bwd, check=False)
     target = o_map(u)
-    bad = apply_hom_matrix(leg, fwd).first_mismatch(target.m)
-    if bad is None:
-        bad = apply_hom_matrix(leg, bwd).first_mismatch(target.m_inv)
-    if bad is not None:
-        raise CertificateFailure(f"lift image mismatch at {bad[0]}", bad[0], bad[1])
+    expect_equal(apply_hom_matrix(leg, fwd), target.m, "lift image mismatch")
+    expect_equal(apply_hom_matrix(leg, bwd), target.m_inv, "lift image mismatch")
     return lifted
 
 
@@ -263,13 +260,11 @@ GluedIdempotent = namedtuple(
 
 
 def _check_conjugation_pre(diagram, mat1, mat2, u, eq_tag):
-    left = apply_hom_matrix(diagram.j1, mat1)
-    right = u.m @ apply_hom_matrix(diagram.j2, mat2) @ u.m_inv
-    bad = left.first_mismatch(right)
-    if bad is not None:
-        raise CertificateFailure(
-            f"{eq_tag}: images are not conjugate by u at {bad[0]}", bad[0], bad[1]
-        )
+    expect_equal(
+        apply_hom_matrix(diagram.j1, mat1),
+        u.m @ apply_hom_matrix(diagram.j2, mat2) @ u.m_inv,
+        f"{eq_tag}: images are not conjugate by u",
+    )
 
 
 def glue_idempotents(p1, p2, u, diagram):
@@ -382,10 +377,7 @@ def lift_o_element(xi, leg):
     xi_tilde = lift_via_whitehead(alpha, leg)
     u_tilde = o_map(xi_tilde)
     forward = apply_hom_matrix(leg, u_tilde.m)
-    expected = xi.m.direct_sum(xi.m_inv)
-    bad = forward.first_mismatch(expected)
-    if bad is not None:
-        raise CertificateFailure(f"O-lift image mismatch at {bad[0]}", bad[0], bad[1])
+    expect_equal(forward, xi.m.direct_sum(xi.m_inv), "O-lift image mismatch")
     n = alpha.n
     blocks = (0, 1, 3, 2)
     perm = []
@@ -393,11 +385,7 @@ def lift_o_element(xi, leg):
         perm.extend(range(b * n, (b + 1) * n))
     p = permutation_cert(xi.algebra, tuple(perm))
     double_xi = xi.m.direct_sum(xi.m)
-    bad = (p.m @ double_xi @ p.m_inv).first_mismatch(forward)
-    if bad is not None:
-        raise CertificateFailure(
-            f"O-lift permutation conjugacy fails at {bad[0]}", bad[0], bad[1]
-        )
+    expect_equal(p.m @ double_xi @ p.m_inv, forward, "O-lift permutation conjugacy fails")
     return OLift(u_tilde, xi_tilde, forward, p)
 
 
@@ -423,11 +411,7 @@ def glue_k1_classes(u1, u2, witness, diagram, coefficient=1):
         raise CertificateFailure("witness needs O-shaped corrections of one size")
     side1 = apply_hom_matrix(diagram.j1, u1.m).direct_sum(xi1.m)
     side2 = apply_hom_matrix(diagram.j2, u2.m).direct_sum(xi2.m)
-    bad = side1.first_mismatch(u.m @ side2 @ u.m_inv)
-    if bad is not None:
-        raise CertificateFailure(
-            f"K1 witness equation fails at {bad[0]}", bad[0], bad[1]
-        )
+    expect_equal(side1, u.m @ side2 @ u.m_inv, "K1 witness equation fails")
     lift1 = lift_o_element(xi1, diagram.j1)
     lift2 = lift_o_element(xi2, diagram.j2)
     u1p = u1.direct_sum(u1).direct_sum(lift1.u_tilde)
@@ -447,13 +431,11 @@ def glue_k1_classes(u1, u2, witness, diagram, coefficient=1):
     sigma2 = ident_2n.direct_sum(lift2.perm)
     uu = u.direct_sum(u)
     w = sigma1.compose(rho).compose(uu).compose(rho.inverse()).compose(sigma2.inverse())
-    bad = apply_hom_matrix(diagram.j1, u1p.m).first_mismatch(
-        w.m @ apply_hom_matrix(diagram.j2, u2p.m) @ w.m_inv
+    expect_equal(
+        apply_hom_matrix(diagram.j1, u1p.m),
+        w.m @ apply_hom_matrix(diagram.j2, u2p.m) @ w.m_inv,
+        "doubled K1 witness equation fails",
     )
-    if bad is not None:
-        raise CertificateFailure(
-            f"doubled K1 witness equation fails at {bad[0]}", bad[0], bad[1]
-        )
     glued = glue_invertibles(u1p, u2p, w, diagram)
     half = coeff / rat(2)
     return GluedK1(terms=((glued, half),), details=(lift1, lift2, w))

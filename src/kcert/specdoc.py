@@ -179,8 +179,10 @@ class SpecDocument:
         command = raw.get("command", {})
         _check_keys(command, COMMAND_KEYS, "command")
         self.command = command
+        matrices = raw.get("matrices", {})
+        _require(isinstance(matrices, dict), "matrices must be an object")
         self.matrices = {}
-        for name, spec in (raw.get("matrices") or {}).items():
+        for name, spec in matrices.items():
             _require(isinstance(spec, dict), f"matrix {name} must be an object")
             role = spec.get("algebra", "algebra")
             self.matrices[name] = parse_matrix(
@@ -192,14 +194,15 @@ class SpecDocument:
             _require(self.algebra is not None, f"matrix {name}: no algebra section")
             return self.algebra
         _require(self.diagram is not None, f"matrix {name}: no diagram section")
-        try:
-            return {
-                "lambda1": self.diagram.lambda1,
-                "lambda2": self.diagram.lambda2,
-                "lambda_prime": self.diagram.lambda_prime,
-            }[role]
-        except KeyError:
-            raise SpecError(f"matrix {name}: unknown algebra role {role!r}") from None
+        roles = {
+            "lambda1": self.diagram.lambda1,
+            "lambda2": self.diagram.lambda2,
+            "lambda_prime": self.diagram.lambda_prime,
+        }
+        _require(
+            isinstance(role, str) and role in roles, f"matrix {name}: unknown algebra role {role!r}"
+        )
+        return roles[role]
 
     def matrix(self, name, want_cert=False):
         _require(name in self.matrices, f"matrix {name!r} not defined")

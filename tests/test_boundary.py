@@ -13,14 +13,24 @@ from kcert.boundary import (
     verify_lift_independence_a,
     verify_lift_independence_b,
 )
+from kcert.instances import clutching_diagram, trivial_diagram
 from kcert.matrices import (
     CertificateFailure,
     ElementaryMatrix,
     FilteredMatrix,
+    IdempotentCert,
     InvertibleCert,
     apply_hom_matrix,
     block2,
     elementary_expand,
+    o_map,
+)
+from kcert.mv import (
+    DoubleMatrix,
+    DoubleMismatch,
+    K1GlueWitness,
+    glue_idempotents,
+    glue_k1_classes,
 )
 from kcert.scalars import Poly, QuotElem, rat
 
@@ -264,3 +274,108 @@ def test_boundary_level_accounting(clutching, sampler):
         floor = max(0, u.level - 2)
         assert out.l.level >= floor
         assert out.p.level >= floor
+
+
+# -- failure text ---------------------------------------------------------------
+# Each failed claim names its first differing entry; the message, the
+# exception class, the position and the residual (left minus right) are
+# pinned here for every check a caller can reach with its own inputs.
+
+_T = trivial_diagram()
+
+
+def _q(*rows):
+    """A matrix over Q, the one ring of the trivial diagram."""
+    return FilteredMatrix(_T.lambda_prime, [[rat(v) for v in row] for row in rows])
+
+
+def _unit(value):
+    return InvertibleCert(_q([value]), _q([1 / rat(value)]))
+
+
+def _bad_inverse():
+    InvertibleCert(_q([1, 1], [0, 1]), _q([1, 0], [0, 1]))
+
+
+def _not_idempotent():
+    IdempotentCert(_q([1, 0], [0, 2]))
+
+
+def _legs_disagree():
+    DoubleMatrix(_T, _q([1, 0], [0, 1]), _q([1, 0], [3, 1]))
+
+
+def _double_not_idempotent():
+    c = clutching_diagram()
+    x2 = FilteredMatrix(c.lambda2, ((Poly([0, 0, 1]),),))
+    IdempotentCert(DoubleMatrix(c, FilteredMatrix.identity(c.lambda1, 1), x2))
+
+
+def _wrong_lift_a():
+    u = InvertibleCert(_q([2, 0], [0, rat(1, 2)]), _q([rat(1, 2), 0], [0, 2]))
+    BoundaryInput(_T, u, lift_a=_q([2, 0], [1, rat(1, 2)]), lift_b=u.m_inv)
+
+
+def _wrong_lift_b():
+    u = InvertibleCert(_q([2, 0], [0, rat(1, 2)]), _q([rat(1, 2), 0], [0, 2]))
+    BoundaryInput(_T, u, lift_a=u.m, lift_b=_q([rat(1, 2), 5], [0, 2]))
+
+
+def _u_not_commuting():
+    BoundaryInput(_T, InvertibleCert(_q([1, 1], [0, 1]), _q([1, -1], [0, 1])), m=1)
+
+
+def _non_conjugate_gluing():
+    glue_idempotents(
+        IdempotentCert(_q([1, 0], [0, 0])), IdempotentCert(_q([0, 0], [0, 1])),
+        InvertibleCert.identity(_T.lambda_prime, 2), _T,
+    )
+
+
+def _non_conjugate_k1():
+    glue_k1_classes(
+        _unit(2), _unit(3), K1GlueWitness(None, None, InvertibleCert.identity(_T.lambda_prime, 1)),
+        _T,
+    )
+
+
+def _bad_k1_witness():
+    xi = o_map(InvertibleCert.identity(_T.lambda_prime, 1))
+    ident = InvertibleCert.identity(_T.lambda_prime, 3)
+    glue_k1_classes(_unit(2), _unit(3), K1GlueWitness(xi, xi, ident), _T)
+
+
+def _wrong_alternative_l():
+    boundary_alt_lifting(
+        BoundaryInput(_T, _unit(2)), InvertibleCert.identity(_T.lambda1, 2)
+    )
+
+
+@pytest.mark.parametrize("build,cls,message,position,residual", [
+    (_bad_inverse, CertificateFailure, "inverse certificate fails at (0, 1)", (0, 1), 1),
+    (_not_idempotent, CertificateFailure, "idempotent certificate fails at (1, 1)", (1, 1), 2),
+    (_legs_disagree, DoubleMismatch, "legs disagree in the overlap ring at (1, 0)",
+     (1, 0), -3),
+    (_double_not_idempotent, CertificateFailure,
+     "idempotent certificate fails at ('leg2', (0, 0))", ("leg2", (0, 0)),
+     Poly([0, 0, -1, 0, 1])),
+    (_wrong_lift_a, CertificateFailure, "lift A has the wrong image at (1, 0)", (1, 0), 1),
+    (_wrong_lift_b, CertificateFailure, "lift B has the wrong image at (0, 1)", (0, 1), 5),
+    (_u_not_commuting, CertificateFailure,
+     "U must commute with the stabilization block, fails at (0, 1)", (0, 1), 1),
+    (_non_conjugate_gluing, CertificateFailure,
+     "idempotent gluing: images are not conjugate by u at (0, 0)", (0, 0), 1),
+    (_non_conjugate_k1, CertificateFailure,
+     "K1 gluing: images are not conjugate by u at (0, 0)", (0, 0), -1),
+    (_bad_k1_witness, CertificateFailure, "K1 witness equation fails at (0, 0)", (0, 0), -1),
+    (_wrong_alternative_l, CertificateFailure,
+     "alternative L does not lift the block rotation at (0, 0)", (0, 0), 1),
+], ids=["inverse", "idempotent", "legs-disagree", "double-idempotent", "lift-a", "lift-b",
+        "stabilization-block", "gluing", "k1-gluing", "k1-witness", "alternative-l"])
+def test_failure_names_first_differing_entry(build, cls, message, position, residual):
+    with pytest.raises(CertificateFailure) as err:
+        build()
+    assert type(err.value) is cls
+    assert str(err.value) == message
+    assert err.value.position == position
+    assert err.value.residual == residual

@@ -336,9 +336,16 @@ def _clutching_with_leg(**j1):
     return doc
 
 
+def _clutching_with_role(role):
+    doc = _bundled("quotient_clutching.json")
+    doc["matrices"]["A"]["algebra"] = role
+    return doc
+
+
 # A misspelt perturbation name used to drop the lift-independence check and
-# pass; a non-string name or hom type crashed on an unhashable lookup (exit 1);
-# a string dist row was read character by character.
+# pass; a non-string name, hom type or algebra role crashed on an unhashable
+# lookup and a non-object matrices section on .items() (exit 1); a string dist
+# row was read character by character.
 @pytest.mark.parametrize("command,doc,message", [
     ("boundary", _with_command("quotient_clutching.json", perturb_a="KX"),
      "matrix 'KX' not defined"),
@@ -351,8 +358,11 @@ def _clutching_with_leg(**j1):
     ("boundary", _clutching_with_leg(type=["quotient"]),
      "diagram.j1: unknown type ['quotient']"),
     ("verify", _propagation(dist=["01", "10"]), "algebra: dist rows must be arrays"),
+    ("verify", dict(_bundled("trivial_q.json"), matrices=["A"]), "matrices must be an object"),
+    ("boundary", _clutching_with_role(["lambda1"]),
+     "matrix A: unknown algebra role ['lambda1']"),
 ], ids=["perturb_a-undefined", "perturb_b-undefined", "lift_a-list", "perturb_a-list",
-        "hom-type-list", "dist-string-rows"])
+        "hom-type-list", "dist-string-rows", "matrices-list", "role-list"])
 def test_malformed_name_or_row_is_spec_error(tmp_path, capsys, command, doc, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -360,3 +370,20 @@ def test_malformed_name_or_row_is_spec_error(tmp_path, capsys, command, doc, mes
     assert code == 2
     assert out == ""
     assert f"spec error: {message}" in err
+
+
+# Exactness glues through j2 and lifts boundaries through j1, so a leg without
+# a section used to crash mid-run with a traceback (exit 1).
+@pytest.mark.parametrize("leg,source", [("j1", "lambda1"), ("j2", "lambda2")])
+def test_exactness_rejects_sectionless_leg(tmp_path, capsys, leg, source):
+    doc = _bundled("quotient_clutching.json")
+    doc["diagram"][source] = {"kind": "trivial"}
+    doc["diagram"][leg] = {"type": "scalar-inclusion"}
+    doc["matrices"] = {}
+    doc["command"] = {"name": "exactness", "samples": 1}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "exactness", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert "spec error: exactness requires surjective j1 and j2" in err

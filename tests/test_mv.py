@@ -8,7 +8,6 @@ from kcert.matrices import (
     MatrixError,
     apply_hom_invertible,
     apply_hom_matrix,
-    conjugate,
     o_map,
 )
 from kcert.mv import (
@@ -103,7 +102,7 @@ def test_glue_conjugated_by_double_matches_normal_form(clutching, sampler):
     glued = glue_idempotents(one1, one2, _x_cert(clutching), clutching)
     w = sampler.invertible(clutching.lambda1, 2)
     dw = double_invertible(clutching, w, w, check=True)
-    _verify_double(conjugate(glued.double, dw))
+    _verify_double(IdempotentCert(dw.m @ glued.double.p @ dw.m_inv))
 
 
 def test_glue_with_lifted_transition(clutching, sampler):
