@@ -9,8 +9,10 @@ equality every matrix operation checks, between two propagation algebras
 built separately (equal, not identical), the matrix product over each
 carrier (Q, Q[x], Q[x]/(x^2 - 1), kernels on 4 points; sampled n x n
 operands, n = 2, 4, 6), the image of a sampled Q[x] matrix in Q[x]/(x^2 - 1)
-(n = 2, 4, 6), the conjugation u p u^-1 over Q[x]/(x^2 - 1) (n = 2, 4), and a
-slice of the identity suite over the three bundled carriers.  Operands are
+(n = 2, 4, 6), the conjugation u p u^-1 over Q[x]/(x^2 - 1) (n = 2, 4), the
+sampler's draws (a unit with its inverse per carrier, and a 4 x 4 invertible
+over Q, Q[x]/(x^2 - 1) and kernels on 4 points), and a slice of the identity
+suite over the three bundled carriers.  Operands are
 reused across calls, as certificates reuse them, so a matrix's integer form
 is computed once per row.  Everything runs in this process and prints one
 column.
@@ -21,9 +23,10 @@ Usage: python benchmarks/bench_scalars.py [--samples N]
 import argparse
 import time
 
-from kcert.algebras import Kernel, QuotientHom
+from kcert.algebras import Kernel, LocalizedAlgebra, QuotientHom
 from kcert.identities import Sampler, run_identity_suite
 from kcert.instances import (
+    line_space,
     poly_algebra,
     propagation_algebra,
     quotient_algebra,
@@ -115,6 +118,28 @@ def quotient_rows():
     return rows
 
 
+def sampler_rows():
+    sampler = Sampler(5)
+    rows = []
+    for label, algebra in (
+        ("Q", trivial_algebra()),
+        ("Q[x]", poly_algebra()),
+        ("Q[x]/(x^2 - 1)", quotient_algebra()),
+        ("propagation, 4 points", propagation_algebra()),
+        ("diagonal propagation, 4 points",
+         LocalizedAlgebra.propagation(line_space(4), diagonal=True)),
+    ):
+        rows.append((f"Sampler.unit, {label}", per_call_us(lambda: sampler.unit(algebra), 5000)))
+    for label, algebra in (
+        ("Q", trivial_algebra()),
+        ("Q[x]/(x^2 - 1)", quotient_algebra()),
+        ("propagation, 4 points", propagation_algebra()),
+    ):
+        rows.append((f"Sampler.invertible, {label}, n = 4",
+                     per_call_us(lambda: sampler.invertible(algebra, 4), 1000)))
+    return rows
+
+
 def suite_rows(samples):
     rows = []
     for name, algebra in suite_algebras().items():
@@ -135,7 +160,8 @@ def main():
         ("4x4 matmul (us)", matmul4_us()),
     ]
     rows += [(f"Poly product, degree {d} x {d} (us)", poly_mul_us(d)) for d in (3, 8)]
-    rows += [(f"{name} (us)", us) for name, us in payload_rows() + matmul_rows() + quotient_rows()]
+    rows += [(f"{name} (us)", us) for name, us in payload_rows() + matmul_rows() + quotient_rows()
+                                  + sampler_rows()]
     rows += [(f"{name} (s)", s) for name, s in suite_rows(args.samples)]
     label = Rat.__name__
     width = max(len(name) for name, _ in rows)

@@ -33,6 +33,18 @@ _poly_product), and the quotient hom maps a matrix through that form.
 Payloads stay reduced, so equality, hashing and encodings do not depend on
 how a product was computed.  Products and images are built through the
 operand's own matrix class, so this module needs no import of matrices.py.
+
+Each carrier draws identity-suite units together with their exact
+inverses, and no inverse is a series or a Euclid loop.  Over Q and Q[x] a
+unit is a nonzero scalar, and a diagonal propagation unit is one per point.
+A full propagation unit is u = lam * 1 + N with N strictly upper
+triangular in the point order; u^-1 is built by back substitution, last
+point first (_upper_unit_inverse).  Over Q[x]/(m) a drawn representative
+is inverted by QuotElem.invert, a Bareiss solve of the integer
+multiplication-by-rep system that rejects exactly the non-units, and an
+elementary row or column operation adds y * a per touched entry through
+one integer convolution and one pseudo-division (_add_multiple).  An exact
+inverse is unique, so the draws do not depend on how it is computed.
 """
 
 from math import gcd, lcm
@@ -44,7 +56,9 @@ from .scalars import (
     R0,
     R1,
     Rat,
+    _int_product,
     _integer_coeffs,
+    _reduce_ints,
     encode_rational,
     parse_rational,
     rat,
@@ -240,6 +254,14 @@ class LocalizedAlgebra:
     def is_zero(self, payload):
         return not payload
 
+    def _add_multiple(self, a, left=False):
+        """The map (x, y) -> x + y * a, or x + a * y when left, that an
+        elementary column or row operation applies to each touched entry;
+        y is nonzero."""
+        if left:
+            return lambda x, y: x + a * y
+        return lambda x, y: x + y * a
+
     def element(self, payload):
         if isinstance(payload, AlgebraElement):
             payload = payload.payload
@@ -389,32 +411,40 @@ class PropagationAlgebra(LocalizedAlgebra):
                 v = sampler.rational(allow_zero=False)
                 table[(i, i)] = v
                 inv[(i, i)] = R1 / v
-            return Kernel(table), Kernel(inv)
-        # lam * 1 + nilpotent strictly-upper kernel; invert by the finite
-        # geometric series.
+            return Kernel._raw(table), Kernel._raw(inv)
+        # lam * 1 + a nilpotent kernel N, strictly upper triangular in the
+        # point order.
+        n = space.size
         nil = {}
         for _ in range(sampler.rng.randint(0, 2)):
-            i = sampler.rng.randrange(space.size - 1) if space.size > 1 else 0
-            j = sampler.rng.randrange(i + 1, space.size) if space.size > 1 else 0
+            i = sampler.rng.randrange(n - 1) if n > 1 else 0
+            j = sampler.rng.randrange(i + 1, n) if n > 1 else 0
             if i != j:
                 nil[(i, j)] = sampler.rational(allow_zero=False)
-        one = self.one()
-        n_k = Kernel(nil)
-        u = self.from_rational(lam) + n_k
-        lam_inv = R1 / lam
-        scaled = self.from_rational(-lam_inv) * n_k
-        acc = one
-        power = one
-        while True:
-            power = power * scaled
-            if power.is_zero():
-                break
-            acc = acc + power
-        u_inv = self.from_rational(lam_inv) * acc
-        return u, u_inv
+        table = {(i, i): lam for i in range(n)}
+        table.update(nil)
+        return Kernel._raw(table), _upper_unit_inverse(lam, nil, n)
 
     def _product(self, a, b):
         return a._raw(self, _kernel_product(a.rows, b.rows, self))
+
+
+def _upper_unit_inverse(lam, nil, n):
+    """(lam * 1 + N)^-1 for N strictly upper triangular on n points (the
+    table ``nil``), by back substitution, last point first: row i of the
+    inverse is (e_i - sum over k > i of N[i][k] * row k) / lam."""
+    inv_lam = R1 / lam
+    by_row = {}
+    for (i, k), c in nil.items():
+        by_row.setdefault(i, []).append((k, -c * inv_lam))
+    rows = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = {i: inv_lam}
+        for k, f in by_row.get(i, ()):
+            for j, v in rows[k].items():
+                row[j] = row.get(j, R0) + f * v
+        rows[i] = row
+    return Kernel._raw({(i, j): v for i, row in enumerate(rows) for j, v in row.items() if v})
 
 
 class PolyAlgebra(LocalizedAlgebra):
@@ -455,7 +485,7 @@ class QuotientAlgebra(LocalizedAlgebra):
     """Q[x]/(m) for a monic modulus m of degree >= 1, the overlap of a
     quotient pullback; every element sits at max_level."""
 
-    __slots__ = ("modulus",)
+    __slots__ = ("modulus", "_m_int")
     kind = "quotient-pullback-leg"
 
     def __init__(self, modulus, max_level=DEFAULT_MAX_LEVEL):
@@ -467,6 +497,8 @@ class QuotientAlgebra(LocalizedAlgebra):
             max_level, QuotElem._reduced(modulus, Poly.zero()), modulus.coeffs
         )
         self.modulus = modulus
+        # e * m with integer coefficients, e the lcm of m's denominators.
+        self._m_int = _integer_coeffs(modulus.coeffs)[0]
 
     def from_rational(self, value):
         return QuotElem(self.modulus, Poly.const(rat(value)))
@@ -487,8 +519,9 @@ class QuotientAlgebra(LocalizedAlgebra):
         return QuotElem(self.modulus, _random_poly(sampler, 2))
 
     def _random_unit(self, sampler):
+        modulus = self.modulus
         for _ in range(64):
-            e = QuotElem(self.modulus, _random_poly(sampler, self.modulus.degree - 1))
+            e = QuotElem._reduced(modulus, _random_poly(sampler, modulus.degree - 1))
             if e.is_zero():
                 continue
             try:
@@ -496,6 +529,37 @@ class QuotientAlgebra(LocalizedAlgebra):
             except NotInvertible:
                 continue
         return self.one(), self.one()
+
+    def _add_multiple(self, a, left=False):
+        """Fraction-free, and the same on both sides since the ring is
+        commutative: y * a is convolved as integers, reduced mod m once by
+        pseudo-division and added to x over one common denominator."""
+        if not a.rep.coeffs:
+            return lambda x, y: x
+        na, da = _integer_coeffs(a.rep.coeffs)
+        modulus = self.modulus
+        m_int = self._m_int
+
+        def add_multiple(x, y):
+            ny, dy = _integer_coeffs(y.rep.coeffs)
+            c = _int_product(ny, na)
+            den = da * dy * _reduce_ints(c, m_int)
+            if x.rep.coeffs:
+                nx, dx = _integer_coeffs(x.rep.coeffs)
+                if len(c) < len(nx):
+                    c.extend([0] * (len(nx) - len(c)))
+                for k in range(len(c)):
+                    c[k] *= dx
+                for k, v in enumerate(nx):
+                    c[k] += v * den
+                den *= dx
+            while c and not c[-1]:
+                c.pop()
+            return QuotElem._reduced(
+                modulus, Poly._raw(tuple([Rat(v, den) if v else R0 for v in c]))
+            )
+
+        return add_multiple
 
     def _product(self, a, b):
         return _poly_product(a, b)
@@ -648,7 +712,7 @@ class QuotientHom(FilteredHom):
         target = self.target
         modulus = target.modulus
         dm = modulus.degree
-        m_int = _integer_coeffs(modulus.coeffs)[0]
+        m_int = target._m_int
         zero = target.zero()
         int_rows, den = _poly_ints(m)
         out = []
@@ -836,7 +900,7 @@ def _poly_product(a, b):
     nb, db = _poly_ints(b)
     d = da * db
     if modulus is not None:
-        m_int = _integer_coeffs(modulus.coeffs)[0]
+        m_int = algebra._m_int
     zero = algebra.zero()
     n = a.n
     g = d
@@ -887,24 +951,3 @@ def _poly_product(a, b):
         product._ints = out_ints, d // g
     return product
 
-
-def _reduce_ints(c, m_int):
-    """Reduce the integer coefficient list c in place modulo m_int, an
-    integer multiple e * m of a monic m (e = m_int[-1]), by pseudo-division:
-    each step replaces c by e * c - q * x^k * m_int, which clears the top
-    coefficient.  Returns e ** steps: c / e ** steps is then the remainder
-    of the input mod m."""
-    e = m_int[-1]
-    dm = len(m_int) - 1
-    scale = 1
-    for i in range(len(c) - 1, dm - 1, -1):
-        q = c[i]
-        if q:
-            if e != 1:
-                for t in range(i):
-                    c[t] *= e
-                scale *= e
-            for k in range(dm):
-                c[i - dm + k] -= q * m_int[k]
-    del c[dm:]
-    return scale

@@ -53,11 +53,24 @@ class IdentityReport:
         return f"IdentityReport({self.identity}: {state}, samples={self.samples})"
 
 
+# The 21 values Sampler.rational draws, keyed by (numerator, denominator).
+_SMALL_RATIONALS = {(num, den): rat(num, den) for num in range(-3, 4) for den in range(1, 4)}
+
+
 class Sampler:
     """Deterministic random inputs: small rationals, each carrier's own
     payload and unit draws (``_random_payload``, ``_random_unit``), and
-    invertibles built from products of elementary matrices and unit
-    diagonals so inverses come for free."""
+    invertibles built from a unit diagonal and elementary matrices so
+    inverses come for free.
+
+    A draw builds nothing by rational arithmetic it can avoid.  A small
+    rational num/den (|num| <= 3, 1 <= den <= 3) is read from a table of its
+    21 values; each carrier returns a unit with its exact inverse, built
+    without a series or a Euclid loop (see algebras.py); an elementary
+    factor is applied as one column operation on the matrix and one row
+    operation on its inverse, fraction-free over Q[x]/(m).  The draws for a
+    seed make the same calls on ``rng`` and an exact inverse is unique, so
+    the sampled inputs do not depend on how the inverses are computed."""
 
     def __init__(self, seed_or_rng=0):
         if isinstance(seed_or_rng, random.Random):
@@ -73,7 +86,7 @@ class Sampler:
         if not allow_zero:
             while num == 0:
                 num = self.rng.randint(-3, 3)
-        return rat(num, self.rng.randint(1, 3))
+        return _SMALL_RATIONALS[num, self.rng.randint(1, 3)]
 
     def payload(self, algebra):
         return algebra._random_payload(self)

@@ -293,23 +293,13 @@ class InvertibleCert:
     @classmethod
     def from_unit_diag(cls, algebra, units):
         """Diagonal invertible from (payload, inverse payload) pairs."""
-        z = algebra.zero()
+        z = (algebra.zero(),)
         n = len(units)
-        fwd = FilteredMatrix(
-            algebra,
-            tuple(
-                tuple(units[i][0] if i == j else z for j in range(n))
-                for i in range(n)
-            ),
+        fwd = tuple([z * i + (u,) + z * (n - 1 - i) for i, (u, _) in enumerate(units)])
+        bwd = tuple([z * i + (v,) + z * (n - 1 - i) for i, (_, v) in enumerate(units)])
+        return cls(
+            FilteredMatrix._raw(algebra, fwd), FilteredMatrix._raw(algebra, bwd), check=False
         )
-        bwd = FilteredMatrix(
-            algebra,
-            tuple(
-                tuple(units[i][1] if i == j else z for j in range(n))
-                for i in range(n)
-            ),
-        )
-        return cls(fwd, bwd, check=False)
 
     def inverse(self):
         return InvertibleCert(self.m_inv, self.m, check=False)
@@ -434,9 +424,10 @@ class ElementaryMatrix:
         """m @ E as one column operation: column j += column i * entry,
         touching only the rows where column i is nonzero."""
         self._same(m)
-        i, j, a = self.i, self.j, self.entry
+        i, j = self.i, self.j
+        f = self.algebra._add_multiple(self.entry)
         return FilteredMatrix._raw(self.algebra, tuple([
-            row[:j] + (row[j] + row[i] * a,) + row[j + 1:] if row[i] else row
+            row[:j] + (f(row[j], row[i]),) + row[j + 1:] if row[i] else row
             for row in m.rows
         ]))
 
@@ -444,9 +435,10 @@ class ElementaryMatrix:
         """E @ m as one row operation: row i += entry * row j, touching only
         the columns where row j is nonzero."""
         self._same(m)
-        i, j, a = self.i, self.j, self.entry
+        i, j = self.i, self.j
+        f = self.algebra._add_multiple(self.entry, left=True)
         rows = list(m.rows)
-        rows[i] = tuple([x + a * y if y else x for x, y in zip(rows[i], rows[j])])
+        rows[i] = tuple([f(x, y) if y else x for x, y in zip(rows[i], rows[j])])
         return FilteredMatrix._raw(self.algebra, tuple(rows))
 
 

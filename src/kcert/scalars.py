@@ -13,6 +13,9 @@ convolved, and each result coefficient is built once as
 ``Rat(c, da * db)``, one gcd per coefficient instead of a reduced Fraction
 multiply and add per pair of coefficients.  Coefficients stay reduced
 rationals, so equality, hashing and encodings match a schoolbook product.
+An inverse in Q[x]/(m) is computed over the integers as well: QuotElem.invert
+solves the multiplication-by-rep system by Bareiss elimination, with no
+Euclid loop over Fraction coefficients.
 """
 
 import re
@@ -130,11 +133,7 @@ class Poly:
             return _P_ZERO
         na, da = _integer_coeffs(a)
         nb, db = _integer_coeffs(b)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(na):
-            if x:
-                for k, y in enumerate(nb, i):
-                    out[k] += x * y
+        out = _int_product(na, nb)
         d = da * db
         # out[-1] = na[-1] * nb[-1] is nonzero, so there is no trailing zero.
         # A list, not a generator: tuple(<genexpr>) over-allocates and
@@ -210,21 +209,72 @@ def _integer_coeffs(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def poly_egcd(a, b):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic or zero."""
-    r0, r1 = a, b
-    s0, s1 = _P_ONE, _P_ZERO
-    t0, t1 = _P_ZERO, _P_ONE
-    while not r1.is_zero():
-        q, r = r0.divmod_by(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lead = r0.coeffs[-1]
-    inv = R1 / lead
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+def _int_product(a, b):
+    """Convolution of two nonempty integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
+
+
+def _reduce_ints(c, m_int):
+    """Reduce the integer coefficient list c in place modulo m_int, an
+    integer multiple e * m of a monic m (e = m_int[-1]), by pseudo-division:
+    each step replaces c by e * c - q * x^k * m_int, which clears the top
+    coefficient.  Returns e ** steps: c / e ** steps is then the remainder
+    of the input mod m."""
+    e = m_int[-1]
+    dm = len(m_int) - 1
+    scale = 1
+    for i in range(len(c) - 1, dm - 1, -1):
+        q = c[i]
+        if q:
+            if e != 1:
+                for t in range(i):
+                    c[t] *= e
+                scale *= e
+            for k in range(dm):
+                c[i - dm + k] -= q * m_int[k]
+    del c[dm:]
+    return scale
+
+
+def _bareiss_solve(rows):
+    """Solve the square integer system held in ``rows`` (each row the
+    coefficients followed by the right-hand side) by fraction-free Gaussian
+    elimination (Bareiss, Math. Comp. 22, 1968), in place.  Returns
+    (xs, det) with solution xs[i] / det, or None when the matrix is
+    singular.  Every division is exact: each eliminated entry is a minor
+    of the input, and each det * x_i a Cramer numerator."""
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        if not rows[k][k]:
+            for r in range(k + 1, n):
+                if rows[r][k]:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    break
+            else:
+                return None
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for r in range(k + 1, n):
+            row = rows[r]
+            f = row[k]
+            for c in range(k + 1, n + 1):
+                row[c] = (p * row[c] - f * pivot_row[c]) // prev
+        prev = p
+    det = prev
+    xs = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = det * row[n]
+        for j in range(i + 1, n):
+            acc -= row[j] * xs[j]
+        xs[i] = acc // row[i]
+    return xs, det
 
 
 class QuotElem:
@@ -283,13 +333,41 @@ class QuotElem:
 
     def invert(self):
         """Inverse in the quotient ring, or NotInvertible when the
-        representative shares a factor with the modulus."""
+        representative shares a factor with the modulus.
+
+        The inverse s solves rep * s = 1 mod m, a d x d linear system over
+        the basis 1, x, ..., x^(d-1): column k is x^k * rep mod m.  Each
+        column is kept as integers times its own positive scale (the
+        denominator of rep, times e per pseudo-division step by a
+        non-integral m scaled to e * m), and the system is solved by
+        Bareiss elimination.  It is singular exactly when gcd(rep, m) != 1,
+        since its determinant is the resultant of m and rep."""
         if self.rep.is_zero():
             raise NotInvertible("zero is not invertible")
-        g, s, _ = poly_egcd(self.rep, self.modulus)
-        if g.degree != 0:
-            raise NotInvertible(f"gcd with modulus is {g}")
-        return QuotElem(self.modulus, s)
+        modulus = self.modulus
+        if len(self.rep.coeffs) == 1:
+            return QuotElem._reduced(modulus, Poly._raw((R1 / self.rep.coeffs[0],)))
+        d = modulus.degree
+        m_int = _integer_coeffs(modulus.coeffs)[0]
+        col, scale = _integer_coeffs(self.rep.coeffs)
+        col = col + [0] * (d - len(col))
+        cols = [col]
+        scales = [scale]
+        for _ in range(1, d):
+            col = [0] + col
+            scale *= _reduce_ints(col, m_int)
+            cols.append(col)
+            scales.append(scale)
+        rows = [[c[r] for c in cols] + [0] for r in range(d)]
+        rows[0][d] = 1
+        solved = _bareiss_solve(rows)
+        if solved is None:
+            raise NotInvertible("representative shares a factor with the modulus")
+        xs, det = solved
+        out = [Rat(x * k, det) if x else R0 for x, k in zip(xs, scales)]
+        while out and not out[-1]:
+            out.pop()
+        return QuotElem._reduced(modulus, Poly._raw(tuple(out)))
 
     def __eq__(self, other):
         return (

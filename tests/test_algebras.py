@@ -3,6 +3,8 @@ import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcert.algebras import (
     AlgebraElement,
@@ -17,6 +19,7 @@ from kcert.algebras import (
     QuotientHom,
     RestrictionHom,
     TrivialAlgebra,
+    _upper_unit_inverse,
 )
 from kcert.identities import Sampler
 from kcert.instances import (
@@ -456,3 +459,46 @@ def test_degree_table_matches_reach_loop(space_name, max_level):
         saturated |= want == max_level and any(space.dist[i][j] for i, j in k.table)
     # there the schedule stops at max_level while r(max_level) still covers a reach
     assert saturated == ((space_name, max_level) in SATURATING)
+
+
+# -- propagation unit inverses against the geometric series -------------------
+
+
+def _series_inverse(algebra, lam, nil):
+    """(lam * 1 + N)^-1 as lam^-1 * sum_k (-N / lam)^k, a finite series
+    since N is nilpotent: the reference for the back-substituted inverse."""
+    n_k = Kernel(nil)
+    lam_inv = rat(1) / lam
+    scaled = algebra.from_rational(-lam_inv) * n_k
+    acc = power = algebra.one()
+    while True:
+        power = power * scaled
+        if power.is_zero():
+            break
+        acc = acc + power
+    return algebra.from_rational(lam_inv) * acc
+
+
+_small = st.builds(rat, st.integers(-7, 7), st.integers(1, 7))
+
+
+@st.composite
+def _nilpotents(draw):
+    """(points, lam, strictly upper-triangular table) on 1-6 points."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    nil = {pair: draw(_small.filter(bool)) for pair in chosen}
+    return n, draw(_small.filter(bool)), nil
+
+
+@settings(max_examples=200)
+@given(_nilpotents())
+def test_upper_unit_inverse_matches_series(case):
+    n, lam, nil = case
+    algebra = LocalizedAlgebra.propagation(line_space(n))
+    u = algebra.from_rational(lam) + Kernel(nil)
+    inv = _upper_unit_inverse(lam, nil, n)
+    assert inv == _series_inverse(algebra, lam, nil)
+    assert all(v for v in inv.table.values())
+    assert u * inv == algebra.one() and inv * u == algebra.one()

@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from kcert.algebras import LocalizedAlgebra
 from kcert.identities import (
     IDENTITY_NAMES,
     Sampler,
@@ -11,7 +15,7 @@ from kcert.identities import (
     whitehead_decompose,
     whitehead_product,
 )
-from kcert.instances import quotient_algebra, trivial_algebra
+from kcert.instances import line_space, quotient_algebra, suite_algebras, trivial_algebra
 from kcert.matrices import FilteredMatrix, InvertibleCert
 from kcert.scalars import Poly, QuotElem, rat
 
@@ -131,3 +135,67 @@ def test_sampled_invertibles_verify(all_algebras):
     for algebra in all_algebras.values():
         for _ in range(30):
             sampler.invertible(algebra, sampler.size(3)).verify()
+
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+def _unit_draw_algebras():
+    return {
+        **suite_algebras(),
+        "diagonal": LocalizedAlgebra.propagation(line_space(4), diagonal=True),
+        "one-point": LocalizedAlgebra.propagation(line_space(1)),
+    }
+
+
+# (seed, sha256 over the encodings of 500 unit draws, the sampler's next
+# random() after them), recorded before the unit inverses were built
+# fraction-free: an exact inverse is unique and the draws consume the same
+# random numbers, so none of these may move.
+UNIT_DRAW_PINS = {
+    "trivial": (11, "8e6133cf2fcbaed40c51ea24073532b8df171304bab4f8af6d4b35515dba8975", 0.24830521705960562),
+    "quotient": (12, "202e01918b1489008371a9058e3d6fdc43ed55096b6781817c846a7731a8d702", 0.07328308823761476),
+    "propagation": (13, "7ac6ae7596f44792fe6f145905797bb2dbce0ce04dc5ff228609357501f7b835", 0.026404812617801254),
+    "diagonal": (14, "e7a241f056f6a2f96141a865878d4645d6cba0e1f67088c365f623f65d061d8e", 0.37221385431241805),
+    "one-point": (15, "6dea73660bfcd108c6b396dcccd2330a88333be2fc584fb8f81da3e4465598c1", 0.08580278323519541),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_DRAW_PINS))
+def test_unit_draws_are_pinned(name):
+    algebra = _unit_draw_algebras()[name]
+    seed, digest, next_random = UNIT_DRAW_PINS[name]
+    sampler = Sampler(seed)
+    one = algebra.one()
+    encoded = []
+    for _ in range(500):
+        u, u_inv = sampler.unit(algebra)
+        assert u * u_inv == one and u_inv * u == one
+        encoded.append([algebra.encode_payload(u), algebra.encode_payload(u_inv)])
+    assert (_digest(encoded), sampler.rng.random()) == (digest, next_random)
+
+
+# The same for 60 sampled 4 x 4 invertibles per suite carrier, which also
+# pins the unit diagonal and the row and column operations.
+INVERTIBLE_PINS = {
+    "trivial": (21, "e5a3e9ab73b2f8e294f9ad795058ab3ace5003fbb0d0e46762fac9dc23b6a95d", 0.44786171737377545),
+    "quotient": (22, "af842f8548e33b1c83f1169c32815119575d80148daf9216c5e276fcf5ba58c4", 0.1927439489323266),
+    "propagation": (23, "1a4f5d6770290c7f8545f8bd4abb267e0ebfa029c23ec3fef6b9d8e0c3713205", 0.8660147281757524),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVERTIBLE_PINS))
+def test_sampled_invertibles_are_pinned(name):
+    algebra = suite_algebras()[name]
+    seed, digest, next_random = INVERTIBLE_PINS[name]
+    sampler = Sampler(seed)
+    encoded = []
+    for _ in range(60):
+        cert = sampler.invertible(algebra, 4)
+        encoded.append([
+            [[algebra.encode_payload(p) for p in row] for row in m.rows]
+            for m in (cert.m, cert.m_inv)
+        ])
+    assert (_digest(encoded), sampler.rng.random()) == (digest, next_random)

@@ -448,6 +448,25 @@ def test_generated_products_match_dense_reference(name, data):
             assert_canonical(g, algebra)
 
 
+
+@pytest.mark.parametrize("name", sorted(PARITY_ALGEBRAS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generated_row_and_column_operations(name, data):
+    # large coefficients, cancelling pools and the zero divisors 1 +- x reach
+    # the fraction-free quotient path; both sides compare reduced entries
+    algebra = PARITY_ALGEBRAS[name]()
+    m, _ = data.draw(_operands(algebra))
+    if m.n < 2:
+        return
+    i, j = data.draw(st.permutations(range(m.n)))[:2]
+    e = ElementaryMatrix(algebra, m.n, i, j, data.draw(_payloads(algebra)))
+    for got, want in ((e.right_mul(m), m @ e.expand()), (e.left_mul(m), e.expand() @ m)):
+        assert_same_entries(got, want)
+        for row in got.rows:
+            for g in row:
+                assert_canonical(g, algebra)
+
 # -- the carried integer form and the fraction-free quotient image ---------------
 # Matrices over Q[x] and Q[x]/(m) carry their integer form once it is computed
 # or seeded by a product; the quotient image reduces from it.  Neither may

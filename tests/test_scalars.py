@@ -13,9 +13,26 @@ from kcert.scalars import (
     encode_rational,
     is_dyadic,
     parse_rational,
-    poly_egcd,
     rat,
 )
+
+
+def poly_egcd(a, b):
+    """Extended gcd by the Euclid loop over Fraction coefficients: returns
+    (g, s, t) with s*a + t*b = g, g monic or zero.  The reference for
+    QuotElem.invert, whose inverse is s when g = 1."""
+    r0, r1 = a, b
+    s0, s1 = Poly.one(), Poly.zero()
+    t0, t1 = Poly.zero(), Poly.one()
+    while not r1.is_zero():
+        q, r = r0.divmod_by(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero():
+        return r0, s0, t0
+    inv = rat(1) / r0.coeffs[-1]
+    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
 
 rationals = st.builds(
@@ -271,3 +288,82 @@ def test_quot_mul_zero_divisors_cancel(c, d):
     prod = QuotElem(modulus, Poly([c, c])) * QuotElem(modulus, Poly([d, -d]))
     _assert_matches(prod.rep, [])
     assert hash(prod) == hash(QuotElem(modulus, Poly.zero()))
+
+
+# -- QuotElem.invert against the Euclid reference -----------------------------
+
+
+_INVERT_MODULI = {
+    **_MODULI,
+    "x^3 - x/2 + 1/3": [Fraction(1, 3), Fraction(-1, 2), Fraction(0), Fraction(1)],
+    "x - 5/2": [Fraction(-5, 2), Fraction(1)],
+    "x^2": [Fraction(0), Fraction(0), Fraction(1)],
+    "(x^2 - 1)^2": [Fraction(1), Fraction(0), Fraction(-2), Fraction(0), Fraction(1)],
+}
+_monic = st.builds(
+    lambda lower: lower + [Fraction(1)],
+    st.lists(st.tuples(_numerators, _denominators).map(lambda nd: Fraction(*nd)),
+             min_size=1, max_size=4),
+)
+
+
+def _assert_inverts_like_egcd(modulus, rep):
+    """QuotElem.invert returns the Euclid inverse, or raises NotInvertible
+    exactly when the reference finds a nonconstant gcd or rep is zero."""
+    e = QuotElem(modulus, rep)
+    g, s, _ = poly_egcd(e.rep, modulus)
+    if e.is_zero() or g.degree != 0:
+        with pytest.raises(NotInvertible):
+            e.invert()
+        return False
+    inv = e.invert()
+    expect = QuotElem(modulus, s)
+    _assert_matches(inv.rep, _fracs(expect.rep))
+    assert inv == expect and hash(inv) == hash(expect)
+    assert (e * inv).rep == Poly.one()
+    return True
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(_INVERT_MODULI)), _coeffs)
+def test_quot_invert_matches_egcd(name, coeffs):
+    _assert_inverts_like_egcd(_poly(_INVERT_MODULI[name]), _poly(coeffs))
+
+
+@settings(max_examples=150)
+@given(_monic, _coeffs)
+def test_quot_invert_matches_egcd_random_modulus(m, coeffs):
+    _assert_inverts_like_egcd(_poly(m), _poly(coeffs))
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(sorted(_INVERT_MODULI)), _coeffs, _coeffs)
+def test_quot_invert_rejects_multiples_of_a_factor(name, a, b):
+    # rep * (anything) shares rep's factors with the modulus; over x^2 - 1
+    # the factors 1 + x and 1 - x are zero divisors
+    modulus = _poly(_INVERT_MODULI[name])
+    e = QuotElem(modulus, _poly(a)) * QuotElem(modulus, _poly(b))
+    if not _assert_inverts_like_egcd(modulus, e.rep):
+        return
+    # a unit times a unit is a unit, and the inverse of a product is the
+    # product of the inverses
+    assert e.invert() == QuotElem(modulus, _poly(a)).invert() * QuotElem(modulus, _poly(b)).invert()
+
+
+@settings(max_examples=100)
+@given(_numerators.filter(bool), _denominators, st.sampled_from([1, -1]))
+def test_quot_invert_zero_divisors_of_x2_minus_1(num, den, sign):
+    modulus = Poly([-1, 0, 1])
+    c = rat(num, den)
+    assert not _assert_inverts_like_egcd(modulus, Poly([c, sign * c]))
+
+
+def test_quot_invert_non_integral_modulus_examples():
+    m = _poly(_INVERT_MODULI["x^3 - x/2 + 1/3"])
+    for rep in (Poly.x(), Poly([rat(1, 2), 0, 3]), Poly.const(rat(2, 7)),
+                Poly([rat(2 ** 127 + 1, 3), rat(-1, 2 ** 63 - 1)])):
+        assert _assert_inverts_like_egcd(m, rep)
+    # x^3 - x/2 + 1/3 = 0 at no rational point (rational root test), so it
+    # is irreducible over Q: every nonzero element is a unit
+    with pytest.raises(NotInvertible):
+        QuotElem(m, Poly.zero()).invert()
