@@ -225,20 +225,6 @@ def check_elementary_commutator(i, j, k, a, size=None):
     return _single("elementary_commutator", ok and slack >= 0, detail, slack)
 
 
-def o_multiplicativity_counterexample(algebra):
-    """A pinned witness that O(u1 u2) != O(u1) O(u2): non-commuting 2x2
-    elementary pair (for 1x1 entries over a commutative carrier the two
-    sides agree, so the counterexample must be genuinely 2x2)."""
-    one = algebra.one()
-    u1 = elementary_expand(ElementaryMatrix(algebra, 2, 0, 1, one))
-    u2 = elementary_expand(ElementaryMatrix(algebra, 2, 1, 0, one))
-    lhs = o_map(u1.compose(u2))
-    rhs = o_map(u1).compose(o_map(u2))
-    if lhs.m == rhs.m:
-        raise AssertionError("expected O-map non-multiplicativity witness")
-    return u1, u2, lhs, rhs
-
-
 # -- per-sample identity drivers --------------------------------------------
 
 

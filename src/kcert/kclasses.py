@@ -1,6 +1,5 @@
 """K-class representatives at explicit filtration levels, checkable
-equivalence certificates, dyadic ledgers, and the six-term exactness
-witness suite.
+equivalence certificates, and the six-term exactness witness suite.
 
 Class equality is never decided, only certified: every "=" below is an
 explicit chain of stabilizations, conjugations and O-absorptions that the
@@ -33,7 +32,6 @@ from .mv import (
     lift_via_whitehead,
     normalize_difference,
 )
-from .scalars import is_dyadic, rat
 
 
 class K0Rep:
@@ -51,51 +49,6 @@ class K0Rep:
 
     def __repr__(self):
         return f"K0Rep(+{self.plus.n}, -{self.minus.n}, level={self.level})"
-
-
-class K1Rep:
-    """Dyadic ledger of invertible certificates; the empty ledger is zero.
-    Only syntactically equal certificates merge coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        cleaned = []
-        for cert, coeff in terms:
-            coeff = rat(coeff)
-            if not is_dyadic(coeff):
-                raise ValueError(f"coefficient {coeff} is not dyadic")
-            if coeff:
-                cleaned.append((cert, coeff))
-        self.terms = tuple(cleaned)
-
-    @property
-    def level(self):
-        return min((c.level for c, _ in self.terms), default=None)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return f"K1Rep({[(c.n, str(q)) for c, q in self.terms]})"
-
-
-def k1_add(a, b):
-    """Ledger concatenation; equal certificates merge dyadically."""
-    merged = list(a.terms)
-    for cert, coeff in b.terms:
-        for idx, (have, q) in enumerate(merged):
-            if have == cert:
-                merged[idx] = (have, q + coeff)
-                break
-        else:
-            merged.append((cert, coeff))
-    return K1Rep([(c, q) for c, q in merged if q])
-
-
-def k1_negate(a):
-    """-[u] = [u^{-1}]: invert every certificate, keep the coefficients."""
-    return K1Rep([(c.inverse(), q) for c, q in a.terms])
 
 
 # -- equivalence certificates ------------------------------------------------
@@ -194,14 +147,6 @@ def o_absorb_zero_certificate(xi):
         lhs_steps=(OAbsorb(ident), Conjugate(swap)),
         rhs_steps=(OAbsorb(xi),),
     )
-
-
-def inverse_pair_zero_certificate(u):
-    """[u] + [u^{-1}] is certifiably zero, because the direct
-    sum u + u^{-1} is itself O-shaped."""
-    pair = u.m.direct_sum(u.m_inv)
-    pair_cert = InvertibleCert(pair, u.m_inv.direct_sum(u.m), check=False)
-    return o_absorb_zero_certificate(pair_cert)
 
 
 # -- exactness witnesses -----------------------------------------------------
@@ -500,12 +445,16 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
         ),
     )
     # Chain back to the input class: un-conjugate, un-stabilize, un-normalize.
-    forward = double_invertible(diagram, u2, u2)
-    restored = _conjugate_rep(p_tt, forward)
-    report.require("conjugating back restores p~", restored.p.first_mismatch(p_tilde.p))
+    # back validated both leg pairs, so its inverse is a double invertible.
+    unconjugate = EquivalenceCertificate(lhs_steps=(Conjugate(back.inverse()),))
+    report.require(
+        "conjugating back restores p~",
+        check_certificate(unconjugate, p_tt, p_tilde).residual,
+    )
+    unstabilize = EquivalenceCertificate(rhs_steps=(Stabilize(q),))
     report.require(
         "un-stabilizing restores the normalized plus part",
-        p_tilde.p.first_mismatch(p_bar.p.pad(q, fill=0)),
+        check_certificate(unstabilize, p_tilde, p_bar).residual,
     )
     report.witnesses["phi_level"] = phi.level
     report.witnesses["output_level"] = out.p_double.level

@@ -22,7 +22,6 @@ from .matrices import (
     IdempotentCert,
     InvertibleCert,
     MatrixError,
-    apply_hom_invertible,
     apply_hom_matrix,
     block2,
     block_swap_cert,
@@ -288,17 +287,6 @@ def glue_idempotents(p1, p2, u, diagram):
     return GluedIdempotent(double, p1, p2, u, u_tilde)
 
 
-def glue_with_lifted_transition(p1, p2, u_tilde, diagram):
-    """Size-preserving gluing available when the transition invertible
-    already lifts over the second leg."""
-    if u_tilde.algebra != diagram.lambda2:
-        raise MatrixError("lift must live over the second leg")
-    u = apply_hom_invertible(diagram.j2, u_tilde)
-    _check_conjugation_pre(diagram, p1.p, p2.p, u, "lifted idempotent gluing")
-    leg2 = u_tilde.m @ p2.p @ u_tilde.m_inv
-    return IdempotentCert(DoubleMatrix(diagram, p1.p, leg2))
-
-
 def normalize_difference(p1, p2):
     """Rewrite [p1] - [p2] as [p1 + (1 - p2)] - [1_n]: returns the combined
     idempotent, the rank n of the subtracted identity, and the invertible
@@ -325,19 +313,6 @@ def k0_common_form(d1, d2):
     q1 = q1.pad(big - q1.n)
     q2 = q2.pad(big - q2.n)
     return q1, q2, n1 + n2, (t1, t2)
-
-
-def glue_k0_classes(d1, d2, u, diagram):
-    """Glue two formal K0 differences: normalize both to [Q_i] - [1_N], glue
-    the Q_i along u, and return the glued class as ([p10], [1_N])."""
-    q1, q2, n_minus, _ = k0_common_form(d1, d2)
-    if u.n != q1.n:
-        raise MatrixError(
-            f"conjugator size {u.n} does not match the common form size {q1.n}"
-        )
-    glued = glue_idempotents(q1, q2, u, diagram)
-    minus = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * n_minus), check=False)
-    return glued, minus, n_minus
 
 
 def glue_invertibles(s1, s2, u, diagram):
@@ -398,7 +373,7 @@ def glue_k1_classes(u1, u2, witness, diagram, coefficient=1):
     """Glue K1 representatives.  With empty xi's this is plain invertible gluing at
     coefficient 1.  With O-shaped corrections, both sides are doubled, the
     corrections lift through the legs by the O-lift recipe, and the glued
-    representative carries coefficient 1/2 in the dyadic ledger."""
+    representative carries coefficient 1/2."""
     coeff = rat(coefficient)
     xi1, xi2, u = witness
     if xi1 is None and xi2 is None:

@@ -385,8 +385,3 @@ class QuotElem:
     def __repr__(self):
         return f"QuotElem({self.modulus!r}, {self.rep!r})"
 
-
-def is_dyadic(value):
-    """True when the scalar lies in Z[1/2] (denominator a power of two)."""
-    d = value.denominator
-    return d & (d - 1) == 0

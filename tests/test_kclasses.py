@@ -15,7 +15,6 @@ from kcert.kclasses import (
     Conjugate,
     EquivalenceCertificate,
     K0Rep,
-    K1Rep,
     OAbsorb,
     Stabilize,
     check_certificate,
@@ -23,9 +22,6 @@ from kcert.kclasses import (
     exactness_i_after_boundary,
     exactness_kernel_boundary,
     exactness_kernel_i,
-    inverse_pair_zero_certificate,
-    k1_add,
-    k1_negate,
     o_absorb_zero_certificate,
 )
 from kcert.matrices import (
@@ -106,41 +102,14 @@ def test_certificate_level_tracks_witnesses(propagation, sampler):
     assert result.level is not None and result.level <= u.level
 
 
-# -- K1 ledgers ----------------------------------------------------------------
-
-
-def test_k1_add_and_negate(trivial, sampler):
-    u = sampler.invertible(trivial, 1)
-    a = K1Rep([(u, rat(1))])
-    z = K1Rep()
-    assert k1_add(a, z).terms == a.terms
-    merged = k1_add(a, K1Rep([(u, rat(1, 2))]))
-    assert merged.terms[0][1] == rat(3, 2)
-    neg = k1_negate(a)
-    assert neg.terms[0][0].m == u.m_inv
-    assert k1_negate(neg).terms[0][0].m == u.m
-    two = InvertibleCert(
-        FilteredMatrix.scalar_diag(trivial, 2, 1),
-        FilteredMatrix.scalar_diag(trivial, rat(1, 2), 1),
-    )
-    assert k1_negate(K1Rep([(two, rat(1))])).terms[0][0].m.rows[0][0] == rat(1, 2)
-    cancel = k1_add(a, K1Rep([(u, rat(-1))]))
-    assert cancel.is_zero()
-
-
-def test_k1_rejects_non_dyadic(trivial, sampler):
-    u = sampler.invertible(trivial, 1)
-    with pytest.raises(ValueError):
-        K1Rep([(u, rat(1, 3))])
-
-
 def test_inverse_pair_absorbs_to_zero(quotient, sampler):
     u = sampler.invertible(quotient, 2)
     pair = InvertibleCert(
         u.m.direct_sum(u.m_inv), u.m_inv.direct_sum(u.m), check=False
     )
+    # [u] + [u^{-1}] is certifiably zero: the pair u + u^{-1} is O-shaped
     one = InvertibleCert.identity(quotient, 4)
-    cert = inverse_pair_zero_certificate(u)
+    cert = o_absorb_zero_certificate(pair)
     assert check_certificate(cert, pair, one).passed
 
 
@@ -218,6 +187,23 @@ def test_kernel_boundary_needs_same_legs(cover, sampler):
     assert not report.passed
 
 
+KERNEL_I_CHECKS = [
+    "diagram has equal legs",
+    "minus part trivializes",
+    "witness u1 trivializes leg1",
+    "witness u2 trivializes leg2",
+    "conjugated leg1 = V eps V^-1",
+    "conjugated leg2 is literal eps",
+    "phi commutes with the scalar block",
+    "S0 = 0",
+    "S1 = 0",
+    "boundary block reproduces conjugated class (leg1)",
+    "boundary block reproduces conjugated class (leg2)",
+    "conjugating back restores p~",
+    "un-stabilizing restores the normalized plus part",
+]
+
+
 def test_kernel_i_round_trip_clutching(clutching):
     """Glue the clutching class, push it through the legs with recorded
     trivializers, and recover a transition whose scalar-block cut is the
@@ -228,11 +214,44 @@ def test_kernel_i_round_trip_clutching(clutching):
     u1, u2 = kernel_i_witnesses(clutching, glued, 1)
     phi, report = exactness_kernel_i(clutching, d, 0, u1, u2)
     assert report.passed
+    # check names are report bytes on failure
+    assert [name for name, _, _ in report.checks] == KERNEL_I_CHECKS
+    assert [name for name, _, _ in gen_kernel_i(clutching, Sampler(2)).checks] == (
+        KERNEL_I_CHECKS + ["recovered block is the (inverse-)stabilized transition"]
+    )
     block = phi.m.sub_block(2, 4, 2, 4)
     expected = u.m.direct_sum(FilteredMatrix.identity(clutching.lambda_prime, 1))
     assert block == expected
     # level ledger across the whole pipeline
     assert report.witnesses["output_level"] >= max(0, d.level - 8)
+
+
+def _double_idempotent(clutching, junk1, junk2):
+    """diag(1, 0) on both legs plus an (0, 1) entry per leg that dies in the
+    overlap ring; [[1, a], [0, 0]] is idempotent for every a."""
+    l1, l2 = clutching.lambda1, clutching.lambda2
+    one, zero = Poly([1]), l1.zero()
+    return IdempotentCert(
+        DoubleMatrix(
+            clutching,
+            FilteredMatrix(l1, ((one, Poly(junk1)), (zero, zero))),
+            FilteredMatrix(l2, ((one, Poly(junk2)), (zero, zero))),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "junk1,junk2,leg",
+    [([-1, 0, 1], [], "leg1"), ([], [-1, 0, 1], "leg2")],
+    ids=["leg1", "leg2"],
+)
+def test_check_certificate_residual_is_first_mismatch(clutching, junk1, junk2, leg):
+    x = _double_idempotent(clutching, junk1, junk2)
+    y = _double_idempotent(clutching, [], [])
+    residual = check_certificate(EquivalenceCertificate(), x, y).residual
+    assert residual == x.p.first_mismatch(y.p)
+    assert residual == ((leg, (0, 1)), Poly([-1, 0, 1]))
+    assert check_certificate(EquivalenceCertificate(), y, y).residual is None
 
 
 def test_kernel_i_trivial_difference(trivial_mv):

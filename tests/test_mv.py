@@ -6,7 +6,6 @@ from kcert.matrices import (
     IdempotentCert,
     InvertibleCert,
     MatrixError,
-    apply_hom_invertible,
     apply_hom_matrix,
     o_map,
 )
@@ -18,10 +17,7 @@ from kcert.mv import (
     double_invertible,
     glue_idempotents,
     glue_invertibles,
-    glue_k0_classes,
     glue_k1_classes,
-    k0_common_form,
-    glue_with_lifted_transition,
     lift_o_element,
     lift_via_whitehead,
     normalize_difference,
@@ -105,20 +101,6 @@ def test_glue_conjugated_by_double_matches_normal_form(clutching, sampler):
     _verify_double(IdempotentCert(dw.m @ glued.double.p @ dw.m_inv))
 
 
-def test_glue_with_lifted_transition(clutching, sampler):
-    # a transition that already lifts: u = j2(u~) for an invertible u~
-    u_tilde = sampler.invertible(clutching.lambda2, 1)
-    u = apply_hom_invertible(clutching.j2, u_tilde)
-    p1_mat = u.m @ FilteredMatrix.diag_bits(clutching.lambda_prime, (1,)) @ u.m_inv
-    # p1 over lambda1 must hit u j2(p2) u^-1; take p2 = 1, p1 = lift of u j(1) u^-1 = 1
-    one1 = IdempotentCert(FilteredMatrix.identity(clutching.lambda1, 1), check=False)
-    one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1), check=False)
-    double = glue_with_lifted_transition(one1, one2, u_tilde, clutching)
-    _verify_double(double)
-    assert double.n == 1  # no size doubling
-    assert double.p.m2 == u_tilde.m @ one2.p @ u_tilde.m_inv
-
-
 def test_normalize_difference(trivial, sampler):
     p1 = sampler.idempotent(trivial, 2)
     ones = IdempotentCert(FilteredMatrix.identity(trivial, 2), check=False)
@@ -132,29 +114,6 @@ def test_normalize_difference(trivial, sampler):
     assert trivializer.m @ scalar @ trivializer.m_inv == p2.p.direct_sum(
         p2.complement().p
     )
-
-
-def test_glue_k0_classes(clutching, sampler):
-    c1 = sampler.invertible(clutching.lambda1, 2, factors=1)
-    c2 = sampler.invertible(clutching.lambda2, 2, factors=1)
-    plus1 = IdempotentCert(
-        c1.m @ FilteredMatrix.diag_bits(clutching.lambda1, (1, 0)) @ c1.m_inv
-    )
-    minus1 = IdempotentCert(FilteredMatrix.identity(clutching.lambda1, 1), check=False)
-    plus2 = IdempotentCert(
-        c2.m @ FilteredMatrix.diag_bits(clutching.lambda2, (1, 0)) @ c2.m_inv
-    )
-    minus2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1), check=False)
-    q1, q2, n_minus, _ = k0_common_form((plus1, minus1), (plus2, minus2))
-    pad = q1.n - 2
-    v = apply_hom_invertible(clutching.j1, c1.pad(pad)).compose(
-        apply_hom_invertible(clutching.j2, c2.pad(pad)).inverse()
-    )
-    glued, minus, n = glue_k0_classes(
-        (plus1, minus1), (plus2, minus2), v, clutching
-    )
-    _verify_double(glued.double)
-    assert n == n_minus == 2
 
 
 def test_glue_invertibles(clutching, sampler):

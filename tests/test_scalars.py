@@ -11,7 +11,6 @@ from kcert.scalars import (
     QuotElem,
     Rat,
     encode_rational,
-    is_dyadic,
     parse_rational,
     rat,
 )
@@ -132,12 +131,6 @@ def test_egcd_bezout():
     g, s, t = poly_egcd(a, b)
     assert g == Poly([1, 1])  # monic gcd x + 1
     assert s * a + t * b == g
-
-
-def test_dyadic_detection():
-    assert is_dyadic(rat(3, 8))
-    assert is_dyadic(rat(5))
-    assert not is_dyadic(rat(1, 3))
 
 
 def test_values_transmit_between_workers():
