@@ -214,20 +214,16 @@ def verify_lift_independence_a(inp, k, base):
     )
     tilde = boundary_extended_form(shifted)
     conj = independence_conjugator_a(inp, k)
-    checks = []
-    bad = tilde.l.m.first_mismatch(conj @ base.l.m)
-    checks.append(("L~ = conj . L", bad))
+    expect_equal(tilde.l.m, conj @ base.l.m, "lift independence in A: L~ = conj . L fails")
     conj_cert = InvertibleCert(conj, base.l.m @ tilde.l.m_inv, check=True)
-    bad2 = tilde.p.p.first_mismatch(conj_cert.m @ base.p.p @ conj_cert.m_inv)
-    checks.append(("P~ = conj P conj^-1", bad2))
-    ident2 = InvertibleCert.identity(diagram.lambda2, 2 * inp.u.n)
-    bad3 = tilde.p_double.p.m2.first_mismatch(
-        ident2.m @ base.p_double.p.m2 @ ident2.m_inv
+    expect_equal(
+        tilde.p.p, conj_cert.m @ base.p.p @ conj_cert.m_inv,
+        "lift independence in A: P~ = conj P conj^-1 fails",
     )
-    checks.append(("second leg fixed", bad3))
-    failures = [(tag, bad) for tag, bad in checks if bad is not None]
-    if failures:
-        raise CertificateFailure(f"lift independence in A fails: {failures[0]}")
+    expect_equal(
+        tilde.p_double.p.m2, base.p_double.p.m2,
+        "lift independence in A: second leg fixed fails",
+    )
     return conj_cert, tilde
 
 

@@ -30,11 +30,13 @@ from .kclasses import (
 )
 from .matrices import (
     CertificateFailure,
+    ElementaryMatrix,
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
     apply_hom_invertible,
     block_swap_cert,
+    elementary_expand,
     o_map,
     permutation_cert,
 )
@@ -213,8 +215,6 @@ def gen_kernel_boundary(diagram, sampler, corrupt=False):
     if corrupt:
         # A factor that fails to commute with the scalar block breaks the
         # trivialization equation, which the checker must surface.
-        from .matrices import ElementaryMatrix, elementary_expand
-
         bad = w.compose(
             elementary_expand(
                 ElementaryMatrix(diagram.lambda1, w.n, 0, w.n - 1, diagram.lambda1.one())

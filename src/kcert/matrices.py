@@ -121,9 +121,6 @@ class FilteredMatrix:
                 )
         return self._level
 
-    def entry(self, i, j):
-        return AlgebraElement(self.algebra, self.rows[i][j])
-
     def _same(self, other):
         if not isinstance(other, FilteredMatrix):
             raise MatrixError("matrix expected")
@@ -188,10 +185,14 @@ class FilteredMatrix:
         z = (self.algebra.zero(),)
         right = z * other.n
         left = z * self.n
-        return FilteredMatrix._raw(
+        out = FilteredMatrix._raw(
             self.algebra,
             tuple([row + right for row in self.rows] + [left + row for row in other.rows]),
         )
+        if self._level is not None and other._level is not None:
+            # Zero sits at max_level, so the sum sits at its blocks' lower level.
+            out._level = min(self._level, other._level)
+        return out
 
     def pad(self, k, fill=0):
         """Stabilize by a k-block of zeros (idempotents) or ones (invertibles)."""

@@ -1,5 +1,6 @@
 import pytest
 
+from kcert import boundary
 from kcert.boundary import (
     BoundaryInput,
     boundary_alt_lifting,
@@ -208,6 +209,24 @@ def test_lift_independence_a(clutching, sampler):
         verify_lift_independence_a(
             inp, FilteredMatrix.identity(clutching.lambda1, 1), base
         )
+
+
+def test_lift_independence_a_names_the_failing_check(clutching, monkeypatch):
+    u = _x_cert(clutching)
+    x = _x_lift(clutching)
+    inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
+    base = boundary_extended_form(inp)
+    k = FilteredMatrix(clutching.lambda1, ((Poly([-1, 0, 1]),),))
+    monkeypatch.setattr(
+        boundary, "independence_conjugator_a",
+        lambda inp, k: FilteredMatrix.identity(clutching.lambda1, 2),
+    )
+    with pytest.raises(CertificateFailure) as err:
+        verify_lift_independence_a(inp, k, base)
+    assert str(err.value) == "lift independence in A: L~ = conj . L fails at (0, 0)"
+    assert err.value.position == (0, 0)
+    # the corner S0 = 1 - BA moves by -BK = -x (x^2 - 1)
+    assert err.value.residual == Poly([0, 1, 0, -1])
 
 
 def test_lift_independence_b(clutching):

@@ -8,6 +8,8 @@ import pytest
 
 import kcert
 from kcert.cli import main
+from kcert.identities import IDENTITY_NAMES
+from kcert.matrices import FilteredMatrix
 from kcert.specdoc import SpecDocument, SpecError
 
 
@@ -190,6 +192,29 @@ def test_corrupted_witness_fails_with_residual(tmp_path, capsys):
     assert code == 1
     assert "segment kernel_boundary: FAIL" in out
     assert "residual" in out
+
+
+def test_verify_fails_every_identity_whose_product_drops_its_level(capsys, monkeypatch):
+    # Every identity's built side is a product or a direct sum of products,
+    # so products reporting level 0 must fail each ledger on its own.
+    product = FilteredMatrix.__matmul__
+
+    def level_zero(self, other):
+        out = product(self, other)
+        out._level = 0
+        return out
+
+    monkeypatch.setattr(FilteredMatrix, "__matmul__", level_zero)
+    code, out, _ = run_cli(capsys, "verify", "--spec", spec_path("trivial_q.json"))
+    assert code == 1 and "result: fail" in out
+    # max_level 16 less each identity's multiplication count
+    bounds = (14, 14, 14, 14, 14, 13, 15, 15, 13, 13, 14, 14)
+    expected = []
+    for name, bound in zip(IDENTITY_NAMES, bounds, strict=True):
+        expected.append(f"check {name}: FAIL (samples=100, min_level_slack={-bound})")
+        expected += [f"  failure: level 0 below the bound {bound}"] * 3
+    lines = [line for line in out.splitlines() if line.startswith(("check ", "  failure: "))]
+    assert lines == expected
 
 
 def test_missing_section_rejected(tmp_path, capsys):

@@ -7,11 +7,12 @@ from kcert.algebras import LocalizedAlgebra
 from kcert.identities import (
     IDENTITY_NAMES,
     Sampler,
-    check_commutator_factorization,
-    check_conjugation_identity,
-    check_elementary_commutator,
-    check_sum_product_identity,
+    commutator_o_product,
+    conjugation_transport,
+    elementary_commutator,
+    judge,
     run_identity_suite,
+    sum_product_both,
     whitehead_decompose,
     whitehead_product,
 )
@@ -20,12 +21,19 @@ from kcert.matrices import FilteredMatrix, InvertibleCert
 from kcert.scalars import Poly, QuotElem, rat
 
 
-def _scalar_cert(algebra, num, den=1):
+def _scalar_cert(algebra, value):
     return InvertibleCert(
-        FilteredMatrix.scalar_diag(algebra, rat(num), 1),
-        FilteredMatrix.scalar_diag(algebra, rat(den, num) if den == 1 else rat(den, num), 1),
-        check=False,
+        FilteredMatrix.scalar_diag(algebra, rat(value), 1),
+        FilteredMatrix.scalar_diag(algebra, 1 / rat(value), 1),
     )
+
+
+def _passes(sides):
+    """Judge one identity's (built, expected, levels, budget); True when
+    the sample passes, exactly and within its level ledger."""
+    ok, detail, slack = judge(*sides)
+    assert ok == (detail is None)
+    return ok and slack >= 0
 
 
 def test_whitehead_unit_case(trivial):
@@ -56,54 +64,66 @@ def test_whitehead_class_of_x(quotient):
     assert prod == FilteredMatrix(quotient, ((x_cls, z), (z, x_cls)))
 
 
+def test_judge_passes_equal_sides_within_the_ledger(trivial):
+    m = FilteredMatrix.identity(trivial, 2)
+    assert judge(m, m, [trivial.max_level, 20], 3) == (True, None, 3)
+    # the bound is floored at zero
+    assert judge(m, m, [1], 3) == (True, None, trivial.max_level)
+
+
+def test_judge_names_the_first_mismatch(trivial):
+    built = FilteredMatrix(trivial, ((rat(1), rat(2)), (rat(0), rat(1))))
+    expected = FilteredMatrix.identity(trivial, 2)
+    assert judge(built, expected, [trivial.max_level], 1) == (
+        False, "mismatch at (0, 1), residual 2", 1,
+    )
+
+
+def test_judge_fails_a_level_below_the_bound(trivial):
+    m = FilteredMatrix.identity(trivial, 2)
+    top = trivial.max_level
+    assert judge(m, m, [top + 3], 1) == (False, f"level {top} below the bound {top + 2}", -2)
+
+
 def test_commutator_factorization_cases(trivial, sampler):
     a = sampler.invertible(trivial, 1)
     b = sampler.invertible(trivial, 1)
-    assert check_commutator_factorization(a, b).ok  # commuting case
+    assert _passes(commutator_o_product(a, b))  # commuting case
     a2 = sampler.invertible(trivial, 2)
     b2 = sampler.invertible(trivial, 2)
-    assert check_commutator_factorization(a2, b2).ok
+    assert _passes(commutator_o_product(a2, b2))
 
 
 def test_commutator_level_drop(propagation, sampler):
     for _ in range(20):
         a = sampler.invertible(propagation, 2)
         b = sampler.invertible(propagation, 2)
-        report = check_commutator_factorization(a, b)
-        assert report.ok
-        assert report.min_slack >= 0  # level >= input level - 3
+        ok, detail, slack = judge(*commutator_o_product(a, b))
+        assert ok, detail
+        assert slack >= 0  # level >= input level - 3
 
 
 def test_sum_product_cases(trivial):
-    two = InvertibleCert(
-        FilteredMatrix.scalar_diag(trivial, 2, 1),
-        FilteredMatrix.scalar_diag(trivial, rat(1, 2), 1),
-    )
-    three = InvertibleCert(
-        FilteredMatrix.scalar_diag(trivial, 3, 1),
-        FilteredMatrix.scalar_diag(trivial, rat(1, 3), 1),
-    )
-    report = check_sum_product_identity(two, three)
-    assert report.ok
-    one = InvertibleCert.identity(trivial, 1)
-    assert check_sum_product_identity(two, one).ok
+    two = _scalar_cert(trivial, 2)
+    assert _passes(sum_product_both(two, _scalar_cert(trivial, 3)))
+    assert _passes(sum_product_both(two, InvertibleCert.identity(trivial, 1)))
 
 
 def test_conjugation_identity_cases(quotient, sampler):
     one = InvertibleCert.identity(quotient, 2)
     b = sampler.invertible(quotient, 2)
-    assert check_conjugation_identity(one, b).ok
+    assert _passes(conjugation_transport(one, b))
     a = sampler.invertible(quotient, 2)
-    assert check_conjugation_identity(a, b).ok
+    assert _passes(conjugation_transport(a, b))
 
 
 def test_elementary_commutator_cases(quotient):
     zero = quotient.element(quotient.zero())
-    assert check_elementary_commutator(0, 1, 2, zero).ok
+    assert _passes(elementary_commutator(0, 1, 2, zero, 3))
     x = quotient.element(QuotElem(quotient.modulus, Poly([0, 1])))
-    assert check_elementary_commutator(0, 1, 2, x).ok
+    assert _passes(elementary_commutator(0, 1, 2, x, 3))
     with pytest.raises(ValueError):
-        check_elementary_commutator(0, 0, 1, x)
+        elementary_commutator(0, 0, 1, x, 3)
 
 
 def test_suite_all_instances_pass(all_algebras):

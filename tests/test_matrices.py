@@ -91,7 +91,9 @@ def test_level_laws(kind, sampler):
             assert a.level == algebra.max_level
         assert (a @ b).level >= max(0, min(a.level, b.level) - 1)
         assert (a + b).level >= min(a.level, b.level)
-        assert a.direct_sum(b).level == min(a.level, b.level)
+        # direct_sum carries the blocks' known levels; the entries agree
+        ab = a.direct_sum(b)
+        assert ab.level == _entry_level(ab) == min(a.level, b.level)
 
 
 def test_elementary_laws(quotient):
