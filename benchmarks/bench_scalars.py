@@ -12,16 +12,25 @@ operands, n = 2, 4, 6), the image of a sampled Q[x] matrix in Q[x]/(x^2 - 1)
 (n = 2, 4, 6), the conjugation u p u^-1 over Q[x]/(x^2 - 1) (n = 2, 4), the
 sampler's draws (a unit with its inverse per carrier, and a 4 x 4 invertible
 over Q, Q[x]/(x^2 - 1) and kernels on 4 points), and a slice of the identity
-suite over the three bundled carriers.  Operands are
-reused across calls, as certificates reuse them, so a matrix's integer form
-is computed once per row.  Everything runs in this process and prints one
-column.
+suite over the three bundled carriers.  Over kernels on 4 points it also
+times the product of two O-map-shaped operands diag(u, u^-1) (n = 4, 8), the
+block-diagonal shape the O-map laws multiply, and the level of a freshly
+built 4 x 4 matrix.  Operands are reused across calls, as certificates reuse
+them, so a matrix's integer form is computed once per row.
 
-Usage: python benchmarks/bench_scalars.py [--samples N]
+The host's speed drifts (up to 3x for seconds at a time on a shared 2-vCPU
+Xeon), so each row is timed between two runs of perfbench's ``host_probe``,
+a fixed Fraction loop outside kcert, and is printed scaled as if the probe
+had taken ``PROBE_REFERENCE_S``, with the raw figure next to it.  Everything
+runs in this process.
+
+Usage: PYTHONPATH=src python benchmarks/bench_scalars.py [--samples N]
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 from kcert.algebras import Kernel, LocalizedAlgebra, QuotientHom
 from kcert.identities import Sampler, run_identity_suite
@@ -34,25 +43,35 @@ from kcert.instances import (
     trivial_algebra,
     x2_minus_1,
 )
-from kcert.matrices import FilteredMatrix, apply_hom_matrix
+from kcert.matrices import FilteredMatrix, apply_hom_matrix, o_map
 from kcert.scalars import Poly, QuotElem, Rat, rat
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from run import PROBE_REFERENCE_S, host_probe  # noqa: E402
 
 
 def per_call_us(fn, reps):
+    """(scaled, raw) microseconds per call of fn; scaled reads as if the
+    host probes taken around the calls had lasted PROBE_REFERENCE_S."""
+    before = host_probe()
     t = time.perf_counter()
     for _ in range(reps):
         fn()
-    return round((time.perf_counter() - t) / reps * 1e6, 2)
+    raw = (time.perf_counter() - t) / reps * 1e6
+    after = host_probe()
+    return raw * PROBE_REFERENCE_S * 2 / (before + after), raw
 
 
 def scalar_mops():
     a, b = rat(3, 7), rat(-5, 9)
     n = 200000
-    t = time.perf_counter()
-    acc = rat(0)
-    for _ in range(n):
-        acc = acc + a * b
-    return round(n * 2 / (time.perf_counter() - t) / 1e6, 2)
+
+    def loop():
+        acc = rat(0)
+        for _ in range(n):
+            acc = acc + a * b
+
+    return tuple(n * 2 / us for us in per_call_us(loop, 1))
 
 
 def matmul4_us():
@@ -99,6 +118,14 @@ def matmul_rows():
             x, y = sampler.matrix(algebra, size), sampler.matrix(algebra, size)
             rows.append((f"FilteredMatrix @, {label}, n = {size}",
                          per_call_us(lambda: x @ y, 2000 // size)))
+    algebra = propagation_algebra()
+    for size in (4, 8):
+        x, y = (o_map(sampler.invertible(algebra, size // 2)).m for _ in range(2))
+        rows.append((f"FilteredMatrix @, diag(u, u^-1), propagation, 4 points, n = {size}",
+                     per_call_us(lambda: x @ y, 2000 // size)))
+    m = sampler.matrix(algebra, 4)
+    rows.append(("FilteredMatrix.level, fresh, propagation, 4 points, n = 4",
+                 per_call_us(lambda: FilteredMatrix._raw(algebra, m.rows).level, 5000)))
     return rows
 
 
@@ -143,10 +170,11 @@ def sampler_rows():
 def suite_rows(samples):
     rows = []
     for name, algebra in suite_algebras().items():
-        t = time.perf_counter()
-        reports = run_identity_suite(algebra, sizes=4, samples=samples, seed=1)
-        assert all(r.ok for r in reports)
-        rows.append((f"identity suite, {name}", round(time.perf_counter() - t, 2)))
+        def suite():
+            reports = run_identity_suite(algebra, sizes=4, samples=samples, seed=1)
+            assert all(r.ok for r in reports)
+
+        rows.append((f"identity suite, {name}", tuple(us / 1e6 for us in per_call_us(suite, 1))))
     return rows
 
 
@@ -163,11 +191,11 @@ def main():
     rows += [(f"{name} (us)", us) for name, us in payload_rows() + matmul_rows() + quotient_rows()
                                   + sampler_rows()]
     rows += [(f"{name} (s)", s) for name, s in suite_rows(args.samples)]
-    label = Rat.__name__
     width = max(len(name) for name, _ in rows)
-    print(f"{'benchmark':<{width}}  {label:>10}")
-    for name, value in rows:
-        print(f"{name:<{width}}  {value:>10}")
+    print(f"{Rat.__name__} scalars; scaled to a host probe of {PROBE_REFERENCE_S * 1e3} ms")
+    print(f"{'benchmark':<{width}}  {'scaled':>10}  {'raw':>10}")
+    for name, (scaled, raw) in rows:
+        print(f"{name:<{width}}  {scaled:>10.2f}  {raw:>10.2f}")
 
 
 if __name__ == "__main__":

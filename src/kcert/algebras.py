@@ -17,14 +17,19 @@ support addition under composition yields the degree law.
 Algebras and homs are immutable after construction.  Each builds its
 structural signature once, so ``==`` is an identity check or one tuple
 comparison, and a propagation algebra builds its table of per-pair levels
-once, so a kernel's degree is the lowest level over its support.
+once, so a kernel's degree is the lowest level over its support.  The
+carrier owns a matrix's level too (_matrix_level): without a level table it
+is max_level, and over kernels it is one pass over the union of the
+entries' supports, so a zero entry costs nothing.
 
 Matrix products are fraction-free (cf. Bareiss, Math. Comp. 22, 1968):
 each operand is read once as integers over the lcm of its denominators,
 only nonzero entries are multiplied, and each result coefficient is built
 once as ``Rat(c, da * db)``, one gcd per coefficient instead of a reduced
 rational multiply and add per term.  Over Q the integers form an n x n
-grid; kernels on |X| points form a sparse (n|X|) x (n|X|) block matrix;
+grid; kernels on |X| points form a sparse (n|X|) x (n|X|) block matrix,
+whose product decodes each distinct integer sum once (lam * 1 units put one
+value on every point, so most sums repeat within a product);
 over Q[x] each entry accumulates an integer coefficient list, and over
 Q[x]/(m) that list is reduced mod m once per entry, which is exact because
 reduction mod m is a ring map.  A Q[x] or Q[x]/(m) matrix carries its
@@ -47,6 +52,7 @@ one integer convolution and one pseudo-division (_add_multiple).  An exact
 inverse is unique, so the draws do not depend on how it is computed.
 """
 
+from itertools import chain
 from math import gcd, lcm
 
 from .scalars import (
@@ -254,6 +260,11 @@ class LocalizedAlgebra:
     def is_zero(self, payload):
         return not payload
 
+    def _matrix_level(self, rows):
+        """The level of a matrix with these rows: the lowest entry degree,
+        which without a level table is max_level for every payload."""
+        return self.max_level
+
     def _add_multiple(self, a, left=False):
         """The map (x, y) -> x + y * a, or x + a * y when left, that an
         elementary column or row operation applies to each touched entry;
@@ -322,7 +333,7 @@ class PropagationAlgebra(LocalizedAlgebra):
     """Finite-support kernels on a PropagationSpace, filtered by reach; a
     diagonal algebra holds only kernels supported on the diagonal."""
 
-    __slots__ = ("space", "diagonal", "_levels")
+    __slots__ = ("space", "diagonal", "_levels", "_pairs")
     kind = "propagation"
 
     def __init__(self, space, diagonal=False, max_level=DEFAULT_MAX_LEVEL):
@@ -336,6 +347,9 @@ class PropagationAlgebra(LocalizedAlgebra):
         self._levels = {
             (i, j): self._level_of(space.dist[i][j]) for i in range(n) for j in range(n)
         }
+        # The point pair (i, j) at index i * n + j, the key _kernel_product
+        # gives its integer sums.
+        self._pairs = [(i, j) for i in range(n) for j in range(n)]
 
     def _level_of(self, reach):
         """Largest mu <= max_level with reach <= r(mu); max_level at reach 0."""
@@ -346,6 +360,12 @@ class PropagationAlgebra(LocalizedAlgebra):
         while mu < self.max_level and space.radius(mu + 1) >= reach:
             mu += 1
         return mu
+
+    def _matrix_level(self, rows):
+        """One pass over every entry's support; a zero kernel has none, so it
+        adds nothing, just as its degree is max_level."""
+        supports = chain.from_iterable([p.table for row in rows for p in row])
+        return min(map(self._levels.__getitem__, supports), default=self.max_level)
 
     def from_rational(self, value):
         v = rat(value)
@@ -831,8 +851,11 @@ def _kernel_product(a, b, algebra):
     """Kernels on the algebra's points: a sparse (n*points) x (n*points)
     integer block product.  B is indexed once by (block row, point); the
     sums are keyed by (block column, point pair) and only nonzero sums are
-    kept."""
+    kept.  Each distinct sum is decoded once: a lam * 1 unit puts one value
+    on every point, so sums repeat across pairs and entries.  The memo is
+    local to the call because the denominator d differs between products."""
     points = algebra.space.size
+    pairs = algebra._pairs
     zero = algebra.zero()
     da = lcm(*[v.denominator for row in a for p in row for v in p.table.values()])
     db = lcm(*[v.denominator for row in b for p in row for v in p.table.values()])
@@ -843,6 +866,7 @@ def _kernel_product(a, b, algebra):
             for (q, r), w in p.table.items():
                 b_index[base + q].append((j, r, w.numerator * (db // w.denominator)))
     d = da * db
+    memo = {}
     n = len(a)
     out = []
     for row in a:
@@ -860,7 +884,13 @@ def _kernel_product(a, b, algebra):
                         t[key + r] = t.get(key + r, 0) + v * w
         entries = []
         for t in acc:
-            table = {divmod(key, points): Rat(c, d) for key, c in t.items() if c}
+            table = {}
+            for key, c in t.items():
+                if c:
+                    v = memo.get(c)
+                    if v is None:
+                        v = memo[c] = Rat(c, d)
+                    table[pairs[key]] = v
             entries.append(Kernel._raw(table) if table else zero)
         out.append(tuple(entries))
     return tuple(out)

@@ -67,7 +67,7 @@ def verify_report(algebra, seed, samples, max_size):
             "min_level_slack": report.min_slack,
         }
         if not ok:
-            entry["failures"] = [str(f) for f in report.failures[:3]]
+            entry["failures"] = [str(f) for f in report.failures]
         checks.append(entry)
     return {
         "command": {

@@ -28,30 +28,38 @@ from .matrices import (
 from .scalars import rat
 
 
-class IdentityReport:
-    """Outcome of running one identity over a batch of sampled inputs."""
+# Failure details a report keeps, the ones a verify report prints.
+KEPT_FAILURES = 3
 
-    __slots__ = ("identity", "samples", "failures", "min_slack")
+
+class IdentityReport:
+    """Outcome of running one identity over a batch of sampled inputs: the
+    number of failing samples and the details of the first KEPT_FAILURES."""
+
+    __slots__ = ("identity", "samples", "failed", "failures", "min_slack")
 
     def __init__(self, identity):
         self.identity = identity
         self.samples = 0
+        self.failed = 0
         self.failures = []
         self.min_slack = None
 
     @property
     def ok(self):
-        return not self.failures
+        return not self.failed
 
     def record(self, ok, detail, slack):
         self.samples += 1
         if not ok:
-            self.failures.append(detail)
+            self.failed += 1
+            if self.failed <= KEPT_FAILURES:
+                self.failures.append(detail)
         if self.min_slack is None or slack < self.min_slack:
             self.min_slack = slack
 
     def __repr__(self):
-        state = "pass" if self.ok else f"FAIL({len(self.failures)})"
+        state = "pass" if self.ok else f"FAIL({self.failed})"
         return f"IdentityReport({self.identity}: {state}, samples={self.samples})"
 
 

@@ -110,15 +110,7 @@ class FilteredMatrix:
     @property
     def level(self):
         if self._level is None:
-            algebra = self.algebra
-            if algebra._levels is None:
-                # Without a level table every payload sits at max_level.
-                self._level = algebra.max_level
-            else:
-                deg = algebra.degree
-                self._level = min(
-                    (deg(p) for row in self.rows for p in row), default=algebra.max_level
-                )
+            self._level = self.algebra._matrix_level(self.rows)
         return self._level
 
     def _same(self, other):

@@ -6,6 +6,7 @@ import pytest
 from kcert.algebras import LocalizedAlgebra
 from kcert.identities import (
     IDENTITY_NAMES,
+    IdentityReport,
     Sampler,
     commutator_o_product,
     conjugation_transport,
@@ -83,6 +84,17 @@ def test_judge_fails_a_level_below_the_bound(trivial):
     m = FilteredMatrix.identity(trivial, 2)
     top = trivial.max_level
     assert judge(m, m, [top + 3], 1) == (False, f"level {top} below the bound {top + 2}", -2)
+
+
+def test_report_keeps_three_details_and_counts_every_failure():
+    report = IdentityReport("x")
+    report.record(True, None, 2)
+    for k in range(5):
+        report.record(False, f"failure {k}", -k)
+    assert report.samples == 6 and report.failed == 5 and not report.ok
+    assert report.failures == ["failure 0", "failure 1", "failure 2"]
+    assert report.min_slack == -4
+    assert repr(report) == "IdentityReport(x: FAIL(5), samples=6)"
 
 
 def test_commutator_factorization_cases(trivial, sampler):

@@ -74,9 +74,15 @@ def _entry_level(m):
     return min((deg(p) for row in m.rows for p in row), default=m.algebra.max_level)
 
 
-@pytest.mark.parametrize("kind", ["trivial", "poly", "quotient", "propagation"])
+@pytest.mark.parametrize(
+    "kind", ["trivial", "poly", "quotient", "propagation", "diagonal propagation"]
+)
 def test_level_laws(kind, sampler):
-    algebra = {**suite_algebras(), "poly": poly_algebra()}[kind]
+    algebra = {
+        **suite_algebras(),
+        "poly": poly_algebra(),
+        "diagonal propagation": LocalizedAlgebra.propagation(line_space(4), diagonal=True),
+    }[kind]
     empty = FilteredMatrix.zeros(algebra, 0)
     assert empty.n == 0 and empty.level == algebra.max_level
     nonzero = FilteredMatrix.scalar_diag(algebra, rat(-2, 3), 3)
@@ -86,8 +92,12 @@ def test_level_laws(kind, sampler):
         a = sampler.matrix(algebra, n)
         b = sampler.matrix(algebra, n)
         assert a.level == _entry_level(a) and b.level == _entry_level(b)
+        # an all-zero row adds nothing to the level
+        zero_row = FilteredMatrix(algebra, ((algebra.zero(),) * n,) + a.rows[1:])
+        assert zero_row.level == _entry_level(zero_row)
         if kind != "propagation":
-            # Over Q, Q[x] and Q[x]/(m) every payload sits at max_level.
+            # Over Q, Q[x] and Q[x]/(m) every payload sits at max_level, and
+            # so does every kernel supported on the diagonal.
             assert a.level == algebra.max_level
         assert (a @ b).level >= max(0, min(a.level, b.level) - 1)
         assert (a + b).level >= min(a.level, b.level)
@@ -326,6 +336,52 @@ def test_cancelling_sums_give_zero():
     product = a @ b
     assert_same_entries(product, dense_product(a, b))
     assert product.rows[0][0] == 0 and product.rows[1][1] == 0
+
+
+def _kernels(algebra, grid):
+    """A matrix of kernels from {(i, j): "p/q"} tables."""
+    return FilteredMatrix(
+        algebra, [[Kernel({k: rat(v) for k, v in t.items()}) for t in row] for row in grid]
+    )
+
+
+def test_kernel_products_decode_each_denominator_afresh():
+    # Both products build the integer sum 2: over d = 1 it reads 2, over
+    # d = 3 it reads 2/3, so a decoded value kept from the first product
+    # would be wrong in the second.
+    algebra = propagation_algebra()
+    one = {(0, 0): "1", (1, 2): "1"}
+    two = {(0, 0): "2", (2, 3): "2"}
+    third = {(0, 0): "1/3", (1, 2): "1/3"}
+    for a, b in [(one, two), (third, two), (one, two)]:
+        x, y = _kernels(algebra, [[a]]), _kernels(algebra, [[b]])
+        product = x @ y
+        assert_same_entries(product, dense_product(x, y))
+        assert_canonical(product.rows[0][0], algebra)
+    assert product.rows[0][0].table == {(0, 0): 2, (1, 3): 2}
+    third_product = (_kernels(algebra, [[third]]) @ _kernels(algebra, [[two]])).rows[0][0]
+    assert third_product.table == {(0, 0): rat(2, 3), (1, 3): rat(2, 3)}
+
+
+def test_kernel_product_with_recurring_and_cancelling_sums():
+    # lam * 1 blocks put the sum 2/3 * 3/5 on every point of both diagonal
+    # entries; at point 0 of entry (0, 0) a second term cancels it.
+    algebra = propagation_algebra()
+    lam = {(i, i): "2/3" for i in range(4)}
+    mu = {(i, i): "3/5" for i in range(4)}
+    a = _kernels(algebra, [[lam, {(0, 0): "1", (1, 2): "-1/5"}], [{}, lam]])
+    b = _kernels(algebra, [[mu, {(2, 1): "1"}], [{(0, 0): "-2/5"}, mu]])
+    product = a @ b
+    assert_same_entries(product, dense_product(a, b))
+    for row in product.rows:
+        for p in row:
+            assert_canonical(p, algebra)
+    two_fifths = rat(2, 5)
+    assert product.rows[0][0].table == {(1, 1): two_fifths, (2, 2): two_fifths,
+                                        (3, 3): two_fifths}
+    assert product.rows[1][1].table == {(i, i): two_fifths for i in range(4)}
+    assert product.rows[0][1].table == {(0, 0): rat(3, 5), (1, 2): rat(-3, 25),
+                                        (2, 1): rat(2, 3)}
 
 
 # -- elementary factors as row and column operations ---------------------------
