@@ -12,10 +12,12 @@ operands, n = 2, 4, 6), the image of a sampled Q[x] matrix in Q[x]/(x^2 - 1)
 (n = 2, 4, 6), the conjugation u p u^-1 over Q[x]/(x^2 - 1) (n = 2, 4), the
 sampler's draws (a unit with its inverse per carrier, and a 4 x 4 invertible
 over Q, Q[x]/(x^2 - 1) and kernels on 4 points), and a slice of the identity
-suite over the three bundled carriers.  Over kernels on 4 points it also
-times the product of two O-map-shaped operands diag(u, u^-1) (n = 4, 8), the
-block-diagonal shape the O-map laws multiply, and the level of a freshly
-built 4 x 4 matrix.  Operands are reused across calls, as certificates reuse
+suite over the three bundled carriers.  Over kernels on 4 points and over Q
+it also times the product of two O-map-shaped operands diag(u, u^-1)
+(n = 4, 8), the block-diagonal shape the O-map laws multiply; over Q one
+elementary column and one row operation on a sampled 4 x 4 matrix (the step
+of every sampled invertible); and over kernels the level of a freshly built
+4 x 4 matrix.  Operands are reused across calls, as certificates reuse
 them, so a matrix's integer form is computed once per row.
 
 The host's speed drifts (up to 3x for seconds at a time on a shared 2-vCPU
@@ -43,7 +45,7 @@ from kcert.instances import (
     trivial_algebra,
     x2_minus_1,
 )
-from kcert.matrices import FilteredMatrix, apply_hom_matrix, o_map
+from kcert.matrices import ElementaryMatrix, FilteredMatrix, apply_hom_matrix, o_map
 from kcert.scalars import Poly, QuotElem, Rat, rat
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -126,6 +128,17 @@ def matmul_rows():
     m = sampler.matrix(algebra, 4)
     rows.append(("FilteredMatrix.level, fresh, propagation, 4 points, n = 4",
                  per_call_us(lambda: FilteredMatrix._raw(algebra, m.rows).level, 5000)))
+    algebra = trivial_algebra()
+    for size in (4, 8):
+        x, y = (o_map(sampler.invertible(algebra, size // 2)).m for _ in range(2))
+        rows.append((f"FilteredMatrix @, diag(u, u^-1), Q, n = {size}",
+                     per_call_us(lambda: x @ y, 2000 // size)))
+    m = sampler.matrix(algebra, 4)
+    e = ElementaryMatrix(algebra, 4, 1, 2, sampler.rational(allow_zero=False))
+    rows.append(("ElementaryMatrix.right_mul (column operation), Q, n = 4",
+                 per_call_us(lambda: e.right_mul(m), 20000)))
+    rows.append(("ElementaryMatrix.left_mul (row operation), Q, n = 4",
+                 per_call_us(lambda: e.left_mul(m), 20000)))
     return rows
 
 

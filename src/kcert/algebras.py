@@ -27,7 +27,12 @@ each operand is read once as integers over the lcm of its denominators,
 only nonzero entries are multiplied, and each result coefficient is built
 once as ``Rat(c, da * db)``, one gcd per coefficient instead of a reduced
 rational multiply and add per term.  Over Q the integers form an n x n
-grid; kernels on |X| points form a sparse (n|X|) x (n|X|) block matrix,
+grid over the entries that are not the shared zero R0, an identity test
+that reads nothing.  Most zeros of the identity suite are R0: those of
+identities and zero blocks, of product entries, of row and column
+operations that cancel, and of draws.  Any other zero (a negated or
+subtracted one, "0" parsed from a spec) is kept and only adds 0.  Kernels
+on |X| points form a sparse (n|X|) x (n|X|) block matrix,
 whose product decodes each distinct integer sum once (lam * 1 units put one
 value on every point, so most sums repeat within a product);
 over Q[x] each entry accumulates an integer coefficient list, and over
@@ -46,10 +51,12 @@ A full propagation unit is u = lam * 1 + N with N strictly upper
 triangular in the point order; u^-1 is built by back substitution, last
 point first (_upper_unit_inverse).  Over Q[x]/(m) a drawn representative
 is inverted by QuotElem.invert, a Bareiss solve of the integer
-multiplication-by-rep system that rejects exactly the non-units, and an
-elementary row or column operation adds y * a per touched entry through
-one integer convolution and one pseudo-division (_add_multiple).  An exact
-inverse is unique, so the draws do not depend on how it is computed.
+multiplication-by-rep system that rejects exactly the non-units.  An
+elementary row or column operation adds y * a per touched entry
+(_add_multiple): over Q as one integer sum over x.den * y.den * a.den and
+one reduced rational, over Q[x]/(m) through one integer convolution and one
+pseudo-division.  An exact inverse is unique, so the draws do not depend on
+how it is computed.
 """
 
 from itertools import chain
@@ -324,6 +331,22 @@ class TrivialAlgebra(LocalizedAlgebra):
     def _random_unit(self, sampler):
         v = sampler.rational(allow_zero=False)
         return v, R1 / v
+
+    def _add_multiple(self, a, left=False):
+        """Fraction-free, and the same on both sides since Q is commutative:
+        x + y * a over the one denominator x.den * y.den * a.den, reduced by
+        one gcd; a sum that cancels is the shared zero R0."""
+        if not a:
+            return lambda x, y: x
+        an, ad = a.numerator, a.denominator
+
+        def add_multiple(x, y):
+            xd = x.denominator
+            yd = y.denominator * ad
+            c = x.numerator * yd + y.numerator * an * xd
+            return Rat(c, xd * yd) if c else R0
+
+        return add_multiple
 
     def _product(self, a, b):
         return a._raw(self, _rational_product(a.rows, b.rows))
@@ -826,23 +849,23 @@ class InclusionHom(FilteredHom):
 
 
 def _rational_product(a, b):
-    """Q: an n x n integer grid product over the nonzero entries."""
-    da = lcm(*[x.denominator for row in a for x in row])
-    db = lcm(*[x.denominator for row in b for x in row])
-    b_nonzero = [
-        [(j, y.numerator * (db // y.denominator)) for j, y in enumerate(row) if y]
-        for row in b
-    ]
+    """Q: an n x n integer grid product over the nonzero entries.  Entries
+    are selected by identity with the shared zero R0, so only they are
+    read; a zero that is another object only adds 0 to a sum."""
+    a_nonzero = [[(k, x) for k, x in enumerate(row) if x is not R0] for row in a]
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y is not R0] for row in b]
+    da = lcm(*[x.denominator for row in a_nonzero for _, x in row])
+    db = lcm(*[y.denominator for row in b_nonzero for _, y in row])
+    b_ints = [[(j, y.numerator * (db // y.denominator)) for j, y in row] for row in b_nonzero]
     d = da * db
     n = len(a)
     out = []
-    for row in a:
+    for row in a_nonzero:
         acc = [0] * n
-        for x, brow in zip(row, b_nonzero):
-            if x:
-                x = x.numerator * (da // x.denominator)
-                for j, y in brow:
-                    acc[j] += x * y
+        for k, x in row:
+            x = x.numerator * (da // x.denominator)
+            for j, y in b_ints[k]:
+                acc[j] += x * y
         out.append(tuple([Rat(c, d) if c else R0 for c in acc]))
     return tuple(out)
 

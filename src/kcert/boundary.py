@@ -79,9 +79,10 @@ class BoundaryInput:
         self.lift_b = lift_b
 
 
-def _build_l(algebra, a, b, s0, s1):
-    l_fwd = block2(s0, -(s0.plus_scalar(1) @ b), a, s1)
-    l_bwd = block2(s0, s0.plus_scalar(1) @ b, -a, s1)
+def _build_l(a, b, s0, s1):
+    corner = s0.plus_scalar(1) @ b
+    l_fwd = block2(s0, -corner, a, s1)
+    l_bwd = block2(s0, corner, -a, s1)
     return InvertibleCert(l_fwd, l_bwd, check=True)
 
 
@@ -97,7 +98,7 @@ def _boundary_core(inp):
         if not img.is_zero():
             bad = img.first_mismatch(FilteredMatrix.zeros(diagram.lambda_prime, size))
             raise CertificateFailure(f"{tag} does not die in the overlap ring", *bad)
-    l = _build_l(diagram.lambda1, a, b, s0, s1)
+    l = _build_l(a, b, s0, s1)
     e1 = e_block(diagram.lambda1, inp.m, inp.n).pad(size)
     p_mat = l.m @ e1 @ l.m_inv
     p = IdempotentCert(p_mat, check=True)

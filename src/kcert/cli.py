@@ -17,7 +17,7 @@ import time
 
 from .matrices import CertificateFailure, InvertibleCert, MatrixError
 from .drivers import boundary_report, exactness_report, verify_report
-from .specdoc import SpecDocument, SpecError, is_json_int
+from .specdoc import SpecDocument, SpecError, is_json_int, read_spec
 
 
 def _render_text(report):
@@ -178,11 +178,9 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
-        doc = SpecDocument.from_path(args.spec)
-        with open(args.spec, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        report = COMMANDS[args.subcommand](args, doc)
-        report["command"]["spec_sha256"] = digest
+        data = read_spec(args.spec)
+        report = COMMANDS[args.subcommand](args, SpecDocument.from_bytes(data))
+        report["command"]["spec_sha256"] = hashlib.sha256(data).hexdigest()
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from .matrices import (
     permutation_cert,
     rotation_swap_cert,
 )
-from .scalars import rat
+from .scalars import R0, rat
 
 
 # Failure details a report keeps, the ones a verify report prints.
@@ -63,8 +63,11 @@ class IdentityReport:
         return f"IdentityReport({self.identity}: {state}, samples={self.samples})"
 
 
-# The 21 values Sampler.rational draws, keyed by (numerator, denominator).
-_SMALL_RATIONALS = {(num, den): rat(num, den) for num in range(-3, 4) for den in range(1, 4)}
+# The 21 values Sampler.rational draws, keyed by (numerator, denominator);
+# every zero is the shared R0, which products skip by identity.
+_SMALL_RATIONALS = {
+    (num, den): rat(num, den) if num else R0 for num in range(-3, 4) for den in range(1, 4)
+}
 
 
 class Sampler:

@@ -215,12 +215,27 @@ class SpecDocument:
         return m
 
     @classmethod
-    def from_path(cls, path):
+    def from_bytes(cls, data):
+        """Parse a spec from its bytes, decoded strictly as UTF-8.  A byte
+        order mark is kept, so the JSON parser rejects it."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise SpecError(f"cannot read spec: {exc}") from exc
+            raw = json.loads(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"spec is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SpecError(f"spec is not valid JSON: {exc}") from exc
         return cls(raw)
+
+    @classmethod
+    def from_path(cls, path):
+        return cls.from_bytes(read_spec(path))
+
+
+def read_spec(path):
+    """The bytes of the spec file at path; the CLI parses and hashes these
+    same bytes, so the file is read once."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SpecError(f"cannot read spec: {exc}") from exc

@@ -249,6 +249,49 @@ def test_nonjson_rejected(tmp_path, capsys):
     assert code == 2
 
 
+TRIVIAL_SPEC = b'{"algebra": {"kind": "trivial"}, "command": {"name": "verify", "samples": 1}}'
+
+
+def test_non_utf8_spec_is_spec_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(TRIVIAL_SPEC.replace(b'"verify"', b'"verif\xff"'))
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert "spec error: spec is not valid UTF-8: 'utf-8' codec can't decode byte 0xff" in err
+
+
+def test_utf8_bom_is_still_rejected(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + TRIVIAL_SPEC)
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err == ("spec error: spec is not valid JSON: Unexpected UTF-8 BOM "
+                   "(decode using utf-8-sig): line 1 column 1 (char 0)\n")
+
+
+def test_spec_is_read_once_and_hashed_as_read(tmp_path, capsys, monkeypatch):
+    import builtins
+    import hashlib
+
+    path = tmp_path / "spec.json"
+    path.write_bytes(TRIVIAL_SPEC)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "--spec", str(path), "--format", "json",
+                         "--report", str(report))
+    assert code == 0 and opened == ["rb"]
+    digest = json.loads(report.read_text())["command"]["spec_sha256"]
+    assert digest == hashlib.sha256(TRIVIAL_SPEC).hexdigest()
+
+
 def test_boundary_rejects_sectionless_first_leg(tmp_path, capsys):
     doc = {
         "diagram": {

@@ -40,7 +40,7 @@ from kcert.instances import (
     suite_algebras,
     trivial_algebra,
 )
-from kcert.scalars import Poly, QuotElem, rat
+from kcert.scalars import R0, Poly, QuotElem, parse_rational, rat
 
 
 def test_identity_neutral(trivial, sampler):
@@ -533,6 +533,80 @@ def test_generated_row_and_column_operations(name, data):
         for row in got.rows:
             for g in row:
                 assert_canonical(g, algebra)
+
+
+# -- Q zeros that are not the shared R0 -----------------------------------------
+# The Q product selects entries by identity with R0, and the Q row and column
+# operations return R0 for a sum that cancels.  A zero built any other way is
+# kept as an entry and must only ever add 0.
+
+
+def _stray_zeros():
+    zeros = [rat(0, 3), parse_rational("0"), rat(1, 3) - rat(1, 3), -R0]
+    assert all(z == 0 and z is not R0 for z in zeros)
+    return zeros
+
+
+def test_q_products_with_zeros_that_are_not_r0():
+    algebra = trivial_algebra()
+    z3, parsed, cancelled, negated = _stray_zeros()
+    a = FilteredMatrix(algebra, [
+        [z3, rat(2, 3), parsed],
+        [cancelled, negated, z3],
+        [rat(-5, 7), R0, cancelled],
+    ])
+    b = FilteredMatrix(algebra, [
+        [parsed, rat(7, 5), R0],
+        [rat(3, 2), z3, negated],
+        [cancelled, cancelled, rat(1, 9)],
+    ])
+    sampler = Sampler(3)
+    operands = [a, b, FilteredMatrix(algebra, [[z3] * 3] * 3), sampler.matrix(algebra, 3),
+                sampler.invertible(algebra, 3, factors=4).m]
+    for x in operands:
+        for y in operands:
+            product = x @ y
+            assert_same_entries(product, dense_product(x, y))
+            for row in product.rows:
+                for v in row:
+                    assert_canonical(v, algebra)
+                    assert v or v is R0
+    assert (a @ b).rows[1] == (R0, R0, R0)
+
+
+def test_q_row_and_column_operations_cancelling_to_zero():
+    algebra = trivial_algebra()
+    z3, parsed, _, _ = _stray_zeros()
+    # column 1 += column 0 * 3 and row 0 += 3 * row 1: -6 + 2 * 3 and
+    # 2 + (-2/3) * 3 cancel in both; a stray zero x gives y * 3 alone
+    m = FilteredMatrix(algebra, [
+        [rat(2), rat(-6), z3],
+        [rat(-2, 3), rat(2), rat(1, 4)],
+        [rat(1, 5), parsed, rat(4, 3)],
+    ])
+    e = ElementaryMatrix(algebra, 3, 0, 1, rat(3))
+    col, row = e.right_mul(m), e.left_mul(m)
+    for got, want in ((col, m @ e.expand()), (row, e.expand() @ m)):
+        assert got == want
+        for entries in got.rows:
+            for v in entries:
+                assert_canonical(v, algebra)
+    assert [r[1] for r in col.rows] == [R0, R0, rat(3, 5)]
+    assert col.rows[0][1] is R0 and col.rows[1][1] is R0
+    assert row.rows[0] == (R0, R0, rat(3, 4))
+    assert row.rows[0][0] is R0 and row.rows[0][1] is R0
+    # a zero multiple leaves every entry as it is
+    for zero in (R0, z3):
+        e = ElementaryMatrix(algebra, 3, 2, 0, zero)
+        assert e.right_mul(m) == m and e.left_mul(m) == m
+
+
+def test_sampled_q_zeros_are_r0():
+    sampler = Sampler(0)
+    draws = [sampler.rational() for _ in range(500)]
+    assert any(v is R0 for v in draws)
+    assert all(v or v is R0 for v in draws)
+
 
 # -- the carried integer form and the fraction-free quotient image ---------------
 # Matrices over Q[x] and Q[x]/(m) carry their integer form once it is computed
