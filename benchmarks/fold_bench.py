@@ -7,10 +7,12 @@ set from such a directory, keeps per workload and metric the median and the
 quartiles over the seeds, writes them to ``benchmarks/BENCH_<n>.json`` and
 prints the change of each median against the newest earlier BENCH file.
 With ``--parent-results`` the same seeds, run on the parent commit, are
-folded too and printed as parent -> change.
+folded too and printed as parent -> change.  With ``--traced-seed N`` the
+per-layer counts in ``TRACED`` from the ``--trace 1`` run of seed N of each
+workload that has one go in as well, under ``"traced"``.
 
     python benchmarks/fold_bench.py --number 6 --seeds 1401-1410 \\
-        [--results perfbench/results] [--parent-results DIR]
+        [--results perfbench/results] [--parent-results DIR] [--traced-seed N]
 
 Every workload with a results file for one of the seeds is folded; a
 workload that misses one of the seeds is an error, so a file never mixes
@@ -27,6 +29,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds 24 --trace 0"
+TRACED = ("matrices.matmul_calls", "matrices.cert_verify_calls")
 
 
 def parse_seeds(text):
@@ -82,6 +85,16 @@ def fold(results, seeds):
     return out
 
 
+def fold_traced(results, seed):
+    """{workload: {metric: value}} of the TRACED counts in the trace-1
+    results of `seed` in directory `results`."""
+    out = {}
+    for path in sorted(Path(results).glob(f"*-seed{seed}-trace1.json")):
+        doc = json.loads(path.read_text())
+        out[doc["workload"]] = {name: doc["metrics"][name]["value"] for name in TRACED}
+    return out
+
+
 def previous_file(number):
     """The BENCH file with the largest number below `number`, or None."""
     found = []
@@ -116,12 +129,19 @@ def main(argv=None):
                         help="results directory of the change (default: this checkout's)")
     parser.add_argument("--parent-results",
                         help="results directory of the same seeds run on the parent commit")
+    parser.add_argument("--traced-seed", type=int,
+                        help="seed of the --trace 1 runs whose per-layer counts to keep")
     args = parser.parse_args(argv)
 
     doc = {"number": args.number, "command": COMMAND, "seeds": args.seeds,
            "change": fold(args.results, args.seeds)}
     if args.parent_results:
         doc["parent"] = fold(args.parent_results, args.seeds)
+    if args.traced_seed is not None:
+        doc["traced"] = {"seed": args.traced_seed,
+                         "change": fold_traced(args.results, args.traced_seed)}
+        if args.parent_results:
+            doc["traced"]["parent"] = fold_traced(args.parent_results, args.traced_seed)
     path = HERE / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {path.relative_to(ROOT)}")

@@ -10,6 +10,10 @@ an idempotent whose closed form [[S0^2, S0(1+S0)B], [S1 A, 1 - S1^2]]
 follows from the intertwining laws S1 A = A S0 and A(1+S0)B = 1 - S1^2.
 Pairing P with the scalar block e2 over the second leg gives the double
 idempotent whose class, minus the trivial class, is the boundary.
+
+Each product is computed once: e1 and e act as column selections, both
+closed forms reuse L's corner (1+S0)B, and P is built unchecked because
+L's certificate implies P^2 = P (see _boundary_core).
 """
 
 from collections import namedtuple
@@ -30,7 +34,8 @@ from .mv import DoubleMatrix, glue_idempotents
 
 BoundaryOutput = namedtuple(
     "BoundaryOutput",
-    ["u", "m", "n", "lift_a", "lift_b", "s0", "s1", "l", "p", "p_double", "e2", "minus"],
+    ["u", "m", "n", "lift_a", "lift_b", "s0", "s1", "corner", "l", "p", "p_double", "e2",
+     "minus"],
 )
 
 
@@ -80,10 +85,21 @@ class BoundaryInput:
 
 
 def _build_l(a, b, s0, s1):
+    """L as a checked certificate, and the corner (1+S0)B it shares with L^-1."""
     corner = s0.plus_scalar(1) @ b
     l_fwd = block2(s0, -corner, a, s1)
     l_bwd = block2(s0, corner, -a, s1)
-    return InvertibleCert(l_fwd, l_bwd, check=True)
+    return InvertibleCert(l_fwd, l_bwd, check=True), corner
+
+
+def _keep_columns(mat, lo, hi):
+    """mat times the 0/1 diagonal that is 1 on columns lo..hi-1: those
+    columns kept, the others zero, and no product computed."""
+    if lo == 0 and hi == mat.n:
+        return mat
+    z = mat.algebra.zero()
+    left, right = (z,) * lo, (z,) * (mat.n - hi)
+    return FilteredMatrix._raw(mat.algebra, tuple([left + row[lo:hi] + right for row in mat.rows]))
 
 
 def _boundary_core(inp):
@@ -98,44 +114,31 @@ def _boundary_core(inp):
         if not img.is_zero():
             bad = img.first_mismatch(FilteredMatrix.zeros(diagram.lambda_prime, size))
             raise CertificateFailure(f"{tag} does not die in the overlap ring", *bad)
-    l = _build_l(a, b, s0, s1)
-    e1 = e_block(diagram.lambda1, inp.m, inp.n).pad(size)
-    p_mat = l.m @ e1 @ l.m_inv
-    p = IdempotentCert(p_mat, check=True)
+    l, corner = _build_l(a, b, s0, s1)
+    # L e1 with e1 = diag(0_m, 1_n, 0_size) keeps columns m..size-1 of L.
+    p_mat = _keep_columns(l.m, inp.m, size) @ l.m_inv
+    # Unchecked on purpose: _build_l verified L^-1 L = 1 and e1, e2 are 0/1
+    # diagonals, so P^2 = L e1 (L^-1 L) e1 L^-1 = P and e2^2 = e2.  The
+    # boundary report verifies both as its own lines; legs-agree stays.
+    p = IdempotentCert(p_mat, check=False)
     e2_leg2 = e_block(diagram.lambda2, size + inp.m, inp.n)
-    p_double = IdempotentCert(DoubleMatrix(diagram, p_mat, e2_leg2))
+    p_double = IdempotentCert(DoubleMatrix(diagram, p_mat, e2_leg2), check=False)
     minus = IdempotentCert(
         DoubleMatrix(diagram, e_block(diagram.lambda1, size + inp.m, inp.n), e2_leg2, check=False),
         check=False,
     )
     return BoundaryOutput(
-        u=inp.u,
-        m=inp.m,
-        n=inp.n,
-        lift_a=a,
-        lift_b=b,
-        s0=s0,
-        s1=s1,
-        l=l,
-        p=p,
-        p_double=p_double,
-        e2=e2_leg2,
-        minus=minus,
+        u=inp.u, m=inp.m, n=inp.n, lift_a=a, lift_b=b, s0=s0, s1=s1, corner=corner,
+        l=l, p=p, p_double=p_double, e2=e2_leg2, minus=minus,
     )
 
 
-def closed_form_p(inp, s0, s1):
-    """The displayed closed form of L e1 L^{-1}; for the extended form the
-    bottom-right block is A e (1 + S0) B, consistent with the expansion."""
-    a, b = inp.lift_a, inp.lift_b
-    e = e_block(inp.diagram.lambda1, inp.m, inp.n)
-    one_plus_s0_b = s0.plus_scalar(1) @ b
-    return block2(
-        s0 @ e @ s0,
-        s0 @ e @ one_plus_s0_b,
-        a @ e @ s0,
-        a @ e @ one_plus_s0_b,
-    )
+def closed_form_p(inp, out):
+    """The displayed closed form of L e1 L^{-1} for the boundary ``out``
+    built from ``inp``; for the extended form the bottom-right block is
+    A e (1 + S0) B, consistent with the expansion."""
+    s0e, ae = (_keep_columns(s, inp.m, inp.u.n) for s in (out.s0, inp.lift_a))
+    return block2(s0e @ out.s0, s0e @ out.corner, ae @ out.s0, ae @ out.corner)
 
 
 def boundary_second_form(inp):
@@ -147,7 +150,7 @@ def boundary_second_form(inp):
     size = inp.u.n
     expect = block2(
         out.s0 @ out.s0,
-        out.s0 @ (out.s0.plus_scalar(1) @ inp.lift_b),
+        out.s0 @ out.corner,
         out.s1 @ inp.lift_a,
         FilteredMatrix.identity(inp.diagram.lambda1, size) - out.s1 @ out.s1,
     )
@@ -159,7 +162,7 @@ def check_extended_form(inp, out):
     """Compare the P of ``out``, the boundary built from ``inp``, with the
     extended closed form; returns ``out``."""
     expect_equal(
-        out.p.p, closed_form_p(inp, out.s0, out.s1),
+        out.p.p, closed_form_p(inp, out),
         "extended closed form disagrees with L e1 L^-1",
     )
     return out

@@ -47,6 +47,16 @@ def is_json_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _json_object(pairs):
+    """A JSON object whose keys are distinct: readers differ on which of two
+    equal keys wins, so a spec must not depend on it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise SpecError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def _check_keys(obj, allowed, where):
     _require(isinstance(obj, dict), f"{where} must be an object")
     unknown = set(obj) - allowed
@@ -217,14 +227,16 @@ class SpecDocument:
     @classmethod
     def from_bytes(cls, data):
         """Parse a spec from its bytes, decoded strictly as UTF-8.  A byte
-        order mark is kept, so the JSON parser rejects it."""
+        order mark is kept, so the JSON parser rejects it.  Nesting too deep
+        for the parser or the reader is a spec error too."""
         try:
-            raw = json.loads(data.decode("utf-8"))
+            return cls(json.loads(data.decode("utf-8"), object_pairs_hook=_json_object))
         except UnicodeDecodeError as exc:
             raise SpecError(f"spec is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SpecError(f"spec is not valid JSON: {exc}") from exc
-        return cls(raw)
+        except RecursionError as exc:
+            raise SpecError("spec is nested too deeply") from exc
 
     @classmethod
     def from_path(cls, path):

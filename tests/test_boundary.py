@@ -149,6 +149,60 @@ def test_extended_block_diagonal(clutching):
     assert cut == base.p.p.sub_block(0, 1, 0, 1)
 
 
+# -- 0/1 blocks as column selections ----------------------------------------------
+# The boundary multiplies by e = diag(0_m, 1_n) and e1 = diag(0_m, 1_n, 0_size)
+# by keeping columns; these tests hold the selections and the two forms of P
+# to the products by e and e1 they replace, over Q[x]/(x^2 - 1) and Q[x].
+
+_SPLITS = [(size, m) for size in (1, 2, 3) for m in (0, 1, 2) if m <= size]
+
+
+@pytest.mark.parametrize("size,m", _SPLITS)
+def test_keep_columns_is_the_product_by_e(clutching, sampler, size, m):
+    for algebra in (clutching.lambda_prime, clutching.lambda1):
+        e = e_block(algebra, m, size - m)
+        mat = sampler.matrix(algebra, size)
+        assert boundary._keep_columns(mat, m, size) == mat @ e
+        big = sampler.matrix(algebra, 2 * size)
+        assert boundary._keep_columns(big, m, size) == big @ e.pad(size)
+
+
+def _kernel_multiple(diagram, sampler, size):
+    """A random matrix over the first leg whose entries are multiples of
+    x^2 - 1, so it dies in the overlap ring."""
+    kernel = Poly([-1, 0, 1])
+    rows = sampler.matrix(diagram.lambda1, size).rows
+    return FilteredMatrix(diagram.lambda1, [[p * kernel for p in row] for row in rows])
+
+
+@pytest.mark.parametrize("size,m", _SPLITS)
+def test_p_and_closed_form_match_the_products_by_e(clutching, sampler, size, m):
+    # U = diag(U1, U2) with blocks of sizes m and n commutes with e; lifts
+    # off by a kernel multiple make S0 and S1 nonzero.
+    blocks = [sampler.invertible(clutching.lambda1, k) for k in (m, size - m) if k]
+    lift = blocks[0] if len(blocks) == 1 else blocks[0].direct_sum(blocks[1])
+    u = InvertibleCert(
+        apply_hom_matrix(clutching.j1, lift.m), apply_hom_matrix(clutching.j1, lift.m_inv)
+    )
+    inp = BoundaryInput(
+        clutching, u,
+        lift_a=lift.m + _kernel_multiple(clutching, sampler, size),
+        lift_b=lift.m_inv + _kernel_multiple(clutching, sampler, size), m=m,
+    )
+    out = boundary_extended_form(inp)
+    assert not out.s0.is_zero()
+    a, b, s0 = inp.lift_a, inp.lift_b, out.s0
+    e = e_block(clutching.lambda1, m, size - m)
+    corner = s0.plus_scalar(1) @ b
+    assert out.corner == corner
+    assert out.p.p == out.l.m @ e.pad(size) @ out.l.m_inv
+    assert boundary.closed_form_p(inp, out) == block2(
+        s0 @ e @ s0, s0 @ e @ corner, a @ e @ s0, a @ e @ corner
+    )
+    out.p.verify()
+    out.p_double.verify()
+
+
 def test_commuting_condition_rejected(clutching):
     lp = clutching.lambda_prime
     x_cls = QuotElem(lp.modulus, Poly([0, 1]))

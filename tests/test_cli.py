@@ -269,6 +269,49 @@ def test_utf8_bom_is_still_rejected(tmp_path, capsys):
                    "(decode using utf-8-sig): line 1 column 1 (char 0)\n")
 
 
+def _bundled_text(name):
+    return resources.files("kcert.specs").joinpath(name).read_text(encoding="utf-8")
+
+
+# Both crashed with a RecursionError traceback (exit 1).  The 100,000-deep
+# command is beyond any interpreter's recursion limit; whether the parser or
+# the reader of the matrix gives up on the 5,000-deep entries depends on the
+# Python version, so that case pins the exit code and a one-line message.
+@pytest.mark.parametrize("text,exact", [
+    (_bundled_text("quotient_clutching.json").replace(
+        '"command": {', '"command": ' + "[" * 100_000 + "]" * 100_000 + ', "_": {'), True),
+    (_bundled_text("quotient_clutching.json").replace(
+        '"entries": [[["-1", "0", "1"]]]', '"entries": ' + "[" * 5_000 + "]" * 5_000), False),
+], ids=["command-100000-deep", "entries-5000-deep"])
+def test_deep_nesting_is_spec_error(tmp_path, capsys, text, exact):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "boundary", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("spec error: ") and err.count("\n") == 1
+    if exact:
+        assert err == "spec error: spec is nested too deeply\n"
+
+
+# json.loads keeps the last of two equal keys, so these ran whichever value
+# came last: two algebras ran the second (exit 0), and "samples" 0 then 1
+# ran one sample where 1 then 0 was a spec error.
+@pytest.mark.parametrize("text,key", [
+    (TRIVIAL_SPEC.decode().replace(
+        '"algebra": {"kind": "trivial"}',
+        '"algebra": {"kind": "trivial", "max_level": 4}, "algebra": {"kind": "trivial"}'),
+     "algebra"),
+    (TRIVIAL_SPEC.decode().replace('"samples": 1', '"samples": 1, "samples": 0'), "samples"),
+    (TRIVIAL_SPEC.decode().replace('"samples": 1', '"samples": 0, "samples": 1'), "samples"),
+], ids=["algebra-twice", "samples-1-then-0", "samples-0-then-1"])
+def test_duplicate_key_is_spec_error(tmp_path, capsys, text, key):
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err == f"spec error: duplicate key {key!r}\n"
+
+
 def test_spec_is_read_once_and_hashed_as_read(tmp_path, capsys, monkeypatch):
     import builtins
     import hashlib

@@ -166,7 +166,7 @@ def test_forced_checks_leave_reports_unchanged(tmp_path, monkeypatch, probe):
 # Products of one `boundary` run of the bundled clutching spec, parse
 # included: two for the spec's claimed inverse of U, then the construction,
 # its report checks and both lift-independence checks.
-BOUNDARY_PRODUCTS = 97
+BOUNDARY_PRODUCTS = 69
 
 
 def test_boundary_product_count(tmp_path, probe):
