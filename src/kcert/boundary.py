@@ -12,8 +12,9 @@ Pairing P with the scalar block e2 over the second leg gives the double
 idempotent whose class, minus the trivial class, is the boundary.
 
 Each product is computed once: e1 and e act as column selections, both
-closed forms reuse L's corner (1+S0)B, and P is built unchecked because
-L's certificate implies P^2 = P (see _boundary_core).
+closed forms share their top row and reuse L's corner (1+S0)B, the lift
+deltas take BA and AB as 1 - S0 and 1 - S1, and P is never verified on
+construction because L's certificate implies P^2 = P (see _boundary_core).
 """
 
 from collections import namedtuple
@@ -32,10 +33,11 @@ from .matrices import (
 from .mv import DoubleMatrix, glue_idempotents
 
 
+# ``top`` is the top row (S0 e S0, S0 e (1+S0)B) that both closed forms share.
 BoundaryOutput = namedtuple(
     "BoundaryOutput",
-    ["u", "m", "n", "lift_a", "lift_b", "s0", "s1", "corner", "l", "p", "p_double", "e2",
-     "minus"],
+    ["u", "m", "n", "lift_a", "lift_b", "s0", "s1", "corner", "top", "l", "p", "p_double",
+     "e2", "minus"],
 )
 
 
@@ -85,11 +87,11 @@ class BoundaryInput:
 
 
 def _build_l(a, b, s0, s1):
-    """L as a checked certificate, and the corner (1+S0)B it shares with L^-1."""
+    """L as a verified certificate, and the corner (1+S0)B it shares with L^-1."""
     corner = s0.plus_scalar(1) @ b
     l_fwd = block2(s0, -corner, a, s1)
     l_bwd = block2(s0, corner, -a, s1)
-    return InvertibleCert(l_fwd, l_bwd, check=True), corner
+    return InvertibleCert(l_fwd, l_bwd).verify(), corner
 
 
 def _keep_columns(mat, lo, hi):
@@ -117,19 +119,19 @@ def _boundary_core(inp):
     l, corner = _build_l(a, b, s0, s1)
     # L e1 with e1 = diag(0_m, 1_n, 0_size) keeps columns m..size-1 of L.
     p_mat = _keep_columns(l.m, inp.m, size) @ l.m_inv
-    # Unchecked on purpose: _build_l verified L^-1 L = 1 and e1, e2 are 0/1
+    # Not verified: _build_l verified L^-1 L = 1 and e1, e2 are 0/1
     # diagonals, so P^2 = L e1 (L^-1 L) e1 L^-1 = P and e2^2 = e2.  The
-    # boundary report verifies both as its own lines; legs-agree stays.
-    p = IdempotentCert(p_mat, check=False)
+    # boundary report verifies P^2 = P as its own line; legs-agree is checked.
+    p = IdempotentCert(p_mat)
     e2_leg2 = e_block(diagram.lambda2, size + inp.m, inp.n)
-    p_double = IdempotentCert(DoubleMatrix(diagram, p_mat, e2_leg2), check=False)
+    p_double = IdempotentCert(DoubleMatrix(diagram, p_mat, e2_leg2).verify())
     minus = IdempotentCert(
-        DoubleMatrix(diagram, e_block(diagram.lambda1, size + inp.m, inp.n), e2_leg2, check=False),
-        check=False,
+        DoubleMatrix(diagram, e_block(diagram.lambda1, size + inp.m, inp.n), e2_leg2)
     )
+    s0e = _keep_columns(s0, inp.m, size)
     return BoundaryOutput(
         u=inp.u, m=inp.m, n=inp.n, lift_a=a, lift_b=b, s0=s0, s1=s1, corner=corner,
-        l=l, p=p, p_double=p_double, e2=e2_leg2, minus=minus,
+        top=(s0e @ s0, s0e @ corner), l=l, p=p, p_double=p_double, e2=e2_leg2, minus=minus,
     )
 
 
@@ -137,8 +139,8 @@ def closed_form_p(inp, out):
     """The displayed closed form of L e1 L^{-1} for the boundary ``out``
     built from ``inp``; for the extended form the bottom-right block is
     A e (1 + S0) B, consistent with the expansion."""
-    s0e, ae = (_keep_columns(s, inp.m, inp.u.n) for s in (out.s0, inp.lift_a))
-    return block2(s0e @ out.s0, s0e @ out.corner, ae @ out.s0, ae @ out.corner)
+    ae = _keep_columns(inp.lift_a, inp.m, inp.u.n)
+    return block2(*out.top, ae @ out.s0, ae @ out.corner)
 
 
 def boundary_second_form(inp):
@@ -149,8 +151,7 @@ def boundary_second_form(inp):
     out = _boundary_core(inp)
     size = inp.u.n
     expect = block2(
-        out.s0 @ out.s0,
-        out.s0 @ out.corner,
+        *out.top,
         out.s1 @ inp.lift_a,
         FilteredMatrix.identity(inp.diagram.lambda1, size) - out.s1 @ out.s1,
     )
@@ -178,16 +179,10 @@ def boundary_first_form(diagram, u):
     """The gluing form: the double idempotent glued from (1_n, 1_n, U),
     minus the trivial class of matching rank."""
     n = u.n
-    one = IdempotentCert(
-        FilteredMatrix.identity(diagram.lambda1, n), check=False
-    )
-    one2 = IdempotentCert(
-        FilteredMatrix.identity(diagram.lambda2, n), check=False
-    )
+    one = IdempotentCert(FilteredMatrix.identity(diagram.lambda1, n))
+    one2 = IdempotentCert(FilteredMatrix.identity(diagram.lambda2, n))
     glued = glue_idempotents(one, one2, u, diagram)
-    minus = IdempotentCert(
-        DoubleMatrix.diag_bits(diagram, (1,) * n + (0,) * n), check=False
-    )
+    minus = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * n + (0,) * n))
     return glued, minus
 
 
@@ -219,7 +214,7 @@ def verify_lift_independence_a(inp, k, base):
     tilde = boundary_extended_form(shifted)
     conj = independence_conjugator_a(inp, k)
     expect_equal(tilde.l.m, conj @ base.l.m, "lift independence in A: L~ = conj . L fails")
-    conj_cert = InvertibleCert(conj, base.l.m @ tilde.l.m_inv, check=True)
+    conj_cert = InvertibleCert(conj, base.l.m @ tilde.l.m_inv).verify()
     expect_equal(
         tilde.p.p, conj_cert.m @ base.p.p @ conj_cert.m_inv,
         "lift independence in A: P~ = conj P conj^-1 fails",
@@ -231,13 +226,15 @@ def verify_lift_independence_a(inp, k, base):
     return conj_cert, tilde
 
 
-def independence_deltas(inp, h):
-    """The four displayed blocks of L~~ L^{-1} for B -> B + H."""
-    a, b = inp.lift_a, inp.lift_b
+def independence_deltas(base, h):
+    """The four displayed blocks of L~~ L^{-1} for B -> B + H, where ``base``
+    is the boundary built from the unperturbed lifts; BA and AB are read
+    off its defects as 1 - S0 and 1 - S1."""
+    a = base.lift_a
     ha = h @ a
     ah = a @ h
-    ab = a @ b
-    ba = b @ a
+    ab = (-base.s1).plus_scalar(1)
+    ba = (-base.s0).plus_scalar(1)
     d11 = ha - ha @ ha - ba @ ha
     d12 = (
         h.scale(-2)
@@ -264,13 +261,13 @@ def verify_lift_independence_b(inp, h, base):
         diagram, inp.u, lift_a=inp.lift_a, lift_b=inp.lift_b + h, m=inp.m
     )
     tilde = boundary_extended_form(shifted)
-    d11, d12, d21, d22 = independence_deltas(inp, h)
+    d11, d12, d21, d22 = independence_deltas(base, h)
     expect = block2(
         d11.plus_scalar(1), d12, d21, d22.plus_scalar(1)
     )
     observed = tilde.l.m @ base.l.m_inv
     expect_equal(observed, expect, "delta block formula fails")
-    conj_cert = InvertibleCert(observed, base.l.m @ tilde.l.m_inv, check=True)
+    conj_cert = InvertibleCert(observed, base.l.m @ tilde.l.m_inv).verify()
     expect_equal(
         tilde.p.p, conj_cert.m @ base.p.p @ conj_cert.m_inv,
         "perturbed idempotent not conjugate",
@@ -294,7 +291,7 @@ def boundary_alt_lifting(inp, l_any):
         "alternative L does not lift the block rotation",
     )
     e1 = base.l.m_inv @ base.p.p @ base.l.m  # recover e1 = L^-1 P L exactly
-    p_alt = IdempotentCert(l_any.m @ e1 @ l_any.m_inv, check=True)
+    p_alt = IdempotentCert(l_any.m @ e1 @ l_any.m_inv).verify()
     conj = l_any.compose(base.l.inverse())
     expect_equal(p_alt.p, conj.m @ base.p.p @ conj.m_inv, "alt-lift conjugacy fails")
     return p_alt, conj, base

@@ -132,9 +132,7 @@ class Sampler:
             for _ in range(factors):
                 i, j = self._off_diagonal(n)
                 e = ElementaryMatrix(algebra, n, i, j, self.payload(algebra))
-                cert = InvertibleCert(
-                    e.right_mul(cert.m), e.negated().left_mul(cert.m_inv), check=False
-                )
+                cert = InvertibleCert(e.right_mul(cert.m), e.negated().left_mul(cert.m_inv))
         return cert
 
     def _off_diagonal(self, n):
@@ -149,7 +147,7 @@ class Sampler:
         bits = [self.rng.randint(0, 1) for _ in range(n)]
         diag = FilteredMatrix.diag_bits(algebra, bits)
         u = self.invertible(algebra, n, factors=self.rng.randint(0, 2))
-        return IdempotentCert(u.m @ diag @ u.m_inv, check=False)
+        return IdempotentCert(u.m @ diag @ u.m_inv)
 
 
 def whitehead_decompose(u):
@@ -234,7 +232,7 @@ def elementary_commutator(i, j, k, a, n):
 
 def _o_conjugation(u, lam):
     """O(lam u lam^{-1}) = diag(lam, lam) O(u) diag(lam, lam)^{-1}."""
-    conj = InvertibleCert(lam.m @ u.m @ lam.m_inv, lam.m @ u.m_inv @ lam.m_inv, check=False)
+    conj = InvertibleCert(lam.m @ u.m @ lam.m_inv, lam.m @ u.m_inv @ lam.m_inv)
     ll = lam.direct_sum(lam)
     return ll.m @ o_map(u).m @ ll.m_inv, o_map(conj).m, [u.level, lam.level], 2
 

@@ -84,11 +84,9 @@ class EquivalenceCertificate:
 
 def _conjugate_rep(x, w):
     if isinstance(x, IdempotentCert):
-        return IdempotentCert(w.m @ x.p @ w.m_inv, check=False)
+        return IdempotentCert(w.m @ x.p @ w.m_inv)
     if isinstance(x, InvertibleCert):
-        return InvertibleCert(
-            w.m @ x.m @ w.m_inv, w.m @ x.m_inv @ w.m_inv, check=False
-        )
+        return InvertibleCert(w.m @ x.m @ w.m_inv, w.m @ x.m_inv @ w.m_inv)
     raise MatrixError(f"cannot conjugate {type(x).__name__}")
 
 
@@ -197,7 +195,7 @@ def exactness_k0_middle(diagram, d1, d2, witness):
     over the overlap ring; the recipe pads with xi and 1 - xi, rewrites the
     padding as a scalar block, glues, and certifies both leg recoveries."""
     report = ExactnessReport("k0_middle")
-    q1, q2, n_minus, _ = k0_common_form(d1, d2)
+    q1, q2, n_minus = k0_common_form(d1, d2)
     xi, v = witness
     k = xi.n
     j1q1 = apply_hom_matrix(diagram.j1, q1.p)
@@ -218,8 +216,8 @@ def exactness_k0_middle(diagram, d1, d2, witness):
     one_s = InvertibleCert.identity(diagram.lambda_prime, s)
     t = one_s.direct_sum(c)
     u_final = t.inverse().compose(v.pad(k)).compose(t)
-    q1p = IdempotentCert(q1.p.direct_sum(e_block(diagram.lambda1, k, k)), check=False)
-    q2p = IdempotentCert(q2.p.direct_sum(e_block(diagram.lambda2, k, k)), check=False)
+    q1p = IdempotentCert(q1.p.direct_sum(e_block(diagram.lambda1, k, k)))
+    q2p = IdempotentCert(q2.p.direct_sum(e_block(diagram.lambda2, k, k)))
     lhs2 = apply_hom_matrix(diagram.j1, q1p.p)
     rhs2 = u_final.m @ apply_hom_matrix(diagram.j2, q2p.p) @ u_final.m_inv
     if not report.require("composite conjugation", lhs2.first_mismatch(rhs2)):
@@ -235,7 +233,7 @@ def exactness_k0_middle(diagram, d1, d2, witness):
     report.require("leg2 recovery by recorded conjugator",
                    glued.double.p.m2.first_mismatch(expect2))
     minus_rank = n_minus + k
-    minus = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * minus_rank), check=False)
+    minus = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * minus_rank))
     report.witnesses["minus_rank"] = minus_rank
     return K0Rep(glued.double, minus), report
 
@@ -329,8 +327,11 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
     ):
         return None, report
     # Inner automorphisms compose: conjugating by (U1^{-1}, U1^{-1}) sends
-    # the first leg back to the literal e2.
-    back = double_invertible(diagram, u1.inverse(), u1.inverse())
+    # the first leg back to the literal e2.  Its legs are one matrix over
+    # equal legs, so they agree without a check.
+    back = InvertibleCert(
+        DoubleMatrix(diagram, u1.m_inv, u1.m_inv), DoubleMatrix(diagram, u1.m, u1.m)
+    )
     normal = _conjugate_rep(out.p_double, back)
     report.require("normal form leg1 is literal e2", normal.p.m1.first_mismatch(e2))
     v = u1.inverse().compose(u2)
@@ -350,12 +351,10 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
     )
     if not report.passed:
         return None, report
-    w1 = InvertibleCert(g11, g.m_inv.sub_block(0, u.n, 0, u.n), check=True)
+    w1 = InvertibleCert(g11, g.m_inv.sub_block(0, u.n, 0, u.n)).verify()
     w2 = InvertibleCert(
-        u2.m.sub_block(u.n, size, u.n, size),
-        u2.m_inv.sub_block(u.n, size, u.n, size),
-        check=True,
-    )
+        u2.m.sub_block(u.n, size, u.n, size), u2.m_inv.sub_block(u.n, size, u.n, size)
+    ).verify()
     product = apply_hom_matrix(diagram.j2, w2.m) @ apply_hom_matrix(diagram.j1, w1.m)
     report.require("splitting: U = j2(W2) . j1(W1)", u.m.first_mismatch(product))
     report.witnesses["w1_level"] = w1.level
@@ -377,20 +376,17 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
     report.add("diagram has equal legs", True)
     plus, minus = d.plus, d.minus
     m_sz, n_sz = plus.n, minus.n
-    # Normalize each leg alone: both legs get the same block2 and the same
-    # swap permutation, so the pairs satisfy the pullback constraint.
-    p_bar1, _, t1 = normalize_difference(
-        IdempotentCert(plus.p.m1, check=False), IdempotentCert(minus.p.m1, check=False)
+    p_bar, _ = normalize_difference(plus, minus)
+    # The trivializer W = [[minus, 1 - minus], [1 - minus, minus]] is built
+    # leg by leg by one recipe, so its legs agree as minus's do; W = W^-1.
+    w1, w2 = (involution_cert(IdempotentCert(leg)) for leg in (minus.p.m1, minus.p.m2))
+    trivializer = InvertibleCert(
+        DoubleMatrix(diagram, w1.m, w2.m), DoubleMatrix(diagram, w1.m_inv, w2.m_inv)
     )
-    p_bar2, _, t2 = normalize_difference(
-        IdempotentCert(plus.p.m2, check=False), IdempotentCert(minus.p.m2, check=False)
-    )
-    p_bar = IdempotentCert(DoubleMatrix(diagram, p_bar1.p, p_bar2.p, check=False), check=False)
-    trivializer = double_invertible(diagram, t1, t2, check=False)
-    scalar = DoubleMatrix.diag_bits(diagram, (0,) * n_sz + (1,) * n_sz)
+    scalar = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * n_sz + (0,) * n_sz))
     report.require(
         "minus part trivializes",
-        (trivializer.m @ scalar @ trivializer.m_inv).first_mismatch(
+        (trivializer.m @ scalar.p @ trivializer.m_inv).first_mismatch(
             minus.p.direct_sum(minus.complement().p)
         ),
     )
@@ -410,7 +406,9 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
     )
     if not report.passed:
         return None, report
-    back = double_invertible(diagram, u2.inverse(), u2.inverse())
+    back = InvertibleCert(
+        DoubleMatrix(diagram, u2.m_inv, u2.m_inv), DoubleMatrix(diagram, u2.m, u2.m)
+    )
     p_tt = _conjugate_rep(p_tilde, back)
     v = u2.inverse().compose(u1)
     report.require(
@@ -445,16 +443,25 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
         ),
     )
     # Chain back to the input class: un-conjugate, un-stabilize, un-normalize.
-    # back validated both leg pairs, so its inverse is a double invertible.
+    # back's legs are one matrix over equal legs, so its inverse is a double
+    # invertible.
     unconjugate = EquivalenceCertificate(lhs_steps=(Conjugate(back.inverse()),))
     report.require(
         "conjugating back restores p~",
         check_certificate(unconjugate, p_tt, p_tilde).residual,
     )
-    unstabilize = EquivalenceCertificate(rhs_steps=(Stabilize(q),))
+    # p~ is p_bar padded by q zeros, so what is left is [p_bar] - [1_n] =
+    # [plus] - [minus]: 1_m + W conjugates plus + diag(0_n, 1_n) onto
+    # p_bar + minus = plus + (1 - minus) + minus.
+    ident = DoubleMatrix.identity(diagram, m_sz)
+    unnormalize = EquivalenceCertificate(
+        rhs_steps=(Conjugate(InvertibleCert(ident, ident).direct_sum(trivializer)),)
+    )
     report.require(
         "un-stabilizing restores the normalized plus part",
-        check_certificate(unstabilize, p_tilde, p_bar).residual,
+        check_certificate(
+            unnormalize, p_bar.direct_sum(minus), plus.direct_sum(scalar.complement())
+        ).residual,
     )
     report.witnesses["phi_level"] = phi.level
     report.witnesses["output_level"] = out.p_double.level

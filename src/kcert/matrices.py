@@ -2,10 +2,12 @@
 certificate types every later construction consumes.
 
 Invertibility is certificate-only: a matrix is "invertible" here exactly
-when an explicit two-sided inverse is carried along, and verify() recomputes
-the defining equations rather than trusting them.  Levels are recomputed
-from entries; the worst-case rule level(a.b) >= min(levels) - 1 is a lower
-bound the tests assert, never a substitute for recomputation.
+when an explicit two-sided inverse is carried along.  A certificate is a
+record: building one checks only the shapes of its factors, and verify(),
+which recomputes the defining equations and returns the certificate, is the
+one check of its claim.  Levels are recomputed from entries; the worst-case
+rule level(a.b) >= min(levels) - 1 is a lower bound the tests assert, never
+a substitute for recomputation.
 
 Products are fraction-free: ``@`` checks its operands and hands them to the
 carrier's own product kernel (see algebras.py), and a hom maps a matrix
@@ -248,17 +250,15 @@ class InvertibleCert:
     The matrices may be of any square type with ``algebra``, ``n``,
     ``level``, ``@``, ``==``, ``direct_sum``, ``pad``, ``first_mismatch`` and
     a classmethod ``identity(algebra, n)``: a FilteredMatrix, or a double
-    matrix over a pullback diagram."""
+    matrix over a pullback diagram.  verify() recomputes m m^-1 = m^-1 m = 1."""
 
     __slots__ = ("m", "m_inv")
 
-    def __init__(self, m, m_inv, check=True):
+    def __init__(self, m, m_inv):
         if m.algebra != m_inv.algebra or m.n != m_inv.n:
             raise MatrixError("certificate factors mismatch")
         self.m = m
         self.m_inv = m_inv
-        if check:
-            self.verify()
 
     @property
     def n(self):
@@ -281,7 +281,7 @@ class InvertibleCert:
     @classmethod
     def identity(cls, algebra, n):
         ident = FilteredMatrix.identity(algebra, n)
-        return cls(ident, ident, check=False)
+        return cls(ident, ident)
 
     @classmethod
     def from_unit_diag(cls, algebra, units):
@@ -290,32 +290,24 @@ class InvertibleCert:
         n = len(units)
         fwd = tuple([z * i + (u,) + z * (n - 1 - i) for i, (u, _) in enumerate(units)])
         bwd = tuple([z * i + (v,) + z * (n - 1 - i) for i, (_, v) in enumerate(units)])
-        return cls(
-            FilteredMatrix._raw(algebra, fwd), FilteredMatrix._raw(algebra, bwd), check=False
-        )
+        return cls(FilteredMatrix._raw(algebra, fwd), FilteredMatrix._raw(algebra, bwd))
 
     def inverse(self):
-        return InvertibleCert(self.m_inv, self.m, check=False)
+        return InvertibleCert(self.m_inv, self.m)
 
     def compose(self, other):
         """Certificate for self.m @ other.m."""
         if other.algebra != self.algebra:
             raise MatrixError("algebra mismatch")
-        return InvertibleCert(
-            self.m @ other.m, other.m_inv @ self.m_inv, check=False
-        )
+        return InvertibleCert(self.m @ other.m, other.m_inv @ self.m_inv)
 
     def direct_sum(self, other):
-        return InvertibleCert(
-            self.m.direct_sum(other.m),
-            self.m_inv.direct_sum(other.m_inv),
-            check=False,
-        )
+        return InvertibleCert(self.m.direct_sum(other.m), self.m_inv.direct_sum(other.m_inv))
 
     def pad(self, k):
         if k == 0:
             return self
-        return InvertibleCert(self.m.pad(k, fill=1), self.m_inv.pad(k, fill=1), check=False)
+        return InvertibleCert(self.m.pad(k, fill=1), self.m_inv.pad(k, fill=1))
 
     def __eq__(self, other):
         return (
@@ -339,10 +331,8 @@ class IdempotentCert:
 
     __slots__ = ("p",)
 
-    def __init__(self, p, check=True):
+    def __init__(self, p):
         self.p = p
-        if check:
-            self.verify()
 
     @property
     def n(self):
@@ -362,15 +352,13 @@ class IdempotentCert:
 
     def complement(self):
         """1 - p, also idempotent."""
-        return IdempotentCert(
-            type(self.p).identity(self.p.algebra, self.p.n) - self.p, check=False
-        )
+        return IdempotentCert(type(self.p).identity(self.p.algebra, self.p.n) - self.p)
 
     def direct_sum(self, other):
-        return IdempotentCert(self.p.direct_sum(other.p), check=False)
+        return IdempotentCert(self.p.direct_sum(other.p))
 
     def pad(self, k):
-        return IdempotentCert(self.p.pad(k, fill=0), check=False) if k else self
+        return IdempotentCert(self.p.pad(k, fill=0)) if k else self
 
     def __eq__(self, other):
         return isinstance(other, IdempotentCert) and self.p == other.p
@@ -437,14 +425,12 @@ class ElementaryMatrix:
 
 def elementary_expand(e):
     """Invertible certificate E(a) with inverse E(-a)."""
-    return InvertibleCert(e.expand(), e.negated().expand(), check=False)
+    return InvertibleCert(e.expand(), e.negated().expand())
 
 
 def o_map(u):
     """diag(u, u^{-1}) with its inverse diag(u^{-1}, u); level preserved."""
-    return InvertibleCert(
-        u.m.direct_sum(u.m_inv), u.m_inv.direct_sum(u.m), check=False
-    )
+    return InvertibleCert(u.m.direct_sum(u.m_inv), u.m_inv.direct_sum(u.m))
 
 
 def is_o_shaped(cert):
@@ -464,7 +450,7 @@ def o_blocks(cert):
     if not is_o_shaped(cert):
         raise CertificateFailure("certificate is not O-shaped")
     a, _, _, d = split2(cert.m)
-    return InvertibleCert(a, d, check=False)
+    return InvertibleCert(a, d)
 
 
 def permutation_cert(algebra, perm):
@@ -479,9 +465,7 @@ def permutation_cert(algebra, perm):
     inv = tuple(
         tuple(o if perm[j] == i else z for j in range(n)) for i in range(n)
     )
-    return InvertibleCert(
-        FilteredMatrix(algebra, fwd), FilteredMatrix(algebra, inv), check=False
-    )
+    return InvertibleCert(FilteredMatrix(algebra, fwd), FilteredMatrix(algebra, inv))
 
 
 def block_swap_cert(algebra, k):
@@ -496,7 +480,7 @@ def rotation_swap_cert(algebra, k):
     ident = FilteredMatrix.identity(algebra, k)
     fwd = block2(z, -ident, ident, z)
     inv = block2(z, ident, -ident, z)
-    return InvertibleCert(fwd, inv, check=False)
+    return InvertibleCert(fwd, inv)
 
 
 def involution_cert(p):
@@ -504,7 +488,7 @@ def involution_cert(p):
     W diag(1, 0) W = p + (1 - p)."""
     q = p.complement().p
     w = block2(p.p, q, q, p.p)
-    return InvertibleCert(w, w, check=False)
+    return InvertibleCert(w, w)
 
 
 def apply_hom_matrix(h, m):
@@ -516,9 +500,7 @@ def apply_hom_matrix(h, m):
 
 def apply_hom_invertible(h, cert):
     """Hom image of an invertible certificate; the image witnesses itself."""
-    return InvertibleCert(
-        apply_hom_matrix(h, cert.m), apply_hom_matrix(h, cert.m_inv), check=False
-    )
+    return InvertibleCert(apply_hom_matrix(h, cert.m), apply_hom_matrix(h, cert.m_inv))
 
 
 def section_matrix(h, m):

@@ -2,10 +2,11 @@
 
 The pullback ring is never materialized: a double matrix is a pair over the
 two legs whose images in the overlap ring agree exactly (Milnor's
-patching), validated on construction unless the pair is built from pairs
-already known to agree.  Its operations act legwise and its algebra is the
-diagram, so an idempotent or invertible over the pullback is a plain
-IdempotentCert or InvertibleCert whose matrices are double matrices.
+patching), which its verify() checks; building one checks only the shapes
+of its legs, as building a certificate does.  Its operations act legwise
+and its algebra is the diagram, so an idempotent or invertible over the
+pullback is a plain IdempotentCert or InvertibleCert whose matrices are
+double matrices.
 
 Gluing follows the lift-through-sections recipe: the transition invertible
 u becomes diag(u, u^{-1}), which factors into three elementary block
@@ -24,9 +25,7 @@ from .matrices import (
     MatrixError,
     apply_hom_matrix,
     block2,
-    block_swap_cert,
     expect_equal,
-    involution_cert,
     o_blocks,
     o_map,
     permutation_cert,
@@ -92,11 +91,11 @@ class DoubleMatrix:
     """A pair (m1, m2) with j1*(m1) = j2*(m2) exactly: a square matrix over
     the pullback, whose algebra is the diagram.  Every operation acts
     legwise, so the certificate classes take it as they take a
-    FilteredMatrix."""
+    FilteredMatrix.  verify() compares the two overlap images."""
 
     __slots__ = ("diagram", "m1", "m2")
 
-    def __init__(self, diagram, m1, m2, check=True):
+    def __init__(self, diagram, m1, m2):
         if m1.algebra != diagram.lambda1 or m2.algebra != diagram.lambda2:
             raise MatrixError("double matrix legs over the wrong algebras")
         if m1.n != m2.n:
@@ -104,8 +103,6 @@ class DoubleMatrix:
         self.diagram = diagram
         self.m1 = m1
         self.m2 = m2
-        if check:
-            self.verify()
 
     def verify(self):
         expect_equal(
@@ -134,7 +131,6 @@ class DoubleMatrix:
             diagram,
             FilteredMatrix.diag_bits(diagram.lambda1, bits),
             FilteredMatrix.diag_bits(diagram.lambda2, bits),
-            check=False,
         )
 
     @classmethod
@@ -143,23 +139,22 @@ class DoubleMatrix:
             diagram,
             FilteredMatrix.identity(diagram.lambda1, n),
             FilteredMatrix.identity(diagram.lambda2, n),
-            check=False,
         )
 
     def __add__(self, other):
         self._same(other)
-        return DoubleMatrix(self.diagram, self.m1 + other.m1, self.m2 + other.m2, check=False)
+        return DoubleMatrix(self.diagram, self.m1 + other.m1, self.m2 + other.m2)
 
     def __sub__(self, other):
         self._same(other)
-        return DoubleMatrix(self.diagram, self.m1 - other.m1, self.m2 - other.m2, check=False)
+        return DoubleMatrix(self.diagram, self.m1 - other.m1, self.m2 - other.m2)
 
     def __neg__(self):
-        return DoubleMatrix(self.diagram, -self.m1, -self.m2, check=False)
+        return DoubleMatrix(self.diagram, -self.m1, -self.m2)
 
     def __matmul__(self, other):
         self._same(other)
-        return DoubleMatrix(self.diagram, self.m1 @ other.m1, self.m2 @ other.m2, check=False)
+        return DoubleMatrix(self.diagram, self.m1 @ other.m1, self.m2 @ other.m2)
 
     def _same(self, other):
         if not isinstance(other, DoubleMatrix) or other.diagram != self.diagram:
@@ -171,22 +166,19 @@ class DoubleMatrix:
     def direct_sum(self, other):
         self._same(other)
         return DoubleMatrix(
-            self.diagram, self.m1.direct_sum(other.m1), self.m2.direct_sum(other.m2), check=False
+            self.diagram, self.m1.direct_sum(other.m1), self.m2.direct_sum(other.m2)
         )
 
     def pad(self, k, fill=0):
         if k == 0:
             return self
-        return DoubleMatrix(
-            self.diagram, self.m1.pad(k, fill), self.m2.pad(k, fill), check=False
-        )
+        return DoubleMatrix(self.diagram, self.m1.pad(k, fill), self.m2.pad(k, fill))
 
     def sub_block(self, r0, r1, c0, c1):
         return DoubleMatrix(
             self.diagram,
             self.m1.sub_block(r0, r1, c0, c1),
             self.m2.sub_block(r0, r1, c0, c1),
-            check=False,
         )
 
     def first_mismatch(self, other):
@@ -212,14 +204,14 @@ class DoubleMatrix:
         return f"DoubleMatrix(n={self.n}, level={self.level})"
 
 
-def double_invertible(diagram, cert1, cert2, check=True):
+def double_invertible(diagram, cert1, cert2):
     """Invertible certificate over the pullback from one certificate per
-    leg; with check, both the forward and the inverse pair are validated
-    as double matrices."""
+    leg, with the forward and the inverse pair each verified to agree in
+    the overlap ring.  A pairing that needs no such check is built as
+    InvertibleCert(DoubleMatrix(...), DoubleMatrix(...))."""
     return InvertibleCert(
-        DoubleMatrix(diagram, cert1.m, cert2.m, check=check),
-        DoubleMatrix(diagram, cert1.m_inv, cert2.m_inv, check=check),
-        check=False,
+        DoubleMatrix(diagram, cert1.m, cert2.m).verify(),
+        DoubleMatrix(diagram, cert1.m_inv, cert2.m_inv).verify(),
     )
 
 
@@ -246,7 +238,7 @@ def lift_via_whitehead(u, leg):
     f2_inv = block2(ident, zero, b, ident)
     f4_inv = block2(zero, ident, -ident, zero)
     bwd = f4_inv @ f1_inv @ f2_inv @ f1_inv
-    lifted = InvertibleCert(fwd, bwd, check=False)
+    lifted = InvertibleCert(fwd, bwd)
     target = o_map(u)
     expect_equal(apply_hom_matrix(leg, fwd), target.m, "lift image mismatch")
     expect_equal(apply_hom_matrix(leg, bwd), target.m_inv, "lift image mismatch")
@@ -283,36 +275,32 @@ def glue_idempotents(p1, p2, u, diagram):
     leg1 = p1.p.pad(n, fill=0)
     p2_stab = p2.p.pad(n, fill=0)
     leg2 = u_tilde.m @ p2_stab @ u_tilde.m_inv
-    double = IdempotentCert(DoubleMatrix(diagram, leg1, leg2))
+    double = IdempotentCert(DoubleMatrix(diagram, leg1, leg2).verify()).verify()
     return GluedIdempotent(double, p1, p2, u, u_tilde)
 
 
 def normalize_difference(p1, p2):
     """Rewrite [p1] - [p2] as [p1 + (1 - p2)] - [1_n]: returns the combined
-    idempotent, the rank n of the subtracted identity, and the invertible
-    that conjugates the scalar diag(0_n, 1_n) onto p2 + (1 - p2)."""
+    idempotent and the rank n of the subtracted identity.  It is built
+    unverified: it is idempotent whenever p1 and p2 are, and the classes
+    built from it are verified where they are glued or chained back."""
     if p1.algebra != p2.algebra:
         raise MatrixError("algebra mismatch")
-    comp = p2.complement()
-    p_prime = IdempotentCert(p1.p.direct_sum(comp.p), check=True)
-    w = involution_cert(p2)
-    swap = block_swap_cert(p2.algebra, p2.n)
-    trivializer = w.compose(swap)
-    return p_prime, p2.n, trivializer
+    return IdempotentCert(p1.p.direct_sum(p2.complement().p)), p2.n
 
 
 def k0_common_form(d1, d2):
     """Bring two formal differences (plus, minus) over the two legs to the
     common shape ([Q] - [1_N]) with equal sizes and equal N."""
     (plus1, minus1), (plus2, minus2) = d1, d2
-    q1, n1, t1 = normalize_difference(plus1, minus1)
-    q2, n2, t2 = normalize_difference(plus2, minus2)
-    q1 = IdempotentCert(q1.p.pad(n2, fill=1), check=False)
-    q2 = IdempotentCert(q2.p.pad(n1, fill=1), check=False)
+    q1, n1 = normalize_difference(plus1, minus1)
+    q2, n2 = normalize_difference(plus2, minus2)
+    q1 = IdempotentCert(q1.p.pad(n2, fill=1))
+    q2 = IdempotentCert(q2.p.pad(n1, fill=1))
     big = max(q1.n, q2.n)
     q1 = q1.pad(big - q1.n)
     q2 = q2.pad(big - q2.n)
-    return q1, q2, n1 + n2, (t1, t2)
+    return q1, q2, n1 + n2
 
 
 def glue_invertibles(s1, s2, u, diagram):
@@ -331,9 +319,7 @@ def glue_invertibles(s1, s2, u, diagram):
     leg1 = s1.pad(n)
     s2_stab = s2.pad(n)
     leg2 = InvertibleCert(
-        u_tilde.m @ s2_stab.m @ u_tilde.m_inv,
-        u_tilde.m @ s2_stab.m_inv @ u_tilde.m_inv,
-        check=False,
+        u_tilde.m @ s2_stab.m @ u_tilde.m_inv, u_tilde.m @ s2_stab.m_inv @ u_tilde.m_inv
     )
     return double_invertible(diagram, leg1, leg2)
 

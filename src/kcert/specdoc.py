@@ -168,7 +168,7 @@ def parse_matrix(obj, algebra, where="matrix"):
             {"size": size, "entries": inverse}, algebra, f"{where}.inverse"
         )
         try:
-            return InvertibleCert(mat, inv, check=True)
+            return InvertibleCert(mat, inv).verify()
         except ValueError as exc:
             raise SpecError(f"{where}: inverse does not verify: {exc}") from exc
     return mat
@@ -227,14 +227,19 @@ class SpecDocument:
     @classmethod
     def from_bytes(cls, data):
         """Parse a spec from its bytes, decoded strictly as UTF-8.  A byte
-        order mark is kept, so the JSON parser rejects it.  Nesting too deep
-        for the parser or the reader is a spec error too."""
+        order mark is kept, so the JSON parser rejects it.  An integer too
+        long for Python to convert, and nesting too deep for the parser or
+        the reader, are spec errors too."""
         try:
-            return cls(json.loads(data.decode("utf-8"), object_pairs_hook=_json_object))
+            raw = json.loads(data.decode("utf-8"), object_pairs_hook=_json_object)
         except UnicodeDecodeError as exc:
             raise SpecError(f"spec is not valid UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise SpecError(f"spec is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise SpecError("spec is nested too deeply") from exc
+        try:
+            return cls(raw)
         except RecursionError as exc:
             raise SpecError("spec is nested too deeply") from exc
 

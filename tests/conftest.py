@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from kcert.identities import Sampler
 from kcert.instances import (
@@ -10,6 +11,12 @@ from kcert.instances import (
     trivial_algebra,
     trivial_diagram,
 )
+
+# One Hypothesis profile for every run, loaded unconditionally: examples are
+# derived from each test itself and no example database is read or written,
+# so tier-1 draws the same examples on every machine and Python version.
+settings.register_profile("kcert", derandomize=True, database=None)
+settings.load_profile("kcert")
 
 
 @pytest.fixture

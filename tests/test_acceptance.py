@@ -57,7 +57,7 @@ def _report(criterion, ok, detail=""):
 def _x_cert(diagram):
     x_cls = QuotElem(diagram.lambda_prime.modulus, Poly([0, 1]))
     m = FilteredMatrix(diagram.lambda_prime, ((x_cls,),))
-    return InvertibleCert(m, m)
+    return InvertibleCert(m, m).verify()
 
 
 def test_criterion_1_identity_suite():

@@ -39,7 +39,7 @@ from kcert.scalars import Poly, QuotElem, rat
 def _x_cert(diagram):
     x_cls = QuotElem(diagram.lambda_prime.modulus, Poly([0, 1]))
     m = FilteredMatrix(diagram.lambda_prime, ((x_cls,),))
-    return InvertibleCert(m, m)
+    return InvertibleCert(m, m).verify()
 
 
 def _x_lift(diagram):
@@ -50,7 +50,7 @@ def test_trivial_diagram_invertible_lift_gives_zero(trivial_mv):
     two = InvertibleCert(
         FilteredMatrix.scalar_diag(trivial_mv.lambda_prime, 2, 1),
         FilteredMatrix.scalar_diag(trivial_mv.lambda_prime, rat(1, 2), 1),
-    )
+    ).verify()
     inp = BoundaryInput(
         trivial_mv, two,
         lift_a=FilteredMatrix.scalar_diag(trivial_mv.lambda1, 2, 1),
@@ -135,7 +135,7 @@ def test_extended_block_diagonal(clutching):
     u = InvertibleCert(
         FilteredMatrix(lp, ((two, z), (z, x_cls))),
         FilteredMatrix(lp, ((half, z), (z, x_cls))),
-    )
+    ).verify()
     inp = BoundaryInput(clutching, u, m=1)
     out = boundary_extended_form(inp)
     out.p.verify()
@@ -183,7 +183,7 @@ def test_p_and_closed_form_match_the_products_by_e(clutching, sampler, size, m):
     lift = blocks[0] if len(blocks) == 1 else blocks[0].direct_sum(blocks[1])
     u = InvertibleCert(
         apply_hom_matrix(clutching.j1, lift.m), apply_hom_matrix(clutching.j1, lift.m_inv)
-    )
+    ).verify()
     inp = BoundaryInput(
         clutching, u,
         lift_a=lift.m + _kernel_multiple(clutching, sampler, size),
@@ -211,7 +211,7 @@ def test_commuting_condition_rejected(clutching):
     u = InvertibleCert(
         FilteredMatrix(lp, ((z, x_cls), (x_cls, z))),
         FilteredMatrix(lp, ((z, x_cls), (x_cls, z))),
-    )
+    ).verify()
     with pytest.raises(CertificateFailure):
         BoundaryInput(clutching, u, m=1)
 
@@ -226,7 +226,6 @@ def test_inverse_lifts_shape(clutching, sampler):
     u = InvertibleCert(
         apply_hom_matrix(clutching.j1, u_tilde.m),
         apply_hom_matrix(clutching.j1, u_tilde.m_inv),
-        check=False,
     )
     inp = BoundaryInput(clutching, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv, m=1)
     out = boundary_extended_form(inp)
@@ -288,10 +287,11 @@ def test_lift_independence_b(clutching):
     x = _x_lift(clutching)
     inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
     h = FilteredMatrix(clutching.lambda1, ((Poly([-1, 0, 1]),),))
-    conj, tilde = verify_lift_independence_b(inp, h, boundary_extended_form(inp))
+    base = boundary_extended_form(inp)
+    conj, tilde = verify_lift_independence_b(inp, h, base)
     conj.verify()
     # the four displayed blocks match the independent recomputation
-    d11, d12, d21, d22 = independence_deltas(inp, h)
+    d11, d12, d21, d22 = independence_deltas(base, h)
     expect = block2(d11.plus_scalar(1), d12, d21, d22.plus_scalar(1))
     assert conj.m == expect
 
@@ -309,7 +309,7 @@ def test_deltas_match_symbolic_expansion(clutching, sampler):
             BoundaryInput(clutching, u, lift_a=x, lift_b=x + h)
         )
         observed = shifted.l.m @ base.l.m_inv
-        d11, d12, d21, d22 = independence_deltas(inp, h)
+        d11, d12, d21, d22 = independence_deltas(base, h)
         assert observed == block2(d11.plus_scalar(1), d12, d21, d22.plus_scalar(1))
 
 
@@ -341,7 +341,6 @@ def test_boundary_level_accounting(clutching, sampler):
         u = InvertibleCert(
             apply_hom_matrix(clutching.j1, u_tilde.m),
             apply_hom_matrix(clutching.j1, u_tilde.m_inv),
-            check=False,
         )
         out = boundary_second_form(BoundaryInput(clutching, u))
         floor = max(0, u.level - 2)
@@ -363,44 +362,44 @@ def _q(*rows):
 
 
 def _unit(value):
-    return InvertibleCert(_q([value]), _q([1 / rat(value)]))
+    return InvertibleCert(_q([value]), _q([1 / rat(value)])).verify()
 
 
 def _bad_inverse():
-    InvertibleCert(_q([1, 1], [0, 1]), _q([1, 0], [0, 1]))
+    InvertibleCert(_q([1, 1], [0, 1]), _q([1, 0], [0, 1])).verify()
 
 
 def _not_idempotent():
-    IdempotentCert(_q([1, 0], [0, 2]))
+    IdempotentCert(_q([1, 0], [0, 2])).verify()
 
 
 def _legs_disagree():
-    DoubleMatrix(_T, _q([1, 0], [0, 1]), _q([1, 0], [3, 1]))
+    DoubleMatrix(_T, _q([1, 0], [0, 1]), _q([1, 0], [3, 1])).verify()
 
 
 def _double_not_idempotent():
     c = clutching_diagram()
     x2 = FilteredMatrix(c.lambda2, ((Poly([0, 0, 1]),),))
-    IdempotentCert(DoubleMatrix(c, FilteredMatrix.identity(c.lambda1, 1), x2))
+    IdempotentCert(DoubleMatrix(c, FilteredMatrix.identity(c.lambda1, 1), x2).verify()).verify()
 
 
 def _wrong_lift_a():
-    u = InvertibleCert(_q([2, 0], [0, rat(1, 2)]), _q([rat(1, 2), 0], [0, 2]))
+    u = InvertibleCert(_q([2, 0], [0, rat(1, 2)]), _q([rat(1, 2), 0], [0, 2])).verify()
     BoundaryInput(_T, u, lift_a=_q([2, 0], [1, rat(1, 2)]), lift_b=u.m_inv)
 
 
 def _wrong_lift_b():
-    u = InvertibleCert(_q([2, 0], [0, rat(1, 2)]), _q([rat(1, 2), 0], [0, 2]))
+    u = InvertibleCert(_q([2, 0], [0, rat(1, 2)]), _q([rat(1, 2), 0], [0, 2])).verify()
     BoundaryInput(_T, u, lift_a=u.m, lift_b=_q([rat(1, 2), 5], [0, 2]))
 
 
 def _u_not_commuting():
-    BoundaryInput(_T, InvertibleCert(_q([1, 1], [0, 1]), _q([1, -1], [0, 1])), m=1)
+    BoundaryInput(_T, InvertibleCert(_q([1, 1], [0, 1]), _q([1, -1], [0, 1])).verify(), m=1)
 
 
 def _non_conjugate_gluing():
     glue_idempotents(
-        IdempotentCert(_q([1, 0], [0, 0])), IdempotentCert(_q([0, 0], [0, 1])),
+        IdempotentCert(_q([1, 0], [0, 0])).verify(), IdempotentCert(_q([0, 0], [0, 1])).verify(),
         InvertibleCert.identity(_T.lambda_prime, 2), _T,
     )
 

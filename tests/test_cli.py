@@ -252,6 +252,19 @@ def test_nonjson_rejected(tmp_path, capsys):
 TRIVIAL_SPEC = b'{"algebra": {"kind": "trivial"}, "command": {"name": "verify", "samples": 1}}'
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python reads integers of any length"
+)
+@pytest.mark.parametrize("digits", [4301, 5000])
+def test_integer_too_long_to_read_is_spec_error(tmp_path, capsys, digits):
+    # json.loads raises a bare ValueError past Python's integer digit limit.
+    path = tmp_path / "huge.json"
+    path.write_bytes(TRIVIAL_SPEC.replace(b'"samples": 1', b'"seed": ' + b"9" * digits))
+    code, _, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 2
+    assert err.startswith("spec error: spec is not valid JSON: ")
+
+
 def test_non_utf8_spec_is_spec_error(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(TRIVIAL_SPEC.replace(b'"verify"', b'"verif\xff"'))

@@ -1,13 +1,15 @@
 """Guards on the checker itself rather than on the mathematics.
 
-- Fault injection: every product the ``boundary`` command computes is load
-  bearing.  A wrapper around ``FilteredMatrix.__matmul__`` adds the all-ones
-  matrix to the k-th product, for every k, and the run must then fail
-  (exit 1).  A product made while the spec is parsed belongs to a claimed
-  certificate of the spec itself, so a fault there may exit 2 instead.
-- Shortcut audit: forcing ``check=True`` in every certificate and
-  double-matrix constructor must leave each report byte for byte as it was,
-  so every ``check=False`` shortcut skips only a claim that holds.
+- Fault injection: every product the ``boundary``, ``exactness`` and
+  ``verify`` commands compute is load bearing.  A wrapper around
+  ``FilteredMatrix.__matmul__`` adds the all-ones matrix to the k-th
+  product, for every k, and the run must then fail (exit 1).  A product
+  made while the spec is parsed belongs to a claimed certificate of the
+  spec itself, so a fault there may exit 2 instead.
+- Shortcut audit: building a certificate or a double matrix checks nothing,
+  and only an explicit ``verify()`` checks its claim.  Calling ``verify()``
+  on every one as soon as it is built must leave each report byte for byte
+  as it was, so every certificate left unverified carries a claim that holds.
 - Product count: one ``boundary`` run of the bundled clutching spec makes
   an exact number of products, so a repeated product cannot creep back.
 """
@@ -92,35 +94,58 @@ def _boundary_cases(tmp_path):
             ("boundary-clutching request 0", str(request))]
 
 
+def assert_every_product_caught(probe, label, argv, path, report):
+    """Corrupt each product of one CLI run in turn; every corrupted run must
+    exit 1, or 2 for a product made while the spec is parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    at_parse = probe.count(lambda: SpecDocument.from_bytes(data))
+    total = probe.count(lambda: run(argv, report))
+    assert run(argv, report)[0] == 0, label
+    silent, codes = [], []
+    for k in range(total):
+        probe.fault, probe.calls = k, 0
+        code, _ = run(argv, report)
+        codes.append(code)
+        if not (code == 1 or (code == 2 and k < at_parse)):
+            silent.append((k, code))
+    assert not silent, f"{label}: faults not caught (product, exit): {silent}"
+    assert codes.count(2) == at_parse, label
+
+
 def test_every_boundary_product_is_load_bearing(tmp_path, probe):
-    report = tmp_path / "report"
     for label, path in _boundary_cases(tmp_path):
         argv = ["boundary", "--spec", path]
-        with open(path, "rb") as fh:
-            data = fh.read()
-        at_parse = probe.count(lambda: SpecDocument.from_bytes(data))
-        total = probe.count(lambda: run(argv, report))
-        assert run(argv, report)[0] == 0, label
-        silent, codes = [], []
-        for k in range(total):
-            probe.fault, probe.calls = k, 0
-            code, _ = run(argv, report)
-            codes.append(code)
-            if not (code == 1 or (code == 2 and k < at_parse)):
-                silent.append((k, code))
-        assert not silent, f"{label}: faults not caught (product, exit): {silent}"
-        assert codes.count(2) == at_parse, label
+        assert_every_product_caught(probe, label, argv, path, tmp_path / "report")
+
+
+def test_every_exactness_and_verify_product_is_load_bearing(tmp_path, probe):
+    # Every product of each run is corrupted, so every call site is hit; one
+    # sample keeps the bundled specs' sweeps short.
+    subcommand, doc = perfbench_request("exactness-clutching")
+    assert subcommand == "exactness"
+    request = tmp_path / "request0.json"
+    request.write_text(json.dumps(doc))
+    cover, trivial = spec_path("propagation_cover.json"), spec_path("trivial_q.json")
+    cases = [
+        ("propagation_cover.json", ["exactness", "--spec", cover, "--samples", "1"], cover),
+        ("exactness-clutching request 0", ["exactness", "--spec", str(request)], str(request)),
+        ("trivial_q.json", ["verify", "--spec", trivial, "--samples", "1"], trivial),
+    ]
+    for label, argv, path in cases:
+        assert_every_product_caught(probe, label, argv, path, tmp_path / "report")
 
 
 def force_checks(monkeypatch):
-    """Make every IdempotentCert, InvertibleCert and DoubleMatrix verify
-    its claim on construction, whatever ``check`` the caller passed."""
+    """Make every IdempotentCert, InvertibleCert and DoubleMatrix call its
+    own verify() as soon as it is built."""
 
     def force(cls):
         inner = cls.__init__
 
-        def init(self, *args, check=True):
-            inner(self, *args, check=True)
+        def init(self, *args):
+            inner(self, *args)
+            self.verify()
 
         monkeypatch.setattr(cls, "__init__", init)
 
@@ -159,14 +184,14 @@ def test_forced_checks_leave_reports_unchanged(tmp_path, monkeypatch, probe):
     forced = []
     forced_products = probe.count(lambda: forced.extend(digests()))
     assert forced == plain
-    # The forced run really verified more: the shortcuts it undid skip products.
+    # The forced run really verified more: what it verified costs products.
     assert forced_products > plain_products
 
 
 # Products of one `boundary` run of the bundled clutching spec, parse
 # included: two for the spec's claimed inverse of U, then the construction,
 # its report checks and both lift-independence checks.
-BOUNDARY_PRODUCTS = 69
+BOUNDARY_PRODUCTS = 63
 
 
 def test_boundary_product_count(tmp_path, probe):

@@ -26,7 +26,7 @@ def _scalar_cert(algebra, value):
     return InvertibleCert(
         FilteredMatrix.scalar_diag(algebra, rat(value), 1),
         FilteredMatrix.scalar_diag(algebra, 1 / rat(value), 1),
-    )
+    ).verify()
 
 
 def _passes(sides):
@@ -48,7 +48,7 @@ def test_whitehead_scalar_two(trivial):
     u = InvertibleCert(
         FilteredMatrix.scalar_diag(trivial, 2, 1),
         FilteredMatrix.scalar_diag(trivial, rat(1, 2), 1),
-    )
+    ).verify()
     prod = whitehead_product(u)
     expect = FilteredMatrix(trivial, ((rat(2), rat(0)), (rat(0), rat(1, 2))))
     assert prod == expect
@@ -59,7 +59,7 @@ def test_whitehead_class_of_x(quotient):
     u = InvertibleCert(
         FilteredMatrix(quotient, ((x_cls,),)),
         FilteredMatrix(quotient, ((x_cls,),)),
-    )
+    ).verify()
     prod = whitehead_product(u)
     z = quotient.zero()
     assert prod == FilteredMatrix(quotient, ((x_cls, z), (z, x_cls)))

@@ -39,7 +39,7 @@ from kcert.scalars import Poly, QuotElem, rat
 def _x_cert(diagram):
     x_cls = QuotElem(diagram.lambda_prime.modulus, Poly([0, 1]))
     m = FilteredMatrix(diagram.lambda_prime, ((x_cls,),))
-    return InvertibleCert(m, m)
+    return InvertibleCert(m, m).verify()
 
 
 # -- certificates ------------------------------------------------------------
@@ -105,7 +105,7 @@ def test_certificate_level_tracks_witnesses(propagation, sampler):
 def test_inverse_pair_absorbs_to_zero(quotient, sampler):
     u = sampler.invertible(quotient, 2)
     pair = InvertibleCert(
-        u.m.direct_sum(u.m_inv), u.m_inv.direct_sum(u.m), check=False
+        u.m.direct_sum(u.m_inv), u.m_inv.direct_sum(u.m)
     )
     # [u] + [u^{-1}] is certifiably zero: the pair u + u^{-1} is O-shaped
     one = InvertibleCert.identity(quotient, 4)
@@ -150,7 +150,7 @@ def test_i_after_boundary_extended_variant(clutching):
     u = InvertibleCert(
         FilteredMatrix(lp, ((two, z), (z, x_cls))),
         FilteredMatrix(lp, ((half, z), (z, x_cls))),
-    )
+    ).verify()
     report = exactness_i_after_boundary(clutching, u, m=1)
     assert report.passed
 
@@ -236,8 +236,8 @@ def _double_idempotent(clutching, junk1, junk2):
             clutching,
             FilteredMatrix(l1, ((one, Poly(junk1)), (zero, zero))),
             FilteredMatrix(l2, ((one, Poly(junk2)), (zero, zero))),
-        )
-    )
+        ).verify()
+    ).verify()
 
 
 @pytest.mark.parametrize(
@@ -255,7 +255,7 @@ def test_check_certificate_residual_is_first_mismatch(clutching, junk1, junk2, l
 
 
 def test_kernel_i_trivial_difference(trivial_mv):
-    one = IdempotentCert(DoubleMatrix.diag_bits(trivial_mv, (1,)), check=False)
+    one = IdempotentCert(DoubleMatrix.diag_bits(trivial_mv, (1,)))
     d = K0Rep(one, one)
     # witnesses: the plus part normalizes to diag(1, 0); align with diag(0, 1)
     from kcert.matrices import permutation_cert
@@ -264,6 +264,39 @@ def test_kernel_i_trivial_difference(trivial_mv):
     phi, report = exactness_kernel_i(trivial_mv, d, 0, u1, u1)
     assert report.passed
     assert phi.m == FilteredMatrix.identity(trivial_mv.lambda_prime, 2)
+
+
+def _kernel_i_with_plus_part(trivial_mv, monkeypatch, wrong):
+    """exactness_kernel_i on [diag(1, 0)] - [diag(1, 0)] over Q, with the
+    witnesses that trivialize the normalized plus part it builds.  With
+    ``wrong``, normalization is made to build its plus part from diag(0, 1)
+    instead of the input's diag(1, 0)."""
+    from kcert import kclasses
+    from kcert.matrices import permutation_cert
+    from kcert.mv import normalize_difference
+
+    pair = IdempotentCert(DoubleMatrix.diag_bits(trivial_mv, (1, 0)))
+    if wrong:
+        swapped = IdempotentCert(DoubleMatrix.diag_bits(trivial_mv, (0, 1)))
+        monkeypatch.setattr(
+            kclasses, "normalize_difference", lambda _, p2: normalize_difference(swapped, p2)
+        )
+    # p~ = diag(0, 1, 0, 1) or diag(1, 0, 0, 1); eps = diag(0, 0, 1, 1)
+    perm = (0, 2, 1, 3) if wrong else (2, 0, 1, 3)
+    u = permutation_cert(trivial_mv.lambda1, perm)
+    return exactness_kernel_i(trivial_mv, K0Rep(pair, pair), 0, u, u)
+
+
+def test_kernel_i_chains_the_plus_part_back_to_the_input(trivial_mv, monkeypatch):
+    phi, report = _kernel_i_with_plus_part(trivial_mv, monkeypatch, wrong=False)
+    assert report.passed
+    phi, report = _kernel_i_with_plus_part(trivial_mv, monkeypatch, wrong=True)
+    # Every step from the normalized plus part on is consistent; only the
+    # chain back to the input difference sees that it is not [plus] - [minus].
+    failed = [name for name, ok, _ in report.checks if not ok]
+    assert failed == ["un-stabilizing restores the normalized plus part"]
+    names = [name for name, _, _ in report.checks]
+    assert "minus part trivializes" in names and phi is not None
 
 
 def test_boundary_zero_reports_shape(clutching, sampler):
@@ -305,19 +338,19 @@ def test_k0_glue_push_reglue_round_trip(clutching):
     u = _x_cert(clutching)
     glued, minus = boundary_first_form(clutching, u)
     d1 = (
-        IdempotentCert(glued.double.p.m1, check=False),
-        IdempotentCert(minus.p.m1, check=False),
+        IdempotentCert(glued.double.p.m1),
+        IdempotentCert(minus.p.m1),
     )
     d2 = (
-        IdempotentCert(glued.double.p.m2, check=False),
-        IdempotentCert(minus.p.m2, check=False),
+        IdempotentCert(glued.double.p.m2),
+        IdempotentCert(minus.p.m2),
     )
     from kcert.kclasses import K0MiddleWitness, exactness_k0_middle
     from kcert.mv import k0_common_form
 
-    q1, _, _, _ = k0_common_form(d1, d2)
+    q1, _, _ = k0_common_form(d1, d2)
     xi = IdempotentCert(
-        FilteredMatrix.zeros(clutching.lambda_prime, 1), check=False
+        FilteredMatrix.zeros(clutching.lambda_prime, 1)
     )
     witness = K0MiddleWitness(
         xi, InvertibleCert.identity(clutching.lambda_prime, q1.n + 1)
@@ -332,7 +365,7 @@ def test_forged_certificates_rejected(trivial, sampler):
     q = sampler.idempotent(trivial, 2)
     # a conjugator whose claimed inverse is wrong fails its own verification
     two = FilteredMatrix.scalar_diag(trivial, 2, 2)
-    forged = InvertibleCert(two, two, check=False)
+    forged = InvertibleCert(two, two)
     cert = EquivalenceCertificate(lhs_steps=(Conjugate(forged),))
     result = check_certificate(cert, p, p)
     assert not result.passed
@@ -356,8 +389,7 @@ def test_forged_certificates_rejected(trivial, sampler):
             trivial,
             ((rat(1, 2), rat(-1)), (rat(0), rat(2))),
         ),
-        check=True,
-    )
+    ).verify()
     cert = EquivalenceCertificate(lhs_steps=(OAbsorb(half_bad),))
     u2 = sampler.invertible(trivial, 2)
     assert not check_certificate(cert, u2, u2).passed
@@ -367,7 +399,7 @@ def test_double_mismatch_position_reported(clutching):
     x = FilteredMatrix(clutching.lambda1, ((Poly([0, 1]),),))
     one = FilteredMatrix.identity(clutching.lambda2, 1)
     try:
-        DoubleMatrix(clutching, x, one)
+        DoubleMatrix(clutching, x, one).verify()
         assert False, "mismatch must raise"
     except DoubleMismatch as exc:
         assert exc.position == (0, 0)
@@ -386,13 +418,13 @@ def _o_double(clutching, junk):
             clutching,
             FilteredMatrix(l1, ((two, zero), (zero, half))),
             FilteredMatrix(l2, ((two, k), (zero, half))),
-        ),
+        ).verify(),
         DoubleMatrix(
             clutching,
             FilteredMatrix(l1, ((half, zero), (zero, two))),
             FilteredMatrix(l2, ((half, -k), (zero, two))),
-        ),
-    )
+        ).verify(),
+    ).verify()
 
 
 @pytest.mark.parametrize(
@@ -413,8 +445,8 @@ def test_o_absorb_of_double_needs_both_legs_o_shaped(clutching, sampler, junk, p
 
 @pytest.mark.parametrize("single_first", [True, False], ids=["single-lhs", "double-lhs"])
 def test_single_against_double_rep_fails_cleanly(clutching, single_first):
-    single = IdempotentCert(FilteredMatrix.diag_bits(clutching.lambda1, (1,)))
-    double = IdempotentCert(DoubleMatrix.diag_bits(clutching, (1,)))
+    single = IdempotentCert(FilteredMatrix.diag_bits(clutching.lambda1, (1,))).verify()
+    double = IdempotentCert(DoubleMatrix.diag_bits(clutching, (1,))).verify()
     lhs, rhs = (single, double) if single_first else (double, single)
     result = check_certificate(EquivalenceCertificate(), lhs, rhs)
     assert result.passed is False
@@ -424,7 +456,7 @@ def test_single_against_double_rep_fails_cleanly(clutching, single_first):
 def test_double_witness_conjugating_single_rep_fails_cleanly(clutching, sampler):
     from kcert.mv import double_invertible
 
-    p = IdempotentCert(FilteredMatrix.diag_bits(clutching.lambda1, (1, 0)))
+    p = IdempotentCert(FilteredMatrix.diag_bits(clutching.lambda1, (1, 0))).verify()
     w = sampler.invertible(clutching.lambda1, 2)
     cert = EquivalenceCertificate(lhs_steps=(Conjugate(double_invertible(clutching, w, w)),))
     assert not check_certificate(cert, p, p).passed
@@ -436,7 +468,7 @@ def test_kernel_boundary_rejects_disagreeing_witness_legs(clutching, sampler):
     two = InvertibleCert(
         FilteredMatrix.scalar_diag(clutching.lambda1, 2, w.n),
         FilteredMatrix.scalar_diag(clutching.lambda1, rat(1, 2), w.n),
-    )
+    ).verify()
     pair, report = exactness_kernel_boundary(
         clutching, u, (w, w.compose(two)), lift_a=u_tilde.m, lift_b=u_tilde.m_inv
     )

@@ -125,11 +125,11 @@ def test_elementary_laws(quotient):
 
 def test_check_idempotent(trivial):
     good = FilteredMatrix.diag_bits(trivial, (1, 0))
-    cert = IdempotentCert(good)
+    cert = IdempotentCert(good).verify()
     assert cert.level == trivial.max_level
     bad = FilteredMatrix.scalar_diag(trivial, rat(1, 2), 2)
     with pytest.raises(CertificateFailure) as err:
-        IdempotentCert(bad)
+        IdempotentCert(bad).verify()
     assert err.value.position == (0, 0)
     assert err.value.residual == rat(-1, 4)
 
@@ -143,7 +143,7 @@ def test_conjugation_recertifies(all_algebras, sampler):
             q = IdempotentCert(u.m @ p.p @ u.m_inv)
             q.verify()
             one = InvertibleCert.identity(algebra, n)
-            assert IdempotentCert(one.m @ p.p @ one.m_inv).p == p.p
+            assert IdempotentCert(one.m @ p.p @ one.m_inv).verify().p == p.p
 
 
 def test_direct_sum_swap_conjugacy(trivial, sampler):
@@ -186,12 +186,10 @@ def test_o_map_non_multiplicativity_pinned(trivial, quotient):
         a = InvertibleCert(
             FilteredMatrix.scalar_diag(algebra, 2, 1),
             FilteredMatrix.scalar_diag(algebra, rat(1, 2), 1),
-            check=False,
         )
         b = InvertibleCert(
             FilteredMatrix.scalar_diag(algebra, 3, 1),
             FilteredMatrix.scalar_diag(algebra, rat(1, 3), 1),
-            check=False,
         )
         assert o_map(a.compose(b)).m == o_map(a).compose(o_map(b)).m
 
@@ -227,6 +225,10 @@ def test_involution_cert(trivial, sampler):
     w.verify()
     scalar = FilteredMatrix.diag_bits(trivial, (1, 1, 0, 0))
     assert w.m @ scalar @ w.m_inv == p.p.direct_sum(p.complement().p)
+    # the complementary block, which exactness_kernel_i's chain from the
+    # normalized plus part back to the input difference relies on
+    scalar = FilteredMatrix.diag_bits(trivial, (0, 0, 1, 1))
+    assert w.m @ scalar @ w.m_inv == p.complement().p.direct_sum(p.p)
 
 
 def test_permutation_cert(trivial):
@@ -241,7 +243,7 @@ def test_permutation_cert(trivial):
 def test_invertible_cert_failure(trivial):
     m = FilteredMatrix.scalar_diag(trivial, 2, 2)
     with pytest.raises(CertificateFailure):
-        InvertibleCert(m, m, check=True)
+        InvertibleCert(m, m).verify()
 
 
 # -- the product against a dense reference -----------------------------------

@@ -28,7 +28,7 @@ from kcert.scalars import Poly, QuotElem, rat
 def _x_cert(diagram):
     x_cls = QuotElem(diagram.lambda_prime.modulus, Poly([0, 1]))
     m = FilteredMatrix(diagram.lambda_prime, ((x_cls,),))
-    return InvertibleCert(m, m)
+    return InvertibleCert(m, m).verify()
 
 
 def _verify_double(cert):
@@ -49,7 +49,7 @@ def test_double_matrix_examples(clutching):
     shifted = FilteredMatrix(clutching.lambda1, ((Poly([-1, 1, 1]),),))  # x + (x^2 - 1)
     DoubleMatrix(clutching, x, shifted).verify()
     with pytest.raises(DoubleMismatch):
-        DoubleMatrix(clutching, x, one2)
+        DoubleMatrix(clutching, x, one2).verify()
 
 
 def test_lift_via_whitehead(clutching, sampler):
@@ -60,8 +60,8 @@ def test_lift_via_whitehead(clutching, sampler):
 
 
 def test_glue_trivial_units(clutching):
-    one1 = IdempotentCert(FilteredMatrix.identity(clutching.lambda1, 1), check=False)
-    one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1), check=False)
+    one1 = IdempotentCert(FilteredMatrix.identity(clutching.lambda1, 1))
+    one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1))
     unit = InvertibleCert.identity(clutching.lambda_prime, 1)
     glued = glue_idempotents(one1, one2, unit, clutching)
     _verify_double(glued.double)
@@ -70,8 +70,8 @@ def test_glue_trivial_units(clutching):
 
 
 def test_glue_clutching_idempotent(clutching):
-    one1 = IdempotentCert(FilteredMatrix.identity(clutching.lambda1, 1), check=False)
-    one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1), check=False)
+    one1 = IdempotentCert(FilteredMatrix.identity(clutching.lambda1, 1))
+    one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1))
     u = _x_cert(clutching)
     glued = glue_idempotents(one1, one2, u, clutching)
     _verify_double(glued.double)
@@ -83,8 +83,8 @@ def test_glue_clutching_idempotent(clutching):
 
 
 def test_glue_precondition_failure(clutching, sampler):
-    p1 = IdempotentCert(FilteredMatrix.diag_bits(clutching.lambda1, (1, 0)), check=False)
-    p2 = IdempotentCert(FilteredMatrix.diag_bits(clutching.lambda2, (0, 0)), check=False)
+    p1 = IdempotentCert(FilteredMatrix.diag_bits(clutching.lambda1, (1, 0)))
+    p2 = IdempotentCert(FilteredMatrix.diag_bits(clutching.lambda2, (0, 0)))
     u = InvertibleCert.identity(clutching.lambda_prime, 2)
     with pytest.raises(CertificateFailure):
         glue_idempotents(p1, p2, u, clutching)
@@ -93,27 +93,24 @@ def test_glue_precondition_failure(clutching, sampler):
 def test_glue_conjugated_by_double_matches_normal_form(clutching, sampler):
     # conjugating the glued idempotent by a double invertible keeps both
     # legs certifying and the double constraint intact
-    one1 = IdempotentCert(FilteredMatrix.identity(clutching.lambda1, 1), check=False)
-    one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1), check=False)
+    one1 = IdempotentCert(FilteredMatrix.identity(clutching.lambda1, 1))
+    one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1))
     glued = glue_idempotents(one1, one2, _x_cert(clutching), clutching)
     w = sampler.invertible(clutching.lambda1, 2)
-    dw = double_invertible(clutching, w, w, check=True)
-    _verify_double(IdempotentCert(dw.m @ glued.double.p @ dw.m_inv))
+    dw = double_invertible(clutching, w, w)
+    _verify_double(IdempotentCert(dw.m @ glued.double.p @ dw.m_inv).verify())
 
 
 def test_normalize_difference(trivial, sampler):
     p1 = sampler.idempotent(trivial, 2)
-    ones = IdempotentCert(FilteredMatrix.identity(trivial, 2), check=False)
-    p_prime, n, trivializer = normalize_difference(p1, ones)
+    ones = IdempotentCert(FilteredMatrix.identity(trivial, 2))
+    p_prime, n = normalize_difference(p1, ones)
     assert n == 2
     assert p_prime.p == p1.p.direct_sum(FilteredMatrix.zeros(trivial, 2))
     p2 = sampler.idempotent(trivial, 2)
-    p_prime, n, trivializer = normalize_difference(p2, p2)
-    trivializer.verify()
-    scalar = FilteredMatrix.diag_bits(trivial, (0, 0, 1, 1))
-    assert trivializer.m @ scalar @ trivializer.m_inv == p2.p.direct_sum(
-        p2.complement().p
-    )
+    p_prime, n = normalize_difference(p1, p2)
+    assert n == 2
+    assert p_prime.verify().p == p1.p.direct_sum(p2.complement().p)
 
 
 def test_glue_invertibles(clutching, sampler):
@@ -175,7 +172,6 @@ def test_glue_k1_witness_failure(clutching, sampler):
     two = InvertibleCert(
         FilteredMatrix.scalar_diag(clutching.lambda1, 2, 1),
         FilteredMatrix.scalar_diag(clutching.lambda1, rat(1, 2), 1),
-        check=False,
     )
     one = InvertibleCert.identity(clutching.lambda_prime, 1)
     with pytest.raises(CertificateFailure):
@@ -186,13 +182,13 @@ def test_cover_diagram_gluing(cover, sampler):
     # genuine two-chart cover: glue along a unit of the overlap functions
     p1 = sampler.idempotent(cover.lambda1, 1)
     # the overlap image of p1 must be conjugate to that of p2; use scalars
-    one1 = IdempotentCert(FilteredMatrix.identity(cover.lambda1, 1), check=False)
-    one2 = IdempotentCert(FilteredMatrix.identity(cover.lambda2, 1), check=False)
+    one1 = IdempotentCert(FilteredMatrix.identity(cover.lambda1, 1))
+    one2 = IdempotentCert(FilteredMatrix.identity(cover.lambda2, 1))
     unit_payload, unit_inv = sampler.unit(cover.lambda_prime)
     u = InvertibleCert(
         FilteredMatrix(cover.lambda_prime, ((unit_payload,),)),
         FilteredMatrix(cover.lambda_prime, ((unit_inv,),)),
-    )
+    ).verify()
     glued = glue_idempotents(one1, one2, u, cover)
     _verify_double(glued.double)
 
@@ -203,7 +199,7 @@ def _poly_double(diagram, leg1, leg2):
         diagram,
         FilteredMatrix(diagram.lambda1, ((Poly(leg1),),)),
         FilteredMatrix(diagram.lambda2, ((Poly(leg2),),)),
-    )
+    ).verify()
 
 
 @pytest.mark.parametrize("leg1,leg2,bad_leg", [
@@ -213,7 +209,7 @@ def _poly_double(diagram, leg1, leg2):
 def test_non_idempotent_double_names_the_leg(clutching, leg1, leg2, bad_leg):
     p = _poly_double(clutching, leg1, leg2)
     with pytest.raises(CertificateFailure) as err:
-        IdempotentCert(p)
+        IdempotentCert(p).verify()
     assert err.value.position == (bad_leg, (0, 0))
     assert err.value.residual is not None
     assert bad_leg in str(err.value)
@@ -227,16 +223,16 @@ def test_non_idempotent_double_names_the_leg(clutching, leg1, leg2, bad_leg):
 def test_wrong_double_inverse_names_the_leg(clutching, inv1, inv2, bad_leg):
     two = _poly_double(clutching, [2], [2])
     with pytest.raises(CertificateFailure) as err:
-        InvertibleCert(two, _poly_double(clutching, inv1, inv2))
+        InvertibleCert(two, _poly_double(clutching, inv1, inv2)).verify()
     assert err.value.position == (bad_leg, (0, 0))
     assert not isinstance(err.value, DoubleMismatch)
 
 
 def test_double_certificates_use_double_identity(clutching):
     half = _poly_double(clutching, [rat(1, 2)], [rat(1, 2)])
-    cert = InvertibleCert(_poly_double(clutching, [2], [2]), half)
+    cert = InvertibleCert(_poly_double(clutching, [2], [2]), half).verify()
     assert cert.algebra == clutching
-    p = IdempotentCert(_poly_double(clutching, [1], [1]))
+    p = IdempotentCert(_poly_double(clutching, [1], [1])).verify()
     assert p.complement().p == DoubleMatrix.diag_bits(clutching, (0,))
 
 
@@ -245,11 +241,14 @@ def test_double_invertible_rejects_disagreeing_legs(clutching, sampler):
     two = InvertibleCert(
         FilteredMatrix.scalar_diag(clutching.lambda2, 2, 1),
         FilteredMatrix.scalar_diag(clutching.lambda2, rat(1, 2), 1),
-    )
+    ).verify()
     with pytest.raises(DoubleMismatch):
         double_invertible(clutching, s, s.compose(two))
-    # unchecked, the pair is taken as given
-    double_invertible(clutching, s, s.compose(two), check=False)
+    # built directly, the pair is taken as given: building checks only shapes
+    bad = s.compose(two)
+    InvertibleCert(
+        DoubleMatrix(clutching, s.m, bad.m), DoubleMatrix(clutching, s.m_inv, bad.m_inv)
+    )
 
 
 def test_diagram_equality_is_structural(clutching, cover):
