@@ -7,12 +7,13 @@ and fraction-free matrix product; one class per hom kind (IdentityHom,
 QuotientHom, RestrictionHom, InclusionHom) owns its payload map, section and
 construction checks.  ``kind`` and ``type`` name them in reports.
 
-Degrees are always recomputed from the payload, never trusted from input.
-The filtration is decreasing, degree(a*b) >= min(deg a, deg b) - 1 floored
-at 0, scalar multiples of 1 sit at max_level, and addition never loses a
-level.  The propagation carrier realizes this through supports: the radius
-schedule r(mu) = R / 2^mu satisfies r(mu) + r(mu) = r(mu - 1) exactly, so
-support addition under composition yields the degree law.
+An element is its bare payload.  Degrees are always recomputed from the
+payload, never trusted from input.  The filtration is decreasing,
+degree(a*b) >= min(deg a, deg b) - 1 floored at 0, scalar multiples of 1
+sit at max_level, and addition never loses a level.  The propagation
+carrier realizes this through supports: the radius schedule
+r(mu) = R / 2^mu satisfies r(mu) + r(mu) = r(mu - 1) exactly, so support
+addition under composition yields the degree law.
 
 Algebras and homs are immutable after construction.  Each builds its
 structural signature once, so ``==`` is an identity check or one tuple
@@ -264,9 +265,6 @@ class LocalizedAlgebra:
             return self.max_level
         return min(map(levels.__getitem__, payload.table), default=self.max_level)
 
-    def is_zero(self, payload):
-        return not payload
-
     def _matrix_level(self, rows):
         """The level of a matrix with these rows: the lowest entry degree,
         which without a level table is max_level for every payload."""
@@ -279,15 +277,6 @@ class LocalizedAlgebra:
         if left:
             return lambda x, y: x + a * y
         return lambda x, y: x + y * a
-
-    def element(self, payload):
-        if isinstance(payload, AlgebraElement):
-            payload = payload.payload
-        if isinstance(payload, (int, str)) or isinstance(payload, Rat):
-            payload = self.from_rational(rat(payload))
-        if not self.accepts(payload):
-            raise ValueError(f"payload {payload!r} not in {self.describe()}")
-        return AlgebraElement(self, payload)
 
     def describe(self):
         return {"kind": self.kind, "max_level": self.max_level}
@@ -619,52 +608,6 @@ def _random_poly(sampler, top):
     return Poly([sampler.rational() for _ in range(sampler.rng.randint(0, top) + 1)])
 
 
-class AlgebraElement:
-    """An element of a localized algebra with its computed degree."""
-
-    __slots__ = ("algebra", "payload", "degree")
-
-    def __init__(self, algebra, payload):
-        self.algebra = algebra
-        self.payload = payload
-        self.degree = algebra.degree(payload)
-
-    def _same(self, other):
-        if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
-            raise ValueError("mixed-algebra operands rejected")
-
-    def __add__(self, other):
-        self._same(other)
-        return AlgebraElement(self.algebra, self.payload + other.payload)
-
-    def __sub__(self, other):
-        self._same(other)
-        return AlgebraElement(self.algebra, self.payload - other.payload)
-
-    def __mul__(self, other):
-        self._same(other)
-        return AlgebraElement(self.algebra, self.payload * other.payload)
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, -self.payload)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra == other.algebra
-            and self.payload == other.payload
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.payload))
-
-    def is_zero(self):
-        return self.algebra.is_zero(self.payload)
-
-    def __repr__(self):
-        return f"<{self.payload!r} deg {self.degree}>"
-
-
 class FilteredHom:
     """Unital filtered homomorphism with a deterministic section when
     surjective: the base of the four hom classes."""
@@ -677,16 +620,6 @@ class FilteredHom:
         self.source = source
         self.target = target
         self._sig = (self.type, source._sig, target._sig)
-
-    def apply(self, elem):
-        if elem.algebra != self.source:
-            raise ValueError("element not in the hom's source algebra")
-        return AlgebraElement(self.target, self.apply_payload(elem.payload))
-
-    def section(self, elem):
-        if elem.algebra != self.target:
-            raise ValueError("element not in the hom's target algebra")
-        return AlgebraElement(self.source, self.section_payload(elem.payload))
 
     def _apply_matrix(self, m):
         """Entrywise image of a matrix over the source."""

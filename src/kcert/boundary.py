@@ -121,10 +121,15 @@ def _boundary_core(inp):
     p_mat = _keep_columns(l.m, inp.m, size) @ l.m_inv
     # Not verified: _build_l verified L^-1 L = 1 and e1, e2 are 0/1
     # diagonals, so P^2 = L e1 (L^-1 L) e1 L^-1 = P and e2^2 = e2.  The
-    # boundary report verifies P^2 = P as its own line; legs-agree is checked.
+    # boundary report verifies P^2 = P as its own line.
     p = IdempotentCert(p_mat)
     e2_leg2 = e_block(diagram.lambda2, size + inp.m, inp.n)
-    p_double = IdempotentCert(DoubleMatrix(diagram, p_mat, e2_leg2).verify())
+    # Legs agree, not verified: BoundaryInput checked j1(A) = U and
+    # j1(B) = U^-1 (and, at m > 0, that U commutes with e = diag(0_m, 1_n)),
+    # and S0, S1 die above, so j1(L) = [[0, -U^-1], [U, 0]] and
+    # j1(P) = j1(L) e1 j1(L)^-1 = diag(0, U e U^-1) = diag(0, e) = j2(e2).
+    # The boundary report's "double matrix constraint" line verifies it.
+    p_double = IdempotentCert(DoubleMatrix(diagram, p_mat, e2_leg2))
     minus = IdempotentCert(
         DoubleMatrix(diagram, e_block(diagram.lambda1, size + inp.m, inp.n), e2_leg2)
     )

@@ -122,7 +122,7 @@ def boundary_report(diagram, u, lift_a=None, lift_b=None, m=0,
         report["p"] = encode_matrix(out.p.p)
         report["p_double"] = encode_double(out.p_double.p)
         report["class"] = {
-            "plus": encode_double(out.p_double.p),
+            "plus": report["p_double"],
             "minus": encode_double(out.minus.p),
         }
         report["levels"] = {

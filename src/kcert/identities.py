@@ -104,9 +104,6 @@ class Sampler:
     def payload(self, algebra):
         return algebra._random_payload(self)
 
-    def element(self, algebra):
-        return algebra.element(self.payload(algebra))
-
     def unit(self, algebra):
         """A unit of the algebra with its exact inverse."""
         return algebra._random_unit(self)
@@ -218,16 +215,16 @@ def conjugation_transport(a, b):
     return built, expected, [a.level, b.level], 2
 
 
-def elementary_commutator(i, j, k, a, n):
-    """E_ij(a) = [E_ik(a), E_kj(1)] for distinct indices i, j, k < n."""
+def elementary_commutator(i, j, k, algebra, a, n):
+    """E_ij(a) = [E_ik(a), E_kj(1)] for distinct indices i, j, k < n and a
+    payload a of the algebra."""
     if len({i, j, k}) != 3:
         raise ValueError("indices must be distinct")
-    alg = a.algebra
-    eik = elementary_expand(ElementaryMatrix(alg, n, i, k, a))
-    ekj = elementary_expand(ElementaryMatrix(alg, n, k, j, alg.one()))
+    eik = elementary_expand(ElementaryMatrix(algebra, n, i, k, a))
+    ekj = elementary_expand(ElementaryMatrix(algebra, n, k, j, algebra.one()))
     built = eik.m @ ekj.m @ eik.m_inv @ ekj.m_inv
-    expected = ElementaryMatrix(alg, n, i, j, a).expand()
-    return built, expected, [alg.degree(a.payload), alg.max_level], 3
+    expected = ElementaryMatrix(algebra, n, i, j, a).expand()
+    return built, expected, [algebra.degree(a), algebra.max_level], 3
 
 
 def _o_conjugation(u, lam):
@@ -315,7 +312,7 @@ def _elementary_inverse(algebra, sampler, max_n):
 def _elementary_commutator(algebra, sampler, max_n):
     n = sampler.size(max_n, min_n=3)
     i, j, k = sampler.rng.sample(range(n), 3)
-    return elementary_commutator(i, j, k, algebra.element(sampler.payload(algebra)), n)
+    return elementary_commutator(i, j, k, algebra, sampler.payload(algebra), n)
 
 
 IDENTITY_DRIVERS = (

@@ -15,7 +15,6 @@ through its own entrywise image, which for the quotient hom reuses the
 integer form a Q[x] matrix carries in the private slot ``_ints``.
 """
 
-from .algebras import AlgebraElement
 from .scalars import R1, rat
 
 
@@ -91,21 +90,6 @@ class FilteredMatrix:
         return cls._raw(
             algebra, tuple([z * i + (o if b else z) + z * (n - 1 - i) for i, b in enumerate(bits)])
         )
-
-    @classmethod
-    def from_elements(cls, algebra, grid):
-        rows = []
-        for row in grid:
-            out = []
-            for e in row:
-                if isinstance(e, AlgebraElement):
-                    if e.algebra != algebra:
-                        raise MatrixError("mixed-algebra entries")
-                    out.append(e.payload)
-                else:
-                    out.append(algebra.element(e).payload)
-            rows.append(tuple(out))
-        return cls(algebra, rows)
 
     # -- basics ------------------------------------------------------------
 
@@ -378,8 +362,6 @@ class ElementaryMatrix:
     def __init__(self, algebra, n, i, j, entry):
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise MatrixError("elementary matrix needs off-diagonal position")
-        if isinstance(entry, AlgebraElement):
-            entry = entry.payload
         if not algebra.accepts(entry):
             raise MatrixError("entry not in the algebra")
         self.algebra = algebra

@@ -10,17 +10,20 @@
   and only an explicit ``verify()`` checks its claim.  Calling ``verify()``
   on every one as soon as it is built must leave each report byte for byte
   as it was, so every certificate left unverified carries a claim that holds.
+  Acceptance criteria 2-8 must pass in the same forced mode.
 - Product count: one ``boundary`` run of the bundled clutching spec makes
   an exact number of products, so a repeated product cannot creep back.
 """
 
 import hashlib
 import importlib.util
+import inspect
 import json
 from importlib import resources
 from pathlib import Path
 
 import pytest
+import test_acceptance as acceptance
 
 from kcert import matrices, mv
 from kcert.cli import main
@@ -122,16 +125,20 @@ def test_every_boundary_product_is_load_bearing(tmp_path, probe):
 def test_every_exactness_and_verify_product_is_load_bearing(tmp_path, probe):
     # Every product of each run is corrupted, so every call site is hit; one
     # sample keeps the bundled specs' sweeps short.
-    subcommand, doc = perfbench_request("exactness-clutching")
-    assert subcommand == "exactness"
-    request = tmp_path / "request0.json"
-    request.write_text(json.dumps(doc))
+    # verify-propagation request 0 sweeps the propagation kernel's verify path.
     cover, trivial = spec_path("propagation_cover.json"), spec_path("trivial_q.json")
     cases = [
         ("propagation_cover.json", ["exactness", "--spec", cover, "--samples", "1"], cover),
-        ("exactness-clutching request 0", ["exactness", "--spec", str(request)], str(request)),
         ("trivial_q.json", ["verify", "--spec", trivial, "--samples", "1"], trivial),
     ]
+    for workload, want in (("exactness-clutching", "exactness"),
+                           ("verify-propagation", "verify")):
+        subcommand, doc = perfbench_request(workload)
+        assert subcommand == want
+        request = tmp_path / f"{workload}.json"
+        request.write_text(json.dumps(doc))
+        cases.append((f"{workload} request 0", [subcommand, "--spec", str(request)],
+                      str(request)))
     for label, argv, path in cases:
         assert_every_product_caught(probe, label, argv, path, tmp_path / "report")
 
@@ -186,6 +193,20 @@ def test_forced_checks_leave_reports_unchanged(tmp_path, monkeypatch, probe):
     assert forced == plain
     # The forced run really verified more: what it verified costs products.
     assert forced_products > plain_products
+
+
+# Criterion 1 is the timed identity suite; its budget is for the plain mode.
+ACCEPTANCE_CRITERIA = sorted(
+    name for name in vars(acceptance)
+    if name.startswith("test_criterion_") and not name.startswith("test_criterion_1_")
+)
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_CRITERIA)
+def test_acceptance_criterion_under_forced_checks(name, monkeypatch, request):
+    criterion = getattr(acceptance, name)
+    force_checks(monkeypatch)
+    criterion(*[request.getfixturevalue(arg) for arg in inspect.signature(criterion).parameters])
 
 
 # Products of one `boundary` run of the bundled clutching spec, parse

@@ -130,12 +130,11 @@ def test_conjugation_identity_cases(quotient, sampler):
 
 
 def test_elementary_commutator_cases(quotient):
-    zero = quotient.element(quotient.zero())
-    assert _passes(elementary_commutator(0, 1, 2, zero, 3))
-    x = quotient.element(QuotElem(quotient.modulus, Poly([0, 1])))
-    assert _passes(elementary_commutator(0, 1, 2, x, 3))
+    assert _passes(elementary_commutator(0, 1, 2, quotient, quotient.zero(), 3))
+    x = QuotElem(quotient.modulus, Poly([0, 1]))
+    assert _passes(elementary_commutator(0, 1, 2, quotient, x, 3))
     with pytest.raises(ValueError):
-        elementary_commutator(0, 0, 1, x, 3)
+        elementary_commutator(0, 0, 1, quotient, x, 3)
 
 
 def test_suite_all_instances_pass(all_algebras):

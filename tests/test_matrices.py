@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcert.algebras import (
+    InclusionHom,
     Kernel,
     LocalizedAlgebra,
     PolyAlgebra,
@@ -212,11 +213,19 @@ def test_apply_hom_preserves_certificates(clutching, sampler):
         IdempotentCert(apply_hom_matrix(h, p.p)).verify()
 
 
-def test_section_matrix_roundtrip(clutching, sampler):
+def test_section_matrix_roundtrip(clutching, trivial, sampler):
     h = clutching.j1
     m = sampler.matrix(clutching.lambda_prime, 2)
     lifted = section_matrix(h, m)
     assert apply_hom_matrix(h, lifted) == m
+    # A matrix over the wrong algebra is rejected in both directions.
+    with pytest.raises(MatrixError):
+        apply_hom_matrix(h, m)
+    with pytest.raises(MatrixError):
+        section_matrix(h, lifted)
+    inclusion = InclusionHom(trivial, clutching.lambda1)
+    with pytest.raises(ValueError, match="non-surjective"):
+        section_matrix(inclusion, FilteredMatrix.identity(clutching.lambda1, 2))
 
 
 def test_involution_cert(trivial, sampler):
@@ -333,8 +342,8 @@ def test_zero_divisor_products_cancel_to_zero():
 
 def test_cancelling_sums_give_zero():
     algebra = trivial_algebra()
-    a = FilteredMatrix.from_elements(algebra, [["1", "1"], ["2", "-2"]])
-    b = FilteredMatrix.from_elements(algebra, [["1", "3"], ["-1", "3"]])
+    a = FilteredMatrix(algebra, [[rat(1), rat(1)], [rat(2), rat(-2)]])
+    b = FilteredMatrix(algebra, [[rat(1), rat(3)], [rat(-1), rat(3)]])
     product = a @ b
     assert_same_entries(product, dense_product(a, b))
     assert product.rows[0][0] == 0 and product.rows[1][1] == 0
