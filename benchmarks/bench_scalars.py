@@ -10,6 +10,7 @@ built separately (equal, not identical), the matrix product over each
 carrier (Q, Q[x], Q[x]/(x^2 - 1), kernels on 4 points; sampled n x n
 operands, n = 2, 4, 6), the image of a sampled Q[x] matrix in Q[x]/(x^2 - 1)
 (n = 2, 4, 6), the conjugation u p u^-1 over Q[x]/(x^2 - 1) (n = 2, 4), the
+invertible lift of diag(u, u^-1) through Q[x] -> Q[x]/(x^2 - 1) (n = 2, 6), the
 sampler's draws (a unit with its inverse per carrier, and a 4 x 4 invertible
 over Q, Q[x]/(x^2 - 1) and kernels on 4 points), and a slice of the identity
 suite over the three bundled carriers.  Over kernels on 4 points and over Q
@@ -46,6 +47,7 @@ from kcert.instances import (
     x2_minus_1,
 )
 from kcert.matrices import ElementaryMatrix, FilteredMatrix, apply_hom_matrix, o_map
+from kcert.mv import lift_via_whitehead
 from kcert.scalars import Poly, QuotElem, Rat, rat
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -155,6 +157,11 @@ def quotient_rows():
         u, p = sampler.invertible(target, size, factors=4), sampler.matrix(target, size)
         rows.append((f"u p u^-1, Q[x]/(x^2 - 1), n = {size}",
                      per_call_us(lambda: u.m @ p @ u.m_inv, 1000 // size)))
+    # Drawn after the rows above, so their operands stay the same.
+    for size in (2, 6):
+        u = sampler.invertible(target, size, factors=4)
+        rows.append((f"lift_via_whitehead, Q[x] -> Q[x]/(x^2 - 1), n = {size}",
+                     per_call_us(lambda: lift_via_whitehead(u, h), 400 // size)))
     return rows
 
 

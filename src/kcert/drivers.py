@@ -35,7 +35,6 @@ from .matrices import (
     IdempotentCert,
     InvertibleCert,
     apply_hom_invertible,
-    block_swap_cert,
     elementary_expand,
     o_map,
     permutation_cert,
@@ -197,12 +196,13 @@ def gen_i_after_boundary(diagram, sampler):
 
 def kernel_boundary_witness(diagram, u_tilde):
     """For a liftable transition the boundary trivializes literally; L.swap
-    is its recorded trivializer on both legs."""
-    u = apply_hom_invertible(diagram.j1, u_tilde)
-    inp = BoundaryInput(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv, m=0)
-    out = boundary_second_form(inp)
-    w = out.l.compose(block_swap_cert(diagram.lambda1, u.n))
-    return u, w
+    is its recorded trivializer on both legs.  The lifts A = u~, B = u~^-1
+    have S0 = S1 = 0, so L = [[0, -B], [A, 0]] and L.swap = diag(-B, A), with
+    inverse diag(-A, B); the checker builds L itself."""
+    a, b = u_tilde.m, u_tilde.m_inv
+    return apply_hom_invertible(diagram.j1, u_tilde), InvertibleCert(
+        (-b).direct_sum(a), (-a).direct_sum(b)
+    )
 
 
 def gen_kernel_boundary(diagram, sampler, corrupt=False):

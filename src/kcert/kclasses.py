@@ -19,10 +19,12 @@ from .matrices import (
     MatrixError,
     apply_hom_invertible,
     apply_hom_matrix,
+    block2,
     block_swap_cert,
     involution_cert,
     is_o_shaped,
     o_blocks,
+    split2,
 )
 from .mv import (
     DoubleMatrix,
@@ -135,6 +137,16 @@ def check_certificate(cert, lhs, rhs):
     return CheckResult(ok, None if ok else residual, level)
 
 
+def swap_halves(cert, left=False):
+    """cert.compose(swap), or swap.compose(cert) when ``left``, for the block
+    swap (block_swap_cert, its own inverse), by moving blocks: no product."""
+    a, b, c, d = split2(cert.m)
+    ai, bi, ci, di = split2(cert.m_inv)
+    if left:
+        return InvertibleCert(block2(c, d, a, b), block2(bi, ai, di, ci))
+    return InvertibleCert(block2(b, a, d, c), block2(ci, di, ai, bi))
+
+
 def o_absorb_zero_certificate(xi):
     """An O-shaped xi absorbs to the identity:
     xi + 1 = swap (1 + xi) swap^{-1}."""
@@ -205,7 +217,7 @@ def exactness_k0_middle(diagram, d1, d2, witness):
     if not report.require("witness: stabilized images conjugate", lhs.first_mismatch(rhs)):
         return None, report
     xi_bar = xi.complement()
-    c = involution_cert(xi).compose(block_swap_cert(xi.algebra, k))
+    c = swap_halves(involution_cert(xi))
     scalar = e_block(xi.algebra, k, k)
     report.require(
         "padding trivializer", (c.m @ scalar @ c.m_inv).first_mismatch(
@@ -277,10 +289,8 @@ def exactness_i_after_boundary(diagram, u, m=0):
     report = ExactnessReport("i_after_boundary")
     inp = BoundaryInput(diagram, u, m=m)
     out = boundary_extended_form(inp) if m else boundary_second_form(inp)
-    size = u.n
-    swap = block_swap_cert(diagram.lambda1, size)
-    conj = out.l.compose(swap)
-    e2_leg1 = e_block(diagram.lambda1, size + m, size - m)
+    conj = swap_halves(out.l)
+    e2_leg1 = e_block(diagram.lambda1, u.n + m, u.n - m)
     report.require(
         "leg1: P = (L.swap) e2 (L.swap)^-1",
         out.p.p.first_mismatch(conj.m @ e2_leg1 @ conj.m_inv),
@@ -310,7 +320,6 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
     u1, u2 = witness
     inp = BoundaryInput(diagram, u, lift_a=lift_a, lift_b=lift_b, m=0)
     out = boundary_second_form(inp)
-    size = 2 * u.n
     try:
         double_invertible(diagram, u1, u2)
     except CertificateFailure as exc:
@@ -339,11 +348,8 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
         "normal form leg2 = V e2 V^-1",
         normal.p.m2.first_mismatch(v.m @ out.e2 @ v.m_inv),
     )
-    swap = block_swap_cert(diagram.lambda1, u.n)
-    g = swap.compose(u1.inverse()).compose(out.l)
-    g11 = g.m.sub_block(0, u.n, 0, u.n)
-    g12 = g.m.sub_block(0, u.n, u.n, size)
-    g21 = g.m.sub_block(u.n, size, 0, u.n)
+    g = swap_halves(u1.inverse(), left=True).compose(out.l)
+    g11, g12, g21, _ = split2(g.m)
     report.add(
         "swap.U1^-1.L is block diagonal",
         g12.is_zero() and g21.is_zero(),
@@ -351,10 +357,8 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
     )
     if not report.passed:
         return None, report
-    w1 = InvertibleCert(g11, g.m_inv.sub_block(0, u.n, 0, u.n)).verify()
-    w2 = InvertibleCert(
-        u2.m.sub_block(u.n, size, u.n, size), u2.m_inv.sub_block(u.n, size, u.n, size)
-    ).verify()
+    w1 = InvertibleCert(g11, split2(g.m_inv)[0]).verify()
+    w2 = InvertibleCert(split2(u2.m)[3], split2(u2.m_inv)[3]).verify()
     product = apply_hom_matrix(diagram.j2, w2.m) @ apply_hom_matrix(diagram.j1, w1.m)
     report.require("splitting: U = j2(W2) . j1(W1)", u.m.first_mismatch(product))
     report.witnesses["w1_level"] = w1.level
@@ -377,19 +381,6 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
     plus, minus = d.plus, d.minus
     m_sz, n_sz = plus.n, minus.n
     p_bar, _ = normalize_difference(plus, minus)
-    # The trivializer W = [[minus, 1 - minus], [1 - minus, minus]] is built
-    # leg by leg by one recipe, so its legs agree as minus's do; W = W^-1.
-    w1, w2 = (involution_cert(IdempotentCert(leg)) for leg in (minus.p.m1, minus.p.m2))
-    trivializer = InvertibleCert(
-        DoubleMatrix(diagram, w1.m, w2.m), DoubleMatrix(diagram, w1.m_inv, w2.m_inv)
-    )
-    scalar = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * n_sz + (0,) * n_sz))
-    report.require(
-        "minus part trivializes",
-        (trivializer.m @ scalar.p @ trivializer.m_inv).first_mismatch(
-            minus.p.direct_sum(minus.complement().p)
-        ),
-    )
     p_tilde = p_bar.pad(q)
     total = m_sz + n_sz + q
     eps = e_block(diagram.lambda1, total - n_sz, n_sz)
@@ -452,15 +443,24 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
     )
     # p~ is p_bar padded by q zeros, so what is left is [p_bar] - [1_n] =
     # [plus] - [minus]: 1_m + W conjugates plus + diag(0_n, 1_n) onto
-    # p_bar + minus = plus + (1 - minus) + minus.
+    # p_bar + minus = plus + (1 - minus) + minus, with the trivializer
+    # W = [[minus, 1 - minus], [1 - minus, minus]].  W is built leg by leg
+    # by one recipe, so its legs agree as minus's do, and W = W^-1, which
+    # the Conjugate step verifies; so W diag(1_n, 0_n) W = minus + (1 - minus)
+    # follows from the lower block, and the minus part trivializes.
+    w1, w2 = (involution_cert(IdempotentCert(leg)) for leg in (minus.p.m1, minus.p.m2))
+    trivializer = InvertibleCert(
+        DoubleMatrix(diagram, w1.m, w2.m), DoubleMatrix(diagram, w1.m_inv, w2.m_inv)
+    )
     ident = DoubleMatrix.identity(diagram, m_sz)
+    lower = DoubleMatrix.diag_bits(diagram, (0,) * n_sz + (1,) * n_sz)
     unnormalize = EquivalenceCertificate(
         rhs_steps=(Conjugate(InvertibleCert(ident, ident).direct_sum(trivializer)),)
     )
     report.require(
         "un-stabilizing restores the normalized plus part",
         check_certificate(
-            unnormalize, p_bar.direct_sum(minus), plus.direct_sum(scalar.complement())
+            unnormalize, p_bar.direct_sum(minus), plus.direct_sum(IdempotentCert(lower))
         ).residual,
     )
     report.witnesses["phi_level"] = phi.level

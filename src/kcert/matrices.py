@@ -122,8 +122,9 @@ class FilteredMatrix:
         ]))
 
     def __neg__(self):
+        z = self.algebra.zero()  # kept by identity, so products still skip it
         return FilteredMatrix._raw(
-            self.algebra, tuple([tuple([-a for a in row]) for row in self.rows])
+            self.algebra, tuple([tuple([z if a is z else -a for a in row]) for row in self.rows])
         )
 
     def __matmul__(self, other):

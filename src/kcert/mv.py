@@ -8,11 +8,13 @@ and its algebra is the diagram, so an idempotent or invertible over the
 pullback is a plain IdempotentCert or InvertibleCert whose matrices are
 double matrices.
 
-Gluing follows the lift-through-sections recipe: the transition invertible
-u becomes diag(u, u^{-1}), which factors into three elementary block
-matrices and a rotation; each elementary factor lifts entrywise through the
-surjective leg to an invertible elementary matrix, so the product lifts
-invertibly with an explicit inverse.
+Gluing lifts diag(u, u^{-1}) for the transition invertible u.  Whitehead
+factors it as [[1, u], [0, 1]] [[1, 0], [-u^{-1}, 1]] [[1, u], [0, 1]]
+[[0, -1], [1, 0]]; with a, b the section lifts of u, u^{-1} through the
+surjective leg, the lifted factors multiply out to [[2a - aba, ab - 1],
+[1 - ba, b]] and their inverses, in reverse, to [[b, 1 - ba], [ab - 1,
+2a - aba]].  Each factor is unipotent or a rotation, so the two are exactly
+inverse for any a and b, not only when ab = 1: three products of size n.
 """
 
 from collections import namedtuple
@@ -215,33 +217,29 @@ def double_invertible(diagram, cert1, cert2):
     )
 
 
+def whitehead_lift(a, b):
+    """The Whitehead factors of a and b multiplied out, with their inverse, in
+    the module's closed form; exactly inverse for any square a, b of one size."""
+    ab = a @ b
+    ident = FilteredMatrix.identity(a.algebra, a.n)
+    corner = a + a - ab @ a
+    upper = ab - ident
+    lower = ident - b @ a
+    return InvertibleCert(block2(corner, upper, lower, b), block2(b, lower, upper, corner))
+
+
 def lift_via_whitehead(u, leg):
-    """Invertible lift of diag(u, u^{-1}) through a surjective leg: the four
-    factors lift entrywise by the section, each staying exactly invertible,
-    and the rotation lifts as it is.  Returns a certificate over the leg's
-    source whose image is exactly o_map(u)."""
+    """Invertible lift of diag(u, u^{-1}) through a surjective leg: the closed
+    form of the section lifts of u and u^{-1}, whose image is checked to be
+    exactly o_map(u), as a certificate over the leg's source."""
     if not leg.surjective:
         raise ValueError("lifting requires a surjective leg")
     if u.algebra != leg.target:
         raise MatrixError("transition matrix must live over the overlap ring")
-    src = leg.source
-    n = u.n
-    ident = FilteredMatrix.identity(src, n)
-    zero = FilteredMatrix.zeros(src, n)
-    a = section_matrix(leg, u.m)
-    b = section_matrix(leg, u.m_inv)
-    f1 = block2(ident, a, zero, ident)
-    f2 = block2(ident, zero, -b, ident)
-    f4 = block2(zero, -ident, ident, zero)
-    fwd = f1 @ f2 @ f1 @ f4
-    f1_inv = block2(ident, -a, zero, ident)
-    f2_inv = block2(ident, zero, b, ident)
-    f4_inv = block2(zero, ident, -ident, zero)
-    bwd = f4_inv @ f1_inv @ f2_inv @ f1_inv
-    lifted = InvertibleCert(fwd, bwd)
+    lifted = whitehead_lift(section_matrix(leg, u.m), section_matrix(leg, u.m_inv))
     target = o_map(u)
-    expect_equal(apply_hom_matrix(leg, fwd), target.m, "lift image mismatch")
-    expect_equal(apply_hom_matrix(leg, bwd), target.m_inv, "lift image mismatch")
+    expect_equal(apply_hom_matrix(leg, lifted.m), target.m, "lift image mismatch")
+    expect_equal(apply_hom_matrix(leg, lifted.m_inv), target.m_inv, "lift image mismatch")
     return lifted
 
 

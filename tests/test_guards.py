@@ -11,8 +11,9 @@
   on every one as soon as it is built must leave each report byte for byte
   as it was, so every certificate left unverified carries a claim that holds.
   Acceptance criteria 2-8 must pass in the same forced mode.
-- Product count: one ``boundary`` run of the bundled clutching spec makes
-  an exact number of products, so a repeated product cannot creep back.
+- Product count: one ``boundary`` run of the bundled clutching spec and one
+  ``exactness`` run of the exactness-clutching benchmark's request 0 each
+  make an exact number of products, so a repeated product cannot creep back.
 """
 
 import hashlib
@@ -218,3 +219,18 @@ BOUNDARY_PRODUCTS = 63
 def test_boundary_product_count(tmp_path, probe):
     argv = ["boundary", "--spec", spec_path("quotient_clutching.json")]
     assert probe.count(lambda: run(argv, tmp_path / "report")) == BOUNDARY_PRODUCTS
+
+
+# Products of one `exactness` run of request 0 of the exactness-clutching
+# benchmark workload: all six segments, with the Whitehead lift in closed
+# form, the kernel-boundary witness written down, and every block swap of
+# the recipes a rearrangement.
+EXACTNESS_PRODUCTS = 148
+
+
+def test_exactness_product_count(tmp_path, probe):
+    subcommand, doc = perfbench_request("exactness-clutching")
+    request = tmp_path / "request0.json"
+    request.write_text(json.dumps(doc))
+    argv = [subcommand, "--spec", str(request)]
+    assert probe.count(lambda: run(argv, tmp_path / "report")) == EXACTNESS_PRODUCTS

@@ -52,6 +52,23 @@ def test_identity_neutral(trivial, sampler):
     assert (ident @ m).level == m.level
 
 
+@pytest.mark.parametrize(
+    "make", [trivial_algebra, poly_algebra, quotient_algebra, propagation_algebra]
+)
+def test_negation_keeps_the_shared_zero(make, sampler):
+    # Products skip the algebra's shared zero by identity, so -m must keep
+    # every such entry the same object.
+    algebra = make()
+    z = algebra.zero()
+    m = sampler.matrix(algebra, 2).direct_sum(FilteredMatrix.zeros(algebra, 2))
+    neg = -m
+    kept = [(i, j) for i, row in enumerate(m.rows) for j, a in enumerate(row) if a is z]
+    assert len(kept) >= 8
+    assert all(neg.rows[i][j] is z for i, j in kept)
+    assert neg.rows == tuple(tuple(-a for a in row) for row in m.rows)
+    assert neg + m == FilteredMatrix.zeros(algebra, 4)
+
+
 def test_size_and_algebra_mismatch(trivial, quotient, sampler):
     a = sampler.matrix(trivial, 2)
     b = sampler.matrix(trivial, 3)

@@ -1,5 +1,6 @@
 import pytest
 
+from kcert.identities import whitehead_product
 from kcert.matrices import (
     CertificateFailure,
     FilteredMatrix,
@@ -7,7 +8,9 @@ from kcert.matrices import (
     InvertibleCert,
     MatrixError,
     apply_hom_matrix,
+    block2,
     o_map,
+    section_matrix,
 )
 from kcert.mv import (
     DoubleMatrix,
@@ -21,6 +24,7 @@ from kcert.mv import (
     lift_o_element,
     lift_via_whitehead,
     normalize_difference,
+    whitehead_lift,
 )
 from kcert.scalars import Poly, QuotElem, rat
 
@@ -57,6 +61,41 @@ def test_lift_via_whitehead(clutching, sampler):
     lifted = lift_via_whitehead(u, clutching.j2)
     lifted.verify()
     assert apply_hom_matrix(clutching.j2, lifted.m) == o_map(u).m
+
+
+def _four_factor_lift(a, b):
+    """The literal products f1 f2 f1 f4 and f4^-1 f1^-1 f2^-1 f1^-1 of the
+    Whitehead factors built from a and b."""
+    ident = FilteredMatrix.identity(a.algebra, a.n)
+    zero = FilteredMatrix.zeros(a.algebra, a.n)
+    f1_inv = block2(ident, -a, zero, ident)
+    f2_inv = block2(ident, zero, b, ident)
+    f4_inv = block2(zero, ident, -ident, zero)
+    # whitehead_product takes the record (a, b) whether or not ab = 1.
+    fwd = whitehead_product(InvertibleCert(a, b))
+    return fwd, f4_inv @ f1_inv @ f2_inv @ f1_inv
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_closed_form_lift_is_the_four_factor_product(clutching, trivial, sampler, size):
+    # Over Q[x], the section lifts of u and u^-1 through the clutching leg
+    # are inverse only modulo x^2 - 1; over Q, a and b are unrelated.
+    ident = FilteredMatrix.identity(clutching.lambda2, size)
+    for _ in range(20):
+        u = sampler.invertible(clutching.lambda_prime, size, factors=4)
+        a, b = section_matrix(clutching.j2, u.m), section_matrix(clutching.j2, u.m_inv)
+        if a @ b != ident:
+            break
+    assert a @ b != ident
+    pairs = [(lift_via_whitehead(u, clutching.j2), a, b)]
+    a, b = sampler.matrix(trivial, size), sampler.matrix(trivial, size)
+    assert a @ b != FilteredMatrix.identity(trivial, size)
+    pairs.append((whitehead_lift(a, b), a, b))
+    for lifted, a, b in pairs:
+        fwd, bwd = _four_factor_lift(a, b)
+        assert lifted.m.rows == fwd.rows and lifted.m_inv.rows == bwd.rows
+        ident = FilteredMatrix.identity(a.algebra, 2 * size)
+        assert lifted.m @ lifted.m_inv == ident and lifted.m_inv @ lifted.m == ident
 
 
 def test_glue_trivial_units(clutching):
