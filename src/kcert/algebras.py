@@ -26,12 +26,12 @@ entries' supports, so a zero entry costs nothing.
 Matrix products are fraction-free (cf. Bareiss, Math. Comp. 22, 1968):
 each operand is read once as integers over the lcm of its denominators,
 only nonzero entries are multiplied, and each result coefficient is built
-once as ``Rat(c, da * db)``, one gcd per coefficient instead of a reduced
-rational multiply and add per term.  Over Q the integers form an n x n
-grid over the entries that are not the shared zero R0, an identity test
-that reads nothing.  Most zeros of the identity suite are R0: those of
-identities and zero blocks, of product entries, of row and column
-operations that cancel, and of draws.  Any other zero (a negated or
+once by ``scalars._reduced(c, da * db)``, one gcd per coefficient instead
+of a reduced rational multiply and add per term.  Over Q the integers form
+an n x n grid over the entries that are not the shared zero R0, an
+identity test that reads nothing.  Most zeros of the identity suite are
+R0: those of identities and zero blocks, of product entries, of row and
+column operations that cancel, and of draws.  Any other zero (a negated or
 subtracted one, "0" parsed from a spec) is kept and only adds 0.  Kernels
 on |X| points form a sparse (n|X|) x (n|X|) block matrix,
 whose product decodes each distinct integer sum once (lam * 1 units put one
@@ -72,7 +72,9 @@ from .scalars import (
     Rat,
     _int_product,
     _integer_coeffs,
+    _reciprocal,
     _reduce_ints,
+    _reduced,
     encode_rational,
     parse_rational,
     rat,
@@ -319,7 +321,7 @@ class TrivialAlgebra(LocalizedAlgebra):
 
     def _random_unit(self, sampler):
         v = sampler.rational(allow_zero=False)
-        return v, R1 / v
+        return v, _reciprocal(v)
 
     def _add_multiple(self, a, left=False):
         """Fraction-free, and the same on both sides since Q is commutative:
@@ -333,7 +335,7 @@ class TrivialAlgebra(LocalizedAlgebra):
             xd = x.denominator
             yd = y.denominator * ad
             c = x.numerator * yd + y.numerator * an * xd
-            return Rat(c, xd * yd) if c else R0
+            return _reduced(c, xd * yd) if c else R0
 
         return add_multiple
 
@@ -442,7 +444,7 @@ class PropagationAlgebra(LocalizedAlgebra):
             for i in range(space.size):
                 v = sampler.rational(allow_zero=False)
                 table[(i, i)] = v
-                inv[(i, i)] = R1 / v
+                inv[(i, i)] = _reciprocal(v)
             return Kernel._raw(table), Kernel._raw(inv)
         # lam * 1 + a nilpotent kernel N, strictly upper triangular in the
         # point order.
@@ -465,7 +467,7 @@ def _upper_unit_inverse(lam, nil, n):
     """(lam * 1 + N)^-1 for N strictly upper triangular on n points (the
     table ``nil``), by back substitution, last point first: row i of the
     inverse is (e_i - sum over k > i of N[i][k] * row k) / lam."""
-    inv_lam = R1 / lam
+    inv_lam = _reciprocal(lam)
     by_row = {}
     for (i, k), c in nil.items():
         by_row.setdefault(i, []).append((k, -c * inv_lam))
@@ -507,7 +509,7 @@ class PolyAlgebra(LocalizedAlgebra):
 
     def _random_unit(self, sampler):
         v = sampler.rational(allow_zero=False)
-        return Poly.const(v), Poly.const(R1 / v)
+        return Poly.const(v), Poly.const(_reciprocal(v))
 
     def _product(self, a, b):
         return _poly_product(a, b)
@@ -588,7 +590,7 @@ class QuotientAlgebra(LocalizedAlgebra):
             while c and not c[-1]:
                 c.pop()
             return QuotElem._reduced(
-                modulus, Poly._raw(tuple([Rat(v, den) if v else R0 for v in c]))
+                modulus, Poly._raw(tuple([_reduced(v, den) if v else R0 for v in c]))
             )
 
         return add_multiple
@@ -704,7 +706,7 @@ class QuotientHom(FilteredHom):
                     c.pop()
                 if c:
                     d = den * scale
-                    poly = Poly._raw(tuple([Rat(v, d) if v else R0 for v in c]))
+                    poly = Poly._raw(tuple([_reduced(v, d) if v else R0 for v in c]))
                     entries[j] = QuotElem._reduced(modulus, poly)
             out.append(tuple(entries))
         return m._raw(target, tuple(out))
@@ -799,7 +801,7 @@ def _rational_product(a, b):
             x = x.numerator * (da // x.denominator)
             for j, y in b_ints[k]:
                 acc[j] += x * y
-        out.append(tuple([Rat(c, d) if c else R0 for c in acc]))
+        out.append(tuple([_reduced(c, d) if c else R0 for c in acc]))
     return tuple(out)
 
 
@@ -845,7 +847,7 @@ def _kernel_product(a, b, algebra):
                 if c:
                     v = memo.get(c)
                     if v is None:
-                        v = memo[c] = Rat(c, d)
+                        v = memo[c] = _reduced(c, d)
                     table[pairs[key]] = v
             entries.append(Kernel._raw(table) if table else zero)
         out.append(tuple(entries))
@@ -924,7 +926,7 @@ def _poly_product(a, b):
             if g != 1:
                 g = gcd(g, *c)
             ints.append((j, c))
-            poly = Poly._raw(tuple([Rat(v, den) if v else R0 for v in c]))
+            poly = Poly._raw(tuple([_reduced(v, den) if v else R0 for v in c]))
             entries.append(poly if modulus is None else QuotElem._reduced(modulus, poly))
         out.append(tuple(entries))
         out_ints.append(ints)

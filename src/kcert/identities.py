@@ -111,7 +111,7 @@ class Sampler:
     def matrix(self, algebra, n):
         return FilteredMatrix(
             algebra,
-            tuple(tuple(self.payload(algebra) for _ in range(n)) for _ in range(n)),
+            tuple([tuple([self.payload(algebra) for _ in range(n)]) for _ in range(n)]),
         )
 
     def invertible(self, algebra, n, factors=None):

@@ -149,7 +149,7 @@ class FilteredMatrix:
     def scale(self, value):
         v = self.algebra.from_rational(rat(value))
         return FilteredMatrix(
-            self.algebra, tuple(tuple(v * p for p in row) for row in self.rows)
+            self.algebra, tuple([tuple([v * p for p in row]) for row in self.rows])
         )
 
     def plus_scalar(self, value):
@@ -442,12 +442,8 @@ def permutation_cert(algebra, perm):
     n = len(perm)
     z = algebra.zero()
     o = algebra.one()
-    fwd = tuple(
-        tuple(o if j == perm[i] else z for j in range(n)) for i in range(n)
-    )
-    inv = tuple(
-        tuple(o if perm[j] == i else z for j in range(n)) for i in range(n)
-    )
+    fwd = tuple([tuple([o if j == perm[i] else z for j in range(n)]) for i in range(n)])
+    inv = tuple([tuple([o if perm[j] == i else z for j in range(n)]) for i in range(n)])
     return InvertibleCert(FilteredMatrix(algebra, fwd), FilteredMatrix(algebra, inv))
 
 
@@ -492,5 +488,5 @@ def section_matrix(h, m):
         raise MatrixError("matrix not over the hom's target algebra")
     s = h.section_payload
     return FilteredMatrix(
-        h.source, tuple(tuple(s(p) for p in row) for row in m.rows)
+        h.source, tuple([tuple([s(p) for p in row]) for row in m.rows])
     )

@@ -9,23 +9,60 @@ single implementation.
 
 A polynomial product is fraction-free: each operand's coefficients are
 scaled to integers over the lcm of its denominators, the integers are
-convolved, and each result coefficient is built once as
-``Rat(c, da * db)``, one gcd per coefficient instead of a reduced Fraction
-multiply and add per pair of coefficients.  Coefficients stay reduced
-rationals, so equality, hashing and encodings match a schoolbook product.
-An inverse in Q[x]/(m) is computed over the integers as well: QuotElem.invert
-solves the multiplication-by-rep system by Bareiss elimination, with no
-Euclid loop over Fraction coefficients.
+convolved, and each result coefficient is built once by ``_reduced(c, da *
+db)``, one gcd per coefficient instead of a reduced Fraction multiply and
+add per pair of coefficients.  Coefficients stay reduced rationals, so
+equality, hashing and encodings match a schoolbook product.  An inverse in
+Q[x]/(m) is computed over the integers as well: QuotElem.invert solves the
+multiplication-by-rep system by Bareiss elimination, with no Euclid loop
+over Fraction coefficients.
+
+Every rational that a kernel decodes from integers it computed is built by
+``_reduced`` (one gcd), and every reciprocal of a nonzero rational by
+``_reciprocal`` (no gcd).  Both set Fraction's two slots, ``_numerator`` and
+``_denominator``, on ``object.__new__(Rat)`` and so skip the type dispatch
+of ``Fraction.__new__``; the result is an ordinary Fraction that equals,
+hashes and prints as ``Rat(c, d)`` does.  This is the one module that knows
+that layout, and a test pins ``Rat.__slots__``.
 """
 
 import re
 from fractions import Fraction as Rat
-from math import lcm
+from math import gcd, lcm
 
 R0 = Rat(0)
 R1 = Rat(1)
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: \d would also accept any Unicode decimal digit.
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+
+_new = object.__new__
+
+
+def _reduced(c, d):
+    """Rat(c, d) for ints c and d > 0: one gcd, then Fraction's two slots."""
+    g = gcd(c, d)
+    if g != 1:
+        c //= g
+        d //= g
+    v = _new(Rat)
+    v._numerator = c
+    v._denominator = d
+    return v
+
+
+def _reciprocal(v):
+    """1 / v for a nonzero Rat v: numerator and denominator swap and the sign
+    moves to the new numerator; they stay coprime, so there is no gcd."""
+    n = v._numerator
+    r = _new(Rat)
+    if n < 0:
+        r._numerator = -v._denominator
+        r._denominator = -n
+    else:
+        r._numerator = v._denominator
+        r._denominator = n
+    return r
 
 
 class NotInvertible(Exception):
@@ -123,7 +160,14 @@ class Poly:
         return self + (-other)
 
     def __neg__(self):
-        return Poly._raw(tuple(-c for c in self.coeffs))
+        # -c keeps c's coprime denominator, so there is no gcd.
+        out = []
+        for c in self.coeffs:
+            v = _new(Rat)
+            v._numerator = -c._numerator
+            v._denominator = c._denominator
+            out.append(v)
+        return Poly._raw(tuple(out))
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -139,13 +183,13 @@ class Poly:
         # A list, not a generator: tuple(<genexpr>) over-allocates and
         # resizes, which churns the interpreter's tuple freelists and shows
         # as peak RSS.
-        return Poly._raw(tuple([Rat(c, d) if c else R0 for c in out]))
+        return Poly._raw(tuple([_reduced(c, d) if c else R0 for c in out]))
 
     def scale(self, value):
         v = rat(value)
         if not v:
             return _P_ZERO
-        return Poly._raw(tuple(c * v for c in self.coeffs))
+        return Poly._raw(tuple([c * v for c in self.coeffs]))
 
     def divmod_by(self, divisor):
         """Exact division with remainder; divisor must be nonzero."""
@@ -346,7 +390,7 @@ class QuotElem:
             raise NotInvertible("zero is not invertible")
         modulus = self.modulus
         if len(self.rep.coeffs) == 1:
-            return QuotElem._reduced(modulus, Poly._raw((R1 / self.rep.coeffs[0],)))
+            return QuotElem._reduced(modulus, Poly._raw((_reciprocal(self.rep.coeffs[0]),)))
         d = modulus.degree
         m_int = _integer_coeffs(modulus.coeffs)[0]
         col, scale = _integer_coeffs(self.rep.coeffs)
@@ -364,7 +408,10 @@ class QuotElem:
         if solved is None:
             raise NotInvertible("representative shares a factor with the modulus")
         xs, det = solved
-        out = [Rat(x * k, det) if x else R0 for x, k in zip(xs, scales)]
+        if det < 0:
+            det = -det
+            xs = [-x for x in xs]
+        out = [_reduced(x * k, det) if x else R0 for x, k in zip(xs, scales)]
         while out and not out[-1]:
             out.pop()
         return QuotElem._reduced(modulus, Poly._raw(tuple(out)))

@@ -151,7 +151,7 @@ def parse_matrix(obj, algebra, where="matrix"):
     for r, row in enumerate(entries):
         _require(isinstance(row, list) and len(row) == size, f"{where}: row {r} malformed")
         try:
-            rows.append(tuple(algebra.parse_payload(e) for e in row))
+            rows.append(tuple([algebra.parse_payload(e) for e in row]))
         except (ValueError, TypeError) as exc:
             raise SpecError(f"{where}: row {r}: {exc}") from exc
     mat = FilteredMatrix(algebra, rows)

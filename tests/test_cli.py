@@ -121,6 +121,22 @@ def test_malformed_rational_rejected(tmp_path, capsys):
     assert "spec error" in err
 
 
+@pytest.mark.parametrize("entry", ["\u0663", "\uff13", "-\u0663/2", "1/\uff13"])
+def test_non_ascii_digits_are_spec_error(tmp_path, capsys, entry):
+    # int() and Fraction() read any Unicode decimal digit; a spec rational
+    # is written with ASCII digits only.
+    doc = {
+        "algebra": {"kind": "trivial"},
+        "matrices": {"M": {"algebra": "algebra", "size": 1, "entries": [[entry]]}},
+        "command": {"name": "verify"},
+    }
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 2
+    assert "malformed rational" in err
+
+
 def test_zero_samples_is_spec_error(tmp_path, capsys):
     # zero samples would check nothing, so neither the flag nor the spec
     # value may turn into a pass

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcert.scalars import (
@@ -10,6 +10,8 @@ from kcert.scalars import (
     Poly,
     QuotElem,
     Rat,
+    _reciprocal,
+    _reduced,
     encode_rational,
     parse_rational,
     rat,
@@ -56,6 +58,49 @@ def test_reduction_invariant():
     assert rat(0, 5).denominator == 1
 
 
+def test_fraction_slot_layout():
+    # _reduced and _reciprocal set these two slots directly, so a change of
+    # Fraction's layout must fail here instead of building wrong rationals.
+    assert Rat is Fraction
+    assert Rat.__slots__ == ("_numerator", "_denominator")
+
+
+def assert_same_rational(got, want):
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    other = Fraction(-5, 12)
+    for a, b in ((got + other, want + other), (got * other, want * other)):
+        assert type(a) is Fraction and a == b and str(a) == str(b)
+
+
+# c = c0 * k and d = d0 * k up to about 2^130, with a shared factor k.
+@settings(max_examples=300)
+@given(
+    st.integers(-(2 ** 120), 2 ** 120),
+    st.integers(1, 2 ** 120) | st.integers(1, 12),
+    st.integers(1, 2 ** 10) | st.sampled_from([1, 2, 6, 2 ** 10]),
+)
+@example(c0=0, d0=7, k=3)
+@example(c0=-(2 ** 120), d0=1, k=2 ** 10)
+def test_reduced_matches_fraction(c0, d0, k):
+    c, d = c0 * k, d0 * k
+    assert_same_rational(_reduced(c, d), Rat(c, d))
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(-(2 ** 130), 2 ** 130).filter(bool),
+    st.integers(1, 2 ** 130) | st.integers(1, 12),
+)
+@example(num=-3, den=7)
+@example(num=5, den=2)
+@example(num=-1, den=1)
+def test_reciprocal_matches_division(num, den):
+    v = Rat(num, den)
+    assert_same_rational(_reciprocal(v), 1 / v)
+
+
 @settings(max_examples=200)
 @given(rationals, rationals, rationals)
 def test_field_axioms(a, b, c):
@@ -75,7 +120,8 @@ def test_encoding_round_trip(a):
 
 
 def test_parse_rejects_malformed():
-    for bad in ("1/0", "a", "1.5", "1/2/3", "", "2 / 3x"):
+    # "\u0663" is Arabic-Indic 3 and "\uff13" fullwidth 3: only ASCII digits parse.
+    for bad in ("1/0", "a", "1.5", "1/2/3", "", "2 / 3x", "\u0663", "\uff13", "1/\u0663"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
@@ -242,6 +288,14 @@ def test_poly_mul_cancellations(a):
     _assert_matches(prod, _schoolbook(_fracs(p), _fracs(mirrored)))
     _assert_matches(p * Poly.zero(), [])
     _assert_matches(Poly.zero() * p, [])
+
+
+@settings(max_examples=100)
+@given(_coeffs)
+def test_poly_negation_matches_fraction(a):
+    p = _poly(a)
+    _assert_matches(-p, [-c for c in _fracs(p)])
+    assert -(-p) == p
 
 
 def test_poly_mul_examples():

@@ -158,10 +158,19 @@ HUGE_INTEGER = (
     + b'}, "command": {"name": "verify", "samples": 1}}'
 )
 
+# A rational written with a non-ASCII decimal digit (Arabic-Indic 3), which
+# int() and Fraction() would read as 3.
+NON_ASCII_DIGIT = json.dumps({
+    "algebra": {"kind": "trivial"},
+    "matrices": {"M": {"algebra": "algebra", "size": 1, "entries": [["\u0663"]]}},
+    "command": {"name": "verify", "samples": 1},
+}, ensure_ascii=False).encode("utf-8")
+
 
 @settings(max_examples=150, deadline=None)
 @given(mutated_specs())
 @example(case=("verify", HUGE_INTEGER))
+@example(case=("verify", NON_ASCII_DIGIT))
 def test_mutated_specs_exit_cleanly(spec_file, case):
     command, data = case
     spec_file.write_bytes(data)
