@@ -36,8 +36,7 @@ from .mv import DoubleMatrix, glue_idempotents
 # ``top`` is the top row (S0 e S0, S0 e (1+S0)B) that both closed forms share.
 BoundaryOutput = namedtuple(
     "BoundaryOutput",
-    ["u", "m", "n", "lift_a", "lift_b", "s0", "s1", "corner", "top", "l", "p", "p_double",
-     "e2", "minus"],
+    ["lift_a", "lift_b", "s0", "s1", "corner", "top", "l", "p", "p_double", "e2", "minus"],
 )
 
 
@@ -135,8 +134,8 @@ def _boundary_core(inp):
     )
     s0e = _keep_columns(s0, inp.m, size)
     return BoundaryOutput(
-        u=inp.u, m=inp.m, n=inp.n, lift_a=a, lift_b=b, s0=s0, s1=s1, corner=corner,
-        top=(s0e @ s0, s0e @ corner), l=l, p=p, p_double=p_double, e2=e2_leg2, minus=minus,
+        lift_a=a, lift_b=b, s0=s0, s1=s1, corner=corner, top=(s0e @ s0, s0e @ corner),
+        l=l, p=p, p_double=p_double, e2=e2_leg2, minus=minus,
     )
 
 
@@ -278,25 +277,3 @@ def verify_lift_independence_b(inp, h, base):
         "perturbed idempotent not conjugate",
     )
     return conj_cert, tilde
-
-
-def rotation_image(u):
-    """The block rotation [[0, -U^{-1}], [U, 0]] any alternative L must hit."""
-    z = FilteredMatrix.zeros(u.algebra, u.n)
-    return block2(z, -u.m_inv, u.m, z)
-
-
-def boundary_alt_lifting(inp, l_any):
-    """Lifting freedom: any invertible lifting of the block rotation
-    produces a conjugate idempotent, with conjugator L' L^{-1}."""
-    diagram = inp.diagram
-    base = boundary_extended_form(inp)
-    expect_equal(
-        apply_hom_matrix(diagram.j1, l_any.m), rotation_image(inp.u),
-        "alternative L does not lift the block rotation",
-    )
-    e1 = base.l.m_inv @ base.p.p @ base.l.m  # recover e1 = L^-1 P L exactly
-    p_alt = IdempotentCert(l_any.m @ e1 @ l_any.m_inv).verify()
-    conj = l_any.compose(base.l.inverse())
-    expect_equal(p_alt.p, conj.m @ base.p.p @ conj.m_inv, "alt-lift conjugacy fails")
-    return p_alt, conj, base

@@ -6,7 +6,7 @@
 
 Reports are byte-identical for equal (spec, seed): wall-clock goes to
 stderr, never into the report.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 spec error."""
+failed, 2 spec error or a report that cannot be written."""
 
 import argparse
 import functools
@@ -184,7 +184,11 @@ def main(argv=None):
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.format, args.report)
+    try:
+        _emit(report, args.format, args.report)
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.monotonic() - started
     print(f"wall-clock: {elapsed:.3f}s", file=sys.stderr)
     return 0 if report["result"] == "pass" else 1

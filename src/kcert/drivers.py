@@ -19,6 +19,7 @@ from .boundary import (
 )
 from .identities import IDENTITY_NAMES, Sampler, run_identity_suite
 from .kclasses import (
+    ExactnessReport,
     K0MiddleWitness,
     K0Rep,
     exactness_boundary_zero,
@@ -88,32 +89,22 @@ def verify_report(algebra, seed, samples, max_size):
 def boundary_report(diagram, u, lift_a=None, lift_b=None, m=0,
                     perturb_a=None, perturb_b=None):
     inp = BoundaryInput(diagram, u, lift_a=lift_a, lift_b=lift_b, m=m)
-    checks = []
-
-    def run(name, thunk):
-        try:
-            result = thunk()
-            checks.append({"name": name, "ok": True})
-            return result
-        except CertificateFailure as exc:
-            checks.append({"name": name, "ok": False, "residual": str(exc)})
-            return None
-
-    out = run(
+    log = ExactnessReport("boundary")
+    out = log.run(
         "boundary construction (S, L, P, double constraint, closed form)",
         lambda: boundary_extended_form(inp) if m else boundary_second_form(inp),
     )
     report = {
         "command": {"name": "boundary", "m": m, "size": u.n,
                     "diagram": diagram.describe()},
-        "checks": checks,
+        "checks": log.checks,
     }
     if out is not None:
-        run("P certifies idempotent", lambda: out.p.verify())
+        log.run("P certifies idempotent", out.p.verify)
         # P_double^2 = P_double is P^2 = P on leg 1, checked on the line
         # above, and e2^2 = e2 on leg 2, a 0/1 diagonal; what is left to
         # check is that the legs agree.
-        run("double matrix constraint", lambda: out.p_double.p.verify())
+        log.run("double matrix constraint", out.p_double.p.verify)
         report["s0"] = encode_matrix(out.s0)
         report["s1"] = encode_matrix(out.s1)
         report["l"] = encode_matrix(out.l.m)
@@ -143,17 +134,16 @@ def boundary_report(diagram, u, lift_a=None, lift_b=None, m=0,
             return extended[0]
 
         if perturb_a is not None:
-            run(
+            log.run(
                 "lift independence in A (explicit conjugator)",
                 lambda: verify_lift_independence_a(inp, perturb_a, base()),
             )
         if perturb_b is not None:
-            run(
+            log.run(
                 "lift independence in B (delta blocks)",
                 lambda: verify_lift_independence_b(inp, perturb_b, base()),
             )
-    ok = all(c["ok"] for c in checks)
-    report["result"] = "pass" if ok else "fail"
+    report["result"] = "pass" if log.passed else "fail"
     return report
 
 
@@ -301,7 +291,7 @@ def exactness_report(diagram, seed, samples, corrupt_witness=False):
                 break
             if not report.passed:
                 seg_ok = False
-                entry["checks"] = report.to_dict()["checks"]
+                entry["checks"] = report.checks
                 entry["failing_sample"] = idx
                 break
         entry["status"] = "pass" if seg_ok else "fail"

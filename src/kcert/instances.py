@@ -1,5 +1,7 @@
-"""Bundled desk-scale instances: the three algebra carriers used by the
-random suites and the three pullback diagrams the CLI ships."""
+"""Desk-scale instances built in code for the tests and the scalar
+benchmark: the three algebra carriers the random suites run over and three
+pullback diagrams.  The CLI never imports this module; it builds its
+algebras and diagrams from JSON specs (see specdoc)."""
 
 from .algebras import (
     IdentityHom,
@@ -89,10 +91,3 @@ def cover_diagram(max_level=16):
     j1 = RestrictionHom(a1, ap)
     j2 = RestrictionHom(a2, ap)
     return MVDiagram(a1, a2, ap, j1, j2)
-
-
-DIAGRAMS = {
-    "trivial": trivial_diagram,
-    "clutching": clutching_diagram,
-    "cover": cover_diagram,
-}

@@ -20,7 +20,6 @@ from .matrices import (
     apply_hom_invertible,
     apply_hom_matrix,
     block2,
-    block_swap_cert,
     involution_cert,
     is_o_shaped,
     o_blocks,
@@ -147,23 +146,12 @@ def swap_halves(cert, left=False):
     return InvertibleCert(block2(b, a, d, c), block2(ci, di, ai, bi))
 
 
-def o_absorb_zero_certificate(xi):
-    """An O-shaped xi absorbs to the identity:
-    xi + 1 = swap (1 + xi) swap^{-1}."""
-    n = xi.n
-    ident = InvertibleCert.identity(xi.algebra, n)
-    swap = block_swap_cert(xi.algebra, n)
-    return EquivalenceCertificate(
-        lhs_steps=(OAbsorb(ident), Conjugate(swap)),
-        rhs_steps=(OAbsorb(xi),),
-    )
-
-
 # -- exactness witnesses -----------------------------------------------------
 
 
 class ExactnessReport:
-    """Named checks with exact residuals for one six-term segment."""
+    """Named checks with exact residuals, in report form, for one six-term
+    segment or one ``boundary`` run."""
 
     __slots__ = ("segment", "checks", "witnesses")
 
@@ -173,26 +161,30 @@ class ExactnessReport:
         self.witnesses = {}
 
     def add(self, name, ok, detail=None):
-        self.checks.append((name, bool(ok), None if ok else str(detail)))
+        if ok:
+            self.checks.append({"name": name, "ok": True})
+        else:
+            self.checks.append({"name": name, "ok": False, "residual": str(detail)})
         return ok
 
     def require(self, name, mismatch):
         """Record a first_mismatch-style result (None means pass)."""
         return self.add(name, mismatch is None, mismatch)
 
+    def run(self, name, thunk):
+        """Record ``thunk()`` as a check that fails when it raises
+        CertificateFailure; return its result, or None when it failed."""
+        try:
+            result = thunk()
+        except CertificateFailure as exc:
+            self.add(name, False, exc)
+            return None
+        self.add(name, True)
+        return result
+
     @property
     def passed(self):
-        return all(ok for _, ok, _ in self.checks)
-
-    def to_dict(self):
-        return {
-            "segment": self.segment,
-            "passed": self.passed,
-            "checks": [
-                {"name": n, "ok": ok, **({"residual": d} if d else {})}
-                for n, ok, d in self.checks
-            ],
-        }
+        return all(check["ok"] for check in self.checks)
 
     def __repr__(self):
         return f"ExactnessReport({self.segment}: {'pass' if self.passed else 'FAIL'})"
@@ -276,9 +268,7 @@ def exactness_boundary_zero_oshape(diagram, xi):
         return report
     report.add("input is O-shaped", True)
     lifted = lift_via_whitehead(o_blocks(xi), diagram.j1)
-    inner = exactness_boundary_zero(diagram, lifted)
-    for name, ok, detail in inner.checks:
-        report.add(name, ok, detail)
+    report.checks.extend(exactness_boundary_zero(diagram, lifted).checks)
     return report
 
 
@@ -301,9 +291,6 @@ def exactness_i_after_boundary(diagram, u, m=0):
     )
     report.witnesses["conjugator_level"] = conj.level
     return report
-
-
-KernelBoundaryWitness = namedtuple("KernelBoundaryWitness", ["u1", "u2"])
 
 
 def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):

@@ -143,16 +143,9 @@ class DoubleMatrix:
             FilteredMatrix.identity(diagram.lambda2, n),
         )
 
-    def __add__(self, other):
-        self._same(other)
-        return DoubleMatrix(self.diagram, self.m1 + other.m1, self.m2 + other.m2)
-
     def __sub__(self, other):
         self._same(other)
         return DoubleMatrix(self.diagram, self.m1 - other.m1, self.m2 - other.m2)
-
-    def __neg__(self):
-        return DoubleMatrix(self.diagram, -self.m1, -self.m2)
 
     def __matmul__(self, other):
         self._same(other)

@@ -3,14 +3,12 @@ import pytest
 from kcert import boundary
 from kcert.boundary import (
     BoundaryInput,
-    boundary_alt_lifting,
     boundary_extended_form,
     boundary_first_form,
     boundary_second_form,
     default_lifts,
     e_block,
     independence_deltas,
-    rotation_image,
     verify_lift_independence_a,
     verify_lift_independence_b,
 )
@@ -24,6 +22,7 @@ from kcert.matrices import (
     apply_hom_matrix,
     block2,
     elementary_expand,
+    expect_equal,
     o_map,
 )
 from kcert.mv import (
@@ -311,6 +310,32 @@ def test_deltas_match_symbolic_expansion(clutching, sampler):
         observed = shifted.l.m @ base.l.m_inv
         d11, d12, d21, d22 = independence_deltas(base, h)
         assert observed == block2(d11.plus_scalar(1), d12, d21, d22.plus_scalar(1))
+
+
+# No command builds an alternative L, so the lifting-freedom claim lives here
+# with its tests.
+
+
+def rotation_image(u):
+    """The block rotation [[0, -U^{-1}], [U, 0]] any alternative L must hit."""
+    z = FilteredMatrix.zeros(u.algebra, u.n)
+    return block2(z, -u.m_inv, u.m, z)
+
+
+def boundary_alt_lifting(inp, l_any):
+    """Lifting freedom: any invertible lifting of the block rotation
+    produces a conjugate idempotent, with conjugator L' L^{-1}."""
+    diagram = inp.diagram
+    base = boundary_extended_form(inp)
+    expect_equal(
+        apply_hom_matrix(diagram.j1, l_any.m), rotation_image(inp.u),
+        "alternative L does not lift the block rotation",
+    )
+    e1 = base.l.m_inv @ base.p.p @ base.l.m  # recover e1 = L^-1 P L exactly
+    p_alt = IdempotentCert(l_any.m @ e1 @ l_any.m_inv).verify()
+    conj = l_any.compose(base.l.inverse())
+    expect_equal(p_alt.p, conj.m @ base.p.p @ conj.m_inv, "alt-lift conjugacy fails")
+    return p_alt, conj, base
 
 
 def test_alt_lifting(clutching, sampler):

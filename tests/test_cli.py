@@ -527,3 +527,65 @@ def test_exactness_rejects_sectionless_leg(tmp_path, capsys, leg, source):
     assert code == 2
     assert out == ""
     assert "spec error: exactness requires surjective j1 and j2" in err
+
+
+# An unwritable --report path used to end in a FileNotFoundError traceback
+# and exit 1, which the README reserves for a failed check.
+@pytest.mark.parametrize("command,spec", [
+    ("verify", "trivial_q.json"),
+    ("boundary", "quotient_clutching.json"),
+    ("exactness", "quotient_clutching.json"),
+])
+def test_unwritable_report_path_exits_2(tmp_path, capsys, command, spec):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, command, "--spec", spec_path(spec),
+                             "--samples", "1", "--report", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("cannot write report: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+# The extended form (command.m > 0) over the clutching diagram: U = diag(x, 1)
+# over Q[x]/(x^2 - 1) is its own inverse and commutes with diag(0, 1).
+_X, _ONE, _ZERO, _KILLED = ["0", "1"], ["1"], ["0"], ["-1", "0", "1"]
+
+
+def _extended_boundary(**perturbations):
+    """The spec, with each of K and H given as a perturbation of A and of B."""
+    doc = _bundled("quotient_clutching.json")
+    diag_x1 = [[_X, _ZERO], [_ZERO, _ONE]]
+    doc["matrices"] = {
+        "U": {"algebra": "lambda_prime", "size": 2, "entries": diag_x1,
+              "inverse": diag_x1},
+    }
+    doc["command"] = {"name": "boundary", "u": "U", "m": 1}
+    for name, entries in perturbations.items():
+        doc["matrices"][name] = {"algebra": "lambda1", "size": 2, "entries": entries}
+        doc["command"][{"K": "perturb_a", "H": "perturb_b"}[name]] = name
+    return doc
+
+
+@pytest.mark.parametrize("perturbations,checks", [
+    ({}, 3),
+    ({"K": [[_KILLED, _ZERO], [["-2", "0", "2"], _KILLED]],
+      "H": [[_ZERO, _KILLED], [_KILLED, ["0", "-1", "0", "1"]]]}, 5),
+], ids=["no-perturbation", "perturbed"])
+def test_extended_boundary_passes(tmp_path, capsys, perturbations, checks):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_extended_boundary(**perturbations)))
+    code, out, _ = run_cli(capsys, "boundary", "--spec", str(path), "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["result"] == "pass"
+    assert report["command"]["m"] == 1
+    assert len(report["checks"]) == checks
+    assert all(check["ok"] for check in report["checks"])
+
+
+def test_extended_boundary_rejects_surviving_perturbation(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_extended_boundary(K=[[_ONE, _ZERO], [_ZERO, _ZERO]])))
+    code, out, _ = run_cli(capsys, "boundary", "--spec", str(path))
+    assert code == 1 and "result: fail" in out
+    assert ("check lift independence in A (explicit conjugator): FAIL\n"
+            "  residual: perturbation K must die in the overlap ring") in out

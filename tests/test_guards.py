@@ -14,8 +14,12 @@
 - Product count: one ``boundary`` run of the bundled clutching spec and one
   ``exactness`` run of the exactness-clutching benchmark's request 0 each
   make an exact number of products, so a repeated product cannot creep back.
+- Surface: every module-level name of ``src/kcert`` is read somewhere in
+  ``src/kcert``, save an allowlist with one reason per name, so a helper that
+  only tests call lives in the tests.
 """
 
+import ast
 import hashlib
 import importlib.util
 import inspect
@@ -234,3 +238,55 @@ def test_exactness_product_count(tmp_path, probe):
     request.write_text(json.dumps(doc))
     argv = [subcommand, "--spec", str(request)]
     assert probe.count(lambda: run(argv, tmp_path / "report")) == EXACTNESS_PRODUCTS
+
+
+# Module-level src names that nothing in src reads, each with its reason.
+SURFACE_ALLOWLIST = {
+    "instances.suite_algebras": "fixture for tests/ and benchmarks/bench_scalars.py",
+    "instances.trivial_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
+    "instances.clutching_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
+    "instances.cover_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
+    "mv.glue_k1_classes": "unreachable until ROADMAP item 13 wires it in or deletes it",
+    "mv.K1GlueWitness": "unreachable until ROADMAP item 13 wires it in or deletes it",
+}
+
+
+def src_surface():
+    """The module-level functions, classes and assigned names of src/kcert
+    as "module.name" (dunders excepted), and every name src/kcert loads as a
+    Name, an Attribute or an import alias."""
+    defined, loaded = [], set()
+    for path in sorted(Path(matrices.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [f"{path.stem}.{name}" for name in names
+                        if not (name.startswith("__") and name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.alias):
+                loaded.add(node.name)
+    return defined, loaded
+
+
+def test_every_src_name_is_read_in_src():
+    defined, loaded = src_surface()
+    unread = [qual for qual in defined
+              if qual.split(".", 1)[1] not in loaded and qual not in SURFACE_ALLOWLIST]
+    assert not unread, f"src names nothing in src reads (move to tests or delete): {unread}"
+
+
+def test_surface_allowlist_is_current():
+    defined, loaded = src_surface()
+    stale = [qual for qual in SURFACE_ALLOWLIST
+             if qual not in defined or qual.split(".", 1)[1] in loaded]
+    assert not stale, f"allowlisted names now read in src, or gone: {stale}"
