@@ -10,10 +10,13 @@ built separately (equal, not identical), the matrix product over each
 carrier (Q, Q[x], Q[x]/(x^2 - 1), kernels on 4 points; sampled n x n
 operands, n = 2, 4, 6), the image of a sampled Q[x] matrix in Q[x]/(x^2 - 1)
 (n = 2, 4, 6), the conjugation u p u^-1 over Q[x]/(x^2 - 1) (n = 2, 4), the
-invertible lift of diag(u, u^-1) through Q[x] -> Q[x]/(x^2 - 1) (n = 2, 6), the
-sampler's draws (a unit with its inverse per carrier, and a 4 x 4 invertible
-over Q, Q[x]/(x^2 - 1) and kernels on 4 points), and a slice of the identity
-suite over the three bundled carriers.  Over kernels on 4 points and over Q
+invertible lift of diag(u, u^-1) through Q[x] -> Q[x]/(x^2 - 1) (n = 2, 6),
+the entrywise layer around the products over Q[x]/(x^2 - 1) at n = 4 (a sum
+and two differences with an identity operand, first_mismatch of two equal
+products, the image of a fresh Q[x] matrix whose entries need no reduction),
+the sampler's draws (a unit with its inverse per carrier, and a 4 x 4
+invertible over Q, Q[x]/(x^2 - 1) and kernels on 4 points), and a slice of
+the identity suite over the three bundled carriers.  Over kernels on 4 points and over Q
 it also times the product of two O-map-shaped operands diag(u, u^-1)
 (n = 4, 8), the block-diagonal shape the O-map laws multiply; over Q one
 elementary column and one row operation on a sampled 4 x 4 matrix (the step
@@ -46,7 +49,13 @@ from kcert.instances import (
     trivial_algebra,
     x2_minus_1,
 )
-from kcert.matrices import ElementaryMatrix, FilteredMatrix, apply_hom_matrix, o_map
+from kcert.matrices import (
+    ElementaryMatrix,
+    FilteredMatrix,
+    apply_hom_matrix,
+    o_map,
+    section_matrix,
+)
 from kcert.mv import lift_via_whitehead
 from kcert.scalars import Poly, QuotElem, Rat, rat
 
@@ -162,6 +171,19 @@ def quotient_rows():
         u = sampler.invertible(target, size, factors=4)
         rows.append((f"lift_via_whitehead, Q[x] -> Q[x]/(x^2 - 1), n = {size}",
                      per_call_us(lambda: lift_via_whitehead(u, h), 400 // size)))
+    # The entrywise layer around the products, drawn last for the same reason.
+    m, u = sampler.matrix(target, 4), sampler.invertible(target, 4, factors=4)
+    ident = FilteredMatrix.identity(target, 4)
+    rows.append(("FilteredMatrix + and -, identity operand, Q[x]/(x^2 - 1), n = 4",
+                 per_call_us(lambda: (m + ident, m - ident, ident - m), 2000)))
+    left, right = u.m @ m, u.m @ m
+    rows.append(("first_mismatch, equal products, Q[x]/(x^2 - 1), n = 4",
+                 per_call_us(lambda: left.first_mismatch(right), 5000)))
+    # Fresh each call, so no integer form is carried from an earlier call.
+    short = section_matrix(h, m).rows
+    rows.append(("apply_hom_matrix, fresh, entries of degree < 2, Q[x] -> Q[x]/(x^2 - 1), n = 4",
+                 per_call_us(lambda: apply_hom_matrix(h, FilteredMatrix._raw(source, short)),
+                             5000)))
     return rows
 
 

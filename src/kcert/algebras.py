@@ -16,8 +16,9 @@ r(mu) = R / 2^mu satisfies r(mu) + r(mu) = r(mu - 1) exactly, so support
 addition under composition yields the degree law.
 
 Algebras and homs are immutable after construction.  Each builds its
-structural signature once, so ``==`` is an identity check or one tuple
-comparison, and a propagation algebra builds its table of per-pair levels
+structural signature, its zero and its one once, so ``==`` is an identity
+check or one tuple comparison and every identity matrix shares one unit
+payload, and a propagation algebra builds its table of per-pair levels
 once, so a kernel's degree is the lowest level over its support.  The
 carrier owns a matrix's level too (_matrix_level): without a level table it
 is max_level, and over kernels it is one pass over the union of the
@@ -40,7 +41,8 @@ over Q[x] each entry accumulates an integer coefficient list, and over
 Q[x]/(m) that list is reduced mod m once per entry, which is exact because
 reduction mod m is a ring map.  A Q[x] or Q[x]/(m) matrix carries its
 integer form in the private slot ``_ints`` (see _poly_ints and
-_poly_product), and the quotient hom maps a matrix through that form.
+_poly_product).  The quotient hom keeps every entry of degree < deg m as it
+is and reads as integers only the entries it reduces, one at a time.
 Payloads stay reduced, so equality, hashing and encodings do not depend on
 how a product was computed.  Products and images are built through the
 operand's own matrix class, so this module needs no import of matrices.py.
@@ -219,17 +221,18 @@ class LocalizedAlgebra:
     """A unital algebra together with its computable degree function: the
     base of the four carrier classes."""
 
-    __slots__ = ("max_level", "_sig", "_zero")
+    __slots__ = ("max_level", "_sig", "_zero", "_one")
     kind = None
     # Per-pair levels of a propagation algebra; without a table every
     # payload sits at max_level.
     _levels = None
 
-    def __init__(self, max_level, zero, *signature):
+    def __init__(self, max_level, zero, one, *signature):
         if max_level < 1:
             raise ValueError("max_level must be >= 1")
         self.max_level = max_level
         self._zero = zero
+        self._one = one
         self._sig = (self.kind, max_level, *signature)
 
     # -- constructors ------------------------------------------------------
@@ -256,7 +259,7 @@ class LocalizedAlgebra:
         return self._zero
 
     def one(self):
-        return self.from_rational(R1)
+        return self._one
 
     def degree(self, payload):
         """Largest mu <= max_level with payload in the mu-th subspace.  For a
@@ -302,7 +305,7 @@ class TrivialAlgebra(LocalizedAlgebra):
     kind = "trivial"
 
     def __init__(self, max_level=DEFAULT_MAX_LEVEL):
-        super().__init__(max_level, R0)
+        super().__init__(max_level, R0, R1)
 
     def from_rational(self, value):
         return rat(value)
@@ -354,7 +357,8 @@ class PropagationAlgebra(LocalizedAlgebra):
         if not isinstance(space, PropagationSpace):
             raise ValueError("propagation algebra needs a PropagationSpace")
         diagonal = bool(diagonal)
-        super().__init__(max_level, _K_ZERO, space.signature(), diagonal)
+        one = Kernel._raw({(i, i): R1 for i in range(space.size)})
+        super().__init__(max_level, _K_ZERO, one, space.signature(), diagonal)
         self.space = space
         self.diagonal = diagonal
         n = space.size
@@ -490,7 +494,7 @@ class PolyAlgebra(LocalizedAlgebra):
     modulus = None
 
     def __init__(self, max_level=DEFAULT_MAX_LEVEL):
-        super().__init__(max_level, Poly.zero(), None)
+        super().__init__(max_level, Poly.zero(), Poly.one(), None)
 
     def from_rational(self, value):
         return Poly.const(rat(value))
@@ -527,8 +531,12 @@ class QuotientAlgebra(LocalizedAlgebra):
             raise TypeError("modulus must be a Poly")
         if modulus.degree < 1 or not modulus.is_monic():
             raise ValueError("modulus must be monic of degree >= 1")
+        # 1 has degree 0 < deg m, so it is its own reduced representative.
         super().__init__(
-            max_level, QuotElem._reduced(modulus, Poly.zero()), modulus.coeffs
+            max_level,
+            QuotElem._reduced(modulus, Poly.zero()),
+            QuotElem._reduced(modulus, Poly.one()),
+            modulus.coeffs,
         )
         self.modulus = modulus
         # e * m with integer coefficients, e the lcm of m's denominators.
@@ -684,32 +692,36 @@ class QuotientHom(FilteredHom):
         return payload.rep
 
     def _apply_matrix(self, m):
-        """Entries of degree < deg m are kept as they are; the others are
-        reduced from the matrix's integer form by integer pseudo-division,
-        on a copy of the carried list, and decoded once."""
+        """Entries of degree < deg m are kept as they are, under the target's
+        shared zero when they are zero; only the others are read as integers
+        and reduced (_reduce)."""
         target = self.target
         modulus = target.modulus
         dm = modulus.degree
-        m_int = target._m_int
         zero = target.zero()
-        int_rows, den = _poly_ints(m)
-        out = []
-        for row, irow in zip(m.rows, int_rows):
-            entries = [zero] * m.n
-            for j, c in irow:
-                if len(c) <= dm:
-                    entries[j] = QuotElem._reduced(modulus, row[j])
-                    continue
-                c = list(c)
-                scale = _reduce_ints(c, m_int)
-                while c and not c[-1]:
-                    c.pop()
-                if c:
-                    d = den * scale
-                    poly = Poly._raw(tuple([_reduced(v, d) if v else R0 for v in c]))
-                    entries[j] = QuotElem._reduced(modulus, poly)
-            out.append(tuple(entries))
-        return m._raw(target, tuple(out))
+        keep = QuotElem._reduced
+        reduce = self._reduce
+        return m._raw(target, tuple([
+            tuple([
+                (keep(modulus, p) if len(p.coeffs) <= dm else reduce(p)) if p.coeffs else zero
+                for p in row
+            ])
+            for row in m.rows
+        ]))
+
+    def _reduce(self, payload):
+        """The image of a payload of degree >= deg m: its integer form is
+        reduced by integer pseudo-division and decoded once."""
+        target = self.target
+        c, den = _integer_coeffs(payload.coeffs)
+        den *= _reduce_ints(c, target._m_int)
+        while c and not c[-1]:
+            c.pop()
+        if not c:
+            return target.zero()
+        return QuotElem._reduced(
+            target.modulus, Poly._raw(tuple([_reduced(v, den) if v else R0 for v in c]))
+        )
 
 
 class RestrictionHom(FilteredHom):

@@ -153,12 +153,11 @@ class ExactnessReport:
     """Named checks with exact residuals, in report form, for one six-term
     segment or one ``boundary`` run."""
 
-    __slots__ = ("segment", "checks", "witnesses")
+    __slots__ = ("segment", "checks")
 
     def __init__(self, segment):
         self.segment = segment
         self.checks = []
-        self.witnesses = {}
 
     def add(self, name, ok, detail=None):
         if ok:
@@ -236,9 +235,7 @@ def exactness_k0_middle(diagram, d1, d2, witness):
     expect2 = glued.u_tilde.m @ q2p.p.pad(big, fill=0) @ glued.u_tilde.m_inv
     report.require("leg2 recovery by recorded conjugator",
                    glued.double.p.m2.first_mismatch(expect2))
-    minus_rank = n_minus + k
-    minus = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * minus_rank))
-    report.witnesses["minus_rank"] = minus_rank
+    minus = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * (n_minus + k)))
     return K0Rep(glued.double, minus), report
 
 
@@ -289,7 +286,6 @@ def exactness_i_after_boundary(diagram, u, m=0):
         "leg2: literal e2 = e2",
         out.p_double.p.m2.first_mismatch(out.e2),
     )
-    report.witnesses["conjugator_level"] = conj.level
     return report
 
 
@@ -348,8 +344,6 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
     w2 = InvertibleCert(split2(u2.m)[3], split2(u2.m_inv)[3]).verify()
     product = apply_hom_matrix(diagram.j2, w2.m) @ apply_hom_matrix(diagram.j1, w1.m)
     report.require("splitting: U = j2(W2) . j1(W1)", u.m.first_mismatch(product))
-    report.witnesses["w1_level"] = w1.level
-    report.witnesses["w2_level"] = w2.level
     return (w1, w2), report
 
 
@@ -450,6 +444,4 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
             unnormalize, p_bar.direct_sum(minus), plus.direct_sum(IdempotentCert(lower))
         ).residual,
     )
-    report.witnesses["phi_level"] = phi.level
-    report.witnesses["output_level"] = out.p_double.level
     return phi, report

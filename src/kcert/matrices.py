@@ -11,11 +11,15 @@ a substitute for recomputation.
 
 Products are fraction-free: ``@`` checks its operands and hands them to the
 carrier's own product kernel (see algebras.py), and a hom maps a matrix
-through its own entrywise image, which for the quotient hom reuses the
-integer form a Q[x] matrix carries in the private slot ``_ints``.
+through its own entrywise image, which for the quotient hom keeps every
+entry of degree < deg m and reduces only the others.  The entrywise
+operations do work only where an entry changes: the algebra's shared zero
+and one are built once, and sums, differences and negation test the shared
+zero by identity, keeping the entry it faces (negated, when it is
+subtracted) and keeping the zero itself, which the product kernels skip.
 """
 
-from .scalars import R1, rat
+from .scalars import rat
 
 
 class MatrixError(ValueError):
@@ -69,7 +73,7 @@ class FilteredMatrix:
 
     @classmethod
     def identity(cls, algebra, n):
-        return cls.scalar_diag(algebra, R1, n)
+        return cls.diag_bits(algebra, (1,) * n)
 
     @classmethod
     def zeros(cls, algebra, n):
@@ -108,16 +112,21 @@ class FilteredMatrix:
             raise MatrixError(f"size mismatch {self.n} vs {other.n}")
 
     def __add__(self, other):
+        """Entrywise sum; an entry facing the shared zero is kept as it is."""
         self._same(other)
+        z = self.algebra.zero()
         return FilteredMatrix._raw(self.algebra, tuple([
-            tuple([a + b for a, b in zip(ra, rb)])
+            tuple([b if a is z else a if b is z else a + b for a, b in zip(ra, rb)])
             for ra, rb in zip(self.rows, other.rows)
         ]))
 
     def __sub__(self, other):
+        """Entrywise difference; a minuend facing the shared zero is kept as
+        it is, and a subtrahend facing it is only negated."""
         self._same(other)
+        z = self.algebra.zero()
         return FilteredMatrix._raw(self.algebra, tuple([
-            tuple([a - b for a, b in zip(ra, rb)])
+            tuple([a if b is z else -b if a is z else a - b for a, b in zip(ra, rb)])
             for ra, rb in zip(self.rows, other.rows)
         ]))
 

@@ -22,8 +22,10 @@ Every rational that a kernel decodes from integers it computed is built by
 ``_reciprocal`` (no gcd).  Both set Fraction's two slots, ``_numerator`` and
 ``_denominator``, on ``object.__new__(Rat)`` and so skip the type dispatch
 of ``Fraction.__new__``; the result is an ordinary Fraction that equals,
-hashes and prints as ``Rat(c, d)`` does.  This is the one module that knows
-that layout, and a test pins ``Rat.__slots__``.
+hashes and prints as ``Rat(c, d)`` does.  Since every coefficient is
+reduced, Poly equality reads the same two slots: equal values have equal
+slots, so one loop compares them with no ``Fraction.__eq__`` call.  This is
+the one module that knows that layout, and a test pins ``Rat.__slots__``.
 """
 
 import re
@@ -215,7 +217,23 @@ class Poly:
         return Poly._raw(tuple(quot)), Poly._raw(tuple(rem))
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        # Coefficients are reduced Fractions, so equal values have equal
+        # slots: one loop over the slots, with no Fraction.__eq__ call.
+        if self is other:
+            return True
+        if not isinstance(other, Poly):
+            return False
+        a, b = self.coeffs, other.coeffs
+        if a is b:
+            return True
+        if len(a) != len(b):
+            return False
+        for x, y in zip(a, b):
+            if x is not y and (
+                x._numerator != y._numerator or x._denominator != y._denominator
+            ):
+                return False
+        return True
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -419,7 +437,7 @@ class QuotElem:
     def __eq__(self, other):
         return (
             isinstance(other, QuotElem)
-            and self.modulus == other.modulus
+            and (self.modulus is other.modulus or self.modulus == other.modulus)
             and self.rep == other.rep
         )
 

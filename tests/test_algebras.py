@@ -28,7 +28,7 @@ from kcert.instances import (
     suite_algebras,
     trivial_algebra,
 )
-from kcert.matrices import FilteredMatrix, MatrixError
+from kcert.matrices import FilteredMatrix, MatrixError, apply_hom_matrix
 from kcert.scalars import Poly, rat
 from kcert.specdoc import parse_algebra, parse_diagram
 
@@ -72,6 +72,54 @@ def test_zero_is_built_once(kind):
     assert algebra.zero() is algebra.zero()
     assert algebra.zero() == algebra.from_rational(0)
     assert algebra.accepts(algebra.zero()) and not algebra.zero()
+
+
+@pytest.mark.parametrize("kind", ["trivial", "poly", "quotient", "propagation"])
+def test_one_is_built_once(kind):
+    algebra = {**suite_algebras(), "poly": poly_algebra()}[kind]
+    assert algebra.one() is algebra.one()
+    assert algebra.one() == algebra.from_rational(1)
+    assert algebra.accepts(algebra.one())
+    ident = FilteredMatrix.identity(algebra, 3)
+    assert all(ident.rows[i][i] is algebra.one() for i in range(3))
+    assert ident == FilteredMatrix.scalar_diag(algebra, 1, 3)
+
+
+# x^2 - 1/3 is not integral: its integer form is 3x^2 - 1, so e = 3 != 1.
+IMAGE_MODULI = [Poly([-1, 0, 1]), Poly([rat(-1, 3), 0, 1])]
+
+
+@pytest.mark.parametrize("modulus", IMAGE_MODULI, ids=str)
+def test_quotient_image_keeps_short_entries_and_reduces_long_ones(modulus):
+    source = poly_algebra()
+    h = QuotientHom(source, quotient_algebra(modulus))
+    short = [Poly([rat(2, 3)]), Poly([rat(-1, 2), rat(5, 7)])]
+    long = [
+        Poly([rat(1, 2), 0, rat(-3, 5)]),
+        Poly([0, 1, rat(2, 9), 1]),
+        modulus * Poly([rat(4, 5), 1]),  # reduces to zero
+        modulus * Poly([1, 1]) + Poly([rat(1, 6)]),  # reduces to a constant
+    ]
+    rows = [short + long[:2], long[2:] + [source.zero(), Poly([])], short[::-1] + long[1:3],
+            [source.zero()] * 2 + long[::3]]
+    m = FilteredMatrix(source, rows)
+    carried = FilteredMatrix(source, rows) @ FilteredMatrix.identity(source, 4)
+    assert carried._ints is not None and m._ints is None
+    for operand in (m, carried):
+        image = apply_hom_matrix(h, operand)
+        assert m._ints is None  # the image reads only the long entries
+        for row, out in zip(operand.rows, image.rows):
+            for p, q in zip(row, out):
+                if not p:
+                    assert q is h.target.zero()
+                elif p.degree < modulus.degree:
+                    assert q.rep is p
+                else:
+                    assert q == h.apply_payload(p)
+                    assert q.rep.degree < modulus.degree
+        assert image == FilteredMatrix(
+            h.target, [[h.apply_payload(p) for p in row] for row in operand.rows]
+        )
 
 
 @pytest.mark.parametrize("kind", ["trivial", "quotient", "propagation"])

@@ -277,8 +277,13 @@ def test_kernel_i_round_trip_clutching(clutching):
     block = phi.m.sub_block(2, 4, 2, 4)
     expected = u.m.direct_sum(FilteredMatrix.identity(clutching.lambda_prime, 1))
     assert block == expected
-    # level ledger across the whole pipeline
-    assert report.witnesses["output_level"] >= max(0, d.level - 8)
+    # level ledger across the whole pipeline: the boundary of phi with the
+    # lifts u2^-1 u1 and u1^-1 u2, as the segment builds it
+    v = u2.inverse().compose(u1)
+    out = boundary_extended_form(
+        BoundaryInput(clutching, phi, lift_a=v.m, lift_b=v.m_inv, m=u1.n - minus.n)
+    )
+    assert out.p_double.level >= max(0, d.level - 8)
 
 
 def _double_idempotent(clutching, junk1, junk2):

@@ -1,4 +1,5 @@
 from math import gcd
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -561,6 +562,32 @@ def test_generated_row_and_column_operations(name, data):
         for row in got.rows:
             for g in row:
                 assert_canonical(g, algebra)
+
+
+@pytest.mark.parametrize("name", ["Q", "Q[x]", "Q[x]/(x^2-1)", "kernels"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sums_and_differences_match_entrywise_payloads(name, data):
+    # The pools hold each payload's negation and the shared zero, so sums
+    # and differences cancel often and many entries face the shared zero.
+    algebra = PARITY_ALGEBRAS[name]()
+    z = algebra.zero()
+    a, b = data.draw(_operands(algebra))
+    total, diff = a + b, a - b
+    for got, op in ((total, add), (diff, sub)):
+        want = [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+        assert_same_entries(got, FilteredMatrix(algebra, want))
+        for row in got.rows:
+            for g in row:
+                assert_canonical(g, algebra)
+    for ra, rb, rs, rd in zip(a.rows, b.rows, total.rows, diff.rows):
+        for x, y, s, d in zip(ra, rb, rs, rd):
+            # An entry facing the shared zero is kept, or only negated.
+            if x is z:
+                assert s is y and d == -y
+            if y is z:
+                assert s is x and d is x
+    assert (a - a).is_zero() and (a + -a).is_zero()
 
 
 # -- Q zeros that are not the shared R0 -----------------------------------------

@@ -298,6 +298,68 @@ def test_poly_negation_matches_fraction(a):
     assert -(-p) == p
 
 
+# -- Poly and QuotElem equality against tuple-of-Fraction equality -----------
+# Poly.__eq__ compares Fraction's two slots directly; it must agree with
+# comparing the coefficient tuples as Fractions, however each side was built.
+
+
+def _by_constructor(fracs):
+    return Poly([Rat(c.numerator, c.denominator) for c in fracs])
+
+
+def _by_reduced(fracs, k):
+    """The same values through _reduced, from numerator and denominator both
+    scaled by k."""
+    return Poly([_reduced(c.numerator * k, c.denominator * k) for c in fracs])
+
+
+def _assert_eq_agrees(p, q):
+    # The reference: the coefficient tuples compared by Fraction.__eq__.
+    want = p.coeffs == q.coeffs
+    assert (p == q) is want and (q == p) is want
+    assert (p != q) is not want
+    if want:
+        assert hash(p) == hash(q)
+    for modulus in (Poly([-1, 0, 1]), Poly([rat(1, 3), rat(-1, 2), 0, 1])):
+        # Equal moduli that are distinct objects.
+        x, y = QuotElem(modulus, p), QuotElem(Poly(list(modulus.coeffs)), q)
+        assert x.modulus is not y.modulus
+        assert (x == y) is (x.rep.coeffs == y.rep.coeffs)
+    assert QuotElem(Poly([-1, 0, 1]), p) != QuotElem(Poly([1, 0, 1]), p)
+
+
+@settings(max_examples=200)
+@given(_coeffs, _coeffs, st.integers(1, 2 ** 64))
+def test_poly_equality_matches_fraction_tuples(a, b, k):
+    pa = _by_constructor(a)
+    for p, q in (
+        (pa, _by_reduced(b, k)),  # random pairs
+        (pa, _by_reduced(a, k)),  # equal values, distinct objects
+        (pa, Poly(list(pa.coeffs))),  # equal coefficients, distinct tuples
+        (pa, pa),
+        (pa, _by_reduced(a + [Fraction(1, 3)], k)),  # unequal lengths
+    ):
+        _assert_eq_agrees(p, q)
+        _assert_eq_agrees(q, p)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([rat(1, 3)], [rat(1, 4)]),
+        ([rat(2), rat(5, 7)], [rat(2), rat(5, 9)]),
+        ([rat(-(2 ** 127) - 1, 5), rat(1)], [rat(-(2 ** 127) - 1, 7), rat(1)]),
+        ([rat(1, 2 ** 64 + 1)], [rat(1, 2 ** 64 - 1)]),
+    ],
+)
+def test_poly_equality_equal_numerators_different_denominators(a, b):
+    p, q = Poly(a), Poly(b)
+    assert [c.numerator for c in p.coeffs] == [c.numerator for c in q.coeffs]
+    _assert_eq_agrees(p, q)
+    assert p != q
+    assert p != 0 and p != a
+
+
 def test_poly_mul_examples():
     f = Fraction
     _assert_matches(Poly([1, 1]) * Poly([1, -1]), [f(1), f(0), f(-1)])
