@@ -22,7 +22,10 @@ it also times the product of two O-map-shaped operands diag(u, u^-1)
 elementary column and one row operation on a sampled 4 x 4 matrix (the step
 of every sampled invertible); and over kernels the level of a freshly built
 4 x 4 matrix.  Operands are reused across calls, as certificates reuse
-them, so a matrix's integer form is computed once per row.
+them, so a matrix's integer form is computed once per row.  Last come the
+two ends of a request: the JSON text of the bundled spec's boundary report,
+as ``kcert boundary --format json`` writes it, and one "p/q" spec rational
+parsed.
 
 The host's speed drifts (up to 3x for seconds at a time on a shared 2-vCPU
 Xeon), so each row is timed between two runs of perfbench's ``host_probe``,
@@ -36,9 +39,12 @@ Usage: PYTHONPATH=src python benchmarks/bench_scalars.py [--samples N]
 import argparse
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 from kcert.algebras import Kernel, LocalizedAlgebra, QuotientHom
+from kcert.cli import _json_text
+from kcert.drivers import boundary_report
 from kcert.identities import Sampler, run_identity_suite
 from kcert.instances import (
     line_space,
@@ -57,7 +63,8 @@ from kcert.matrices import (
     section_matrix,
 )
 from kcert.mv import lift_via_whitehead
-from kcert.scalars import Poly, QuotElem, Rat, rat
+from kcert.scalars import Poly, QuotElem, Rat, parse_rational, rat
+from kcert.specdoc import SpecDocument
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from run import PROBE_REFERENCE_S, host_probe  # noqa: E402
@@ -220,6 +227,19 @@ def suite_rows(samples):
     return rows
 
 
+def request_end_rows():
+    doc = SpecDocument.from_path(resources.files("kcert.specs") / "quotient_clutching.json")
+    report = boundary_report(
+        doc.diagram, doc.matrix("U", want_cert=True), lift_a=doc.matrix("A"),
+        lift_b=doc.matrix("B"), perturb_a=doc.matrix("K"), perturb_b=doc.matrix("H"),
+    )
+    assert report["result"] == "pass"
+    return [
+        ("report JSON, boundary report", per_call_us(lambda: _json_text(report), 2000)),
+        ("parse_rational p/q", per_call_us(lambda: parse_rational("-22/7"), 50000)),
+    ]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=100,
@@ -233,6 +253,7 @@ def main():
     rows += [(f"{name} (us)", us) for name, us in payload_rows() + matmul_rows() + quotient_rows()
                                   + sampler_rows()]
     rows += [(f"{name} (s)", s) for name, s in suite_rows(args.samples)]
+    rows += [(f"{name} (us)", us) for name, us in request_end_rows()]
     width = max(len(name) for name, _ in rows)
     print(f"{Rat.__name__} scalars; scaled to a host probe of {PROBE_REFERENCE_S * 1e3} ms")
     print(f"{'benchmark':<{width}}  {'scaled':>10}  {'raw':>10}")

@@ -6,14 +6,19 @@
 
 Reports are byte-identical for equal (spec, seed): wall-clock goes to
 stderr, never into the report.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 spec error or a report that cannot be written."""
+failed, 2 spec error or a report that cannot be written.
+
+A JSON report is the text ``json.dumps(report, sort_keys=True, indent=2)``
+gives, written by ``_json_text`` instead: with ``indent`` set, Python's
+``json`` runs its pure-Python encoder, about twice as slow on a boundary
+report.  Strings go through the same C escaper ``json`` uses."""
 
 import argparse
 import functools
 import hashlib
-import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from .matrices import CertificateFailure, InvertibleCert, MatrixError
 from .drivers import boundary_report, exactness_report, verify_report
@@ -60,9 +65,45 @@ def _render_text(report):
     return "\n".join(lines) + "\n"
 
 
+def _json_text(value, pad="\n"):
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes
+    it, for the types a report holds: dicts with str keys, lists, str, int,
+    bool and None.  Any other type, a float, a tuple or a non-str key among
+    them, raises TypeError.  ``pad`` is the newline and indent that close
+    ``value``."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if isinstance(value[0], str):
+            try:
+                return "[" + inner + sep.join(map(_quote, value)) + pad + "]"
+            except TypeError:  # not every item is a string
+                pass
+        return "[" + inner + sep.join([_json_text(v, inner) for v in value]) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # _quote raises TypeError on a key that is not a str.
+        items = [_quote(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        return "{" + inner + sep.join(items) + pad + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"a report holds no {type(value).__name__}")
+
+
 def _emit(report, fmt, path):
     if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _json_text(report) + "\n"
     else:
         text = _render_text(report)
     if path:

@@ -17,15 +17,17 @@ Q[x]/(m) is computed over the integers as well: QuotElem.invert solves the
 multiplication-by-rep system by Bareiss elimination, with no Euclid loop
 over Fraction coefficients.
 
-Every rational that a kernel decodes from integers it computed is built by
-``_reduced`` (one gcd), and every reciprocal of a nonzero rational by
-``_reciprocal`` (no gcd).  Both set Fraction's two slots, ``_numerator`` and
-``_denominator``, on ``object.__new__(Rat)`` and so skip the type dispatch
-of ``Fraction.__new__``; the result is an ordinary Fraction that equals,
-hashes and prints as ``Rat(c, d)`` does.  Since every coefficient is
-reduced, Poly equality reads the same two slots: equal values have equal
-slots, so one loop compares them with no ``Fraction.__eq__`` call.  This is
-the one module that knows that layout, and a test pins ``Rat.__slots__``.
+Every rational that a kernel decodes from integers it computed, and every
+nonzero "p/q" that ``parse_rational`` reads from a spec (a zero is the
+shared ``R0``), is built by ``_reduced`` (one gcd), and every reciprocal of
+a nonzero rational by ``_reciprocal`` (no gcd).  Both set Fraction's two
+slots, ``_numerator`` and ``_denominator``, on ``object.__new__(Rat)`` and
+so skip the type dispatch of ``Fraction.__new__``; the result is an
+ordinary Fraction that equals, hashes and prints as ``Rat(c, d)`` does.
+Since every coefficient is reduced, Poly equality reads the same two slots:
+equal values have equal slots, so one loop compares them with no
+``Fraction.__eq__`` call.  This is the one module that knows that layout,
+and a test pins ``Rat.__slots__``.
 """
 
 import re
@@ -84,10 +86,11 @@ def parse_rational(text):
     """Parse the canonical 'p/q' encoding, rejecting malformed input."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ValueError(f"malformed rational {text!r}")
-    try:
-        return Rat(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"malformed rational {text!r} (zero denominator)") from None
+    p, _, q = text.strip().partition("/")
+    p, q = int(p), int(q or 1)
+    if not q:
+        raise ValueError(f"malformed rational {text!r} (zero denominator)")
+    return _reduced(p, q) if p else R0
 
 
 def encode_rational(value):

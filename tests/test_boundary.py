@@ -1,6 +1,9 @@
-import pytest
+import json
 
-from kcert import boundary
+import pytest
+from test_guards import perfbench_request, spec_path
+
+from kcert import boundary, drivers
 from kcert.boundary import (
     BoundaryInput,
     boundary_extended_form,
@@ -12,6 +15,7 @@ from kcert.boundary import (
     verify_lift_independence_a,
     verify_lift_independence_b,
 )
+from kcert.cli import main
 from kcert.instances import clutching_diagram, trivial_diagram
 from kcert.matrices import (
     CertificateFailure,
@@ -310,6 +314,41 @@ def test_deltas_match_symbolic_expansion(clutching, sampler):
         observed = shifted.l.m @ base.l.m_inv
         d11, d12, d21, d22 = independence_deltas(base, h)
         assert observed == block2(d11.plus_scalar(1), d12, d21, d22.plus_scalar(1))
+
+
+# The lift checks build their conjugator certificates without verifying
+# them (the claim follows from L, L~ and the check before, see
+# verify_lift_independence_a); here every one a `boundary` run returns is
+# verified after the fact.
+BOUNDARY_CLUTCHING_SPECS = 20
+
+
+def test_lift_conjugators_verify(tmp_path, monkeypatch):
+    returned = []
+
+    def keep(check):
+        def wrapped(*args):
+            conj_cert, tilde = check(*args)
+            returned.append((check.__name__, conj_cert))
+            return conj_cert, tilde
+        return wrapped
+
+    for name in ("verify_lift_independence_a", "verify_lift_independence_b"):
+        monkeypatch.setattr(drivers, name, keep(getattr(boundary, name)))
+    paths = [spec_path("quotient_clutching.json")]
+    for index in range(BOUNDARY_CLUTCHING_SPECS):
+        subcommand, doc = perfbench_request("boundary-clutching", index=index)
+        assert subcommand == "boundary"
+        paths.append(tmp_path / f"request{index}.json")
+        paths[-1].write_text(json.dumps(doc))
+    for path in paths:
+        returned.clear()
+        assert main(["boundary", "--spec", str(path), "--format", "json",
+                     "--report", str(tmp_path / "report.json")]) == 0
+        assert [name for name, _ in returned] == [
+            "verify_lift_independence_a", "verify_lift_independence_b"]
+        for _, conj_cert in returned:
+            conj_cert.verify()
 
 
 # No command builds an alternative L, so the lifting-freedom claim lives here

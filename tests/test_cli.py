@@ -5,9 +5,11 @@ import sys
 from importlib import resources
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import kcert
-from kcert.cli import main
+from kcert.cli import _json_text, main
 from kcert.identities import IDENTITY_NAMES
 from kcert.matrices import FilteredMatrix
 from kcert.specdoc import SpecDocument, SpecError
@@ -589,3 +591,37 @@ def test_extended_boundary_rejects_surviving_perturbation(tmp_path, capsys):
     assert code == 1 and "result: fail" in out
     assert ("check lift independence in A (explicit conjugator): FAIL\n"
             "  residual: perturbation K must die in the overlap ring") in out
+
+
+# -- the report writer ---------------------------------------------------------
+
+# Quotes, backslashes, control characters and non-ASCII text (BMP and astral),
+# which the writer must escape as json.dumps does, and any other character.
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80é€\u2028\U0001d11e')
+                | st.characters(), max_size=8)
+_INTS = st.integers() | st.sampled_from([2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, -2 ** 64,
+                                         -2 ** 64 - 1, 2 ** 200, -2 ** 200])
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTS | _TEXT,
+    lambda inner: st.lists(inner) | st.dictionaries(_TEXT, inner),
+    max_leaves=20,
+)
+
+
+@given(_JSON)
+@example(["a", {"b": 1}, "c"])  # starts with a string, holds a dict
+@example(["a", "b", ["c"]])
+@example({"": [], "a": {}, "b": [[], {}], "c": [["x", "y"], []]})
+@example([True, False, None, 0, -1, 2 ** 64])
+def test_report_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {"a": [0.0]},        # float
+    (1, 2), {"a": ("x",)},    # tuple
+    {1: "a"}, [{"a": {2: 3}}],  # int key
+], ids=["float", "nested-float", "tuple", "nested-tuple", "int-key", "nested-int-key"])
+def test_report_writer_refuses_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        _json_text(value)

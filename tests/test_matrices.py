@@ -42,7 +42,7 @@ from kcert.instances import (
     suite_algebras,
     trivial_algebra,
 )
-from kcert.scalars import R0, Poly, QuotElem, parse_rational, rat
+from kcert.scalars import R0, Poly, QuotElem, rat
 
 
 def test_identity_neutral(trivial, sampler):
@@ -593,11 +593,12 @@ def test_sums_and_differences_match_entrywise_payloads(name, data):
 # -- Q zeros that are not the shared R0 -----------------------------------------
 # The Q product selects entries by identity with R0, and the Q row and column
 # operations return R0 for a sum that cancels.  A zero built any other way is
-# kept as an entry and must only ever add 0.
+# kept as an entry and must only ever add 0.  (A spec's "0" parses to R0
+# itself, so the zero parsed from text here is Fraction("0").)
 
 
 def _stray_zeros():
-    zeros = [rat(0, 3), parse_rational("0"), rat(1, 3) - rat(1, 3), -R0]
+    zeros = [rat(0, 3), rat("0"), rat(1, 3) - rat(1, 3), -R0]
     assert all(z == 0 and z is not R0 for z in zeros)
     return zeros
 

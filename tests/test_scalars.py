@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +10,7 @@ from kcert.scalars import (
     NotInvertible,
     Poly,
     QuotElem,
+    R0,
     Rat,
     _reciprocal,
     _reduced,
@@ -119,11 +121,49 @@ def test_encoding_round_trip(a):
     assert parse_rational(encode_rational(a)) == a
 
 
+# "\u0663" is Arabic-Indic 3 and "\uff13" fullwidth 3: only ASCII digits parse.
+MALFORMED_RATIONALS = ("1/0", "a", "1.5", "1/2/3", "", "2 / 3x", "\u0663", "\uff13", "1/\u0663")
+
+
 def test_parse_rejects_malformed():
-    # "\u0663" is Arabic-Indic 3 and "\uff13" fullwidth 3: only ASCII digits parse.
-    for bad in ("1/0", "a", "1.5", "1/2/3", "", "2 / 3x", "\u0663", "\uff13", "1/\u0663"):
+    for bad in MALFORMED_RATIONALS:
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def fraction_parse(text):
+    """The canonical-encoding check, then Fraction(text), with a zero
+    denominator reported as a malformed rational: the reference for
+    parse_rational's values, strings and errors."""
+    if not isinstance(text, str) or not re.match(r"^[+-]?[0-9]+(/[0-9]+)?$", text.strip()):
+        raise ValueError(f"malformed rational {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"malformed rational {text!r} (zero denominator)") from None
+
+
+def _outcome(parse, text):
+    try:
+        v = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(v), v, str(v), v.numerator, v.denominator
+
+
+# Digit strings at and past int()'s 4,300-digit limit, where Fraction and
+# parse_rational raise the same ValueError, and zeros, signs and leading zeros.
+@pytest.mark.parametrize("text", [
+    "+3", "-0", "0", "+0/7", "007/010", "-12/8", " 5/15 ", "1/1", "0/0",
+    "9" * 4300, "-" + "9" * 4300 + "/" + "6" * 4300, "1" * 4301, "1/" + "3" * 4301,
+    "-" + "1" * 4400 + "/3",
+    *MALFORMED_RATIONALS,
+], ids=lambda text: repr(text) if len(text) < 20 else f"{len(text)}-chars")
+def test_parse_rational_matches_fraction(text):
+    want = _outcome(fraction_parse, text)
+    assert _outcome(parse_rational, text) == want
+    if want[0] is Fraction and want[1] == 0:
+        assert parse_rational(text) is R0
 
 
 def test_poly_basics():
