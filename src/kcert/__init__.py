@@ -1,6 +1,6 @@
-"""Exact-arithmetic certificates for gluing idempotents and invertibles over
-filtered algebras, the connecting homomorphism, and six-term exactness
-witnesses, all verified by recomputation rather than trusted."""
+"""Exact-arithmetic certificates for gluing idempotents over filtered
+algebras, the connecting homomorphism, and six-term exactness witnesses,
+all verified by recomputation rather than trusted."""
 
 from .scalars import Rat, rat
 

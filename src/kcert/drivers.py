@@ -238,7 +238,7 @@ def gen_kernel_i(diagram, sampler):
     glued, minus = boundary_first_form(diagram, u)
     d = K0Rep(glued.double, minus)
     u1, u2 = kernel_i_witnesses(diagram, glued, n)
-    phi, report = exactness_kernel_i(diagram, d, 0, u1, u2)
+    phi, report = exactness_kernel_i(diagram, d, u1, u2)
     if phi is not None:
         expected = u.m.direct_sum(FilteredMatrix.identity(diagram.lambda_prime, n))
         block = phi.m.sub_block(2 * n, 4 * n, 2 * n, 4 * n)

@@ -347,10 +347,10 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
     return (w1, w2), report
 
 
-def exactness_kernel_i(diagram, d, q, u1, u2):
+def exactness_kernel_i(diagram, d, u1, u2):
     """Kernel of the legs: a double K0 difference killed by both legs is a
-    boundary.  Trivialize the minus part, stabilize by q, conjugate by
-    (u2^{-1}, u2^{-1}); the second leg becomes the literal scalar block, phi
+    boundary.  Normalize the difference to p~ = plus + (1 - minus), conjugate
+    by (u2^{-1}, u2^{-1}); the second leg becomes the literal scalar block, phi
     = j1(u2^{-1} u1) commutes with it, and the lifts u2^{-1} u1, u1^{-1} u2
     have vanishing defects, so the extended boundary of phi reproduces the
     input class with every step certified."""
@@ -361,10 +361,9 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
     report.add("diagram has equal legs", True)
     plus, minus = d.plus, d.minus
     m_sz, n_sz = plus.n, minus.n
-    p_bar, _ = normalize_difference(plus, minus)
-    p_tilde = p_bar.pad(q)
-    total = m_sz + n_sz + q
-    eps = e_block(diagram.lambda1, total - n_sz, n_sz)
+    p_tilde, _ = normalize_difference(plus, minus)
+    total = m_sz + n_sz
+    eps = e_block(diagram.lambda1, m_sz, n_sz)
     if u1.n != total or u2.n != total:
         report.add("witness sizes", False, f"witnesses must have size {total}")
         return None, report
@@ -389,16 +388,14 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
     )
     report.require("conjugated leg2 is literal eps", p_tt.p.m2.first_mismatch(eps))
     phi = apply_hom_invertible(diagram.j1, v)
-    eps_prime = e_block(diagram.lambda_prime, total - n_sz, n_sz)
+    eps_prime = e_block(diagram.lambda_prime, m_sz, n_sz)
     report.require(
         "phi commutes with the scalar block",
         (phi.m @ eps_prime).first_mismatch(eps_prime @ phi.m),
     )
     if not report.passed:
         return None, report
-    inp = BoundaryInput(
-        diagram, phi, lift_a=v.m, lift_b=v.m_inv, m=total - n_sz
-    )
+    inp = BoundaryInput(diagram, phi, lift_a=v.m, lift_b=v.m_inv, m=m_sz)
     out = boundary_extended_form(inp)
     report.add("S0 = 0", out.s0.is_zero(), "S0 nonzero")
     report.add("S1 = 0", out.s1.is_zero(), "S1 nonzero")
@@ -414,7 +411,7 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
             FilteredMatrix.zeros(diagram.lambda2, total).direct_sum(p_tt.p.m2)
         ),
     )
-    # Chain back to the input class: un-conjugate, un-stabilize, un-normalize.
+    # Chain back to the input class: un-conjugate, then un-normalize.
     # back's legs are one matrix over equal legs, so its inverse is a double
     # invertible.
     unconjugate = EquivalenceCertificate(lhs_steps=(Conjugate(back.inverse()),))
@@ -422,13 +419,13 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
         "conjugating back restores p~",
         check_certificate(unconjugate, p_tt, p_tilde).residual,
     )
-    # p~ is p_bar padded by q zeros, so what is left is [p_bar] - [1_n] =
-    # [plus] - [minus]: 1_m + W conjugates plus + diag(0_n, 1_n) onto
-    # p_bar + minus = plus + (1 - minus) + minus, with the trivializer
-    # W = [[minus, 1 - minus], [1 - minus, minus]].  W is built leg by leg
-    # by one recipe, so its legs agree as minus's do, and W = W^-1, which
-    # the Conjugate step verifies; so W diag(1_n, 0_n) W = minus + (1 - minus)
-    # follows from the lower block, and the minus part trivializes.
+    # What is left is [p~] - [1_n] = [plus] - [minus]: 1_m + W conjugates
+    # plus + diag(0_n, 1_n) onto p~ + minus = plus + (1 - minus) + minus,
+    # with the trivializer W = [[minus, 1 - minus], [1 - minus, minus]].  W
+    # is built leg by leg by one recipe, so its legs agree as minus's do, and
+    # W = W^-1, which the Conjugate step verifies; so W diag(1_n, 0_n) W =
+    # minus + (1 - minus) follows from the lower block, and the minus part
+    # trivializes.
     w1, w2 = (involution_cert(IdempotentCert(leg)) for leg in (minus.p.m1, minus.p.m2))
     trivializer = InvertibleCert(
         DoubleMatrix(diagram, w1.m, w2.m), DoubleMatrix(diagram, w1.m_inv, w2.m_inv)
@@ -441,7 +438,7 @@ def exactness_kernel_i(diagram, d, q, u1, u2):
     report.require(
         "un-stabilizing restores the normalized plus part",
         check_certificate(
-            unnormalize, p_bar.direct_sum(minus), plus.direct_sum(IdempotentCert(lower))
+            unnormalize, p_tilde.direct_sum(minus), plus.direct_sum(IdempotentCert(lower))
         ).residual,
     )
     return phi, report

@@ -242,9 +242,10 @@ class InvertibleCert:
     """An invertible matrix carried together with its explicit inverse.
 
     The matrices may be of any square type with ``algebra``, ``n``,
-    ``level``, ``@``, ``==``, ``direct_sum``, ``pad``, ``first_mismatch`` and
-    a classmethod ``identity(algebra, n)``: a FilteredMatrix, or a double
-    matrix over a pullback diagram.  verify() recomputes m m^-1 = m^-1 m = 1."""
+    ``level``, ``@``, ``==``, ``direct_sum``, ``first_mismatch`` and a
+    classmethod ``identity(algebra, n)``: a FilteredMatrix, or a double
+    matrix over a pullback diagram.  pad() also needs the matrices' ``pad``,
+    which only a FilteredMatrix has.  verify() recomputes m m^-1 = m^-1 m = 1."""
 
     __slots__ = ("m", "m_inv")
 
@@ -321,7 +322,7 @@ class IdempotentCert:
     """An idempotent matrix; verify() recomputes p @ p == p.
 
     Takes the same matrix types as InvertibleCert; complement() also needs
-    ``-``."""
+    ``-``, and pad() needs a FilteredMatrix."""
 
     __slots__ = ("p",)
 

@@ -8,9 +8,11 @@ and its algebra is the diagram, so an idempotent or invertible over the
 pullback is a plain IdempotentCert or InvertibleCert whose matrices are
 double matrices.
 
-Gluing lifts diag(u, u^{-1}) for the transition invertible u.  Whitehead
-factors it as [[1, u], [0, 1]] [[1, 0], [-u^{-1}, 1]] [[1, u], [0, 1]]
-[[0, -1], [1, 0]]; with a, b the section lifts of u, u^{-1} through the
+Gluing idempotents lifts diag(u, u^{-1}) for the transition invertible u
+and conjugates the second leg by the lift; that the two idempotents are
+conjugate by u in the overlap ring is checked by the glued double's own
+verify().  Whitehead factors diag(u, u^{-1}) as [[1, u], [0, 1]]
+[[1, 0], [-u^{-1}, 1]] [[1, u], [0, 1]] [[0, -1], [1, 0]]; with a, b the section lifts of u, u^{-1} through the
 surjective leg, the lifted factors multiply out to [[2a - aba, ab - 1],
 [1 - ba, b]] and their inverses, in reverse, to [[b, 1 - ba], [ab - 1,
 2a - aba]].  Each factor is unipotent or a rotation, so the two are exactly
@@ -33,7 +35,6 @@ from .matrices import (
     permutation_cert,
     section_matrix,
 )
-from .scalars import rat
 
 
 class DoubleMismatch(CertificateFailure):
@@ -164,11 +165,6 @@ class DoubleMatrix:
             self.diagram, self.m1.direct_sum(other.m1), self.m2.direct_sum(other.m2)
         )
 
-    def pad(self, k, fill=0):
-        if k == 0:
-            return self
-        return DoubleMatrix(self.diagram, self.m1.pad(k, fill), self.m2.pad(k, fill))
-
     def sub_block(self, r0, r1, c0, c1):
         return DoubleMatrix(
             self.diagram,
@@ -241,31 +237,28 @@ GluedIdempotent = namedtuple(
 )
 
 
-def _check_conjugation_pre(diagram, mat1, mat2, u, eq_tag):
-    expect_equal(
-        apply_hom_matrix(diagram.j1, mat1),
-        u.m @ apply_hom_matrix(diagram.j2, mat2) @ u.m_inv,
-        f"{eq_tag}: images are not conjugate by u",
-    )
-
-
 def glue_idempotents(p1, p2, u, diagram):
     """Given idempotents over the two legs whose overlap images are
     conjugate by u, produce the size-doubled double idempotent whose first
     leg is p1 + 0 and whose second leg is the recorded conjugate of
-    p2 + 0 by the lifted diag(u, u^{-1})."""
+    p2 + 0 by the lifted diag(u, u^{-1}).  The conjugacy is checked by the
+    glued double's verify(), which raises DoubleMismatch when it fails."""
     if p1.algebra != diagram.lambda1 or p2.algebra != diagram.lambda2:
         raise MatrixError("idempotents over the wrong legs")
     if p1.n != p2.n or u.n != p1.n:
         raise MatrixError("sizes must agree")
     if not diagram.j2.surjective:
         raise ValueError("gluing lifts through j2, which must be surjective")
-    _check_conjugation_pre(diagram, p1.p, p2.p, u, "idempotent gluing")
     n = p1.n
     u_tilde = lift_via_whitehead(u, diagram.j2)
     leg1 = p1.p.pad(n, fill=0)
     p2_stab = p2.p.pad(n, fill=0)
     leg2 = u_tilde.m @ p2_stab @ u_tilde.m_inv
+    # The double's verify() is the conjugacy check: lift_via_whitehead
+    # checked j2(u~) = diag(u, u^-1) and j2(u~^-1) = diag(u^-1, u), and j2
+    # is a ring map, so j2(leg2) = (u j2(p2) u^-1) + 0 while j1(leg1) =
+    # j1(p1) + 0.  The legs disagree exactly where j1(p1) and u j2(p2) u^-1
+    # do, first at the same entry and with the same residual.
     double = IdempotentCert(DoubleMatrix(diagram, leg1, leg2).verify()).verify()
     return GluedIdempotent(double, p1, p2, u, u_tilde)
 
@@ -294,27 +287,6 @@ def k0_common_form(d1, d2):
     return q1, q2, n1 + n2
 
 
-def glue_invertibles(s1, s2, u, diagram):
-    """Glue invertibles along a transition: double invertible with first leg
-    s1 + 1 and second
-    leg the recorded conjugate of s2 + 1 by the lifted diag(u, u^{-1})."""
-    if s1.algebra != diagram.lambda1 or s2.algebra != diagram.lambda2:
-        raise MatrixError("invertibles over the wrong legs")
-    if s1.n != s2.n or u.n != s1.n:
-        raise MatrixError("sizes must agree")
-    if not diagram.j2.surjective:
-        raise ValueError("gluing lifts through j2, which must be surjective")
-    _check_conjugation_pre(diagram, s1.m, s2.m, u, "invertible gluing")
-    n = s1.n
-    u_tilde = lift_via_whitehead(u, diagram.j2)
-    leg1 = s1.pad(n)
-    s2_stab = s2.pad(n)
-    leg2 = InvertibleCert(
-        u_tilde.m @ s2_stab.m @ u_tilde.m_inv, u_tilde.m @ s2_stab.m_inv @ u_tilde.m_inv
-    )
-    return double_invertible(diagram, leg1, leg2)
-
-
 OLift = namedtuple("OLift", ["u_tilde", "xi_tilde", "forward", "perm"])
 
 
@@ -339,55 +311,3 @@ def lift_o_element(xi, leg):
     double_xi = xi.m.direct_sum(xi.m)
     expect_equal(p.m @ double_xi @ p.m_inv, forward, "O-lift permutation conjugacy fails")
     return OLift(u_tilde, xi_tilde, forward, p)
-
-
-K1GlueWitness = namedtuple("K1GlueWitness", ["xi1", "xi2", "u"])
-
-GluedK1 = namedtuple("GluedK1", ["terms", "details"])
-
-
-def glue_k1_classes(u1, u2, witness, diagram, coefficient=1):
-    """Glue K1 representatives.  With empty xi's this is plain invertible gluing at
-    coefficient 1.  With O-shaped corrections, both sides are doubled, the
-    corrections lift through the legs by the O-lift recipe, and the glued
-    representative carries coefficient 1/2."""
-    coeff = rat(coefficient)
-    xi1, xi2, u = witness
-    if xi1 is None and xi2 is None:
-        _check_conjugation_pre(diagram, u1.m, u2.m, u, "K1 gluing")
-        glued = glue_invertibles(u1, u2, u, diagram)
-        return GluedK1(terms=((glued, coeff),), details=None)
-    if not (diagram.j1.surjective and diagram.j2.surjective):
-        raise ValueError("the O-lift path needs both legs surjective")
-    if xi1 is None or xi2 is None or xi1.n != xi2.n:
-        raise CertificateFailure("witness needs O-shaped corrections of one size")
-    side1 = apply_hom_matrix(diagram.j1, u1.m).direct_sum(xi1.m)
-    side2 = apply_hom_matrix(diagram.j2, u2.m).direct_sum(xi2.m)
-    expect_equal(side1, u.m @ side2 @ u.m_inv, "K1 witness equation fails")
-    lift1 = lift_o_element(xi1, diagram.j1)
-    lift2 = lift_o_element(xi2, diagram.j2)
-    u1p = u1.direct_sum(u1).direct_sum(lift1.u_tilde)
-    u2p = u2.direct_sum(u2).direct_sum(lift2.u_tilde)
-    n = u1.n
-    k2 = xi1.n
-    # index permutation sending X + X (X = j(u) + xi) to j(u) + j(u) + xi + xi
-    perm = (
-        tuple(range(0, n))
-        + tuple(range(n + k2, 2 * n + k2))
-        + tuple(range(n, n + k2))
-        + tuple(range(2 * n + k2, 2 * n + 2 * k2))
-    )
-    rho = permutation_cert(diagram.lambda_prime, perm)
-    ident_2n = InvertibleCert.identity(diagram.lambda_prime, 2 * n)
-    sigma1 = ident_2n.direct_sum(lift1.perm)
-    sigma2 = ident_2n.direct_sum(lift2.perm)
-    uu = u.direct_sum(u)
-    w = sigma1.compose(rho).compose(uu).compose(rho.inverse()).compose(sigma2.inverse())
-    expect_equal(
-        apply_hom_matrix(diagram.j1, u1p.m),
-        w.m @ apply_hom_matrix(diagram.j2, u2p.m) @ w.m_inv,
-        "doubled K1 witness equation fails",
-    )
-    glued = glue_invertibles(u1p, u2p, w, diagram)
-    half = coeff / rat(2)
-    return GluedK1(terms=((glued, half),), details=(lift1, lift2, w))

@@ -175,11 +175,10 @@ def parse_matrix(obj, algebra, where="matrix"):
 
 
 class SpecDocument:
-    __slots__ = ("algebra", "diagram", "matrices", "command", "raw")
+    __slots__ = ("algebra", "diagram", "matrices", "command")
 
     def __init__(self, raw):
         _check_keys(raw, TOP_KEYS, "document")
-        self.raw = raw
         self.algebra = None
         self.diagram = None
         if "algebra" in raw:

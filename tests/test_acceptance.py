@@ -180,9 +180,7 @@ def test_criterion_6_exactness_witnesses():
     u = _x_cert(diagram)
     glued, minus = boundary_first_form(diagram, u)
     u1, u2 = kernel_i_witnesses(diagram, glued, 1)
-    phi, report = exactness_kernel_i(
-        diagram, K0Rep(glued.double, minus), 0, u1, u2
-    )
+    phi, report = exactness_kernel_i(diagram, K0Rep(glued.double, minus), u1, u2)
     ok &= report.passed
     ok &= phi.m.sub_block(2, 4, 2, 4) == u.m.direct_sum(
         FilteredMatrix.identity(diagram.lambda_prime, 1)

@@ -27,14 +27,11 @@ from kcert.matrices import (
     block2,
     elementary_expand,
     expect_equal,
-    o_map,
 )
 from kcert.mv import (
     DoubleMatrix,
     DoubleMismatch,
-    K1GlueWitness,
     glue_idempotents,
-    glue_k1_classes,
 )
 from kcert.scalars import Poly, QuotElem, rat
 
@@ -468,19 +465,6 @@ def _non_conjugate_gluing():
     )
 
 
-def _non_conjugate_k1():
-    glue_k1_classes(
-        _unit(2), _unit(3), K1GlueWitness(None, None, InvertibleCert.identity(_T.lambda_prime, 1)),
-        _T,
-    )
-
-
-def _bad_k1_witness():
-    xi = o_map(InvertibleCert.identity(_T.lambda_prime, 1))
-    ident = InvertibleCert.identity(_T.lambda_prime, 3)
-    glue_k1_classes(_unit(2), _unit(3), K1GlueWitness(xi, xi, ident), _T)
-
-
 def _wrong_alternative_l():
     boundary_alt_lifting(
         BoundaryInput(_T, _unit(2)), InvertibleCert.identity(_T.lambda1, 2)
@@ -499,15 +483,12 @@ def _wrong_alternative_l():
     (_wrong_lift_b, CertificateFailure, "lift B has the wrong image at (0, 1)", (0, 1), 5),
     (_u_not_commuting, CertificateFailure,
      "U must commute with the stabilization block, fails at (0, 1)", (0, 1), 1),
-    (_non_conjugate_gluing, CertificateFailure,
-     "idempotent gluing: images are not conjugate by u at (0, 0)", (0, 0), 1),
-    (_non_conjugate_k1, CertificateFailure,
-     "K1 gluing: images are not conjugate by u at (0, 0)", (0, 0), -1),
-    (_bad_k1_witness, CertificateFailure, "K1 witness equation fails at (0, 0)", (0, 0), -1),
+    (_non_conjugate_gluing, DoubleMismatch,
+     "legs disagree in the overlap ring at (0, 0)", (0, 0), 1),
     (_wrong_alternative_l, CertificateFailure,
      "alternative L does not lift the block rotation at (0, 0)", (0, 0), 1),
 ], ids=["inverse", "idempotent", "legs-disagree", "double-idempotent", "lift-a", "lift-b",
-        "stabilization-block", "gluing", "k1-gluing", "k1-witness", "alternative-l"])
+        "stabilization-block", "gluing", "alternative-l"])
 def test_failure_names_first_differing_entry(build, cls, message, position, residual):
     with pytest.raises(CertificateFailure) as err:
         build()

@@ -14,9 +14,11 @@
 - Product count: one ``boundary`` run of the bundled clutching spec and one
   ``exactness`` run of the exactness-clutching benchmark's request 0 each
   make an exact number of products, so a repeated product cannot creep back.
-- Surface: every module-level name of ``src/kcert`` is read somewhere in
+- Surface: every module-level name of ``src/kcert`` is read by live code in
   ``src/kcert``, save an allowlist with one reason per name, so a helper that
-  only tests call lives in the tests.
+  only tests (or only other dead helpers) call lives in the tests.  Live code
+  is ``main``, the allowlist, module-level statements that define nothing,
+  and whatever live code loads, as a fixpoint.
 """
 
 import ast
@@ -24,6 +26,7 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import textwrap
 from importlib import resources
 from pathlib import Path
 
@@ -228,9 +231,10 @@ def test_boundary_product_count(tmp_path, probe):
 
 # Products of one `exactness` run of request 0 of the exactness-clutching
 # benchmark workload: all six segments, with the Whitehead lift in closed
-# form, the kernel-boundary witness written down, and every block swap of
-# the recipes a rearrangement.
-EXACTNESS_PRODUCTS = 148
+# form, the kernel-boundary witness written down, every block swap of the
+# recipes a rearrangement, and the gluing's conjugacy checked only by the
+# glued double's verify().
+EXACTNESS_PRODUCTS = 144
 
 
 def test_exactness_product_count(tmp_path, probe):
@@ -241,25 +245,31 @@ def test_exactness_product_count(tmp_path, probe):
     assert probe.count(lambda: run(argv, tmp_path / "report")) == EXACTNESS_PRODUCTS
 
 
-# Module-level src names that nothing in src reads, each with its reason.
+# Module-level src names that nothing live in src reads, each with its reason.
 SURFACE_ALLOWLIST = {
     "instances.suite_algebras": "fixture for tests/ and benchmarks/bench_scalars.py",
     "instances.trivial_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
     "instances.clutching_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
     "instances.cover_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
-    "mv.glue_k1_classes": "unreachable until ROADMAP item 13 wires it in or deletes it",
-    "mv.K1GlueWitness": "unreachable until ROADMAP item 13 wires it in or deletes it",
+    "mv.lift_o_element": "acceptance criterion 7 (dyadic lift)",
 }
 
 
-def src_surface():
-    """The module-level functions, classes and assigned names of src/kcert
-    as "module.name" (dunders excepted), and every name src/kcert loads as a
-    Name, an Attribute or an import alias."""
-    defined, loaded = [], set()
-    for path in sorted(Path(matrices.__file__).resolve().parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
+def _loads(node):
+    """Every name ``node`` loads as a Name or an Attribute; an import alias
+    is not a read."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def src_surface(sources):
+    """For {module: source text}: the module-level functions, classes and
+    assigned names as {"module.name": names the definition loads} (dunders
+    excepted), and the names loaded by module-level statements that define
+    nothing."""
+    defined, roots = {}, set()
+    for stem, text in sources.items():
+        for node in ast.parse(text).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -267,27 +277,67 @@ def src_surface():
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 names = []
-            defined += [f"{path.stem}.{name}" for name in names
-                        if not (name.startswith("__") and name.endswith("__"))]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
-            elif isinstance(node, ast.alias):
-                loaded.add(node.name)
-    return defined, loaded
+            names = [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+            if names:
+                defined.update((f"{stem}.{name}", _loads(node)) for name in names)
+            else:
+                roots |= _loads(node)
+    return defined, roots
+
+
+def unread(defined, roots, allow):
+    """The defined names that are not live.  A definition is live when it is
+    ``main``, is in ``allow``, or is loaded by a live definition or a root."""
+    live, read, grew = set(), set(roots), True
+    while grew:
+        grew = False
+        for qual, loads in defined.items():
+            name = qual.split(".", 1)[1]
+            if qual not in live and (name == "main" or qual in allow or name in read):
+                live.add(qual)
+                read |= loads
+                grew = True
+    return [qual for qual in defined if qual not in live]
+
+
+def src_sources():
+    src = Path(matrices.__file__).resolve().parent
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py"))}
 
 
 def test_every_src_name_is_read_in_src():
-    defined, loaded = src_surface()
-    unread = [qual for qual in defined
-              if qual.split(".", 1)[1] not in loaded and qual not in SURFACE_ALLOWLIST]
-    assert not unread, f"src names nothing in src reads (move to tests or delete): {unread}"
+    dead = unread(*src_surface(src_sources()), SURFACE_ALLOWLIST)
+    assert not dead, f"src names nothing live in src reads (move to tests or delete): {dead}"
 
 
 def test_surface_allowlist_is_current():
-    defined, loaded = src_surface()
-    stale = [qual for qual in SURFACE_ALLOWLIST
-             if qual not in defined or qual.split(".", 1)[1] in loaded]
-    assert not stale, f"allowlisted names now read in src, or gone: {stale}"
+    defined, roots = src_surface(src_sources())
+    allow = set(SURFACE_ALLOWLIST)
+    stale = [qual for qual in allow
+             if qual not in defined or qual not in unread(defined, roots, allow - {qual})]
+    assert not stale, f"allowlisted names now read by live src, or gone: {stale}"
+
+
+def test_surface_guard_follows_live_reads_only():
+    # f calls g, but nothing live reaches f; h is only imported; main and
+    # the module-level print keep k and LIMIT live.
+    a = textwrap.dedent("""
+        def f():
+            return g()
+
+        def g():
+            return 1
+
+        def h():
+            return 2
+
+        def k():
+            return 3
+
+        def main():
+            return k()
+    """)
+    b = "from .a import h\n\nLIMIT = 4\nprint(LIMIT)\n"
+    defined, roots = src_surface({"a": a, "b": b})
+    assert sorted(unread(defined, roots, ())) == ["a.f", "a.g", "a.h"]
+    assert unread(defined, roots, ("a.f",)) == ["a.h"]

@@ -6,6 +6,7 @@ from kcert.boundary import (
     boundary_first_form,
     boundary_second_form,
 )
+from kcert import drivers, kclasses
 from kcert.drivers import (
     gen_boundary_zero,
     gen_i_after_boundary,
@@ -19,22 +20,26 @@ from kcert.identities import Sampler
 from kcert.kclasses import (
     Conjugate,
     EquivalenceCertificate,
+    K0MiddleWitness,
     K0Rep,
     OAbsorb,
     Stabilize,
     check_certificate,
     exactness_boundary_zero,
     exactness_i_after_boundary,
+    exactness_k0_middle,
     exactness_kernel_boundary,
     exactness_kernel_i,
     swap_halves,
 )
 from kcert.matrices import (
+    ElementaryMatrix,
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
     apply_hom_matrix,
     block_swap_cert,
+    elementary_expand,
     involution_cert,
     o_map,
     rotation_swap_cert,
@@ -267,7 +272,7 @@ def test_kernel_i_round_trip_clutching(clutching):
     glued, minus = boundary_first_form(clutching, u)
     d = K0Rep(glued.double, minus)
     u1, u2 = kernel_i_witnesses(clutching, glued, 1)
-    phi, report = exactness_kernel_i(clutching, d, 0, u1, u2)
+    phi, report = exactness_kernel_i(clutching, d, u1, u2)
     assert report.passed
     # check names are report bytes on failure
     assert [c["name"] for c in report.checks] == KERNEL_I_CHECKS
@@ -321,7 +326,7 @@ def test_kernel_i_trivial_difference(trivial_mv):
     from kcert.matrices import permutation_cert
 
     u1 = permutation_cert(trivial_mv.lambda1, (1, 0))
-    phi, report = exactness_kernel_i(trivial_mv, d, 0, u1, u1)
+    phi, report = exactness_kernel_i(trivial_mv, d, u1, u1)
     assert report.passed
     assert phi.m == FilteredMatrix.identity(trivial_mv.lambda_prime, 2)
 
@@ -344,7 +349,7 @@ def _kernel_i_with_plus_part(trivial_mv, monkeypatch, wrong):
     # p~ = diag(0, 1, 0, 1) or diag(1, 0, 0, 1); eps = diag(0, 0, 1, 1)
     perm = (0, 2, 1, 3) if wrong else (2, 0, 1, 3)
     u = permutation_cert(trivial_mv.lambda1, perm)
-    return exactness_kernel_i(trivial_mv, K0Rep(pair, pair), 0, u, u)
+    return exactness_kernel_i(trivial_mv, K0Rep(pair, pair), u, u)
 
 
 def test_kernel_i_chains_the_plus_part_back_to_the_input(trivial_mv, monkeypatch):
@@ -405,7 +410,6 @@ def test_k0_glue_push_reglue_round_trip(clutching):
         IdempotentCert(glued.double.p.m2),
         IdempotentCert(minus.p.m2),
     )
-    from kcert.kclasses import K0MiddleWitness, exactness_k0_middle
     from kcert.mv import k0_common_form
 
     q1, _, _ = k0_common_form(d1, d2)
@@ -418,6 +422,33 @@ def test_k0_glue_push_reglue_round_trip(clutching):
     pre, report = exactness_k0_middle(clutching, d1, d2, witness)
     assert report.passed
     pre.plus.verify()
+
+
+def test_k0_middle_bad_witness_is_named_and_never_glued(clutching, monkeypatch):
+    # The sampled witness v of gen_k0_middle, composed with E(0, n-1; 1),
+    # no longer conjugates the stabilized images: the segment names that
+    # line and returns before it glues.
+    results = []
+
+    def break_witness(diagram, d1, d2, witness):
+        xi, v = witness
+        lam = diagram.lambda_prime
+        bad = v.compose(elementary_expand(ElementaryMatrix(lam, v.n, 0, v.n - 1, lam.one())))
+        results.append(exactness_k0_middle(diagram, d1, d2, K0MiddleWitness(xi, bad)))
+        return results[-1]
+
+    def no_gluing(*args):
+        raise AssertionError("a failed k0_middle witness was glued")
+
+    monkeypatch.setattr(drivers, "exactness_k0_middle", break_witness)
+    monkeypatch.setattr(kclasses, "glue_idempotents", no_gluing)
+    assert not gen_k0_middle(clutching, Sampler(2)).passed
+    (rep, report), = results
+    assert rep is None
+    assert [c["name"] for c in report.checks if not c["ok"]] == [
+        "witness: stabilized images conjugate"
+    ]
+    assert "glued double idempotent" not in [c["name"] for c in report.checks]
 
 
 def test_forged_certificates_rejected(trivial, sampler):

@@ -15,12 +15,9 @@ from kcert.matrices import (
 from kcert.mv import (
     DoubleMatrix,
     DoubleMismatch,
-    K1GlueWitness,
     MVDiagram,
     double_invertible,
     glue_idempotents,
-    glue_invertibles,
-    glue_k1_classes,
     lift_o_element,
     lift_via_whitehead,
     normalize_difference,
@@ -152,20 +149,6 @@ def test_normalize_difference(trivial, sampler):
     assert p_prime.verify().p == p1.p.direct_sum(p2.complement().p)
 
 
-def test_glue_invertibles(clutching, sampler):
-    s1 = sampler.invertible(clutching.lambda1, 1)
-    u = _x_cert(clutching)
-    # need j1(s1) = u j2(s2) u^-1; over the commutative overlap conjugation
-    # is trivial, so s2 = s1 works
-    glued = glue_invertibles(s1, s1, u, clutching)
-    _verify_double(glued)
-    assert glued.m.m1 == s1.pad(1).m
-    assert glued.level >= max(0, min(s1.level, u.level) - 4)
-    one = InvertibleCert.identity(clutching.lambda_prime, 1)
-    triv = glue_invertibles(s1, s1, one, clutching)
-    _verify_double(triv)
-
-
 def test_lift_o_element(clutching, sampler):
     alpha = sampler.invertible(clutching.lambda_prime, 1)
     xi = o_map(alpha)
@@ -181,40 +164,6 @@ def test_lift_o_element(clutching, sampler):
     assert triv.forward == FilteredMatrix.identity(clutching.lambda_prime, 4)
     with pytest.raises(CertificateFailure):
         lift_o_element(sampler.invertible(clutching.lambda_prime, 2), clutching.j1)
-
-
-def test_glue_k1_plain(clutching, sampler):
-    u1 = sampler.invertible(clutching.lambda1, 1)
-    one = InvertibleCert.identity(clutching.lambda_prime, 1)
-    out = glue_k1_classes(u1, u1, K1GlueWitness(None, None, one), clutching)
-    (term, coeff), = out.terms
-    assert coeff == rat(1)
-    _verify_double(term)
-
-
-def test_glue_k1_half_and_quarter(clutching, sampler):
-    u1 = sampler.invertible(clutching.lambda1, 1)
-    xi = o_map(_x_cert(clutching))
-    one = InvertibleCert.identity(clutching.lambda_prime, 3)
-    out = glue_k1_classes(u1, u1, K1GlueWitness(xi, xi, one), clutching)
-    (term, coeff), = out.terms
-    assert coeff == rat(1, 2)
-    _verify_double(term)
-    again = glue_k1_classes(
-        u1, u1, K1GlueWitness(xi, xi, one), clutching, coefficient=coeff
-    )
-    assert again.terms[0][1] == rat(1, 4)
-
-
-def test_glue_k1_witness_failure(clutching, sampler):
-    u1 = sampler.invertible(clutching.lambda1, 1)
-    two = InvertibleCert(
-        FilteredMatrix.scalar_diag(clutching.lambda1, 2, 1),
-        FilteredMatrix.scalar_diag(clutching.lambda1, rat(1, 2), 1),
-    )
-    one = InvertibleCert.identity(clutching.lambda_prime, 1)
-    with pytest.raises(CertificateFailure):
-        glue_k1_classes(u1, u1.compose(two), K1GlueWitness(None, None, one), clutching)
 
 
 def test_cover_diagram_gluing(cover, sampler):
