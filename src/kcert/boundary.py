@@ -15,10 +15,11 @@ Each product is computed once: e1 and e act as column selections, both
 closed forms share their top row and reuse L's corner (1+S0)B, the lift
 deltas take BA and AB as 1 - S0 and 1 - S1 and H(AB) once, and P is never
 verified on construction because L's certificate implies P^2 = P (see
-_boundary_core).  Nor are the two lift-independence conjugators: each is
-L~ L^{-1} for verified L and L~, by the claim its check has just compared
-(A) or by construction (B), so L L~^{-1} is its inverse and no product
-checks it.
+_boundary_core).  Each lift-independence check compares one claim: L~ =
+conj L (A) or L~ L^{-1} = the delta blocks (B).  The conjugator is then
+L~ L^{-1} for verified L and L~, so it is invertible with inverse
+L L~^{-1} and carries P to P~ = L~ e1 L~^{-1}; the second leg is the same
+e2 block on both sides.  None of that is recomputed.
 """
 
 from collections import namedtuple
@@ -210,8 +211,8 @@ def independence_conjugator_a(inp, k):
 
 def verify_lift_independence_a(inp, k, base):
     """Recompute the boundary with A + K and verify the explicit conjugator
-    maps L to L~ and the double idempotent to the perturbed one, exactly.
-    ``base`` is the boundary already built from ``inp``."""
+    maps L to L~ exactly; returns (conj, tilde).  ``base`` is the boundary
+    already built from ``inp``."""
     diagram = inp.diagram
     img = apply_hom_matrix(diagram.j1, k)
     if not img.is_zero():
@@ -222,19 +223,11 @@ def verify_lift_independence_a(inp, k, base):
     tilde = boundary_extended_form(shifted)
     conj = independence_conjugator_a(inp, k)
     expect_equal(tilde.l.m, conj @ base.l.m, "lift independence in A: L~ = conj . L fails")
-    # Not verified: _build_l verified L and L~ with their inverses, so the
-    # claim just checked gives conj = L~ L^-1, and then
-    # conj (L L~^-1) = L~ L~^-1 = 1 and (L L~^-1) conj = L L^-1 = 1.
-    conj_cert = InvertibleCert(conj, base.l.m @ tilde.l.m_inv)
-    expect_equal(
-        tilde.p.p, conj_cert.m @ base.p.p @ conj_cert.m_inv,
-        "lift independence in A: P~ = conj P conj^-1 fails",
-    )
-    expect_equal(
-        tilde.p_double.p.m2, base.p_double.p.m2,
-        "lift independence in A: second leg fixed fails",
-    )
-    return conj_cert, tilde
+    # Nothing more to check: _build_l verified L and L~ with their inverses,
+    # so conj = L~ L^-1 is invertible with inverse L L~^-1, and
+    # conj P conj^-1 = L~ e1 L~^-1 = P~.  Both second legs are the e2 block
+    # _boundary_core builds from the same sizes.
+    return conj, tilde
 
 
 def independence_deltas(base, h):
@@ -263,8 +256,8 @@ def independence_deltas(base, h):
 
 def verify_lift_independence_b(inp, h, base):
     """Recompute the boundary with B + H and verify L~~ L^{-1} matches the
-    displayed delta blocks and conjugates the double idempotent.  ``base``
-    is the boundary already built from ``inp``."""
+    displayed delta blocks; returns (L~~ L^{-1}, tilde).  ``base`` is the
+    boundary already built from ``inp``."""
     diagram = inp.diagram
     img = apply_hom_matrix(diagram.j1, h)
     if not img.is_zero():
@@ -279,11 +272,5 @@ def verify_lift_independence_b(inp, h, base):
     )
     observed = tilde.l.m @ base.l.m_inv
     expect_equal(observed, expect, "delta block formula fails")
-    # Not verified: observed is L~ L^-1 itself, for L and L~ that _build_l
-    # verified, so the two lines of the A check above hold as they stand.
-    conj_cert = InvertibleCert(observed, base.l.m @ tilde.l.m_inv)
-    expect_equal(
-        tilde.p.p, conj_cert.m @ base.p.p @ conj_cert.m_inv,
-        "perturbed idempotent not conjugate",
-    )
-    return conj_cert, tilde
+    # observed is L~ L^-1 itself, so it conjugates P to P~ as in the A check.
+    return observed, tilde

@@ -232,9 +232,7 @@ def lift_via_whitehead(u, leg):
     return lifted
 
 
-GluedIdempotent = namedtuple(
-    "GluedIdempotent", ["double", "p1", "p2", "u", "u_tilde"]
-)
+GluedIdempotent = namedtuple("GluedIdempotent", ["double", "u_tilde"])
 
 
 def glue_idempotents(p1, p2, u, diagram):
@@ -260,7 +258,7 @@ def glue_idempotents(p1, p2, u, diagram):
     # j1(p1) + 0.  The legs disagree exactly where j1(p1) and u j2(p2) u^-1
     # do, first at the same entry and with the same residual.
     double = IdempotentCert(DoubleMatrix(diagram, leg1, leg2).verify()).verify()
-    return GluedIdempotent(double, p1, p2, u, u_tilde)
+    return GluedIdempotent(double, u_tilde)
 
 
 def normalize_difference(p1, p2):

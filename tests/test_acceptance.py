@@ -60,6 +60,16 @@ def _x_cert(diagram):
     return InvertibleCert(m, m).verify()
 
 
+def check_lift_conjugator(base, conj, tilde):
+    """What a lift-independence check leaves to its proof, recomputed: for
+    the conjugator ``conj`` it returns, L L~^-1 is an exact inverse, conj
+    carries P to P~, and the second leg is fixed.  ``base`` and ``tilde``
+    are the boundaries before and after the perturbation."""
+    cert = InvertibleCert(conj, base.l.m @ tilde.l.m_inv).verify()
+    assert tilde.p.p == cert.m @ base.p.p @ cert.m_inv
+    assert tilde.p_double.p.m2 == base.p_double.p.m2
+
+
 def test_criterion_1_identity_suite():
     started = time.monotonic()
     failures = []
@@ -145,11 +155,11 @@ def test_criterion_5_well_definedness():
     for _ in range(100):
         factor = sampler.matrix(diagram.lambda1, 1).rows[0][0]
         k = FilteredMatrix(diagram.lambda1, ((factor * kernel,),))
-        verify_lift_independence_a(inp, k, base)
+        check_lift_conjugator(base, *verify_lift_independence_a(inp, k, base))
         count += 1
         factor = sampler.matrix(diagram.lambda1, 1).rows[0][0]
         h = FilteredMatrix(diagram.lambda1, ((factor * kernel,),))
-        verify_lift_independence_b(inp, h, base)
+        check_lift_conjugator(base, *verify_lift_independence_b(inp, h, base))
         count += 1
     _report("5 well-definedness", count == 200, f"{count} perturbations, conjugators exact")
 

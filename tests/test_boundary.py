@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from test_acceptance import check_lift_conjugator
 from test_guards import perfbench_request, spec_path
 
 from kcert import boundary, drivers
@@ -253,10 +254,11 @@ def test_lift_independence_a(clutching, sampler):
     base = boundary_extended_form(inp)
     zero = FilteredMatrix.zeros(clutching.lambda1, 1)
     conj, tilde = verify_lift_independence_a(inp, zero, base)
-    assert conj.m == FilteredMatrix.identity(clutching.lambda1, 2)
+    assert conj == FilteredMatrix.identity(clutching.lambda1, 2)
+    check_lift_conjugator(base, conj, tilde)
     k = FilteredMatrix(clutching.lambda1, ((Poly([-1, 0, 1]),),))
     conj, tilde = verify_lift_independence_a(inp, k, base)
-    conj.verify()
+    check_lift_conjugator(base, conj, tilde)
     tilde.p.verify()
     with pytest.raises(CertificateFailure):
         verify_lift_independence_a(
@@ -289,11 +291,11 @@ def test_lift_independence_b(clutching):
     h = FilteredMatrix(clutching.lambda1, ((Poly([-1, 0, 1]),),))
     base = boundary_extended_form(inp)
     conj, tilde = verify_lift_independence_b(inp, h, base)
-    conj.verify()
+    check_lift_conjugator(base, conj, tilde)
     # the four displayed blocks match the independent recomputation
     d11, d12, d21, d22 = independence_deltas(base, h)
     expect = block2(d11.plus_scalar(1), d12, d21, d22.plus_scalar(1))
-    assert conj.m == expect
+    assert conj == expect
 
 
 def test_deltas_match_symbolic_expansion(clutching, sampler):
@@ -313,10 +315,10 @@ def test_deltas_match_symbolic_expansion(clutching, sampler):
         assert observed == block2(d11.plus_scalar(1), d12, d21, d22.plus_scalar(1))
 
 
-# The lift checks build their conjugator certificates without verifying
-# them (the claim follows from L, L~ and the check before, see
-# verify_lift_independence_a); here every one a `boundary` run returns is
-# verified after the fact.
+# Each lift check compares one claim and leaves the rest to its proof (see
+# verify_lift_independence_a): the conjugator's inverse, P~ = conj P conj^-1
+# and the fixed second leg.  Here they are recomputed for every conjugator
+# a `boundary` run returns.
 BOUNDARY_CLUTCHING_SPECS = 20
 
 
@@ -324,10 +326,10 @@ def test_lift_conjugators_verify(tmp_path, monkeypatch):
     returned = []
 
     def keep(check):
-        def wrapped(*args):
-            conj_cert, tilde = check(*args)
-            returned.append((check.__name__, conj_cert))
-            return conj_cert, tilde
+        def wrapped(inp, perturbation, base):
+            conj, tilde = check(inp, perturbation, base)
+            returned.append((check.__name__, (base, conj, tilde)))
+            return conj, tilde
         return wrapped
 
     for name in ("verify_lift_independence_a", "verify_lift_independence_b"):
@@ -344,8 +346,8 @@ def test_lift_conjugators_verify(tmp_path, monkeypatch):
                      "--report", str(tmp_path / "report.json")]) == 0
         assert [name for name, _ in returned] == [
             "verify_lift_independence_a", "verify_lift_independence_b"]
-        for _, conj_cert in returned:
-            conj_cert.verify()
+        for _, claims in returned:
+            check_lift_conjugator(*claims)
 
 
 # No command builds an alternative L, so the lifting-freedom claim lives here

@@ -18,7 +18,9 @@
   ``src/kcert``, save an allowlist with one reason per name, so a helper that
   only tests (or only other dead helpers) call lives in the tests.  Live code
   is ``main``, the allowlist, module-level statements that define nothing,
-  and whatever live code loads, as a fixpoint.
+  and whatever live code loads, as a fixpoint.  Every name a module of
+  ``src/kcert`` imports is loaded in that module or listed in its
+  ``__all__``, so a deletion cannot leave a stale import behind.
 """
 
 import ast
@@ -219,9 +221,11 @@ def test_acceptance_criterion_under_forced_checks(name, monkeypatch, request):
 
 # Products of one `boundary` run of the bundled clutching spec, parse
 # included: two for the spec's claimed inverse of U, then the construction,
-# its report checks and both lift-independence checks, whose conjugators
-# are not re-verified and whose delta blocks take H(AB) once.
-BOUNDARY_PRODUCTS = 57
+# its report checks and both lift-independence checks.  Each lift check
+# compares one claim (L~ = conj L, or the delta blocks, which take H(AB)
+# once) and spends no product on what that claim and the verified L, L~
+# imply: the conjugator's inverse, P~ = conj P conj^-1, the fixed e2 leg.
+BOUNDARY_PRODUCTS = 51
 
 
 def test_boundary_product_count(tmp_path, probe):
@@ -233,8 +237,11 @@ def test_boundary_product_count(tmp_path, probe):
 # benchmark workload: all six segments, with the Whitehead lift in closed
 # form, the kernel-boundary witness written down, every block swap of the
 # recipes a rearrangement, and the gluing's conjugacy checked only by the
-# glued double's verify().
-EXACTNESS_PRODUCTS = 144
+# glued double's verify().  No segment recomputes a claim that an earlier
+# line or the construction implies: k0_middle's composite conjugation and
+# leg recoveries, kernel_boundary's leg-2 normal form, kernel_i's
+# conjugated leg 1.
+EXACTNESS_PRODUCTS = 132
 
 
 def test_exactness_product_count(tmp_path, probe):
@@ -341,3 +348,48 @@ def test_surface_guard_follows_live_reads_only():
     defined, roots = src_surface({"a": a, "b": b})
     assert sorted(unread(defined, roots, ())) == ["a.f", "a.g", "a.h"]
     assert unread(defined, roots, ("a.f",)) == ["a.h"]
+
+
+def unused_imports(sources):
+    """For {module: source text}: "module.name" for each name a module
+    imports but never loads; a name in its ``__all__`` counts as loaded."""
+    unused = []
+    for stem, text in sources.items():
+        tree = ast.parse(text)
+        imported, loaded = [], set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names if a.name != "*"]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                loaded |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        unused += [f"{stem}.{name}" for name in imported if name not in loaded]
+    return unused
+
+
+def test_every_src_import_is_loaded():
+    stale = unused_imports(src_sources())
+    assert not stale, f"src imports that their module never loads (delete them): {stale}"
+
+
+def test_import_guard_counts_loads_and_all():
+    text = textwrap.dedent("""
+        from __future__ import annotations
+
+        import os
+        import os.path as osp
+        import json
+        from collections import namedtuple, OrderedDict as OD
+        from .a import exported
+
+        __all__ = ["exported"]
+
+        def f():
+            return json.dumps(OD())
+    """)
+    assert unused_imports({"m": text}) == ["m.os", "m.osp", "m.namedtuple"]

@@ -5,6 +5,7 @@ from kcert.boundary import (
     boundary_extended_form,
     boundary_first_form,
     boundary_second_form,
+    e_block,
 )
 from kcert import drivers, kclasses
 from kcert.drivers import (
@@ -44,7 +45,7 @@ from kcert.matrices import (
     o_map,
     rotation_swap_cert,
 )
-from kcert.mv import DoubleMatrix, DoubleMismatch
+from kcert.mv import DoubleMatrix, DoubleMismatch, normalize_difference
 from kcert.scalars import Poly, QuotElem, rat
 
 
@@ -252,7 +253,6 @@ KERNEL_I_CHECKS = [
     "diagram has equal legs",
     "witness u1 trivializes leg1",
     "witness u2 trivializes leg2",
-    "conjugated leg1 = V eps V^-1",
     "conjugated leg2 is literal eps",
     "phi commutes with the scalar block",
     "S0 = 0",
@@ -338,7 +338,6 @@ def _kernel_i_with_plus_part(trivial_mv, monkeypatch, wrong):
     instead of the input's diag(1, 0)."""
     from kcert import kclasses
     from kcert.matrices import permutation_cert
-    from kcert.mv import normalize_difference
 
     pair = IdempotentCert(DoubleMatrix.diag_bits(trivial_mv, (1, 0)))
     if wrong:
@@ -448,7 +447,29 @@ def test_k0_middle_bad_witness_is_named_and_never_glued(clutching, monkeypatch):
     assert [c["name"] for c in report.checks if not c["ok"]] == [
         "witness: stabilized images conjugate"
     ]
-    assert "glued double idempotent" not in [c["name"] for c in report.checks]
+
+
+def test_k0_middle_bad_padding_is_named_and_never_glued(clutching, monkeypatch):
+    # xi = [[2]] is not idempotent, yet the sampled witness v + 1 still
+    # conjugates the xi-stabilized images.  The padding trivializer is the
+    # one line that fails, and the segment returns before it glues.
+    results = []
+
+    def bad_padding(diagram, d1, d2, witness):
+        lam = diagram.lambda_prime
+        xi = IdempotentCert(FilteredMatrix(lam, ((lam.from_rational(rat(2)),),)))
+        results.append(exactness_k0_middle(diagram, d1, d2, K0MiddleWitness(xi, witness.v)))
+        return results[-1]
+
+    def no_gluing(*args):
+        raise AssertionError("a k0_middle witness with a bad padding was glued")
+
+    monkeypatch.setattr(drivers, "exactness_k0_middle", bad_padding)
+    monkeypatch.setattr(kclasses, "glue_idempotents", no_gluing)
+    assert not gen_k0_middle(clutching, Sampler(2)).passed
+    (rep, report), = results
+    assert rep is None
+    assert [c["name"] for c in report.checks if not c["ok"]] == ["padding trivializer"]
 
 
 def test_forged_certificates_rejected(trivial, sampler):
@@ -567,3 +588,61 @@ def test_kernel_boundary_rejects_disagreeing_witness_legs(clutching, sampler):
     last = report.checks[-1]
     assert last["name"] == "witness is a double invertible" and not last["ok"]
     assert "legs disagree in the overlap ring" in last["residual"]
+
+
+# The segments do not check the claims that an earlier line or the
+# construction implies (a comment at each place says why).  Here each one
+# is recomputed on sampled passing instances.
+IMPLIED_CLAIM_SEEDS = 20
+
+
+@pytest.mark.parametrize("name", ["clutching", "trivial_mv"])
+def test_implied_exactness_claims_hold(name, request, monkeypatch):
+    diagram = request.getfixturevalue(name)
+    calls = {}
+
+    def record(module, attr):
+        original = getattr(module, attr)
+
+        def wrapped(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.setdefault(attr, []).append((args, kwargs, result))
+            return result
+        monkeypatch.setattr(module, attr, wrapped)
+
+    record(kclasses, "glue_idempotents")
+    for attr in ("exactness_i_after_boundary", "exactness_kernel_boundary",
+                 "exactness_kernel_i"):
+        record(drivers, attr)
+    for seed in range(IMPLIED_CLAIM_SEEDS):
+        for gen in (gen_k0_middle, gen_i_after_boundary, gen_kernel_boundary, gen_kernel_i):
+            assert gen(diagram, Sampler(seed)).passed
+    j1, j2 = diagram.j1, diagram.j2
+    # k0_middle: composite conjugation, the glued double idempotent, and
+    # both leg recoveries.
+    for (q1p, q2p, u_final, _), _, glued in calls["glue_idempotents"]:
+        assert apply_hom_matrix(j1, q1p.p) == (
+            u_final.m @ apply_hom_matrix(j2, q2p.p) @ u_final.m_inv
+        )
+        glued.double.verify()
+        glued.double.p.verify()
+        big = q1p.n
+        assert glued.double.p.m1 == q1p.p.pad(big, fill=0)
+        u_tilde = glued.u_tilde
+        assert glued.double.p.m2 == u_tilde.m @ q2p.p.pad(big, fill=0) @ u_tilde.m_inv
+    # i_after_boundary: leg 2 is the literal e2.
+    for (_, u), _, _ in calls["exactness_i_after_boundary"]:
+        out = boundary_second_form(BoundaryInput(diagram, u))
+        assert out.p_double.p.m2 == e_block(diagram.lambda2, u.n, u.n)
+    # kernel_boundary: the normal form's leg 2 is V e2 V^-1, V = U1^-1 U2.
+    for (_, u, (u1, u2)), lifts, _ in calls["exactness_kernel_boundary"]:
+        out = boundary_second_form(BoundaryInput(diagram, u, **lifts))
+        v = u1.inverse().compose(u2)
+        assert u1.m_inv @ out.p_double.p.m2 @ u1.m == v.m @ out.e2 @ v.m_inv
+    # kernel_i: the conjugated leg 1 is V eps V^-1, V = u2^-1 u1.
+    for (_, d, u1, u2), _, _ in calls["exactness_kernel_i"]:
+        p_tilde, _ = normalize_difference(d.plus, d.minus)
+        eps = e_block(diagram.lambda1, d.plus.n, d.minus.n)
+        v = u2.inverse().compose(u1)
+        assert u2.m_inv @ p_tilde.p.m1 @ u2.m == v.m @ eps @ v.m_inv
+    assert all(len(calls[attr]) == IMPLIED_CLAIM_SEEDS for attr in calls)
