@@ -14,14 +14,13 @@ invertible lift of diag(u, u^-1) through Q[x] -> Q[x]/(x^2 - 1) (n = 2, 6),
 the entrywise layer around the products over Q[x]/(x^2 - 1) at n = 4 (a sum
 and two differences with an identity operand, first_mismatch of two equal
 products, the image of a fresh Q[x] matrix whose entries need no reduction),
-the sampler's draws (a unit with its inverse per carrier, and a 4 x 4
-invertible over Q, Q[x]/(x^2 - 1) and kernels on 4 points), and a slice of
-the identity suite over the three bundled carriers.  Over kernels on 4 points and over Q
+the sampler's draws (a unit with its inverse per carrier, a 4 x 4
+invertible over Q, Q[x]/(x^2 - 1) and kernels on 4 points, and 1,000 small
+rationals, the draw layer under them all), and a slice of the identity
+suite over the three bundled carriers.  Over kernels on 4 points and over Q
 it also times the product of two O-map-shaped operands diag(u, u^-1)
-(n = 4, 8), the block-diagonal shape the O-map laws multiply; over Q one
-elementary column and one row operation on a sampled 4 x 4 matrix (the step
-of every sampled invertible); and over kernels the level of a freshly built
-4 x 4 matrix.  Operands are reused across calls, as certificates reuse
+(n = 4, 8), the block-diagonal shape the O-map laws multiply; and over
+kernels the level of a freshly built 4 x 4 matrix.  Operands are reused across calls, as certificates reuse
 them, so a matrix's integer form is computed once per row.  Last come the
 two ends of a request: the JSON text of the bundled spec's boundary report,
 as ``kcert boundary --format json`` writes it, and one "p/q" spec rational
@@ -56,7 +55,6 @@ from kcert.instances import (
     x2_minus_1,
 )
 from kcert.matrices import (
-    ElementaryMatrix,
     FilteredMatrix,
     apply_hom_matrix,
     o_map,
@@ -151,12 +149,6 @@ def matmul_rows():
         x, y = (o_map(sampler.invertible(algebra, size // 2)).m for _ in range(2))
         rows.append((f"FilteredMatrix @, diag(u, u^-1), Q, n = {size}",
                      per_call_us(lambda: x @ y, 2000 // size)))
-    m = sampler.matrix(algebra, 4)
-    e = ElementaryMatrix(algebra, 4, 1, 2, sampler.rational(allow_zero=False))
-    rows.append(("ElementaryMatrix.right_mul (column operation), Q, n = 4",
-                 per_call_us(lambda: e.right_mul(m), 20000)))
-    rows.append(("ElementaryMatrix.left_mul (row operation), Q, n = 4",
-                 per_call_us(lambda: e.left_mul(m), 20000)))
     return rows
 
 
@@ -213,6 +205,10 @@ def sampler_rows():
     ):
         rows.append((f"Sampler.invertible, {label}, n = 4",
                      per_call_us(lambda: sampler.invertible(algebra, 4), 1000)))
+    # The draw layer alone, drawn last so the rows above keep their draws.
+    rational = sampler.rational
+    rows.append(("Sampler.rational, 1,000 draws",
+                 per_call_us(lambda: [rational() for _ in range(1000)], 50)))
     return rows
 
 

@@ -433,9 +433,10 @@ class PropagationAlgebra(LocalizedAlgebra):
     def _random_payload(self, sampler):
         n = self.space.size
         table = {}
-        for _ in range(sampler.rng.randint(0, 3)):
-            i = sampler.rng.randrange(n)
-            j = i if self.diagonal else sampler.rng.randrange(n)
+        below = sampler._below
+        for _ in range(below(4)):
+            i = below(n)
+            j = i if self.diagonal else below(n)
             table[(i, j)] = sampler.rational(allow_zero=False)
         return Kernel(table)
 
@@ -454,9 +455,10 @@ class PropagationAlgebra(LocalizedAlgebra):
         # point order.
         n = space.size
         nil = {}
-        for _ in range(sampler.rng.randint(0, 2)):
-            i = sampler.rng.randrange(n - 1) if n > 1 else 0
-            j = sampler.rng.randrange(i + 1, n) if n > 1 else 0
+        below = sampler._below
+        for _ in range(below(3)):
+            i = below(n - 1) if n > 1 else 0
+            j = i + 1 + below(n - 1 - i) if n > 1 else 0
             if i != j:
                 nil[(i, j)] = sampler.rational(allow_zero=False)
         table = {(i, i): lam for i in range(n)}
@@ -615,7 +617,7 @@ def _parse_poly(obj):
 
 def _random_poly(sampler, top):
     """A polynomial of random degree 0..top with small rational coefficients."""
-    return Poly([sampler.rational() for _ in range(sampler.rng.randint(0, top) + 1)])
+    return Poly([sampler.rational() for _ in range(sampler._below(top + 1) + 1)])
 
 
 class FilteredHom:

@@ -152,8 +152,8 @@ def boundary_report(diagram, u, lift_a=None, lift_b=None, m=0,
 
 def gen_k0_middle(diagram, sampler):
     lam1, lam2 = diagram.lambda1, diagram.lambda2
-    c1 = sampler.invertible(lam1, 2, factors=sampler.rng.randint(0, 2))
-    c2 = sampler.invertible(lam2, 2, factors=sampler.rng.randint(0, 2))
+    c1 = sampler.invertible(lam1, 2, factors=sampler._below(3))
+    c2 = sampler.invertible(lam2, 2, factors=sampler._below(3))
     plus1 = IdempotentCert(c1.m @ FilteredMatrix.diag_bits(lam1, (1, 0)) @ c1.m_inv)
     minus1 = IdempotentCert(FilteredMatrix.identity(lam1, 1))
     plus2 = IdempotentCert(c2.m @ FilteredMatrix.diag_bits(lam2, (1, 0)) @ c2.m_inv)

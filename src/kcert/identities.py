@@ -16,7 +16,6 @@ import random
 from .matrices import (
     ElementaryMatrix,
     FilteredMatrix,
-    IdempotentCert,
     InvertibleCert,
     block2,
     block_swap_cert,
@@ -63,43 +62,67 @@ class IdentityReport:
         return f"IdentityReport({self.identity}: {state}, samples={self.samples})"
 
 
-# The 21 values Sampler.rational draws, keyed by (numerator, denominator);
-# every zero is the shared R0, which products skip by identity.
-_SMALL_RATIONALS = {
-    (num, den): rat(num, den) if num else R0 for num in range(-3, 4) for den in range(1, 4)
-}
+# The 21 values Sampler.rational draws, num/den at index 3 * (num + 3) +
+# (den - 1); every zero is the shared R0, which products skip by identity.
+_SMALL_RATIONALS = tuple([
+    rat(num, den) if num else R0 for num in range(-3, 4) for den in range(1, 4)
+])
 
 
 class Sampler:
     """Deterministic random inputs: small rationals, each carrier's own
     payload and unit draws (``_random_payload``, ``_random_unit``), and
-    invertibles built from a unit diagonal and elementary matrices so
-    inverses come for free.
+    invertibles built from a unit diagonal and elementary factors so inverses
+    come for free.
+
+    Every integer draw goes through one primitive, ``_below(n)``, which is
+    CPython's ``Random._randbelow_with_getrandbits`` bound to
+    ``rng.getrandbits``: ``randrange(n)`` is ``_below(n)`` and
+    ``randint(a, b)`` is ``a + _below(b - a + 1)``, so a seed consumes the
+    same generator bits as those calls and gives the same draws.  ``rng``
+    must be a ``random.Random`` itself, since a subclass may draw otherwise.
 
     A draw builds nothing by rational arithmetic it can avoid.  A small
     rational num/den (|num| <= 3, 1 <= den <= 3) is read from a table of its
     21 values; each carrier returns a unit with its exact inverse, built
     without a series or a Euclid loop (see algebras.py); an elementary
-    factor is applied as one column operation on the matrix and one row
-    operation on its inverse, fraction-free over Q[x]/(m).  The draws for a
-    seed make the same calls on ``rng`` and an exact inverse is unique, so
-    the sampled inputs do not depend on how the inverses are computed."""
+    factor is applied in place as one column operation on the matrix and
+    one row operation on its inverse, fraction-free over Q[x]/(m).  An exact
+    inverse is unique, so the sampled inputs do not depend on how the
+    inverses are computed."""
 
     def __init__(self, seed_or_rng=0):
-        if isinstance(seed_or_rng, random.Random):
-            self.rng = seed_or_rng
-        else:
-            self.rng = random.Random(seed_or_rng)
+        if not isinstance(seed_or_rng, random.Random):
+            seed_or_rng = random.Random(seed_or_rng)
+        elif type(seed_or_rng) is not random.Random:
+            raise TypeError("Sampler needs a seed or a random.Random, not a subclass")
+        self.rng = seed_or_rng
+        getrandbits = seed_or_rng.getrandbits
+
+        def below(n):
+            """A uniform int in [0, n); ValueError for an empty range."""
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                if n <= 0:
+                    raise ValueError(f"empty range for a draw below {n}")
+                r = getrandbits(k)
+            return r
+
+        self._below = below
 
     def size(self, max_n, min_n=1):
-        return self.rng.randint(min_n, max(max_n, min_n))
+        return min_n + self._below(max(max_n, min_n) - min_n + 1)
 
     def rational(self, allow_zero=True):
-        num = self.rng.randint(-3, 3)
+        """num/den for num = randint(-3, 3), nonzero unless allow_zero, and
+        then den = randint(1, 3)."""
+        below = self._below
+        num = below(7)
         if not allow_zero:
-            while num == 0:
-                num = self.rng.randint(-3, 3)
-        return _SMALL_RATIONALS[num, self.rng.randint(1, 3)]
+            while num == 3:
+                num = below(7)
+        return _SMALL_RATIONALS[3 * num + below(3)]
 
     def payload(self, algebra):
         return algebra._random_payload(self)
@@ -116,35 +139,43 @@ class Sampler:
 
     def invertible(self, algebra, n, factors=None):
         """Random invertible certificate: a unit diagonal times up to four
-        elementary matrices.  Each elementary factor is applied as row and
-        column operations rather than products: m @ E(a) is one column
-        operation on the matrix, E(-a) @ m_inv one row operation on the
-        inverse."""
-        cert = InvertibleCert.from_unit_diag(
-            algebra, [self.unit(algebra) for _ in range(n)]
-        )
+        elementary factors E(a), built in place as lists of rows.  m @ E(a)
+        is a column operation on m (column j += column i * a) and E(-a) @
+        m_inv a row operation on m_inv (row i += -a * row j); each touches
+        only the entries whose source entry is nonzero."""
+        z = algebra.zero()
+        m = [[z] * n for _ in range(n)]
+        m_inv = [[z] * n for _ in range(n)]
+        for k in range(n):
+            m[k][k], m_inv[k][k] = self.unit(algebra)
         if factors is None:
-            factors = self.rng.randint(0, 4)
+            factors = self._below(5)
         if n >= 2:
             for _ in range(factors):
                 i, j = self._off_diagonal(n)
-                e = ElementaryMatrix(algebra, n, i, j, self.payload(algebra))
-                cert = InvertibleCert(e.right_mul(cert.m), e.negated().left_mul(cert.m_inv))
-        return cert
+                a = self.payload(algebra)
+                col = algebra._add_multiple(a)
+                for row in m:
+                    if row[i]:
+                        row[j] = col(row[j], row[i])
+                row_op = algebra._add_multiple(-a, left=True)
+                target = m_inv[i]
+                for k, y in enumerate(m_inv[j]):
+                    if y:
+                        target[k] = row_op(target[k], y)
+        return InvertibleCert(
+            FilteredMatrix._raw(algebra, tuple([tuple(row) for row in m])),
+            FilteredMatrix._raw(algebra, tuple([tuple(row) for row in m_inv])),
+        )
 
     def _off_diagonal(self, n):
         """A position (i, j) with i != j in an n x n matrix, n >= 2."""
-        i = self.rng.randrange(n)
-        j = self.rng.randrange(n)
+        below = self._below
+        i = below(n)
+        j = below(n)
         while j == i:
-            j = self.rng.randrange(n)
+            j = below(n)
         return i, j
-
-    def idempotent(self, algebra, n):
-        bits = [self.rng.randint(0, 1) for _ in range(n)]
-        diag = FilteredMatrix.diag_bits(algebra, bits)
-        u = self.invertible(algebra, n, factors=self.rng.randint(0, 2))
-        return IdempotentCert(u.m @ diag @ u.m_inv)
 
 
 def whitehead_decompose(u):

