@@ -21,7 +21,6 @@ from .identities import IDENTITY_NAMES, Sampler, run_identity_suite
 from .kclasses import (
     ExactnessReport,
     K0MiddleWitness,
-    K0Rep,
     exactness_boundary_zero,
     exactness_boundary_zero_oshape,
     exactness_i_after_boundary,
@@ -236,9 +235,8 @@ def gen_kernel_i(diagram, sampler):
     n = 1
     u = sampler.invertible(diagram.lambda_prime, n)
     glued, minus = boundary_first_form(diagram, u)
-    d = K0Rep(glued.double, minus)
     u1, u2 = kernel_i_witnesses(diagram, glued, n)
-    phi, report = exactness_kernel_i(diagram, d, u1, u2)
+    phi, report = exactness_kernel_i(diagram, (glued.double, minus), u1, u2)
     if phi is not None:
         expected = u.m.direct_sum(FilteredMatrix.identity(diagram.lambda_prime, n))
         block = phi.m.sub_block(2 * n, 4 * n, 2 * n, 4 * n)

@@ -183,7 +183,7 @@ class FilteredMatrix:
         return out
 
     def pad(self, k, fill=0):
-        """Stabilize by a k-block of zeros (idempotents) or ones (invertibles)."""
+        """The stabilization by a k-block of zeros (idempotents) or ones (invertibles)."""
         if k == 0:
             return self
         block = (

@@ -27,7 +27,6 @@ from kcert.instances import (
     trivial_diagram,
 )
 from kcert.kclasses import (
-    K0Rep,
     exactness_boundary_zero,
     exactness_i_after_boundary,
     exactness_kernel_boundary,
@@ -190,7 +189,7 @@ def test_criterion_6_exactness_witnesses():
     u = _x_cert(diagram)
     glued, minus = boundary_first_form(diagram, u)
     u1, u2 = kernel_i_witnesses(diagram, glued, 1)
-    phi, report = exactness_kernel_i(diagram, K0Rep(glued.double, minus), u1, u2)
+    phi, report = exactness_kernel_i(diagram, (glued.double, minus), u1, u2)
     ok &= report.passed
     ok &= phi.m.sub_block(2, 4, 2, 4) == u.m.direct_sum(
         FilteredMatrix.identity(diagram.lambda_prime, 1)

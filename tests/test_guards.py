@@ -5,7 +5,19 @@
   ``FilteredMatrix.__matmul__`` adds the all-ones matrix to the k-th
   product, for every k, and the run must then fail (exit 1).  A product
   made while the spec is parsed belongs to a claimed certificate of the
-  spec itself, so a fault there may exit 2 instead.
+  spec itself, so a fault there may exit 2 instead.  ``boundary`` and
+  ``exactness`` runs are swept a second time with a fault that dies in the
+  overlap ring: (x^2 - 1) times all-ones on a Q[x] product, a diagonal
+  kernel off the overlap on a restriction leg's product.  Such a fault may
+  leave another valid witness (the Whitehead lift's and L's corner
+  products vanish off the cover's overlap, and any value there gives
+  another invertible lift), so its run may also pass with the clean run's
+  report bytes.
+- Every check can fail first: the same sweeps record each named line that
+  the clean runs print, and the first failing line of each report in the
+  faulted runs.  A line that never fails first is implied by the lines
+  before it or by the construction, so it must go, or be listed in
+  ``CHECK_ALLOWLIST`` with one reason.
 - Shortcut audit: building a certificate or a double matrix checks nothing,
   and only an explicit ``verify()`` checks its claim.  Calling ``verify()``
   on every one as soon as it is built must leave each report byte for byte
@@ -18,7 +30,10 @@
   ``src/kcert``, save an allowlist with one reason per name, so a helper that
   only tests (or only other dead helpers) call lives in the tests.  Live code
   is ``main``, the allowlist, module-level statements that define nothing,
-  and whatever live code loads, as a fixpoint.  Every name a module of
+  and whatever live code loads, as a fixpoint.  Class members (methods,
+  properties and namedtuple fields, dunders excepted) are scanned by name
+  too: a member is live when its class is and live code loads its name.
+  Every name a module of
   ``src/kcert`` imports is loaded in that module or listed in its
   ``__all__``, so a deletion cannot leave a stale import behind.
 """
@@ -36,8 +51,11 @@ import pytest
 import test_acceptance as acceptance
 
 from kcert import matrices, mv
+from kcert.algebras import Kernel, PolyAlgebra
 from kcert.cli import main
+from kcert.kclasses import ExactnessReport
 from kcert.matrices import FilteredMatrix
+from kcert.scalars import Poly, rat
 from kcert.specdoc import SpecDocument
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -66,29 +84,60 @@ def run(argv, report):
     return code, report.read_bytes() if report.exists() else b""
 
 
+def all_ones(algebra):
+    return algebra.one()
+
+
+def dies_mod_x2_minus_1(algebra):
+    """x^2 - 1 on a Q[x] leg: every swept Q[x] diagram has the overlap
+    Q[x]/(x^2 - 1)."""
+    return Poly([-1, 0, 1]) if isinstance(algebra, PolyAlgebra) else None
+
+
+def dies_off_cover_overlap(algebra):
+    """The unit kernel at the first point outside propagation_cover.json's
+    overlap {"2"}, which both restriction legs drop; none on the overlap."""
+    outside = [i for i, point in enumerate(algebra.space.points) if point != "2"]
+    return Kernel({(outside[0], outside[0]): rat(1)}) if outside else None
+
+
 class ProductProbe:
-    """Counts ``FilteredMatrix.__matmul__`` calls and, when ``fault`` is an
-    index, adds the all-ones matrix to that product."""
+    """Records the algebra of each ``FilteredMatrix.__matmul__`` call and,
+    when ``fault`` is an index, adds ``fill(algebra)`` times the all-ones
+    matrix to that product.  It also wraps ``ExactnessReport.add``: with no
+    fault it records each named line as (segment of its report, name), and
+    with a fault the first failing line of each report."""
 
     def __init__(self, monkeypatch):
-        self.calls = 0
-        self.fault = None
+        self.algebras = []
+        self.fault, self.fill = None, all_ones
+        self.lines, self.failed_first = set(), set()
         inner = FilteredMatrix.__matmul__
 
         def matmul(a, b):
             out = inner(a, b)
-            k, self.calls = self.calls, self.calls + 1
-            if k == self.fault:
-                one = (a.algebra.one(),) * a.n
-                out = out + FilteredMatrix._raw(a.algebra, (one,) * a.n)
+            if len(self.algebras) == self.fault:
+                row = (self.fill(a.algebra),) * a.n
+                out = out + FilteredMatrix._raw(a.algebra, (row,) * a.n)
+            self.algebras.append(a.algebra)
             return out
 
         monkeypatch.setattr(FilteredMatrix, "__matmul__", matmul)
+        add = ExactnessReport.add
+
+        def record(report, name, ok, detail=None):
+            if self.fault is None:
+                self.lines.add((report.segment, name))
+            elif not ok and report.passed:
+                self.failed_first.add((report.segment, name))
+            return add(report, name, ok, detail)
+
+        monkeypatch.setattr(ExactnessReport, "add", record)
 
     def count(self, thunk):
-        self.fault, self.calls = None, 0
+        self.fault, self.algebras = None, []
         thunk()
-        return self.calls
+        return len(self.algebras)
 
 
 @pytest.fixture
@@ -107,50 +156,117 @@ def _boundary_cases(tmp_path):
             ("boundary-clutching request 0", str(request))]
 
 
-def assert_every_product_caught(probe, label, argv, path, report):
-    """Corrupt each product of one CLI run in turn; every corrupted run must
-    exit 1, or 2 for a product made while the spec is parsed."""
+def assert_every_product_caught(probe, label, argv, path, report, fills=(all_ones,)):
+    """Corrupt each product of one CLI run in turn, once per fill that has an
+    entry for the product's algebra; every corrupted run must exit 1, or 2
+    for a product made while the spec is parsed, or, for a fault that dies
+    in the overlap ring, pass with the clean run's bytes.  The probe records
+    the run's named lines and the first failing line of each faulted
+    report."""
     with open(path, "rb") as fh:
         data = fh.read()
     at_parse = probe.count(lambda: SpecDocument.from_bytes(data))
-    total = probe.count(lambda: run(argv, report))
-    assert run(argv, report)[0] == 0, label
-    silent, codes = [], []
-    for k in range(total):
-        probe.fault, probe.calls = k, 0
-        code, _ = run(argv, report)
-        codes.append(code)
-        if not (code == 1 or (code == 2 and k < at_parse)):
-            silent.append((k, code))
-    assert not silent, f"{label}: faults not caught (product, exit): {silent}"
-    assert codes.count(2) == at_parse, label
+    runs = []
+    probe.count(lambda: runs.append(run(argv, report)))
+    (clean,) = runs
+    assert clean[0] == 0, label
+    algebras = probe.algebras
+    for fill in fills:
+        probe.fill = fill
+        faults = [k for k, algebra in enumerate(algebras) if fill(algebra) is not None]
+        silent, codes = [], []
+        for k in faults:
+            probe.fault, probe.algebras = k, []
+            outcome = run(argv, report)
+            code = outcome[0]
+            codes.append(code)
+            caught = code == 1 or (code == 2 and k < at_parse)
+            if not (caught or (fill is not all_ones and outcome == clean)):
+                silent.append((k, code))
+        probe.fault, probe.fill = None, all_ones
+        assert not silent, f"{label}, {fill.__name__}: faults not caught (product, exit): {silent}"
+        assert codes.count(2) == sum(k < at_parse for k in faults), label
+
+
+# Named lines that no fault of the sweeps makes fail first, each with its
+# reason, keyed as (segment of the report the line is added to, name).
+CHECK_ALLOWLIST = {
+    ("boundary", "double matrix constraint"):
+        "implied by BoundaryInput's checks and S0, S1 dying; printed in every boundary report",
+    ("boundary_zero", "S1 = 0"):
+        "BA = 1 forces AB = 1 over the carriers, a theorem, not the construction; no product",
+    ("kernel_i", "S1 = 0"):
+        "BA = 1 forces AB = 1 over the carriers, a theorem, not the construction; no product",
+    ("kernel_boundary", "witness is a double invertible"):
+        "only a wrong witness reaches it; the generator's witness legs are one matrix",
+    ("kernel_i", "recovered block is the (inverse-)stabilized transition"):
+        "only a wrong witness reaches it; the earlier lines pin phi's block",
+    ("kernel_boundary", "diagram has equal legs"):
+        "a guard on the diagram, not on a product; goes when the recipe runs on unequal legs",
+    ("kernel_i", "diagram has equal legs"):
+        "a guard on the diagram, not on a product; goes when the recipe runs on unequal legs",
+}
+
+
+def assert_every_line_fails_first(probe):
+    """Every line the probe's clean runs printed failed first in one of its
+    faulted runs, unless CHECK_ALLOWLIST says why not; and no allowlisted
+    line failed first."""
+    never = probe.lines - probe.failed_first
+    unlisted = sorted(never - set(CHECK_ALLOWLIST))
+    assert not unlisted, f"lines that no fault makes fail first (delete or allowlist): {unlisted}"
+    stale = sorted(probe.failed_first & set(CHECK_ALLOWLIST))
+    assert not stale, f"allowlisted lines that now fail first: {stale}"
 
 
 def test_every_boundary_product_is_load_bearing(tmp_path, probe):
     for label, path in _boundary_cases(tmp_path):
         argv = ["boundary", "--spec", path]
-        assert_every_product_caught(probe, label, argv, path, tmp_path / "report")
+        assert_every_product_caught(probe, label, argv, path, tmp_path / "report",
+                                    (all_ones, dies_mod_x2_minus_1))
+    assert_every_line_fails_first(probe)
 
 
-def test_every_exactness_and_verify_product_is_load_bearing(tmp_path, probe):
-    # Every product of each run is corrupted, so every call site is hit; one
-    # sample keeps the bundled specs' sweeps short.
-    # verify-propagation request 0 sweeps the propagation kernel's verify path.
+def _exactness_and_verify_cases(tmp_path):
+    """(label, argv, spec path, fills) for the bundled cover and trivial
+    specs, with one sample to keep their sweeps short, and request 0 of the
+    exactness-clutching and verify-propagation benchmark workloads."""
     cover, trivial = spec_path("propagation_cover.json"), spec_path("trivial_q.json")
     cases = [
-        ("propagation_cover.json", ["exactness", "--spec", cover, "--samples", "1"], cover),
-        ("trivial_q.json", ["verify", "--spec", trivial, "--samples", "1"], trivial),
+        ("propagation_cover.json", ["exactness", "--spec", cover, "--samples", "1"], cover,
+         (all_ones, dies_off_cover_overlap)),
+        ("trivial_q.json", ["verify", "--spec", trivial, "--samples", "1"], trivial,
+         (all_ones,)),
     ]
-    for workload, want in (("exactness-clutching", "exactness"),
-                           ("verify-propagation", "verify")):
+    for workload, want, fills in (("exactness-clutching", "exactness",
+                                   (all_ones, dies_mod_x2_minus_1)),
+                                  ("verify-propagation", "verify", (all_ones,))):
         subcommand, doc = perfbench_request(workload)
         assert subcommand == want
         request = tmp_path / f"{workload}.json"
         request.write_text(json.dumps(doc))
         cases.append((f"{workload} request 0", [subcommand, "--spec", str(request)],
-                      str(request)))
-    for label, argv, path in cases:
-        assert_every_product_caught(probe, label, argv, path, tmp_path / "report")
+                      str(request), fills))
+    return cases
+
+
+def test_every_exactness_and_verify_product_is_load_bearing(tmp_path, probe):
+    # Every product of each run is corrupted, so every call site is hit.
+    # verify-propagation request 0 sweeps the propagation kernel's verify path.
+    for label, argv, path, fills in _exactness_and_verify_cases(tmp_path):
+        assert_every_product_caught(probe, label, argv, path, tmp_path / "report", fills)
+    assert_every_line_fails_first(probe)
+
+
+def test_check_allowlist_is_current(tmp_path, probe):
+    # Each allowlisted line is still printed by a clean run of the sweeps;
+    # the sweeps themselves fail on one that now fails first.
+    argvs = [["boundary", "--spec", path] for _, path in _boundary_cases(tmp_path)]
+    argvs += [argv for _, argv, _, _ in _exactness_and_verify_cases(tmp_path)]
+    for argv in argvs:
+        probe.count(lambda: run(argv, tmp_path / "report"))
+    gone = sorted(set(CHECK_ALLOWLIST) - probe.lines)
+    assert not gone, f"allowlisted lines no clean run prints: {gone}"
 
 
 def force_checks(monkeypatch):
@@ -253,8 +369,11 @@ def test_exactness_product_count(tmp_path, probe):
     assert probe.count(lambda: run(argv, tmp_path / "report")) == EXACTNESS_PRODUCTS
 
 
-# Module-level src names that nothing live in src reads, each with its reason.
+# Module-level src names and class members that nothing live in src reads,
+# each with its reason.
 SURFACE_ALLOWLIST = {
+    "specdoc.SpecDocument.from_path":
+        "read by perfbench/run.py:88 and benchmarks/bench_scalars.py:227",
     "instances.suite_algebras": "fixture for tests/ and benchmarks/bench_scalars.py",
     "instances.trivial_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
     "instances.clutching_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
@@ -270,42 +389,75 @@ def _loads(node):
             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _namedtuple_fields(node):
+    """The field names of ``X = namedtuple("X", [...])``, else ()."""
+    call = node.value
+    if not (isinstance(call, ast.Call) and "namedtuple" in _loads(call.func)
+            and len(call.args) == 2):
+        return ()
+    return [c.value for c in ast.walk(call.args[1]) if isinstance(c, ast.Constant)]
+
+
 def src_surface(sources):
     """For {module: source text}: the module-level functions, classes and
-    assigned names as {"module.name": names the definition loads} (dunders
-    excepted), and the names loaded by module-level statements that define
-    nothing."""
+    assigned names as {"module.name": names the definition loads}, each
+    class's methods, properties and namedtuple fields as
+    {"module.Class.member": names the member loads} (dunders excepted), and
+    the names loaded by module-level statements that define nothing.  A
+    class loads what its body loads outside those members."""
     defined, roots = {}, set()
     for stem, text in sources.items():
         for node in ast.parse(text).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            members = {}
+            if isinstance(node, ast.ClassDef):
                 names = [node.name]
+                methods = [m for m in node.body
+                           if isinstance(m, ast.FunctionDef) and not _dunder(m.name)]
+                members = {m.name: _loads(m) for m in methods}
+                rest = [n for n in node.body if n not in methods]
+                loads = set().union(*map(_loads, node.bases + node.decorator_list + rest))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names, loads = [node.name], _loads(node)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                loads = _loads(node)
+                if isinstance(node, ast.Assign):
+                    members = dict.fromkeys(_namedtuple_fields(node), set())
             else:
                 names = []
-            names = [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+            names = [n for n in names if not _dunder(n)]
             if names:
-                defined.update((f"{stem}.{name}", _loads(node)) for name in names)
+                defined.update((f"{stem}.{name}", loads) for name in names)
+                defined.update((f"{stem}.{names[0]}.{member}", member_loads)
+                               for member, member_loads in members.items())
             else:
                 roots |= _loads(node)
     return defined, roots
 
 
 def unread(defined, roots, allow):
-    """The defined names that are not live.  A definition is live when it is
-    ``main``, is in ``allow``, or is loaded by a live definition or a root."""
+    """The defined names that are not live, leaving out the members of a
+    class that is itself not live.  A definition is live when it is
+    ``main``, is in ``allow``, or is loaded by a live definition or a root;
+    a member needs its class live as well."""
     live, read, grew = set(), set(roots), True
     while grew:
         grew = False
         for qual, loads in defined.items():
-            name = qual.split(".", 1)[1]
-            if qual not in live and (name == "main" or qual in allow or name in read):
+            owner, name = qual.rsplit(".", 1)
+            if qual in live or ("." in owner and owner not in live):
+                continue
+            if name == "main" or qual in allow or name in read:
                 live.add(qual)
                 read |= loads
                 grew = True
-    return [qual for qual in defined if qual not in live]
+    return [qual for qual in defined if qual not in live
+            and (qual.count(".") == 1 or qual.rsplit(".", 1)[0] in live)]
 
 
 def src_sources():
@@ -349,6 +501,46 @@ def test_surface_guard_follows_live_reads_only():
     defined, roots = src_surface({"a": a, "b": b})
     assert sorted(unread(defined, roots, ())) == ["a.f", "a.g", "a.h"]
     assert unread(defined, roots, ("a.f",)) == ["a.h"]
+
+
+def test_surface_guard_scans_class_members():
+    # main reaches C, whose __init__ builds a Pair; C.used reads field a.
+    # C.dead is the only reader of helper, nothing reads the property size
+    # or field b, and D is dead as a whole, so its member is not listed.
+    a = textwrap.dedent("""
+        from collections import namedtuple
+
+        Pair = namedtuple("Pair", ["a", "b"])
+
+        def helper():
+            return 1
+
+        class C:
+            def __init__(self):
+                self.x = Pair(1, 2)
+
+            def used(self):
+                return self.x.a
+
+            def dead(self):
+                return helper()
+
+            @property
+            def size(self):
+                return 2
+
+        class D:
+            def gone(self):
+                return 3
+
+        def main():
+            return C().used()
+    """)
+    defined, roots = src_surface({"a": a})
+    assert sorted(unread(defined, roots, ())) == [
+        "a.C.dead", "a.C.size", "a.D", "a.Pair.b", "a.helper"
+    ]
+    assert sorted(unread(defined, roots, ("a.C.dead",))) == ["a.C.size", "a.D", "a.Pair.b"]
 
 
 def unused_imports(sources):

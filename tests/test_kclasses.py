@@ -19,13 +19,7 @@ from kcert.drivers import (
 )
 from kcert.identities import Sampler
 from kcert.kclasses import (
-    Conjugate,
-    EquivalenceCertificate,
     K0MiddleWitness,
-    K0Rep,
-    OAbsorb,
-    Stabilize,
-    check_certificate,
     exactness_boundary_zero,
     exactness_i_after_boundary,
     exactness_k0_middle,
@@ -34,16 +28,18 @@ from kcert.kclasses import (
     swap_halves,
 )
 from kcert.matrices import (
+    CertificateFailure,
     ElementaryMatrix,
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
+    apply_hom_invertible,
     apply_hom_matrix,
     block_swap_cert,
     elementary_expand,
     involution_cert,
-    o_map,
-    rotation_swap_cert,
+    is_o_shaped,
+    o_blocks,
 )
 from kcert.mv import DoubleMatrix, DoubleMismatch, normalize_difference
 from kcert.scalars import Poly, QuotElem, rat
@@ -56,76 +52,21 @@ def _x_cert(diagram):
     return InvertibleCert(m, m).verify()
 
 
-# -- certificates ------------------------------------------------------------
-
-
-def o_absorb_zero_certificate(xi):
-    """An O-shaped xi absorbs to the identity:
-    xi + 1 = swap (1 + xi) swap^{-1}."""
-    n = xi.n
-    ident = InvertibleCert.identity(xi.algebra, n)
-    swap = block_swap_cert(xi.algebra, n)
-    return EquivalenceCertificate(
-        lhs_steps=(OAbsorb(ident), Conjugate(swap)),
-        rhs_steps=(OAbsorb(xi),),
-    )
-
-
-def test_identity_conjugator_passes(trivial, sampler):
-    p = sampled_idempotent(sampler, trivial, 2)
-    cert = EquivalenceCertificate(
-        lhs_steps=(Conjugate(InvertibleCert.identity(trivial, 2)),)
-    )
-    assert check_certificate(cert, p, p).passed
-
-
-def test_rotation_certificate(trivial, sampler):
-    a = sampled_idempotent(sampler, trivial, 2)
-    b = sampled_idempotent(sampler, trivial, 2)
-    ab = a.direct_sum(b)
-    ba = b.direct_sum(a)
-    cert = EquivalenceCertificate(
-        lhs_steps=(Conjugate(rotation_swap_cert(trivial, 2)),)
-    )
-    result = check_certificate(cert, ba, ab)
-    assert result.passed
-    bad = check_certificate(EquivalenceCertificate(), ba, ab)
-    assert not bad.passed and bad.residual is not None
-
-
-def test_o_absorb_zero(trivial, sampler):
-    xi = o_map(sampler.invertible(trivial, 2))
-    one = InvertibleCert.identity(trivial, 4)
-    cert = o_absorb_zero_certificate(xi)
-    assert check_certificate(cert, xi, one).passed
+# -- O-shape: the gate of O-absorption and of boundary_zero_oshape ----------
 
 
 def test_o_absorb_rejects_non_o_shape(trivial, sampler):
     u = sampler.invertible(trivial, 2)
-    cert = EquivalenceCertificate(lhs_steps=(OAbsorb(u),))
-    result = check_certificate(cert, u, u)
-    assert not result.passed
-
-
-def test_stabilize_step(trivial, sampler):
-    p = sampled_idempotent(sampler, trivial, 2)
-    cert = EquivalenceCertificate(lhs_steps=(Stabilize(2),))
-    assert check_certificate(cert, p, p.pad(2)).passed
-    u = sampler.invertible(trivial, 2)
-    cert = EquivalenceCertificate(lhs_steps=(Stabilize(1),))
-    assert check_certificate(cert, u, u.pad(1)).passed
-
-
-def test_certificate_level_tracks_witnesses(propagation, sampler):
-    u = sampler.invertible(propagation, 2)
-    p = sampled_idempotent(sampler, propagation, 2)
-    from kcert.kclasses import _conjugate_rep
-
-    q = _conjugate_rep(p, u)
-    cert = EquivalenceCertificate(lhs_steps=(Conjugate(u),))
-    result = check_certificate(cert, p, q)
-    assert result.passed
-    assert result.level is not None and result.level <= u.level
+    assert not is_o_shaped(u)
+    assert not is_o_shaped(InvertibleCert.identity(trivial, 3))
+    # near-O shape: diag(2, 1/2) with off-diagonal junk
+    half_bad = InvertibleCert(
+        FilteredMatrix(trivial, ((rat(2), rat(1)), (rat(0), rat(1, 2)))),
+        FilteredMatrix(trivial, ((rat(1, 2), rat(-1)), (rat(0), rat(2)))),
+    ).verify()
+    assert not is_o_shaped(half_bad)
+    with pytest.raises(CertificateFailure, match="not O-shaped"):
+        o_blocks(half_bad)
 
 
 def test_inverse_pair_absorbs_to_zero(quotient, sampler):
@@ -133,10 +74,13 @@ def test_inverse_pair_absorbs_to_zero(quotient, sampler):
     pair = InvertibleCert(
         u.m.direct_sum(u.m_inv), u.m_inv.direct_sum(u.m)
     )
-    # [u] + [u^{-1}] is certifiably zero: the pair u + u^{-1} is O-shaped
+    # [u] + [u^{-1}] is zero: the pair u + u^{-1} is O-shaped, with halves u
+    # and u^{-1}, and an O-shaped xi absorbs: xi + 1 = swap (1 + xi) swap^-1.
+    assert is_o_shaped(pair)
+    assert o_blocks(pair) == u
     one = InvertibleCert.identity(quotient, 4)
-    cert = o_absorb_zero_certificate(pair)
-    assert check_certificate(cert, pair, one).passed
+    swap = block_swap_cert(quotient, 4)
+    assert pair.direct_sum(one).m == swap.m @ one.direct_sum(pair).m @ swap.m_inv
 
 
 # -- exactness segments --------------------------------------------------------
@@ -259,7 +203,6 @@ KERNEL_I_CHECKS = [
     "S0 = 0",
     "S1 = 0",
     "boundary block reproduces conjugated class (leg1)",
-    "boundary block reproduces conjugated class (leg2)",
     "conjugating back restores p~",
     "un-stabilizing restores the normalized plus part",
 ]
@@ -271,9 +214,8 @@ def test_kernel_i_round_trip_clutching(clutching):
     stabilized clutching function."""
     u = _x_cert(clutching)
     glued, minus = boundary_first_form(clutching, u)
-    d = K0Rep(glued.double, minus)
     u1, u2 = kernel_i_witnesses(clutching, glued, 1)
-    phi, report = exactness_kernel_i(clutching, d, u1, u2)
+    phi, report = exactness_kernel_i(clutching, (glued.double, minus), u1, u2)
     assert report.passed
     # check names are report bytes on failure
     assert [c["name"] for c in report.checks] == KERNEL_I_CHECKS
@@ -289,45 +231,16 @@ def test_kernel_i_round_trip_clutching(clutching):
     out = boundary_extended_form(
         BoundaryInput(clutching, phi, lift_a=v.m, lift_b=v.m_inv, m=u1.n - minus.n)
     )
-    assert out.p_double.level >= max(0, d.level - 8)
-
-
-def _double_idempotent(clutching, junk1, junk2):
-    """diag(1, 0) on both legs plus an (0, 1) entry per leg that dies in the
-    overlap ring; [[1, a], [0, 0]] is idempotent for every a."""
-    l1, l2 = clutching.lambda1, clutching.lambda2
-    one, zero = Poly([1]), l1.zero()
-    return IdempotentCert(
-        DoubleMatrix(
-            clutching,
-            FilteredMatrix(l1, ((one, Poly(junk1)), (zero, zero))),
-            FilteredMatrix(l2, ((one, Poly(junk2)), (zero, zero))),
-        ).verify()
-    ).verify()
-
-
-@pytest.mark.parametrize(
-    "junk1,junk2,leg",
-    [([-1, 0, 1], [], "leg1"), ([], [-1, 0, 1], "leg2")],
-    ids=["leg1", "leg2"],
-)
-def test_check_certificate_residual_is_first_mismatch(clutching, junk1, junk2, leg):
-    x = _double_idempotent(clutching, junk1, junk2)
-    y = _double_idempotent(clutching, [], [])
-    residual = check_certificate(EquivalenceCertificate(), x, y).residual
-    assert residual == x.p.first_mismatch(y.p)
-    assert residual == ((leg, (0, 1)), Poly([-1, 0, 1]))
-    assert check_certificate(EquivalenceCertificate(), y, y).residual is None
+    assert out.p_double.level >= max(0, min(glued.double.level, minus.level) - 8)
 
 
 def test_kernel_i_trivial_difference(trivial_mv):
     one = IdempotentCert(DoubleMatrix.diag_bits(trivial_mv, (1,)))
-    d = K0Rep(one, one)
     # witnesses: the plus part normalizes to diag(1, 0); align with diag(0, 1)
     from kcert.matrices import permutation_cert
 
     u1 = permutation_cert(trivial_mv.lambda1, (1, 0))
-    phi, report = exactness_kernel_i(trivial_mv, d, u1, u1)
+    phi, report = exactness_kernel_i(trivial_mv, (one, one), u1, u1)
     assert report.passed
     assert phi.m == FilteredMatrix.identity(trivial_mv.lambda_prime, 2)
 
@@ -349,7 +262,7 @@ def _kernel_i_with_plus_part(trivial_mv, monkeypatch, wrong):
     # p~ = diag(0, 1, 0, 1) or diag(1, 0, 0, 1); eps = diag(0, 0, 1, 1)
     perm = (0, 2, 1, 3) if wrong else (2, 0, 1, 3)
     u = permutation_cert(trivial_mv.lambda1, perm)
-    return exactness_kernel_i(trivial_mv, K0Rep(pair, pair), u, u)
+    return exactness_kernel_i(trivial_mv, (pair, pair), u, u)
 
 
 def test_kernel_i_chains_the_plus_part_back_to_the_input(trivial_mv, monkeypatch):
@@ -364,36 +277,42 @@ def test_kernel_i_chains_the_plus_part_back_to_the_input(trivial_mv, monkeypatch
     assert names == KERNEL_I_CHECKS and phi is not None
 
 
+@pytest.mark.parametrize(
+    "case,residual",
+    [
+        ("pass", None),
+        ("wrong-plus-part", "(('leg1', (0, 0)), Fraction(-1, 1))"),
+        ("forged-trivializer", "inverse certificate fails at ('leg1', (2, 2))"),
+    ],
+    ids=["pass", "wrong-plus-part", "forged-trivializer"],
+)
+def test_unstabilizing_residual(trivial_mv, monkeypatch, case, residual):
+    # The line verifies its conjugator 1 + W, then names the first entry
+    # where p~ + minus and the conjugated plus + diag(0, 1) differ, or the
+    # failed claim of the conjugator's verify.
+    if case == "forged-trivializer":
+        # the trivializer W claims 2W as its inverse
+        def forged(p):
+            w = involution_cert(p)
+            return InvertibleCert(w.m, w.m_inv + w.m_inv)
+
+        monkeypatch.setattr(kclasses, "involution_cert", forged)
+    _, report = _kernel_i_with_plus_part(
+        trivial_mv, monkeypatch, wrong=case == "wrong-plus-part"
+    )
+    line = report.checks[-1]
+    assert line["name"] == "un-stabilizing restores the normalized plus part"
+    assert line.get("residual") == residual
+    assert [c["name"] for c in report.checks if not c["ok"]] == (
+        [] if residual is None else [line["name"]]
+    )
+
+
 def test_boundary_zero_reports_shape(clutching, sampler):
     u_tilde = sampler.invertible(clutching.lambda1, 1)
     report = exactness_boundary_zero(clutching, u_tilde)
     assert report.passed
-    assert [c["name"] for c in report.checks] == [
-        "S0 = 0",
-        "S1 = 0",
-        "boundary class is the literal zero difference",
-    ]
-
-
-def test_o_absorb_relation_properties(trivial, sampler):
-    # reflexive: u + 1 = u + 1; symmetric and transitive chains compose
-    u = sampler.invertible(trivial, 2)
-    one = InvertibleCert.identity(trivial, 2)
-    refl = EquivalenceCertificate(lhs_steps=(OAbsorb(one),), rhs_steps=(OAbsorb(one),))
-    assert check_certificate(refl, u, u).passed
-    # symmetry: swapping the chains of a passing certificate passes
-    xi = o_map(sampler.invertible(trivial, 1))
-    cert = o_absorb_zero_certificate(xi)
-    sym = EquivalenceCertificate(lhs_steps=cert.rhs_steps, rhs_steps=cert.lhs_steps)
-    big_one = InvertibleCert.identity(trivial, 2)
-    assert check_certificate(cert, xi, big_one).passed
-    assert check_certificate(sym, big_one, xi).passed
-    # transitivity: chains concatenate into one certificate
-    both = EquivalenceCertificate(
-        lhs_steps=cert.lhs_steps + (Stabilize(2),),
-        rhs_steps=cert.rhs_steps + (Stabilize(2),),
-    )
-    assert check_certificate(both, xi, big_one).passed
+    assert [c["name"] for c in report.checks] == ["S0 = 0", "S1 = 0"]
 
 
 def test_k0_glue_push_reglue_round_trip(clutching):
@@ -421,7 +340,8 @@ def test_k0_glue_push_reglue_round_trip(clutching):
     )
     pre, report = exactness_k0_middle(clutching, d1, d2, witness)
     assert report.passed
-    pre.plus.verify()
+    plus, _ = pre
+    plus.verify()
 
 
 def test_k0_middle_bad_witness_is_named_and_never_glued(clutching, monkeypatch):
@@ -473,41 +393,6 @@ def test_k0_middle_bad_padding_is_named_and_never_glued(clutching, monkeypatch):
     assert [c["name"] for c in report.checks if not c["ok"]] == ["padding trivializer"]
 
 
-def test_forged_certificates_rejected(trivial, sampler):
-    p = sampled_idempotent(sampler, trivial, 2)
-    q = sampled_idempotent(sampler, trivial, 2)
-    # a conjugator whose claimed inverse is wrong fails its own verification
-    two = FilteredMatrix.scalar_diag(trivial, 2, 2)
-    forged = InvertibleCert(two, two)
-    cert = EquivalenceCertificate(lhs_steps=(Conjugate(forged),))
-    result = check_certificate(cert, p, p)
-    assert not result.passed
-    # a correct conjugator between unrelated idempotents fails on residual
-    u = sampler.invertible(trivial, 2)
-    cert = EquivalenceCertificate(lhs_steps=(Conjugate(u),))
-    from kcert.kclasses import _conjugate_rep
-
-    if _conjugate_rep(p, u).p != q.p:
-        assert not check_certificate(cert, p, q).passed
-    # stabilization with the wrong count leaves a size mismatch
-    cert = EquivalenceCertificate(lhs_steps=(Stabilize(1),))
-    assert not check_certificate(cert, p, p.pad(2)).passed
-    # near-O shape (off-diagonal junk) is rejected by the absorb step
-    half_bad = InvertibleCert(
-        FilteredMatrix(
-            trivial,
-            ((rat(2), rat(1)), (rat(0), rat(1, 2))),
-        ),
-        FilteredMatrix(
-            trivial,
-            ((rat(1, 2), rat(-1)), (rat(0), rat(2))),
-        ),
-    ).verify()
-    cert = EquivalenceCertificate(lhs_steps=(OAbsorb(half_bad),))
-    u2 = sampler.invertible(trivial, 2)
-    assert not check_certificate(cert, u2, u2).passed
-
-
 def test_double_mismatch_position_reported(clutching):
     x = FilteredMatrix(clutching.lambda1, ((Poly([0, 1]),),))
     one = FilteredMatrix.identity(clutching.lambda2, 1)
@@ -543,36 +428,9 @@ def _o_double(clutching, junk):
 @pytest.mark.parametrize(
     "junk,passes", [([], True), ([-1, 0, 1], False)], ids=["both-legs", "leg1-only"]
 )
-def test_o_absorb_of_double_needs_both_legs_o_shaped(clutching, sampler, junk, passes):
-    from kcert.mv import double_invertible
-
-    s = sampler.invertible(clutching.lambda1, 1)
-    x = double_invertible(clutching, s, s)
+def test_o_absorb_of_double_needs_both_legs_o_shaped(clutching, junk, passes):
     xi = _o_double(clutching, junk)
-    cert = EquivalenceCertificate(lhs_steps=(OAbsorb(xi),))
-    result = check_certificate(cert, x, x.direct_sum(xi))
-    assert result.passed is passes
-    if not passes:
-        assert "not O-shaped" in result.residual
-
-
-@pytest.mark.parametrize("single_first", [True, False], ids=["single-lhs", "double-lhs"])
-def test_single_against_double_rep_fails_cleanly(clutching, single_first):
-    single = IdempotentCert(FilteredMatrix.diag_bits(clutching.lambda1, (1,))).verify()
-    double = IdempotentCert(DoubleMatrix.diag_bits(clutching, (1,))).verify()
-    lhs, rhs = (single, double) if single_first else (double, single)
-    result = check_certificate(EquivalenceCertificate(), lhs, rhs)
-    assert result.passed is False
-    assert result.residual is not None
-
-
-def test_double_witness_conjugating_single_rep_fails_cleanly(clutching, sampler):
-    from kcert.mv import double_invertible
-
-    p = IdempotentCert(FilteredMatrix.diag_bits(clutching.lambda1, (1, 0))).verify()
-    w = sampler.invertible(clutching.lambda1, 2)
-    cert = EquivalenceCertificate(lhs_steps=(Conjugate(double_invertible(clutching, w, w)),))
-    assert not check_certificate(cert, p, p).passed
+    assert is_o_shaped(xi) is passes
 
 
 def test_kernel_boundary_rejects_disagreeing_witness_legs(clutching, sampler):
@@ -612,11 +470,12 @@ def test_implied_exactness_claims_hold(name, request, monkeypatch):
         monkeypatch.setattr(module, attr, wrapped)
 
     record(kclasses, "glue_idempotents")
-    for attr in ("exactness_i_after_boundary", "exactness_kernel_boundary",
-                 "exactness_kernel_i"):
+    for attr in ("exactness_boundary_zero", "exactness_i_after_boundary",
+                 "exactness_kernel_boundary", "exactness_kernel_i"):
         record(drivers, attr)
     for seed in range(IMPLIED_CLAIM_SEEDS):
-        for gen in (gen_k0_middle, gen_i_after_boundary, gen_kernel_boundary, gen_kernel_i):
+        for gen in (gen_k0_middle, gen_boundary_zero, gen_i_after_boundary,
+                    gen_kernel_boundary, gen_kernel_i):
             assert gen(diagram, Sampler(seed)).passed
     j1, j2 = diagram.j1, diagram.j2
     # k0_middle: composite conjugation, the glued double idempotent, and
@@ -631,6 +490,13 @@ def test_implied_exactness_claims_hold(name, request, monkeypatch):
         assert glued.double.p.m1 == q1p.p.pad(big, fill=0)
         u_tilde = glued.u_tilde
         assert glued.double.p.m2 == u_tilde.m @ q2p.p.pad(big, fill=0) @ u_tilde.m_inv
+    # boundary_zero: the boundary class is the literal zero difference.
+    for (_, u_tilde), _, _ in calls["exactness_boundary_zero"]:
+        u = apply_hom_invertible(j1, u_tilde)
+        out = boundary_second_form(
+            BoundaryInput(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv)
+        )
+        assert out.p_double.p.first_mismatch(out.minus.p) is None
     # i_after_boundary: leg 2 is the literal e2.
     for (_, u), _, _ in calls["exactness_i_after_boundary"]:
         out = boundary_second_form(BoundaryInput(diagram, u))
@@ -640,10 +506,18 @@ def test_implied_exactness_claims_hold(name, request, monkeypatch):
         out = boundary_second_form(BoundaryInput(diagram, u, **lifts))
         v = u1.inverse().compose(u2)
         assert u1.m_inv @ out.p_double.p.m2 @ u1.m == v.m @ out.e2 @ v.m_inv
-    # kernel_i: the conjugated leg 1 is V eps V^-1, V = u2^-1 u1.
-    for (_, d, u1, u2), _, _ in calls["exactness_kernel_i"]:
-        p_tilde, _ = normalize_difference(d.plus, d.minus)
-        eps = e_block(diagram.lambda1, d.plus.n, d.minus.n)
+    # kernel_i: the conjugated leg 1 is V eps V^-1, V = u2^-1 u1, and the
+    # boundary of phi reproduces the conjugated leg 2.
+    for (_, (plus, minus), u1, u2), _, (phi, _) in calls["exactness_kernel_i"]:
+        p_tilde, _ = normalize_difference(plus, minus)
+        eps = e_block(diagram.lambda1, plus.n, minus.n)
         v = u2.inverse().compose(u1)
         assert u2.m_inv @ p_tilde.p.m1 @ u2.m == v.m @ eps @ v.m_inv
+        out = boundary_extended_form(
+            BoundaryInput(diagram, phi, lift_a=v.m, lift_b=v.m_inv, m=plus.n)
+        )
+        total = plus.n + minus.n
+        assert out.p_double.p.m2 == FilteredMatrix.zeros(diagram.lambda2, total).direct_sum(
+            u2.m_inv @ p_tilde.p.m2 @ u2.m
+        )
     assert all(len(calls[attr]) == IMPLIED_CLAIM_SEEDS for attr in calls)
