@@ -22,9 +22,10 @@ it also times the product of two O-map-shaped operands diag(u, u^-1)
 (n = 4, 8), the block-diagonal shape the O-map laws multiply; and over
 kernels the level of a freshly built 4 x 4 matrix.  Operands are reused across calls, as certificates reuse
 them, so a matrix's integer form is computed once per row.  Last come the
-two ends of a request: the JSON text of the bundled spec's boundary report,
-as ``kcert boundary --format json`` writes it, and one "p/q" spec rational
-parsed.
+certificate layer and the two ends of a request: the bundled clutching
+spec's boundary report built from its parsed matrices (construction and both
+lift-independence checks), its JSON text as ``kcert boundary --format json``
+writes it, and one "p/q" spec rational parsed.
 
 The host's speed drifts (up to 3x for seconds at a time on a shared 2-vCPU
 Xeon), so each row is timed between two runs of perfbench's ``host_probe``,
@@ -41,7 +42,7 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from kcert.algebras import Kernel, LocalizedAlgebra, QuotientHom
+from kcert.algebras import Kernel, PropagationAlgebra, QuotientHom
 from kcert.cli import _json_text
 from kcert.drivers import boundary_report
 from kcert.identities import Sampler, run_identity_suite
@@ -195,7 +196,7 @@ def sampler_rows():
         ("Q[x]/(x^2 - 1)", quotient_algebra()),
         ("propagation, 4 points", propagation_algebra()),
         ("diagonal propagation, 4 points",
-         LocalizedAlgebra.propagation(line_space(4), diagonal=True)),
+         PropagationAlgebra(line_space(4), diagonal=True)),
     ):
         rows.append((f"Sampler.unit, {label}", per_call_us(lambda: sampler.unit(algebra), 5000)))
     for label, algebra in (
@@ -225,13 +226,17 @@ def suite_rows(samples):
 
 def request_end_rows():
     doc = SpecDocument.from_path(resources.files("kcert.specs") / "quotient_clutching.json")
-    report = boundary_report(
-        doc.diagram, doc.matrix("U", want_cert=True), lift_a=doc.matrix("A"),
-        lift_b=doc.matrix("B"), perturb_a=doc.matrix("K"), perturb_b=doc.matrix("H"),
-    )
-    assert report["result"] == "pass"
+    u, a, b, k, h = (doc.matrix("U", want_cert=True), doc.matrix("A"), doc.matrix("B"),
+                     doc.matrix("K"), doc.matrix("H"))
+
+    def report():
+        return boundary_report(doc.diagram, u, lift_a=a, lift_b=b, perturb_a=k, perturb_b=h)
+
+    built = report()
+    assert built["result"] == "pass"
     return [
-        ("report JSON, boundary report", per_call_us(lambda: _json_text(report), 2000)),
+        ("boundary_report, bundled clutching spec", per_call_us(report, 200)),
+        ("report JSON, boundary report", per_call_us(lambda: _json_text(built), 2000)),
         ("parse_rational p/q", per_call_us(lambda: parse_rational("-22/7"), 50000)),
     ]
 

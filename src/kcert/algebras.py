@@ -239,19 +239,8 @@ class LocalizedAlgebra:
 
     @staticmethod
     def trivial(max_level=DEFAULT_MAX_LEVEL):
+        """Kept for perfbench/selftest.py, which builds its algebra here."""
         return TrivialAlgebra(max_level)
-
-    @staticmethod
-    def propagation(space, diagonal=False, max_level=DEFAULT_MAX_LEVEL):
-        return PropagationAlgebra(space, diagonal, max_level)
-
-    @staticmethod
-    def poly_ring(max_level=DEFAULT_MAX_LEVEL):
-        return PolyAlgebra(max_level)
-
-    @staticmethod
-    def quotient_ring(modulus, max_level=DEFAULT_MAX_LEVEL):
-        return QuotientAlgebra(modulus, max_level)
 
     # -- payloads ----------------------------------------------------------
 

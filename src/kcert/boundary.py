@@ -1,25 +1,28 @@
 """The connecting map from invertibles over the overlap ring to formal
-differences of double idempotents, in all three forms, with the explicit
+differences of double idempotents, in both forms, with the explicit
 well-definedness conjugators.
 
 Given lifts A, B of U, U^{-1} through the first leg (not necessarily
 invertible), the defect matrices S0 = 1 - BA and S1 = 1 - AB die in the
 overlap ring, the block matrix L = [[S0, -(1+S0)B], [A, S1]] is exactly
-invertible with inverse [[S0, (1+S0)B], [-A, S1]], and P = L e1 L^{-1} is
-an idempotent whose closed form [[S0^2, S0(1+S0)B], [S1 A, 1 - S1^2]]
-follows from the intertwining laws S1 A = A S0 and A(1+S0)B = 1 - S1^2.
-Pairing P with the scalar block e2 over the second leg gives the double
-idempotent whose class, minus the trivial class, is the boundary.
+invertible with inverse [[S0, (1+S0)B], [-A, S1]], and P = L e1 L^{-1},
+with e1 = diag(0_m, 1_n, 0), is an idempotent whose closed form
+[[S0 e S0, S0 e (1+S0)B], [A e S0, A e (1+S0)B]] (e = diag(0_m, 1_n))
+is compared with P for every m.  At m = 0 it is the paper's second form
+[[S0^2, S0(1+S0)B], [S1 A, 1 - S1^2]] by the intertwining laws
+S1 A = A S0 and A(1+S0)B = 1 - S1^2.  Pairing P with the scalar block e2
+over the second leg gives the double idempotent whose class, minus the
+trivial class, is the boundary.
 
-Each product is computed once: e1 and e act as column selections, both
-closed forms share their top row and reuse L's corner (1+S0)B, the lift
-deltas take BA and AB as 1 - S0 and 1 - S1 and H(AB) once, and P is never
-verified on construction because L's certificate implies P^2 = P (see
-_boundary_core).  Each lift-independence check compares one claim: L~ =
-conj L (A) or L~ L^{-1} = the delta blocks (B).  The conjugator is then
-L~ L^{-1} for verified L and L~, so it is invertible with inverse
-L L~^{-1} and carries P to P~ = L~ e1 L~^{-1}; the second leg is the same
-e2 block on both sides.  None of that is recomputed.
+Each product is computed once: e1 and e act as column selections, the
+closed form reuses L's corner (1+S0)B, the lift deltas take BA and AB as
+1 - S0 and 1 - S1 and H(AB) once, and P is never verified on construction
+because L's certificate implies P^2 = P (see boundary_extended_form).
+Each lift-independence check compares one claim: L~ = conj L (A) or
+L~ L^{-1} = the delta blocks (B).  The conjugator is then L~ L^{-1} for
+verified L and L~, so it is invertible with inverse L L~^{-1} and carries
+P to P~ = L~ e1 L~^{-1}; the second leg is the same e2 block on both
+sides.  None of that is recomputed.
 """
 
 from collections import namedtuple
@@ -38,11 +41,7 @@ from .matrices import (
 from .mv import DoubleMatrix, glue_idempotents
 
 
-# ``top`` is the top row (S0 e S0, S0 e (1+S0)B) that both closed forms share.
-BoundaryOutput = namedtuple(
-    "BoundaryOutput",
-    ["lift_a", "lift_b", "s0", "s1", "corner", "top", "l", "p", "p_double", "e2", "minus"],
-)
+BoundaryOutput = namedtuple("BoundaryOutput", ["s0", "s1", "l", "p", "p_double", "e2", "minus"])
 
 
 def e_block(algebra, m, n):
@@ -108,7 +107,11 @@ def _keep_columns(mat, lo, hi):
     return FilteredMatrix._raw(mat.algebra, tuple([left + row[lo:hi] + right for row in mat.rows]))
 
 
-def _boundary_core(inp):
+def boundary_extended_form(inp):
+    """P = L e1 L^{-1} for any m >= 0, checked against the closed form
+    [[S0 e S0, S0 e (1+S0)B], [A e S0, A e (1+S0)B]] and paired with the
+    constant e2 block over the second leg.  Requires U to commute with
+    e = diag(0_m, 1_n)."""
     diagram = inp.diagram
     a, b = inp.lift_a, inp.lift_b
     size = inp.u.n
@@ -123,6 +126,13 @@ def _boundary_core(inp):
     l, corner = _build_l(a, b, s0, s1)
     # L e1 with e1 = diag(0_m, 1_n, 0_size) keeps columns m..size-1 of L.
     p_mat = _keep_columns(l.m, inp.m, size) @ l.m_inv
+    s0e = _keep_columns(s0, inp.m, size)
+    ae = _keep_columns(a, inp.m, size)
+    expect_equal(
+        p_mat,
+        block2(s0e @ s0, s0e @ corner, ae @ s0, ae @ corner),
+        "closed form disagrees with L e1 L^-1",
+    )
     # Not verified: _build_l verified L^-1 L = 1 and e1, e2 are 0/1
     # diagonals, so P^2 = L e1 (L^-1 L) e1 L^-1 = P and e2^2 = e2.  The
     # boundary report verifies P^2 = P as its own line.
@@ -137,51 +147,9 @@ def _boundary_core(inp):
     minus = IdempotentCert(
         DoubleMatrix(diagram, e_block(diagram.lambda1, size + inp.m, inp.n), e2_leg2)
     )
-    s0e = _keep_columns(s0, inp.m, size)
     return BoundaryOutput(
-        lift_a=a, lift_b=b, s0=s0, s1=s1, corner=corner, top=(s0e @ s0, s0e @ corner),
-        l=l, p=p, p_double=p_double, e2=e2_leg2, minus=minus,
+        s0=s0, s1=s1, l=l, p=p, p_double=p_double, e2=e2_leg2, minus=minus
     )
-
-
-def closed_form_p(inp, out):
-    """The displayed closed form of L e1 L^{-1} for the boundary ``out``
-    built from ``inp``; for the extended form the bottom-right block is
-    A e (1 + S0) B, consistent with the expansion."""
-    ae = _keep_columns(inp.lift_a, inp.m, inp.u.n)
-    return block2(*out.top, ae @ out.s0, ae @ out.corner)
-
-
-def boundary_second_form(inp):
-    """m = 0 form: P = [[S0^2, S0(1+S0)B], [S1 A, 1 - S1^2]] paired with the
-    constant e2 block over the second leg."""
-    if inp.m != 0:
-        raise MatrixError("second form requires m = 0")
-    out = _boundary_core(inp)
-    size = inp.u.n
-    expect = block2(
-        *out.top,
-        out.s1 @ inp.lift_a,
-        FilteredMatrix.identity(inp.diagram.lambda1, size) - out.s1 @ out.s1,
-    )
-    expect_equal(out.p.p, expect, "closed form disagrees with L e1 L^-1")
-    return out
-
-
-def check_extended_form(inp, out):
-    """Compare the P of ``out``, the boundary built from ``inp``, with the
-    extended closed form; returns ``out``."""
-    expect_equal(
-        out.p.p, closed_form_p(inp, out),
-        "extended closed form disagrees with L e1 L^-1",
-    )
-    return out
-
-
-def boundary_extended_form(inp):
-    """Extended form for any m >= 0; reduces exactly to the second form when
-    m = 0.  Requires U to commute with diag(0_m, 1_n)."""
-    return check_extended_form(inp, _boundary_core(inp))
 
 
 def boundary_first_form(diagram, u):
@@ -202,7 +170,7 @@ def independence_conjugator_a(inp, k):
     bk = b @ k
     kb = k @ b
     return block2(
-        bk.scale(-1).plus_scalar(1),
+        (-bk).plus_scalar(1),
         -(bk @ b),
         k,
         kb.plus_scalar(1),
@@ -226,15 +194,15 @@ def verify_lift_independence_a(inp, k, base):
     # Nothing more to check: _build_l verified L and L~ with their inverses,
     # so conj = L~ L^-1 is invertible with inverse L L~^-1, and
     # conj P conj^-1 = L~ e1 L~^-1 = P~.  Both second legs are the e2 block
-    # _boundary_core builds from the same sizes.
+    # boundary_extended_form builds from the same sizes.
     return conj, tilde
 
 
-def independence_deltas(base, h):
+def independence_deltas(inp, base, h):
     """The four displayed blocks of L~~ L^{-1} for B -> B + H, where ``base``
-    is the boundary built from the unperturbed lifts; BA and AB are read
-    off its defects as 1 - S0 and 1 - S1."""
-    a = base.lift_a
+    is the boundary built from ``inp``, the unperturbed lifts; BA and AB are
+    read off its defects as 1 - S0 and 1 - S1."""
+    a = inp.lift_a
     ha = h @ a
     ah = a @ h
     ab = (-base.s1).plus_scalar(1)
@@ -242,7 +210,7 @@ def independence_deltas(base, h):
     hab = h @ ab
     d11 = ha - ha @ ha - ba @ ha
     d12 = (
-        h.scale(-2)
+        -(h + h)
         + hab
         + ha @ h
         + ba @ h
@@ -266,7 +234,7 @@ def verify_lift_independence_b(inp, h, base):
         diagram, inp.u, lift_a=inp.lift_a, lift_b=inp.lift_b + h, m=inp.m
     )
     tilde = boundary_extended_form(shifted)
-    d11, d12, d21, d22 = independence_deltas(base, h)
+    d11, d12, d21, d22 = independence_deltas(inp, base, h)
     expect = block2(
         d11.plus_scalar(1), d12, d21, d22.plus_scalar(1)
     )

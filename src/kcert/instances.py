@@ -5,17 +5,20 @@ algebras and diagrams from JSON specs (see specdoc)."""
 
 from .algebras import (
     IdentityHom,
-    LocalizedAlgebra,
+    PolyAlgebra,
+    PropagationAlgebra,
     PropagationSpace,
+    QuotientAlgebra,
     QuotientHom,
     RestrictionHom,
+    TrivialAlgebra,
 )
 from .mv import MVDiagram
 from .scalars import Poly, rat
 
 
 def trivial_algebra(max_level=16):
-    return LocalizedAlgebra.trivial(max_level=max_level)
+    return TrivialAlgebra(max_level=max_level)
 
 
 def line_space(npoints=4, radius_base=None):
@@ -28,13 +31,13 @@ def line_space(npoints=4, radius_base=None):
 
 
 def propagation_algebra(npoints=4, radius_base=4, max_level=16):
-    return LocalizedAlgebra.propagation(
+    return PropagationAlgebra(
         line_space(npoints, radius_base), diagonal=False, max_level=max_level
     )
 
 
 def poly_algebra(max_level=16):
-    return LocalizedAlgebra.poly_ring(max_level=max_level)
+    return PolyAlgebra(max_level=max_level)
 
 
 def x2_minus_1():
@@ -42,7 +45,7 @@ def x2_minus_1():
 
 
 def quotient_algebra(modulus=None, max_level=16):
-    return LocalizedAlgebra.quotient_ring(
+    return QuotientAlgebra(
         x2_minus_1() if modulus is None else modulus, max_level=max_level
     )
 
@@ -85,9 +88,9 @@ def cover_diagram(max_level=16):
     )
     overlap_pts = ("2",)
     overlap = PropagationSpace(overlap_pts, [[rat(0)]], whole.radius_base)
-    a1 = LocalizedAlgebra.propagation(y1, diagonal=True, max_level=max_level)
-    a2 = LocalizedAlgebra.propagation(y2, diagonal=True, max_level=max_level)
-    ap = LocalizedAlgebra.propagation(overlap, diagonal=True, max_level=max_level)
+    a1 = PropagationAlgebra(y1, diagonal=True, max_level=max_level)
+    a2 = PropagationAlgebra(y2, diagonal=True, max_level=max_level)
+    ap = PropagationAlgebra(overlap, diagonal=True, max_level=max_level)
     j1 = RestrictionHom(a1, ap)
     j2 = RestrictionHom(a2, ap)
     return MVDiagram(a1, a2, ap, j1, j2)

@@ -9,7 +9,7 @@ check with its exact residual.
 
 from collections import namedtuple
 
-from .boundary import BoundaryInput, boundary_extended_form, boundary_second_form, e_block
+from .boundary import BoundaryInput, boundary_extended_form, e_block
 from .matrices import (
     CertificateFailure,
     FilteredMatrix,
@@ -138,13 +138,13 @@ def exactness_boundary_zero(diagram, u_tilde):
     report = ExactnessReport("boundary_zero")
     u = apply_hom_invertible(diagram.j1, u_tilde)
     inp = BoundaryInput(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv, m=0)
-    out = boundary_second_form(inp)
+    out = boundary_extended_form(inp)
     report.add("S0 = 0", out.s0.is_zero(), "S0 nonzero")
     report.add("S1 = 0", out.s1.is_zero(), "S1 nonzero")
     # The boundary class is then the literal zero difference, with no line
-    # of its own: boundary_second_form checked P against the closed form
-    # [[S0^2, S0(1+S0)B], [S1 A, 1 - S1^2]], which is diag(0, 1), the minus
-    # part's leg 1, once S0 = S1 = 0; both leg 2s are the same e2 block.
+    # of its own: boundary_extended_form checked P against the closed form,
+    # which at S0 = 0 is [[0, 0], [0, AB]] with AB = 1 - S1 = 1, so
+    # diag(0, 1), the minus part's leg 1; both leg 2s are the same e2 block.
     return report
 
 
@@ -167,7 +167,7 @@ def exactness_i_after_boundary(diagram, u, m=0):
     literally."""
     report = ExactnessReport("i_after_boundary")
     inp = BoundaryInput(diagram, u, m=m)
-    out = boundary_extended_form(inp) if m else boundary_second_form(inp)
+    out = boundary_extended_form(inp)
     conj = swap_halves(out.l)
     e2_leg1 = e_block(diagram.lambda1, u.n + m, u.n - m)
     report.require(
@@ -191,7 +191,7 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
     report.add("diagram has equal legs", True)
     u1, u2 = witness
     inp = BoundaryInput(diagram, u, lift_a=lift_a, lift_b=lift_b, m=0)
-    out = boundary_second_form(inp)
+    out = boundary_extended_form(inp)
     try:
         double_invertible(diagram, u1, u2)
     except CertificateFailure as exc:

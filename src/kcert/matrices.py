@@ -155,12 +155,6 @@ class FilteredMatrix:
     def is_zero(self):
         return all(not p for row in self.rows for p in row)
 
-    def scale(self, value):
-        v = self.algebra.from_rational(rat(value))
-        return FilteredMatrix(
-            self.algebra, tuple([tuple([v * p for p in row]) for row in self.rows])
-        )
-
     def plus_scalar(self, value):
         """self + value * identity."""
         return self + FilteredMatrix.scalar_diag(self.algebra, value, self.n)

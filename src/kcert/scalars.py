@@ -190,12 +190,6 @@ class Poly:
         # as peak RSS.
         return Poly._raw(tuple([_reduced(c, d) if c else R0 for c in out]))
 
-    def scale(self, value):
-        v = rat(value)
-        if not v:
-            return _P_ZERO
-        return Poly._raw(tuple([c * v for c in self.coeffs]))
-
     def divmod_by(self, divisor):
         """Exact division with remainder; divisor must be nonzero."""
         if divisor.is_zero():
@@ -386,9 +380,6 @@ class QuotElem:
         if prod.degree >= self.modulus.degree:
             _, prod = prod.divmod_by(self.modulus)
         return QuotElem._reduced(self.modulus, prod)
-
-    def scale(self, value):
-        return QuotElem._reduced(self.modulus, self.rep.scale(value))
 
     def is_zero(self):
         return self.rep.is_zero()

@@ -9,10 +9,10 @@ import json
 from .algebras import (
     IdentityHom,
     InclusionHom,
-    LocalizedAlgebra,
     PolyAlgebra,
     PropagationAlgebra,
     PropagationSpace,
+    QuotientAlgebra,
     QuotientHom,
     RestrictionHom,
     TrivialAlgebra,
@@ -74,15 +74,15 @@ def _propagation(obj, where, max_level):
     _require(isinstance(diagonal, bool), f"{where}: diagonal must be true or false")
     rows = [[parse_rational(v) for v in row] for row in dist]
     space = PropagationSpace(points, rows, parse_rational(obj.get("radius_base", "1")))
-    return LocalizedAlgebra.propagation(space, diagonal=diagonal, max_level=max_level)
+    return PropagationAlgebra(space, diagonal=diagonal, max_level=max_level)
 
 
 def _pullback_leg(obj, where, max_level):
     modulus = obj.get("modulus")
     if modulus is None:
-        return LocalizedAlgebra.poly_ring(max_level=max_level)
+        return PolyAlgebra(max_level=max_level)
     _require(isinstance(modulus, list), f"{where}: modulus must be a coefficient array")
-    return LocalizedAlgebra.quotient_ring(
+    return QuotientAlgebra(
         Poly([parse_rational(c) for c in modulus]), max_level=max_level
     )
 
@@ -90,7 +90,7 @@ def _pullback_leg(obj, where, max_level):
 # The document's "kind" names the carrier; Q[x] and Q[x]/(m) share one,
 # told apart by the modulus.
 ALGEBRA_PARSERS = {
-    TrivialAlgebra.kind: lambda obj, where, max_level: LocalizedAlgebra.trivial(max_level),
+    TrivialAlgebra.kind: lambda obj, where, max_level: TrivialAlgebra(max_level),
     PropagationAlgebra.kind: _propagation,
     PolyAlgebra.kind: _pullback_leg,
 }

@@ -13,7 +13,6 @@ from kcert.boundary import (
     BoundaryInput,
     boundary_extended_form,
     boundary_first_form,
-    boundary_second_form,
     verify_lift_independence_a,
     verify_lift_independence_b,
 )
@@ -124,7 +123,7 @@ def test_criterion_4_boundary_clutching():
     diagram = clutching_diagram()
     u = _x_cert(diagram)
     x = FilteredMatrix(diagram.lambda1, ((Poly([0, 1]),),))
-    out = boundary_second_form(BoundaryInput(diagram, u, lift_a=x, lift_b=x))
+    out = boundary_extended_form(BoundaryInput(diagram, u, lift_a=x, lift_b=x))
     one_minus_x2 = FilteredMatrix(diagram.lambda1, ((Poly([1, 0, -1]),),))
     ok = out.s0 == one_minus_x2 and out.s1 == one_minus_x2
     out.p.verify()

@@ -10,7 +10,6 @@ from kcert.algebras import (
     IdentityHom,
     InclusionHom,
     Kernel,
-    LocalizedAlgebra,
     PolyAlgebra,
     PropagationAlgebra,
     PropagationSpace,
@@ -48,7 +47,7 @@ def test_space_validation():
 
 def test_degree_examples_three_point_line():
     # d(i, j) = |i - j|, R = 4: r(2) = 1 >= 1 > r(3) = 1/2.
-    alg = LocalizedAlgebra.propagation(line_space(3, 4))
+    alg = PropagationAlgebra(line_space(3, 4))
     nn = Kernel({(0, 1): rat(1), (1, 0): rat(1), (1, 2): rat(1), (2, 1): rat(1)})
     assert alg.accepts(nn)
     assert alg.degree(nn) == 2
@@ -143,7 +142,7 @@ def test_axiom3_scalars(all_algebras):
 
 
 def test_quotient_hom_and_section(quotient):
-    top = LocalizedAlgebra.poly_ring()
+    top = PolyAlgebra()
     h = QuotientHom(top, quotient)
     x3 = Poly([0, 0, 0, 1])
     img = h.apply_payload(x3)
@@ -155,8 +154,8 @@ def test_quotient_hom_and_section(quotient):
 
 
 def test_restriction_hom_roundtrip():
-    whole = LocalizedAlgebra.propagation(line_space(5), diagonal=True)
-    sub = LocalizedAlgebra.propagation(line_space(3), diagonal=True)
+    whole = PropagationAlgebra(line_space(5), diagonal=True)
+    sub = PropagationAlgebra(line_space(3), diagonal=True)
     # points "0","1","2" with the inherited metric
     h = RestrictionHom(whole, sub)
     f = Kernel({(0, 0): rat(2), (3, 3): rat(5)})
@@ -168,8 +167,8 @@ def test_restriction_hom_roundtrip():
 
 
 def test_restriction_requires_diagonal():
-    whole = LocalizedAlgebra.propagation(line_space(5))
-    sub = LocalizedAlgebra.propagation(line_space(3))
+    whole = PropagationAlgebra(line_space(5))
+    sub = PropagationAlgebra(line_space(3))
     with pytest.raises(ValueError):
         RestrictionHom(whole, sub)
 
@@ -216,8 +215,8 @@ def test_element_encoding_round_trip(all_algebras):
 
 def test_same_carrier_different_schedules():
     # The same metric space wrapped with two radius bases filters differently.
-    a_fine = LocalizedAlgebra.propagation(line_space(3, 4))
-    a_coarse = LocalizedAlgebra.propagation(line_space(3, 8))
+    a_fine = PropagationAlgebra(line_space(3, 4))
+    a_coarse = PropagationAlgebra(line_space(3, 8))
     k = Kernel({(0, 1): rat(1), (1, 0): rat(1)})
     assert a_fine.degree(k) == 2
     assert a_coarse.degree(k) == 3
@@ -240,7 +239,7 @@ def test_support_addition_law(propagation, sampler):
 
 
 def test_scalar_inclusion_hom(trivial):
-    target = LocalizedAlgebra.poly_ring()
+    target = PolyAlgebra()
     h = InclusionHom(trivial, target)
     assert not h.surjective
     assert h.apply_payload(rat(3, 2)) == Poly([rat(3, 2)])
@@ -327,14 +326,14 @@ def test_one_changed_component_gives_unequal_algebras(component):
 
 
 def test_changed_leg_gives_unequal_homs():
-    top = LocalizedAlgebra.poly_ring()
+    top = PolyAlgebra()
     h = QuotientHom(top, quotient_algebra())
     other = QuotientHom(top, quotient_algebra(Poly([1, 0, 1])))
-    lower = QuotientHom(LocalizedAlgebra.poly_ring(15), quotient_algebra())
+    lower = QuotientHom(PolyAlgebra(15), quotient_algebra())
     assert h != other and h != lower
-    triv = LocalizedAlgebra.trivial()
+    triv = TrivialAlgebra()
     assert IdentityHom(triv, triv) != IdentityHom(
-        LocalizedAlgebra.trivial(3), LocalizedAlgebra.trivial(3)
+        TrivialAlgebra(3), TrivialAlgebra(3)
     )
 
 
@@ -342,7 +341,7 @@ def test_changed_leg_gives_unequal_homs():
 
 
 def _diagonal(space, max_level=16):
-    return LocalizedAlgebra.propagation(space, diagonal=True, max_level=max_level)
+    return PropagationAlgebra(space, diagonal=True, max_level=max_level)
 
 
 def _two_points(d):
@@ -479,7 +478,7 @@ SATURATING = {("line4", 1), ("line4-R4", 1), ("line6", 1), ("thirds", 1)}
 @pytest.mark.parametrize("space_name", sorted(DEGREE_SPACES))
 def test_degree_table_matches_reach_loop(space_name, max_level):
     space = DEGREE_SPACES[space_name]()
-    algebra = LocalizedAlgebra.propagation(space, max_level=max_level)
+    algebra = PropagationAlgebra(space, max_level=max_level)
     n = space.size
     pairs = [(i, j) for i in range(n) for j in range(n)]
     rng = random.Random(f"{space_name}-{max_level}")
@@ -533,7 +532,7 @@ def _nilpotents(draw):
 @given(_nilpotents())
 def test_upper_unit_inverse_matches_series(case):
     n, lam, nil = case
-    algebra = LocalizedAlgebra.propagation(line_space(n))
+    algebra = PropagationAlgebra(line_space(n))
     u = algebra.from_rational(lam) + Kernel(nil)
     inv = _upper_unit_inverse(lam, nil, n)
     assert inv == _series_inverse(algebra, lam, nil)

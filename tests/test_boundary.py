@@ -9,7 +9,6 @@ from kcert.boundary import (
     BoundaryInput,
     boundary_extended_form,
     boundary_first_form,
-    boundary_second_form,
     default_lifts,
     e_block,
     independence_deltas,
@@ -28,6 +27,7 @@ from kcert.matrices import (
     block2,
     elementary_expand,
     expect_equal,
+    split2,
 )
 from kcert.mv import (
     DoubleMatrix,
@@ -57,7 +57,7 @@ def test_trivial_diagram_invertible_lift_gives_zero(trivial_mv):
         lift_a=FilteredMatrix.scalar_diag(trivial_mv.lambda1, 2, 1),
         lift_b=FilteredMatrix.scalar_diag(trivial_mv.lambda1, rat(1, 2), 1),
     )
-    out = boundary_second_form(inp)
+    out = boundary_extended_form(inp)
     assert out.s0.is_zero() and out.s1.is_zero()
     assert out.p_double.p == out.minus.p  # the literal zero difference
 
@@ -66,7 +66,7 @@ def test_clutching_boundary_closed_form(clutching):
     u = _x_cert(clutching)
     x = _x_lift(clutching)
     inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x, m=0)
-    out = boundary_second_form(inp)
+    out = boundary_extended_form(inp)
     one_minus_x2 = Poly([1, 0, -1])
     assert out.s0 == FilteredMatrix(clutching.lambda1, ((one_minus_x2,),))
     assert out.s1 == FilteredMatrix(clutching.lambda1, ((one_minus_x2,),))
@@ -97,7 +97,7 @@ def test_intertwining_for_arbitrary_lifts(clutching, sampler):
         inp = BoundaryInput(
             clutching, u, lift_a=_x_lift(clutching) + ka, lift_b=_x_lift(clutching) + kb
         )
-        out = boundary_second_form(inp)
+        out = boundary_extended_form(inp)
         out.p.verify()
         out.p_double.p.verify()
         out.p_double.verify()
@@ -113,17 +113,31 @@ def test_default_lifts_use_sections(clutching):
     assert apply_hom_matrix(clutching.j1, a) == u.m
     assert apply_hom_matrix(clutching.j1, b) == u.m_inv
     inp = BoundaryInput(clutching, u)
-    out = boundary_second_form(inp)
+    out = boundary_extended_form(inp)
     out.p.verify()
 
 
-def test_extended_reduces_to_second_form(clutching):
-    u = _x_cert(clutching)
-    x = _x_lift(clutching)
-    second = boundary_second_form(BoundaryInput(clutching, u, lift_a=x, lift_b=x))
-    extended = boundary_extended_form(BoundaryInput(clutching, u, lift_a=x, lift_b=x, m=0))
-    assert second.p.p == extended.p.p
-    assert second.p_double.p == extended.p_double.p
+def test_extended_reduces_to_second_form(clutching, sampler):
+    # At m = 0 P is the paper's second form
+    # [[S0^2, S0(1+S0)B], [S1 A, 1 - S1^2]], built here from the lifts alone:
+    # for invertible lifts (S0 = S1 = 0) and for lifts off by multiples of
+    # x^2 - 1 (S0 != 0).
+    for size in (1, 2):
+        lift = sampler.invertible(clutching.lambda1, size)
+        u = InvertibleCert(
+            apply_hom_matrix(clutching.j1, lift.m), apply_hom_matrix(clutching.j1, lift.m_inv)
+        ).verify()
+        ident = FilteredMatrix.identity(clutching.lambda1, size)
+        for perturbed in (False, True):
+            a, b = lift.m, lift.m_inv
+            if perturbed:
+                a = a + _kernel_multiple(clutching, sampler, size)
+                b = b + _kernel_multiple(clutching, sampler, size)
+            s0, s1 = ident - b @ a, ident - a @ b
+            assert s0.is_zero() != perturbed
+            second = block2(s0 @ s0, s0 @ s0.plus_scalar(1) @ b, s1 @ a, ident - s1 @ s1)
+            out = boundary_extended_form(BoundaryInput(clutching, u, lift_a=a, lift_b=b))
+            assert out.p.p == second
 
 
 def test_extended_block_diagonal(clutching):
@@ -145,7 +159,7 @@ def test_extended_block_diagonal(clutching):
     # the m-padding must not change the certified class content: the
     # e-block cuts the x-part exactly as the m = 0 boundary of x does
     x1 = _x_cert(clutching)
-    base = boundary_second_form(BoundaryInput(clutching, x1))
+    base = boundary_extended_form(BoundaryInput(clutching, x1))
     cut = out.p.p.sub_block(1, 2, 1, 2)
     assert cut == base.p.p.sub_block(0, 1, 0, 1)
 
@@ -195,11 +209,9 @@ def test_p_and_closed_form_match_the_products_by_e(clutching, sampler, size, m):
     a, b, s0 = inp.lift_a, inp.lift_b, out.s0
     e = e_block(clutching.lambda1, m, size - m)
     corner = s0.plus_scalar(1) @ b
-    assert out.corner == corner
+    assert split2(out.l.m_inv)[1] == corner
     assert out.p.p == out.l.m @ e.pad(size) @ out.l.m_inv
-    assert boundary.closed_form_p(inp, out) == block2(
-        s0 @ e @ s0, s0 @ e @ corner, a @ e @ s0, a @ e @ corner
-    )
+    assert out.p.p == block2(s0 @ e @ s0, s0 @ e @ corner, a @ e @ s0, a @ e @ corner)
     out.p.verify()
     out.p_double.verify()
 
@@ -293,7 +305,7 @@ def test_lift_independence_b(clutching):
     conj, tilde = verify_lift_independence_b(inp, h, base)
     check_lift_conjugator(base, conj, tilde)
     # the four displayed blocks match the independent recomputation
-    d11, d12, d21, d22 = independence_deltas(base, h)
+    d11, d12, d21, d22 = independence_deltas(inp, base, h)
     expect = block2(d11.plus_scalar(1), d12, d21, d22.plus_scalar(1))
     assert conj == expect
 
@@ -306,12 +318,12 @@ def test_deltas_match_symbolic_expansion(clutching, sampler):
         inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
         factor = sampler.matrix(clutching.lambda1, 1).rows[0][0]
         h = FilteredMatrix(clutching.lambda1, ((factor * kernel,),))
-        base = boundary_second_form(inp)
-        shifted = boundary_second_form(
+        base = boundary_extended_form(inp)
+        shifted = boundary_extended_form(
             BoundaryInput(clutching, u, lift_a=x, lift_b=x + h)
         )
         observed = shifted.l.m @ base.l.m_inv
-        d11, d12, d21, d22 = independence_deltas(base, h)
+        d11, d12, d21, d22 = independence_deltas(inp, base, h)
         assert observed == block2(d11.plus_scalar(1), d12, d21, d22.plus_scalar(1))
 
 
@@ -380,7 +392,7 @@ def test_alt_lifting(clutching, sampler):
     u = _x_cert(clutching)
     x = _x_lift(clutching)
     inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
-    base = boundary_second_form(inp)
+    base = boundary_extended_form(inp)
     # canonical L is itself an admissible alternative: identity conjugator
     p_alt, conj, _ = boundary_alt_lifting(inp, base.l)
     assert conj.m == FilteredMatrix.identity(clutching.lambda1, 2)
@@ -405,7 +417,7 @@ def test_boundary_level_accounting(clutching, sampler):
             apply_hom_matrix(clutching.j1, u_tilde.m),
             apply_hom_matrix(clutching.j1, u_tilde.m_inv),
         )
-        out = boundary_second_form(BoundaryInput(clutching, u))
+        out = boundary_extended_form(BoundaryInput(clutching, u))
         floor = max(0, u.level - 2)
         assert out.l.level >= floor
         assert out.p.level >= floor

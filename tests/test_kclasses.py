@@ -4,7 +4,6 @@ from kcert.boundary import (
     BoundaryInput,
     boundary_extended_form,
     boundary_first_form,
-    boundary_second_form,
     e_block,
 )
 from kcert import drivers, kclasses
@@ -168,7 +167,7 @@ def test_kernel_boundary_witness_is_l_times_swap(name, request):
         u, w = kernel_boundary_witness(diagram, u_tilde)
         inp = BoundaryInput(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv)
         swap = block_swap_cert(diagram.lambda1, size)
-        assert w == boundary_second_form(inp).l.compose(swap)
+        assert w == boundary_extended_form(inp).l.compose(swap)
 
 
 def test_swap_halves_equals_the_swap_product(clutching, sampler):
@@ -180,7 +179,7 @@ def test_swap_halves_equals_the_swap_product(clutching, sampler):
     u = sampler.invertible(lp, 1).direct_sum(sampler.invertible(lp, 2))
     for m in (0, 1):
         inp = BoundaryInput(clutching, u, m=m)
-        l = (boundary_extended_form(inp) if m else boundary_second_form(inp)).l
+        l = boundary_extended_form(inp).l
         assert swap_halves(l) == l.compose(block_swap_cert(l1, 3))
     # kernel_boundary: swap.U1^-1, on the generated witness and on a
     # sampled invertible.
@@ -493,17 +492,17 @@ def test_implied_exactness_claims_hold(name, request, monkeypatch):
     # boundary_zero: the boundary class is the literal zero difference.
     for (_, u_tilde), _, _ in calls["exactness_boundary_zero"]:
         u = apply_hom_invertible(j1, u_tilde)
-        out = boundary_second_form(
+        out = boundary_extended_form(
             BoundaryInput(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv)
         )
         assert out.p_double.p.first_mismatch(out.minus.p) is None
     # i_after_boundary: leg 2 is the literal e2.
     for (_, u), _, _ in calls["exactness_i_after_boundary"]:
-        out = boundary_second_form(BoundaryInput(diagram, u))
+        out = boundary_extended_form(BoundaryInput(diagram, u))
         assert out.p_double.p.m2 == e_block(diagram.lambda2, u.n, u.n)
     # kernel_boundary: the normal form's leg 2 is V e2 V^-1, V = U1^-1 U2.
     for (_, u, (u1, u2)), lifts, _ in calls["exactness_kernel_boundary"]:
-        out = boundary_second_form(BoundaryInput(diagram, u, **lifts))
+        out = boundary_extended_form(BoundaryInput(diagram, u, **lifts))
         v = u1.inverse().compose(u2)
         assert u1.m_inv @ out.p_double.p.m2 @ u1.m == v.m @ out.e2 @ v.m_inv
     # kernel_i: the conjugated leg 1 is V eps V^-1, V = u2^-1 u1, and the

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kcert.algebras import (
     InclusionHom,
     Kernel,
-    LocalizedAlgebra,
     PolyAlgebra,
     PropagationAlgebra,
     QuotientHom,
@@ -109,7 +108,7 @@ def test_level_laws(kind, sampler):
     algebra = {
         **suite_algebras(),
         "poly": poly_algebra(),
-        "diagonal propagation": LocalizedAlgebra.propagation(line_space(4), diagonal=True),
+        "diagonal propagation": PropagationAlgebra(line_space(4), diagonal=True),
     }[kind]
     empty = FilteredMatrix.zeros(algebra, 0)
     assert empty.n == 0 and empty.level == algebra.max_level
@@ -290,7 +289,7 @@ PARITY_ALGEBRAS = {
     "Q[x]/(x^2-1)": quotient_algebra,
     "kernels": propagation_algebra,
     "Q[x]/(x^3-x/2+1/3)": lambda: quotient_algebra(Poly([rat(1, 3), rat(-1, 2), 0, 1])),
-    "diagonal kernels": lambda: LocalizedAlgebra.propagation(line_space(4), diagonal=True),
+    "diagonal kernels": lambda: PropagationAlgebra(line_space(4), diagonal=True),
 }
 
 

@@ -34,8 +34,8 @@ def poly_egcd(a, b):
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         return r0, s0, t0
-    inv = rat(1) / r0.coeffs[-1]
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+    inv = Poly.const(rat(1) / r0.coeffs[-1])
+    return r0 * inv, s0 * inv, t0 * inv
 
 
 rationals = st.builds(
