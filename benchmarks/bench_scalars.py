@@ -25,7 +25,10 @@ them, so a matrix's integer form is computed once per row.  Last come the
 certificate layer and the two ends of a request: the bundled clutching
 spec's boundary report built from its parsed matrices (construction and both
 lift-independence checks), its JSON text as ``kcert boundary --format json``
-writes it, and one "p/q" spec rational parsed.
+writes it, and one "p/q" spec rational parsed.  After them, two rows of the
+certificate layer: verify() of that spec's L (2 x 2 over Q[x]), one
+product since an inverse certificate checks m m^-1 = 1 only, and the
+exactness report of the clutching diagram with one sample per segment.
 
 The host's speed drifts (up to 3x for seconds at a time on a shared 2-vCPU
 Xeon), so each row is timed between two runs of perfbench's ``host_probe``,
@@ -44,9 +47,11 @@ from pathlib import Path
 
 from kcert.algebras import Kernel, PropagationAlgebra, QuotientHom
 from kcert.cli import _json_text
-from kcert.drivers import boundary_report
+from kcert.boundary import BoundaryInput, boundary_l
+from kcert.drivers import boundary_report, exactness_report
 from kcert.identities import Sampler, run_identity_suite
 from kcert.instances import (
+    clutching_diagram,
     line_space,
     poly_algebra,
     propagation_algebra,
@@ -241,6 +246,22 @@ def request_end_rows():
     ]
 
 
+def certificate_rows():
+    doc = SpecDocument.from_path(resources.files("kcert.specs") / "quotient_clutching.json")
+    inp = BoundaryInput(doc.diagram, doc.matrix("U", want_cert=True),
+                        lift_a=doc.matrix("A"), lift_b=doc.matrix("B"))
+    _, _, l = boundary_l(inp)
+    diagram = clutching_diagram()
+
+    def exactness():
+        assert exactness_report(diagram, 1, 1)["result"] == "pass"
+
+    return [
+        ("InvertibleCert.verify, L over Q[x], n = 2", per_call_us(l.verify, 2000)),
+        ("exactness_report, clutching diagram, 1 sample", per_call_us(exactness, 20)),
+    ]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=100,
@@ -254,7 +275,7 @@ def main():
     rows += [(f"{name} (us)", us) for name, us in payload_rows() + matmul_rows() + quotient_rows()
                                   + sampler_rows()]
     rows += [(f"{name} (s)", s) for name, s in suite_rows(args.samples)]
-    rows += [(f"{name} (us)", us) for name, us in request_end_rows()]
+    rows += [(f"{name} (us)", us) for name, us in request_end_rows() + certificate_rows()]
     width = max(len(name) for name, _ in rows)
     print(f"{Rat.__name__} scalars; scaled to a host probe of {PROBE_REFERENCE_S * 1e3} ms")
     print(f"{'benchmark':<{width}}  {'scaled':>10}  {'raw':>10}")

@@ -6,23 +6,28 @@ Given lifts A, B of U, U^{-1} through the first leg (not necessarily
 invertible), the defect matrices S0 = 1 - BA and S1 = 1 - AB die in the
 overlap ring, the block matrix L = [[S0, -(1+S0)B], [A, S1]] is exactly
 invertible with inverse [[S0, (1+S0)B], [-A, S1]], and P = L e1 L^{-1},
-with e1 = diag(0_m, 1_n, 0), is an idempotent whose closed form
-[[S0 e S0, S0 e (1+S0)B], [A e S0, A e (1+S0)B]] (e = diag(0_m, 1_n))
-is compared with P for every m.  At m = 0 it is the paper's second form
-[[S0^2, S0(1+S0)B], [S1 A, 1 - S1^2]] by the intertwining laws
-S1 A = A S0 and A(1+S0)B = 1 - S1^2.  Pairing P with the scalar block e2
-over the second leg gives the double idempotent whose class, minus the
-trivial class, is the boundary.
+with e1 = diag(0_m, 1_n, 0), is an idempotent.  Its closed form
+[[S0 e S0, S0 e (1+S0)B], [A e S0, A e (1+S0)B]] (e = diag(0_m, 1_n)) is
+the block product itself, so it is not compared; at m = 0 it is the
+paper's second form [[S0^2, S0(1+S0)B], [S1 A, 1 - S1^2]] by the
+intertwining laws S1 A = A S0 and A(1+S0)B = 1 - S1^2, which the tests
+recompute.  Pairing P with the scalar block e2 over the second leg gives
+the double idempotent whose class, minus the trivial class, is the
+boundary.
 
-Each product is computed once: e1 and e act as column selections, the
-closed form reuses L's corner (1+S0)B, the lift deltas take BA and AB as
-1 - S0 and 1 - S1 and H(AB) once, and P is never verified on construction
-because L's certificate implies P^2 = P (see boundary_extended_form).
-Each lift-independence check compares one claim: L~ = conj L (A) or
-L~ L^{-1} = the delta blocks (B).  The conjugator is then L~ L^{-1} for
-verified L and L~, so it is invertible with inverse L L~^{-1} and carries
-P to P~ = L~ e1 L~^{-1}; the second leg is the same e2 block on both
-sides.  None of that is recomputed.
+The construction comes in three stages, and each caller builds only the
+stage it reads: boundary_defects (S0, S1), boundary_l (adds the verified
+L) and boundary_extended_form (adds P and the doubles).  Each certificate
+equation is computed once: L's certificate checks L L^-1 = 1 only (see
+InvertibleCert.verify), e1 and e act as column selections, L^-1 reuses
+L's corner (1+S0)B, the lift deltas take BA and AB as 1 - S0 and 1 - S1
+and H(AB) once, and P is never verified on construction because L's
+certificate implies P^2 = P (see boundary_extended_form).
+Each lift-independence check builds only L~ and compares one claim:
+L~ = conj L (A) or L~ L^{-1} = the delta blocks (B).  The conjugator is
+then L~ L^{-1} for verified L and L~, so it is invertible with inverse
+L L~^{-1} and carries P to P~ = L~ e1 L~^{-1}; the second leg is the same
+e2 block on both sides.  None of that is recomputed, and P~ is not built.
 """
 
 from collections import namedtuple
@@ -89,12 +94,30 @@ class BoundaryInput:
         self.lift_b = lift_b
 
 
-def _build_l(a, b, s0, s1):
-    """L as a verified certificate, and the corner (1+S0)B it shares with L^-1."""
+def boundary_defects(inp):
+    """(S0, S1) = (1 - BA, 1 - AB), each checked to die in the overlap ring."""
+    diagram = inp.diagram
+    a, b = inp.lift_a, inp.lift_b
+    size = inp.u.n
+    ident = FilteredMatrix.identity(diagram.lambda1, size)
+    s0 = ident - b @ a
+    s1 = ident - a @ b
+    for tag, s in (("S0", s0), ("S1", s1)):
+        img = apply_hom_matrix(diagram.j1, s)
+        if not img.is_zero():
+            bad = img.first_mismatch(FilteredMatrix.zeros(diagram.lambda_prime, size))
+            raise CertificateFailure(f"{tag} does not die in the overlap ring", *bad)
+    return s0, s1
+
+
+def boundary_l(inp):
+    """(S0, S1, L) with L = [[S0, -(1+S0)B], [A, S1]] verified against its
+    inverse [[S0, (1+S0)B], [-A, S1]], which shares L's corner (1+S0)B."""
+    s0, s1 = boundary_defects(inp)
+    a, b = inp.lift_a, inp.lift_b
     corner = s0.plus_scalar(1) @ b
-    l_fwd = block2(s0, -corner, a, s1)
-    l_bwd = block2(s0, corner, -a, s1)
-    return InvertibleCert(l_fwd, l_bwd).verify(), corner
+    l = InvertibleCert(block2(s0, -corner, a, s1), block2(s0, corner, -a, s1)).verify()
+    return s0, s1, l
 
 
 def _keep_columns(mat, lo, hi):
@@ -108,34 +131,21 @@ def _keep_columns(mat, lo, hi):
 
 
 def boundary_extended_form(inp):
-    """P = L e1 L^{-1} for any m >= 0, checked against the closed form
-    [[S0 e S0, S0 e (1+S0)B], [A e S0, A e (1+S0)B]] and paired with the
-    constant e2 block over the second leg.  Requires U to commute with
-    e = diag(0_m, 1_n)."""
+    """P = L e1 L^{-1} for any m >= 0, paired with the constant e2 block
+    over the second leg.  Requires U to commute with e = diag(0_m, 1_n)."""
     diagram = inp.diagram
-    a, b = inp.lift_a, inp.lift_b
     size = inp.u.n
-    ident = FilteredMatrix.identity(diagram.lambda1, size)
-    s0 = ident - b @ a
-    s1 = ident - a @ b
-    for tag, s in (("S0", s0), ("S1", s1)):
-        img = apply_hom_matrix(diagram.j1, s)
-        if not img.is_zero():
-            bad = img.first_mismatch(FilteredMatrix.zeros(diagram.lambda_prime, size))
-            raise CertificateFailure(f"{tag} does not die in the overlap ring", *bad)
-    l, corner = _build_l(a, b, s0, s1)
+    s0, s1, l = boundary_l(inp)
     # L e1 with e1 = diag(0_m, 1_n, 0_size) keeps columns m..size-1 of L.
+    # No closed form is compared: L e1 = [[S0 e, 0], [A e, 0]] and
+    # L^-1 = [[S0, C], [-A, S1]] with C = (1+S0)B, so this one product is
+    # [[S0 e S0, S0 e C], [A e S0, A e C]] for any blocks, the closed form's
+    # own sums.
     p_mat = _keep_columns(l.m, inp.m, size) @ l.m_inv
-    s0e = _keep_columns(s0, inp.m, size)
-    ae = _keep_columns(a, inp.m, size)
-    expect_equal(
-        p_mat,
-        block2(s0e @ s0, s0e @ corner, ae @ s0, ae @ corner),
-        "closed form disagrees with L e1 L^-1",
-    )
-    # Not verified: _build_l verified L^-1 L = 1 and e1, e2 are 0/1
-    # diagonals, so P^2 = L e1 (L^-1 L) e1 L^-1 = P and e2^2 = e2.  The
-    # boundary report verifies P^2 = P as its own line.
+    # Not verified: boundary_l verified L L^-1 = 1, so L^-1 L = 1 (see
+    # InvertibleCert.verify), and e1, e2 are 0/1 diagonals, so
+    # P^2 = L e1 (L^-1 L) e1 L^-1 = P and e2^2 = e2.  The boundary report
+    # verifies P^2 = P as its own line.
     p = IdempotentCert(p_mat)
     e2_leg2 = e_block(diagram.lambda2, size + inp.m, inp.n)
     # Legs agree, not verified: BoundaryInput checked j1(A) = U and
@@ -178,9 +188,9 @@ def independence_conjugator_a(inp, k):
 
 
 def verify_lift_independence_a(inp, k, base):
-    """Recompute the boundary with A + K and verify the explicit conjugator
-    maps L to L~ exactly; returns (conj, tilde).  ``base`` is the boundary
-    already built from ``inp``."""
+    """Rebuild L with A + K and verify the explicit conjugator maps L to L~
+    exactly; returns (conj, L~).  ``base`` is the boundary already built
+    from ``inp``."""
     diagram = inp.diagram
     img = apply_hom_matrix(diagram.j1, k)
     if not img.is_zero():
@@ -188,14 +198,15 @@ def verify_lift_independence_a(inp, k, base):
     shifted = BoundaryInput(
         diagram, inp.u, lift_a=inp.lift_a + k, lift_b=inp.lift_b, m=inp.m
     )
-    tilde = boundary_extended_form(shifted)
+    _, _, l_tilde = boundary_l(shifted)
     conj = independence_conjugator_a(inp, k)
-    expect_equal(tilde.l.m, conj @ base.l.m, "lift independence in A: L~ = conj . L fails")
-    # Nothing more to check: _build_l verified L and L~ with their inverses,
-    # so conj = L~ L^-1 is invertible with inverse L L~^-1, and
-    # conj P conj^-1 = L~ e1 L~^-1 = P~.  Both second legs are the e2 block
-    # boundary_extended_form builds from the same sizes.
-    return conj, tilde
+    expect_equal(l_tilde.m, conj @ base.l.m, "lift independence in A: L~ = conj . L fails")
+    # Nothing more to check: boundary_l verified L and L~ with their
+    # inverses, so conj = L~ L^-1 is invertible with inverse L L~^-1, and
+    # conj P conj^-1 = L~ e1 L~^-1 = P~, which is therefore not built.  Both
+    # second legs are the e2 block boundary_extended_form builds from the
+    # same sizes.
+    return conj, l_tilde
 
 
 def independence_deltas(inp, base, h):
@@ -223,9 +234,9 @@ def independence_deltas(inp, base, h):
 
 
 def verify_lift_independence_b(inp, h, base):
-    """Recompute the boundary with B + H and verify L~~ L^{-1} matches the
-    displayed delta blocks; returns (L~~ L^{-1}, tilde).  ``base`` is the
-    boundary already built from ``inp``."""
+    """Rebuild L with B + H and verify L~~ L^{-1} matches the displayed
+    delta blocks; returns (L~~ L^{-1}, L~~).  ``base`` is the boundary
+    already built from ``inp``."""
     diagram = inp.diagram
     img = apply_hom_matrix(diagram.j1, h)
     if not img.is_zero():
@@ -233,12 +244,12 @@ def verify_lift_independence_b(inp, h, base):
     shifted = BoundaryInput(
         diagram, inp.u, lift_a=inp.lift_a, lift_b=inp.lift_b + h, m=inp.m
     )
-    tilde = boundary_extended_form(shifted)
+    _, _, l_tilde = boundary_l(shifted)
     d11, d12, d21, d22 = independence_deltas(inp, base, h)
     expect = block2(
         d11.plus_scalar(1), d12, d21, d22.plus_scalar(1)
     )
-    observed = tilde.l.m @ base.l.m_inv
+    observed = l_tilde.m @ base.l.m_inv
     expect_equal(observed, expect, "delta block formula fails")
     # observed is L~ L^-1 itself, so it conjugates P to P~ as in the A check.
-    return observed, tilde
+    return observed, l_tilde

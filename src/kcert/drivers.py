@@ -87,6 +87,9 @@ def boundary_report(diagram, u, lift_a=None, lift_b=None, m=0,
                     perturb_a=None, perturb_b=None):
     inp = BoundaryInput(diagram, u, lift_a=lift_a, lift_b=lift_b, m=m)
     log = ExactnessReport("boundary")
+    # The line's name lists "closed form", though P's block product is its
+    # closed form and none is compared (see boundary_extended_form);
+    # renaming the line would move the report bytes.
     out = log.run(
         "boundary construction (S, L, P, double constraint, closed form)",
         lambda: boundary_extended_form(inp),

@@ -9,7 +9,7 @@ check with its exact residual.
 
 from collections import namedtuple
 
-from .boundary import BoundaryInput, boundary_extended_form, e_block
+from .boundary import BoundaryInput, boundary_defects, boundary_extended_form, e_block
 from .matrices import (
     CertificateFailure,
     FilteredMatrix,
@@ -138,13 +138,14 @@ def exactness_boundary_zero(diagram, u_tilde):
     report = ExactnessReport("boundary_zero")
     u = apply_hom_invertible(diagram.j1, u_tilde)
     inp = BoundaryInput(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv, m=0)
-    out = boundary_extended_form(inp)
-    report.add("S0 = 0", out.s0.is_zero(), "S0 nonzero")
-    report.add("S1 = 0", out.s1.is_zero(), "S1 nonzero")
+    s0, s1 = boundary_defects(inp)
+    report.add("S0 = 0", s0.is_zero(), "S0 nonzero")
+    report.add("S1 = 0", s1.is_zero(), "S1 nonzero")
     # The boundary class is then the literal zero difference, with no line
-    # of its own: boundary_extended_form checked P against the closed form,
-    # which at S0 = 0 is [[0, 0], [0, AB]] with AB = 1 - S1 = 1, so
-    # diag(0, 1), the minus part's leg 1; both leg 2s are the same e2 block.
+    # of its own and no L or P built: at S0 = S1 = 0, L = [[0, -B], [A, 0]]
+    # and L^-1 = [[0, B], [-A, 0]], so by block multiplication
+    # L L^-1 = diag(BA, AB) = 1 and P = L e1 L^-1 = diag(0, AB) = diag(0, 1),
+    # the minus part's leg 1; both leg 2s are the same e2 block.
     return report
 
 
@@ -293,7 +294,8 @@ def exactness_kernel_i(diagram, d, u1, u2):
     # back's legs are one matrix over equal legs, so its inverse is a double
     # invertible.  p_tt was built as back p~ back^-1, so conjugating it by
     # back^-1 gives (u2 u2^-1) p~ (u2 u2^-1) on each leg, which is p~ once
-    # back^-1's verify has checked u2 u2^-1 = u2^-1 u2 = 1.
+    # back^-1's verify has checked u2 u2^-1 = 1 (and so u2^-1 u2 = 1, see
+    # InvertibleCert.verify).
     report.run("conjugating back restores p~", back.inverse().verify)
     # What is left is [p~] - [1_n] = [plus] - [minus]: 1_m + W conjugates
     # plus + diag(0_n, 1_n) onto p~ + minus = plus + (1 - minus) + minus,

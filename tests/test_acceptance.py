@@ -58,12 +58,25 @@ def _x_cert(diagram):
     return InvertibleCert(m, m).verify()
 
 
-def check_lift_conjugator(base, conj, tilde):
+def perturbed_boundary(inp, k=None, h=None):
+    """The boundary with A + K or B + H, which a lift-independence check
+    does not build: it builds only L~."""
+    a = inp.lift_a if k is None else inp.lift_a + k
+    b = inp.lift_b if h is None else inp.lift_b + h
+    return boundary_extended_form(
+        BoundaryInput(inp.diagram, inp.u, lift_a=a, lift_b=b, m=inp.m)
+    )
+
+
+def check_lift_conjugator(base, conj, l_tilde, tilde):
     """What a lift-independence check leaves to its proof, recomputed: for
-    the conjugator ``conj`` it returns, L L~^-1 is an exact inverse, conj
+    the conjugator ``conj`` and the L~ it returns, L~ is the perturbed
+    boundary's L, L L~^-1 is an exact two-sided inverse of conj, conj
     carries P to P~, and the second leg is fixed.  ``base`` and ``tilde``
     are the boundaries before and after the perturbation."""
+    assert tilde.l == l_tilde
     cert = InvertibleCert(conj, base.l.m @ tilde.l.m_inv).verify()
+    assert cert.m_inv @ cert.m == FilteredMatrix.identity(conj.algebra, conj.n)
     assert tilde.p.p == cert.m @ base.p.p @ cert.m_inv
     assert tilde.p_double.p.m2 == base.p_double.p.m2
 
@@ -153,11 +166,15 @@ def test_criterion_5_well_definedness():
     for _ in range(100):
         factor = sampler.matrix(diagram.lambda1, 1).rows[0][0]
         k = FilteredMatrix(diagram.lambda1, ((factor * kernel,),))
-        check_lift_conjugator(base, *verify_lift_independence_a(inp, k, base))
+        check_lift_conjugator(
+            base, *verify_lift_independence_a(inp, k, base), perturbed_boundary(inp, k=k)
+        )
         count += 1
         factor = sampler.matrix(diagram.lambda1, 1).rows[0][0]
         h = FilteredMatrix(diagram.lambda1, ((factor * kernel,),))
-        check_lift_conjugator(base, *verify_lift_independence_b(inp, h, base))
+        check_lift_conjugator(
+            base, *verify_lift_independence_b(inp, h, base), perturbed_boundary(inp, h=h)
+        )
         count += 1
     _report("5 well-definedness", count == 200, f"{count} perturbations, conjugators exact")
 

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from test_acceptance import check_lift_conjugator
+from test_acceptance import check_lift_conjugator, perturbed_boundary
 from test_guards import perfbench_request, spec_path
 
 from kcert import boundary, drivers
@@ -168,6 +168,9 @@ def test_extended_block_diagonal(clutching):
 # The boundary multiplies by e = diag(0_m, 1_n) and e1 = diag(0_m, 1_n, 0_size)
 # by keeping columns; these tests hold the selections and the two forms of P
 # to the products by e and e1 they replace, over Q[x]/(x^2 - 1) and Q[x].
+# The construction compares no closed form, so
+# test_p_and_closed_form_match_the_products_by_e and
+# test_extended_reduces_to_second_form are where P is held to it.
 
 _SPLITS = [(size, m) for size in (1, 2, 3) for m in (0, 1, 2) if m <= size]
 
@@ -265,12 +268,13 @@ def test_lift_independence_a(clutching, sampler):
     inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
     base = boundary_extended_form(inp)
     zero = FilteredMatrix.zeros(clutching.lambda1, 1)
-    conj, tilde = verify_lift_independence_a(inp, zero, base)
+    conj, l_tilde = verify_lift_independence_a(inp, zero, base)
     assert conj == FilteredMatrix.identity(clutching.lambda1, 2)
-    check_lift_conjugator(base, conj, tilde)
+    check_lift_conjugator(base, conj, l_tilde, perturbed_boundary(inp, k=zero))
     k = FilteredMatrix(clutching.lambda1, ((Poly([-1, 0, 1]),),))
-    conj, tilde = verify_lift_independence_a(inp, k, base)
-    check_lift_conjugator(base, conj, tilde)
+    conj, l_tilde = verify_lift_independence_a(inp, k, base)
+    tilde = perturbed_boundary(inp, k=k)
+    check_lift_conjugator(base, conj, l_tilde, tilde)
     tilde.p.verify()
     with pytest.raises(CertificateFailure):
         verify_lift_independence_a(
@@ -302,8 +306,8 @@ def test_lift_independence_b(clutching):
     inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
     h = FilteredMatrix(clutching.lambda1, ((Poly([-1, 0, 1]),),))
     base = boundary_extended_form(inp)
-    conj, tilde = verify_lift_independence_b(inp, h, base)
-    check_lift_conjugator(base, conj, tilde)
+    conj, l_tilde = verify_lift_independence_b(inp, h, base)
+    check_lift_conjugator(base, conj, l_tilde, perturbed_boundary(inp, h=h))
     # the four displayed blocks match the independent recomputation
     d11, d12, d21, d22 = independence_deltas(inp, base, h)
     expect = block2(d11.plus_scalar(1), d12, d21, d22.plus_scalar(1))
@@ -337,15 +341,16 @@ BOUNDARY_CLUTCHING_SPECS = 20
 def test_lift_conjugators_verify(tmp_path, monkeypatch):
     returned = []
 
-    def keep(check):
+    def keep(check, lift):
         def wrapped(inp, perturbation, base):
-            conj, tilde = check(inp, perturbation, base)
-            returned.append((check.__name__, (base, conj, tilde)))
-            return conj, tilde
+            conj, l_tilde = check(inp, perturbation, base)
+            tilde = perturbed_boundary(inp, **{lift: perturbation})
+            returned.append((check.__name__, (base, conj, l_tilde, tilde)))
+            return conj, l_tilde
         return wrapped
 
-    for name in ("verify_lift_independence_a", "verify_lift_independence_b"):
-        monkeypatch.setattr(drivers, name, keep(getattr(boundary, name)))
+    for name, lift in (("verify_lift_independence_a", "k"), ("verify_lift_independence_b", "h")):
+        monkeypatch.setattr(drivers, name, keep(getattr(boundary, name), lift))
     paths = [spec_path("quotient_clutching.json")]
     for index in range(BOUNDARY_CLUTCHING_SPECS):
         subcommand, doc = perfbench_request("boundary-clutching", index=index)

@@ -193,8 +193,6 @@ def assert_every_product_caught(probe, label, argv, path, report, fills=(all_one
 CHECK_ALLOWLIST = {
     ("boundary", "double matrix constraint"):
         "implied by BoundaryInput's checks and S0, S1 dying; printed in every boundary report",
-    ("boundary_zero", "S1 = 0"):
-        "BA = 1 forces AB = 1 over the carriers, a theorem, not the construction; no product",
     ("kernel_i", "S1 = 0"):
         "BA = 1 forces AB = 1 over the carriers, a theorem, not the construction; no product",
     ("kernel_boundary", "witness is a double invertible"):
@@ -336,14 +334,17 @@ def test_acceptance_criterion_under_forced_checks(name, monkeypatch, request):
 
 
 # Products of one `boundary` run of the bundled clutching spec, parse
-# included: two for the spec's claimed inverse of U, then the construction,
+# included: one for the spec's claimed inverse of U, then the construction,
 # its report checks and both lift-independence checks.  Each lift check
-# compares one claim (L~ = conj L, or the delta blocks, which take H(AB)
-# once) and spends no product on what that claim and the verified L, L~
-# imply: the conjugator's inverse, P~ = conj P conj^-1, the fixed e2 leg.
-# The construction checks P against one closed form; the second check of
-# the same P against the extended form, two products, is gone.
-BOUNDARY_PRODUCTS = 49
+# builds only L~, compares one claim (L~ = conj L, or the delta blocks,
+# which take H(AB) once) and spends no product on what that claim and the
+# verified L, L~ imply: the conjugator's inverse, P~ = conj P conj^-1, the
+# fixed e2 leg.  49 before each equation was computed once: -1 for U's
+# reverse product at parse and -3 for the reverse products of L and both
+# L~ (an inverse certificate checks m m^-1 = 1 only), -12 for the closed
+# form of P compared in each of those three builds, -2 for the two P~
+# that nothing read.
+BOUNDARY_PRODUCTS = 31
 
 
 def test_boundary_product_count(tmp_path, probe):
@@ -359,8 +360,13 @@ def test_boundary_product_count(tmp_path, probe):
 # line or the construction implies: k0_middle's composite conjugation and
 # leg recoveries, kernel_boundary's leg-2 normal form, kernel_i's
 # conjugated leg 1, and kernel_i's conjugation back to p~, which only
-# verifies its conjugator.
-EXACTNESS_PRODUCTS = 128
+# verifies its conjugator.  128 before each equation was computed once:
+# -15 in the three full boundary builds (i_after_boundary, kernel_boundary,
+# kernel_i: the closed form's 4 products and L's reverse product each),
+# -16 in boundary_zero and boundary_zero_oshape, which build S0 and S1
+# only (8 products each), and -6 for the reverse products of W1, W2 and
+# kernel_i's two double certificates.
+EXACTNESS_PRODUCTS = 91
 
 
 def test_exactness_product_count(tmp_path, probe):
@@ -375,7 +381,7 @@ def test_exactness_product_count(tmp_path, probe):
 # each with its reason.
 SURFACE_ALLOWLIST = {
     "specdoc.SpecDocument.from_path":
-        "read by perfbench/run.py:88 and benchmarks/bench_scalars.py:228",
+        "read by perfbench/run.py:88 and two rows of benchmarks/bench_scalars.py",
     "instances.suite_algebras": "fixture for tests/ and benchmarks/bench_scalars.py",
     "instances.trivial_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
     "instances.clutching_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",

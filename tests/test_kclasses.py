@@ -489,12 +489,15 @@ def test_implied_exactness_claims_hold(name, request, monkeypatch):
         assert glued.double.p.m1 == q1p.p.pad(big, fill=0)
         u_tilde = glued.u_tilde
         assert glued.double.p.m2 == u_tilde.m @ q2p.p.pad(big, fill=0) @ u_tilde.m_inv
-    # boundary_zero: the boundary class is the literal zero difference.
+    # boundary_zero, which builds no L or P: L is invertible (built and
+    # verified here, with its other side) and the boundary class is the
+    # literal zero difference.
     for (_, u_tilde), _, _ in calls["exactness_boundary_zero"]:
         u = apply_hom_invertible(j1, u_tilde)
         out = boundary_extended_form(
             BoundaryInput(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv)
         )
+        assert out.l.m_inv @ out.l.m == FilteredMatrix.identity(diagram.lambda1, 2 * u.n)
         assert out.p_double.p.first_mismatch(out.minus.p) is None
     # i_after_boundary: leg 2 is the literal e2.
     for (_, u), _, _ in calls["exactness_i_after_boundary"]:

@@ -33,6 +33,7 @@ from kcert.matrices import (
     section_matrix,
 )
 from kcert.identities import Sampler
+from kcert.mv import DoubleMatrix
 from kcert.instances import (
     line_space,
     poly_algebra,
@@ -279,6 +280,64 @@ def test_invertible_cert_failure(trivial):
     m = FilteredMatrix.scalar_diag(trivial, 2, 2)
     with pytest.raises(CertificateFailure):
         InvertibleCert(m, m).verify()
+
+
+def _perturbed(mat, i, j):
+    """mat with one added to entry (i, j)."""
+    rows = [list(row) for row in mat.rows]
+    rows[i][j] = rows[i][j] + mat.algebra.one()
+    return FilteredMatrix(mat.algebra, rows)
+
+
+def _first_failure(m, i, j):
+    """Where m (m^-1 + E_ij) = 1 + m E_ij first differs from 1: column j
+    of m E_ij is column i of m, so at the first row r with m[r][i] nonzero,
+    with residual m[r][i]."""
+    r = next(r for r in range(m.n) if m.rows[r][i] != m.algebra.zero())
+    return (r, j), m.rows[r][i]
+
+
+ONE_SIDED_ALGEBRAS = {
+    "Q": trivial_algebra,
+    "Q[x]": poly_algebra,
+    "Q[x]/(x^2-1)": quotient_algebra,
+    "kernels": propagation_algebra,
+    "diagonal kernels": lambda: PropagationAlgebra(line_space(4), diagonal=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SIDED_ALGEBRAS) + ["double"])
+def test_one_sided_inverse_implies_the_other_side(name, clutching):
+    # verify() computes m m^-1 = 1 only; over every carrier that forces
+    # m^-1 m = 1, recomputed here.  A one-entry change of the inverse fails
+    # the one product that verify() makes, at the first row that column i
+    # of m reaches.
+    sampler = Sampler(29)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            if name == "double":
+                c1 = sampler.invertible(clutching.lambda1, n, factors=2)
+                c2 = sampler.invertible(clutching.lambda2, n, factors=2)
+                cert = InvertibleCert(DoubleMatrix(clutching, c1.m, c2.m),
+                                      DoubleMatrix(clutching, c1.m_inv, c2.m_inv))
+            else:
+                cert = sampler.invertible(ONE_SIDED_ALGEBRAS[name](), n, factors=2)
+            assert cert.verify() is cert
+            ident = type(cert.m).identity(cert.algebra, n)
+            assert cert.m_inv @ cert.m == ident
+            i, j = sampler._below(n), sampler._below(n)
+            if name == "double":
+                bad = DoubleMatrix(clutching, cert.m_inv.m1, _perturbed(cert.m_inv.m2, i, j))
+                pos, residual = _first_failure(cert.m.m2, i, j)
+                pos = ("leg2", pos)
+            else:
+                bad = _perturbed(cert.m_inv, i, j)
+                pos, residual = _first_failure(cert.m, i, j)
+            with pytest.raises(CertificateFailure) as err:
+                InvertibleCert(cert.m, bad).verify()
+            assert str(err.value) == f"inverse certificate fails at {pos}"
+            assert err.value.position == pos
+            assert err.value.residual == residual
 
 
 # -- the product against a dense reference -----------------------------------
