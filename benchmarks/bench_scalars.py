@@ -47,7 +47,7 @@ from pathlib import Path
 
 from kcert.algebras import Kernel, PropagationAlgebra, QuotientHom
 from kcert.cli import _json_text
-from kcert.boundary import BoundaryInput, boundary_l
+from kcert.boundary import boundary_l
 from kcert.drivers import boundary_report, exactness_report
 from kcert.identities import Sampler, run_identity_suite
 from kcert.instances import (
@@ -248,9 +248,7 @@ def request_end_rows():
 
 def certificate_rows():
     doc = SpecDocument.from_path(resources.files("kcert.specs") / "quotient_clutching.json")
-    inp = BoundaryInput(doc.diagram, doc.matrix("U", want_cert=True),
-                        lift_a=doc.matrix("A"), lift_b=doc.matrix("B"))
-    _, _, l = boundary_l(inp)
+    _, _, l = boundary_l(doc.diagram, doc.matrix("A"), doc.matrix("B"))
     diagram = clutching_diagram()
 
     def exactness():

@@ -57,9 +57,9 @@ is inverted by QuotElem.invert, a Bareiss solve of the integer
 multiplication-by-rep system that rejects exactly the non-units.  An
 elementary row or column operation adds y * a per touched entry
 (_add_multiple): over Q as one integer sum over x.den * y.den * a.den and
-one reduced rational, over Q[x]/(m) through one integer convolution and one
-pseudo-division.  An exact inverse is unique, so the draws do not depend on
-how it is computed.
+one reduced rational, and on the other carriers as the payloads' own
+x + y * a.  An exact inverse is unique, so the draws do not depend on how
+it is computed.
 """
 
 from itertools import chain
@@ -72,7 +72,6 @@ from .scalars import (
     R0,
     R1,
     Rat,
-    _int_product,
     _integer_coeffs,
     _reciprocal,
     _reduce_ints,
@@ -562,37 +561,6 @@ class QuotientAlgebra(LocalizedAlgebra):
             except NotInvertible:
                 continue
         return self.one(), self.one()
-
-    def _add_multiple(self, a, left=False):
-        """Fraction-free, and the same on both sides since the ring is
-        commutative: y * a is convolved as integers, reduced mod m once by
-        pseudo-division and added to x over one common denominator."""
-        if not a.rep.coeffs:
-            return lambda x, y: x
-        na, da = _integer_coeffs(a.rep.coeffs)
-        modulus = self.modulus
-        m_int = self._m_int
-
-        def add_multiple(x, y):
-            ny, dy = _integer_coeffs(y.rep.coeffs)
-            c = _int_product(ny, na)
-            den = da * dy * _reduce_ints(c, m_int)
-            if x.rep.coeffs:
-                nx, dx = _integer_coeffs(x.rep.coeffs)
-                if len(c) < len(nx):
-                    c.extend([0] * (len(nx) - len(c)))
-                for k in range(len(c)):
-                    c[k] *= dx
-                for k, v in enumerate(nx):
-                    c[k] += v * den
-                den *= dx
-            while c and not c[-1]:
-                c.pop()
-            return QuotElem._reduced(
-                modulus, Poly._raw(tuple([_reduced(v, den) if v else R0 for v in c]))
-            )
-
-        return add_multiple
 
     def _product(self, a, b):
         return _poly_product(a, b)

@@ -186,10 +186,12 @@ def _run_exactness(args, doc):
     return exactness_report(doc.diagram, seed, samples, corrupt_witness=corrupt)
 
 
+# Each command with the integer flags it reads; any other flag is a usage
+# error (exit 2).
 COMMANDS = {
-    "verify": _run_verify,
-    "boundary": _run_boundary,
-    "exactness": _run_exactness,
+    "verify": (_run_verify, ("--seed", "--samples", "--max-size")),
+    "boundary": (_run_boundary, ()),
+    "exactness": (_run_exactness, ("--seed", "--samples")),
 }
 
 
@@ -204,12 +206,11 @@ def _parser():
                     "connecting maps and six-term exactness witnesses",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="path to a spec document")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--max-size", type=int, default=None)
+        for flag in flags:
+            p.add_argument(flag, type=int, default=None)
         p.add_argument("--report", default=None, help="write the report here")
         p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
@@ -220,7 +221,7 @@ def main(argv=None):
     started = time.monotonic()
     try:
         data = read_spec(args.spec)
-        report = COMMANDS[args.subcommand](args, SpecDocument.from_bytes(data))
+        report = COMMANDS[args.subcommand][0](args, SpecDocument.from_bytes(data))
         report["command"]["spec_sha256"] = hashlib.sha256(data).hexdigest()
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

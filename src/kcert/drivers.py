@@ -28,12 +28,11 @@ from .kclasses import (
 )
 from .matrices import (
     CertificateFailure,
-    ElementaryMatrix,
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
     apply_hom_invertible,
-    elementary_expand,
+    elementary,
     o_map,
     permutation_cert,
 )
@@ -191,11 +190,11 @@ def gen_kernel_boundary(diagram, sampler, corrupt=False):
     if corrupt:
         # A factor that fails to commute with the scalar block breaks the
         # trivialization equation, which the checker must surface.
-        bad = w.compose(
-            elementary_expand(
-                ElementaryMatrix(diagram.lambda1, w.n, 0, w.n - 1, diagram.lambda1.one())
-            )
-        )
+        lam = diagram.lambda1
+        one = lam.one()
+        bad = w.compose(InvertibleCert(
+            elementary(lam, w.n, 0, w.n - 1, one), elementary(lam, w.n, 0, w.n - 1, -one)
+        ))
         _, report = exactness_kernel_boundary(
             diagram, u, (bad, bad), lift_a=u_tilde.m, lift_b=u_tilde.m_inv
         )

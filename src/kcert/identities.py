@@ -14,12 +14,11 @@ sample fails its report.
 import random
 
 from .matrices import (
-    ElementaryMatrix,
     FilteredMatrix,
     InvertibleCert,
     block2,
     block_swap_cert,
-    elementary_expand,
+    elementary,
     o_map,
     permutation_cert,
     rotation_swap_cert,
@@ -87,8 +86,8 @@ class Sampler:
     21 values; each carrier returns a unit with its exact inverse, built
     without a series or a Euclid loop (see algebras.py); an elementary
     factor is applied in place as one column operation on the matrix and
-    one row operation on its inverse, fraction-free over Q[x]/(m).  An exact
-    inverse is unique, so the sampled inputs do not depend on how the
+    one row operation on its inverse (the carrier's ``_add_multiple``).  An
+    exact inverse is unique, so the sampled inputs do not depend on how the
     inverses are computed."""
 
     def __init__(self, seed_or_rng=0):
@@ -251,10 +250,12 @@ def elementary_commutator(i, j, k, algebra, a, n):
     payload a of the algebra."""
     if len({i, j, k}) != 3:
         raise ValueError("indices must be distinct")
-    eik = elementary_expand(ElementaryMatrix(algebra, n, i, k, a))
-    ekj = elementary_expand(ElementaryMatrix(algebra, n, k, j, algebra.one()))
-    built = eik.m @ ekj.m @ eik.m_inv @ ekj.m_inv
-    expected = ElementaryMatrix(algebra, n, i, j, a).expand()
+    one = algebra.one()
+    built = (
+        elementary(algebra, n, i, k, a) @ elementary(algebra, n, k, j, one)
+        @ elementary(algebra, n, i, k, -a) @ elementary(algebra, n, k, j, -one)
+    )
+    expected = elementary(algebra, n, i, j, a)
     return built, expected, [algebra.degree(a), algebra.max_level], 3
 
 
@@ -326,18 +327,20 @@ def _elementary_additive(algebra, sampler, max_n):
     i, j = sampler._off_diagonal(n)
     a = sampler.payload(algebra)
     b = sampler.payload(algebra)
-
-    def e(x):
-        return ElementaryMatrix(algebra, n, i, j, x).expand()
-
-    return e(a) @ e(b), e(a + b), [algebra.degree(a), algebra.degree(b)], 1
+    return (
+        elementary(algebra, n, i, j, a) @ elementary(algebra, n, i, j, b),
+        elementary(algebra, n, i, j, a + b),
+        [algebra.degree(a), algebra.degree(b)],
+        1,
+    )
 
 
 def _elementary_inverse(algebra, sampler, max_n):
     n = sampler.size(max_n, min_n=2)
     i, j = sampler._off_diagonal(n)
-    cert = elementary_expand(ElementaryMatrix(algebra, n, i, j, sampler.payload(algebra)))
-    return cert.m @ cert.m_inv, FilteredMatrix.identity(algebra, n), [cert.level], 1
+    a = sampler.payload(algebra)
+    e, e_inv = elementary(algebra, n, i, j, a), elementary(algebra, n, i, j, -a)
+    return e @ e_inv, FilteredMatrix.identity(algebra, n), [e.level, e_inv.level], 1
 
 
 def _elementary_commutator(algebra, sampler, max_n):

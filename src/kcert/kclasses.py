@@ -19,7 +19,6 @@ from .matrices import (
     apply_hom_matrix,
     block2,
     involution_cert,
-    is_o_shaped,
     o_blocks,
     split2,
 )
@@ -138,7 +137,7 @@ def exactness_boundary_zero(diagram, u_tilde):
     report = ExactnessReport("boundary_zero")
     u = apply_hom_invertible(diagram.j1, u_tilde)
     inp = BoundaryInput(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv, m=0)
-    s0, s1 = boundary_defects(inp)
+    s0, s1 = boundary_defects(diagram, inp.lift_a, inp.lift_b)
     report.add("S0 = 0", s0.is_zero(), "S0 nonzero")
     report.add("S1 = 0", s1.is_zero(), "S1 nonzero")
     # The boundary class is then the literal zero difference, with no line
@@ -153,11 +152,13 @@ def exactness_boundary_zero_oshape(diagram, xi):
     """The O-shaped case of the vanishing law: the four-factor recipe lifts xi
     invertibly through j1, so the same vanishing applies."""
     report = ExactnessReport("boundary_zero_oshape")
-    if not is_o_shaped(xi):
+    try:
+        alpha = o_blocks(xi)
+    except CertificateFailure:
         report.add("input is O-shaped", False, "not O-shaped")
         return report
     report.add("input is O-shaped", True)
-    lifted = lift_via_whitehead(o_blocks(xi), diagram.j1)
+    lifted = lift_via_whitehead(alpha, diagram.j1)
     report.checks.extend(exactness_boundary_zero(diagram, lifted).checks)
     return report
 
@@ -279,7 +280,10 @@ def exactness_kernel_i(diagram, d, u1, u2):
     inp = BoundaryInput(diagram, phi, lift_a=v.m, lift_b=v.m_inv, m=m_sz)
     out = boundary_extended_form(inp)
     report.add("S0 = 0", out.s0.is_zero(), "S0 nonzero")
-    report.add("S1 = 0", out.s1.is_zero(), "S1 nonzero")
+    # S1 = 1 - AB needs no line: the lifts are A = V and B = V^-1, and
+    # S0 = 1 - BA = 0 above gives BA = 1, which forces AB = 1 (see
+    # InvertibleCert.verify).  A faulty product A B fails L's verify() in
+    # boundary_extended_form first.
     report.require(
         "boundary block reproduces conjugated class (leg1)",
         out.p.p.first_mismatch(

@@ -306,9 +306,6 @@ class InvertibleCert:
             and self.m_inv == other.m_inv
         )
 
-    def __hash__(self):
-        return hash((self.m, self.m_inv))
-
     def __repr__(self):
         return f"InvertibleCert(n={self.n}, level={self.level})"
 
@@ -344,53 +341,23 @@ class IdempotentCert:
         """1 - p, also idempotent."""
         return IdempotentCert(type(self.p).identity(self.p.algebra, self.p.n) - self.p)
 
-    def direct_sum(self, other):
-        return IdempotentCert(self.p.direct_sum(other.p))
-
     def pad(self, k):
         return IdempotentCert(self.p.pad(k, fill=0)) if k else self
-
-    def __eq__(self, other):
-        return isinstance(other, IdempotentCert) and self.p == other.p
-
-    def __hash__(self):
-        return hash(self.p)
 
     def __repr__(self):
         return f"IdempotentCert(n={self.n}, level={self.level})"
 
 
-class ElementaryMatrix:
-    """Identity plus one off-diagonal entry; always invertible.  Sampled
-    invertibles apply such a factor without expanding it, as the column and
-    row operations of ``algebra._add_multiple`` (see identities.Sampler)."""
-
-    __slots__ = ("algebra", "n", "i", "j", "entry")
-
-    def __init__(self, algebra, n, i, j, entry):
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise MatrixError("elementary matrix needs off-diagonal position")
-        if not algebra.accepts(entry):
-            raise MatrixError("entry not in the algebra")
-        self.algebra = algebra
-        self.n = n
-        self.i = i
-        self.j = j
-        self.entry = entry
-
-    def expand(self):
-        m = FilteredMatrix.identity(self.algebra, self.n)
-        rows = [list(r) for r in m.rows]
-        rows[self.i][self.j] = self.entry
-        return FilteredMatrix(self.algebra, rows)
-
-    def negated(self):
-        return ElementaryMatrix(self.algebra, self.n, self.i, self.j, -self.entry)
-
-
-def elementary_expand(e):
-    """Invertible certificate E(a) with inverse E(-a)."""
-    return InvertibleCert(e.expand(), e.negated().expand())
+def elementary(algebra, n, i, j, a):
+    """E_ij(a): the n x n identity with a at the off-diagonal position
+    (i, j); its inverse is E_ij(-a)."""
+    if i == j or not (0 <= i < n and 0 <= j < n):
+        raise MatrixError("elementary matrix needs off-diagonal position")
+    if not algebra.accepts(a):
+        raise MatrixError("entry not in the algebra")
+    rows = [list(r) for r in FilteredMatrix.identity(algebra, n).rows]
+    rows[i][j] = a
+    return FilteredMatrix._raw(algebra, tuple([tuple(r) for r in rows]))
 
 
 def o_map(u):
@@ -398,24 +365,17 @@ def o_map(u):
     return InvertibleCert(u.m.direct_sum(u.m_inv), u.m_inv.direct_sum(u.m))
 
 
-def is_o_shaped(cert):
-    """True when cert is literally diag(alpha, alpha^{-1}) on half blocks;
-    the matrices also need ``sub_block`` and ``is_zero``."""
-    if cert.n % 2:
-        return False
-    a, b, c, d = split2(cert.m)
-    if not (b.is_zero() and c.is_zero()):
-        return False
-    ident = type(cert.m).identity(cert.algebra, a.n)
-    return (a @ d) == ident and (d @ a) == ident
-
-
 def o_blocks(cert):
-    """The (alpha, alpha^{-1}) halves of an O-shaped certificate."""
-    if not is_o_shaped(cert):
-        raise CertificateFailure("certificate is not O-shaped")
-    a, _, _, d = split2(cert.m)
-    return InvertibleCert(a, d)
+    """The verified (alpha, alpha^{-1}) halves of a certificate whose matrix
+    is literally diag(alpha, alpha^{-1}); CertificateFailure otherwise.  The
+    matrices also need ``sub_block`` and ``is_zero``.  Its verify() checks
+    alpha alpha^-1 = 1 only, which forces alpha^-1 alpha = 1 (see
+    InvertibleCert.verify)."""
+    if cert.n % 2 == 0:
+        a, b, c, d = split2(cert.m)
+        if b.is_zero() and c.is_zero():
+            return InvertibleCert(a, d).verify()
+    raise CertificateFailure("certificate is not O-shaped")
 
 
 def permutation_cert(algebra, perm):

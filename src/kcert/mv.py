@@ -30,9 +30,7 @@ from .matrices import (
     apply_hom_matrix,
     block2,
     expect_equal,
-    o_blocks,
     o_map,
-    permutation_cert,
     section_matrix,
 )
 
@@ -188,9 +186,6 @@ class DoubleMatrix:
             and self.m2 == other.m2
         )
 
-    def __hash__(self):
-        return hash((self.m1, self.m2))
-
     def __repr__(self):
         return f"DoubleMatrix(n={self.n}, level={self.level})"
 
@@ -283,29 +278,3 @@ def k0_common_form(d1, d2):
     q1 = q1.pad(big - q1.n)
     q2 = q2.pad(big - q2.n)
     return q1, q2, n1 + n2
-
-
-OLift = namedtuple("OLift", ["u_tilde", "xi_tilde", "forward", "perm"])
-
-
-def lift_o_element(xi, leg):
-    """Lift recipe for O-shaped elements: from xi = diag(alpha, alpha^{-1})
-    build xi~ by the four-factor formula with section-lifted entries, then
-    U~ = diag(xi~, xi~^{-1}), whose forward image diag(xi, xi^{-1}) is
-    permutation-conjugate to xi + xi."""
-    if not leg.surjective:
-        raise ValueError("lifting requires a surjective leg")
-    alpha = o_blocks(xi)
-    xi_tilde = lift_via_whitehead(alpha, leg)
-    u_tilde = o_map(xi_tilde)
-    forward = apply_hom_matrix(leg, u_tilde.m)
-    expect_equal(forward, xi.m.direct_sum(xi.m_inv), "O-lift image mismatch")
-    n = alpha.n
-    blocks = (0, 1, 3, 2)
-    perm = []
-    for b in blocks:
-        perm.extend(range(b * n, (b + 1) * n))
-    p = permutation_cert(xi.algebra, tuple(perm))
-    double_xi = xi.m.direct_sum(xi.m)
-    expect_equal(p.m @ double_xi @ p.m_inv, forward, "O-lift permutation conjugacy fails")
-    return OLift(u_tilde, xi_tilde, forward, p)

@@ -5,6 +5,7 @@ lines; the whole module is the exit gate for the build."""
 
 import json
 import time
+from collections import namedtuple
 from importlib import resources
 
 import pytest
@@ -32,12 +33,16 @@ from kcert.kclasses import (
     exactness_kernel_i,
 )
 from kcert.matrices import (
+    CertificateFailure,
     FilteredMatrix,
     InvertibleCert,
     apply_hom_matrix,
+    expect_equal,
+    o_blocks,
     o_map,
+    permutation_cert,
 )
-from kcert.mv import lift_o_element
+from kcert.mv import lift_via_whitehead
 from kcert.scalars import Poly, QuotElem, rat
 
 SAMPLES_PER_INSTANCE = 1000
@@ -212,6 +217,48 @@ def test_criterion_6_exactness_witnesses():
     )
     _report("6 exactness-witnesses", ok,
             "200 liftable inputs x 3 diagrams + iii.3/iii.4 round trips")
+
+
+OLift = namedtuple("OLift", ["u_tilde", "xi_tilde", "forward", "perm"])
+
+
+def lift_o_element(xi, leg):
+    """Lift recipe for O-shaped elements: from xi = diag(alpha, alpha^{-1})
+    build xi~ by the four-factor formula with section-lifted entries, then
+    U~ = diag(xi~, xi~^{-1}), whose forward image diag(xi, xi^{-1}) is
+    permutation-conjugate to xi + xi."""
+    if not leg.surjective:
+        raise ValueError("lifting requires a surjective leg")
+    alpha = o_blocks(xi)
+    xi_tilde = lift_via_whitehead(alpha, leg)
+    u_tilde = o_map(xi_tilde)
+    forward = apply_hom_matrix(leg, u_tilde.m)
+    expect_equal(forward, xi.m.direct_sum(xi.m_inv), "O-lift image mismatch")
+    n = alpha.n
+    perm = []
+    for b in (0, 1, 3, 2):
+        perm.extend(range(b * n, (b + 1) * n))
+    p = permutation_cert(xi.algebra, tuple(perm))
+    double_xi = xi.m.direct_sum(xi.m)
+    expect_equal(p.m @ double_xi @ p.m_inv, forward, "O-lift permutation conjugacy fails")
+    return OLift(u_tilde, xi_tilde, forward, p)
+
+
+def test_lift_o_element(clutching, sampler):
+    alpha = sampler.invertible(clutching.lambda_prime, 1)
+    xi = o_map(alpha)
+    lifted = lift_o_element(xi, clutching.j1)
+    lifted.u_tilde.verify()
+    assert lifted.forward == xi.m.direct_sum(xi.m_inv)
+    # permutation conjugacy to xi + xi
+    double_xi = xi.m.direct_sum(xi.m)
+    assert lifted.perm.m @ double_xi @ lifted.perm.m_inv == lifted.forward
+    # identity input -> identity lift image
+    one = InvertibleCert.identity(clutching.lambda_prime, 1)
+    triv = lift_o_element(o_map(one), clutching.j1)
+    assert triv.forward == FilteredMatrix.identity(clutching.lambda_prime, 4)
+    with pytest.raises(CertificateFailure):
+        lift_o_element(sampler.invertible(clutching.lambda_prime, 2), clutching.j1)
 
 
 def test_criterion_7_dyadic_lift():

@@ -19,13 +19,12 @@ from kcert.cli import main
 from kcert.instances import clutching_diagram, trivial_diagram
 from kcert.matrices import (
     CertificateFailure,
-    ElementaryMatrix,
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
     apply_hom_matrix,
     block2,
-    elementary_expand,
+    elementary,
     expect_equal,
     split2,
 )
@@ -403,8 +402,9 @@ def test_alt_lifting(clutching, sampler):
     assert conj.m == FilteredMatrix.identity(clutching.lambda1, 2)
     assert p_alt.p == base.p.p
     # multiply by an elementary factor whose entry dies in the overlap ring
-    e = elementary_expand(
-        ElementaryMatrix(clutching.lambda1, 2, 0, 1, Poly([-1, 0, 1]))
+    k = Poly([-1, 0, 1])
+    e = InvertibleCert(
+        elementary(clutching.lambda1, 2, 0, 1, k), elementary(clutching.lambda1, 2, 0, 1, -k)
     )
     l_any = e.compose(base.l)
     assert apply_hom_matrix(clutching.j1, l_any.m) == rotation_image(u)

@@ -174,6 +174,23 @@ def test_negative_flag_is_spec_error(capsys, command, spec, flag, value):
     assert f"spec error: {flag} must be a nonnegative integer" in err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("boundary", "--seed", "11"),
+    ("boundary", "--samples", "0"),
+    ("boundary", "--max-size", "2"),
+    ("exactness", "--max-size", "2"),
+])
+def test_flag_the_command_does_not_read_is_usage_error(capsys, command, flag, value):
+    # boundary reads no seed, samples or size, and exactness no size, so
+    # such a flag is an argparse usage error (exit 2), never ignored
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--spec", spec_path("quotient_clutching.json"), flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
 def test_negative_spec_value_names_the_key(tmp_path, capsys):
     doc = {"algebra": {"kind": "trivial"}, "command": {"name": "verify", "seed": -1}}
     path = tmp_path / "spec.json"
@@ -540,8 +557,9 @@ def test_exactness_rejects_sectionless_leg(tmp_path, capsys, leg, source):
 ])
 def test_unwritable_report_path_exits_2(tmp_path, capsys, command, spec):
     target = tmp_path / "missing" / "report.json"
+    samples = () if command == "boundary" else ("--samples", "1")
     code, out, err = run_cli(capsys, command, "--spec", spec_path(spec),
-                             "--samples", "1", "--report", str(target))
+                             *samples, "--report", str(target))
     assert code == 2 and out == ""
     assert err.startswith("cannot write report: ") and err.count("\n") == 1
     assert "Traceback" not in err

@@ -53,9 +53,11 @@ import test_acceptance as acceptance
 from kcert import matrices, mv
 from kcert.algebras import Kernel, PolyAlgebra
 from kcert.cli import main
+from kcert.drivers import boundary_report
+from kcert.instances import clutching_diagram
 from kcert.kclasses import ExactnessReport
-from kcert.matrices import FilteredMatrix
-from kcert.scalars import Poly, rat
+from kcert.matrices import FilteredMatrix, InvertibleCert
+from kcert.scalars import Poly, QuotElem, rat
 from kcert.specdoc import SpecDocument
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -193,8 +195,6 @@ def assert_every_product_caught(probe, label, argv, path, report, fills=(all_one
 CHECK_ALLOWLIST = {
     ("boundary", "double matrix constraint"):
         "implied by BoundaryInput's checks and S0, S1 dying; printed in every boundary report",
-    ("kernel_i", "S1 = 0"):
-        "BA = 1 forces AB = 1 over the carriers, a theorem, not the construction; no product",
     ("kernel_boundary", "witness is a double invertible"):
         "only a wrong witness reaches it; the generator's witness legs are one matrix",
     ("kernel_i", "recovered block is the (inverse-)stabilized transition"):
@@ -352,6 +352,32 @@ def test_boundary_product_count(tmp_path, probe):
     assert probe.count(lambda: run(argv, tmp_path / "report")) == BOUNDARY_PRODUCTS
 
 
+# Products of one boundary_report at m = 1 on the clutching diagram, with
+# U = diag(2, x) and both lifts perturbed.  Only the base input checks that
+# U commutes with diag(0, 1) (2 products); each lift check builds L~ from
+# the shifted lifts directly, with no BoundaryInput to rerun that check or
+# the lift images, which the perturbation's own check implies.  36 while
+# each shifted input was a checked BoundaryInput.
+BOUNDARY_M1_PRODUCTS = 32
+
+
+def test_extended_boundary_product_count(probe):
+    diagram = clutching_diagram()
+    lp, l1 = diagram.lambda_prime, diagram.lambda1
+    x = QuotElem(lp.modulus, Poly([0, 1]))
+    two, half, z = lp.from_rational(rat(2)), lp.from_rational(rat(1, 2)), lp.zero()
+    u = InvertibleCert(FilteredMatrix(lp, ((two, z), (z, x))),
+                       FilteredMatrix(lp, ((half, z), (z, x))))
+    kill, z1 = Poly([-1, 0, 1]), l1.zero()
+    k = FilteredMatrix(l1, ((kill, z1), (Poly([-2, 0, 2]), kill)))
+    h = FilteredMatrix(l1, ((z1, kill), (kill, Poly([0, -1, 0, 1]))))
+    reports = []
+    count = probe.count(lambda: reports.append(
+        boundary_report(diagram, u, m=1, perturb_a=k, perturb_b=h)))
+    assert reports[0]["result"] == "pass" and len(reports[0]["checks"]) == 5
+    assert count == BOUNDARY_M1_PRODUCTS
+
+
 # Products of one `exactness` run of request 0 of the exactness-clutching
 # benchmark workload: all six segments, with the Whitehead lift in closed
 # form, the kernel-boundary witness written down, every block swap of the
@@ -365,8 +391,10 @@ def test_boundary_product_count(tmp_path, probe):
 # kernel_i: the closed form's 4 products and L's reverse product each),
 # -16 in boundary_zero and boundary_zero_oshape, which build S0 and S1
 # only (8 products each), and -6 for the reverse products of W1, W2 and
-# kernel_i's two double certificates.
-EXACTNESS_PRODUCTS = 91
+# kernel_i's two double certificates.  91 while boundary_zero_oshape tested
+# the O-shape with both products alpha alpha^-1 and alpha^-1 alpha, twice;
+# o_blocks now verifies the halves once, one product.
+EXACTNESS_PRODUCTS = 88
 
 
 def test_exactness_product_count(tmp_path, probe):
@@ -386,7 +414,6 @@ SURFACE_ALLOWLIST = {
     "instances.trivial_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
     "instances.clutching_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
     "instances.cover_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
-    "mv.lift_o_element": "acceptance criterion 7 (dyadic lift)",
     "algebras.LocalizedAlgebra.trivial": "read by perfbench/selftest.py:114",
 }
 

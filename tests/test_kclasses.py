@@ -28,17 +28,16 @@ from kcert.kclasses import (
 )
 from kcert.matrices import (
     CertificateFailure,
-    ElementaryMatrix,
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
     apply_hom_invertible,
     apply_hom_matrix,
     block_swap_cert,
-    elementary_expand,
+    elementary,
     involution_cert,
-    is_o_shaped,
     o_blocks,
+    split2,
 )
 from kcert.mv import DoubleMatrix, DoubleMismatch, normalize_difference
 from kcert.scalars import Poly, QuotElem, rat
@@ -54,18 +53,23 @@ def _x_cert(diagram):
 # -- O-shape: the gate of O-absorption and of boundary_zero_oshape ----------
 
 
-def test_o_absorb_rejects_non_o_shape(trivial, sampler):
-    u = sampler.invertible(trivial, 2)
-    assert not is_o_shaped(u)
-    assert not is_o_shaped(InvertibleCert.identity(trivial, 3))
+def test_o_absorb_rejects_non_o_shape(trivial):
+    u = InvertibleCert(elementary(trivial, 2, 0, 1, rat(1)), elementary(trivial, 2, 0, 1, rat(-1)))
+    with pytest.raises(CertificateFailure, match="not O-shaped"):
+        o_blocks(u)
+    with pytest.raises(CertificateFailure, match="not O-shaped"):
+        o_blocks(InvertibleCert.identity(trivial, 3))
     # near-O shape: diag(2, 1/2) with off-diagonal junk
     half_bad = InvertibleCert(
         FilteredMatrix(trivial, ((rat(2), rat(1)), (rat(0), rat(1, 2)))),
         FilteredMatrix(trivial, ((rat(1, 2), rat(-1)), (rat(0), rat(2)))),
     ).verify()
-    assert not is_o_shaped(half_bad)
     with pytest.raises(CertificateFailure, match="not O-shaped"):
         o_blocks(half_bad)
+    # block diagonal, but the halves are not inverse: diag(2, 1)
+    not_inverse = FilteredMatrix(trivial, ((rat(2), rat(0)), (rat(0), rat(1))))
+    with pytest.raises(CertificateFailure, match="inverse certificate fails"):
+        o_blocks(InvertibleCert(not_inverse, not_inverse))
 
 
 def test_inverse_pair_absorbs_to_zero(quotient, sampler):
@@ -75,7 +79,6 @@ def test_inverse_pair_absorbs_to_zero(quotient, sampler):
     )
     # [u] + [u^{-1}] is zero: the pair u + u^{-1} is O-shaped, with halves u
     # and u^{-1}, and an O-shaped xi absorbs: xi + 1 = swap (1 + xi) swap^-1.
-    assert is_o_shaped(pair)
     assert o_blocks(pair) == u
     one = InvertibleCert.identity(quotient, 4)
     swap = block_swap_cert(quotient, 4)
@@ -200,7 +203,6 @@ KERNEL_I_CHECKS = [
     "conjugated leg2 is literal eps",
     "phi commutes with the scalar block",
     "S0 = 0",
-    "S1 = 0",
     "boundary block reproduces conjugated class (leg1)",
     "conjugating back restores p~",
     "un-stabilizing restores the normalized plus part",
@@ -352,7 +354,9 @@ def test_k0_middle_bad_witness_is_named_and_never_glued(clutching, monkeypatch):
     def break_witness(diagram, d1, d2, witness):
         xi, v = witness
         lam = diagram.lambda_prime
-        bad = v.compose(elementary_expand(ElementaryMatrix(lam, v.n, 0, v.n - 1, lam.one())))
+        e = InvertibleCert(elementary(lam, v.n, 0, v.n - 1, lam.one()),
+                           elementary(lam, v.n, 0, v.n - 1, -lam.one()))
+        bad = v.compose(e)
         results.append(exactness_k0_middle(diagram, d1, d2, K0MiddleWitness(xi, bad)))
         return results[-1]
 
@@ -429,7 +433,11 @@ def _o_double(clutching, junk):
 )
 def test_o_absorb_of_double_needs_both_legs_o_shaped(clutching, junk, passes):
     xi = _o_double(clutching, junk)
-    assert is_o_shaped(xi) is passes
+    if passes:
+        assert o_blocks(xi).m == split2(xi.m)[0]
+    else:
+        with pytest.raises(CertificateFailure, match="not O-shaped"):
+            o_blocks(xi)
 
 
 def test_kernel_boundary_rejects_disagreeing_witness_legs(clutching, sampler):
@@ -508,8 +516,8 @@ def test_implied_exactness_claims_hold(name, request, monkeypatch):
         out = boundary_extended_form(BoundaryInput(diagram, u, **lifts))
         v = u1.inverse().compose(u2)
         assert u1.m_inv @ out.p_double.p.m2 @ u1.m == v.m @ out.e2 @ v.m_inv
-    # kernel_i: the conjugated leg 1 is V eps V^-1, V = u2^-1 u1, and the
-    # boundary of phi reproduces the conjugated leg 2.
+    # kernel_i: the conjugated leg 1 is V eps V^-1, V = u2^-1 u1, the
+    # boundary of phi has S1 = 0, and it reproduces the conjugated leg 2.
     for (_, (plus, minus), u1, u2), _, (phi, _) in calls["exactness_kernel_i"]:
         p_tilde, _ = normalize_difference(plus, minus)
         eps = e_block(diagram.lambda1, plus.n, minus.n)
@@ -518,6 +526,7 @@ def test_implied_exactness_claims_hold(name, request, monkeypatch):
         out = boundary_extended_form(
             BoundaryInput(diagram, phi, lift_a=v.m, lift_b=v.m_inv, m=plus.n)
         )
+        assert out.s1.is_zero()
         total = plus.n + minus.n
         assert out.p_double.p.m2 == FilteredMatrix.zeros(diagram.lambda2, total).direct_sum(
             u2.m_inv @ p_tilde.p.m2 @ u2.m

@@ -16,7 +16,6 @@ from kcert.algebras import (
 )
 from kcert.matrices import (
     CertificateFailure,
-    ElementaryMatrix,
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
@@ -24,9 +23,9 @@ from kcert.matrices import (
     apply_hom_invertible,
     apply_hom_matrix,
     block_swap_cert,
-    elementary_expand,
+    elementary,
     involution_cert,
-    is_o_shaped,
+    o_blocks,
     o_map,
     permutation_cert,
     rotation_swap_cert,
@@ -137,18 +136,19 @@ def test_level_laws(kind, sampler):
 def test_elementary_laws(quotient):
     x = Poly([0, 1])
     alg = quotient
-    e = ElementaryMatrix(alg, 3, 0, 2, alg.parse_payload(["0", "1"]))
-    cert = elementary_expand(e)
-    cert.verify()
-    a = ElementaryMatrix(alg, 3, 0, 1, alg.parse_payload(["2"]))
-    b = ElementaryMatrix(alg, 3, 0, 1, alg.parse_payload(["0", "3"]))
-    lhs = elementary_expand(a).m @ elementary_expand(b).m
-    combined = ElementaryMatrix(
-        alg, 3, 0, 1, alg.parse_payload(["2", "3"])
-    )
-    assert lhs == combined.expand()
+    xe = alg.parse_payload(["0", "1"])
+    e = elementary(alg, 3, 0, 2, xe)
+    assert e.rows[0] == (alg.one(), alg.zero(), xe)
+    InvertibleCert(e, elementary(alg, 3, 0, 2, -xe)).verify()
+    a = elementary(alg, 3, 0, 1, alg.parse_payload(["2"]))
+    b = elementary(alg, 3, 0, 1, alg.parse_payload(["0", "3"]))
+    assert a @ b == elementary(alg, 3, 0, 1, alg.parse_payload(["2", "3"]))
     with pytest.raises(ValueError):
-        ElementaryMatrix(alg, 3, 1, 1, alg.one())
+        elementary(alg, 3, 1, 1, alg.one())
+    with pytest.raises(MatrixError, match="off-diagonal"):
+        elementary(alg, 3, 0, 3, alg.one())
+    with pytest.raises(MatrixError, match="not in the algebra"):
+        elementary(alg, 3, 0, 1, x)
 
 
 def test_check_idempotent(trivial):
@@ -188,7 +188,7 @@ def test_o_map_laws(quotient, sampler):
     ou = o_map(u)
     ou.verify()
     assert ou.level == u.level
-    assert is_o_shaped(ou)
+    assert o_blocks(ou).m == u.m and o_blocks(ou).m_inv == u.m_inv
     assert o_map(InvertibleCert.identity(quotient, 2)).m == FilteredMatrix.identity(
         quotient, 4
     )
@@ -201,8 +201,8 @@ def _o_multiplicativity_counterexample(algebra):
     """O(u1 u2) and O(u1) O(u2) for the non-commuting 2x2 elementary pair
     E_01(1), E_10(1)."""
     one = algebra.one()
-    u1 = elementary_expand(ElementaryMatrix(algebra, 2, 0, 1, one))
-    u2 = elementary_expand(ElementaryMatrix(algebra, 2, 1, 0, one))
+    u1 = InvertibleCert(elementary(algebra, 2, 0, 1, one), elementary(algebra, 2, 0, 1, -one))
+    u2 = InvertibleCert(elementary(algebra, 2, 1, 0, one), elementary(algebra, 2, 1, 0, -one))
     return o_map(u1.compose(u2)), o_map(u1).compose(o_map(u2))
 
 
@@ -621,8 +621,8 @@ def test_generated_products_match_dense_reference(name, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_generated_row_and_column_operations(name, data):
-    # large coefficients, cancelling pools and the zero divisors 1 +- x reach
-    # the fraction-free quotient path; both sides compare reduced entries
+    # large coefficients, cancelling pools and the zero divisors 1 +- x;
+    # both sides compare reduced entries
     algebra = PARITY_ALGEBRAS[name]()
     m, _ = data.draw(_operands(algebra))
     entries = [p for row in m.rows for p in row]

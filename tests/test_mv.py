@@ -18,7 +18,6 @@ from kcert.mv import (
     MVDiagram,
     double_invertible,
     glue_idempotents,
-    lift_o_element,
     lift_via_whitehead,
     normalize_difference,
     whitehead_lift,
@@ -148,23 +147,6 @@ def test_normalize_difference(trivial, sampler):
     p_prime, n = normalize_difference(p1, p2)
     assert n == 2
     assert p_prime.verify().p == p1.p.direct_sum(p2.complement().p)
-
-
-def test_lift_o_element(clutching, sampler):
-    alpha = sampler.invertible(clutching.lambda_prime, 1)
-    xi = o_map(alpha)
-    lifted = lift_o_element(xi, clutching.j1)
-    lifted.u_tilde.verify()
-    assert lifted.forward == xi.m.direct_sum(xi.m_inv)
-    # permutation conjugacy to xi + xi
-    double_xi = xi.m.direct_sum(xi.m)
-    assert lifted.perm.m @ double_xi @ lifted.perm.m_inv == lifted.forward
-    # identity input -> identity lift image
-    one = InvertibleCert.identity(clutching.lambda_prime, 1)
-    triv = lift_o_element(o_map(one), clutching.j1)
-    assert triv.forward == FilteredMatrix.identity(clutching.lambda_prime, 4)
-    with pytest.raises(CertificateFailure):
-        lift_o_element(sampler.invertible(clutching.lambda_prime, 2), clutching.j1)
 
 
 def test_cover_diagram_gluing(cover, sampler):
