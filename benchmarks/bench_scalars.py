@@ -45,21 +45,18 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from kcert.algebras import Kernel, PropagationAlgebra, QuotientHom
+from kcert.algebras import (
+    Kernel,
+    PolyAlgebra,
+    PropagationAlgebra,
+    QuotientAlgebra,
+    QuotientHom,
+    TrivialAlgebra,
+)
 from kcert.cli import _json_text
 from kcert.boundary import boundary_l
 from kcert.drivers import boundary_report, exactness_report
 from kcert.identities import Sampler, run_identity_suite
-from kcert.instances import (
-    clutching_diagram,
-    line_space,
-    poly_algebra,
-    propagation_algebra,
-    quotient_algebra,
-    suite_algebras,
-    trivial_algebra,
-    x2_minus_1,
-)
 from kcert.matrices import (
     FilteredMatrix,
     apply_hom_matrix,
@@ -70,8 +67,13 @@ from kcert.mv import lift_via_whitehead
 from kcert.scalars import Poly, QuotElem, Rat, parse_rational, rat
 from kcert.specdoc import SpecDocument
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
+from carriers import line_space, suite_algebras  # noqa: E402
 from run import PROBE_REFERENCE_S, host_probe  # noqa: E402
+
+X2_MINUS_1 = Poly([-1, 0, 1])
 
 
 def per_call_us(fn, reps):
@@ -100,7 +102,7 @@ def scalar_mops():
 
 def matmul4_us():
     m = FilteredMatrix(
-        trivial_algebra(), tuple(tuple(rat(i + j + 1, 3) for j in range(4)) for i in range(4))
+        TrivialAlgebra(), tuple(tuple(rat(i + j + 1, 3) for j in range(4)) for i in range(4))
     )
     return per_call_us(lambda: m @ m, 5000)
 
@@ -119,8 +121,8 @@ def payload_rows():
                 for i in range(4) for j in range(4)})
         for s in (1, 2)
     )
-    u, v = (QuotElem(x2_minus_1(), Poly([rat(s, 3), rat(-2, s + 4)])) for s in (1, 2))
-    alg_a, alg_b = propagation_algebra(), propagation_algebra()
+    u, v = (QuotElem(X2_MINUS_1, Poly([rat(s, 3), rat(-2, s + 4)])) for s in (1, 2))
+    alg_a, alg_b = PropagationAlgebra(line_space(4, 4)), PropagationAlgebra(line_space(4, 4))
     assert alg_a is not alg_b
     return [
         ("Kernel product, 4 points", per_call_us(lambda: k * l, 2000)),
@@ -133,16 +135,16 @@ def matmul_rows():
     sampler = Sampler(5)
     rows = []
     for label, algebra in (
-        ("Q", trivial_algebra()),
-        ("Q[x]", poly_algebra()),
-        ("Q[x]/(x^2 - 1)", quotient_algebra()),
-        ("propagation, 4 points", propagation_algebra()),
+        ("Q", TrivialAlgebra()),
+        ("Q[x]", PolyAlgebra()),
+        ("Q[x]/(x^2 - 1)", QuotientAlgebra(X2_MINUS_1)),
+        ("propagation, 4 points", PropagationAlgebra(line_space(4, 4))),
     ):
         for size in (2, 4, 6):
             x, y = sampler.matrix(algebra, size), sampler.matrix(algebra, size)
             rows.append((f"FilteredMatrix @, {label}, n = {size}",
                          per_call_us(lambda: x @ y, 2000 // size)))
-    algebra = propagation_algebra()
+    algebra = PropagationAlgebra(line_space(4, 4))
     for size in (4, 8):
         x, y = (o_map(sampler.invertible(algebra, size // 2)).m for _ in range(2))
         rows.append((f"FilteredMatrix @, diag(u, u^-1), propagation, 4 points, n = {size}",
@@ -150,7 +152,7 @@ def matmul_rows():
     m = sampler.matrix(algebra, 4)
     rows.append(("FilteredMatrix.level, fresh, propagation, 4 points, n = 4",
                  per_call_us(lambda: FilteredMatrix._raw(algebra, m.rows).level, 5000)))
-    algebra = trivial_algebra()
+    algebra = TrivialAlgebra()
     for size in (4, 8):
         x, y = (o_map(sampler.invertible(algebra, size // 2)).m for _ in range(2))
         rows.append((f"FilteredMatrix @, diag(u, u^-1), Q, n = {size}",
@@ -160,7 +162,7 @@ def matmul_rows():
 
 def quotient_rows():
     sampler = Sampler(5)
-    source, target = poly_algebra(), quotient_algebra()
+    source, target = PolyAlgebra(), QuotientAlgebra(X2_MINUS_1)
     h = QuotientHom(source, target)
     rows = []
     for size in (2, 4, 6):
@@ -196,18 +198,18 @@ def sampler_rows():
     sampler = Sampler(5)
     rows = []
     for label, algebra in (
-        ("Q", trivial_algebra()),
-        ("Q[x]", poly_algebra()),
-        ("Q[x]/(x^2 - 1)", quotient_algebra()),
-        ("propagation, 4 points", propagation_algebra()),
+        ("Q", TrivialAlgebra()),
+        ("Q[x]", PolyAlgebra()),
+        ("Q[x]/(x^2 - 1)", QuotientAlgebra(X2_MINUS_1)),
+        ("propagation, 4 points", PropagationAlgebra(line_space(4, 4))),
         ("diagonal propagation, 4 points",
          PropagationAlgebra(line_space(4), diagonal=True)),
     ):
         rows.append((f"Sampler.unit, {label}", per_call_us(lambda: sampler.unit(algebra), 5000)))
     for label, algebra in (
-        ("Q", trivial_algebra()),
-        ("Q[x]/(x^2 - 1)", quotient_algebra()),
-        ("propagation, 4 points", propagation_algebra()),
+        ("Q", TrivialAlgebra()),
+        ("Q[x]/(x^2 - 1)", QuotientAlgebra(X2_MINUS_1)),
+        ("propagation, 4 points", PropagationAlgebra(line_space(4, 4))),
     ):
         rows.append((f"Sampler.invertible, {label}, n = 4",
                      per_call_us(lambda: sampler.invertible(algebra, 4), 1000)))
@@ -249,10 +251,9 @@ def request_end_rows():
 def certificate_rows():
     doc = SpecDocument.from_path(resources.files("kcert.specs") / "quotient_clutching.json")
     _, _, l = boundary_l(doc.diagram, doc.matrix("A"), doc.matrix("B"))
-    diagram = clutching_diagram()
 
     def exactness():
-        assert exactness_report(diagram, 1, 1)["result"] == "pass"
+        assert exactness_report(doc.diagram, 1, 1)["result"] == "pass"
 
     return [
         ("InvertibleCert.verify, L over Q[x], n = 2", per_call_us(l.verify, 2000)),

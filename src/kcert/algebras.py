@@ -4,8 +4,9 @@ filtered homomorphisms with deterministic sections.
 One class per carrier (TrivialAlgebra, PropagationAlgebra, PolyAlgebra,
 QuotientAlgebra) owns its payload conversions, codec, identity-suite draws
 and fraction-free matrix product; one class per hom kind (IdentityHom,
-QuotientHom, RestrictionHom, InclusionHom) owns its payload map, section and
-construction checks.  ``kind`` and ``type`` name them in reports.
+QuotientHom, RestrictionHom, InclusionHom) owns its payload map, its section
+when surjective, and its construction checks.  ``kind`` and ``type`` name
+them in reports.
 
 An element is its bare payload.  Degrees are always recomputed from the
 payload, never trusted from input.  The filtration is decreasing,
@@ -136,9 +137,6 @@ class Kernel:
                 out[key] = s
         # Cancelling sums can leave zero values, so this one filters.
         return Kernel(out)
-
-    def is_zero(self):
-        return not self.table
 
     def __bool__(self):
         return bool(self.table)
@@ -730,7 +728,8 @@ class RestrictionHom(FilteredHom):
 
 
 class InclusionHom(FilteredHom):
-    """The scalars into any carrier; not surjective, so it has no section."""
+    """The scalars into any carrier; not surjective, so it has no section
+    (every lift checks ``surjective`` first)."""
 
     __slots__ = ()
     type = "scalar-inclusion"
@@ -743,9 +742,6 @@ class InclusionHom(FilteredHom):
 
     def apply_payload(self, payload):
         return self.target.from_rational(payload)
-
-    def section_payload(self, payload):
-        raise ValueError("section of a non-surjective hom")
 
 
 # -- fraction-free product kernels ----------------------------------------------

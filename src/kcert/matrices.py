@@ -169,14 +169,10 @@ class FilteredMatrix:
         z = (self.algebra.zero(),)
         right = z * other.n
         left = z * self.n
-        out = FilteredMatrix._raw(
+        return FilteredMatrix._raw(
             self.algebra,
             tuple([row + right for row in self.rows] + [left + row for row in other.rows]),
         )
-        if self._level is not None and other._level is not None:
-            # Zero sits at max_level, so the sum sits at its blocks' lower level.
-            out._level = min(self._level, other._level)
-        return out
 
     def pad(self, k, fill=0):
         """The stabilization by a k-block of zeros (idempotents) or ones (invertibles)."""
@@ -238,11 +234,11 @@ class InvertibleCert:
     """An invertible matrix carried together with its explicit inverse.
 
     The matrices may be of any square type with ``algebra``, ``n``,
-    ``level``, ``@``, ``==``, ``direct_sum``, ``first_mismatch`` and a
-    classmethod ``identity(algebra, n)``: a FilteredMatrix, or a double
-    matrix over a pullback diagram.  pad() also needs the matrices' ``pad``,
-    which only a FilteredMatrix has.  verify() recomputes m m^-1 = 1, which
-    implies m^-1 m = 1 (see verify)."""
+    ``level``, ``@``, ``direct_sum``, ``first_mismatch`` and a classmethod
+    ``identity(algebra, n)``: a FilteredMatrix, or a double matrix over a
+    pullback diagram.  pad() also needs the matrices' ``pad``, which only a
+    FilteredMatrix has.  verify() recomputes m m^-1 = 1, which implies
+    m^-1 m = 1 (see verify).  There is no ``==``: compare the factors."""
 
     __slots__ = ("m", "m_inv")
 
@@ -298,13 +294,6 @@ class InvertibleCert:
         if k == 0:
             return self
         return InvertibleCert(self.m.pad(k, fill=1), self.m_inv.pad(k, fill=1))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InvertibleCert)
-            and self.m == other.m
-            and self.m_inv == other.m_inv
-        )
 
     def __repr__(self):
         return f"InvertibleCert(n={self.n}, level={self.level})"
@@ -366,11 +355,10 @@ def o_map(u):
 
 
 def o_blocks(cert):
-    """The verified (alpha, alpha^{-1}) halves of a certificate whose matrix
-    is literally diag(alpha, alpha^{-1}); CertificateFailure otherwise.  The
-    matrices also need ``sub_block`` and ``is_zero``.  Its verify() checks
-    alpha alpha^-1 = 1 only, which forces alpha^-1 alpha = 1 (see
-    InvertibleCert.verify)."""
+    """The verified (alpha, alpha^{-1}) halves of a certificate of
+    FilteredMatrix factors whose matrix is literally diag(alpha, alpha^{-1});
+    CertificateFailure otherwise.  Its verify() checks alpha alpha^-1 = 1
+    only, which forces alpha^-1 alpha = 1 (see InvertibleCert.verify)."""
     if cert.n % 2 == 0:
         a, b, c, d = split2(cert.m)
         if b.is_zero() and c.is_zero():

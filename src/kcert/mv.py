@@ -92,7 +92,8 @@ class DoubleMatrix:
     """A pair (m1, m2) with j1*(m1) = j2*(m2) exactly: a square matrix over
     the pullback, whose algebra is the diagram.  Every operation acts
     legwise, so the certificate classes take it as they take a
-    FilteredMatrix.  verify() compares the two overlap images."""
+    FilteredMatrix.  verify() compares the two overlap images; there is no
+    ``==``, and first_mismatch compares two double matrices."""
 
     __slots__ = ("diagram", "m1", "m2")
 
@@ -154,20 +155,10 @@ class DoubleMatrix:
         if not isinstance(other, DoubleMatrix) or other.diagram != self.diagram:
             raise MatrixError("double matrices over different diagrams")
 
-    def is_zero(self):
-        return self.m1.is_zero() and self.m2.is_zero()
-
     def direct_sum(self, other):
         self._same(other)
         return DoubleMatrix(
             self.diagram, self.m1.direct_sum(other.m1), self.m2.direct_sum(other.m2)
-        )
-
-    def sub_block(self, r0, r1, c0, c1):
-        return DoubleMatrix(
-            self.diagram,
-            self.m1.sub_block(r0, r1, c0, c1),
-            self.m2.sub_block(r0, r1, c0, c1),
         )
 
     def first_mismatch(self, other):
@@ -178,13 +169,6 @@ class DoubleMatrix:
             if bad is not None:
                 return (leg, bad[0]), bad[1]
         return None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DoubleMatrix)
-            and self.m1 == other.m1
-            and self.m2 == other.m2
-        )
 
     def __repr__(self):
         return f"DoubleMatrix(n={self.n}, level={self.level})"

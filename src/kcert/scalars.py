@@ -125,10 +125,6 @@ class Poly:
         return _P_ONE
 
     @classmethod
-    def x(cls):
-        return _P_X
-
-    @classmethod
     def const(cls, value):
         v = rat(value)
         return cls._raw((v,)) if v else _P_ZERO
@@ -256,7 +252,6 @@ class Poly:
 
 _P_ZERO = Poly._raw(())
 _P_ONE = Poly._raw((R1,))
-_P_X = Poly._raw((R0, R1))
 
 
 def _integer_coeffs(coeffs):

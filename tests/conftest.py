@@ -1,16 +1,8 @@
 import pytest
+from carriers import clutching_diagram, cover_diagram, suite_algebras, trivial_diagram
 from hypothesis import settings
 
 from kcert.identities import Sampler
-from kcert.instances import (
-    clutching_diagram,
-    cover_diagram,
-    propagation_algebra,
-    quotient_algebra,
-    suite_algebras,
-    trivial_algebra,
-    trivial_diagram,
-)
 
 # One Hypothesis profile for every run, loaded unconditionally: examples are
 # derived from each test itself and no example database is read or written,
@@ -21,17 +13,17 @@ settings.load_profile("kcert")
 
 @pytest.fixture
 def trivial():
-    return trivial_algebra()
+    return suite_algebras()["trivial"]
 
 
 @pytest.fixture
 def quotient():
-    return quotient_algebra()
+    return suite_algebras()["quotient"]
 
 
 @pytest.fixture
 def propagation():
-    return propagation_algebra()
+    return suite_algebras()["propagation"]
 
 
 @pytest.fixture

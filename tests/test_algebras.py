@@ -3,6 +3,7 @@ import random
 from importlib import resources
 
 import pytest
+from carriers import line_space, suite_algebras
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,13 +21,6 @@ from kcert.algebras import (
     _upper_unit_inverse,
 )
 from kcert.identities import Sampler
-from kcert.instances import (
-    line_space,
-    poly_algebra,
-    quotient_algebra,
-    suite_algebras,
-    trivial_algebra,
-)
 from kcert.matrices import FilteredMatrix, MatrixError, apply_hom_matrix
 from kcert.scalars import Poly, rat
 from kcert.specdoc import parse_algebra, parse_diagram
@@ -67,7 +61,7 @@ def test_unit_and_zero_cases(propagation, sampler):
 
 @pytest.mark.parametrize("kind", ["trivial", "poly", "quotient", "propagation"])
 def test_zero_is_built_once(kind):
-    algebra = {**suite_algebras(), "poly": poly_algebra()}[kind]
+    algebra = {**suite_algebras(), "poly": PolyAlgebra()}[kind]
     assert algebra.zero() is algebra.zero()
     assert algebra.zero() == algebra.from_rational(0)
     assert algebra.accepts(algebra.zero()) and not algebra.zero()
@@ -75,7 +69,7 @@ def test_zero_is_built_once(kind):
 
 @pytest.mark.parametrize("kind", ["trivial", "poly", "quotient", "propagation"])
 def test_one_is_built_once(kind):
-    algebra = {**suite_algebras(), "poly": poly_algebra()}[kind]
+    algebra = {**suite_algebras(), "poly": PolyAlgebra()}[kind]
     assert algebra.one() is algebra.one()
     assert algebra.one() == algebra.from_rational(1)
     assert algebra.accepts(algebra.one())
@@ -90,8 +84,8 @@ IMAGE_MODULI = [Poly([-1, 0, 1]), Poly([rat(-1, 3), 0, 1])]
 
 @pytest.mark.parametrize("modulus", IMAGE_MODULI, ids=str)
 def test_quotient_image_keeps_short_entries_and_reduces_long_ones(modulus):
-    source = poly_algebra()
-    h = QuotientHom(source, quotient_algebra(modulus))
+    source = PolyAlgebra()
+    h = QuotientHom(source, QuotientAlgebra(modulus))
     short = [Poly([rat(2, 3)]), Poly([rat(-1, 2), rat(5, 7)])]
     long = [
         Poly([rat(1, 2), 0, rat(-3, 5)]),
@@ -233,7 +227,7 @@ def test_support_addition_law(propagation, sampler):
         a = sampler.payload(propagation)
         b = sampler.payload(propagation)
         prod = a * b
-        if prod.is_zero():
+        if not prod:
             continue
         assert reach(prod) <= reach(a) + reach(b)
 
@@ -243,8 +237,7 @@ def test_scalar_inclusion_hom(trivial):
     h = InclusionHom(trivial, target)
     assert not h.surjective
     assert h.apply_payload(rat(3, 2)) == Poly([rat(3, 2)])
-    with pytest.raises(ValueError):
-        h.section_payload(target.one())
+    assert not hasattr(h, "section_payload")
     with pytest.raises(ValueError):
         InclusionHom(target, target)
 
@@ -327,9 +320,9 @@ def test_one_changed_component_gives_unequal_algebras(component):
 
 def test_changed_leg_gives_unequal_homs():
     top = PolyAlgebra()
-    h = QuotientHom(top, quotient_algebra())
-    other = QuotientHom(top, quotient_algebra(Poly([1, 0, 1])))
-    lower = QuotientHom(PolyAlgebra(15), quotient_algebra())
+    h = QuotientHom(top, QuotientAlgebra(Poly([-1, 0, 1])))
+    other = QuotientHom(top, QuotientAlgebra(Poly([1, 0, 1])))
+    lower = QuotientHom(PolyAlgebra(15), QuotientAlgebra(Poly([-1, 0, 1])))
     assert h != other and h != lower
     triv = TrivialAlgebra()
     assert IdentityHom(triv, triv) != IdentityHom(
@@ -349,14 +342,15 @@ def _two_points(d):
 
 
 INVALID_HOMS = {
-    "identity-unequal": (IdentityHom, lambda: (trivial_algebra(), trivial_algebra(3)),
+    "identity-unequal": (IdentityHom, lambda: (TrivialAlgebra(), TrivialAlgebra(3)),
                          "equal source and target"),
-    "quotient-source": (QuotientHom, lambda: (quotient_algebra(), quotient_algebra()),
+    "quotient-source": (QuotientHom, lambda: (suite_algebras()["quotient"],) * 2,
                         "source must be the polynomial ring"),
-    "quotient-target": (QuotientHom, lambda: (poly_algebra(), poly_algebra()),
+    "quotient-target": (QuotientHom, lambda: (PolyAlgebra(), PolyAlgebra()),
                         "target must be a quotient ring"),
-    "restriction-carrier": (RestrictionHom, lambda: (poly_algebra(), quotient_algebra()),
-                            "needs propagation algebras"),
+    "restriction-carrier": (
+        RestrictionHom, lambda: (PolyAlgebra(), suite_algebras()["quotient"]),
+        "needs propagation algebras"),
     "restriction-max-level": (
         RestrictionHom, lambda: (_diagonal(line_space(5)), _diagonal(line_space(3), 15)),
         "must preserve max_level"),
@@ -430,7 +424,7 @@ def test_parsed_classes_and_descriptions(name):
 def reference_degree(algebra, payload):
     """The degree as the farthest reach of the support, walked down the radius
     schedule: the definition the level table must reproduce."""
-    if payload.is_zero():
+    if not payload:
         return algebra.max_level
     space = algebra.space
     reach = rat(0)
@@ -509,7 +503,7 @@ def _series_inverse(algebra, lam, nil):
     acc = power = algebra.one()
     while True:
         power = power * scaled
-        if power.is_zero():
+        if not power:
             break
         acc = acc + power
     return algebra.from_rational(lam_inv) * acc

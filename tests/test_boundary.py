@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from carriers import clutching_diagram, spec_path, trivial_diagram
 from test_acceptance import check_lift_conjugator, perturbed_boundary
-from test_guards import perfbench_request, spec_path
+from test_guards import perfbench_request
 
 from kcert import boundary, drivers
 from kcert.boundary import (
@@ -16,7 +17,6 @@ from kcert.boundary import (
     verify_lift_independence_b,
 )
 from kcert.cli import main
-from kcert.instances import clutching_diagram, trivial_diagram
 from kcert.matrices import (
     CertificateFailure,
     FilteredMatrix,
@@ -58,7 +58,7 @@ def test_trivial_diagram_invertible_lift_gives_zero(trivial_mv):
     )
     out = boundary_extended_form(inp)
     assert out.s0.is_zero() and out.s1.is_zero()
-    assert out.p_double.p == out.minus.p  # the literal zero difference
+    assert out.p_double.p.first_mismatch(out.minus.p) is None  # the literal zero difference
 
 
 def test_clutching_boundary_closed_form(clutching):
@@ -245,7 +245,7 @@ def test_inverse_lifts_shape(clutching, sampler):
     inp = BoundaryInput(clutching, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv, m=1)
     out = boundary_extended_form(inp)
     assert out.s0.is_zero() and out.s1.is_zero()
-    assert out.p_double.p == out.minus.p
+    assert out.p_double.p.first_mismatch(out.minus.p) is None
 
 
 def test_first_form_matches_second_up_to_certificates(clutching):

@@ -231,15 +231,24 @@ def test_corrupted_witness_fails_with_residual(tmp_path, capsys):
 
 def test_verify_fails_every_identity_whose_product_drops_its_level(capsys, monkeypatch):
     # Every identity's built side is a product or a direct sum of products,
-    # so products reporting level 0 must fail each ledger on its own.
-    product = FilteredMatrix.__matmul__
+    # so products reporting level 0 must fail each ledger on its own.  A
+    # direct sum sits at its blocks' lower level, so a sum with a faulted
+    # block reports level 0 too: sum_product_both's built side is one.
+    product, direct_sum = FilteredMatrix.__matmul__, FilteredMatrix.direct_sum
 
     def level_zero(self, other):
         out = product(self, other)
         out._level = 0
         return out
 
+    def sum_keeps_level_zero(self, other):
+        out = direct_sum(self, other)
+        if 0 in (self._level, other._level):
+            out._level = 0
+        return out
+
     monkeypatch.setattr(FilteredMatrix, "__matmul__", level_zero)
+    monkeypatch.setattr(FilteredMatrix, "direct_sum", sum_keeps_level_zero)
     code, out, _ = run_cli(capsys, "verify", "--spec", spec_path("trivial_q.json"))
     assert code == 1 and "result: fail" in out
     # max_level 16 less each identity's multiplication count

@@ -36,6 +36,12 @@
   Every name a module of
   ``src/kcert`` imports is loaded in that module or listed in its
   ``__all__``, so a deletion cannot leave a stale import behind.
+- Liveness: the surface guard matches names, so a member that shares its
+  name with a live one passes it.  In-process CLI runs over every carrier
+  and hom kind, under ``sys.setprofile``, must enter every named src
+  function and method (dunders excepted), save an allowlist with one reason
+  per name.  Code objects are keyed by (module, first line), which every
+  Python version has.
 """
 
 import ast
@@ -43,28 +49,24 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import sys
 import textwrap
-from importlib import resources
 from pathlib import Path
 
 import pytest
 import test_acceptance as acceptance
+from carriers import clutching_diagram, spec_path
 
-from kcert import matrices, mv
+from kcert import cli, matrices, mv
 from kcert.algebras import Kernel, PolyAlgebra
 from kcert.cli import main
 from kcert.drivers import boundary_report
-from kcert.instances import clutching_diagram
 from kcert.kclasses import ExactnessReport
 from kcert.matrices import FilteredMatrix, InvertibleCert
 from kcert.scalars import Poly, QuotElem, rat
 from kcert.specdoc import SpecDocument
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def spec_path(name):
-    return str(resources.files("kcert.specs").joinpath(name))
 
 
 def perfbench_request(name, seed=0, index=0):
@@ -409,11 +411,8 @@ def test_exactness_product_count(tmp_path, probe):
 # each with its reason.
 SURFACE_ALLOWLIST = {
     "specdoc.SpecDocument.from_path":
-        "read by perfbench/run.py:88 and two rows of benchmarks/bench_scalars.py",
-    "instances.suite_algebras": "fixture for tests/ and benchmarks/bench_scalars.py",
-    "instances.trivial_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
-    "instances.clutching_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
-    "instances.cover_diagram": "fixture for tests/ and benchmarks/bench_scalars.py",
+        "read by perfbench/run.py:88, two rows of benchmarks/bench_scalars.py "
+        "and tests/carriers.py",
     "algebras.LocalizedAlgebra.trivial": "read by perfbench/selftest.py:114",
 }
 
@@ -512,6 +511,177 @@ def test_surface_allowlist_is_current():
     stale = [qual for qual in allow
              if qual not in defined or qual not in unread(defined, roots, allow - {qual})]
     assert not stale, f"allowlisted names now read by live src, or gone: {stale}"
+
+
+# A spec per carrier and hom kind, for the liveness audit.
+_LINE = {"points": ["0", "1", "2", "3"], "radius_base": "4",
+         "dist": [[str(abs(i - j)) for j in range(4)] for i in range(4)]}
+_Q = {"kind": "trivial"}
+_Q_X = {"kind": "quotient-pullback-leg"}
+_Q_X_MOD = {"kind": "quotient-pullback-leg", "modulus": ["-1", "0", "1"]}
+
+
+def _identity_legs(algebra):
+    return {"lambda1": algebra, "lambda2": algebra, "lambda_prime": algebra,
+            "j1": {"type": "identity"}, "j2": {"type": "identity"}}
+
+
+LIVENESS_SPECS = {
+    "verify-quotient": {"algebra": _Q_X_MOD, "command": {"name": "verify", "samples": 2}},
+    "verify-poly": {"algebra": _Q_X, "command": {"name": "verify", "samples": 2}},
+    "verify-kernels": {"algebra": {"kind": "propagation", **_LINE},
+                       "command": {"name": "verify", "samples": 2}},
+    "verify-functions": {"algebra": {"kind": "propagation", "diagonal": True, **_LINE},
+                         "command": {"name": "verify", "samples": 2}},
+    # Identity legs on Q, with a corrupted kernel-boundary witness.
+    "exactness-trivial": {
+        "diagram": _identity_legs(_Q),
+        "command": {"name": "exactness", "samples": 1, "corrupt_witness": True}},
+    "boundary-trivial": {
+        "diagram": _identity_legs(_Q),
+        "matrices": {"U": {"algebra": "lambda_prime", "size": 1,
+                           "entries": [["2"]], "inverse": [["1/2"]]}},
+        "command": {"name": "boundary", "u": "U"}},
+    # Identity legs on Q[x]/(x^2 - 1), so the report encodes its elements.
+    "boundary-quotient": {
+        "diagram": _identity_legs(_Q_X_MOD),
+        "matrices": {"U": {"algebra": "lambda_prime", "size": 1,
+                           "entries": [[["0", "1"]]], "inverse": [[["0", "1"]]]}},
+        "command": {"name": "boundary", "u": "U"}},
+    # Propagation matrices in a spec, at m = 1, over the cover's restriction legs.
+    "boundary-cover": {
+        "diagram": json.loads(Path(spec_path("propagation_cover.json")).read_text())["diagram"],
+        "matrices": {"U": {"algebra": "lambda_prime", "size": 2,
+                           "entries": [[[["2", "2", "2"]], []], [[], [["2", "2", "1"]]]],
+                           "inverse": [[[["2", "2", "1/2"]], []], [[], [["2", "2", "1"]]]]}},
+        "command": {"name": "boundary", "u": "U", "m": 1}},
+    # A scalar-inclusion leg: j2 maps Q into Q[x]/(x^2 - 1).
+    "boundary-inclusion": {
+        "diagram": {"lambda1": _Q_X, "lambda2": _Q, "lambda_prime": _Q_X_MOD,
+                    "j1": {"type": "quotient"}, "j2": {"type": "scalar-inclusion"}},
+        "matrices": {"U": {"algebra": "lambda_prime", "size": 1,
+                           "entries": [[["0", "1"]]], "inverse": [[["0", "1"]]]}},
+        "command": {"name": "boundary", "u": "U"}},
+}
+
+
+def liveness_argvs(tmp_path):
+    """CLI runs over every carrier and hom kind, in both report formats."""
+    argvs = [["verify", "--spec", spec_path("trivial_q.json"), "--samples", "2"],
+             ["boundary", "--spec", spec_path("quotient_clutching.json")],
+             ["exactness", "--spec", spec_path("quotient_clutching.json"), "--samples", "1"],
+             ["exactness", "--spec", spec_path("propagation_cover.json"), "--samples", "1"]]
+    for name, doc in LIVENESS_SPECS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argvs.append([doc["command"]["name"], "--spec", str(path)])
+    return [argv + ["--format", fmt, "--report", str(tmp_path / "report")]
+            for argv in argvs for fmt in ("text", "json")]
+
+
+def src_functions(sources):
+    """For {module: source text}: {(module, first line): "module.Qual.name"}
+    for every named function and method, nested ones included, dunders
+    excepted.  The first line is the code object's co_firstlineno, the
+    first decorator's line for a decorated definition."""
+    found = {}
+
+    def visit(stem, prefix, body):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(stem, f"{prefix}{node.name}.", node.body)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not _dunder(node.name):
+                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                    found[(stem, first)] = f"{stem}.{prefix}{node.name}"
+                visit(stem, f"{prefix}{node.name}.", node.body)
+            else:
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    visit(stem, prefix, getattr(node, field, ()))
+
+    for stem, text in sources.items():
+        visit(stem, "", ast.parse(text).body)
+    return found
+
+
+def entered_functions(argvs):
+    """{(module, co_firstlineno)} of every src code object that the in-process
+    CLI runs of ``argvs`` enter, with the exit code of each run."""
+    src = Path(matrices.__file__).resolve().parent
+    seen, codes = set(), []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            seen.add((code.co_filename, code.co_firstlineno))
+
+    # The parser is built once per process; build it under the hook.
+    cli._parser.cache_clear()
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        for argv in argvs:
+            codes.append(main(argv))
+    finally:
+        sys.setprofile(previous)
+    stems = {name: Path(name).resolve() for name, _ in seen}
+    return {(stems[name].stem, line) for name, line in seen
+            if stems[name].parent == src}, codes
+
+
+# Named src functions and methods that no liveness run enters, with reasons.
+LIVENESS_ALLOWLIST = {
+    **SURFACE_ALLOWLIST,
+    "algebras.QuotientHom.apply_payload":
+        "the per-entry reference the tests compare QuotientHom._apply_matrix against",
+    "identities._on_invertibles": "called only while identities.py builds IDENTITY_DRIVERS",
+    "mv.MVDiagram._components":
+        "read by __hash__ and by __eq__ of two distinct diagrams; a command builds one",
+}
+
+
+def test_every_src_function_is_entered_by_a_command(tmp_path, capsys):
+    functions = src_functions(src_sources())
+    entered, codes = entered_functions(liveness_argvs(tmp_path))
+    capsys.readouterr()
+    assert codes.count(0) == len(codes) - 2 and codes.count(1) == 2, codes
+    never = {functions[key] for key in functions.keys() - entered}
+    dead = sorted(never - set(LIVENESS_ALLOWLIST))
+    assert not dead, f"src functions no command enters (move to tests or delete): {dead}"
+    stale = sorted(set(LIVENESS_ALLOWLIST) - never)
+    assert not stale, f"allowlisted functions now entered, or gone: {stale}"
+
+
+def test_liveness_audit_keys_code_objects_by_first_line():
+    # A decorated method's code starts at its decorator; a nested function
+    # has its own code object; a lambda and a dunder are not listed.
+    text = textwrap.dedent("""
+        class C:
+            @property
+            def size(self):
+                return 2
+
+            def __len__(self):
+                return 2
+
+        def outer():
+            def inner():
+                return 1
+            return inner() + (lambda: 1)()
+    """)
+    assert src_functions({"a": text}) == {
+        ("a", 3): "a.C.size", ("a", 10): "a.outer", ("a", 11): "a.outer.inner",
+    }
+    # The keys are the compiled functions' own first lines; a class body is
+    # a code object too, without fresh locals.
+    codes, lines = [compile(text, "a", "exec")], set()
+    while codes:
+        code = codes.pop()
+        codes += [c for c in code.co_consts if inspect.iscode(c)]
+        if (code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<")
+                and not _dunder(code.co_name)):
+            lines.add((code.co_name, code.co_firstlineno))
+    assert lines == {("size", 3), ("outer", 10), ("inner", 11)}
 
 
 def test_surface_guard_follows_live_reads_only():

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from carriers import line_space, suite_algebras
 
 from kcert.algebras import PropagationAlgebra
 from kcert.identities import (
@@ -18,7 +19,6 @@ from kcert.identities import (
     whitehead_decompose,
     whitehead_product,
 )
-from kcert.instances import line_space, quotient_algebra, suite_algebras, trivial_algebra
 from kcert.matrices import FilteredMatrix, InvertibleCert, elementary
 from kcert.scalars import Poly, QuotElem, rat
 
