@@ -25,9 +25,10 @@ them, so a matrix's integer form is computed once per row.  Last come the
 certificate layer and the two ends of a request: the bundled clutching
 spec's boundary report built from its parsed matrices (construction and both
 lift-independence checks), its JSON text as ``kcert boundary --format json``
-writes it, and one "p/q" spec rational parsed.  After them, two rows of the
-certificate layer: verify() of that spec's L (2 x 2 over Q[x]), one
-product since an inverse certificate checks m m^-1 = 1 only, and the
+writes it, and one "p/q" spec rational parsed.  After them, four rows of
+the certificate layer: verify() of that spec's L (2 x 2 over Q[x]), one
+product since an inverse certificate checks m m^-1 = 1 only, each of that
+spec's two lift-independence checks alone on its built boundary, and the
 exactness report of the clutching diagram with one sample per segment.
 
 The host's speed drifts (up to 3x for seconds at a time on a shared 2-vCPU
@@ -54,7 +55,13 @@ from kcert.algebras import (
     TrivialAlgebra,
 )
 from kcert.cli import _json_text
-from kcert.boundary import boundary_l
+from kcert.boundary import (
+    BoundaryInput,
+    boundary_extended_form,
+    boundary_l,
+    verify_lift_independence_a,
+    verify_lift_independence_b,
+)
 from kcert.drivers import boundary_report, exactness_report
 from kcert.identities import Sampler, run_identity_suite
 from kcert.matrices import (
@@ -250,13 +257,20 @@ def request_end_rows():
 
 def certificate_rows():
     doc = SpecDocument.from_path(resources.files("kcert.specs") / "quotient_clutching.json")
-    _, _, l = boundary_l(doc.diagram, doc.matrix("A"), doc.matrix("B"))
+    a, b, k, h = doc.matrix("A"), doc.matrix("B"), doc.matrix("K"), doc.matrix("H")
+    _, _, l = boundary_l(doc.diagram, a, b)
+    inp = BoundaryInput(doc.diagram, doc.matrix("U", want_cert=True), lift_a=a, lift_b=b)
+    base = boundary_extended_form(inp)
 
     def exactness():
         assert exactness_report(doc.diagram, 1, 1)["result"] == "pass"
 
     return [
         ("InvertibleCert.verify, L over Q[x], n = 2", per_call_us(l.verify, 2000)),
+        ("lift independence in A, bundled clutching spec",
+         per_call_us(lambda: verify_lift_independence_a(inp, k, base), 1000)),
+        ("lift independence in B, bundled clutching spec",
+         per_call_us(lambda: verify_lift_independence_b(inp, h, base), 1000)),
         ("exactness_report, clutching diagram, 1 sample", per_call_us(exactness, 20)),
     ]
 

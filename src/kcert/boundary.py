@@ -17,17 +17,21 @@ boundary.
 
 The construction comes in three stages, and each caller builds only the
 stage it reads: boundary_defects (S0, S1), boundary_l (adds the verified
-L) and boundary_extended_form (adds P and the doubles).  Each certificate
-equation is computed once: L's certificate checks L L^-1 = 1 only (see
-InvertibleCert.verify), e1 and e act as column selections, L^-1 reuses
-L's corner (1+S0)B, the lift deltas take BA and AB as 1 - S0 and 1 - S1
-and H(AB) once, and P is never verified on construction because L's
-certificate implies P^2 = P (see boundary_extended_form).
-Each lift-independence check builds only L~ and compares one claim:
-L~ = conj L (A) or L~ L^{-1} = the delta blocks (B).  The conjugator is
-then L~ L^{-1} for verified L and L~, so it is invertible with inverse
-L L~^{-1} and carries P to P~ = L~ e1 L~^{-1}; the second leg is the same
-e2 block on both sides.  None of that is recomputed, and P~ is not built.
+L) and boundary_extended_form (adds P and the doubles).  Every L is built
+by one recipe, verified_l, from A, S0, S1 and the corner C = (1+S0)B.
+Each certificate equation is computed once: L's certificate checks
+L L^-1 = 1 only (see InvertibleCert.verify), e1 and e act as column
+selections, L^-1 reuses L's corner, and P is never verified on
+construction because L's certificate implies P^2 = P (see
+boundary_extended_form).
+Each lift-independence check compares one claim, L~ = conj L (A) or
+L~ L^{-1} = the delta blocks (B), and builds L~ from the products that
+claim already makes, with C read off L^{-1}: S0 - BK, S1 - KB, C - BKB
+for A -> A + K, and S0 - HA, S1 - AH, C + 2H - H(AB) - sH with
+s = HA + BA for B -> B + H.  The conjugator is then L~ L^{-1} for verified
+L and L~, so it is invertible with inverse L L~^{-1} and carries P to
+P~ = L~ e1 L~^{-1}; the second leg is the same e2 block on both sides.
+None of that is recomputed, and P~ is not built.
 """
 
 from collections import namedtuple
@@ -94,28 +98,40 @@ class BoundaryInput:
         self.lift_b = lift_b
 
 
-def boundary_defects(diagram, a, b):
-    """(S0, S1) = (1 - BA, 1 - AB) for lifts A, B, each checked to die in
-    the overlap ring."""
-    size = a.n
-    ident = FilteredMatrix.identity(diagram.lambda1, size)
-    s0 = ident - b @ a
-    s1 = ident - a @ b
+def _check_defects_die(diagram, s0, s1):
+    """Raise naming the first entry of S0, then S1, whose image in the
+    overlap ring is not zero."""
     for tag, s in (("S0", s0), ("S1", s1)):
         img = apply_hom_matrix(diagram.j1, s)
         if not img.is_zero():
-            bad = img.first_mismatch(FilteredMatrix.zeros(diagram.lambda_prime, size))
+            bad = img.first_mismatch(FilteredMatrix.zeros(diagram.lambda_prime, s.n))
             raise CertificateFailure(f"{tag} does not die in the overlap ring", *bad)
+
+
+def boundary_defects(diagram, a, b):
+    """(S0, S1) = (1 - BA, 1 - AB) for lifts A, B, each checked to die in
+    the overlap ring."""
+    ident = FilteredMatrix.identity(diagram.lambda1, a.n)
+    s0, s1 = ident - b @ a, ident - a @ b
+    _check_defects_die(diagram, s0, s1)
     return s0, s1
 
 
+def verified_l(diagram, a, s0, s1, corner):
+    """L = [[S0, -C], [A, S1]] verified against its inverse
+    [[S0, C], [-A, S1]], once S0 and S1 are checked to die in the overlap
+    ring; the caller passes S0 = 1 - BA, S1 = 1 - AB and C = (1+S0)B for
+    its lifts A, B.  The one recipe for L: boundary_l and both lift checks
+    build their L through it."""
+    _check_defects_die(diagram, s0, s1)
+    return InvertibleCert(block2(s0, -corner, a, s1), block2(s0, corner, -a, s1)).verify()
+
+
 def boundary_l(diagram, a, b):
-    """(S0, S1, L) with L = [[S0, -(1+S0)B], [A, S1]] verified against its
-    inverse [[S0, (1+S0)B], [-A, S1]], which shares L's corner (1+S0)B."""
-    s0, s1 = boundary_defects(diagram, a, b)
-    corner = s0.plus_scalar(1) @ b
-    l = InvertibleCert(block2(s0, -corner, a, s1), block2(s0, corner, -a, s1)).verify()
-    return s0, s1, l
+    """(S0, S1, L) for lifts A, B, with L from verified_l."""
+    ident = FilteredMatrix.identity(diagram.lambda1, a.n)
+    s0, s1 = ident - b @ a, ident - a @ b
+    return s0, s1, verified_l(diagram, a, s0, s1, s0.plus_scalar(1) @ b)
 
 
 def _keep_columns(mat, lo, hi):
@@ -169,78 +185,68 @@ def boundary_first_form(diagram, u):
     return glued, minus
 
 
-def independence_conjugator_a(inp, k):
-    """The explicit conjugator for replacing the lift A by A + K with K dying
-    in the overlap ring: [[1 - BK, -BKB], [K, 1 + KB]]."""
-    b = inp.lift_b
-    bk = b @ k
-    kb = k @ b
-    return block2(
-        (-bk).plus_scalar(1),
-        -(bk @ b),
-        k,
-        kb.plus_scalar(1),
-    )
+def _corner(base):
+    """C = (1+S0)B of a built boundary: the top-right block of L^-1, read
+    with no product."""
+    n = base.s0.n
+    return base.l.m_inv.sub_block(0, n, n, 2 * n)
 
 
 def verify_lift_independence_a(inp, k, base):
-    """Rebuild L with A + K and verify the explicit conjugator maps L to L~
-    exactly; returns (conj, L~).  ``base`` is the boundary already built
-    from ``inp``."""
+    """Verify that the explicit conjugator [[1 - BK, -BKB], [K, 1 + KB]]
+    maps L to L~, the L of A + K, for K dying in the overlap ring; returns
+    (conj, L~).  ``base`` is the boundary already built from ``inp``."""
     diagram = inp.diagram
     img = apply_hom_matrix(diagram.j1, k)
     if not img.is_zero():
         raise CertificateFailure("perturbation K must die in the overlap ring")
     # A + K lifts U with no BoundaryInput of its own: ``+`` checks that K is
     # over the first leg at U's size, and j1(A + K) = U + 0; B is inp's.
-    _, _, l_tilde = boundary_l(diagram, inp.lift_a + k, inp.lift_b)
-    conj = independence_conjugator_a(inp, k)
+    a_tilde = inp.lift_a + k
+    b = inp.lift_b
+    bk, kb = b @ k, k @ b
+    bkb = bk @ b
+    # L~ from the conjugator's own products: 1 - B(A + K) = S0 - BK,
+    # 1 - (A + K)B = S1 - KB and (1 + S0 - BK)B = C - BKB.
+    l_tilde = verified_l(diagram, a_tilde, base.s0 - bk, base.s1 - kb, _corner(base) - bkb)
+    conj = block2((-bk).plus_scalar(1), -bkb, k, kb.plus_scalar(1))
     expect_equal(l_tilde.m, conj @ base.l.m, "lift independence in A: L~ = conj . L fails")
-    # Nothing more to check: boundary_l verified L and L~ with their
-    # inverses, so conj = L~ L^-1 is invertible with inverse L L~^-1, and
+    # Nothing more to check: L and L~ are verified with their inverses, so
+    # conj = L~ L^-1 is invertible with inverse L L~^-1, and
     # conj P conj^-1 = L~ e1 L~^-1 = P~, which is therefore not built.  Both
     # second legs are the e2 block boundary_extended_form builds from the
     # same sizes.
     return conj, l_tilde
 
 
-def independence_deltas(inp, base, h):
-    """The four displayed blocks of L~~ L^{-1} for B -> B + H, where ``base``
-    is the boundary built from ``inp``, the unperturbed lifts; BA and AB are
-    read off its defects as 1 - S0 and 1 - S1."""
-    a = inp.lift_a
-    ha = h @ a
-    ah = a @ h
-    ab = (-base.s1).plus_scalar(1)
-    ba = (-base.s0).plus_scalar(1)
-    hab = h @ ab
-    d11 = ha - ha @ ha - ba @ ha
-    d12 = (
-        -(h + h)
-        + hab
-        + ha @ h
-        + ba @ h
-        - ba @ hab
-        - ha @ hab
-    )
-    d21 = a @ ha
-    d22 = -ah + ah @ ab
-    return d11, d12, d21, d22
-
-
 def verify_lift_independence_b(inp, h, base):
-    """Rebuild L with B + H and verify L~~ L^{-1} matches the displayed
-    delta blocks; returns (L~~ L^{-1}, L~~).  ``base`` is the boundary
-    already built from ``inp``."""
+    """Verify that L~ L^-1 is the displayed delta blocks, where L~ is the L
+    of B + H for H dying in the overlap ring; returns (L~ L^-1, L~).
+    ``base`` is the boundary already built from ``inp``; BA and AB are read
+    off its defects as 1 - S0 and 1 - S1."""
     diagram = inp.diagram
     img = apply_hom_matrix(diagram.j1, h)
     if not img.is_zero():
         raise CertificateFailure("perturbation H must die in the overlap ring")
-    # B + H lifts U^-1 as A + K lifts U in the A check.
-    _, _, l_tilde = boundary_l(diagram, inp.lift_a, inp.lift_b + h)
-    d11, d12, d21, d22 = independence_deltas(inp, base, h)
+    a = inp.lift_a
+    # A H first: it rejects an H over another algebra or size as B + H would.
+    ah = a @ h
+    ha = h @ a
+    ab = (-base.s1).plus_scalar(1)
+    hab = h @ ab
+    # s = HA + BA = (B + H)A, so S0~ = 1 - s = S0 - HA, S1~ = S1 - AH and
+    # C~ = (2 - s)(B + H) = C + 2H - H(AB) - sH, as (2 - BA)B = C.
+    s = ha + (-base.s0).plus_scalar(1)
+    sh = s @ h
+    two_h = h + h
+    l_tilde = verified_l(diagram, a, base.s0 - ha, base.s1 - ah, _corner(base) + two_h - hab - sh)
+    # The delta blocks through s: HA - HA HA - BA HA = HA - s HA, and the
+    # four products of d12 pair up into sH - s H(AB).
     expect = block2(
-        d11.plus_scalar(1), d12, d21, d22.plus_scalar(1)
+        (ha - s @ ha).plus_scalar(1),
+        hab + sh - s @ hab - two_h,
+        a @ ha,
+        (ah @ ab - ah).plus_scalar(1),
     )
     observed = l_tilde.m @ base.l.m_inv
     expect_equal(observed, expect, "delta block formula fails")

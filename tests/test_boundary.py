@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,13 +7,13 @@ from test_acceptance import check_lift_conjugator, perturbed_boundary
 from test_guards import perfbench_request
 
 from kcert import boundary, drivers
+from kcert.algebras import Kernel
 from kcert.boundary import (
     BoundaryInput,
     boundary_extended_form,
     boundary_first_form,
     default_lifts,
     e_block,
-    independence_deltas,
     verify_lift_independence_a,
     verify_lift_independence_b,
 )
@@ -22,10 +23,12 @@ from kcert.matrices import (
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
+    apply_hom_invertible,
     apply_hom_matrix,
     block2,
     elementary,
     expect_equal,
+    section_matrix,
     split2,
 )
 from kcert.mv import (
@@ -287,16 +290,29 @@ def test_lift_independence_a_names_the_failing_check(clutching, monkeypatch):
     inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
     base = boundary_extended_form(inp)
     k = FilteredMatrix(clutching.lambda1, ((Poly([-1, 0, 1]),),))
-    monkeypatch.setattr(
-        boundary, "independence_conjugator_a",
-        lambda inp, k: FilteredMatrix.identity(clutching.lambda1, 2),
-    )
+    compare = boundary.expect_equal
+
+    def conj_taken_as_identity(lhs, rhs, what):
+        # The check's one claim, L~ = conj L, faulted to L~ = L.
+        return compare(lhs, base.l.m, what)
+
+    monkeypatch.setattr(boundary, "expect_equal", conj_taken_as_identity)
     with pytest.raises(CertificateFailure) as err:
         verify_lift_independence_a(inp, k, base)
     assert str(err.value) == "lift independence in A: L~ = conj . L fails at (0, 0)"
     assert err.value.position == (0, 0)
     # the corner S0 = 1 - BA moves by -BK = -x (x^2 - 1)
     assert err.value.residual == Poly([0, 1, 0, -1])
+
+
+def displayed_deltas(a, b, h):
+    """The four blocks of L~ L^-1 - 1 for B -> B + H as displayed, one
+    product per term, from the lifts alone."""
+    ha, ah, ab, ba = h @ a, a @ h, a @ b, b @ a
+    hab = h @ ab
+    d11 = ha - ha @ ha - ba @ ha
+    d12 = -(h + h) + hab + ha @ h + ba @ h - ba @ hab - ha @ hab
+    return d11, d12, a @ ha, -ah + ah @ ab
 
 
 def test_lift_independence_b(clutching):
@@ -308,7 +324,7 @@ def test_lift_independence_b(clutching):
     conj, l_tilde = verify_lift_independence_b(inp, h, base)
     check_lift_conjugator(base, conj, l_tilde, perturbed_boundary(inp, h=h))
     # the four displayed blocks match the independent recomputation
-    d11, d12, d21, d22 = independence_deltas(inp, base, h)
+    d11, d12, d21, d22 = displayed_deltas(x, x, h)
     expect = block2(d11.plus_scalar(1), d12, d21, d22.plus_scalar(1))
     assert conj == expect
 
@@ -326,8 +342,85 @@ def test_deltas_match_symbolic_expansion(clutching, sampler):
             BoundaryInput(clutching, u, lift_a=x, lift_b=x + h)
         )
         observed = shifted.l.m @ base.l.m_inv
-        d11, d12, d21, d22 = independence_deltas(inp, base, h)
+        d11, d12, d21, d22 = displayed_deltas(x, x, h)
         assert observed == block2(d11.plus_scalar(1), d12, d21, d22.plus_scalar(1))
+
+
+# An element of the first leg that dies in the overlap ring, per bundled
+# diagram: x^2 - 1, and the unit kernel off the cover's overlap point 2.
+_DYING = {
+    "clutching": Poly([-1, 0, 1]),
+    "cover": Kernel({(0, 0): rat(1), (1, 1): rat(1)}),
+}
+
+
+def _dying(diagram, name, sampler, size):
+    """A random first-leg matrix times the dying element, so it dies too."""
+    z = diagram.lambda1.zero()
+    d = FilteredMatrix(diagram.lambda1, [[_DYING[name] if i == j else z for j in range(size)]
+                                         for i in range(size)])
+    return sampler.matrix(diagram.lambda1, size) @ d
+
+
+# Each lift check builds L~ from its claim's products, by identities that
+# hold only in the right order of factors (S0~ = S0 - BK, not S0 - KB).  The
+# bundled spec is 1 x 1 over a commutative ring, where a swapped pair of
+# factors goes unseen, so here the lifts are n x n, off their sections by
+# dying matrices (S0, S1 != 0), on both bundled diagrams.
+@pytest.mark.parametrize("name", ["clutching", "cover"])
+@pytest.mark.parametrize("size", [2, 3])
+def test_lift_checks_build_the_shifted_l_noncommutatively(name, size, sampler, request):
+    diagram = request.getfixturevalue(name)
+    for _ in range(3):
+        u = apply_hom_invertible(diagram.j1, sampler.invertible(diagram.lambda1, size))
+        a, b = default_lifts(diagram, u)
+        inp = BoundaryInput(diagram, u, lift_a=a + _dying(diagram, name, sampler, size),
+                            lift_b=b + _dying(diagram, name, sampler, size))
+        base = boundary_extended_form(inp)
+        assert not base.s0.is_zero() and not base.s1.is_zero()
+        k, h = _dying(diagram, name, sampler, size), _dying(diagram, name, sampler, size)
+        assert inp.lift_b @ k != k @ inp.lift_b and h @ inp.lift_a != inp.lift_a @ h
+        for check, lift, shift in ((verify_lift_independence_a, "k", k),
+                                   (verify_lift_independence_b, "h", h)):
+            conj, l_tilde = check(inp, shift, base)
+            # check_lift_conjugator also holds L~ to boundary_l on the
+            # shifted lifts, through the perturbed boundary.
+            check_lift_conjugator(base, conj, l_tilde, perturbed_boundary(inp, **{lift: shift}))
+
+
+# A 2 x 2 boundary with both lifts perturbed, on the clutching diagram at
+# m = 1: U = diag(2, x), section lifts (so S0 = S1 = diag(0, 1 - x^2)), and
+# the K and H of tests/test_guards.py::test_extended_boundary_product_count.
+# The bundled spec is 1 x 1, so this pin is the one on the bytes of a
+# report whose lift checks multiply matrices that do not commute.
+_KILL = ["-1", "0", "1"]
+PERTURBED_2X2_MATRICES = {
+    "U": {"algebra": "lambda_prime", "size": 2,
+          "entries": [[["2"], ["0"]], [["0"], ["0", "1"]]],
+          "inverse": [[["1/2"], ["0"]], [["0"], ["0", "1"]]]},
+    "K": {"algebra": "lambda1", "size": 2,
+          "entries": [[_KILL, ["0"]], [["-2", "0", "2"], _KILL]]},
+    "H": {"algebra": "lambda1", "size": 2,
+          "entries": [[["0"], _KILL], [_KILL, ["0", "-1", "0", "1"]]]},
+}
+PERTURBED_2X2_JSON_SHA256 = "166c27d3ee1f33b8d9686018cabed079335637fb78726b4c4ac2d8f67ab9b008"
+
+
+def test_perturbed_2x2_boundary_report_bytes(tmp_path):
+    with open(spec_path("quotient_clutching.json"), encoding="utf-8") as fh:
+        diagram = json.load(fh)["diagram"]
+    spec = {
+        "diagram": diagram,
+        "matrices": PERTURBED_2X2_MATRICES,
+        "command": {"name": "boundary", "u": "U", "m": 1, "perturb_a": "K", "perturb_b": "H"},
+    }
+    path, report = tmp_path / "spec.json", tmp_path / "report.json"
+    path.write_text(json.dumps(spec))
+    assert main(["boundary", "--spec", str(path), "--format", "json",
+                 "--report", str(report)]) == 0
+    data = report.read_bytes()
+    assert [check["ok"] for check in json.loads(data)["checks"]] == [True] * 5
+    assert hashlib.sha256(data).hexdigest() == PERTURBED_2X2_JSON_SHA256
 
 
 # Each lift check compares one claim and leaves the rest to its proof (see

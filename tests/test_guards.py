@@ -338,15 +338,22 @@ def test_acceptance_criterion_under_forced_checks(name, monkeypatch, request):
 # Products of one `boundary` run of the bundled clutching spec, parse
 # included: one for the spec's claimed inverse of U, then the construction,
 # its report checks and both lift-independence checks.  Each lift check
-# builds only L~, compares one claim (L~ = conj L, or the delta blocks,
-# which take H(AB) once) and spends no product on what that claim and the
-# verified L, L~ imply: the conjugator's inverse, P~ = conj P conj^-1, the
-# fixed e2 leg.  49 before each equation was computed once: -1 for U's
-# reverse product at parse and -3 for the reverse products of L and both
-# L~ (an inverse certificate checks m m^-1 = 1 only), -12 for the closed
-# form of P compared in each of those three builds, -2 for the two P~
-# that nothing read.
-BOUNDARY_PRODUCTS = 31
+# compares one claim (L~ = conj L, or the delta blocks, which take H(AB)
+# once) and spends no product on what that claim and the verified L, L~
+# imply: the conjugator's inverse, P~ = conj P conj^-1, the fixed e2 leg.
+# It builds L~ from its claim's own products, reading C = (1+S0)B off
+# L^-1: S0~, S1~ and C~ are S0 - BK, S1 - KB and C - BKB in the A check,
+# and S0 - HA, S1 - AH and C + 2H - H(AB) - sH with s = HA + BA in the B
+# check.  49 before each equation was computed once: -1 for U's reverse
+# product at parse and -3 for the reverse products of L and both L~ (an
+# inverse certificate checks m m^-1 = 1 only), -12 for the closed form of
+# P compared in each of those three builds, -2 for the two P~ that nothing
+# read.  31 while each lift check rebuilt L~ from the shifted lifts:
+# -3 for the A check's BA~, AB~ and (1+S0~)B, -3 for the B check's, its
+# corner's one product sH being d12's, and -3 for the delta blocks
+# factored through s (HA HA + BA HA is s HA, and HA H + BA H and
+# BA H(AB) + HA H(AB) are sH and s H(AB)).
+BOUNDARY_PRODUCTS = 22
 
 
 def test_boundary_product_count(tmp_path, probe):
@@ -357,10 +364,11 @@ def test_boundary_product_count(tmp_path, probe):
 # Products of one boundary_report at m = 1 on the clutching diagram, with
 # U = diag(2, x) and both lifts perturbed.  Only the base input checks that
 # U commutes with diag(0, 1) (2 products); each lift check builds L~ from
-# the shifted lifts directly, with no BoundaryInput to rerun that check or
+# its claim's own products, with no BoundaryInput to rerun that check or
 # the lift images, which the perturbation's own check implies.  36 while
-# each shifted input was a checked BoundaryInput.
-BOUNDARY_M1_PRODUCTS = 32
+# each shifted input was a checked BoundaryInput; 32 while each lift check
+# rebuilt L~ from the shifted lifts, -3/-3/-3 as for BOUNDARY_PRODUCTS.
+BOUNDARY_M1_PRODUCTS = 23
 
 
 def test_extended_boundary_product_count(probe):
