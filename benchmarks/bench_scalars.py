@@ -56,9 +56,9 @@ from kcert.algebras import (
 )
 from kcert.cli import _json_text
 from kcert.boundary import (
-    BoundaryInput,
     boundary_extended_form,
     boundary_l,
+    checked_lifts,
     verify_lift_independence_a,
     verify_lift_independence_b,
 )
@@ -257,10 +257,10 @@ def request_end_rows():
 
 def certificate_rows():
     doc = SpecDocument.from_path(resources.files("kcert.specs") / "quotient_clutching.json")
-    a, b, k, h = doc.matrix("A"), doc.matrix("B"), doc.matrix("K"), doc.matrix("H")
-    _, _, l = boundary_l(doc.diagram, a, b)
-    inp = BoundaryInput(doc.diagram, doc.matrix("U", want_cert=True), lift_a=a, lift_b=b)
-    base = boundary_extended_form(inp)
+    diagram, k, h = doc.diagram, doc.matrix("K"), doc.matrix("H")
+    a, b = checked_lifts(diagram, doc.matrix("U", want_cert=True), doc.matrix("A"), doc.matrix("B"))
+    _, _, l = boundary_l(diagram, a, b)
+    base = boundary_extended_form(diagram, a, b)
 
     def exactness():
         assert exactness_report(doc.diagram, 1, 1)["result"] == "pass"
@@ -268,9 +268,9 @@ def certificate_rows():
     return [
         ("InvertibleCert.verify, L over Q[x], n = 2", per_call_us(l.verify, 2000)),
         ("lift independence in A, bundled clutching spec",
-         per_call_us(lambda: verify_lift_independence_a(inp, k, base), 1000)),
+         per_call_us(lambda: verify_lift_independence_a(diagram, a, b, k, base), 1000)),
         ("lift independence in B, bundled clutching spec",
-         per_call_us(lambda: verify_lift_independence_b(inp, h, base), 1000)),
+         per_call_us(lambda: verify_lift_independence_b(diagram, a, h, base), 1000)),
         ("exactness_report, clutching diagram, 1 sample", per_call_us(exactness, 20)),
     ]
 

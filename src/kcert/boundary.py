@@ -15,6 +15,12 @@ recompute.  Pairing P with the scalar block e2 over the second leg gives
 the double idempotent whose class, minus the trivial class, is the
 boundary.
 
+Every stage takes the lifts, never U.  Only checked_lifts compares a
+lift's image with U, and every caller handed U and its lifts apart calls
+it.  A recipe that derives U from its own lifts (U = j1(A)) has nothing
+to compare and skips it: the construction needs only that S0 and S1 die,
+which it checks itself, and at m > 0 that j1(A) commutes with e (see
+boundary_extended_form).
 The construction comes in three stages, and each caller builds only the
 stage it reads: boundary_defects (S0, S1), boundary_l (adds the verified
 L) and boundary_extended_form (adds P and the doubles).  Every L is built
@@ -58,44 +64,29 @@ def e_block(algebra, m, n):
     return FilteredMatrix.diag_bits(algebra, (0,) * m + (1,) * n)
 
 
-def default_lifts(diagram, u):
-    """Section lifts of U and U^{-1} through the first leg."""
-    if not diagram.j1.surjective:
-        raise ValueError("the boundary lifts through j1, which must be surjective")
-    return section_matrix(diagram.j1, u.m), section_matrix(diagram.j1, u.m_inv)
-
-
-class BoundaryInput:
-    """A transition invertible over the overlap ring together with lifts of
-    it and its inverse through the first leg, and the split m + n of the
-    size for the extended (stabilized) form."""
-
-    __slots__ = ("diagram", "u", "m", "n", "lift_a", "lift_b")
-
-    def __init__(self, diagram, u, lift_a=None, lift_b=None, m=0):
-        if u.algebra != diagram.lambda_prime:
-            raise MatrixError("U must live over the overlap ring")
-        if lift_a is None or lift_b is None:
-            a, b = default_lifts(diagram, u)
-            lift_a = lift_a if lift_a is not None else a
-            lift_b = lift_b if lift_b is not None else b
-        if lift_a.algebra != diagram.lambda1 or lift_b.algebra != diagram.lambda1:
-            raise MatrixError("lifts must live over the first leg")
-        if lift_a.n != u.n or lift_b.n != u.n:
-            raise MatrixError("lift sizes must match U")
-        if not (0 <= m <= u.n):
-            raise MatrixError("block split must satisfy 0 <= m <= size")
-        expect_equal(apply_hom_matrix(diagram.j1, lift_a), u.m, "lift A has the wrong image")
-        expect_equal(apply_hom_matrix(diagram.j1, lift_b), u.m_inv, "lift B has the wrong image")
-        if m > 0:
-            e = e_block(diagram.lambda_prime, m, u.n - m)
-            expect_equal(u.m @ e, e @ u.m, "U must commute with the stabilization block, fails")
-        self.diagram = diagram
-        self.u = u
-        self.m = m
-        self.n = u.n - m
-        self.lift_a = lift_a
-        self.lift_b = lift_b
+def checked_lifts(diagram, u, lift_a=None, lift_b=None, m=0):
+    """Lifts (A, B) of U and U^{-1} through the first leg, the section lift
+    for each not given, checked to map onto U and U^{-1}; m must split U's
+    size, and at m > 0 U must commute with e = diag(0_m, 1_n)."""
+    if u.algebra != diagram.lambda_prime:
+        raise MatrixError("U must live over the overlap ring")
+    if lift_a is None or lift_b is None:
+        if not diagram.j1.surjective:
+            raise ValueError("the boundary lifts through j1, which must be surjective")
+        lift_a = section_matrix(diagram.j1, u.m) if lift_a is None else lift_a
+        lift_b = section_matrix(diagram.j1, u.m_inv) if lift_b is None else lift_b
+    if lift_a.algebra != diagram.lambda1 or lift_b.algebra != diagram.lambda1:
+        raise MatrixError("lifts must live over the first leg")
+    if lift_a.n != u.n or lift_b.n != u.n:
+        raise MatrixError("lift sizes must match U")
+    if not (0 <= m <= u.n):
+        raise MatrixError("block split must satisfy 0 <= m <= size")
+    expect_equal(apply_hom_matrix(diagram.j1, lift_a), u.m, "lift A has the wrong image")
+    expect_equal(apply_hom_matrix(diagram.j1, lift_b), u.m_inv, "lift B has the wrong image")
+    if m > 0:
+        e = e_block(diagram.lambda_prime, m, u.n - m)
+        expect_equal(u.m @ e, e @ u.m, "U must commute with the stabilization block, fails")
+    return lift_a, lift_b
 
 
 def _check_defects_die(diagram, s0, s1):
@@ -131,7 +122,7 @@ def boundary_l(diagram, a, b):
     """(S0, S1, L) for lifts A, B, with L from verified_l."""
     ident = FilteredMatrix.identity(diagram.lambda1, a.n)
     s0, s1 = ident - b @ a, ident - a @ b
-    return s0, s1, verified_l(diagram, a, s0, s1, s0.plus_scalar(1) @ b)
+    return s0, s1, verified_l(diagram, a, s0, s1, s0.plus_one() @ b)
 
 
 def _keep_columns(mat, lo, hi):
@@ -142,32 +133,37 @@ def _keep_columns(mat, lo, hi):
     return FilteredMatrix._raw(mat.algebra, tuple([left + row[lo:hi] + right for row in mat.rows]))
 
 
-def boundary_extended_form(inp):
-    """P = L e1 L^{-1} for any m >= 0, paired with the constant e2 block
-    over the second leg.  Requires U to commute with e = diag(0_m, 1_n)."""
-    diagram = inp.diagram
-    size = inp.u.n
-    s0, s1, l = boundary_l(diagram, inp.lift_a, inp.lift_b)
+def boundary_extended_form(diagram, a, b, m=0):
+    """P = L e1 L^{-1} for lifts A, B and any split m >= 0 of their size,
+    paired with the constant e2 block over the second leg.  Requires j1(A)
+    to commute with e = diag(0_m, 1_n)."""
+    size = a.n
+    n = size - m
+    s0, s1, l = boundary_l(diagram, a, b)
     # L e1 with e1 = diag(0_m, 1_n, 0_size) keeps columns m..size-1 of L.
     # No closed form is compared: L e1 = [[S0 e, 0], [A e, 0]] and
     # L^-1 = [[S0, C], [-A, S1]] with C = (1+S0)B, so this one product is
     # [[S0 e S0, S0 e C], [A e S0, A e C]] for any blocks, the closed form's
     # own sums.
-    p_mat = _keep_columns(l.m, inp.m, size) @ l.m_inv
+    p_mat = _keep_columns(l.m, m, size) @ l.m_inv
     # Not verified: boundary_l verified L L^-1 = 1, so L^-1 L = 1 (see
     # InvertibleCert.verify), and e1, e2 are 0/1 diagonals, so
     # P^2 = L e1 (L^-1 L) e1 L^-1 = P and e2^2 = e2.  The boundary report
     # verifies P^2 = P as its own line.
     p = IdempotentCert(p_mat)
-    e2_leg2 = e_block(diagram.lambda2, size + inp.m, inp.n)
-    # Legs agree, not verified: BoundaryInput checked j1(A) = U and
-    # j1(B) = U^-1 (and, at m > 0, that U commutes with e = diag(0_m, 1_n)),
-    # and S0, S1 die above, so j1(L) = [[0, -U^-1], [U, 0]] and
-    # j1(P) = j1(L) e1 j1(L)^-1 = diag(0, U e U^-1) = diag(0, e) = j2(e2).
-    # The boundary report's "double matrix constraint" line verifies it.
+    e2_leg2 = e_block(diagram.lambda2, size + m, n)
+    # Legs agree, not verified: S0 and S1 die (verified_l checked), so
+    # V = j1(A) is invertible with inverse j1(C) = j1(B),
+    # j1(L) = [[0, -V^-1], [V, 0]] and
+    # j1(P) = j1(L) e1 j1(L)^-1 = diag(0, V e V^-1) = diag(0, e) = j2(e2)
+    # once V commutes with e.  At m = 0, e = 1.  At m > 0, checked_lifts
+    # checks it for V = U; kernel_i, whose V is phi = j1(v), checks it on
+    # its line "phi commutes with the scalar block" and returns before
+    # this build when that fails.  The boundary report's "double matrix
+    # constraint" line verifies the legs.
     p_double = IdempotentCert(DoubleMatrix(diagram, p_mat, e2_leg2))
     minus = IdempotentCert(
-        DoubleMatrix(diagram, e_block(diagram.lambda1, size + inp.m, inp.n), e2_leg2)
+        DoubleMatrix(diagram, e_block(diagram.lambda1, size + m, n), e2_leg2)
     )
     return BoundaryOutput(
         s0=s0, s1=s1, l=l, p=p, p_double=p_double, e2=e2_leg2, minus=minus
@@ -192,24 +188,22 @@ def _corner(base):
     return base.l.m_inv.sub_block(0, n, n, 2 * n)
 
 
-def verify_lift_independence_a(inp, k, base):
+def verify_lift_independence_a(diagram, a, b, k, base):
     """Verify that the explicit conjugator [[1 - BK, -BKB], [K, 1 + KB]]
     maps L to L~, the L of A + K, for K dying in the overlap ring; returns
-    (conj, L~).  ``base`` is the boundary already built from ``inp``."""
-    diagram = inp.diagram
+    (conj, L~).  ``base`` is the boundary already built from A and B."""
     img = apply_hom_matrix(diagram.j1, k)
     if not img.is_zero():
         raise CertificateFailure("perturbation K must die in the overlap ring")
-    # A + K lifts U with no BoundaryInput of its own: ``+`` checks that K is
-    # over the first leg at U's size, and j1(A + K) = U + 0; B is inp's.
-    a_tilde = inp.lift_a + k
-    b = inp.lift_b
+    # A + K lifts what A lifts, with no check of its own: ``+`` checks that
+    # K is over the first leg at A's size, and j1(A + K) = j1(A) + 0.
+    a_tilde = a + k
     bk, kb = b @ k, k @ b
     bkb = bk @ b
     # L~ from the conjugator's own products: 1 - B(A + K) = S0 - BK,
     # 1 - (A + K)B = S1 - KB and (1 + S0 - BK)B = C - BKB.
     l_tilde = verified_l(diagram, a_tilde, base.s0 - bk, base.s1 - kb, _corner(base) - bkb)
-    conj = block2((-bk).plus_scalar(1), -bkb, k, kb.plus_scalar(1))
+    conj = block2((-bk).plus_one(), -bkb, k, kb.plus_one())
     expect_equal(l_tilde.m, conj @ base.l.m, "lift independence in A: L~ = conj . L fails")
     # Nothing more to check: L and L~ are verified with their inverses, so
     # conj = L~ L^-1 is invertible with inverse L L~^-1, and
@@ -219,34 +213,32 @@ def verify_lift_independence_a(inp, k, base):
     return conj, l_tilde
 
 
-def verify_lift_independence_b(inp, h, base):
+def verify_lift_independence_b(diagram, a, h, base):
     """Verify that L~ L^-1 is the displayed delta blocks, where L~ is the L
     of B + H for H dying in the overlap ring; returns (L~ L^-1, L~).
-    ``base`` is the boundary already built from ``inp``; BA and AB are read
-    off its defects as 1 - S0 and 1 - S1."""
-    diagram = inp.diagram
+    ``base`` is the boundary already built from A and B; B enters only
+    through it, with BA and AB read off its defects as 1 - S0 and 1 - S1."""
     img = apply_hom_matrix(diagram.j1, h)
     if not img.is_zero():
         raise CertificateFailure("perturbation H must die in the overlap ring")
-    a = inp.lift_a
     # A H first: it rejects an H over another algebra or size as B + H would.
     ah = a @ h
     ha = h @ a
-    ab = (-base.s1).plus_scalar(1)
+    ab = (-base.s1).plus_one()
     hab = h @ ab
     # s = HA + BA = (B + H)A, so S0~ = 1 - s = S0 - HA, S1~ = S1 - AH and
     # C~ = (2 - s)(B + H) = C + 2H - H(AB) - sH, as (2 - BA)B = C.
-    s = ha + (-base.s0).plus_scalar(1)
+    s = ha + (-base.s0).plus_one()
     sh = s @ h
     two_h = h + h
     l_tilde = verified_l(diagram, a, base.s0 - ha, base.s1 - ah, _corner(base) + two_h - hab - sh)
     # The delta blocks through s: HA - HA HA - BA HA = HA - s HA, and the
     # four products of d12 pair up into sH - s H(AB).
     expect = block2(
-        (ha - s @ ha).plus_scalar(1),
+        (ha - s @ ha).plus_one(),
         hab + sh - s @ hab - two_h,
         a @ ha,
-        (ah @ ab - ah).plus_scalar(1),
+        (ah @ ab - ah).plus_one(),
     )
     observed = l_tilde.m @ base.l.m_inv
     expect_equal(observed, expect, "delta block formula fails")

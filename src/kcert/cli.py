@@ -183,6 +183,10 @@ def _run_exactness(args, doc):
     corrupt = doc.command.get("corrupt_witness", False)
     if not isinstance(corrupt, bool):
         raise SpecError("command.corrupt_witness must be true or false")
+    if corrupt and not doc.diagram.same_legs:
+        # The corrupted witness is kernel_boundary's, which such a diagram
+        # skips, so the run would pass without reading it.
+        raise SpecError("command.corrupt_witness needs a diagram with equal legs")
     return exactness_report(doc.diagram, seed, samples, corrupt_witness=corrupt)
 
 

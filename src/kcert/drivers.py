@@ -9,9 +9,9 @@ reported as skipped on diagrams without them."""
 import random
 
 from .boundary import (
-    BoundaryInput,
     boundary_extended_form,
     boundary_first_form,
+    checked_lifts,
     verify_lift_independence_a,
     verify_lift_independence_b,
 )
@@ -84,14 +84,16 @@ def verify_report(algebra, seed, samples, max_size):
 
 def boundary_report(diagram, u, lift_a=None, lift_b=None, m=0,
                     perturb_a=None, perturb_b=None):
-    inp = BoundaryInput(diagram, u, lift_a=lift_a, lift_b=lift_b, m=m)
+    # Outside the log: a lift that fails its check raises, and the CLI
+    # rejects the inputs (exit 2) instead of reporting a failed line.
+    a, b = checked_lifts(diagram, u, lift_a, lift_b, m)
     log = ExactnessReport("boundary")
     # The line's name lists "closed form", though P's block product is its
     # closed form and none is compared (see boundary_extended_form);
     # renaming the line would move the report bytes.
     out = log.run(
         "boundary construction (S, L, P, double constraint, closed form)",
-        lambda: boundary_extended_form(inp),
+        lambda: boundary_extended_form(diagram, a, b, m),
     )
     report = {
         "command": {"name": "boundary", "m": m, "size": u.n,
@@ -125,12 +127,12 @@ def boundary_report(diagram, u, lift_a=None, lift_b=None, m=0,
         if perturb_a is not None:
             log.run(
                 "lift independence in A (explicit conjugator)",
-                lambda: verify_lift_independence_a(inp, perturb_a, out),
+                lambda: verify_lift_independence_a(diagram, a, b, perturb_a, out),
             )
         if perturb_b is not None:
             log.run(
                 "lift independence in B (delta blocks)",
-                lambda: verify_lift_independence_b(inp, perturb_b, out),
+                lambda: verify_lift_independence_b(diagram, a, perturb_b, out),
             )
     report["result"] = "pass" if log.passed else "fail"
     return report

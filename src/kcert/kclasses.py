@@ -9,7 +9,7 @@ check with its exact residual.
 
 from collections import namedtuple
 
-from .boundary import BoundaryInput, boundary_defects, boundary_extended_form, e_block
+from .boundary import boundary_defects, boundary_extended_form, checked_lifts, e_block
 from .matrices import (
     CertificateFailure,
     FilteredMatrix,
@@ -135,9 +135,8 @@ def exactness_boundary_zero(diagram, u_tilde):
     lifts are the element and its inverse, so both defect matrices vanish
     and the double idempotent is literally the trivial block."""
     report = ExactnessReport("boundary_zero")
-    u = apply_hom_invertible(diagram.j1, u_tilde)
-    inp = BoundaryInput(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv, m=0)
-    s0, s1 = boundary_defects(diagram, inp.lift_a, inp.lift_b)
+    # The transition is j1(u~) itself, so the lifts need no check against it.
+    s0, s1 = boundary_defects(diagram, u_tilde.m, u_tilde.m_inv)
     report.add("S0 = 0", s0.is_zero(), "S0 nonzero")
     report.add("S1 = 0", s1.is_zero(), "S1 nonzero")
     # The boundary class is then the literal zero difference, with no line
@@ -168,8 +167,8 @@ def exactness_i_after_boundary(diagram, u, m=0):
     trivial; the first by the explicit conjugator L . swap, the second
     literally."""
     report = ExactnessReport("i_after_boundary")
-    inp = BoundaryInput(diagram, u, m=m)
-    out = boundary_extended_form(inp)
+    a, b = checked_lifts(diagram, u, m=m)
+    out = boundary_extended_form(diagram, a, b, m)
     conj = swap_halves(out.l)
     e2_leg1 = e_block(diagram.lambda1, u.n + m, u.n - m)
     report.require(
@@ -192,8 +191,7 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
         return None, report
     report.add("diagram has equal legs", True)
     u1, u2 = witness
-    inp = BoundaryInput(diagram, u, lift_a=lift_a, lift_b=lift_b, m=0)
-    out = boundary_extended_form(inp)
+    out = boundary_extended_form(diagram, *checked_lifts(diagram, u, lift_a, lift_b))
     try:
         double_invertible(diagram, u1, u2)
     except CertificateFailure as exc:
@@ -277,8 +275,10 @@ def exactness_kernel_i(diagram, d, u1, u2):
     )
     if not report.passed:
         return None, report
-    inp = BoundaryInput(diagram, phi, lift_a=v.m, lift_b=v.m_inv, m=m_sz)
-    out = boundary_extended_form(inp)
+    # phi is j1(v), so the lifts v, v^-1 need no check against it; the
+    # line "phi commutes with the scalar block" above is the commuting
+    # boundary_extended_form requires at m > 0.
+    out = boundary_extended_form(diagram, v.m, v.m_inv, m_sz)
     report.add("S0 = 0", out.s0.is_zero(), "S0 nonzero")
     # S1 = 1 - AB needs no line: the lifts are A = V and B = V^-1, and
     # S0 = 1 - BA = 0 above gives BA = 1, which forces AB = 1 (see

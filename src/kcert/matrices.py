@@ -21,8 +21,6 @@ zero by identity, keeping the entry it faces (negated, when it is
 subtracted) and keeping the zero itself, which the product kernels skip.
 """
 
-from .scalars import rat
-
 
 class MatrixError(ValueError):
     """Size or algebra mismatch in a matrix operation."""
@@ -80,12 +78,6 @@ class FilteredMatrix:
     @classmethod
     def zeros(cls, algebra, n):
         return cls._raw(algebra, ((algebra.zero(),) * n,) * n)
-
-    @classmethod
-    def scalar_diag(cls, algebra, value, n):
-        z = (algebra.zero(),)
-        v = (algebra.from_rational(rat(value)),)
-        return cls._raw(algebra, tuple([z * i + v + z * (n - 1 - i) for i in range(n)]))
 
     @classmethod
     def diag_bits(cls, algebra, bits):
@@ -157,9 +149,9 @@ class FilteredMatrix:
     def is_zero(self):
         return all(not p for row in self.rows for p in row)
 
-    def plus_scalar(self, value):
-        """self + value * identity."""
-        return self + FilteredMatrix.scalar_diag(self.algebra, value, self.n)
+    def plus_one(self):
+        """self + identity."""
+        return self + FilteredMatrix.identity(self.algebra, self.n)
 
     # -- shape operations ----------------------------------------------------
 
@@ -178,12 +170,8 @@ class FilteredMatrix:
         """The stabilization by a k-block of zeros (idempotents) or ones (invertibles)."""
         if k == 0:
             return self
-        block = (
-            FilteredMatrix.zeros(self.algebra, k)
-            if fill == 0
-            else FilteredMatrix.scalar_diag(self.algebra, fill, k)
-        )
-        return self.direct_sum(block)
+        block = FilteredMatrix.zeros if fill == 0 else FilteredMatrix.identity
+        return self.direct_sum(block(self.algebra, k))
 
     def sub_block(self, r0, r1, c0, c1):
         rows = tuple([row[c0:c1] for row in self.rows[r0:r1]])

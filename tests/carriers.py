@@ -2,9 +2,9 @@
 
 The clutching and cover diagrams are read from the bundled specs; only what
 no spec holds is built here: a line of points as a propagation space, the
-three algebras the identity suite runs over, and the trivial diagram with
-identity legs.  The CLI builds its algebras and diagrams from JSON specs
-alone."""
+three algebras the identity suite runs over, the trivial diagram with
+identity legs, and scalar diagonals such as 2 and 1/2.  The CLI builds its
+algebras and diagrams from JSON specs alone."""
 
 from importlib import resources
 
@@ -15,6 +15,7 @@ from kcert.algebras import (
     QuotientAlgebra,
     TrivialAlgebra,
 )
+from kcert.matrices import FilteredMatrix
 from kcert.mv import MVDiagram
 from kcert.scalars import Poly, rat
 from kcert.specdoc import SpecDocument
@@ -61,3 +62,11 @@ def trivial_diagram():
     alg = TrivialAlgebra()
     j = IdentityHom(alg, alg)
     return MVDiagram(alg, alg, alg, j, j)
+
+
+def scalar_diag(algebra, value, n):
+    """The n x n diagonal matrix with every diagonal entry the rational
+    ``value``."""
+    z = (algebra.zero(),)
+    v = (algebra.from_rational(rat(value)),)
+    return FilteredMatrix._raw(algebra, tuple([z * i + v + z * (n - 1 - i) for i in range(n)]))

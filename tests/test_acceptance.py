@@ -12,9 +12,9 @@ import pytest
 from carriers import clutching_diagram, cover_diagram, suite_algebras, trivial_diagram
 
 from kcert.boundary import (
-    BoundaryInput,
     boundary_extended_form,
     boundary_first_form,
+    checked_lifts,
     verify_lift_independence_a,
     verify_lift_independence_b,
 )
@@ -58,14 +58,13 @@ def _x_cert(diagram):
     return InvertibleCert(m, m).verify()
 
 
-def perturbed_boundary(inp, k=None, h=None):
-    """The boundary with A + K or B + H, which a lift-independence check
-    does not build: it builds only L~."""
-    a = inp.lift_a if k is None else inp.lift_a + k
-    b = inp.lift_b if h is None else inp.lift_b + h
-    return boundary_extended_form(
-        BoundaryInput(inp.diagram, inp.u, lift_a=a, lift_b=b, m=inp.m)
-    )
+def perturbed_boundary(diagram, u, a, b, k=None, h=None, m=0):
+    """The boundary with A + K or B + H, lifts of U and U^{-1} checked by
+    checked_lifts, which a lift-independence check does not build: it
+    builds only L~."""
+    a = a if k is None else a + k
+    b = b if h is None else b + h
+    return boundary_extended_form(diagram, *checked_lifts(diagram, u, a, b, m), m)
 
 
 def check_lift_conjugator(base, conj, l_tilde, tilde):
@@ -136,7 +135,7 @@ def test_criterion_4_boundary_clutching():
     diagram = clutching_diagram()
     u = _x_cert(diagram)
     x = FilteredMatrix(diagram.lambda1, ((Poly([0, 1]),),))
-    out = boundary_extended_form(BoundaryInput(diagram, u, lift_a=x, lift_b=x))
+    out = boundary_extended_form(diagram, *checked_lifts(diagram, u, lift_a=x, lift_b=x))
     one_minus_x2 = FilteredMatrix(diagram.lambda1, ((Poly([1, 0, -1]),),))
     ok = out.s0 == one_minus_x2 and out.s1 == one_minus_x2
     out.p.verify()
@@ -144,7 +143,7 @@ def test_criterion_4_boundary_clutching():
     out.p_double.verify()
     closed = (
         out.s0 @ out.s0,
-        out.s0 @ (out.s0.plus_scalar(1) @ x),
+        out.s0 @ (out.s0.plus_one() @ x),
         out.s1 @ x,
         FilteredMatrix.identity(diagram.lambda1, 1) - out.s1 @ out.s1,
     )
@@ -158,8 +157,8 @@ def test_criterion_5_well_definedness():
     diagram = clutching_diagram()
     u = _x_cert(diagram)
     x = FilteredMatrix(diagram.lambda1, ((Poly([0, 1]),),))
-    inp = BoundaryInput(diagram, u, lift_a=x, lift_b=x)
-    base = boundary_extended_form(inp)
+    a, b = checked_lifts(diagram, u, lift_a=x, lift_b=x)
+    base = boundary_extended_form(diagram, a, b)
     sampler = Sampler(5)
     kernel = Poly([-1, 0, 1])
     count = 0
@@ -167,13 +166,15 @@ def test_criterion_5_well_definedness():
         factor = sampler.matrix(diagram.lambda1, 1).rows[0][0]
         k = FilteredMatrix(diagram.lambda1, ((factor * kernel,),))
         check_lift_conjugator(
-            base, *verify_lift_independence_a(inp, k, base), perturbed_boundary(inp, k=k)
+            base, *verify_lift_independence_a(diagram, a, b, k, base),
+            perturbed_boundary(diagram, u, a, b, k=k),
         )
         count += 1
         factor = sampler.matrix(diagram.lambda1, 1).rows[0][0]
         h = FilteredMatrix(diagram.lambda1, ((factor * kernel,),))
         check_lift_conjugator(
-            base, *verify_lift_independence_b(inp, h, base), perturbed_boundary(inp, h=h)
+            base, *verify_lift_independence_b(diagram, a, h, base),
+            perturbed_boundary(diagram, u, a, b, h=h),
         )
         count += 1
     _report("5 well-definedness", count == 200, f"{count} perturbations, conjugators exact")

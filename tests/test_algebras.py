@@ -3,7 +3,7 @@ import random
 from importlib import resources
 
 import pytest
-from carriers import line_space, suite_algebras
+from carriers import line_space, scalar_diag, suite_algebras
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,7 +75,7 @@ def test_one_is_built_once(kind):
     assert algebra.accepts(algebra.one())
     ident = FilteredMatrix.identity(algebra, 3)
     assert all(ident.rows[i][i] is algebra.one() for i in range(3))
-    assert ident == FilteredMatrix.scalar_diag(algebra, 1, 3)
+    assert ident == scalar_diag(algebra, 1, 3)
 
 
 # x^2 - 1/3 is not integral: its integer form is 3x^2 - 1, so e = 3 != 1.

@@ -2,17 +2,16 @@ import hashlib
 import json
 
 import pytest
-from carriers import clutching_diagram, spec_path, trivial_diagram
+from carriers import clutching_diagram, scalar_diag, spec_path, trivial_diagram
 from test_acceptance import check_lift_conjugator, perturbed_boundary
 from test_guards import perfbench_request
 
 from kcert import boundary, drivers
 from kcert.algebras import Kernel
 from kcert.boundary import (
-    BoundaryInput,
     boundary_extended_form,
     boundary_first_form,
-    default_lifts,
+    checked_lifts,
     e_block,
     verify_lift_independence_a,
     verify_lift_independence_b,
@@ -51,15 +50,15 @@ def _x_lift(diagram):
 
 def test_trivial_diagram_invertible_lift_gives_zero(trivial_mv):
     two = InvertibleCert(
-        FilteredMatrix.scalar_diag(trivial_mv.lambda_prime, 2, 1),
-        FilteredMatrix.scalar_diag(trivial_mv.lambda_prime, rat(1, 2), 1),
+        scalar_diag(trivial_mv.lambda_prime, 2, 1),
+        scalar_diag(trivial_mv.lambda_prime, rat(1, 2), 1),
     ).verify()
-    inp = BoundaryInput(
+    a, b = checked_lifts(
         trivial_mv, two,
-        lift_a=FilteredMatrix.scalar_diag(trivial_mv.lambda1, 2, 1),
-        lift_b=FilteredMatrix.scalar_diag(trivial_mv.lambda1, rat(1, 2), 1),
+        lift_a=scalar_diag(trivial_mv.lambda1, 2, 1),
+        lift_b=scalar_diag(trivial_mv.lambda1, rat(1, 2), 1),
     )
-    out = boundary_extended_form(inp)
+    out = boundary_extended_form(trivial_mv, a, b)
     assert out.s0.is_zero() and out.s1.is_zero()
     assert out.p_double.p.first_mismatch(out.minus.p) is None  # the literal zero difference
 
@@ -67,8 +66,8 @@ def test_trivial_diagram_invertible_lift_gives_zero(trivial_mv):
 def test_clutching_boundary_closed_form(clutching):
     u = _x_cert(clutching)
     x = _x_lift(clutching)
-    inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x, m=0)
-    out = boundary_extended_form(inp)
+    a, b = checked_lifts(clutching, u, lift_a=x, lift_b=x, m=0)
+    out = boundary_extended_form(clutching, a, b)
     one_minus_x2 = Poly([1, 0, -1])
     assert out.s0 == FilteredMatrix(clutching.lambda1, ((one_minus_x2,),))
     assert out.s1 == FilteredMatrix(clutching.lambda1, ((one_minus_x2,),))
@@ -76,10 +75,9 @@ def test_clutching_boundary_closed_form(clutching):
     out.p_double.p.verify()
     out.p_double.verify()
     # closed form checked inside; cross-check the intertwining laws directly
-    a, b = inp.lift_a, inp.lift_b
     assert out.s1 @ a == a @ out.s0
     ident = FilteredMatrix.identity(clutching.lambda1, 1)
-    assert a @ (out.s0.plus_scalar(1) @ b) == ident - out.s1 @ out.s1
+    assert a @ (out.s0.plus_one() @ b) == ident - out.s1 @ out.s1
 
 
 def test_intertwining_for_arbitrary_lifts(clutching, sampler):
@@ -96,26 +94,26 @@ def test_intertwining_for_arbitrary_lifts(clutching, sampler):
             clutching.lambda1,
             ((sampler.matrix(clutching.lambda1, 1).rows[0][0] * kernel,),),
         )
-        inp = BoundaryInput(
+        a, b = checked_lifts(
             clutching, u, lift_a=_x_lift(clutching) + ka, lift_b=_x_lift(clutching) + kb
         )
-        out = boundary_extended_form(inp)
+        out = boundary_extended_form(clutching, a, b)
         out.p.verify()
         out.p_double.p.verify()
         out.p_double.verify()
-        a, b = inp.lift_a, inp.lift_b
         assert out.s1 @ a == a @ out.s0
         ident = FilteredMatrix.identity(clutching.lambda1, 1)
-        assert a @ (out.s0.plus_scalar(1) @ b) == ident - out.s1 @ out.s1
+        assert a @ (out.s0.plus_one() @ b) == ident - out.s1 @ out.s1
 
 
 def test_default_lifts_use_sections(clutching):
     u = _x_cert(clutching)
-    a, b = default_lifts(clutching, u)
+    a, b = checked_lifts(clutching, u)
+    assert a == section_matrix(clutching.j1, u.m)
+    assert b == section_matrix(clutching.j1, u.m_inv)
     assert apply_hom_matrix(clutching.j1, a) == u.m
     assert apply_hom_matrix(clutching.j1, b) == u.m_inv
-    inp = BoundaryInput(clutching, u)
-    out = boundary_extended_form(inp)
+    out = boundary_extended_form(clutching, a, b)
     out.p.verify()
 
 
@@ -137,8 +135,9 @@ def test_extended_reduces_to_second_form(clutching, sampler):
                 b = b + _kernel_multiple(clutching, sampler, size)
             s0, s1 = ident - b @ a, ident - a @ b
             assert s0.is_zero() != perturbed
-            second = block2(s0 @ s0, s0 @ s0.plus_scalar(1) @ b, s1 @ a, ident - s1 @ s1)
-            out = boundary_extended_form(BoundaryInput(clutching, u, lift_a=a, lift_b=b))
+            second = block2(s0 @ s0, s0 @ s0.plus_one() @ b, s1 @ a, ident - s1 @ s1)
+            out = boundary_extended_form(
+                clutching, *checked_lifts(clutching, u, lift_a=a, lift_b=b))
             assert out.p.p == second
 
 
@@ -153,15 +152,14 @@ def test_extended_block_diagonal(clutching):
         FilteredMatrix(lp, ((two, z), (z, x_cls))),
         FilteredMatrix(lp, ((half, z), (z, x_cls))),
     ).verify()
-    inp = BoundaryInput(clutching, u, m=1)
-    out = boundary_extended_form(inp)
+    out = boundary_extended_form(clutching, *checked_lifts(clutching, u, m=1), 1)
     out.p.verify()
     out.p_double.p.verify()
     out.p_double.verify()
     # the m-padding must not change the certified class content: the
     # e-block cuts the x-part exactly as the m = 0 boundary of x does
     x1 = _x_cert(clutching)
-    base = boundary_extended_form(BoundaryInput(clutching, x1))
+    base = boundary_extended_form(clutching, *checked_lifts(clutching, x1))
     cut = out.p.p.sub_block(1, 2, 1, 2)
     assert cut == base.p.p.sub_block(0, 1, 0, 1)
 
@@ -204,16 +202,16 @@ def test_p_and_closed_form_match_the_products_by_e(clutching, sampler, size, m):
     u = InvertibleCert(
         apply_hom_matrix(clutching.j1, lift.m), apply_hom_matrix(clutching.j1, lift.m_inv)
     ).verify()
-    inp = BoundaryInput(
+    a, b = checked_lifts(
         clutching, u,
         lift_a=lift.m + _kernel_multiple(clutching, sampler, size),
         lift_b=lift.m_inv + _kernel_multiple(clutching, sampler, size), m=m,
     )
-    out = boundary_extended_form(inp)
+    out = boundary_extended_form(clutching, a, b, m)
     assert not out.s0.is_zero()
-    a, b, s0 = inp.lift_a, inp.lift_b, out.s0
+    s0 = out.s0
     e = e_block(clutching.lambda1, m, size - m)
-    corner = s0.plus_scalar(1) @ b
+    corner = s0.plus_one() @ b
     assert split2(out.l.m_inv)[1] == corner
     assert out.p.p == out.l.m @ e.pad(size) @ out.l.m_inv
     assert out.p.p == block2(s0 @ e @ s0, s0 @ e @ corner, a @ e @ s0, a @ e @ corner)
@@ -231,7 +229,7 @@ def test_commuting_condition_rejected(clutching):
         FilteredMatrix(lp, ((z, x_cls), (x_cls, z))),
     ).verify()
     with pytest.raises(CertificateFailure):
-        BoundaryInput(clutching, u, m=1)
+        checked_lifts(clutching, u, m=1)
 
 
 def test_inverse_lifts_shape(clutching, sampler):
@@ -245,8 +243,8 @@ def test_inverse_lifts_shape(clutching, sampler):
         apply_hom_matrix(clutching.j1, u_tilde.m),
         apply_hom_matrix(clutching.j1, u_tilde.m_inv),
     )
-    inp = BoundaryInput(clutching, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv, m=1)
-    out = boundary_extended_form(inp)
+    a, b = checked_lifts(clutching, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv, m=1)
+    out = boundary_extended_form(clutching, a, b, 1)
     assert out.s0.is_zero() and out.s1.is_zero()
     assert out.p_double.p.first_mismatch(out.minus.p) is None
 
@@ -267,28 +265,28 @@ def test_first_form_matches_second_up_to_certificates(clutching):
 def test_lift_independence_a(clutching, sampler):
     u = _x_cert(clutching)
     x = _x_lift(clutching)
-    inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
-    base = boundary_extended_form(inp)
+    a, b = checked_lifts(clutching, u, lift_a=x, lift_b=x)
+    base = boundary_extended_form(clutching, a, b)
     zero = FilteredMatrix.zeros(clutching.lambda1, 1)
-    conj, l_tilde = verify_lift_independence_a(inp, zero, base)
+    conj, l_tilde = verify_lift_independence_a(clutching, a, b, zero, base)
     assert conj == FilteredMatrix.identity(clutching.lambda1, 2)
-    check_lift_conjugator(base, conj, l_tilde, perturbed_boundary(inp, k=zero))
+    check_lift_conjugator(base, conj, l_tilde, perturbed_boundary(clutching, u, a, b, k=zero))
     k = FilteredMatrix(clutching.lambda1, ((Poly([-1, 0, 1]),),))
-    conj, l_tilde = verify_lift_independence_a(inp, k, base)
-    tilde = perturbed_boundary(inp, k=k)
+    conj, l_tilde = verify_lift_independence_a(clutching, a, b, k, base)
+    tilde = perturbed_boundary(clutching, u, a, b, k=k)
     check_lift_conjugator(base, conj, l_tilde, tilde)
     tilde.p.verify()
     with pytest.raises(CertificateFailure):
         verify_lift_independence_a(
-            inp, FilteredMatrix.identity(clutching.lambda1, 1), base
+            clutching, a, b, FilteredMatrix.identity(clutching.lambda1, 1), base
         )
 
 
 def test_lift_independence_a_names_the_failing_check(clutching, monkeypatch):
     u = _x_cert(clutching)
     x = _x_lift(clutching)
-    inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
-    base = boundary_extended_form(inp)
+    a, b = checked_lifts(clutching, u, lift_a=x, lift_b=x)
+    base = boundary_extended_form(clutching, a, b)
     k = FilteredMatrix(clutching.lambda1, ((Poly([-1, 0, 1]),),))
     compare = boundary.expect_equal
 
@@ -298,7 +296,7 @@ def test_lift_independence_a_names_the_failing_check(clutching, monkeypatch):
 
     monkeypatch.setattr(boundary, "expect_equal", conj_taken_as_identity)
     with pytest.raises(CertificateFailure) as err:
-        verify_lift_independence_a(inp, k, base)
+        verify_lift_independence_a(clutching, a, b, k, base)
     assert str(err.value) == "lift independence in A: L~ = conj . L fails at (0, 0)"
     assert err.value.position == (0, 0)
     # the corner S0 = 1 - BA moves by -BK = -x (x^2 - 1)
@@ -318,14 +316,14 @@ def displayed_deltas(a, b, h):
 def test_lift_independence_b(clutching):
     u = _x_cert(clutching)
     x = _x_lift(clutching)
-    inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
+    a, b = checked_lifts(clutching, u, lift_a=x, lift_b=x)
     h = FilteredMatrix(clutching.lambda1, ((Poly([-1, 0, 1]),),))
-    base = boundary_extended_form(inp)
-    conj, l_tilde = verify_lift_independence_b(inp, h, base)
-    check_lift_conjugator(base, conj, l_tilde, perturbed_boundary(inp, h=h))
+    base = boundary_extended_form(clutching, a, b)
+    conj, l_tilde = verify_lift_independence_b(clutching, a, h, base)
+    check_lift_conjugator(base, conj, l_tilde, perturbed_boundary(clutching, u, a, b, h=h))
     # the four displayed blocks match the independent recomputation
     d11, d12, d21, d22 = displayed_deltas(x, x, h)
-    expect = block2(d11.plus_scalar(1), d12, d21, d22.plus_scalar(1))
+    expect = block2(d11.plus_one(), d12, d21, d22.plus_one())
     assert conj == expect
 
 
@@ -334,16 +332,15 @@ def test_deltas_match_symbolic_expansion(clutching, sampler):
     x = _x_lift(clutching)
     kernel = Poly([-1, 0, 1])
     for _ in range(20):
-        inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
         factor = sampler.matrix(clutching.lambda1, 1).rows[0][0]
         h = FilteredMatrix(clutching.lambda1, ((factor * kernel,),))
-        base = boundary_extended_form(inp)
+        base = boundary_extended_form(clutching, *checked_lifts(clutching, u, lift_a=x, lift_b=x))
         shifted = boundary_extended_form(
-            BoundaryInput(clutching, u, lift_a=x, lift_b=x + h)
+            clutching, *checked_lifts(clutching, u, lift_a=x, lift_b=x + h)
         )
         observed = shifted.l.m @ base.l.m_inv
         d11, d12, d21, d22 = displayed_deltas(x, x, h)
-        assert observed == block2(d11.plus_scalar(1), d12, d21, d22.plus_scalar(1))
+        assert observed == block2(d11.plus_one(), d12, d21, d22.plus_one())
 
 
 # An element of the first leg that dies in the overlap ring, per bundled
@@ -373,19 +370,20 @@ def test_lift_checks_build_the_shifted_l_noncommutatively(name, size, sampler, r
     diagram = request.getfixturevalue(name)
     for _ in range(3):
         u = apply_hom_invertible(diagram.j1, sampler.invertible(diagram.lambda1, size))
-        a, b = default_lifts(diagram, u)
-        inp = BoundaryInput(diagram, u, lift_a=a + _dying(diagram, name, sampler, size),
-                            lift_b=b + _dying(diagram, name, sampler, size))
-        base = boundary_extended_form(inp)
+        a, b = checked_lifts(diagram, u)
+        a, b = checked_lifts(diagram, u, lift_a=a + _dying(diagram, name, sampler, size),
+                             lift_b=b + _dying(diagram, name, sampler, size))
+        base = boundary_extended_form(diagram, a, b)
         assert not base.s0.is_zero() and not base.s1.is_zero()
         k, h = _dying(diagram, name, sampler, size), _dying(diagram, name, sampler, size)
-        assert inp.lift_b @ k != k @ inp.lift_b and h @ inp.lift_a != inp.lift_a @ h
-        for check, lift, shift in ((verify_lift_independence_a, "k", k),
-                                   (verify_lift_independence_b, "h", h)):
-            conj, l_tilde = check(inp, shift, base)
+        assert b @ k != k @ b and h @ a != a @ h
+        checks = ((verify_lift_independence_a(diagram, a, b, k, base), {"k": k}),
+                  (verify_lift_independence_b(diagram, a, h, base), {"h": h}))
+        for (conj, l_tilde), shift in checks:
             # check_lift_conjugator also holds L~ to boundary_l on the
             # shifted lifts, through the perturbed boundary.
-            check_lift_conjugator(base, conj, l_tilde, perturbed_boundary(inp, **{lift: shift}))
+            check_lift_conjugator(
+                base, conj, l_tilde, perturbed_boundary(diagram, u, a, b, **shift))
 
 
 # A 2 x 2 boundary with both lifts perturbed, on the clutching diagram at
@@ -431,16 +429,25 @@ BOUNDARY_CLUTCHING_SPECS = 20
 
 
 def test_lift_conjugators_verify(tmp_path, monkeypatch):
-    returned = []
+    returned, checked = [], []
+
+    def keep_lifts(diagram, u, lift_a, lift_b, m):
+        # The run's U, lifts and split, which the lift checks do not take.
+        a, b = boundary.checked_lifts(diagram, u, lift_a, lift_b, m)
+        checked.append((diagram, u, a, b, m))
+        return a, b
 
     def keep(check, lift):
-        def wrapped(inp, perturbation, base):
-            conj, l_tilde = check(inp, perturbation, base)
-            tilde = perturbed_boundary(inp, **{lift: perturbation})
+        def wrapped(*args):
+            *_, perturbation, base = args
+            conj, l_tilde = check(*args)
+            diagram, u, a, b, m = checked[-1]
+            tilde = perturbed_boundary(diagram, u, a, b, m=m, **{lift: perturbation})
             returned.append((check.__name__, (base, conj, l_tilde, tilde)))
             return conj, l_tilde
         return wrapped
 
+    monkeypatch.setattr(drivers, "checked_lifts", keep_lifts)
     for name, lift in (("verify_lift_independence_a", "k"), ("verify_lift_independence_b", "h")):
         monkeypatch.setattr(drivers, name, keep(getattr(boundary, name), lift))
     paths = [spec_path("quotient_clutching.json")]
@@ -469,13 +476,13 @@ def rotation_image(u):
     return block2(z, -u.m_inv, u.m, z)
 
 
-def boundary_alt_lifting(inp, l_any):
-    """Lifting freedom: any invertible lifting of the block rotation
-    produces a conjugate idempotent, with conjugator L' L^{-1}."""
-    diagram = inp.diagram
-    base = boundary_extended_form(inp)
+def boundary_alt_lifting(diagram, u, a, b, l_any):
+    """Lifting freedom: any invertible lifting of the block rotation of U
+    produces a conjugate idempotent, with conjugator L' L^{-1}; A and B are
+    lifts of U and U^{-1}."""
+    base = boundary_extended_form(diagram, a, b)
     expect_equal(
-        apply_hom_matrix(diagram.j1, l_any.m), rotation_image(inp.u),
+        apply_hom_matrix(diagram.j1, l_any.m), rotation_image(u),
         "alternative L does not lift the block rotation",
     )
     e1 = base.l.m_inv @ base.p.p @ base.l.m  # recover e1 = L^-1 P L exactly
@@ -488,10 +495,10 @@ def boundary_alt_lifting(inp, l_any):
 def test_alt_lifting(clutching, sampler):
     u = _x_cert(clutching)
     x = _x_lift(clutching)
-    inp = BoundaryInput(clutching, u, lift_a=x, lift_b=x)
-    base = boundary_extended_form(inp)
+    lifts = checked_lifts(clutching, u, lift_a=x, lift_b=x)
+    base = boundary_extended_form(clutching, *lifts)
     # canonical L is itself an admissible alternative: identity conjugator
-    p_alt, conj, _ = boundary_alt_lifting(inp, base.l)
+    p_alt, conj, _ = boundary_alt_lifting(clutching, u, *lifts, base.l)
     assert conj.m == FilteredMatrix.identity(clutching.lambda1, 2)
     assert p_alt.p == base.p.p
     # multiply by an elementary factor whose entry dies in the overlap ring
@@ -501,11 +508,11 @@ def test_alt_lifting(clutching, sampler):
     )
     l_any = e.compose(base.l)
     assert apply_hom_matrix(clutching.j1, l_any.m) == rotation_image(u)
-    p_alt, conj, _ = boundary_alt_lifting(inp, l_any)
+    p_alt, conj, _ = boundary_alt_lifting(clutching, u, *lifts, l_any)
     p_alt.verify()
     conj.verify()
     with pytest.raises(CertificateFailure):
-        boundary_alt_lifting(inp, InvertibleCert.identity(clutching.lambda1, 2))
+        boundary_alt_lifting(clutching, u, *lifts, InvertibleCert.identity(clutching.lambda1, 2))
 
 
 def test_boundary_level_accounting(clutching, sampler):
@@ -515,7 +522,7 @@ def test_boundary_level_accounting(clutching, sampler):
             apply_hom_matrix(clutching.j1, u_tilde.m),
             apply_hom_matrix(clutching.j1, u_tilde.m_inv),
         )
-        out = boundary_extended_form(BoundaryInput(clutching, u))
+        out = boundary_extended_form(clutching, *checked_lifts(clutching, u))
         floor = max(0, u.level - 2)
         assert out.l.level >= floor
         assert out.p.level >= floor
@@ -558,16 +565,16 @@ def _double_not_idempotent():
 
 def _wrong_lift_a():
     u = InvertibleCert(_q([2, 0], [0, rat(1, 2)]), _q([rat(1, 2), 0], [0, 2])).verify()
-    BoundaryInput(_T, u, lift_a=_q([2, 0], [1, rat(1, 2)]), lift_b=u.m_inv)
+    checked_lifts(_T, u, lift_a=_q([2, 0], [1, rat(1, 2)]), lift_b=u.m_inv)
 
 
 def _wrong_lift_b():
     u = InvertibleCert(_q([2, 0], [0, rat(1, 2)]), _q([rat(1, 2), 0], [0, 2])).verify()
-    BoundaryInput(_T, u, lift_a=u.m, lift_b=_q([rat(1, 2), 5], [0, 2]))
+    checked_lifts(_T, u, lift_a=u.m, lift_b=_q([rat(1, 2), 5], [0, 2]))
 
 
 def _u_not_commuting():
-    BoundaryInput(_T, InvertibleCert(_q([1, 1], [0, 1]), _q([1, -1], [0, 1])).verify(), m=1)
+    checked_lifts(_T, InvertibleCert(_q([1, 1], [0, 1]), _q([1, -1], [0, 1])).verify(), m=1)
 
 
 def _non_conjugate_gluing():
@@ -578,9 +585,8 @@ def _non_conjugate_gluing():
 
 
 def _wrong_alternative_l():
-    boundary_alt_lifting(
-        BoundaryInput(_T, _unit(2)), InvertibleCert.identity(_T.lambda1, 2)
-    )
+    u = _unit(2)
+    boundary_alt_lifting(_T, u, *checked_lifts(_T, u), InvertibleCert.identity(_T.lambda1, 2))
 
 
 @pytest.mark.parametrize("build,cls,message,position,residual", [

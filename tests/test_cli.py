@@ -620,6 +620,65 @@ def test_extended_boundary_rejects_surviving_perturbation(tmp_path, capsys):
             "  residual: perturbation K must die in the overlap ring") in out
 
 
+def _clutching_lifts(**entries):
+    """The bundled clutching spec (U = x) with the entries of A or B replaced."""
+    doc = _bundled("quotient_clutching.json")
+    for name, rows in entries.items():
+        doc["matrices"][name]["entries"] = rows
+    return doc
+
+
+def _cover_lift_over_second_leg():
+    """The cover diagram with U = 2 at its overlap point and lift A = 2 over
+    the second leg."""
+    doc = _bundled("propagation_cover.json")
+    doc["matrices"] = {
+        "U": {"algebra": "lambda_prime", "size": 1, "entries": [[[["2", "2", "2"]]]],
+              "inverse": [[[["2", "2", "1/2"]]]]},
+        "A": {"algebra": "lambda2", "size": 1, "entries": [[[["2", "2", "2"]]]]},
+    }
+    doc["command"] = {"name": "boundary", "u": "U", "lift_a": "A"}
+    return doc
+
+
+def _not_commuting_at_m1():
+    """U = [[0, x], [x, 0]], its own inverse, at m = 1: U diag(0, 1) has x at
+    (0, 1), where diag(0, 1) U has 0."""
+    doc = _extended_boundary()
+    swap_x = [[_ZERO, _X], [_X, _ZERO]]
+    doc["matrices"]["U"].update(entries=swap_x, inverse=swap_x)
+    return doc
+
+
+# A lift is checked where it enters, before any report line, so a bad one
+# rejects the inputs.
+@pytest.mark.parametrize("doc,message", [
+    (_clutching_lifts(A=[[["1", "1"]]]), "lift A has the wrong image at (0, 0)"),
+    (_clutching_lifts(B=[[["0", "0", "1"]]]), "lift B has the wrong image at (0, 0)"),
+    (_cover_lift_over_second_leg(), "lifts must live over the first leg"),
+    (_not_commuting_at_m1(), "U must commute with the stabilization block, fails at (0, 1)"),
+], ids=["lift-a-image", "lift-b-image", "lift-over-lambda2", "m1-not-commuting"])
+def test_rejected_lift_is_spec_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "boundary", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"spec error: boundary inputs rejected: {message}\n"
+
+
+# The corrupted witness is kernel_boundary's, and a diagram without equal
+# legs skips that segment, so such a run used to pass without reading it.
+def test_corrupt_witness_needs_equal_legs(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        _with_command("propagation_cover.json", samples=1, corrupt_witness=True)))
+    code, out, err = run_cli(capsys, "exactness", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "spec error: command.corrupt_witness needs a diagram with equal legs\n"
+
+
 # -- the report writer ---------------------------------------------------------
 
 # Quotes, backslashes, control characters and non-ASCII text (BMP and astral),

@@ -196,7 +196,8 @@ def assert_every_product_caught(probe, label, argv, path, report, fills=(all_one
 # reason, keyed as (segment of the report the line is added to, name).
 CHECK_ALLOWLIST = {
     ("boundary", "double matrix constraint"):
-        "implied by BoundaryInput's checks and S0, S1 dying; printed in every boundary report",
+        "implied by S0, S1 dying and, at m > 0, checked_lifts' commuting check; "
+        "printed in every boundary report",
     ("kernel_boundary", "witness is a double invertible"):
         "only a wrong witness reaches it; the generator's witness legs are one matrix",
     ("kernel_i", "recovered block is the (inverse-)stabilized transition"):
@@ -362,12 +363,13 @@ def test_boundary_product_count(tmp_path, probe):
 
 
 # Products of one boundary_report at m = 1 on the clutching diagram, with
-# U = diag(2, x) and both lifts perturbed.  Only the base input checks that
-# U commutes with diag(0, 1) (2 products); each lift check builds L~ from
-# its claim's own products, with no BoundaryInput to rerun that check or
-# the lift images, which the perturbation's own check implies.  36 while
-# each shifted input was a checked BoundaryInput; 32 while each lift check
-# rebuilt L~ from the shifted lifts, -3/-3/-3 as for BOUNDARY_PRODUCTS.
+# U = diag(2, x) and both lifts perturbed.  Only checked_lifts, on the
+# base lifts, checks that U commutes with diag(0, 1) (2 products); each
+# lift check builds L~ from its claim's own products, and checks neither
+# that again nor the shifted lifts' images, which the perturbation's own
+# check implies.  36 while each shifted pair of lifts was checked against
+# U as well; 32 while each lift check rebuilt L~ from the shifted lifts,
+# -3/-3/-3 as for BOUNDARY_PRODUCTS.
 BOUNDARY_M1_PRODUCTS = 23
 
 
@@ -403,8 +405,11 @@ def test_extended_boundary_product_count(probe):
 # only (8 products each), and -6 for the reverse products of W1, W2 and
 # kernel_i's two double certificates.  91 while boundary_zero_oshape tested
 # the O-shape with both products alpha alpha^-1 and alpha^-1 alpha, twice;
-# o_blocks now verifies the halves once, one product.
-EXACTNESS_PRODUCTS = 88
+# o_blocks now verifies the halves once, one product.  88 while kernel_i
+# checked that phi commutes with the scalar block twice, on its own line
+# and again among the checks of the lifts v, v^-1, whose image phi is:
+# -2 for that second phi e and e phi.
+EXACTNESS_PRODUCTS = 86
 
 
 def test_exactness_product_count(tmp_path, probe):
@@ -571,6 +576,20 @@ LIVENESS_SPECS = {
                            "entries": [[["0", "1"]]], "inverse": [[["0", "1"]]]}},
         "command": {"name": "boundary", "u": "U"}},
 }
+# A scalar-inclusion leg into each other carrier, through which a command
+# builds that carrier's scalars: j2 maps Q into lambda_prime = lambda1,
+# with the identity j1, and U = 2 with inverse 1/2.
+for _kind, _carrier, _scalar in (
+        ("trivial", _Q, lambda v: v),
+        ("poly", _Q_X, lambda v: [v]),
+        ("kernels", {"kind": "propagation", **_LINE},
+         lambda v: [[p, p, v] for p in _LINE["points"]])):
+    LIVENESS_SPECS[f"boundary-inclusion-{_kind}"] = {
+        "diagram": {"lambda1": _carrier, "lambda2": _Q, "lambda_prime": _carrier,
+                    "j1": {"type": "identity"}, "j2": {"type": "scalar-inclusion"}},
+        "matrices": {"U": {"algebra": "lambda_prime", "size": 1,
+                           "entries": [[_scalar("2")]], "inverse": [[_scalar("1/2")]]}},
+        "command": {"name": "boundary", "u": "U"}}
 
 
 def liveness_argvs(tmp_path):

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from carriers import line_space, suite_algebras
+from carriers import line_space, scalar_diag, suite_algebras
 
 from kcert.algebras import PropagationAlgebra
 from kcert.identities import (
@@ -25,8 +25,8 @@ from kcert.scalars import Poly, QuotElem, rat
 
 def _scalar_cert(algebra, value):
     return InvertibleCert(
-        FilteredMatrix.scalar_diag(algebra, rat(value), 1),
-        FilteredMatrix.scalar_diag(algebra, 1 / rat(value), 1),
+        scalar_diag(algebra, rat(value), 1),
+        scalar_diag(algebra, 1 / rat(value), 1),
     ).verify()
 
 
@@ -47,8 +47,8 @@ def test_whitehead_unit_case(trivial):
 
 def test_whitehead_scalar_two(trivial):
     u = InvertibleCert(
-        FilteredMatrix.scalar_diag(trivial, 2, 1),
-        FilteredMatrix.scalar_diag(trivial, rat(1, 2), 1),
+        scalar_diag(trivial, 2, 1),
+        scalar_diag(trivial, rat(1, 2), 1),
     ).verify()
     prod = whitehead_product(u)
     expect = FilteredMatrix(trivial, ((rat(2), rat(0)), (rat(0), rat(1, 2))))

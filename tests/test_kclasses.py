@@ -1,9 +1,10 @@
 import pytest
+from carriers import scalar_diag
 
 from kcert.boundary import (
-    BoundaryInput,
     boundary_extended_form,
     boundary_first_form,
+    checked_lifts,
     e_block,
 )
 from kcert import drivers, kclasses
@@ -173,9 +174,9 @@ def test_kernel_boundary_witness_is_l_times_swap(name, request):
     for size in (1, 2, 3):
         u_tilde = sampler.invertible(diagram.lambda1, size)
         u, w = kernel_boundary_witness(diagram, u_tilde)
-        inp = BoundaryInput(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv)
+        a, b = checked_lifts(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv)
         swap = block_swap_cert(diagram.lambda1, size)
-        assert factors(w) == factors(boundary_extended_form(inp).l.compose(swap))
+        assert factors(w) == factors(boundary_extended_form(diagram, a, b).l.compose(swap))
 
 
 def test_swap_halves_equals_the_swap_product(clutching, sampler):
@@ -186,8 +187,7 @@ def test_swap_halves_equals_the_swap_product(clutching, sampler):
     # with diag(0_1, 1_2), for m = 1.
     u = sampler.invertible(lp, 1).direct_sum(sampler.invertible(lp, 2))
     for m in (0, 1):
-        inp = BoundaryInput(clutching, u, m=m)
-        l = boundary_extended_form(inp).l
+        l = boundary_extended_form(clutching, *checked_lifts(clutching, u, m=m), m).l
         assert factors(swap_halves(l)) == factors(l.compose(block_swap_cert(l1, 3)))
     # kernel_boundary: swap.U1^-1, on the generated witness and on a
     # sampled invertible.
@@ -235,8 +235,9 @@ def test_kernel_i_round_trip_clutching(clutching):
     # level ledger across the whole pipeline: the boundary of phi with the
     # lifts u2^-1 u1 and u1^-1 u2, as the segment builds it
     v = u2.inverse().compose(u1)
+    m = u1.n - minus.n
     out = boundary_extended_form(
-        BoundaryInput(clutching, phi, lift_a=v.m, lift_b=v.m_inv, m=u1.n - minus.n)
+        clutching, *checked_lifts(clutching, phi, lift_a=v.m, lift_b=v.m_inv, m=m), m
     )
     assert out.p_double.level >= max(0, min(glued.double.level, minus.level) - 8)
 
@@ -454,8 +455,8 @@ def test_kernel_boundary_rejects_disagreeing_witness_legs(clutching, sampler):
     u_tilde = sampler.invertible(clutching.lambda1, 2)
     u, w = kernel_boundary_witness(clutching, u_tilde)
     two = InvertibleCert(
-        FilteredMatrix.scalar_diag(clutching.lambda1, 2, w.n),
-        FilteredMatrix.scalar_diag(clutching.lambda1, rat(1, 2), w.n),
+        scalar_diag(clutching.lambda1, 2, w.n),
+        scalar_diag(clutching.lambda1, rat(1, 2), w.n),
     ).verify()
     pair, report = exactness_kernel_boundary(
         clutching, u, (w, w.compose(two)), lift_a=u_tilde.m, lift_b=u_tilde.m_inv
@@ -513,17 +514,17 @@ def test_implied_exactness_claims_hold(name, request, monkeypatch):
     for (_, u_tilde), _, _ in calls["exactness_boundary_zero"]:
         u = apply_hom_invertible(j1, u_tilde)
         out = boundary_extended_form(
-            BoundaryInput(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv)
+            diagram, *checked_lifts(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv)
         )
         assert out.l.m_inv @ out.l.m == FilteredMatrix.identity(diagram.lambda1, 2 * u.n)
         assert out.p_double.p.first_mismatch(out.minus.p) is None
     # i_after_boundary: leg 2 is the literal e2.
     for (_, u), _, _ in calls["exactness_i_after_boundary"]:
-        out = boundary_extended_form(BoundaryInput(diagram, u))
+        out = boundary_extended_form(diagram, *checked_lifts(diagram, u))
         assert out.p_double.p.m2 == e_block(diagram.lambda2, u.n, u.n)
     # kernel_boundary: the normal form's leg 2 is V e2 V^-1, V = U1^-1 U2.
     for (_, u, (u1, u2)), lifts, _ in calls["exactness_kernel_boundary"]:
-        out = boundary_extended_form(BoundaryInput(diagram, u, **lifts))
+        out = boundary_extended_form(diagram, *checked_lifts(diagram, u, **lifts))
         v = u1.inverse().compose(u2)
         assert u1.m_inv @ out.p_double.p.m2 @ u1.m == v.m @ out.e2 @ v.m_inv
     # kernel_i: the conjugated leg 1 is V eps V^-1, V = u2^-1 u1, the
@@ -534,7 +535,7 @@ def test_implied_exactness_claims_hold(name, request, monkeypatch):
         v = u2.inverse().compose(u1)
         assert u2.m_inv @ p_tilde.p.m1 @ u2.m == v.m @ eps @ v.m_inv
         out = boundary_extended_form(
-            BoundaryInput(diagram, phi, lift_a=v.m, lift_b=v.m_inv, m=plus.n)
+            diagram, *checked_lifts(diagram, phi, lift_a=v.m, lift_b=v.m_inv, m=plus.n), plus.n
         )
         assert out.s1.is_zero()
         total = plus.n + minus.n

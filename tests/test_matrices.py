@@ -2,7 +2,7 @@ from math import gcd
 from operator import add, sub
 
 import pytest
-from carriers import line_space, suite_algebras
+from carriers import line_space, scalar_diag, suite_algebras
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,7 +113,7 @@ def test_level_laws(kind, sampler):
     }[kind]
     empty = FilteredMatrix.zeros(algebra, 0)
     assert empty.n == 0 and empty.level == algebra.max_level
-    nonzero = FilteredMatrix.scalar_diag(algebra, rat(-2, 3), 3)
+    nonzero = scalar_diag(algebra, rat(-2, 3), 3)
     assert not nonzero.is_zero() and nonzero.level == algebra.max_level
     for _ in range(200):
         n = sampler.size(3)
@@ -156,7 +156,7 @@ def test_check_idempotent(trivial):
     good = FilteredMatrix.diag_bits(trivial, (1, 0))
     cert = IdempotentCert(good).verify()
     assert cert.level == trivial.max_level
-    bad = FilteredMatrix.scalar_diag(trivial, rat(1, 2), 2)
+    bad = scalar_diag(trivial, rat(1, 2), 2)
     with pytest.raises(CertificateFailure) as err:
         IdempotentCert(bad).verify()
     assert err.value.position == (0, 0)
@@ -213,12 +213,12 @@ def test_o_map_non_multiplicativity_pinned(trivial, quotient):
         assert lhs.m != rhs.m
         # 1x1 commutative entries: the two sides DO agree, hence 2x2 blocks.
         a = InvertibleCert(
-            FilteredMatrix.scalar_diag(algebra, 2, 1),
-            FilteredMatrix.scalar_diag(algebra, rat(1, 2), 1),
+            scalar_diag(algebra, 2, 1),
+            scalar_diag(algebra, rat(1, 2), 1),
         )
         b = InvertibleCert(
-            FilteredMatrix.scalar_diag(algebra, 3, 1),
-            FilteredMatrix.scalar_diag(algebra, rat(1, 3), 1),
+            scalar_diag(algebra, 3, 1),
+            scalar_diag(algebra, rat(1, 3), 1),
         )
         assert o_map(a.compose(b)).m == o_map(a).compose(o_map(b)).m
 
@@ -279,7 +279,7 @@ def test_permutation_cert(trivial):
 
 
 def test_invertible_cert_failure(trivial):
-    m = FilteredMatrix.scalar_diag(trivial, 2, 2)
+    m = scalar_diag(trivial, 2, 2)
     with pytest.raises(CertificateFailure):
         InvertibleCert(m, m).verify()
 

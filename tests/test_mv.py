@@ -1,5 +1,5 @@
 import pytest
-from carriers import clutching_diagram
+from carriers import clutching_diagram, scalar_diag
 
 from kcert.identities import whitehead_product
 from kcert.matrices import (
@@ -211,8 +211,8 @@ def test_double_certificates_use_double_identity(clutching):
 def test_double_invertible_rejects_disagreeing_legs(clutching, sampler):
     s = sampler.invertible(clutching.lambda1, 1)
     two = InvertibleCert(
-        FilteredMatrix.scalar_diag(clutching.lambda2, 2, 1),
-        FilteredMatrix.scalar_diag(clutching.lambda2, rat(1, 2), 1),
+        scalar_diag(clutching.lambda2, 2, 1),
+        scalar_diag(clutching.lambda2, rat(1, 2), 1),
     ).verify()
     with pytest.raises(DoubleMismatch):
         double_invertible(clutching, s, s.compose(two))
