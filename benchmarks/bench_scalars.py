@@ -19,9 +19,11 @@ invertible over Q, Q[x]/(x^2 - 1) and kernels on 4 points, and 1,000 small
 rationals, the draw layer under them all), and a slice of the identity
 suite over the three bundled carriers.  Over kernels on 4 points and over Q
 it also times the product of two O-map-shaped operands diag(u, u^-1)
-(n = 4, 8), the block-diagonal shape the O-map laws multiply; and over
-kernels the level of a freshly built 4 x 4 matrix.  Operands are reused across calls, as certificates reuse
-them, so a matrix's integer form is computed once per row.  Last come the
+(n = 4, 8), the block-diagonal shape the O-map laws multiply; over kernels
+the level of a freshly built 4 x 4 matrix; and over both, ``==`` of two
+equal 4 x 4 products computed apart, whose entries are distinct objects.
+Operands are reused across calls, as certificates reuse them, so a
+matrix's integer form is computed once per row.  Last come the
 certificate layer and the two ends of a request: the bundled clutching
 spec's boundary report built from its parsed matrices (construction and both
 lift-independence checks), its JSON text as ``kcert boundary --format json``
@@ -164,6 +166,14 @@ def matmul_rows():
         x, y = (o_map(sampler.invertible(algebra, size // 2)).m for _ in range(2))
         rows.append((f"FilteredMatrix @, diag(u, u^-1), Q, n = {size}",
                      per_call_us(lambda: x @ y, 2000 // size)))
+    # Drawn last, so the rows above keep their draws.
+    for label, algebra in (("Q", TrivialAlgebra()),
+                           ("propagation, 4 points", PropagationAlgebra(line_space(4, 4)))):
+        x, y = sampler.matrix(algebra, 4), sampler.matrix(algebra, 4)
+        left, right = x @ y, x @ y
+        assert left == right
+        rows.append((f"FilteredMatrix ==, equal products, {label}, n = 4",
+                     per_call_us(lambda: left == right, 20000)))
     return rows
 
 

@@ -44,9 +44,16 @@ reduction mod m is a ring map.  A Q[x] or Q[x]/(m) matrix carries its
 integer form in the private slot ``_ints`` (see _poly_ints and
 _poly_product).  The quotient hom keeps every entry of degree < deg m as it
 is and reads as integers only the entries it reduces, one at a time.
-Payloads stay reduced, so equality, hashing and encodings do not depend on
-how a product was computed.  Products and images are built through the
-operand's own matrix class, so this module needs no import of matrices.py.
+Every rational these kernels read, they read through Fraction's two slots
+``_numerator`` and ``_denominator`` (see scalars.py), never through a
+property or a Fraction dunder.  So do Kernel's zero filter, negation and
+equality, which is one loop over the table as Poly equality is, and
+Q-matrix equality: FilteredMatrix ``==`` and first_mismatch compare rows by
+the carrier's ``_rows_equal``, which is the tuple ``==`` except over Q,
+where it is one loop over the slots.  Payloads stay reduced, so equality,
+hashing and encodings do not depend on how a product was computed.
+Products and images are built through the operand's own matrix class, so
+this module needs no import of matrices.py.
 
 Each carrier draws identity-suite units together with their exact
 inverses, and no inverse is a series or a Euclid loop.  Over Q and Q[x] a
@@ -58,13 +65,14 @@ is inverted by QuotElem.invert, a Bareiss solve of the integer
 multiplication-by-rep system that rejects exactly the non-units.  An
 elementary row or column operation adds y * a per touched entry
 (_add_multiple): over Q as one integer sum over x.den * y.den * a.den and
-one reduced rational, and on the other carriers as the payloads' own
-x + y * a.  An exact inverse is unique, so the draws do not depend on how
-it is computed.
+one reduced rational, read from and built on the slots, and on the other
+carriers as the payloads' own x + y * a.  An exact inverse is unique, so
+the draws do not depend on how it is computed.
 """
 
 from itertools import chain
 from math import gcd, lcm
+from operator import eq
 
 from .scalars import (
     NotInvertible,
@@ -74,6 +82,7 @@ from .scalars import (
     R1,
     Rat,
     _integer_coeffs,
+    _new,
     _reciprocal,
     _reduce_ints,
     _reduced,
@@ -92,7 +101,7 @@ class Kernel:
     __slots__ = ("table",)
 
     def __init__(self, table):
-        self.table = {k: v for k, v in table.items() if v}
+        self.table = {k: v for k, v in table.items() if v._numerator}
 
     @classmethod
     def _raw(cls, table):
@@ -108,7 +117,7 @@ class Kernel:
         for k, v in other.table.items():
             s = out.get(k)
             s = v if s is None else s + v
-            if s:
+            if s._numerator:
                 out[k] = s
             elif k in out:
                 del out[k]
@@ -120,7 +129,14 @@ class Kernel:
         return self + (-other)
 
     def __neg__(self):
-        return Kernel._raw({key: -v for key, v in self.table.items()})
+        # -v keeps v's coprime denominator, so there is no gcd.
+        table = {}
+        for key, v in self.table.items():
+            r = _new(Rat)
+            r._numerator = -v._numerator
+            r._denominator = v._denominator
+            table[key] = r
+        return Kernel._raw(table)
 
     def __mul__(self, other):
         if not isinstance(other, Kernel):
@@ -142,7 +158,24 @@ class Kernel:
         return bool(self.table)
 
     def __eq__(self, other):
-        return isinstance(other, Kernel) and self.table == other.table
+        # Values are nonzero reduced Fractions, so equal kernels have the
+        # same keys and equal values have equal slots: one loop over the
+        # slots, as in Poly.__eq__, with no Fraction.__eq__ call.
+        if self is other:
+            return True
+        if not isinstance(other, Kernel):
+            return False
+        a, b = self.table, other.table
+        if len(a) != len(b):
+            return False
+        get = b.get
+        for key, x in a.items():
+            y = get(key)
+            if y is None or (x is not y and (
+                x._numerator != y._numerator or x._denominator != y._denominator
+            )):
+                return False
+        return True
 
     def __hash__(self):
         return hash(frozenset(self.table.items()))
@@ -223,6 +256,9 @@ class LocalizedAlgebra:
     # Per-pair levels of a propagation algebra; without a table every
     # payload sits at max_level.
     _levels = None
+    # Whether two rows of payloads are equal entrywise: the tuple ==, which
+    # calls each payload's own __eq__.  A builtin, so it binds no self.
+    _rows_equal = eq
 
     def __init__(self, max_level, zero, one, *signature):
         if max_level < 1:
@@ -316,17 +352,29 @@ class TrivialAlgebra(LocalizedAlgebra):
         """Fraction-free, and the same on both sides since Q is commutative:
         x + y * a over the one denominator x.den * y.den * a.den, reduced by
         one gcd; a sum that cancels is the shared zero R0."""
-        if not a:
+        an, ad = a._numerator, a._denominator
+        if not an:
             return lambda x, y: x
-        an, ad = a.numerator, a.denominator
 
         def add_multiple(x, y):
-            xd = x.denominator
-            yd = y.denominator * ad
-            c = x.numerator * yd + y.numerator * an * xd
+            xd = x._denominator
+            yd = y._denominator * ad
+            c = x._numerator * yd + y._numerator * an * xd
             return _reduced(c, xd * yd) if c else R0
 
         return add_multiple
+
+    @staticmethod
+    def _rows_equal(a, b):
+        """Entrywise equality of two rows of rationals of one length: they
+        are reduced, so equal values have equal slots, and one loop compares
+        the slots with no Fraction.__eq__ call."""
+        for x, y in zip(a, b):
+            if x is not y and (
+                x._numerator != y._numerator or x._denominator != y._denominator
+            ):
+                return False
+        return True
 
     def _product(self, a, b):
         return a._raw(self, _rational_product(a.rows, b.rows))
@@ -470,7 +518,9 @@ def _upper_unit_inverse(lam, nil, n):
             for j, v in rows[k].items():
                 row[j] = row.get(j, R0) + f * v
         rows[i] = row
-    return Kernel._raw({(i, j): v for i, row in enumerate(rows) for j, v in row.items() if v})
+    return Kernel._raw(
+        {(i, j): v for i, row in enumerate(rows) for j, v in row.items() if v._numerator}
+    )
 
 
 class PolyAlgebra(LocalizedAlgebra):
@@ -756,16 +806,16 @@ def _rational_product(a, b):
     read; a zero that is another object only adds 0 to a sum."""
     a_nonzero = [[(k, x) for k, x in enumerate(row) if x is not R0] for row in a]
     b_nonzero = [[(j, y) for j, y in enumerate(row) if y is not R0] for row in b]
-    da = lcm(*[x.denominator for row in a_nonzero for _, x in row])
-    db = lcm(*[y.denominator for row in b_nonzero for _, y in row])
-    b_ints = [[(j, y.numerator * (db // y.denominator)) for j, y in row] for row in b_nonzero]
+    da = lcm(*[x._denominator for row in a_nonzero for _, x in row])
+    db = lcm(*[y._denominator for row in b_nonzero for _, y in row])
+    b_ints = [[(j, y._numerator * (db // y._denominator)) for j, y in row] for row in b_nonzero]
     d = da * db
     n = len(a)
     out = []
     for row in a_nonzero:
         acc = [0] * n
         for k, x in row:
-            x = x.numerator * (da // x.denominator)
+            x = x._numerator * (da // x._denominator)
             for j, y in b_ints[k]:
                 acc[j] += x * y
         out.append(tuple([_reduced(c, d) if c else R0 for c in acc]))
@@ -782,14 +832,14 @@ def _kernel_product(a, b, algebra):
     points = algebra.space.size
     pairs = algebra._pairs
     zero = algebra.zero()
-    da = lcm(*[v.denominator for row in a for p in row for v in p.table.values()])
-    db = lcm(*[v.denominator for row in b for p in row for v in p.table.values()])
+    da = lcm(*[v._denominator for row in a for p in row for v in p.table.values()])
+    db = lcm(*[v._denominator for row in b for p in row for v in p.table.values()])
     b_index = [[] for _ in range(len(b) * points)]
     for k, row in enumerate(b):
         base = k * points
         for j, p in enumerate(row):
             for (q, r), w in p.table.items():
-                b_index[base + q].append((j, r, w.numerator * (db // w.denominator)))
+                b_index[base + q].append((j, r, w._numerator * (db // w._denominator)))
     d = da * db
     memo = {}
     n = len(a)
@@ -802,7 +852,7 @@ def _kernel_product(a, b, algebra):
             for (s, q), v in p.table.items():
                 terms = b_index[base + q]
                 if terms:
-                    v = v.numerator * (da // v.denominator)
+                    v = v._numerator * (da // v._denominator)
                     key = s * points
                     for j, r, w in terms:
                         t = acc[j]
@@ -832,10 +882,10 @@ def _poly_ints(m):
         rows = m.rows
         if m.algebra.modulus is not None:
             rows = [[e.rep for e in row] for row in rows]
-        den = lcm(*[c.denominator for row in rows for p in row for c in p.coeffs])
+        den = lcm(*[c._denominator for row in rows for p in row for c in p.coeffs])
         ints = m._ints = [
             [
-                (j, [c.numerator * (den // c.denominator) for c in p.coeffs])
+                (j, [c._numerator * (den // c._denominator) for c in p.coeffs])
                 for j, p in enumerate(row)
                 if p.coeffs
             ]

@@ -227,7 +227,7 @@ def gen_kernel_i(diagram, sampler):
     phi, report = exactness_kernel_i(diagram, (glued.double, minus), u1, u2)
     if phi is not None:
         expected = u.m.direct_sum(FilteredMatrix.identity(diagram.lambda_prime, n))
-        block = phi.m.sub_block(2 * n, 4 * n, 2 * n, 4 * n)
+        block = phi.sub_block(2 * n, 4 * n, 2 * n, 4 * n)
         inv_expected = u.m_inv.direct_sum(
             FilteredMatrix.identity(diagram.lambda_prime, n)
         )

@@ -15,7 +15,6 @@ from .matrices import (
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
-    apply_hom_invertible,
     apply_hom_matrix,
     block2,
     involution_cert,
@@ -235,7 +234,9 @@ def exactness_kernel_i(diagram, d, u1, u2):
     by (u2^{-1}, u2^{-1}); the second leg becomes the literal scalar block, phi
     = j1(u2^{-1} u1) commutes with it, and the lifts u2^{-1} u1, u1^{-1} u2
     have vanishing defects, so the extended boundary of phi reproduces the
-    input class with every step certified."""
+    input class with every step certified.  Returns (phi, report): phi is
+    the matrix j1(u2^{-1} u1), or None after a failed line.  No line reads
+    the image of u1^{-1} u2, so it is not mapped."""
     report = ExactnessReport("kernel_i")
     if not diagram.same_legs:
         report.add("diagram has equal legs", False, "recipe assumes equal legs")
@@ -267,11 +268,11 @@ def exactness_kernel_i(diagram, d, u1, u2):
     # Leg 1 needs no line: it is u2^-1 (u1 eps u1^-1) u2 = V eps V^-1 by the
     # witness line for u1, which returned early if it failed.
     report.require("conjugated leg2 is literal eps", p_tt.p.m2.first_mismatch(eps))
-    phi = apply_hom_invertible(diagram.j1, v)
+    phi = apply_hom_matrix(diagram.j1, v.m)
     eps_prime = e_block(diagram.lambda_prime, m_sz, n_sz)
     report.require(
         "phi commutes with the scalar block",
-        (phi.m @ eps_prime).first_mismatch(eps_prime @ phi.m),
+        (phi @ eps_prime).first_mismatch(eps_prime @ phi),
     )
     if not report.passed:
         return None, report

@@ -137,11 +137,14 @@ class FilteredMatrix:
         return self.algebra._product(self, other)
 
     def __eq__(self, other):
-        return (
+        """Rows are compared by the carrier's _rows_equal."""
+        if not (
             isinstance(other, FilteredMatrix)
             and self.algebra == other.algebra
-            and self.rows == other.rows
-        )
+            and self.n == other.n
+        ):
+            return False
+        return all(map(self.algebra._rows_equal, self.rows, other.rows))
 
     def __hash__(self):
         return hash((self.algebra, self.rows))
@@ -181,13 +184,15 @@ class FilteredMatrix:
 
     def first_mismatch(self, other):
         """Position and residual of the first differing entry in row-major
-        order, or None.  Rows are compared whole; only the first differing
-        row is scanned entry by entry."""
+        order, or None.  Rows are compared whole by the carrier's
+        _rows_equal, as ``==`` compares them; only the first differing row is
+        scanned entry by entry, each entry as a row of one."""
         self._same(other)
+        same = self.algebra._rows_equal
         for i, (ra, rb) in enumerate(zip(self.rows, other.rows)):
-            if ra != rb:
+            if not same(ra, rb):
                 for j, (x, y) in enumerate(zip(ra, rb)):
-                    if x != y:
+                    if not same((x,), (y,)):
                         return (i, j), x - y
         return None
 

@@ -24,10 +24,18 @@ a nonzero rational by ``_reciprocal`` (no gcd).  Both set Fraction's two
 slots, ``_numerator`` and ``_denominator``, on ``object.__new__(Rat)`` and
 so skip the type dispatch of ``Fraction.__new__``; the result is an
 ordinary Fraction that equals, hashes and prints as ``Rat(c, d)`` does.
-Since every coefficient is reduced, Poly equality reads the same two slots:
-equal values have equal slots, so one loop compares them with no
-``Fraction.__eq__`` call.  This is the one module that knows that layout,
-and a test pins ``Rat.__slots__``.
+Since every rational is reduced, equal values have equal slots, so one loop
+over the slots compares them with no ``Fraction.__eq__`` call.
+
+Every hot path reads a rational through these two slots, never through the
+``numerator`` and ``denominator`` properties or ``Fraction.__eq__``,
+``__neg__`` and ``__bool__``, which are Python code: here ``_integer_coeffs``,
+``encode_rational``, ``Poly.__neg__`` and ``Poly.__eq__``; in algebras.py the
+product kernels and ``_poly_ints``, the Q row operation
+``TrivialAlgebra._add_multiple``, Q-matrix equality
+``TrivialAlgebra._rows_equal``, and the zero filter, negation and equality of
+``Kernel``.  A test pins ``Rat.__slots__``, and a guard counts the property
+and dunder calls those paths make on the benchmark's requests.
 """
 
 import re
@@ -94,8 +102,11 @@ def parse_rational(text):
 
 
 def encode_rational(value):
-    """Canonical text encoding; round-trips through parse_rational."""
-    return str(value)
+    """Canonical text encoding, the text of ``str(value)`` built from the two
+    slots; round-trips through parse_rational."""
+    n = value._numerator
+    d = value._denominator
+    return f"{n}/{d}" if d != 1 else str(n)
 
 
 class Poly:
@@ -257,10 +268,10 @@ _P_ONE = Poly._raw((R1,))
 def _integer_coeffs(coeffs):
     """(ints, den) with coeffs[i] == ints[i] / den, den the lcm of the
     coefficient denominators."""
-    den = lcm(*[c.denominator for c in coeffs])
+    den = lcm(*[c._denominator for c in coeffs])
     if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+        return [c._numerator for c in coeffs], 1
+    return [c._numerator * (den // c._denominator) for c in coeffs], den
 
 
 def _int_product(a, b):

@@ -208,7 +208,7 @@ def test_criterion_6_exactness_witnesses():
     u1, u2 = kernel_i_witnesses(diagram, glued, 1)
     phi, report = exactness_kernel_i(diagram, (glued.double, minus), u1, u2)
     ok &= report.passed
-    ok &= phi.m.sub_block(2, 4, 2, 4) == u.m.direct_sum(
+    ok &= phi.sub_block(2, 4, 2, 4) == u.m.direct_sum(
         FilteredMatrix.identity(diagram.lambda_prime, 1)
     )
     _report("6 exactness-witnesses", ok,

@@ -26,6 +26,12 @@
 - Product count: one ``boundary`` run of the bundled clutching spec and one
   ``exactness`` run of the exactness-clutching benchmark's request 0 each
   make an exact number of products, so a repeated product cannot creep back.
+- Slot reads: the hot paths read a rational through Fraction's two slots.
+  Over request 0 of each benchmark workload, no ``numerator`` or
+  ``denominator`` property and no ``Fraction.__eq__``, ``__neg__`` or
+  ``__bool__`` runs while a product kernel, the Q row operation's map,
+  matrix or kernel equality, or the kernel filter or negation is on the
+  stack.  The count is pinned at 0, so it holds on every Python version.
 - Surface: every module-level name of ``src/kcert`` is read by live code in
   ``src/kcert``, save an allowlist with one reason per name, so a helper that
   only tests (or only other dead helpers) call lives in the tests.  Live code
@@ -51,14 +57,15 @@ import inspect
 import json
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import test_acceptance as acceptance
 from carriers import clutching_diagram, spec_path
 
-from kcert import cli, matrices, mv
-from kcert.algebras import Kernel, PolyAlgebra
+from kcert import algebras, cli, matrices, mv, scalars
+from kcert.algebras import Kernel, PolyAlgebra, TrivialAlgebra
 from kcert.cli import main
 from kcert.drivers import boundary_report
 from kcert.kclasses import ExactnessReport
@@ -418,6 +425,95 @@ def test_exactness_product_count(tmp_path, probe):
     request.write_text(json.dumps(doc))
     argv = [subcommand, "--spec", str(request)]
     assert probe.count(lambda: run(argv, tmp_path / "report")) == EXACTNESS_PRODUCTS
+
+
+# The Fraction members that are Python code: the two properties and the
+# dunders a comparison, a negation or a truth test calls.
+FRACTION_CALLS = {
+    Fraction.numerator.fget.__code__: "numerator",
+    Fraction.denominator.fget.__code__: "denominator",
+    Fraction.__eq__.__code__: "__eq__",
+    Fraction.__neg__.__code__: "__neg__",
+    Fraction.__bool__.__code__: "__bool__",
+}
+
+
+def slot_paths():
+    """{code object: name} of the paths that read rationals by their slots.
+    The maps of the generic _add_multiple are not among them: they are the
+    payloads' own x + y * a, which over kernels and Q[x] is Fraction
+    arithmetic."""
+    paths = {
+        f.__code__: f.__qualname__ for f in (
+            algebras._rational_product, algebras._kernel_product, algebras._poly_product,
+            algebras._poly_ints, scalars._integer_coeffs, scalars.encode_rational,
+            TrivialAlgebra._rows_equal, Kernel.__init__, Kernel.__neg__, Kernel.__eq__,
+            FilteredMatrix.__eq__, FilteredMatrix.first_mismatch,
+        )
+    }
+    for a in (rat(2), rat(0)):
+        paths[TrivialAlgebra()._add_multiple(a).__code__] = "TrivialAlgebra._add_multiple map"
+    return paths
+
+
+def fraction_calls_on_slot_paths(thunk):
+    """(calls, entered) for one call of thunk: calls counts each Fraction
+    member of FRACTION_CALLS called while a slot path is on the stack, by
+    (innermost slot path, member); entered names the slot paths entered."""
+    paths = slot_paths()
+    calls, entered = {}, set()
+
+    def hook(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code in paths:
+            entered.add(paths[code])
+        elif code in FRACTION_CALLS:
+            caller = frame.f_back
+            while caller is not None and caller.f_code not in paths:
+                caller = caller.f_back
+            if caller is not None:
+                key = (paths[caller.f_code], FRACTION_CALLS[code])
+                calls[key] = calls.get(key, 0) + 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(previous)
+    return calls, entered
+
+
+def test_slot_paths_call_no_fraction_member(tmp_path):
+    entered = set()
+    for workload in ("verify-trivial", "verify-propagation", "exactness-clutching",
+                     "boundary-clutching"):
+        subcommand, doc = perfbench_request(workload)
+        request = tmp_path / f"{workload}.json"
+        request.write_text(json.dumps(doc))
+        argv = [subcommand, "--spec", str(request)]
+        codes = []
+        calls, seen = fraction_calls_on_slot_paths(
+            lambda: codes.append(run(argv, tmp_path / "report")[0]))
+        assert codes == [0], workload
+        assert calls == {}, f"{workload}: Fraction members called on slot paths: {calls}"
+        entered |= seen
+    # Every slot path ran, so the count of 0 is not vacuous.
+    assert entered == set(slot_paths().values())
+
+
+def test_slot_path_guard_counts_fraction_members():
+    # Fraction arithmetic under a slot path is counted, by path and member;
+    # the same arithmetic outside every slot path is not.
+    a = FilteredMatrix(TrivialAlgebra(), ((rat(1, 2),),))
+    b = FilteredMatrix(TrivialAlgebra(), ((rat(1, 3),),))
+    calls, entered = fraction_calls_on_slot_paths(lambda: a.first_mismatch(b))
+    assert calls[("FilteredMatrix.first_mismatch", "numerator")] > 0
+    assert entered == {"FilteredMatrix.first_mismatch", "TrivialAlgebra._rows_equal"}
+    calls, entered = fraction_calls_on_slot_paths(lambda: -rat(1, 2) == rat(1, 2))
+    assert calls == {} and entered == set()
 
 
 # Module-level src names and class members that nothing live in src reads,

@@ -229,15 +229,18 @@ def test_kernel_i_round_trip_clutching(clutching):
     assert [c["name"] for c in gen_kernel_i(clutching, Sampler(2)).checks] == (
         KERNEL_I_CHECKS + ["recovered block is the (inverse-)stabilized transition"]
     )
-    block = phi.m.sub_block(2, 4, 2, 4)
+    block = phi.sub_block(2, 4, 2, 4)
     expected = u.m.direct_sum(FilteredMatrix.identity(clutching.lambda_prime, 1))
     assert block == expected
     # level ledger across the whole pipeline: the boundary of phi with the
-    # lifts u2^-1 u1 and u1^-1 u2, as the segment builds it
+    # lifts u2^-1 u1 and u1^-1 u2, as the segment builds it; phi is the
+    # image of v, and checked_lifts also reads the image of v^-1
     v = u2.inverse().compose(u1)
+    phi_cert = apply_hom_invertible(clutching.j1, v)
+    assert phi == phi_cert.m
     m = u1.n - minus.n
     out = boundary_extended_form(
-        clutching, *checked_lifts(clutching, phi, lift_a=v.m, lift_b=v.m_inv, m=m), m
+        clutching, *checked_lifts(clutching, phi_cert, lift_a=v.m, lift_b=v.m_inv, m=m), m
     )
     assert out.p_double.level >= max(0, min(glued.double.level, minus.level) - 8)
 
@@ -250,7 +253,7 @@ def test_kernel_i_trivial_difference(trivial_mv):
     u1 = permutation_cert(trivial_mv.lambda1, (1, 0))
     phi, report = exactness_kernel_i(trivial_mv, (one, one), u1, u1)
     assert report.passed
-    assert phi.m == FilteredMatrix.identity(trivial_mv.lambda_prime, 2)
+    assert phi == FilteredMatrix.identity(trivial_mv.lambda_prime, 2)
 
 
 def _kernel_i_with_plus_part(trivial_mv, monkeypatch, wrong):
@@ -534,9 +537,10 @@ def test_implied_exactness_claims_hold(name, request, monkeypatch):
         eps = e_block(diagram.lambda1, plus.n, minus.n)
         v = u2.inverse().compose(u1)
         assert u2.m_inv @ p_tilde.p.m1 @ u2.m == v.m @ eps @ v.m_inv
-        out = boundary_extended_form(
-            diagram, *checked_lifts(diagram, phi, lift_a=v.m, lift_b=v.m_inv, m=plus.n), plus.n
-        )
+        phi_cert = apply_hom_invertible(j1, v)
+        assert phi == phi_cert.m
+        lifts = checked_lifts(diagram, phi_cert, lift_a=v.m, lift_b=v.m_inv, m=plus.n)
+        out = boundary_extended_form(diagram, *lifts, plus.n)
         assert out.s1.is_zero()
         total = plus.n + minus.n
         assert out.p_double.p.m2 == FilteredMatrix.zeros(diagram.lambda2, total).direct_sum(

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
@@ -35,7 +36,7 @@ from kcert.matrices import (
 )
 from kcert.identities import Sampler
 from kcert.mv import DoubleMatrix
-from kcert.scalars import R0, Poly, QuotElem, rat
+from kcert.scalars import R0, Poly, QuotElem, parse_rational, rat
 
 
 def sampled_idempotent(sampler, algebra, n):
@@ -800,3 +801,67 @@ def test_carried_forms_survive_reuse(modulus, data):
         assert_same_entries(image @ image, dense_product(image_want, image_want))
     assert _poly_ints(a) == _poly_ints(fresh)
     assert _poly_ints(ab) == _poly_ints(FilteredMatrix(a.algebra, ab.rows))
+
+
+# -- equality against entrywise Fraction equality --------------------------------
+# Q-matrix and Kernel equality compare Fraction slots.  Each operand builds
+# its own Fraction objects, so equal values sit in distinct objects; a zero
+# takes any of the forms below, of which only R0 is the shared zero; and a
+# changed entry keeps its numerator over another denominator, or draws a new
+# value.
+
+_ZERO_FORMS = (lambda: R0, lambda: -R0, lambda: rat(0), lambda: parse_rational("0"),
+               lambda: Fraction("0"))
+_values = st.tuples(st.integers(-3, 3), st.integers(1, 4))
+
+
+def _changed(data, value):
+    num, den = value
+    how = data.draw(st.sampled_from(("keep", "denominator", "redraw")))
+    if how == "denominator":
+        return num, data.draw(st.integers(1, 4))
+    return data.draw(_values) if how == "redraw" else value
+
+
+def _fresh(data, value):
+    """A new Fraction object for (num, den), or a drawn zero form at 0."""
+    num, den = value
+    return Fraction(num, den) if num else data.draw(st.sampled_from(_ZERO_FORMS))()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_q_matrix_equality_is_entrywise_fraction_equality(data):
+    q = TrivialAlgebra()
+    n = data.draw(st.integers(1, 4))
+    left = [[data.draw(_values) for _ in range(n)] for _ in range(n)]
+    right = [[_changed(data, v) for v in row] for row in left]
+    a, b = (FilteredMatrix(q, [[_fresh(data, v) for v in row] for row in src])
+            for src in (left, right))
+    pairs = [((i, j), x, y) for i, (ra, rb) in enumerate(zip(a.rows, b.rows))
+             for j, (x, y) in enumerate(zip(ra, rb))]
+    differing = [(position, x - y) for position, x, y in pairs if not Fraction.__eq__(x, y)]
+    assert (a == b) is (not differing)
+    assert (a != b) is bool(differing)
+    assert a.first_mismatch(b) == (differing[0] if differing else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_equality_is_entrywise_fraction_equality(data):
+    keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    left = data.draw(st.dictionaries(keys, _values, max_size=5))
+    right = {k: _changed(data, v) for k, v in left.items()}
+    if right and data.draw(st.booleans()):
+        # Move one entry to a key outside the table: the same size, other keys.
+        old = data.draw(st.sampled_from(sorted(right)))
+        new = data.draw(keys.filter(lambda k: k not in right))
+        right[new] = right.pop(old)
+    a, b = (Kernel({k: _fresh(data, v) for k, v in src.items()}) for src in (left, right))
+    want_a, want_b = ({k: Fraction(*v) for k, v in src.items() if v[0]} for src in (left, right))
+    assert a.table == want_a and b.table == want_b
+    assert (a == b) is (want_a == want_b)
+    assert (-a == -b) is (want_a == want_b)
+    assert (-a).table == {k: -v for k, v in want_a.items()}
+    m = FilteredMatrix(PropagationAlgebra(line_space(4, 4)), ((a,),))
+    assert (m == FilteredMatrix(m.algebra, ((b,),))) is (want_a == want_b)
