@@ -27,7 +27,9 @@ matrix's integer form is computed once per row.  Last come the
 certificate layer and the two ends of a request: the bundled clutching
 spec's boundary report built from its parsed matrices (construction and both
 lift-independence checks), its JSON text as ``kcert boundary --format json``
-writes it, and one "p/q" spec rational parsed.  After them, four rows of
+writes it, one "p/q" spec rational parsed, and the algebra of the
+verify-propagation benchmark's request 0 built from its spec (the metric
+checks of its 4-point space and its level table).  After them, four rows of
 the certificate layer: verify() of that spec's L (2 x 2 over Q[x]), one
 product since an inverse certificate checks m m^-1 = 1 only, each of that
 spec's two lift-independence checks alone on its built boundary, and the
@@ -74,13 +76,14 @@ from kcert.matrices import (
 )
 from kcert.mv import lift_via_whitehead
 from kcert.scalars import Poly, QuotElem, Rat, parse_rational, rat
-from kcert.specdoc import SpecDocument
+from kcert.specdoc import SpecDocument, parse_algebra
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "tests"))
 from carriers import line_space, suite_algebras  # noqa: E402
 from run import PROBE_REFERENCE_S, host_probe  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 X2_MINUS_1 = Poly([-1, 0, 1])
 
@@ -258,10 +261,12 @@ def request_end_rows():
 
     built = report()
     assert built["result"] == "pass"
+    spec = WORKLOADS["verify-propagation"].spec(0, 0)["algebra"]
     return [
         ("boundary_report, bundled clutching spec", per_call_us(report, 200)),
         ("report JSON, boundary report", per_call_us(lambda: _json_text(built), 2000)),
         ("parse_rational p/q", per_call_us(lambda: parse_rational("-22/7"), 50000)),
+        ("parse_algebra, verify-propagation spec", per_call_us(lambda: parse_algebra(spec), 5000)),
     ]
 
 

@@ -44,14 +44,16 @@ reduction mod m is a ring map.  A Q[x] or Q[x]/(m) matrix carries its
 integer form in the private slot ``_ints`` (see _poly_ints and
 _poly_product).  The quotient hom keeps every entry of degree < deg m as it
 is and reads as integers only the entries it reduces, one at a time.
-Every rational these kernels read, they read through Fraction's two slots
-``_numerator`` and ``_denominator`` (see scalars.py), never through a
-property or a Fraction dunder.  So do Kernel's zero filter, negation and
-equality, which is one loop over the table as Poly equality is, and
-Q-matrix equality: FilteredMatrix ``==`` and first_mismatch compare rows by
-the carrier's ``_rows_equal``, which is the tuple ``==`` except over Q,
-where it is one loop over the slots.  Payloads stay reduced, so equality,
-hashing and encodings do not depend on how a product was computed.
+These kernels read every rational through Fraction's two slots
+``_numerator`` and ``_denominator`` (see scalars.py), never by a Fraction
+method, and so do all of Kernel's arithmetic (a sum or product holds each
+value as an integer pair and builds it once by ``_reduced``) and the build
+of a propagation algebra, whose metric checks and level table compare
+integers.  FilteredMatrix ``==`` and first_mismatch compare rows by the
+carrier hook ``_rows_equal`` and ``-`` negates by ``_negate``: the payloads'
+own ``==`` and ``-``, except over Q, where each is a slot loop.  Payloads
+stay reduced, so equality, hashing and encodings do not depend on how a
+product was computed.
 Products and images are built through the operand's own matrix class, so
 this module needs no import of matrices.py.
 
@@ -60,9 +62,10 @@ inverses, and no inverse is a series or a Euclid loop.  Over Q and Q[x] a
 unit is a nonzero scalar, and a diagonal propagation unit is one per point.
 A full propagation unit is u = lam * 1 + N with N strictly upper
 triangular in the point order; u^-1 is built by back substitution, last
-point first (_upper_unit_inverse).  Over Q[x]/(m) a drawn representative
-is inverted by QuotElem.invert, a Bareiss solve of the integer
-multiplication-by-rep system that rejects exactly the non-units.  An
+point first (_upper_unit_inverse), each entry summed as an unreduced
+integer pair and built once by ``_reduced``.  Over Q[x]/(m) a drawn
+representative is inverted by QuotElem.invert, a Bareiss solve of the
+integer multiplication-by-rep system that rejects exactly the non-units.  An
 elementary row or column operation adds y * a per touched entry
 (_add_multiple): over Q as one integer sum over x.den * y.den * a.den and
 one reduced rational, read from and built on the slots, and on the other
@@ -72,7 +75,7 @@ the draws do not depend on how it is computed.
 
 from itertools import chain
 from math import gcd, lcm
-from operator import eq
+from operator import eq, neg
 
 from .scalars import (
     NotInvertible,
@@ -82,7 +85,7 @@ from .scalars import (
     R1,
     Rat,
     _integer_coeffs,
-    _new,
+    _negated,
     _reciprocal,
     _reduce_ints,
     _reduced,
@@ -116,10 +119,11 @@ class Kernel:
         out = dict(self.table)
         for k, v in other.table.items():
             s = out.get(k)
-            s = v if s is None else s + v
-            if s._numerator:
-                out[k] = s
-            elif k in out:
+            if s is None:
+                out[k] = v
+            elif c := s._numerator * v._denominator + v._numerator * s._denominator:
+                out[k] = _reduced(c, s._denominator * v._denominator)
+            else:
                 del out[k]
         return Kernel._raw(out) if out else _K_ZERO
 
@@ -129,30 +133,24 @@ class Kernel:
         return self + (-other)
 
     def __neg__(self):
-        # -v keeps v's coprime denominator, so there is no gcd.
-        table = {}
-        for key, v in self.table.items():
-            r = _new(Rat)
-            r._numerator = -v._numerator
-            r._denominator = v._denominator
-            table[key] = r
-        return Kernel._raw(table)
+        return Kernel._raw({key: _negated(v) for key, v in self.table.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Kernel):
             return NotImplemented
         by_row = {}
-        for (k, j), v in other.table.items():
-            by_row.setdefault(k, []).append((j, v))
-        out = {}
+        for (k, j), w in other.table.items():
+            by_row.setdefault(k, []).append((j, w._numerator, w._denominator))
+        sums = {}
         for (i, k), v in self.table.items():
-            for j, w in by_row.get(k, ()):
+            vn, vd = v._numerator, v._denominator
+            for j, wn, wd in by_row.get(k, ()):
                 key = (i, j)
-                s = out.get(key)
-                s = v * w if s is None else s + v * w
-                out[key] = s
-        # Cancelling sums can leave zero values, so this one filters.
-        return Kernel(out)
+                s = sums.get(key)
+                c, d = vn * wn, vd * wd
+                sums[key] = (c, d) if s is None else (s[0] * d + c * s[1], s[1] * d)
+        out = {key: _reduced(c, d) for key, (c, d) in sums.items() if c}
+        return Kernel._raw(out) if out else _K_ZERO
 
     def __bool__(self):
         return bool(self.table)
@@ -191,47 +189,41 @@ _K_ZERO = Kernel({})
 class PropagationSpace:
     """Finite metric space with the geometric radius schedule r(mu) = R/2^mu."""
 
-    __slots__ = ("points", "dist", "radius_base", "_radii")
+    __slots__ = ("points", "dist", "radius_base")
 
     def __init__(self, points, dist, radius_base):
         points = tuple(points)
         if len(set(points)) != len(points):
             raise ValueError("duplicate points")
         n = len(points)
-        d = tuple(tuple(rat(v) for v in row) for row in dist)
+        d = tuple([tuple([rat(v) for v in row]) for row in dist])
         if len(d) != n or any(len(row) != n for row in d):
             raise ValueError("distance matrix shape mismatch")
+        # The distances as integers over den, their common denominator.
+        den = lcm(*[v._denominator for row in d for v in row])
+        e = [[v._numerator * (den // v._denominator) for v in row] for row in d]
         for i in range(n):
-            if d[i][i]:
+            if e[i][i]:
                 raise ValueError("nonzero diagonal distance")
             for j in range(n):
-                if d[i][j] != d[j][i]:
+                if e[i][j] != e[j][i]:
                     raise ValueError("distance matrix not symmetric")
-                if d[i][j] < R0:
+                if e[i][j] < 0:
                     raise ValueError("negative distance")
                 for k in range(n):
-                    if d[i][j] > d[i][k] + d[k][j]:
+                    if e[i][j] > e[i][k] + e[k][j]:
                         raise ValueError("triangle inequality fails")
         R = rat(radius_base)
-        diam = max((d[i][j] for i in range(n) for j in range(n)), default=R0)
-        if R < diam:
+        diam = max([x for row in e for x in row], default=0)
+        if R._numerator * den < diam * R._denominator:
             raise ValueError("radius base must cover the diameter")
         self.points = points
         self.dist = d
         self.radius_base = R
-        self._radii = {}
 
     @property
     def size(self):
         return len(self.points)
-
-    def radius(self, mu):
-        """r(mu) = R / 2^mu; satisfies r(mu) + r(mu) = r(mu - 1) exactly."""
-        r = self._radii.get(mu)
-        if r is None:
-            r = self.radius_base / rat(2 ** mu)
-            self._radii[mu] = r
-        return r
 
     def index_of(self, label):
         try:
@@ -242,8 +234,8 @@ class PropagationSpace:
     def signature(self):
         return (
             self.points,
-            tuple(tuple(str(v) for v in row) for row in self.dist),
-            str(self.radius_base),
+            tuple([tuple([encode_rational(v) for v in row]) for row in self.dist]),
+            encode_rational(self.radius_base),
         )
 
 
@@ -259,6 +251,8 @@ class LocalizedAlgebra:
     # Whether two rows of payloads are equal entrywise: the tuple ==, which
     # calls each payload's own __eq__.  A builtin, so it binds no self.
     _rows_equal = eq
+    # -a for a payload a: the payload's own __neg__, a builtin as above.
+    _negate = neg
 
     def __init__(self, max_level, zero, one, *signature):
         if max_level < 1:
@@ -300,7 +294,7 @@ class LocalizedAlgebra:
     def _add_multiple(self, a, left=False):
         """The map (x, y) -> x + y * a, or x + a * y when left, that an
         elementary column or row operation applies to each touched entry;
-        y is nonzero."""
+        y is not the shared zero."""
         if left:
             return lambda x, y: x + a * y
         return lambda x, y: x + y * a
@@ -376,6 +370,8 @@ class TrivialAlgebra(LocalizedAlgebra):
                 return False
         return True
 
+    _negate = staticmethod(_negated)
+
     def _product(self, a, b):
         return a._raw(self, _rational_product(a.rows, b.rows))
 
@@ -404,14 +400,14 @@ class PropagationAlgebra(LocalizedAlgebra):
         self._pairs = [(i, j) for i in range(n) for j in range(n)]
 
     def _level_of(self, reach):
-        """Largest mu <= max_level with reach <= r(mu); max_level at reach 0."""
-        if not reach:
+        """Largest mu <= max_level with reach <= r(mu) = R / 2^mu, else 0, and
+        max_level at reach 0: 2^mu <= R / reach, so mu is one less than the
+        bit length of the integer floor(R / reach), read on the slots."""
+        if not reach._numerator:
             return self.max_level
-        space = self.space
-        mu = 0
-        while mu < self.max_level and space.radius(mu + 1) >= reach:
-            mu += 1
-        return mu
+        R = self.space.radius_base
+        q = R._numerator * reach._denominator // (reach._numerator * R._denominator)
+        return min(self.max_level, max(q.bit_length() - 1, 0))
 
     def _matrix_level(self, rows):
         """One pass over every entry's support; a zero kernel has none, so it
@@ -462,7 +458,7 @@ class PropagationAlgebra(LocalizedAlgebra):
     def describe(self):
         space = self.space
         return dict(super().describe(), points=list(space.points),
-                    radius_base=str(space.radius_base), diagonal=self.diagonal)
+                    radius_base=encode_rational(space.radius_base), diagonal=self.diagonal)
 
     def _random_payload(self, sampler):
         n = self.space.size
@@ -506,21 +502,24 @@ class PropagationAlgebra(LocalizedAlgebra):
 def _upper_unit_inverse(lam, nil, n):
     """(lam * 1 + N)^-1 for N strictly upper triangular on n points (the
     table ``nil``), by back substitution, last point first: row i of the
-    inverse is (e_i - sum over k > i of N[i][k] * row k) / lam."""
+    inverse is (e_i - sum over k > i of N[i][k] * row k) / lam, each entry an
+    integer pair over the slots until it is built once by _reduced."""
     inv_lam = _reciprocal(lam)
+    # -1/lam as the integer pair (fn, fd), with fd > 0.
+    fn, fd = -inv_lam._numerator, inv_lam._denominator
     by_row = {}
     for (i, k), c in nil.items():
-        by_row.setdefault(i, []).append((k, -c * inv_lam))
+        by_row.setdefault(i, []).append((k, fn * c._numerator, fd * c._denominator))
     rows = [None] * n
     for i in range(n - 1, -1, -1):
-        row = {i: inv_lam}
-        for k, f in by_row.get(i, ()):
+        sums = {}
+        for k, cn, cd in by_row.get(i, ()):
             for j, v in rows[k].items():
-                row[j] = row.get(j, R0) + f * v
-        rows[i] = row
-    return Kernel._raw(
-        {(i, j): v for i, row in enumerate(rows) for j, v in row.items() if v._numerator}
-    )
+                vn, vd = v._numerator * cn, v._denominator * cd
+                s = sums.get(j)
+                sums[j] = (vn, vd) if s is None else (s[0] * vd + vn * s[1], s[1] * vd)
+        rows[i] = {i: inv_lam, **{j: _reduced(c, d) for j, (c, d) in sums.items() if c}}
+    return Kernel._raw({(i, j): v for i, row in enumerate(rows) for j, v in row.items()})
 
 
 class PolyAlgebra(LocalizedAlgebra):

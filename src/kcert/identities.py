@@ -141,7 +141,7 @@ class Sampler:
         elementary factors E(a), built in place as lists of rows.  m @ E(a)
         is a column operation on m (column j += column i * a) and E(-a) @
         m_inv a row operation on m_inv (row i += -a * row j); each touches
-        only the entries whose source entry is nonzero."""
+        only the entries whose source entry is not the shared zero."""
         z = algebra.zero()
         m = [[z] * n for _ in range(n)]
         m_inv = [[z] * n for _ in range(n)]
@@ -155,12 +155,12 @@ class Sampler:
                 a = self.payload(algebra)
                 col = algebra._add_multiple(a)
                 for row in m:
-                    if row[i]:
+                    if row[i] is not z:
                         row[j] = col(row[j], row[i])
-                row_op = algebra._add_multiple(-a, left=True)
+                row_op = algebra._add_multiple(algebra._negate(a), left=True)
                 target = m_inv[i]
                 for k, y in enumerate(m_inv[j]):
-                    if y:
+                    if y is not z:
                         target[k] = row_op(target[k], y)
         return InvertibleCert(
             FilteredMatrix._raw(algebra, tuple([tuple(row) for row in m])),
@@ -250,10 +250,10 @@ def elementary_commutator(i, j, k, algebra, a, n):
     payload a of the algebra."""
     if len({i, j, k}) != 3:
         raise ValueError("indices must be distinct")
-    one = algebra.one()
+    one, neg = algebra.one(), algebra._negate
     built = (
         elementary(algebra, n, i, k, a) @ elementary(algebra, n, k, j, one)
-        @ elementary(algebra, n, i, k, -a) @ elementary(algebra, n, k, j, -one)
+        @ elementary(algebra, n, i, k, neg(a)) @ elementary(algebra, n, k, j, neg(one))
     )
     expected = elementary(algebra, n, i, j, a)
     return built, expected, [algebra.degree(a), algebra.max_level], 3
@@ -339,7 +339,7 @@ def _elementary_inverse(algebra, sampler, max_n):
     n = sampler.size(max_n, min_n=2)
     i, j = sampler._off_diagonal(n)
     a = sampler.payload(algebra)
-    e, e_inv = elementary(algebra, n, i, j, a), elementary(algebra, n, i, j, -a)
+    e, e_inv = elementary(algebra, n, i, j, a), elementary(algebra, n, i, j, algebra._negate(a))
     return e @ e_inv, FilteredMatrix.identity(algebra, n), [e.level, e_inv.level], 1
 
 

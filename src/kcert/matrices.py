@@ -126,9 +126,10 @@ class FilteredMatrix:
 
     def __neg__(self):
         z = self.algebra.zero()  # kept by identity, so products still skip it
-        return FilteredMatrix._raw(
-            self.algebra, tuple([tuple([z if a is z else -a for a in row]) for row in self.rows])
-        )
+        neg = self.algebra._negate
+        return FilteredMatrix._raw(self.algebra, tuple([
+            tuple([z if a is z else neg(a) for a in row]) for row in self.rows
+        ]))
 
     def __matmul__(self, other):
         """Exact product by the carrier's fraction-free kernel: every entry

@@ -19,23 +19,22 @@ over Fraction coefficients.
 
 Every rational that a kernel decodes from integers it computed, and every
 nonzero "p/q" that ``parse_rational`` reads from a spec (a zero is the
-shared ``R0``), is built by ``_reduced`` (one gcd), and every reciprocal of
-a nonzero rational by ``_reciprocal`` (no gcd).  Both set Fraction's two
-slots, ``_numerator`` and ``_denominator``, on ``object.__new__(Rat)`` and
-so skip the type dispatch of ``Fraction.__new__``; the result is an
-ordinary Fraction that equals, hashes and prints as ``Rat(c, d)`` does.
-Since every rational is reduced, equal values have equal slots, so one loop
-over the slots compares them with no ``Fraction.__eq__`` call.
+shared ``R0``), is built by ``_reduced`` (one gcd), every reciprocal of a
+nonzero rational by ``_reciprocal`` and every negation by ``_negated`` (no
+gcd).  They set Fraction's two slots, ``_numerator`` and ``_denominator``,
+on ``object.__new__(Rat)`` and so skip the type dispatch of
+``Fraction.__new__``; the result is an ordinary Fraction that equals, hashes
+and prints as ``Rat(c, d)`` does.  Since every rational is reduced, equal
+values have equal slots, so one loop over the slots compares them with no
+``Fraction.__eq__`` call.
 
-Every hot path reads a rational through these two slots, never through the
-``numerator`` and ``denominator`` properties or ``Fraction.__eq__``,
-``__neg__`` and ``__bool__``, which are Python code: here ``_integer_coeffs``,
-``encode_rational``, ``Poly.__neg__`` and ``Poly.__eq__``; in algebras.py the
-product kernels and ``_poly_ints``, the Q row operation
-``TrivialAlgebra._add_multiple``, Q-matrix equality
-``TrivialAlgebra._rows_equal``, and the zero filter, negation and equality of
-``Kernel``.  A test pins ``Rat.__slots__``, and a guard counts the property
-and dunder calls those paths make on the benchmark's requests.
+Every hot path reads and builds a rational through these two slots, never
+by a Fraction method (all are Python code): here ``_integer_coeffs``,
+``encode_rational`` and Poly negation and equality; in algebras.py the
+product kernels, ``_poly_ints``, the Q row operation, Q-matrix equality and
+negation, Kernel's arithmetic, the propagation unit inverse and the build of
+a propagation algebra, so a verify request over kernels calls no function
+of fractions.py.  A test pins ``Rat.__slots__``, and guards count the calls.
 """
 
 import re
@@ -74,6 +73,14 @@ def _reciprocal(v):
     else:
         r._numerator = v._denominator
         r._denominator = n
+    return r
+
+
+def _negated(v):
+    """-v for a Rat v: v's denominator stays coprime, so there is no gcd."""
+    r = _new(Rat)
+    r._numerator = -v._numerator
+    r._denominator = v._denominator
     return r
 
 
@@ -172,14 +179,7 @@ class Poly:
         return self + (-other)
 
     def __neg__(self):
-        # -c keeps c's coprime denominator, so there is no gcd.
-        out = []
-        for c in self.coeffs:
-            v = _new(Rat)
-            v._numerator = -c._numerator
-            v._denominator = c._denominator
-            out.append(v)
-        return Poly._raw(tuple(out))
+        return Poly._raw(tuple([_negated(c) for c in self.coeffs]))
 
     def __mul__(self, other):
         if not isinstance(other, Poly):

@@ -3,7 +3,8 @@
 The clutching and cover diagrams are read from the bundled specs; only what
 no spec holds is built here: a line of points as a propagation space, the
 three algebras the identity suite runs over, the trivial diagram with
-identity legs, and scalar diagonals such as 2 and 1/2.  The CLI builds its
+identity legs, scalar diagonals such as 2 and 1/2, and a space's radius
+schedule.  The CLI builds its
 algebras and diagrams from JSON specs alone."""
 
 from importlib import resources
@@ -45,6 +46,13 @@ def line_space(npoints=4, radius_base=None):
         radius_base = max(npoints - 1, 1)
     dist = [[rat(abs(i - j)) for j in range(npoints)] for i in range(npoints)]
     return PropagationSpace(tuple(str(i) for i in range(npoints)), dist, radius_base)
+
+
+def radius(space, mu):
+    """r(mu) = R / 2^mu, the space's radius schedule as Fraction arithmetic:
+    r(mu) + r(mu) = r(mu - 1) exactly.  The reference the level table,
+    which compares reach * 2^mu with R as integers, must reproduce."""
+    return space.radius_base / rat(2 ** mu)
 
 
 def suite_algebras():

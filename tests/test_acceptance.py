@@ -9,7 +9,7 @@ from collections import namedtuple
 from importlib import resources
 
 import pytest
-from carriers import clutching_diagram, cover_diagram, suite_algebras, trivial_diagram
+from carriers import clutching_diagram, cover_diagram, radius, suite_algebras, trivial_diagram
 
 from kcert.boundary import (
     boundary_extended_form,
@@ -127,7 +127,7 @@ def test_criterion_3_axiom4_bookkeeping():
             ok &= degree(a * b) >= max(0, min(degree(a), degree(b)) - 1)
     space = suite_algebras()["propagation"].space
     for mu in range(1, 17):
-        ok &= space.radius(mu) + space.radius(mu) == space.radius(mu - 1)
+        ok &= radius(space, mu) + radius(space, mu) == radius(space, mu - 1)
     _report("3 axiom4-bookkeeping", ok, "1000 pairs/instance + exact radius law")
 
 

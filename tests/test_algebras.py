@@ -1,9 +1,11 @@
 import json
 import random
+from fractions import Fraction
 from importlib import resources
+from math import gcd
 
 import pytest
-from carriers import line_space, scalar_diag, suite_algebras
+from carriers import line_space, radius, scalar_diag, suite_algebras
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,21 +24,72 @@ from kcert.algebras import (
 )
 from kcert.identities import Sampler
 from kcert.matrices import FilteredMatrix, MatrixError, apply_hom_matrix
-from kcert.scalars import Poly, rat
+from kcert.scalars import Poly, parse_rational, rat
 from kcert.specdoc import parse_algebra, parse_diagram
 
 
 def test_radius_schedule_law(propagation):
     space = propagation.space
     for mu in range(1, propagation.max_level + 1):
-        assert space.radius(mu) + space.radius(mu) == space.radius(mu - 1)
+        assert radius(space, mu) + radius(space, mu) == radius(space, mu - 1)
 
 
-def test_space_validation():
-    with pytest.raises(ValueError):
-        PropagationSpace(("a", "b"), [[rat(0), rat(1)], [rat(2), rat(0)]], 4)
-    with pytest.raises(ValueError):
-        PropagationSpace(("a", "b"), [[rat(0), rat(9)], [rat(9), rat(0)]], 4)
+# Three points on a line at 1/3 and 1/6: d(a, c) = 1/2 meets the triangle
+# inequality with equality, and R = 1/2 is the diameter.
+_THIRDS = (("a", "b", "c"), (("0", "1/3", "1/2"), ("1/3", "0", "1/6"), ("1/2", "1/6", "0")),
+           "1/2")
+_MICRO = rat(1, 10 ** 6)
+
+
+def _space(points, dist, radius_base):
+    return PropagationSpace(points, [[parse_rational(v) if isinstance(v, str) else v
+                                      for v in row] for row in dist], rat(radius_base))
+
+
+def _changed(dist, *entries):
+    """dist with each (i, j, value) of ``entries`` put in."""
+    rows = [list(row) for row in dist]
+    for i, j, v in entries:
+        rows[i][j] = v
+    return rows
+
+
+# Four points on a line at 1/3, 1/6 and 1/3: every triangle along the line
+# holds with equality over thirds and sixths, up to d(a, d) = 5/6 = R.
+_LINE_SIXTHS = (("a", "b", "c", "d"), [[abs(x - y) for y in (0, rat(1, 3), rat(1, 2), rat(5, 6))]
+                                        for x in (0, rat(1, 3), rat(1, 2), rat(5, 6))], "5/6")
+
+
+@pytest.mark.parametrize("case", [_THIRDS, _LINE_SIXTHS], ids=["thirds", "line-sixths"])
+def test_space_checks_hold_with_equality(case):
+    points, dist, radius_base = case
+    space = _space(points, dist, radius_base)
+    assert space.radius_base == parse_rational(radius_base)
+    assert max(v for row in space.dist for v in row) == space.radius_base
+
+
+_, _D, _R = _THIRDS
+SPACE_REJECTIONS = {
+    "duplicate points": (("a", "b", "a"), _D, _R),
+    "distance matrix shape mismatch": (("a", "b", "c"), [row[:2] for row in _D], _R),
+    "nonzero diagonal distance": (("a", "b", "c"), _changed(_D, (1, 1, _MICRO)), _R),
+    "distance matrix not symmetric":
+        (("a", "b", "c"), _changed(_D, (1, 0, rat(1, 3) + _MICRO)), _R),
+    "triangle inequality fails": (("a", "b", "c"), _changed(
+        _D, (0, 2, rat(1, 2) + _MICRO), (2, 0, rat(1, 2) + _MICRO)), "1"),
+    "radius base must cover the diameter": (("a", "b", "c"), _D, rat(1, 2) - _MICRO),
+    # A negative distance is caught by the triangle inequality first:
+    # d(a, a) = 0 > d(a, b) + d(b, a) = -2/10^6.
+    "negative distance": (("a", "b", "c"), _changed(_D, (0, 1, -_MICRO), (1, 0, -_MICRO)), _R),
+}
+SPACE_MESSAGES = {**{m: m for m in SPACE_REJECTIONS},
+                  "negative distance": "triangle inequality fails"}
+
+
+@pytest.mark.parametrize("case", sorted(SPACE_REJECTIONS))
+def test_space_validation(case):
+    with pytest.raises(ValueError, match=f"^{SPACE_MESSAGES[case]}$"):
+        _space(*SPACE_REJECTIONS[case])
 
 
 def test_degree_examples_three_point_line():
@@ -434,10 +487,10 @@ def reference_degree(algebra, payload):
             reach = d
     if not reach:
         return algebra.max_level
-    if reach > space.radius(0):
+    if reach > radius(space, 0):
         return 0
     mu = 0
-    while mu < algebra.max_level and space.radius(mu + 1) >= reach:
+    while mu < algebra.max_level and radius(space, mu + 1) >= reach:
         mu += 1
     return mu
 
@@ -532,3 +585,123 @@ def test_upper_unit_inverse_matches_series(case):
     assert inv == _series_inverse(algebra, lam, nil)
     assert all(v for v in inv.table.values())
     assert u * inv == algebra.one() and inv * u == algebra.one()
+
+
+# -- Kernel arithmetic against a dict-of-Fraction schoolbook --------------------
+# The references below use Fraction's own operators on plain dicts, and share
+# no code with Kernel or _upper_unit_inverse.
+
+
+def _school_product(a, b):
+    out = {}
+    for (i, k), v in a.items():
+        for (q, j), w in b.items():
+            if k == q:
+                out[(i, j)] = out.get((i, j), Fraction(0)) + v * w
+    return {key: v for key, v in out.items() if v != 0}
+
+
+def _school_sum(a, b):
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out.get(key, Fraction(0)) + v
+    return {key: v for key, v in out.items() if v != 0}
+
+
+def _school_unit_inverse(lam, nil, n):
+    """(lam * 1 + N)^-1 by Gauss-Jordan elimination on the dense matrix."""
+    m = [[lam if i == j else nil.get((i, j), Fraction(0)) for j in range(n)]
+         + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        pivot = m[c][c]
+        m[c] = [x / pivot for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return {(i, j): m[i][n + j] for i in range(n) for j in range(n) if m[i][n + j] != 0}
+
+
+def _assert_stored_values_canonical(kernel):
+    """Every stored value is a nonzero reduced Fraction with a positive
+    denominator, read through the public properties."""
+    for v in kernel.table.values():
+        assert type(v) is Fraction and v.numerator != 0 and v.denominator > 0
+        assert gcd(v.numerator, v.denominator) == 1
+
+
+# Small rationals, and numerators and denominators near 2^63 and 2^127.
+_BIG = st.sampled_from([2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 127 - 1, 2 ** 127, 2 ** 127 + 1])
+_values = st.one_of(
+    st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 7)),
+    st.builds(lambda sign, big, den: Fraction(sign * big, den),
+              st.sampled_from([1, -1]), _BIG, st.one_of(st.integers(1, 9), _BIG)),
+    st.builds(lambda num, big: Fraction(num, big), st.integers(-9, 9).filter(bool), _BIG),
+)
+_KEYS = [(i, j) for i in range(3) for j in range(3)]
+_tables = st.dictionaries(st.sampled_from(_KEYS), _values, max_size=len(_KEYS))
+
+
+@st.composite
+def _cancelling_products(draw):
+    """(a, b) with a * b zero at (i, j): a[i][k] b[k][j] = -a[i][q] b[q][j],
+    the only two terms there, so a product may cancel to empty."""
+    i, j = draw(st.sampled_from(range(3))), draw(st.sampled_from(range(3)))
+    k, q = draw(st.sampled_from([(0, 1), (1, 2), (0, 2)]))
+    x, y, w = draw(_values), draw(_values), draw(_values)
+    return {(i, k): x, (i, q): y}, {(k, j): w, (q, j): -x * w / y}
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.tuples(_tables, _tables), _cancelling_products()))
+def test_kernel_product_matches_schoolbook(case):
+    a, b = case
+    product = Kernel(a) * Kernel(b)
+    assert product.table == _school_product(a, b)
+    _assert_stored_values_canonical(product)
+    if not product.table:
+        assert product is PropagationAlgebra(line_space(3)).zero()
+
+
+@settings(max_examples=300)
+@given(_tables, _tables, st.booleans())
+def test_kernel_sum_and_difference_match_schoolbook(a, b, cancel):
+    if cancel:
+        # b cancels a on every shared key.
+        b = {**b, **{key: -v for key, v in a.items()}}
+    negated = {key: -v for key, v in b.items()}
+    for built, want in ((Kernel(a) + Kernel(b), _school_sum(a, b)),
+                        (Kernel(a) - Kernel(negated), _school_sum(a, b)),
+                        (-Kernel(b), negated)):
+        assert built.table == want
+        _assert_stored_values_canonical(built)
+    zero = PropagationAlgebra(line_space(3)).zero()
+    assert Kernel(a) - Kernel(a) is zero
+
+
+@st.composite
+def _big_nilpotents(draw):
+    """(points, lam, strictly upper-triangular table) on 1-5 points, with
+    values near 2^63 and 2^127 as well as small ones."""
+    n = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return n, draw(_values), {pair: draw(_values) for pair in chosen}
+
+
+@settings(max_examples=200)
+@given(_big_nilpotents())
+def test_upper_unit_inverse_matches_schoolbook(case):
+    n, lam, nil = case
+    inv = _upper_unit_inverse(lam, nil, n)
+    assert inv.table == _school_unit_inverse(lam, nil, n)
+    _assert_stored_values_canonical(inv)
+
+
+def test_upper_unit_inverse_cancels_to_a_missing_entry():
+    # Row 0 of the inverse of 1 + N, N = e01 + e12 + e02: the (0, 2) entry
+    # is -N02 + N01 * N12 = 0, so it is not stored.
+    one = Fraction(1)
+    inv = _upper_unit_inverse(one, {(0, 1): one, (1, 2): one, (0, 2): one}, 3)
+    assert (0, 2) not in inv.table
+    assert inv.table == _school_unit_inverse(one, {(0, 1): one, (1, 2): one, (0, 2): one}, 3)

@@ -26,12 +26,15 @@
 - Product count: one ``boundary`` run of the bundled clutching spec and one
   ``exactness`` run of the exactness-clutching benchmark's request 0 each
   make an exact number of products, so a repeated product cannot creep back.
-- Slot reads: the hot paths read a rational through Fraction's two slots.
-  Over request 0 of each benchmark workload, no ``numerator`` or
-  ``denominator`` property and no ``Fraction.__eq__``, ``__neg__`` or
-  ``__bool__`` runs while a product kernel, the Q row operation's map,
-  matrix or kernel equality, or the kernel filter or negation is on the
-  stack.  The count is pinned at 0, so it holds on every Python version.
+- Slot reads: the hot paths read and build a rational through Fraction's
+  two slots.  Over request 0 of each benchmark workload, no function of
+  fractions.py runs while a product kernel, the Q row operation's map, the
+  Q negation, matrix or kernel equality or negation, kernel arithmetic,
+  the propagation unit inverse or the build of a propagation algebra is on
+  the stack; the sampler's invertible draws, which are generic over
+  carriers, may make no such call themselves.  A whole verify-propagation
+  request, from argv to report, makes no call into fractions.py at all.
+  The counts are pinned at 0, so they hold on every Python version.
 - Surface: every module-level name of ``src/kcert`` is read by live code in
   ``src/kcert``, save an allowlist with one reason per name, so a helper that
   only tests (or only other dead helpers) call lives in the tests.  Live code
@@ -51,12 +54,14 @@
 """
 
 import ast
+import fractions
 import hashlib
 import importlib.util
 import inspect
 import json
 import sys
 import textwrap
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,9 +70,16 @@ import test_acceptance as acceptance
 from carriers import clutching_diagram, spec_path
 
 from kcert import algebras, cli, matrices, mv, scalars
-from kcert.algebras import Kernel, PolyAlgebra, TrivialAlgebra
+from kcert.algebras import (
+    Kernel,
+    PolyAlgebra,
+    PropagationAlgebra,
+    PropagationSpace,
+    TrivialAlgebra,
+)
 from kcert.cli import main
 from kcert.drivers import boundary_report
+from kcert.identities import Sampler
 from kcert.kclasses import ExactnessReport
 from kcert.matrices import FilteredMatrix, InvertibleCert
 from kcert.scalars import Poly, QuotElem, rat
@@ -427,28 +439,46 @@ def test_exactness_product_count(tmp_path, probe):
     assert probe.count(lambda: run(argv, tmp_path / "report")) == EXACTNESS_PRODUCTS
 
 
-# The Fraction members that are Python code: the two properties and the
-# dunders a comparison, a negation or a truth test calls.
-FRACTION_CALLS = {
-    Fraction.numerator.fget.__code__: "numerator",
-    Fraction.denominator.fget.__code__: "denominator",
-    Fraction.__eq__.__code__: "__eq__",
-    Fraction.__neg__.__code__: "__neg__",
-    Fraction.__bool__.__code__: "__bool__",
-}
+def _fraction_codes():
+    """{code object: name} of every function fractions.py defines: the
+    module's functions, Fraction's methods, properties, class and static
+    methods, and the functions nested in them, such as the ``forward`` and
+    ``reverse`` of each arithmetic operator."""
+    codes = {}
+
+    def add(code):
+        if code.co_filename == fractions.__file__ and code not in codes:
+            codes[code] = code.co_name
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    add(const)
+
+    for obj in [*vars(fractions).values(), *vars(Fraction).values()]:
+        for f in (obj, getattr(obj, "__func__", None), getattr(obj, "fget", None)):
+            code = getattr(f, "__code__", None)
+            if isinstance(code, types.CodeType):
+                add(code)
+    return codes
+
+
+FRACTION_CALLS = _fraction_codes()
 
 
 def slot_paths():
-    """{code object: name} of the paths that read rationals by their slots.
-    The maps of the generic _add_multiple are not among them: they are the
-    payloads' own x + y * a, which over kernels and Q[x] is Fraction
-    arithmetic."""
+    """{code object: name} of the paths that read and build rationals by
+    their slots.  The maps of the generic _add_multiple are not among them:
+    they are the payloads' own x + y * a, which over Q[x] is Fraction
+    arithmetic (over kernels it is Kernel's + and *, which are)."""
     paths = {
         f.__code__: f.__qualname__ for f in (
             algebras._rational_product, algebras._kernel_product, algebras._poly_product,
-            algebras._poly_ints, scalars._integer_coeffs, scalars.encode_rational,
-            TrivialAlgebra._rows_equal, Kernel.__init__, Kernel.__neg__, Kernel.__eq__,
-            FilteredMatrix.__eq__, FilteredMatrix.first_mismatch,
+            algebras._poly_ints, algebras._upper_unit_inverse, scalars._integer_coeffs,
+            scalars.encode_rational, scalars._negated, TrivialAlgebra._rows_equal,
+            Kernel.__init__, Kernel.__add__, Kernel.__mul__, Kernel.__neg__, Kernel.__eq__,
+            PropagationSpace.__init__, PropagationSpace.signature,
+            PropagationAlgebra._level_of, PropagationAlgebra.describe,
+            FilteredMatrix.__eq__, FilteredMatrix.__neg__, FilteredMatrix.first_mismatch,
+            Sampler.invertible,
         )
     }
     for a in (rat(2), rat(0)):
@@ -456,10 +486,17 @@ def slot_paths():
     return paths
 
 
+# Slot paths that are generic over carriers: over Q[x] and Q[x]/(m) the
+# payloads' own arithmetic runs beneath them, so only the calls into
+# fractions.py that they make themselves count.
+GENERIC_SLOT_PATHS = {Sampler.invertible.__code__}
+
+
 def fraction_calls_on_slot_paths(thunk):
-    """(calls, entered) for one call of thunk: calls counts each Fraction
-    member of FRACTION_CALLS called while a slot path is on the stack, by
-    (innermost slot path, member); entered names the slot paths entered."""
+    """(calls, entered) for one call of thunk: calls counts each function of
+    fractions.py called while a slot path is on the stack, by (innermost
+    slot path, function), a generic slot path only as the direct caller;
+    entered names the slot paths entered."""
     paths = slot_paths()
     calls, entered = {}, set()
 
@@ -471,8 +508,12 @@ def fraction_calls_on_slot_paths(thunk):
             entered.add(paths[code])
         elif code in FRACTION_CALLS:
             caller = frame.f_back
-            while caller is not None and caller.f_code not in paths:
+            while caller is not None and caller.f_code in FRACTION_CALLS:
                 caller = caller.f_back
+            if caller is not None and caller.f_code not in GENERIC_SLOT_PATHS:
+                while caller is not None and (caller.f_code not in paths
+                                              or caller.f_code in GENERIC_SLOT_PATHS):
+                    caller = caller.f_back
             if caller is not None:
                 key = (paths[caller.f_code], FRACTION_CALLS[code])
                 calls[key] = calls.get(key, 0) + 1
@@ -511,9 +552,46 @@ def test_slot_path_guard_counts_fraction_members():
     b = FilteredMatrix(TrivialAlgebra(), ((rat(1, 3),),))
     calls, entered = fraction_calls_on_slot_paths(lambda: a.first_mismatch(b))
     assert calls[("FilteredMatrix.first_mismatch", "numerator")] > 0
+    assert calls[("FilteredMatrix.first_mismatch", "forward")] == 1
     assert entered == {"FilteredMatrix.first_mismatch", "TrivialAlgebra._rows_equal"}
     calls, entered = fraction_calls_on_slot_paths(lambda: -rat(1, 2) == rat(1, 2))
     assert calls == {} and entered == set()
+    # A generic slot path counts only the calls it makes itself: over Q[x]
+    # the Poly arithmetic beneath Sampler.invertible is not counted.
+    calls, entered = fraction_calls_on_slot_paths(
+        lambda: Sampler(1).invertible(PolyAlgebra(), 3, factors=4))
+    assert calls == {} and "Sampler.invertible" in entered
+
+
+def test_fraction_calls_cover_fractions_py():
+    names = set(FRACTION_CALLS.values())
+    assert {"forward", "reverse", "__new__", "__hash__", "__str__", "__eq__", "__lt__",
+            "__neg__", "__bool__", "numerator", "denominator", "_richcmp"} <= names
+    assert all(code.co_filename == fractions.__file__ for code in FRACTION_CALLS)
+
+
+def test_verify_propagation_request_calls_no_fraction_function(tmp_path):
+    # From argv to report, request 0 of verify-propagation reads and builds
+    # every rational on Fraction's slots: no function of fractions.py runs.
+    subcommand, doc = perfbench_request("verify-propagation")
+    request = tmp_path / "request0.json"
+    request.write_text(json.dumps(doc))
+    argv = [subcommand, "--spec", str(request)]
+    calls, codes = {}, []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in FRACTION_CALLS:
+            name = FRACTION_CALLS[frame.f_code]
+            calls[name] = calls.get(name, 0) + 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        codes.append(run(argv, tmp_path / "report")[0])
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0]
+    assert calls == {}, f"calls into fractions.py: {calls}"
 
 
 # Module-level src names and class members that nothing live in src reads,
