@@ -266,7 +266,8 @@ def request_end_rows():
         ("boundary_report, bundled clutching spec", per_call_us(report, 200)),
         ("report JSON, boundary report", per_call_us(lambda: _json_text(built), 2000)),
         ("parse_rational p/q", per_call_us(lambda: parse_rational("-22/7"), 50000)),
-        ("parse_algebra, verify-propagation spec", per_call_us(lambda: parse_algebra(spec), 5000)),
+        ("parse_algebra, verify-propagation spec",
+         per_call_us(lambda: parse_algebra(spec), 5000)),
     ]
 
 

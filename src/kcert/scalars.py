@@ -20,7 +20,7 @@ over Fraction coefficients.
 Every rational that a kernel decodes from integers it computed, and every
 nonzero "p/q" that ``parse_rational`` reads from a spec (a zero is the
 shared ``R0``), is built by ``_reduced`` (one gcd), every reciprocal of a
-nonzero rational by ``_reciprocal`` and every negation by ``_negated`` (no
+nonzero rational by ``_reciprocal`` and each slot negation by ``_negated`` (no
 gcd).  They set Fraction's two slots, ``_numerator`` and ``_denominator``,
 on ``object.__new__(Rat)`` and so skip the type dispatch of
 ``Fraction.__new__``; the result is an ordinary Fraction that equals, hashes

@@ -86,10 +86,11 @@ SPACE_MESSAGES = {**{m: m for m in SPACE_REJECTIONS},
                   "negative distance": "triangle inequality fails"}
 
 
-@pytest.mark.parametrize("case", sorted(SPACE_REJECTIONS))
-def test_space_validation(case):
-    with pytest.raises(ValueError, match=f"^{SPACE_MESSAGES[case]}$"):
-        _space(*SPACE_REJECTIONS[case])
+def test_space_validation():
+    # One test over all seven rejections, each with its own message.
+    for case, args in SPACE_REJECTIONS.items():
+        with pytest.raises(ValueError, match=f"^{SPACE_MESSAGES[case]}$"):
+            _space(*args)
 
 
 def test_degree_examples_three_point_line():
@@ -652,7 +653,7 @@ def _cancelling_products(draw):
     return {(i, k): x, (i, q): y}, {(k, j): w, (q, j): -x * w / y}
 
 
-@settings(max_examples=300)
+@settings(max_examples=200)
 @given(st.one_of(st.tuples(_tables, _tables), _cancelling_products()))
 def test_kernel_product_matches_schoolbook(case):
     a, b = case
@@ -663,7 +664,7 @@ def test_kernel_product_matches_schoolbook(case):
         assert product is PropagationAlgebra(line_space(3)).zero()
 
 
-@settings(max_examples=300)
+@settings(max_examples=150)
 @given(_tables, _tables, st.booleans())
 def test_kernel_sum_and_difference_match_schoolbook(a, b, cancel):
     if cancel:
