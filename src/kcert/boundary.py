@@ -68,13 +68,8 @@ def checked_lifts(diagram, u, lift_a=None, lift_b=None, m=0):
     """Lifts (A, B) of U and U^{-1} through the first leg, the section lift
     for each not given, checked to map onto U and U^{-1}; m must split U's
     size, and at m > 0 U must commute with e = diag(0_m, 1_n)."""
-    if u.algebra != diagram.lambda_prime:
-        raise MatrixError("U must live over the overlap ring")
-    if lift_a is None or lift_b is None:
-        if not diagram.j1.surjective:
-            raise ValueError("the boundary lifts through j1, which must be surjective")
-        lift_a = section_matrix(diagram.j1, u.m) if lift_a is None else lift_a
-        lift_b = section_matrix(diagram.j1, u.m_inv) if lift_b is None else lift_b
+    lift_a = section_matrix(diagram.j1, u.m) if lift_a is None else lift_a
+    lift_b = section_matrix(diagram.j1, u.m_inv) if lift_b is None else lift_b
     if lift_a.algebra != diagram.lambda1 or lift_b.algebra != diagram.lambda1:
         raise MatrixError("lifts must live over the first leg")
     if lift_a.n != u.n or lift_b.n != u.n:

@@ -133,7 +133,7 @@ def _run_verify(args, doc):
         raise SpecError("verify requires an 'algebra' section")
     seed = _int_param(args, doc, "seed", 0)
     samples = _int_param(args, doc, "samples", 100, least=1)
-    max_size = max(1, _int_param(args, doc, "max_size", 3))
+    max_size = _int_param(args, doc, "max_size", 3, least=1)
     return verify_report(doc.algebra, seed, samples, max_size)
 
 

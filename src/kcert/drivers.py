@@ -6,8 +6,6 @@ padding) its segment needs, then replays the constructive recipe and
 records every exact check.  Segments whose recipe assumes equal legs are
 reported as skipped on diagrams without them."""
 
-import random
-
 from .boundary import (
     boundary_extended_form,
     boundary_first_form,
@@ -259,7 +257,7 @@ def exactness_report(diagram, seed, samples, corrupt_witness=False):
                  "reason": "recipe assumes equal legs"}
             )
             continue
-        sampler = Sampler(random.Random((seed, name).__repr__()))
+        sampler = Sampler((seed, name).__repr__())
         entry = {"segment": name, "samples": samples, "checks": []}
         seg_ok = True
         for idx in range(samples):

@@ -56,10 +56,6 @@ class IdentityReport:
         if self.min_slack is None or slack < self.min_slack:
             self.min_slack = slack
 
-    def __repr__(self):
-        state = "pass" if self.ok else f"FAIL({self.failed})"
-        return f"IdentityReport({self.identity}: {state}, samples={self.samples})"
-
 
 # The 21 values Sampler.rational draws, num/den at index 3 * (num + 3) +
 # (den - 1); every zero is the shared R0, which products skip by identity.
@@ -75,11 +71,11 @@ class Sampler:
     come for free.
 
     Every integer draw goes through one primitive, ``_below(n)``, which is
-    CPython's ``Random._randbelow_with_getrandbits`` bound to
-    ``rng.getrandbits``: ``randrange(n)`` is ``_below(n)`` and
-    ``randint(a, b)`` is ``a + _below(b - a + 1)``, so a seed consumes the
-    same generator bits as those calls and gives the same draws.  ``rng``
-    must be a ``random.Random`` itself, since a subclass may draw otherwise.
+    CPython's ``Random._randbelow_with_getrandbits`` bound to the
+    ``getrandbits`` of ``rng = random.Random(seed)``: ``randrange(n)`` is
+    ``_below(n)`` and ``randint(a, b)`` is ``a + _below(b - a + 1)``, so a
+    seed consumes the same generator bits as those calls and gives the same
+    draws.
 
     A draw builds nothing by rational arithmetic it can avoid.  A small
     rational num/den (|num| <= 3, 1 <= den <= 3) is read from a table of its
@@ -90,13 +86,9 @@ class Sampler:
     exact inverse is unique, so the sampled inputs do not depend on how the
     inverses are computed."""
 
-    def __init__(self, seed_or_rng=0):
-        if not isinstance(seed_or_rng, random.Random):
-            seed_or_rng = random.Random(seed_or_rng)
-        elif type(seed_or_rng) is not random.Random:
-            raise TypeError("Sampler needs a seed or a random.Random, not a subclass")
-        self.rng = seed_or_rng
-        getrandbits = seed_or_rng.getrandbits
+    def __init__(self, seed=0):
+        self.rng = random.Random(seed)
+        getrandbits = self.rng.getrandbits
 
         def below(n):
             """A uniform int in [0, n); ValueError for an empty range."""
@@ -248,8 +240,6 @@ def conjugation_transport(a, b):
 def elementary_commutator(i, j, k, algebra, a, n):
     """E_ij(a) = [E_ik(a), E_kj(1)] for distinct indices i, j, k < n and a
     payload a of the algebra."""
-    if len({i, j, k}) != 3:
-        raise ValueError("indices must be distinct")
     one, neg = algebra.one(), algebra._negate
     built = (
         elementary(algebra, n, i, k, a) @ elementary(algebra, n, k, j, one)
@@ -373,7 +363,7 @@ def run_identity_suite(algebra, sizes=3, samples=100, seed=0):
     per identity."""
     reports = []
     for name, driver in IDENTITY_DRIVERS:
-        sampler = Sampler(random.Random((seed, name).__repr__()))
+        sampler = Sampler((seed, name).__repr__())
         report = IdentityReport(name)
         for _ in range(samples):
             report.record(*judge(*driver(algebra, sampler, sizes)))

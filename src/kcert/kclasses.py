@@ -80,9 +80,6 @@ class ExactnessReport:
     def passed(self):
         return all(check["ok"] for check in self.checks)
 
-    def __repr__(self):
-        return f"ExactnessReport({self.segment}: {'pass' if self.passed else 'FAIL'})"
-
 
 K0MiddleWitness = namedtuple("K0MiddleWitness", ["xi", "v"])
 
@@ -247,9 +244,6 @@ def exactness_kernel_i(diagram, d, u1, u2):
     p_tilde, _ = normalize_difference(plus, minus)
     total = m_sz + n_sz
     eps = e_block(diagram.lambda1, m_sz, n_sz)
-    if u1.n != total or u2.n != total:
-        report.add("witness sizes", False, f"witnesses must have size {total}")
-        return None, report
     report.require(
         "witness u1 trivializes leg1",
         p_tilde.p.m1.first_mismatch(u1.m @ eps @ u1.m_inv),

@@ -147,9 +147,6 @@ class FilteredMatrix:
             return False
         return all(map(self.algebra._rows_equal, self.rows, other.rows))
 
-    def __hash__(self):
-        return hash((self.algebra, self.rows))
-
     def is_zero(self):
         return all(not p for row in self.rows for p in row)
 
@@ -172,8 +169,6 @@ class FilteredMatrix:
 
     def pad(self, k, fill=0):
         """The stabilization by a k-block of zeros (idempotents) or ones (invertibles)."""
-        if k == 0:
-            return self
         block = FilteredMatrix.zeros if fill == 0 else FilteredMatrix.identity
         return self.direct_sum(block(self.algebra, k))
 
@@ -197,9 +192,6 @@ class FilteredMatrix:
                         return (i, j), x - y
         return None
 
-    def __repr__(self):
-        return f"FilteredMatrix(n={self.n}, level={self.level}, kind={self.algebra.kind})"
-
 
 def block2(a, b, c, d):
     """Assemble [[a, b], [c, d]] from equal-size square blocks."""
@@ -213,8 +205,6 @@ def block2(a, b, c, d):
 
 def split2(m):
     """Split an even-size matrix into its four half-size blocks."""
-    if m.n % 2:
-        raise MatrixError("odd size cannot split into 2x2 blocks")
     k = m.n // 2
     return (
         m.sub_block(0, k, 0, k),
@@ -277,20 +267,13 @@ class InvertibleCert:
 
     def compose(self, other):
         """Certificate for self.m @ other.m."""
-        if other.algebra != self.algebra:
-            raise MatrixError("algebra mismatch")
         return InvertibleCert(self.m @ other.m, other.m_inv @ self.m_inv)
 
     def direct_sum(self, other):
         return InvertibleCert(self.m.direct_sum(other.m), self.m_inv.direct_sum(other.m_inv))
 
     def pad(self, k):
-        if k == 0:
-            return self
         return InvertibleCert(self.m.pad(k, fill=1), self.m_inv.pad(k, fill=1))
-
-    def __repr__(self):
-        return f"InvertibleCert(n={self.n}, level={self.level})"
 
 
 class IdempotentCert:
@@ -326,9 +309,6 @@ class IdempotentCert:
 
     def pad(self, k):
         return IdempotentCert(self.p.pad(k, fill=0)) if k else self
-
-    def __repr__(self):
-        return f"IdempotentCert(n={self.n}, level={self.level})"
 
 
 def elementary(algebra, n, i, j, a):

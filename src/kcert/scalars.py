@@ -12,7 +12,7 @@ scaled to integers over the lcm of its denominators, the integers are
 convolved, and each result coefficient is built once by ``_reduced(c, da *
 db)``, one gcd per coefficient instead of a reduced Fraction multiply and
 add per pair of coefficients.  Coefficients stay reduced rationals, so
-equality, hashing and encodings match a schoolbook product.  An inverse in
+equality and encodings match a schoolbook product.  An inverse in
 Q[x]/(m) is computed over the integers as well: QuotElem.invert solves the
 multiplication-by-rep system by Bareiss elimination, with no Euclid loop
 over Fraction coefficients.
@@ -30,8 +30,9 @@ values have equal slots, so one loop over the slots compares them with no
 
 Every hot path reads and builds a rational through these two slots, never
 by a Fraction method (all are Python code): here ``_integer_coeffs``,
-``encode_rational`` and Poly negation and equality; in algebras.py the
-product kernels, ``_poly_ints``, the Q row operation, Q-matrix equality and
+``encode_rational``, Poly negation and equality, ``is_monic`` and the zero
+tests of a Poly's build and of an inverse; in algebras.py the product
+kernels, ``_poly_ints``, the Q row operation, Q-matrix equality and
 negation, Kernel's arithmetic, the propagation unit inverse and the build of
 a propagation algebra, so a verify request over kernels calls no function
 of fractions.py.  A test pins ``Rat.__slots__``, and guards count the calls.
@@ -124,7 +125,7 @@ class Poly:
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Rat) else rat(c) for c in coeffs]
-        while cs and not cs[-1]:
+        while cs and not cs[-1]._numerator:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -145,7 +146,7 @@ class Poly:
     @classmethod
     def const(cls, value):
         v = rat(value)
-        return cls._raw((v,)) if v else _P_ZERO
+        return cls._raw((v,)) if v._numerator else _P_ZERO
 
     @property
     def degree(self):
@@ -155,14 +156,13 @@ class Poly:
         return not self.coeffs
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == R1
+        cs = self.coeffs
+        return bool(cs) and cs[-1]._numerator == 1 and cs[-1]._denominator == 1
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __add__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -174,16 +174,12 @@ class Poly:
         return Poly._raw(tuple(out))
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
         return Poly._raw(tuple([_negated(c) for c in self.coeffs]))
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _P_ZERO
@@ -199,8 +195,6 @@ class Poly:
 
     def divmod_by(self, divisor):
         """Exact division with remainder; divisor must be nonzero."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dc = divisor.coeffs
         dd = len(dc) - 1
@@ -216,8 +210,6 @@ class Poly:
                 rem[i - dd + k] = rem[i - dd + k] - q * dc[k]
         while rem and not rem[-1]:
             rem.pop()
-        while quot and not quot[-1]:
-            quot.pop()
         return Poly._raw(tuple(quot)), Poly._raw(tuple(rem))
 
     def __eq__(self, other):
@@ -238,9 +230,6 @@ class Poly:
             ):
                 return False
         return True
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __str__(self):
         if not self.coeffs:
@@ -344,15 +333,13 @@ def _bareiss_solve(rows):
 
 class QuotElem:
     """Element of Q[x]/(m) for a monic modulus m of degree >= 1, stored as
-    the reduced representative."""
+    the reduced representative.  The modulus is not checked here: every
+    element is built with the modulus of a QuotientAlgebra, which checked
+    it."""
 
     __slots__ = ("modulus", "rep")
 
     def __init__(self, modulus, rep):
-        if not isinstance(modulus, Poly) or not isinstance(rep, Poly):
-            raise TypeError("QuotElem expects Poly modulus and representative")
-        if modulus.degree < 1 or not modulus.is_monic():
-            raise ValueError("modulus must be monic of degree >= 1")
         self.modulus = modulus
         if rep.degree >= modulus.degree:
             _, rep = rep.divmod_by(modulus)
@@ -404,8 +391,6 @@ class QuotElem:
         non-integral m scaled to e * m), and the system is solved by
         Bareiss elimination.  It is singular exactly when gcd(rep, m) != 1,
         since its determinant is the resultant of m and rep."""
-        if self.rep.is_zero():
-            raise NotInvertible("zero is not invertible")
         modulus = self.modulus
         if len(self.rep.coeffs) == 1:
             return QuotElem._reduced(modulus, Poly._raw((_reciprocal(self.rep.coeffs[0]),)))
@@ -430,7 +415,7 @@ class QuotElem:
             det = -det
             xs = [-x for x in xs]
         out = [_reduced(x * k, det) if x else R0 for x, k in zip(xs, scales)]
-        while out and not out[-1]:
+        while out and not out[-1]._numerator:
             out.pop()
         return QuotElem._reduced(modulus, Poly._raw(tuple(out)))
 
@@ -440,9 +425,6 @@ class QuotElem:
             and (self.modulus is other.modulus or self.modulus == other.modulus)
             and self.rep == other.rep
         )
-
-    def __hash__(self):
-        return hash((self.modulus, self.rep))
 
     def __str__(self):
         return f"[{self.rep}]"

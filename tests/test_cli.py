@@ -12,6 +12,7 @@ import kcert
 from kcert.cli import _json_text, main
 from kcert.identities import IDENTITY_NAMES
 from kcert.matrices import FilteredMatrix
+from kcert.scalars import Poly, QuotElem, rat
 from kcert.specdoc import SpecDocument, SpecError
 
 
@@ -160,13 +161,16 @@ def test_zero_samples_is_spec_error(tmp_path, capsys):
         assert "spec error: command.samples must be at least 1" in err
 
 
-@pytest.mark.parametrize("command,spec,flag,value", [
+NEGATIVE_FLAGS = [
     ("verify", "trivial_q.json", "--samples", "-5"),
     ("verify", "trivial_q.json", "--seed", "-3"),
     ("verify", "trivial_q.json", "--max-size", "-1"),
     ("exactness", "quotient_clutching.json", "--samples", "-1"),
     ("exactness", "quotient_clutching.json", "--seed", "-1"),
-])
+]
+
+
+@pytest.mark.parametrize("command,spec,flag,value", NEGATIVE_FLAGS)
 def test_negative_flag_is_spec_error(capsys, command, spec, flag, value):
     code, out, err = run_cli(capsys, command, "--spec", spec_path(spec), flag, value)
     assert code == 2
@@ -261,6 +265,35 @@ def test_verify_fails_every_identity_whose_product_drops_its_level(capsys, monke
     assert lines == expected
 
 
+def test_verify_prints_quotient_residuals(tmp_path, capsys, monkeypatch):
+    # A failed sample prints its residual's str: over Q[x]/(m) an element is
+    # its representative in brackets, a polynomial with its zero
+    # coefficients left out.  Every product gets -2x added at (0, 0).
+    product = FilteredMatrix.__matmul__
+
+    def shifted(self, other):
+        rows = [list(row) for row in product(self, other).rows]
+        rows[0][0] = rows[0][0] + QuotElem(self.algebra.modulus, Poly([0, -2]))
+        return FilteredMatrix(self.algebra, rows)
+
+    monkeypatch.setattr(FilteredMatrix, "__matmul__", shifted)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"algebra": {"kind": "quotient-pullback-leg",
+                                            "modulus": ["-1", "0", "1"]},
+                                "command": {"name": "verify", "samples": 1, "max_size": 1}}))
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 1
+    failures = [line for line in out.splitlines() if line.startswith("  failure: ")]
+    assert failures == [f"  failure: mismatch at {at}, residual {residual}" for at, residual in (
+        ((0, 0), "[-2*x]"), ((0, 0), "[-4*x]"), ((1, 1), "[4*x]"), ((0, 0), "[-2*x]"),
+        ((0, 0), "[-24/77 + -46/77*x]"), ((0, 0), "[1 + -2*x]"), ((0, 0), "[-2*x]"),
+        ((0, 0), "[-2*x]"), ((0, 0), "[-6*x]"), ((0, 0), "[4 + -29/3*x]"), ((0, 0), "[-1*x]"),
+    )]
+    # Forms these residuals do not show: zero, x itself and higher powers.
+    assert [str(Poly(cs)) for cs in ([], [0, 1], [1, 0, rat(-1, 2)], [0, 0, 0, 1])] == [
+        "0", "x", "1 + -1/2*x^2", "x^3"]
+
+
 def test_missing_section_rejected(tmp_path, capsys):
     path = tmp_path / "nodiag.json"
     path.write_text(json.dumps({"algebra": {"kind": "trivial"}}))
@@ -334,12 +367,16 @@ def _bundled_text(name):
 # command is beyond any interpreter's recursion limit; whether the parser or
 # the reader of the matrix gives up on the 5,000-deep entries depends on the
 # Python version, so that case pins the exit code and a one-line message.
-@pytest.mark.parametrize("text,exact", [
+DEEP_NESTING = [
     (_bundled_text("quotient_clutching.json").replace(
         '"command": {', '"command": ' + "[" * 100_000 + "]" * 100_000 + ', "_": {'), True),
     (_bundled_text("quotient_clutching.json").replace(
         '"entries": [[["-1", "0", "1"]]]', '"entries": ' + "[" * 5_000 + "]" * 5_000), False),
-], ids=["command-100000-deep", "entries-5000-deep"])
+]
+
+
+@pytest.mark.parametrize("text,exact", DEEP_NESTING,
+                         ids=["command-100000-deep", "entries-5000-deep"])
 def test_deep_nesting_is_spec_error(tmp_path, capsys, text, exact):
     path = tmp_path / "deep.json"
     path.write_text(text)
@@ -353,14 +390,18 @@ def test_deep_nesting_is_spec_error(tmp_path, capsys, text, exact):
 # json.loads keeps the last of two equal keys, so these ran whichever value
 # came last: two algebras ran the second (exit 0), and "samples" 0 then 1
 # ran one sample where 1 then 0 was a spec error.
-@pytest.mark.parametrize("text,key", [
+DUPLICATE_KEYS = [
     (TRIVIAL_SPEC.decode().replace(
         '"algebra": {"kind": "trivial"}',
         '"algebra": {"kind": "trivial", "max_level": 4}, "algebra": {"kind": "trivial"}'),
      "algebra"),
     (TRIVIAL_SPEC.decode().replace('"samples": 1', '"samples": 1, "samples": 0'), "samples"),
     (TRIVIAL_SPEC.decode().replace('"samples": 1', '"samples": 0, "samples": 1'), "samples"),
-], ids=["algebra-twice", "samples-1-then-0", "samples-0-then-1"])
+]
+
+
+@pytest.mark.parametrize("text,key", DUPLICATE_KEYS,
+                         ids=["algebra-twice", "samples-1-then-0", "samples-0-then-1"])
 def test_duplicate_key_is_spec_error(tmp_path, capsys, text, key):
     path = tmp_path / "dup.json"
     path.write_text(text)
@@ -443,7 +484,7 @@ def _propagation(**algebra):
 
 # JSON true loads as a bool, which Python counts as the int 1; each integer
 # field must reject it rather than run with 1 (or echo "true" in the report)
-@pytest.mark.parametrize("command,doc,message", [
+BOOLEAN_INTEGERS = [
     ("verify", _with_command("trivial_q.json", samples=True),
      "command.samples must be a nonnegative integer"),
     ("verify", _with_command("trivial_q.json", seed=True),
@@ -459,7 +500,11 @@ def _propagation(**algebra):
      "matrix M: claimed level must be an integer"),
     ("boundary", _with_command("quotient_clutching.json", m=True),
      "command.m must be a nonnegative integer"),
-], ids=["samples", "seed", "max_size", "max_level", "size", "level", "m"])
+]
+
+
+@pytest.mark.parametrize("command,doc,message", BOOLEAN_INTEGERS,
+                         ids=["samples", "seed", "max_size", "max_level", "size", "level", "m"])
 def test_boolean_is_not_an_integer(tmp_path, capsys, command, doc, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -470,7 +515,7 @@ def test_boolean_is_not_an_integer(tmp_path, capsys, command, doc, message):
 
 
 # a string "false" is truthy, so coercing with bool() would turn it on
-@pytest.mark.parametrize("command,doc,message", [
+NON_BOOLEAN_FLAGS = [
     ("verify", _propagation(diagonal="false"), "algebra: diagonal must be true or false"),
     ("verify", _propagation(diagonal=0), "algebra: diagonal must be true or false"),
     ("exactness", _with_command("quotient_clutching.json", samples=2,
@@ -478,8 +523,12 @@ def test_boolean_is_not_an_integer(tmp_path, capsys, command, doc, message):
      "command.corrupt_witness must be true or false"),
     ("exactness", _with_command("quotient_clutching.json", samples=2, corrupt_witness=1),
      "command.corrupt_witness must be true or false"),
-], ids=["diagonal-string", "diagonal-int", "corrupt_witness-string",
-        "corrupt_witness-int"])
+]
+
+
+@pytest.mark.parametrize("command,doc,message", NON_BOOLEAN_FLAGS,
+                         ids=["diagonal-string", "diagonal-int", "corrupt_witness-string",
+                              "corrupt_witness-int"])
 def test_boolean_field_needs_a_boolean(tmp_path, capsys, command, doc, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -514,7 +563,7 @@ def _clutching_with_role(role):
 # pass; a non-string name, hom type or algebra role crashed on an unhashable
 # lookup and a non-object matrices section on .items() (exit 1); a string dist
 # row was read character by character.
-@pytest.mark.parametrize("command,doc,message", [
+MALFORMED_NAMES_AND_ROWS = [
     ("boundary", _with_command("quotient_clutching.json", perturb_a="KX"),
      "matrix 'KX' not defined"),
     ("boundary", _with_command("quotient_clutching.json", perturb_b="HX"),
@@ -529,8 +578,13 @@ def _clutching_with_role(role):
     ("verify", dict(_bundled("trivial_q.json"), matrices=["A"]), "matrices must be an object"),
     ("boundary", _clutching_with_role(["lambda1"]),
      "matrix A: unknown algebra role ['lambda1']"),
-], ids=["perturb_a-undefined", "perturb_b-undefined", "lift_a-list", "perturb_a-list",
-        "hom-type-list", "dist-string-rows", "matrices-list", "role-list"])
+]
+
+
+@pytest.mark.parametrize("command,doc,message", MALFORMED_NAMES_AND_ROWS,
+                         ids=["perturb_a-undefined", "perturb_b-undefined", "lift_a-list",
+                              "perturb_a-list", "hom-type-list", "dist-string-rows",
+                              "matrices-list", "role-list"])
 def test_malformed_name_or_row_is_spec_error(tmp_path, capsys, command, doc, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -652,12 +706,17 @@ def _not_commuting_at_m1():
 
 # A lift is checked where it enters, before any report line, so a bad one
 # rejects the inputs.
-@pytest.mark.parametrize("doc,message", [
+REJECTED_LIFTS = [
     (_clutching_lifts(A=[[["1", "1"]]]), "lift A has the wrong image at (0, 0)"),
     (_clutching_lifts(B=[[["0", "0", "1"]]]), "lift B has the wrong image at (0, 0)"),
     (_cover_lift_over_second_leg(), "lifts must live over the first leg"),
     (_not_commuting_at_m1(), "U must commute with the stabilization block, fails at (0, 1)"),
-], ids=["lift-a-image", "lift-b-image", "lift-over-lambda2", "m1-not-commuting"])
+]
+
+
+@pytest.mark.parametrize("doc,message", REJECTED_LIFTS,
+                         ids=["lift-a-image", "lift-b-image", "lift-over-lambda2",
+                              "m1-not-commuting"])
 def test_rejected_lift_is_spec_error(tmp_path, capsys, doc, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -677,6 +736,217 @@ def test_corrupt_witness_needs_equal_legs(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "spec error: command.corrupt_witness needs a diagram with equal legs\n"
+
+
+# -- every outside input a command rejects -----------------------------------
+
+_TRIVIAL = {"algebra": {"kind": "trivial"}, "command": {"name": "verify", "samples": 1}}
+_Q_X = {"kind": "quotient-pullback-leg"}
+_Q_X_MOD = {"kind": "quotient-pullback-leg", "modulus": ["-1", "0", "1"]}
+
+
+def _line(points, diagonal=True, **algebra):
+    """A diagonal propagation algebra on points of a line, |i - j| apart."""
+    n = len(points)
+    return dict({"kind": "propagation", "points": points, "diagonal": diagonal,
+                 "dist": [[str(abs(i - j)) for j in range(n)] for i in range(n)],
+                 "radius_base": "4"}, **algebra)
+
+
+def _with_matrix(doc, entries, **matrix):
+    """doc with one more matrix, M, over its algebra unless ``matrix`` says."""
+    doc = json.loads(json.dumps(doc))
+    doc.setdefault("matrices", {})["M"] = dict(size=len(entries), entries=entries, **matrix)
+    return doc
+
+
+def _legs(lambda1, lambda_prime, j1, lambda2=None, j2=None, command="exactness"):
+    """A diagram whose second leg defaults to the identity of lambda_prime."""
+    return {"diagram": {"lambda1": lambda1, "lambda2": lambda2 or lambda_prime,
+                        "lambda_prime": lambda_prime,
+                        "j1": {"type": j1}, "j2": {"type": j2 or "identity"}},
+            "command": {"name": command, "samples": 1}}
+
+
+def _kernel_entry(entry, **algebra):
+    return _with_matrix(_propagation(**algebra), [[entry]])
+
+
+def _clutching_boundary(**command):
+    """The clutching spec with V = 2 over lambda1, its inverse given, and a
+    2 x 2 A2 over lambda1, for command values to name."""
+    doc = _with_command("quotient_clutching.json", **command)
+    doc["matrices"]["V"] = {"algebra": "lambda1", "size": 1, "entries": [[["2"]]],
+                            "inverse": [[["1/2"]]]}
+    doc["matrices"]["A2"] = {"algebra": "lambda1", "size": 2,
+                             "entries": [[["0", "1"], ["0"]], [["0"], ["1"]]]}
+    return doc
+
+
+# Each row is (command and flags, spec document, a line the run prints on
+# stderr), and the run must exit 2 with no report.  A document given as
+# bytes is written as it is, and None leaves the spec path missing; "{tmp}"
+# in a flag is the test's own directory.  Together with the tables above,
+# these rows reach every check of an outside input: tests/test_guards.py
+# runs them all under its line audit.
+REJECTIONS = [
+    pytest.param("verify", None, "spec error: cannot read spec: ", id="missing-spec"),
+    pytest.param("verify", b'{"\xff": 1}', "spec error: spec is not valid UTF-8: ", id="not-utf8"),
+    pytest.param("verify", b"{not json", "spec error: spec is not valid JSON: ", id="not-json"),
+    pytest.param("verify --max-size 0", _TRIVIAL,
+                 "spec error: --max-size must be at least 1: 0 checks nothing", id="max-size-0"),
+    pytest.param("verify --report {tmp}/missing/report.json", _TRIVIAL,
+                 "cannot write report: ", id="unwritable-report"),
+    pytest.param("verify", _with_matrix(_TRIVIAL, [["x"]]),
+                 "spec error: matrix M: row 0: malformed rational 'x'", id="malformed-rational"),
+    pytest.param("verify", _with_matrix(_TRIVIAL, [["1/0"]]),
+                 "spec error: matrix M: row 0: malformed rational '1/0' (zero denominator)",
+                 id="zero-denominator"),
+    pytest.param("verify", _with_matrix(_TRIVIAL, [["2"]], inverse=[["1"]]),
+                 "spec error: matrix M: inverse does not verify: "
+                 "inverse certificate fails at (0, 0)", id="wrong-inverse"),
+    pytest.param("verify", _with_matrix(_TRIVIAL, [["2"]], level=3),
+                 "spec error: matrix M: claimed level 3 but recomputed 16", id="claimed-level"),
+    pytest.param("verify", {"algebra": {"kind": "quotient-pullback-leg",
+                                        "modulus": ["-1", "0", "2"]}},
+                 "spec error: algebra: modulus must be monic of degree >= 1",
+                 id="non-monic-modulus"),
+    pytest.param("verify", _with_matrix({"algebra": _Q_X}, [["1"]]),
+                 "spec error: matrix M: row 0: polynomial element must be a coefficient array",
+                 id="poly-not-array"),
+    pytest.param("verify", _propagation(points=["a", "a"]),
+                 "spec error: algebra: duplicate points", id="duplicate-points"),
+    pytest.param("verify", _propagation(dist=[["0"]]),
+                 "spec error: algebra: distance matrix shape mismatch", id="dist-shape"),
+    pytest.param("verify", _propagation(dist=[["1", "1"], ["1", "0"]]),
+                 "spec error: algebra: nonzero diagonal distance", id="dist-diagonal"),
+    pytest.param("verify", _propagation(dist=[["0", "1"], ["2", "0"]]),
+                 "spec error: algebra: distance matrix not symmetric", id="dist-asymmetric"),
+    pytest.param("verify", _propagation(points=["a", "b", "c"], dist=[
+        ["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]], radius_base="4"),
+                 "spec error: algebra: triangle inequality fails", id="dist-triangle"),
+    pytest.param("verify", _propagation(radius_base="1/2"),
+                 "spec error: algebra: radius base must cover the diameter", id="radius-base"),
+    pytest.param("verify", _kernel_entry("1"),
+                 "spec error: matrix M: row 0: propagation element must be a list of triples",
+                 id="kernel-not-list"),
+    pytest.param("verify", _kernel_entry([["a", "b"]]),
+                 "spec error: matrix M: row 0: bad kernel triple ['a', 'b']", id="kernel-pair"),
+    pytest.param("verify", _kernel_entry([["a", "z", "1"]]),
+                 "spec error: matrix M: row 0: unknown point 'z'", id="kernel-unknown-point"),
+    pytest.param("verify", _kernel_entry([["a", "b", "1"]], diagonal=True),
+                 "spec error: matrix M: row 0: off-diagonal entry in a diagonal algebra",
+                 id="kernel-off-diagonal"),
+    pytest.param("verify", _kernel_entry([["a", "a", "1"], ["a", "a", "2"]]),
+                 "spec error: matrix M: row 0: duplicate kernel entry ['a', 'a']",
+                 id="kernel-duplicate"),
+    pytest.param("verify", _legs(_Q_X, _Q_X, "identity"),
+                 "spec error: verify requires an 'algebra' section", id="verify-no-algebra"),
+    pytest.param("boundary", _TRIVIAL,
+                 "spec error: boundary requires a 'diagram' section", id="boundary-no-diagram"),
+    pytest.param("exactness", _TRIVIAL,
+                 "spec error: exactness requires a 'diagram' section", id="exactness-no-diagram"),
+    pytest.param("verify", _with_matrix(_legs(_Q_X, _Q_X, "identity"), [[["1"]]]),
+                 "spec error: matrix M: no algebra section", id="matrix-no-algebra"),
+    pytest.param("exactness", _legs({"kind": "trivial"}, _Q_X, "identity"),
+                 "spec error: diagram.j1: identity hom needs equal source and target",
+                 id="identity-unequal"),
+    pytest.param("exactness", _legs({"kind": "trivial"}, _Q_X_MOD, "quotient"),
+                 "spec error: diagram.j1: quotient hom source must be the polynomial ring",
+                 id="quotient-source"),
+    pytest.param("exactness", _legs(_Q_X, _Q_X, "quotient"),
+                 "spec error: diagram.j1: quotient hom target must be a quotient ring",
+                 id="quotient-target"),
+    pytest.param("exactness", _legs({"kind": "trivial"}, _line(["b"]), "restriction"),
+                 "spec error: diagram.j1: restriction hom needs propagation algebras",
+                 id="restriction-carrier"),
+    pytest.param("exactness", _legs(_line(["a", "b"], diagonal=False),
+                                    _line(["b"], diagonal=False), "restriction"),
+                 "spec error: diagram.j1: restriction hom requires diagonal algebras",
+                 id="restriction-full"),
+    pytest.param("exactness", _legs(_line(["a", "b"], max_level=8), _line(["b"]), "restriction"),
+                 "spec error: diagram.j1: restriction hom must preserve max_level",
+                 id="restriction-max-level"),
+    pytest.param("exactness", _legs(_line(["a", "b"]), _line(["z"]), "restriction"),
+                 "spec error: diagram.j1: target points ['z'] not in source space",
+                 id="restriction-foreign-point"),
+    pytest.param("exactness", _legs(_line(["a", "b", "c"]), _line(["a", "c"]), "restriction"),
+                 "spec error: diagram.j1: restricted space must inherit the metric",
+                 id="restriction-metric"),
+    pytest.param("exactness", _legs(_Q_X, _Q_X_MOD, "scalar-inclusion"),
+                 "spec error: diagram.j1: scalar inclusion needs the trivial source",
+                 id="inclusion-source"),
+    pytest.param("exactness", _legs({"kind": "trivial"}, _Q_X_MOD, "scalar-inclusion",
+                                    {"kind": "trivial"}, "scalar-inclusion"),
+                 "spec error: diagram: at least one leg must be surjective",
+                 id="no-surjective-leg"),
+    pytest.param("exactness", _legs(_Q_X, _Q_X_MOD, "quotient", {"kind": "trivial"},
+                                    "scalar-inclusion"),
+                 "spec error: exactness requires surjective j1 and j2 with sections",
+                 id="exactness-sectionless-leg"),
+    pytest.param("exactness", _with_command("propagation_cover.json", samples=1,
+                                            corrupt_witness=True),
+                 "spec error: command.corrupt_witness needs a diagram with equal legs",
+                 id="corrupt-unequal-legs"),
+    pytest.param("boundary", _with_matrix(
+        _legs({"kind": "trivial"}, _Q_X, "scalar-inclusion", command="boundary"),
+        [[["2"]]], algebra="lambda_prime", inverse=[[["1/2"]]]),
+                 "spec error: boundary requires a surjective j1 with a section",
+                 id="boundary-sectionless-j1"),
+    pytest.param("boundary", _with_command("quotient_clutching.json", u=["U"]),
+                 "spec error: command.u must name a matrix over lambda_prime", id="u-not-a-name"),
+    pytest.param("boundary", _clutching_boundary(u="V"),
+                 "spec error: matrix 'V' must live over lambda_prime", id="u-over-lambda1"),
+    pytest.param("boundary", _clutching_boundary(lift_a="A2"),
+                 "spec error: boundary inputs rejected: lift sizes must match U",
+                 id="lift-size"),
+    pytest.param("boundary", _with_command("quotient_clutching.json", m=2),
+                 "spec error: boundary inputs rejected: block split must satisfy 0 <= m <= size",
+                 id="m-above-size"),
+]
+
+
+def rejection_argv(tmp_path, command, doc, name="spec.json"):
+    """The argv of one rejection row, its spec written to tmp_path / name."""
+    path = tmp_path / name
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    elif doc is not None:
+        path.write_text(json.dumps(doc))
+    command, *flags = command.replace("{tmp}", str(tmp_path)).split()
+    return [command, "--spec", str(path), *flags]
+
+
+def rejection_rows():
+    """(command and flags, spec document) of every row of this module's
+    tables of inputs that exit 2."""
+    rows = [(row.values[0], row.values[1]) for row in REJECTIONS]
+    rows += [(command, doc) for table in (BOOLEAN_INTEGERS, NON_BOOLEAN_FLAGS,
+                                          MALFORMED_NAMES_AND_ROWS)
+             for command, doc, _ in table]
+    rows += [("boundary", doc) for doc, _ in REJECTED_LIFTS]
+    rows += [(f"{command} {flag} {value}", _bundled(spec))
+             for command, spec, flag, value in NEGATIVE_FLAGS]
+    rows += [("boundary", text.encode()) for text, _ in DEEP_NESTING]
+    return rows + [("verify", text.encode()) for text, _ in DUPLICATE_KEYS]
+
+
+@pytest.mark.parametrize("command,doc,message", REJECTIONS)
+def test_outside_input_is_rejected(tmp_path, capsys, command, doc, message):
+    code, out, err = run_cli(capsys, *rejection_argv(tmp_path, command, doc))
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_reader_recursion_is_spec_error(monkeypatch):
+    # Reading a spec that json parsed may still recurse too deep (a repr of
+    # a deeply nested value in a message does), and that is a spec error too.
+    def recurse(self, raw):
+        raise RecursionError
+
+    monkeypatch.setattr(SpecDocument, "__init__", recurse)
+    with pytest.raises(SpecError, match="^spec is nested too deeply$"):
+        SpecDocument.from_bytes(TRIVIAL_SPEC)
 
 
 # -- the report writer ---------------------------------------------------------

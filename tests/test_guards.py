@@ -30,9 +30,10 @@
   two slots.  Over request 0 of each benchmark workload, no function of
   fractions.py runs while a product kernel, the Q row operation's map, the
   Q negation, matrix or kernel equality or negation, kernel arithmetic,
-  the propagation unit inverse or the build of a propagation algebra is on
-  the stack; the sampler's invertible draws, which are generic over
-  carriers, may make no such call themselves.  A whole verify-propagation
+  the propagation unit inverse, the build of a propagation algebra, a
+  Poly's build and monic test, a quotient inverse or the description of a
+  quotient algebra is on the stack; the sampler's invertible draws, which
+  are generic over carriers, may make no such call themselves.  A whole verify-propagation
   request, from argv to report, makes no call into fractions.py at all.
   The counts are pinned at 0, so they hold on every Python version.
 - Surface: every module-level name of ``src/kcert`` is read by live code in
@@ -45,12 +46,18 @@
   Every name a module of
   ``src/kcert`` imports is loaded in that module or listed in its
   ``__all__``, so a deletion cannot leave a stale import behind.
-- Liveness: the surface guard matches names, so a member that shares its
-  name with a live one passes it.  In-process CLI runs over every carrier
-  and hom kind, under ``sys.setprofile``, must enter every named src
-  function and method (dunders excepted), save an allowlist with one reason
-  per name.  Code objects are keyed by (module, first line), which every
-  Python version has.
+- Liveness, by line: the surface guard matches names, so a member that
+  shares its name with a live one passes it.  Under a ``sys.settrace``
+  line tracer, in-process CLI runs over every carrier and hom kind, runs
+  with a corrupted witness or perturbation that must fail, and every row of
+  the rejection tables in ``tests/test_cli.py`` must run every code line in
+  the body of every named src function and method, dunders included.  A
+  line none of them runs is deleted, or listed in ``LINE_ALLOWLIST`` with
+  one reason that names the tier-1 test that runs it: a check's failure
+  exit that only a faulted product reaches, or a guard whose deletion could
+  return a wrong value or hang.  Lines are the ``co_lines()`` of the
+  compiled functions, each named through the AST by its code object's first
+  line, which every Python version has.
 """
 
 import ast
@@ -68,6 +75,7 @@ from pathlib import Path
 import pytest
 import test_acceptance as acceptance
 from carriers import clutching_diagram, spec_path
+from test_cli import rejection_argv, rejection_rows
 
 from kcert import algebras, cli, matrices, mv, scalars
 from kcert.algebras import (
@@ -75,6 +83,7 @@ from kcert.algebras import (
     PolyAlgebra,
     PropagationAlgebra,
     PropagationSpace,
+    QuotientAlgebra,
     TrivialAlgebra,
 )
 from kcert.cli import main
@@ -477,6 +486,8 @@ def slot_paths():
             Kernel.__init__, Kernel.__add__, Kernel.__mul__, Kernel.__neg__, Kernel.__eq__,
             PropagationSpace.__init__, PropagationSpace.signature,
             PropagationAlgebra._level_of, PropagationAlgebra.describe,
+            QuotientAlgebra.describe, Poly.__init__, Poly.const, Poly.is_monic,
+            QuotElem.invert,
             FilteredMatrix.__eq__, FilteredMatrix.__neg__, FilteredMatrix.first_mismatch,
             Sampler.invertible,
         )
@@ -700,7 +711,7 @@ def test_surface_allowlist_is_current():
     assert not stale, f"allowlisted names now read by live src, or gone: {stale}"
 
 
-# A spec per carrier and hom kind, for the liveness audit.
+# A spec per carrier and hom kind, for the line audit.
 _LINE = {"points": ["0", "1", "2", "3"], "radius_base": "4",
          "dist": [[str(abs(i - j)) for j in range(4)] for i in range(4)]}
 _Q = {"kind": "trivial"}
@@ -720,10 +731,17 @@ LIVENESS_SPECS = {
                        "command": {"name": "verify", "samples": 2}},
     "verify-functions": {"algebra": {"kind": "propagation", "diagonal": True, **_LINE},
                          "command": {"name": "verify", "samples": 2}},
-    # Identity legs on Q, with a corrupted kernel-boundary witness.
-    "exactness-trivial": {
-        "diagram": _identity_legs(_Q),
-        "command": {"name": "exactness", "samples": 1, "corrupt_witness": True}},
+    # x^3 - 1/2, whose integer form is 2 * m: each pseudo-division step
+    # scales by 2.  Seed 2 also draws a product whose division meets a zero
+    # coefficient, and a unit whose inverse has a lower degree than m - 1.
+    "verify-quotient-scaled": {
+        "algebra": {"kind": "quotient-pullback-leg", "modulus": ["-1/2", "0", "0", "1"]},
+        "command": {"name": "verify", "samples": 2, "seed": 2}},
+    # Point labels are any JSON scalars, and the report echoes them.
+    "verify-labels": {
+        "algebra": {"kind": "propagation", "points": ["0", 1, None], "radius_base": "2",
+                    "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]},
+        "command": {"name": "verify", "samples": 1, "max_size": 1}},
     "boundary-trivial": {
         "diagram": _identity_legs(_Q),
         "matrices": {"U": {"algebra": "lambda_prime", "size": 1,
@@ -766,6 +784,32 @@ for _kind, _carrier, _scalar in (
         "command": {"name": "boundary", "u": "U"}}
 
 
+def _corrupt_exactness(diagram):
+    return {"diagram": diagram,
+            "command": {"name": "exactness", "samples": 1, "corrupt_witness": True}}
+
+
+def _surviving_perturbations():
+    """The clutching boundary with K = H = 1, which survive in the overlap."""
+    doc = json.loads(Path(spec_path("quotient_clutching.json")).read_text())
+    for name in ("K", "H"):
+        doc["matrices"][name]["entries"] = [[["1"]]]
+    return doc
+
+
+# Runs that must fail (exit 1): a corrupted kernel-boundary witness over
+# each carrier with equal legs, whose residuals print its payloads, and
+# perturbations that survive in the overlap ring, which fail their checks.
+CORRUPT_SPECS = {
+    "exactness-trivial": _corrupt_exactness(_identity_legs(_Q)),
+    "exactness-poly": _corrupt_exactness(
+        json.loads(Path(spec_path("quotient_clutching.json")).read_text())["diagram"]),
+    "exactness-quotient": _corrupt_exactness(_identity_legs(_Q_X_MOD)),
+    "exactness-kernels": _corrupt_exactness(_identity_legs({"kind": "propagation", **_LINE})),
+    "boundary-surviving": _surviving_perturbations(),
+}
+
+
 def liveness_argvs(tmp_path):
     """CLI runs over every carrier and hom kind, in both report formats."""
     argvs = [["verify", "--spec", spec_path("trivial_q.json"), "--samples", "2"],
@@ -780,82 +824,334 @@ def liveness_argvs(tmp_path):
             for argv in argvs for fmt in ("text", "json")]
 
 
-def src_functions(sources):
-    """For {module: source text}: {(module, first line): "module.Qual.name"}
-    for every named function and method, nested ones included, dunders
-    excepted.  The first line is the code object's co_firstlineno, the
-    first decorator's line for a decorated definition."""
+def audit_runs(tmp_path):
+    """(argv, exit code) of every run of the line audit: the liveness runs
+    (exit 0), the corrupt runs in both formats with the report on stdout
+    (exit 1) and every row of tests/test_cli.py's rejection tables (exit 2)."""
+    runs = [(argv, 0) for argv in liveness_argvs(tmp_path)]
+    for name, doc in CORRUPT_SPECS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        runs += [([doc["command"]["name"], "--spec", str(path), "--format", fmt], 1)
+                 for fmt in ("text", "json")]
+    rejected = tmp_path / "rejected"
+    rejected.mkdir()
+    for k, (command, doc) in enumerate(rejection_rows()):
+        runs.append((rejection_argv(rejected, command, doc, f"{k}.json"), 2))
+    return runs
+
+
+def src_lines(sources):
+    """For {module: source text}: {(module, line): "module.Qual.name"} for
+    every code line in the body of every named function and method, nested
+    ones and dunders included.  The lines are the ``co_lines()`` of the
+    compiled functions, less the def and decorator lines; a line of a lambda
+    or a comprehension belongs to the named function around it, since
+    Python 3.12 inlines comprehensions.  Each code object is named through
+    the AST by its first line, the first decorator's for a decorated
+    definition, which every Python version has (``co_qualname`` is 3.11+)."""
     found = {}
 
-    def visit(stem, prefix, body):
-        for node in body:
-            if isinstance(node, ast.ClassDef):
-                visit(stem, f"{prefix}{node.name}.", node.body)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if not _dunder(node.name):
-                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                    found[(stem, first)] = f"{stem}.{prefix}{node.name}"
-                visit(stem, f"{prefix}{node.name}.", node.body)
-            else:
-                for field in ("body", "orelse", "finalbody", "handlers"):
-                    visit(stem, prefix, getattr(node, field, ()))
+    def code_lines(code):
+        lines = {line for _, _, line in code.co_lines() if line is not None}
+        for const in code.co_consts:
+            if inspect.iscode(const) and const.co_name.startswith("<"):
+                lines |= code_lines(const)
+        return lines
 
     for stem, text in sources.items():
-        visit(stem, "", ast.parse(text).body)
+        spans = {}
+
+        def visit(prefix, body):
+            for node in body:
+                if isinstance(node, ast.ClassDef):
+                    visit(f"{prefix}{node.name}.", node.body)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                    name = f"{stem}.{prefix}{node.name}"
+                    spans[first] = (name, node.body[0].lineno, node.end_lineno)
+                    visit(f"{prefix}{node.name}.", node.body)
+                else:
+                    for field in ("body", "orelse", "finalbody", "handlers"):
+                        visit(prefix, getattr(node, field, ()))
+
+        visit("", ast.parse(text).body)
+        codes = [compile(text, stem, "exec")]
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if inspect.iscode(c)]
+            # A class body is a code object too, without fresh locals.
+            if code.co_name.startswith("<") or not code.co_flags & inspect.CO_NEWLOCALS:
+                continue
+            name, first, last = spans[code.co_firstlineno]
+            found.update(((stem, line), name) for line in code_lines(code)
+                         if first <= line <= last)
     return found
 
 
-def entered_functions(argvs):
-    """{(module, co_firstlineno)} of every src code object that the in-process
-    CLI runs of ``argvs`` enter, with the exit code of each run."""
+def ran_lines(argvs):
+    """{(module, line)} of every src line that the in-process CLI runs of
+    ``argvs`` run, under a ``sys.settrace`` line tracer, with the exit code
+    of each run."""
     src = Path(matrices.__file__).resolve().parent
-    seen, codes = set(), []
+    stems, ran, codes = {}, set(), []
+
+    def stem_of(filename):
+        if filename not in stems:
+            path = Path(filename).resolve()
+            stems[filename] = path.stem if path.parent == src else None
+        return stems[filename]
 
     def hook(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            seen.add((code.co_filename, code.co_firstlineno))
+        stem = stem_of(frame.f_code.co_filename)
+        if stem is None:
+            return None
 
-    # The parser is built once per process; build it under the hook.
+        def line(frame, event, arg):
+            if event == "line":
+                ran.add((stem, frame.f_lineno))
+            return line
+
+        return line
+
+    # The parser is built once per process; build it under the tracer.
     cli._parser.cache_clear()
-    previous = sys.getprofile()
-    sys.setprofile(hook)
+    previous = sys.gettrace()
+    sys.settrace(hook)
     try:
         for argv in argvs:
             codes.append(main(argv))
     finally:
-        sys.setprofile(previous)
-    stems = {name: Path(name).resolve() for name, _ in seen}
-    return {(stems[name].stem, line) for name, line in seen
-            if stems[name].parent == src}, codes
+        sys.settrace(previous)
+    return ran, codes
 
 
-# Named src functions and methods that no liveness run enters, with reasons.
-LIVENESS_ALLOWLIST = {
-    **SURFACE_ALLOWLIST,
-    "algebras.QuotientHom.apply_payload":
-        "the per-entry reference the tests compare QuotientHom._apply_matrix against",
-    "identities._on_invertibles": "called only while identities.py builds IDENTITY_DRIVERS",
-    "mv.MVDiagram._components":
-        "read by __hash__ and by __eq__ of two distinct diagrams; a command builds one",
+def unrun_lines(sources, ran):
+    """{function: {stripped text of each of its lines that did not run}}."""
+    texts = {stem: text.splitlines() for stem, text in sources.items()}
+    unrun = {}
+    for (stem, line), name in src_lines(sources).items():
+        if (stem, line) not in ran:
+            unrun.setdefault(name, set()).add(texts[stem][line - 1].strip())
+    return unrun
+
+
+# Src lines that no run of the line audit runs, by function: the stripped
+# text of each such line, and one reason that names the tier-1 test that
+# runs them.  A failure exit that only a faulted product reaches is run by
+# the fault sweeps above; a guard stays where deleting it could return a
+# wrong value or hang.
+_FAULT_SWEEP = "test_guards.py::test_every_exactness_and_verify_product_is_load_bearing"
+_VERIFY_FAILS = "test_cli.py::test_verify_fails_every_identity_whose_product_drops_its_level"
+_RETURN = "return None, report"
+LINE_ALLOWLIST = {
+    "algebras.LocalizedAlgebra.trivial": (
+        ("return TrivialAlgebra(max_level)",),
+        "perfbench/selftest.py builds its algebra here "
+        "(test_algebras.py::test_trivial_algebra_constructor)"),
+    "algebras.PropagationAlgebra.accepts": (
+        ("return False",),
+        "elementary's membership check; a kernel off the space would read as another "
+        "point pair in a product (test_algebras.py::test_propagation_membership)"),
+    "algebras.QuotientAlgebra._random_unit": (
+        ("return self.one(), self.one()",),
+        "the unit after 64 draws that are all non-units, which no command's seed meets "
+        "(test_algebras.py::test_quotient_unit_draw_falls_back_to_one)"),
+    "algebras.QuotientHom.apply_payload": (
+        ("modulus = self.target.modulus", "if payload.degree >= modulus.degree:",
+         "_, payload = payload.divmod_by(modulus)", "return QuotElem._reduced(modulus, payload)"),
+        "the per-entry map that _apply_matrix computes in bulk, and the reference it is "
+        "compared with (test_algebras.py::test_quotient_hom_and_section)"),
+    "boundary._check_defects_die": (
+        ("bad = img.first_mismatch(FilteredMatrix.zeros(diagram.lambda_prime, s.n))",
+         'raise CertificateFailure(f"{tag} does not die in the overlap ring", *bad)'),
+        "checked lifts make S0 and S1 die unless a product is faulted "
+        "(test_guards.py::test_every_boundary_product_is_load_bearing)"),
+    "cli._render_text": (
+        ('lines.append(f"  failure: {failure}")',),
+        f"a verify failure needs a faulted product ({_VERIFY_FAILS})"),
+    "cli._json_text": (
+        ('return "{}"', 'raise TypeError(f"a report holds no {type(value).__name__}")'),
+        "no report holds an empty object, which must print as json.dumps prints it "
+        "(test_cli.py::test_report_writer_matches_json_dumps); the raise refuses a type "
+        "no report holds (::test_report_writer_refuses_what_no_report_holds)"),
+    "drivers.verify_report": (
+        ('entry["failures"] = [str(f) for f in report.failures]',),
+        f"a verify failure needs a faulted product ({_VERIFY_FAILS})"),
+    "drivers.exactness_report": (
+        ("except CertificateFailure as exc:", "seg_ok = False", 'entry["checks"] = [',
+         '{"name": "witness construction", "ok": False, "residual": str(exc)}',
+         'entry["failing_sample"] = idx', "break"),
+        f"a generator's own certificate fails only under a faulted product ({_FAULT_SWEEP})"),
+    "identities.IdentityReport.record": (
+        ("self.failed += 1", "if self.failed <= KEPT_FAILURES:",
+         "self.failures.append(detail)"),
+        f"a verify failure needs a faulted product ({_VERIFY_FAILS})"),
+    "identities.Sampler.__init__.below": (
+        ('raise ValueError(f"empty range for a draw below {n}")',),
+        "below(0) would draw forever "
+        "(test_identities.py::test_below_matches_randrange_draw_by_draw)"),
+    "identities.judge": (
+        ("position, residual = built.first_mismatch(expected)",
+         'return False, f"mismatch at {position}, residual {residual}", slack',
+         'return False, f"level {built.level} below the bound {bound}", slack'),
+        "a verify failure needs a faulted product "
+        "(test_cli.py::test_verify_prints_quotient_residuals, "
+        "test_identities.py::test_judge_fails_a_level_below_the_bound)"),
+    "identities._on_invertibles": (
+        ("def driver(algebra, sampler, max_n):", "return driver"),
+        "runs at import, when identities.py builds IDENTITY_DRIVERS "
+        "(test_identities.py imports it)"),
+    "kclasses.exactness_k0_middle": (
+        (_RETURN,),
+        "failure exits of the witness and padding lines "
+        "(test_kclasses.py::test_k0_middle_bad_witness_is_named_and_never_glued, "
+        "::test_k0_middle_bad_padding_is_named_and_never_glued)"),
+    "kclasses.exactness_boundary_zero_oshape": (
+        ("except CertificateFailure:", 'report.add("input is O-shaped", False, "not O-shaped")',
+         "return report"),
+        f"the generator's input is O-shaped; its halves fail only under a faulted product "
+        f"({_FAULT_SWEEP})"),
+    "kclasses.exactness_kernel_boundary": (
+        ('report.add("diagram has equal legs", False, "recipe assumes equal legs")', _RETURN,
+         "except CertificateFailure as exc:",
+         'report.add("witness is a double invertible", False, exc)'),
+        "the driver skips unequal legs, where the recipe would read a witness it cannot "
+        "check (test_kclasses.py::test_kernel_boundary_needs_same_legs); a wrong witness "
+        "fails (::test_kernel_boundary_rejects_disagreeing_witness_legs, and "
+        f"{_FAULT_SWEEP})"),
+    "kclasses.exactness_kernel_i": (
+        ('report.add("diagram has equal legs", False, "recipe assumes equal legs")', _RETURN,
+         "except CertificateFailure as exc:", "mismatch = str(exc)"),
+        "the driver skips unequal legs, where the recipe would read a witness it cannot "
+        "check (test_kclasses.py::test_kernel_i_needs_same_legs); a wrong witness fails "
+        f"(::test_unstabilizing_residual, and {_FAULT_SWEEP})"),
+    "matrices.FilteredMatrix.__init__": (
+        ('raise MatrixError("matrix must be square")',),
+        "a short row would read as zeros "
+        "(test_matrices.py::test_records_check_their_shapes)"),
+    "matrices.FilteredMatrix._same": (
+        ('raise MatrixError("matrix expected")', 'raise MatrixError("algebra mismatch")',
+         'raise MatrixError(f"size mismatch {self.n} vs {other.n}")'),
+        "entrywise operations would truncate to the shorter matrix or mix carriers, and "
+        "perfbench/selftest.py expects the first (test_matrices.py::"
+        "test_records_check_their_shapes, ::test_size_and_algebra_mismatch)"),
+    "matrices.FilteredMatrix.__eq__": (
+        ("return False",),
+        "rows of another size or carrier would compare on a prefix "
+        "(test_algebras.py::test_one_changed_component_gives_unequal_algebras)"),
+    "matrices.FilteredMatrix.direct_sum": (
+        ('raise MatrixError("algebra mismatch")',),
+        "a sum would mix carriers "
+        "(test_algebras.py::test_one_changed_component_gives_unequal_algebras)"),
+    "matrices.FilteredMatrix.sub_block": (
+        ('raise MatrixError("matrix must be square")',),
+        "a block that is not square (test_matrices.py::test_sub_block_must_be_square)"),
+    "matrices.block2": (
+        ('raise MatrixError("blocks must share one size")',),
+        "short rows would read as zeros (test_matrices.py::test_records_check_their_shapes)"),
+    "matrices.InvertibleCert.__init__": (
+        ('raise MatrixError("certificate factors mismatch")',),
+        "an unverified record of two sizes or carriers "
+        "(test_matrices.py::test_records_check_their_shapes)"),
+    "matrices.elementary": (
+        ('raise MatrixError("elementary matrix needs off-diagonal position")',
+         'raise MatrixError("entry not in the algebra")'),
+        "a diagonal position is no elementary matrix, and a foreign entry would read as "
+        "another payload (test_matrices.py::test_elementary_laws)"),
+    "matrices.o_blocks": (
+        ('raise CertificateFailure("certificate is not O-shaped")',),
+        "without it a matrix that is not O-shaped returns None "
+        "(test_kclasses.py::test_o_absorb_rejects_non_o_shape)"),
+    "matrices.apply_hom_matrix": (
+        ('raise MatrixError("matrix not over the hom\'s source algebra")',),
+        "a foreign matrix's payloads would be labelled with the target algebra "
+        "(test_matrices.py::test_section_matrix_roundtrip)"),
+    "matrices.section_matrix": (
+        ('raise MatrixError("matrix not over the hom\'s target algebra")',),
+        "a foreign matrix's payloads would be labelled with the source algebra "
+        "(test_matrices.py::test_section_matrix_roundtrip)"),
+    "mv.MVDiagram._components": (
+        ("return (self.lambda1, self.lambda2, self.lambda_prime, self.j1, self.j2)",),
+        "compares two distinct diagrams, and a command builds one "
+        "(test_mv.py::test_diagram_equality_is_structural)"),
+    "mv.MVDiagram.__eq__": (
+        ("return isinstance(other, MVDiagram) and self._components() == other._components()",),
+        "compares two distinct diagrams, and a command builds one "
+        "(test_mv.py::test_diagram_equality_is_structural)"),
+    "mv.DoubleMatrix.__init__": (
+        ('raise MatrixError("double matrix legs over the wrong algebras")',
+         'raise MatrixError("double matrix legs must share the size")'),
+        "an unverified double would read its legs as another pair "
+        "(test_mv.py::test_double_matrix_checks_its_legs)"),
+    "mv.DoubleMatrix._same": (
+        ('raise MatrixError("double matrices over different diagrams")',),
+        "legwise operations would mix diagrams "
+        "(test_mv.py::test_diagram_equality_is_structural)"),
+    "mv.DoubleMatrix.first_mismatch": (
+        ("return (leg, bad[0]), bad[1]",),
+        "a double certificate fails only under a faulted product "
+        "(test_boundary.py::test_failure_names_first_differing_entry, and "
+        f"{_FAULT_SWEEP})"),
+    "mv.lift_via_whitehead": (
+        ('raise ValueError("lifting requires a surjective leg")',),
+        "the one check of a lift's leg, which gluing relies on; every command's legs have "
+        "sections (test_mv.py::test_lifting_needs_a_surjective_leg)"),
+    "scalars.rat": (
+        ("return Rat(value, den)", "return Rat(value)"),
+        "commands pass rationals; the sampler's table is built at import, and the tests "
+        "build their rationals here (test_scalars.py::test_rational_arith_examples)"),
+    "scalars.Poly.__eq__": (
+        ("return False",),
+        "a polynomial is unequal to any other type "
+        "(test_scalars.py::test_poly_equality_equal_numerators_different_denominators)"),
+    "scalars.Poly.__str__": (
+        ("if not self.coeffs:", 'return "0"', "parts = []",
+         "for i, c in enumerate(self.coeffs):", "if not c:", "continue", "if i == 0:",
+         "parts.append(str(c))", "elif i == 1:",
+         'parts.append(f"{c}*x" if c != R1 else "x")',
+         'parts.append(f"{c}*x^{i}" if c != R1 else f"x^{i}")', 'return " + ".join(parts)'),
+        "a residual's text, printed when a verify sample fails "
+        "(test_cli.py::test_verify_prints_quotient_residuals)"),
+    "scalars.QuotElem._check": (
+        ('raise ValueError("mixed quotient rings")',),
+        "elements of two rings would be added or multiplied by one modulus "
+        "(test_scalars.py::test_quot_arithmetic_needs_one_ring)"),
+    "scalars.QuotElem.__str__": (
+        ('return f"[{self.rep}]"',),
+        "a residual's text, printed when a verify sample fails "
+        "(test_cli.py::test_verify_prints_quotient_residuals)"),
+    "specdoc.SpecDocument.from_bytes": (
+        ('raise SpecError("spec is nested too deeply") from exc',),
+        "a reader that recurses too deep; which nesting the parser passes and the reader "
+        "does not differs by Python version (test_cli.py::test_reader_recursion_is_spec_error)"),
+    "specdoc.SpecDocument.from_path": (
+        ("return cls.from_bytes(read_spec(path))",),
+        "read by perfbench/run.py and tests/carriers.py "
+        "(test_mv.py::test_diagram_equality_is_structural)"),
 }
 
 
-def test_every_src_function_is_entered_by_a_command(tmp_path, capsys):
-    functions = src_functions(src_sources())
-    entered, codes = entered_functions(liveness_argvs(tmp_path))
+def test_every_src_line_runs_under_a_command(tmp_path, capsys):
+    runs = audit_runs(tmp_path)
+    ran, codes = ran_lines([argv for argv, _ in runs])
     capsys.readouterr()
-    assert codes.count(0) == len(codes) - 2 and codes.count(1) == 2, codes
-    never = {functions[key] for key in functions.keys() - entered}
-    dead = sorted(never - set(LIVENESS_ALLOWLIST))
-    assert not dead, f"src functions no command enters (move to tests or delete): {dead}"
-    stale = sorted(set(LIVENESS_ALLOWLIST) - never)
-    assert not stale, f"allowlisted functions now entered, or gone: {stale}"
+    assert codes == [code for _, code in runs]
+    unrun = unrun_lines(src_sources(), ran)
+    allowed = {name: set(lines) for name, (lines, _) in LINE_ALLOWLIST.items()}
+    dead = {name: sorted(lines - allowed.get(name, set())) for name, lines in unrun.items()}
+    dead = {name: lines for name, lines in sorted(dead.items()) if lines}
+    assert not dead, f"src lines no command runs (delete, or allowlist with a test): {dead}"
+    stale = {name: sorted(lines - unrun.get(name, set())) for name, lines in allowed.items()}
+    stale = {name: lines for name, lines in sorted(stale.items()) if lines}
+    assert not stale, f"allowlisted lines that now run, or are gone: {stale}"
 
 
-def test_liveness_audit_keys_code_objects_by_first_line():
-    # A decorated method's code starts at its decorator; a nested function
-    # has its own code object; a lambda and a dunder are not listed.
+def test_line_audit_names_each_body_line():
+    # A decorated method's lines start below its def, and a dunder counts.
+    # A nested function owns its body, while its def line belongs to the
+    # function around it, as do a lambda's and a comprehension's lines.
+    # Each line of a multi-line raise that holds code counts.
     text = textwrap.dedent("""
         class C:
             @property
@@ -865,24 +1161,26 @@ def test_liveness_audit_keys_code_objects_by_first_line():
             def __len__(self):
                 return 2
 
-        def outer():
+        def outer(xs):
             def inner():
                 return 1
-            return inner() + (lambda: 1)()
+            ys = [x for x in xs
+                  if x]
+            return inner() + (lambda: 1)() + len(ys)
+
+        def bad(flag):
+            if flag:
+                raise ValueError(
+                    "no"
+                )
+            return flag
     """)
-    assert src_functions({"a": text}) == {
-        ("a", 3): "a.C.size", ("a", 10): "a.outer", ("a", 11): "a.outer.inner",
+    assert src_lines({"a": text}) == {
+        ("a", 5): "a.C.size", ("a", 8): "a.C.__len__",
+        ("a", 11): "a.outer", ("a", 12): "a.outer.inner", ("a", 13): "a.outer",
+        ("a", 14): "a.outer", ("a", 15): "a.outer",
+        ("a", 18): "a.bad", ("a", 19): "a.bad", ("a", 20): "a.bad", ("a", 22): "a.bad",
     }
-    # The keys are the compiled functions' own first lines; a class body is
-    # a code object too, without fresh locals.
-    codes, lines = [compile(text, "a", "exec")], set()
-    while codes:
-        code = codes.pop()
-        codes += [c for c in code.co_consts if inspect.iscode(c)]
-        if (code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<")
-                and not _dunder(code.co_name)):
-            lines.add((code.co_name, code.co_firstlineno))
-    assert lines == {("size", 3), ("outer", 10), ("inner", 11)}
 
 
 def test_surface_guard_follows_live_reads_only():

@@ -165,6 +165,14 @@ def test_kernel_boundary_needs_same_legs(cover, sampler):
     assert not report.passed
 
 
+def test_kernel_i_needs_same_legs(cover):
+    ident = InvertibleCert.identity(cover.lambda1, 2)
+    phi, report = exactness_kernel_i(cover, None, ident, ident)
+    assert phi is None
+    assert report.checks == [{"name": "diagram has equal legs", "ok": False,
+                              "residual": "recipe assumes equal legs"}]
+
+
 @pytest.mark.parametrize("name", ["clutching", "trivial_mv"])
 def test_kernel_boundary_witness_is_l_times_swap(name, request):
     # The witness is written down as diag(-B, A); it must be the L.swap of

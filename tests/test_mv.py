@@ -1,6 +1,7 @@
 import pytest
 from carriers import clutching_diagram, scalar_diag
 
+from kcert.algebras import InclusionHom
 from kcert.identities import whitehead_product
 from kcert.matrices import (
     CertificateFailure,
@@ -54,11 +55,31 @@ def test_double_matrix_examples(clutching):
         DoubleMatrix(clutching, x, one2).verify()
 
 
+def test_double_matrix_checks_its_legs(clutching, trivial):
+    one1 = FilteredMatrix.identity(clutching.lambda1, 1)
+    with pytest.raises(MatrixError, match="legs over the wrong algebras"):
+        DoubleMatrix(clutching, one1, FilteredMatrix.identity(trivial, 1))
+    with pytest.raises(MatrixError, match="legs must share the size"):
+        DoubleMatrix(clutching, one1, FilteredMatrix.identity(clutching.lambda2, 2))
+
+
 def test_lift_via_whitehead(clutching, sampler):
     u = sampler.invertible(clutching.lambda_prime, 2)
     lifted = lift_via_whitehead(u, clutching.j2)
     lifted.verify()
     assert apply_hom_matrix(clutching.j2, lifted.m) == o_map(u).m
+
+
+def test_lifting_needs_a_surjective_leg(clutching, trivial):
+    # Q[x] -> Q[x]/(x^2 - 1) <- Q: gluing lifts through the scalar
+    # inclusion, which has no section.
+    lp = clutching.lambda_prime
+    j2 = InclusionHom(trivial, lp)
+    diagram = MVDiagram(clutching.lambda1, trivial, lp, clutching.j1, j2)
+    one = IdempotentCert(FilteredMatrix.identity(clutching.lambda1, 1))
+    with pytest.raises(ValueError, match="lifting requires a surjective leg"):
+        glue_idempotents(one, IdempotentCert(FilteredMatrix.identity(trivial, 1)),
+                         InvertibleCert.identity(lp, 1), diagram)
 
 
 def _four_factor_lift(a, b):
@@ -226,7 +247,7 @@ def test_double_invertible_rejects_disagreeing_legs(clutching, sampler):
 def test_diagram_equality_is_structural(clutching, cover):
     other = clutching_diagram()
     assert other is not clutching
-    assert other == clutching and hash(other) == hash(clutching)
+    assert other == clutching
     assert cover != clutching
     one = DoubleMatrix.identity(clutching, 1)
     assert (one @ DoubleMatrix.identity(other, 1)).first_mismatch(one) is None

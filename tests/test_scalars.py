@@ -183,8 +183,14 @@ def test_quot_reduce_examples():
     assert QuotElem(m, x * x).rep == Poly.one()
     assert QuotElem(m, x).rep == x
     assert QuotElem(m, x * x * x + x).rep == Poly([0, 2])
-    with pytest.raises(ValueError):
-        QuotElem(Poly([0, 2]), x)  # non-monic modulus rejected
+
+
+def test_quot_arithmetic_needs_one_ring():
+    x = Poly([0, 1])
+    a, b = QuotElem(Poly([-1, 0, 1]), x), QuotElem(Poly([1, 0, 1]), x)
+    for op in (QuotElem.__add__, QuotElem.__sub__, QuotElem.__mul__):
+        with pytest.raises(ValueError, match="mixed quotient rings"):
+            op(a, b)
 
 
 def test_quot_invert_examples():
@@ -300,7 +306,7 @@ def _assert_matches(p, expect):
     assert [(c.numerator, c.denominator) for c in p.coeffs] == [
         (c.numerator, c.denominator) for c in expect
     ]
-    assert hash(p) == hash(_poly(expect))
+    assert p == _poly(expect)
     for c in p.coeffs:
         assert isinstance(c, Rat)
         assert c.denominator > 0
@@ -358,8 +364,6 @@ def _assert_eq_agrees(p, q):
     want = p.coeffs == q.coeffs
     assert (p == q) is want and (q == p) is want
     assert (p != q) is not want
-    if want:
-        assert hash(p) == hash(q)
     for modulus in (Poly([-1, 0, 1]), Poly([rat(1, 3), rat(-1, 2), 0, 1])):
         # Equal moduli that are distinct objects.
         x, y = QuotElem(modulus, p), QuotElem(Poly(list(modulus.coeffs)), q)
@@ -426,7 +430,7 @@ def test_quot_mul_matches_schoolbook(name, a, b):
     expect = _schoolbook_rem(_schoolbook(_fracs(ea.rep), _fracs(eb.rep)), m)
     prod = ea * eb
     _assert_matches(prod.rep, expect)
-    assert hash(prod) == hash(QuotElem(modulus, _poly(expect)))
+    assert prod == QuotElem(modulus, _poly(expect))
 
 
 @settings(max_examples=100)
@@ -436,7 +440,7 @@ def test_quot_mul_zero_divisors_cancel(c, d):
     modulus = Poly([-1, 0, 1])
     prod = QuotElem(modulus, Poly([c, c])) * QuotElem(modulus, Poly([d, -d]))
     _assert_matches(prod.rep, [])
-    assert hash(prod) == hash(QuotElem(modulus, Poly.zero()))
+    assert prod == QuotElem(modulus, Poly.zero())
 
 
 # -- QuotElem.invert against the Euclid reference -----------------------------
@@ -468,7 +472,7 @@ def _assert_inverts_like_egcd(modulus, rep):
     inv = e.invert()
     expect = QuotElem(modulus, s)
     _assert_matches(inv.rep, _fracs(expect.rep))
-    assert inv == expect and hash(inv) == hash(expect)
+    assert inv == expect
     assert (e * inv).rep == Poly.one()
     return True
 
