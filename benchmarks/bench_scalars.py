@@ -4,7 +4,9 @@ The hot path of the whole artifact is exact small-matrix arithmetic inside
 the randomized identity suite, so that is what gets timed: raw scalar
 throughput, the 4x4 matrix product kernel, the polynomial product behind
 every Q[x] and Q[x]/(m) entry (degree 3 x 3 and 8 x 8), the other payload
-products (a kernel on 4 points, an element of Q[x]/(x^2 - 1)), the algebra
+products (a kernel on 4 points, an element of Q[x]/(x^2 - 1)), the
+reduction of a degree-6 polynomial mod x^3 - x/2 + 1/3 (QuotElem's
+constructor, which scales each pseudo-division step by 6), the algebra
 equality every matrix operation checks, between two propagation algebras
 built separately (equal, not identical), the matrix product over each
 carrier (Q, Q[x], Q[x]/(x^2 - 1), kernels on 4 points; sampled n x n
@@ -86,6 +88,8 @@ from run import PROBE_REFERENCE_S, host_probe  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 X2_MINUS_1 = Poly([-1, 0, 1])
+# x^3 - x/2 + 1/3: not integral, so its integer form is 6 * m.
+SCALED_CUBIC = Poly([rat(1, 3), rat(-1, 2), 0, 1])
 
 
 def per_call_us(fn, reps):
@@ -134,11 +138,14 @@ def payload_rows():
         for s in (1, 2)
     )
     u, v = (QuotElem(X2_MINUS_1, Poly([rat(s, 3), rat(-2, s + 4)])) for s in (1, 2))
+    sextic = Poly([rat((5 * i + 2) % 9 - 4 or 1, i % 3 + 2) for i in range(7)])
     alg_a, alg_b = PropagationAlgebra(line_space(4, 4)), PropagationAlgebra(line_space(4, 4))
     assert alg_a is not alg_b
     return [
         ("Kernel product, 4 points", per_call_us(lambda: k * l, 2000)),
         ("QuotElem product mod x^2 - 1", per_call_us(lambda: u * v, 20000)),
+        ("QuotElem(m, p), degree 6 mod x^3 - x/2 + 1/3",
+         per_call_us(lambda: QuotElem(SCALED_CUBIC, sextic), 20000)),
         ("algebra == (propagation, built twice)", per_call_us(lambda: alg_a == alg_b, 100000)),
     ]
 

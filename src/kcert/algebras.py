@@ -40,10 +40,12 @@ whose product decodes each distinct integer sum once (lam * 1 units put one
 value on every point, so most sums repeat within a product);
 over Q[x] each entry accumulates an integer coefficient list, and over
 Q[x]/(m) that list is reduced mod m once per entry, which is exact because
-reduction mod m is a ring map.  A Q[x] or Q[x]/(m) matrix carries its
-integer form in the private slot ``_ints`` (see _poly_ints and
-_poly_product).  The quotient hom keeps every entry of degree < deg m as it
-is and reads as integers only the entries it reduces, one at a time.
+reduction mod m is a ring map.  That reduction is integer pseudo-division,
+the one reduction mod m in kcert (see scalars.py).  A Q[x] or Q[x]/(m)
+matrix carries its integer form in the private slot ``_ints`` (see
+_poly_ints and _poly_product).  The quotient hom keeps every entry of
+degree < deg m as it is and reduces the others one at a time by its
+apply_payload, which reads only them as integers.
 These kernels read every rational through Fraction's two slots
 ``_numerator`` and ``_denominator`` (see scalars.py), never by a Fraction
 method, and so do all of Kernel's arithmetic (a sum or product holds each
@@ -86,9 +88,11 @@ from .scalars import (
     Rat,
     _integer_coeffs,
     _negated,
+    _poly_of_ints,
     _reciprocal,
     _reduce_ints,
     _reduced,
+    _remainder,
     encode_rational,
     parse_rational,
     rat,
@@ -574,7 +578,7 @@ class QuotientAlgebra(LocalizedAlgebra):
         modulus = self.modulus
         for _ in range(64):
             e = QuotElem._reduced(modulus, _random_poly(sampler, modulus.degree - 1))
-            if e.is_zero():
+            if not e.rep.coeffs:
                 continue
             try:
                 return e, e.invert()
@@ -654,12 +658,11 @@ class QuotientHom(FilteredHom):
         super().__init__(source, target)
 
     def apply_payload(self, payload):
-        # The target's constructor checked that the modulus is monic of
-        # degree >= 1, so only the reduction of QuotElem.__init__ is needed.
-        modulus = self.target.modulus
-        if payload.degree >= modulus.degree:
-            _, payload = payload.divmod_by(modulus)
-        return QuotElem._reduced(modulus, payload)
+        """The remainder of payload mod m, by integer pseudo-division over
+        the target's integer form of m, or the target's shared zero."""
+        target = self.target
+        rep = _remainder(payload.coeffs, target._m_int)
+        return QuotElem._reduced(target.modulus, rep) if rep.coeffs else target.zero()
 
     def section_payload(self, payload):
         return payload.rep
@@ -667,13 +670,13 @@ class QuotientHom(FilteredHom):
     def _apply_matrix(self, m):
         """Entries of degree < deg m are kept as they are, under the target's
         shared zero when they are zero; only the others are read as integers
-        and reduced (_reduce)."""
+        and reduced (apply_payload)."""
         target = self.target
         modulus = target.modulus
         dm = modulus.degree
         zero = target.zero()
         keep = QuotElem._reduced
-        reduce = self._reduce
+        reduce = self.apply_payload
         return m._raw(target, tuple([
             tuple([
                 (keep(modulus, p) if len(p.coeffs) <= dm else reduce(p)) if p.coeffs else zero
@@ -681,20 +684,6 @@ class QuotientHom(FilteredHom):
             ])
             for row in m.rows
         ]))
-
-    def _reduce(self, payload):
-        """The image of a payload of degree >= deg m: its integer form is
-        reduced by integer pseudo-division and decoded once."""
-        target = self.target
-        c, den = _integer_coeffs(payload.coeffs)
-        den *= _reduce_ints(c, target._m_int)
-        while c and not c[-1]:
-            c.pop()
-        if not c:
-            return target.zero()
-        return QuotElem._reduced(
-            target.modulus, Poly._raw(tuple([_reduced(v, den) if v else R0 for v in c]))
-        )
 
 
 class RestrictionHom(FilteredHom):
@@ -895,21 +884,22 @@ def _poly_product(a, b):
         entries = []
         ints = []
         for j, c in enumerate(acc):
+            if c is None:
+                entries.append(zero)
+                continue
             den = d
-            if c and modulus is not None:
+            if modulus is not None:
                 scale = _reduce_ints(c, m_int)
                 if scale != 1:
                     den *= scale
                     seed = False
-            while c and not c[-1]:
-                c.pop()
-            if not c:
+            poly = _poly_of_ints(c, den)
+            if not poly.coeffs:
                 entries.append(zero)
                 continue
             if g != 1:
                 g = gcd(g, *c)
             ints.append((j, c))
-            poly = Poly._raw(tuple([_reduced(v, den) if v else R0 for v in c]))
             entries.append(poly if modulus is None else QuotElem._reduced(modulus, poly))
         out.append(tuple(entries))
         out_ints.append(ints)

@@ -12,7 +12,11 @@ scaled to integers over the lcm of its denominators, the integers are
 convolved, and each result coefficient is built once by ``_reduced(c, da *
 db)``, one gcd per coefficient instead of a reduced Fraction multiply and
 add per pair of coefficients.  Coefficients stay reduced rationals, so
-equality and encodings match a schoolbook product.  An inverse in
+equality and encodings match a schoolbook product.  Q[x]/(m) has one
+reduction, integer pseudo-division (``_reduce_ints``): ``_remainder``
+reduces a representative by it and decodes it once, for QuotElem's
+constructor and product and for the quotient hom, and the matrix product
+kernel reduces each entry's integer list the same way.  An inverse in
 Q[x]/(m) is computed over the integers as well: QuotElem.invert solves the
 multiplication-by-rep system by Bareiss elimination, with no Euclid loop
 over Fraction coefficients.
@@ -30,12 +34,13 @@ values have equal slots, so one loop over the slots compares them with no
 
 Every hot path reads and builds a rational through these two slots, never
 by a Fraction method (all are Python code): here ``_integer_coeffs``,
-``encode_rational``, Poly negation and equality, ``is_monic`` and the zero
-tests of a Poly's build and of an inverse; in algebras.py the product
-kernels, ``_poly_ints``, the Q row operation, Q-matrix equality and
-negation, Kernel's arithmetic, the propagation unit inverse and the build of
-a propagation algebra, so a verify request over kernels calls no function
-of fractions.py.  A test pins ``Rat.__slots__``, and guards count the calls.
+``_remainder``, ``encode_rational``, Poly negation and equality,
+``is_monic`` and the zero tests of a Poly's build and of an inverse; in
+algebras.py the product kernels, ``_poly_ints``, the quotient hom, the Q
+row operation, Q-matrix equality and negation, Kernel's arithmetic, the
+propagation unit inverse and the build of a propagation algebra, so a
+verify request over kernels calls no function of fractions.py.  A test
+pins ``Rat.__slots__``, and guards count the calls.
 """
 
 import re
@@ -152,9 +157,6 @@ class Poly:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def is_zero(self):
-        return not self.coeffs
-
     def is_monic(self):
         cs = self.coeffs
         return bool(cs) and cs[-1]._numerator == 1 and cs[-1]._denominator == 1
@@ -185,32 +187,7 @@ class Poly:
             return _P_ZERO
         na, da = _integer_coeffs(a)
         nb, db = _integer_coeffs(b)
-        out = _int_product(na, nb)
-        d = da * db
-        # out[-1] = na[-1] * nb[-1] is nonzero, so there is no trailing zero.
-        # A list, not a generator: tuple(<genexpr>) over-allocates and
-        # resizes, which churns the interpreter's tuple freelists and shows
-        # as peak RSS.
-        return Poly._raw(tuple([_reduced(c, d) if c else R0 for c in out]))
-
-    def divmod_by(self, divisor):
-        """Exact division with remainder; divisor must be nonzero."""
-        rem = list(self.coeffs)
-        dc = divisor.coeffs
-        dd = len(dc) - 1
-        lead = dc[-1]
-        quot = [R0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            q = c / lead
-            quot[i - dd] = q
-            for k in range(dd + 1):
-                rem[i - dd + k] = rem[i - dd + k] - q * dc[k]
-        while rem and not rem[-1]:
-            rem.pop()
-        return Poly._raw(tuple(quot)), Poly._raw(tuple(rem))
+        return _poly_of_ints(_int_product(na, nb), da * db)
 
     def __eq__(self, other):
         # Coefficients are reduced Fractions, so equal values have equal
@@ -261,6 +238,27 @@ def _integer_coeffs(coeffs):
     if den == 1:
         return [c._numerator for c in coeffs], 1
     return [c._numerator * (den // c._denominator) for c in coeffs], den
+
+
+def _poly_of_ints(c, den):
+    """The Poly with coefficients c[i] / den, for an integer list c and
+    den > 0: trailing zeros are stripped from c in place, then each
+    coefficient is built once by ``_reduced``."""
+    while c and not c[-1]:
+        c.pop()
+    if not c:
+        return _P_ZERO
+    # A list, not a generator: tuple(<genexpr>) over-allocates and resizes,
+    # which churns the interpreter's tuple freelists and shows as peak RSS.
+    return Poly._raw(tuple([_reduced(v, den) if v else R0 for v in c]))
+
+
+def _remainder(coeffs, m_int):
+    """The remainder mod m of the polynomial with coefficients coeffs, for
+    m_int the integer form of m (see _reduce_ints): the one reduction of
+    Q[x] -> Q[x]/(m), by integer pseudo-division and one decode."""
+    c, den = _integer_coeffs(coeffs)
+    return _poly_of_ints(c, den * _reduce_ints(c, m_int))
 
 
 def _int_product(a, b):
@@ -342,7 +340,7 @@ class QuotElem:
     def __init__(self, modulus, rep):
         self.modulus = modulus
         if rep.degree >= modulus.degree:
-            _, rep = rep.divmod_by(modulus)
+            rep = _remainder(rep.coeffs, _integer_coeffs(modulus.coeffs)[0])
         self.rep = rep
 
     @classmethod
@@ -369,13 +367,7 @@ class QuotElem:
 
     def __mul__(self, other):
         self._check(other)
-        prod = self.rep * other.rep
-        if prod.degree >= self.modulus.degree:
-            _, prod = prod.divmod_by(self.modulus)
-        return QuotElem._reduced(self.modulus, prod)
-
-    def is_zero(self):
-        return self.rep.is_zero()
+        return QuotElem(self.modulus, self.rep * other.rep)
 
     def __bool__(self):
         return bool(self.rep)

@@ -67,6 +67,9 @@ def _propagation(obj, where, max_level):
     points = obj.get("points")
     dist = obj.get("dist")
     _require(isinstance(points, list) and points, f"{where}: points required")
+    # The report echoes each label, and a report holds no float.
+    for label in points:
+        _require(not isinstance(label, float), f"{where}: float point label {label!r}")
     _require(isinstance(dist, list), f"{where}: dist required")
     # A string row would otherwise be read character by character.
     _require(all(isinstance(row, list) for row in dist), f"{where}: dist rows must be arrays")

@@ -165,6 +165,8 @@ def test_quotient_image_keeps_short_entries_and_reduces_long_ones(modulus):
                 else:
                     assert q == h.apply_payload(p)
                     assert q.rep.degree < modulus.degree
+                    if not q:
+                        assert q is h.target.zero()
         assert image == FilteredMatrix(
             h.target, [[h.apply_payload(p) for p in row] for row in operand.rows]
         )

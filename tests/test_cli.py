@@ -816,6 +816,10 @@ REJECTIONS = [
                  id="poly-not-array"),
     pytest.param("verify", _propagation(points=["a", "a"]),
                  "spec error: algebra: duplicate points", id="duplicate-points"),
+    pytest.param("verify", _propagation(points=[0.5, 1.5]),
+                 "spec error: algebra: float point label 0.5", id="float-point-label"),
+    pytest.param("verify", _propagation(points=[float("nan"), 1]),
+                 "spec error: algebra: float point label nan", id="nan-point-label"),
     pytest.param("verify", _propagation(dist=[["0"]]),
                  "spec error: algebra: distance matrix shape mismatch", id="dist-shape"),
     pytest.param("verify", _propagation(dist=[["1", "1"], ["1", "0"]]),

@@ -84,6 +84,7 @@ from kcert.algebras import (
     PropagationAlgebra,
     PropagationSpace,
     QuotientAlgebra,
+    QuotientHom,
     TrivialAlgebra,
 )
 from kcert.cli import main
@@ -486,8 +487,8 @@ def slot_paths():
             Kernel.__init__, Kernel.__add__, Kernel.__mul__, Kernel.__neg__, Kernel.__eq__,
             PropagationSpace.__init__, PropagationSpace.signature,
             PropagationAlgebra._level_of, PropagationAlgebra.describe,
-            QuotientAlgebra.describe, Poly.__init__, Poly.const, Poly.is_monic,
-            QuotElem.invert,
+            QuotientAlgebra.describe, QuotientHom.apply_payload, Poly.__init__, Poly.const,
+            Poly.is_monic, scalars._remainder, scalars._poly_of_ints, QuotElem.invert,
             FilteredMatrix.__eq__, FilteredMatrix.__neg__, FilteredMatrix.first_mismatch,
             Sampler.invertible,
         )
@@ -957,11 +958,6 @@ LINE_ALLOWLIST = {
         ("return self.one(), self.one()",),
         "the unit after 64 draws that are all non-units, which no command's seed meets "
         "(test_algebras.py::test_quotient_unit_draw_falls_back_to_one)"),
-    "algebras.QuotientHom.apply_payload": (
-        ("modulus = self.target.modulus", "if payload.degree >= modulus.degree:",
-         "_, payload = payload.divmod_by(modulus)", "return QuotElem._reduced(modulus, payload)"),
-        "the per-entry map that _apply_matrix computes in bulk, and the reference it is "
-        "compared with (test_algebras.py::test_quotient_hom_and_section)"),
     "boundary._check_defects_die": (
         ("bad = img.first_mismatch(FilteredMatrix.zeros(diagram.lambda_prime, s.n))",
          'raise CertificateFailure(f"{tag} does not die in the overlap ring", *bad)'),

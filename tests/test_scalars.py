@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kcert.algebras import PolyAlgebra, QuotientAlgebra, QuotientHom
 from kcert.scalars import (
     NotInvertible,
     Poly,
@@ -20,6 +21,27 @@ from kcert.scalars import (
 )
 
 
+def poly_divmod(a, divisor):
+    """Long division with remainder over Fraction coefficients, for a
+    nonzero divisor: (q, r) with a = q * divisor + r and deg r < deg
+    divisor.  The Euclid step of poly_egcd, and the reference for the one
+    reduction mod m of kcert.scalars (integer pseudo-division)."""
+    rem = list(a.coeffs)
+    dc = divisor.coeffs
+    dd = len(dc) - 1
+    lead = dc[-1]
+    quot = [R0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        q = c / lead
+        quot[i - dd] = q
+        for k in range(dd + 1):
+            rem[i - dd + k] = rem[i - dd + k] - q * dc[k]
+    return Poly(quot), Poly(rem)
+
+
 def poly_egcd(a, b):
     """Extended gcd by the Euclid loop over Fraction coefficients: returns
     (g, s, t) with s*a + t*b = g, g monic or zero.  The reference for
@@ -27,12 +49,12 @@ def poly_egcd(a, b):
     r0, r1 = a, b
     s0, s1 = Poly.one(), Poly.zero()
     t0, t1 = Poly.zero(), Poly.one()
-    while not r1.is_zero():
-        q, r = r0.divmod_by(r1)
+    while r1:
+        q, r = poly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
+    if not r0:
         return r0, s0, t0
     inv = Poly.const(rat(1) / r0.coeffs[-1])
     return r0 * inv, s0 * inv, t0 * inv
@@ -170,11 +192,9 @@ def test_poly_basics():
     x = Poly([0, 1])
     p = x * x + Poly.const(1)
     assert p.coeffs == (rat(1), rat(0), rat(1))
-    assert (p - p).is_zero()
-    assert Poly([0, 0]).is_zero()
-    assert (x * Poly.zero()).is_zero()
-    q, r = (x * x * x + x).divmod_by(Poly([-1, 0, 1]))
-    assert q == Poly([0, 1]) and r == Poly([0, 2])
+    assert not p - p
+    assert not Poly([0, 0])
+    assert not x * Poly.zero()
 
 
 def test_quot_reduce_examples():
@@ -233,21 +253,6 @@ def test_values_transmit_between_workers():
         assert pickle.loads(pickle.dumps(v)) == v
 
 
-@settings(max_examples=150)
-@given(
-    st.lists(st.integers(-9, 9), min_size=0, max_size=5),
-    st.lists(st.integers(-9, 9), min_size=1, max_size=4),
-)
-def test_poly_divmod_reconstruction(a_coeffs, m_coeffs):
-    a = Poly(a_coeffs)
-    m = Poly(m_coeffs)
-    if m.is_zero():
-        return
-    q, r = a.divmod_by(m)
-    assert q * m + r == a
-    assert r.degree < m.degree
-
-
 # -- Poly product against a schoolbook Fraction reference --------------------
 
 
@@ -278,19 +283,6 @@ def _schoolbook(a, b):
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def _schoolbook_rem(a, m):
-    """Remainder of a Fraction list modulo a monic Fraction list."""
-    rem = list(a)
-    dd = len(m) - 1
-    for i in range(len(rem) - 1, dd - 1, -1):
-        q = rem[i]
-        for k in range(dd + 1):
-            rem[i - dd + k] -= q * m[k]
-    while rem and not rem[-1]:
-        rem.pop()
-    return rem
 
 
 def _poly(fracs):
@@ -427,7 +419,7 @@ def test_quot_mul_matches_schoolbook(name, a, b):
     m = _MODULI[name]
     modulus = _poly(m)
     ea, eb = QuotElem(modulus, _poly(a)), QuotElem(modulus, _poly(b))
-    expect = _schoolbook_rem(_schoolbook(_fracs(ea.rep), _fracs(eb.rep)), m)
+    expect = _fracs(poly_divmod(_poly(_schoolbook(_fracs(ea.rep), _fracs(eb.rep))), modulus)[1])
     prod = ea * eb
     _assert_matches(prod.rep, expect)
     assert prod == QuotElem(modulus, _poly(expect))
@@ -441,6 +433,41 @@ def test_quot_mul_zero_divisors_cancel(c, d):
     prod = QuotElem(modulus, Poly([c, c])) * QuotElem(modulus, Poly([d, -d]))
     _assert_matches(prod.rep, [])
     assert prod == QuotElem(modulus, Poly.zero())
+
+
+# -- The one reduction mod m against the long-division reference -------------
+# QuotElem's constructor and product and the quotient hom all reduce by
+# integer pseudo-division; each remainder must be the long division's,
+# coefficient by coefficient.  x^2 - 1/3 and x^3 - x/2 + 1/3 are not
+# integral, so each pseudo-division step scales by 3 or 6.
+
+
+_REDUCTION_MODULI = {
+    "x^2 - 1": [Fraction(-1), Fraction(0), Fraction(1)],
+    "x^2 - 1/3": [Fraction(-1, 3), Fraction(0), Fraction(1)],
+    "x^3 - x/2 + 1/3": [Fraction(1, 3), Fraction(-1, 2), Fraction(0), Fraction(1)],
+}
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(sorted(_REDUCTION_MODULI)),
+    st.lists(st.tuples(_numerators, _denominators).map(lambda nd: Fraction(*nd)), max_size=9),
+)
+def test_reduction_mod_m_matches_long_division(name, coeffs):
+    modulus = _poly(_REDUCTION_MODULI[name])
+    a = _poly(coeffs)
+    expect = _fracs(poly_divmod(a, modulus)[1])
+    h = QuotientHom(PolyAlgebra(), QuotientAlgebra(modulus))
+    image = h.apply_payload(a)
+    _assert_matches(QuotElem(modulus, a).rep, expect)
+    _assert_matches(image.rep, expect)
+    if not expect:
+        assert image is h.target.zero()
+    if a:
+        # A nonzero multiple of m reduces to zero, the target's shared one.
+        assert h.apply_payload(a * modulus) is h.target.zero()
+        assert QuotElem(modulus, a * modulus).rep == Poly.zero()
 
 
 # -- QuotElem.invert against the Euclid reference -----------------------------
@@ -465,7 +492,7 @@ def _assert_inverts_like_egcd(modulus, rep):
     exactly when the reference finds a nonconstant gcd or rep is zero."""
     e = QuotElem(modulus, rep)
     g, s, _ = poly_egcd(e.rep, modulus)
-    if e.is_zero() or g.degree != 0:
+    if not e or g.degree != 0:
         with pytest.raises(NotInvertible):
             e.invert()
         return False
