@@ -177,6 +177,12 @@ class Kernel:
 _K_ZERO = Kernel({})
 
 
+def is_point_label(label):
+    """A point label is a JSON string, integer or null.  Not a bool, which
+    list.index would match to the point 1, nor a float, array or object."""
+    return label is None or type(label) in (str, int)
+
+
 class PropagationSpace:
     """Finite metric space with the geometric radius schedule r(mu) = R/2^mu."""
 
@@ -215,6 +221,11 @@ class PropagationSpace:
         return len(self.points)
 
     def index_of(self, label):
+        # A spec's points are labels too (specdoc checks them), so list.index
+        # then matches only a label of the same kind: 1 never finds the point
+        # true, nor 1.0 the point 1.
+        if not is_point_label(label):
+            raise ValueError(f"bad point label {label!r}")
         try:
             return self.points.index(label)
         except ValueError:

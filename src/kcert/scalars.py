@@ -34,12 +34,13 @@ values have equal slots, so one loop over the slots compares them with no
 
 Every hot path reads and builds a rational through these two slots, never
 by a Fraction method (all are Python code): here ``_integer_coeffs``,
-``_remainder``, ``encode_rational``, Poly negation and equality,
-``is_monic`` and the zero tests of a Poly's build and of an inverse; in
-algebras.py the product kernels, ``_poly_ints``, the quotient hom, the Q
-row operation, Q-matrix equality and negation, Kernel's arithmetic, the
-propagation unit inverse and the build of a propagation algebra, so a
-verify request over kernels calls no function of fractions.py.  A test
+``_remainder``, ``encode_rational``, Poly sum, difference, negation and
+equality (and so QuotElem's), ``is_monic`` and the zero tests of a Poly's
+build and of an inverse; in algebras.py the product kernels,
+``_poly_ints``, the quotient hom, the Q row operation, Q-matrix equality
+and negation, Kernel's arithmetic, the propagation unit inverse and the
+build of a propagation algebra, so a verify request over kernels, and an
+exactness or boundary request, calls no function of fractions.py.  A test
 pins ``Rat.__slots__``, and guards count the calls.
 """
 
@@ -165,18 +166,10 @@ class Poly:
         return bool(self.coeffs)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        while out and not out[-1]:
-            out.pop()
-        return Poly._raw(tuple(out))
+        return _poly_sum(self.coeffs, other.coeffs, False)
 
     def __sub__(self, other):
-        return self + (-other)
+        return _poly_sum(self.coeffs, other.coeffs, True)
 
     def __neg__(self):
         return Poly._raw(tuple([_negated(c) for c in self.coeffs]))
@@ -229,6 +222,29 @@ class Poly:
 
 _P_ZERO = Poly._raw(())
 _P_ONE = Poly._raw((R1,))
+
+
+def _poly_sum(a, b, subtract):
+    """The Poly a + b, or a - b when subtract, for coefficient tuples a and
+    b: each shared coefficient is x.n * y.d +- y.n * x.d over x.d * y.d,
+    reduced by one gcd (a sum that cancels is the shared R0), and the tail
+    of a longer b is negated by ``_negated``.  Only equal lengths can cancel
+    at the top."""
+    out = []
+    for x, y in zip(a, b):
+        xn, xd = x._numerator, x._denominator
+        yn, yd = y._numerator, y._denominator
+        c = xn * yd - yn * xd if subtract else xn * yd + yn * xd
+        out.append(_reduced(c, xd * yd) if c else R0)
+    la, lb = len(a), len(b)
+    if la > lb:
+        out += a[lb:]
+    elif lb > la:
+        out += [_negated(y) for y in b[la:]] if subtract else b[la:]
+    else:
+        while out and not out[-1]._numerator:
+            out.pop()
+    return Poly._raw(tuple(out)) if out else _P_ZERO
 
 
 def _integer_coeffs(coeffs):

@@ -16,6 +16,7 @@ from .algebras import (
     QuotientHom,
     RestrictionHom,
     TrivialAlgebra,
+    is_point_label,
 )
 from .matrices import FilteredMatrix, InvertibleCert
 from .mv import MVDiagram
@@ -70,6 +71,7 @@ def _propagation(obj, where, max_level):
     # The report echoes each label, and a report holds no float.
     for label in points:
         _require(not isinstance(label, float), f"{where}: float point label {label!r}")
+        _require(is_point_label(label), f"{where}: bad point label {label!r}")
     _require(isinstance(dist, list), f"{where}: dist required")
     # A string row would otherwise be read character by character.
     _require(all(isinstance(row, list) for row in dist), f"{where}: dist rows must be arrays")

@@ -820,6 +820,14 @@ REJECTIONS = [
                  "spec error: algebra: float point label 0.5", id="float-point-label"),
     pytest.param("verify", _propagation(points=[float("nan"), 1]),
                  "spec error: algebra: float point label nan", id="nan-point-label"),
+    pytest.param("verify", _propagation(points=["a", True]),
+                 "spec error: algebra: bad point label True", id="bool-point-label"),
+    pytest.param("verify", _propagation(points=[1, True]),
+                 "spec error: algebra: bad point label True", id="bool-point-beside-1"),
+    pytest.param("verify", _propagation(points=["a", {"b": 1}]),
+                 "spec error: algebra: bad point label {'b': 1}", id="object-point-label"),
+    pytest.param("verify", _propagation(points=[["a"], "b"]),
+                 "spec error: algebra: bad point label ['a']", id="array-point-label"),
     pytest.param("verify", _propagation(dist=[["0"]]),
                  "spec error: algebra: distance matrix shape mismatch", id="dist-shape"),
     pytest.param("verify", _propagation(dist=[["1", "1"], ["1", "0"]]),
@@ -838,6 +846,13 @@ REJECTIONS = [
                  "spec error: matrix M: row 0: bad kernel triple ['a', 'b']", id="kernel-pair"),
     pytest.param("verify", _kernel_entry([["a", "z", "1"]]),
                  "spec error: matrix M: row 0: unknown point 'z'", id="kernel-unknown-point"),
+    pytest.param("verify", _kernel_entry([[0, True, "1"]], points=[0, 1]),
+                 "spec error: matrix M: row 0: bad point label True", id="kernel-bool-point"),
+    pytest.param("verify", _kernel_entry([[0, 1.0, "1"]], points=[0, 1]),
+                 "spec error: matrix M: row 0: bad point label 1.0", id="kernel-float-point"),
+    pytest.param("verify", _kernel_entry([["a", {"b": 1}, "1"]]),
+                 "spec error: matrix M: row 0: bad point label {'b': 1}",
+                 id="kernel-object-point"),
     pytest.param("verify", _kernel_entry([["a", "b", "1"]], diagonal=True),
                  "spec error: matrix M: row 0: off-diagonal entry in a diagonal algebra",
                  id="kernel-off-diagonal"),

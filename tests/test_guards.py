@@ -31,11 +31,12 @@
   fractions.py runs while a product kernel, the Q row operation's map, the
   Q negation, matrix or kernel equality or negation, kernel arithmetic,
   the propagation unit inverse, the build of a propagation algebra, a
-  Poly's build and monic test, a quotient inverse or the description of a
-  quotient algebra is on the stack; the sampler's invertible draws, which
-  are generic over carriers, may make no such call themselves.  A whole verify-propagation
-  request, from argv to report, makes no call into fractions.py at all.
-  The counts are pinned at 0, so they hold on every Python version.
+  Poly's build, monic test, sum and difference, a quotient inverse, the
+  description of a quotient algebra or the sampler's invertible draws is
+  on the stack.  A whole verify-propagation, exactness-clutching or
+  boundary-clutching request, from argv to report, makes no call into
+  fractions.py at all.  The counts are pinned at 0, so they hold on every
+  Python version.
 - Surface: every module-level name of ``src/kcert`` is read by live code in
   ``src/kcert``, save an allowlist with one reason per name, so a helper that
   only tests (or only other dead helpers) call lives in the tests.  Live code
@@ -477,8 +478,8 @@ FRACTION_CALLS = _fraction_codes()
 def slot_paths():
     """{code object: name} of the paths that read and build rationals by
     their slots.  The maps of the generic _add_multiple are not among them:
-    they are the payloads' own x + y * a, which over Q[x] is Fraction
-    arithmetic (over kernels it is Kernel's + and *, which are)."""
+    they are the payloads' own x + y * a, and the Poly and Kernel sums and
+    products beneath them are."""
     paths = {
         f.__code__: f.__qualname__ for f in (
             algebras._rational_product, algebras._kernel_product, algebras._poly_product,
@@ -488,7 +489,7 @@ def slot_paths():
             PropagationSpace.__init__, PropagationSpace.signature,
             PropagationAlgebra._level_of, PropagationAlgebra.describe,
             QuotientAlgebra.describe, QuotientHom.apply_payload, Poly.__init__, Poly.const,
-            Poly.is_monic, scalars._remainder, scalars._poly_of_ints, QuotElem.invert,
+            Poly.is_monic, Poly.__add__, Poly.__sub__, scalars._remainder, scalars._poly_of_ints, QuotElem.invert,
             FilteredMatrix.__eq__, FilteredMatrix.__neg__, FilteredMatrix.first_mismatch,
             Sampler.invertible,
         )
@@ -498,17 +499,10 @@ def slot_paths():
     return paths
 
 
-# Slot paths that are generic over carriers: over Q[x] and Q[x]/(m) the
-# payloads' own arithmetic runs beneath them, so only the calls into
-# fractions.py that they make themselves count.
-GENERIC_SLOT_PATHS = {Sampler.invertible.__code__}
-
-
 def fraction_calls_on_slot_paths(thunk):
     """(calls, entered) for one call of thunk: calls counts each function of
     fractions.py called while a slot path is on the stack, by (innermost
-    slot path, function), a generic slot path only as the direct caller;
-    entered names the slot paths entered."""
+    slot path, function); entered names the slot paths entered."""
     paths = slot_paths()
     calls, entered = {}, set()
 
@@ -520,12 +514,8 @@ def fraction_calls_on_slot_paths(thunk):
             entered.add(paths[code])
         elif code in FRACTION_CALLS:
             caller = frame.f_back
-            while caller is not None and caller.f_code in FRACTION_CALLS:
+            while caller is not None and caller.f_code not in paths:
                 caller = caller.f_back
-            if caller is not None and caller.f_code not in GENERIC_SLOT_PATHS:
-                while caller is not None and (caller.f_code not in paths
-                                              or caller.f_code in GENERIC_SLOT_PATHS):
-                    caller = caller.f_back
             if caller is not None:
                 key = (paths[caller.f_code], FRACTION_CALLS[code])
                 calls[key] = calls.get(key, 0) + 1
@@ -568,11 +558,15 @@ def test_slot_path_guard_counts_fraction_members():
     assert entered == {"FilteredMatrix.first_mismatch", "TrivialAlgebra._rows_equal"}
     calls, entered = fraction_calls_on_slot_paths(lambda: -rat(1, 2) == rat(1, 2))
     assert calls == {} and entered == set()
-    # A generic slot path counts only the calls it makes itself: over Q[x]
-    # the Poly arithmetic beneath Sampler.invertible is not counted.
-    calls, entered = fraction_calls_on_slot_paths(
-        lambda: Sampler(1).invertible(PolyAlgebra(), 3, factors=4))
-    assert calls == {} and "Sampler.invertible" in entered
+    # Every call beneath a slot path counts, however deep: Sampler.invertible
+    # is generic over carriers, and beneath it the payloads' own sums and
+    # products run, which are slot paths too on Q[x] and Q[x]/(m).
+    for algebra in (PolyAlgebra(), QuotientAlgebra(Poly([-1, 0, 1])),
+                    QuotientAlgebra(Poly([rat(1, 3), rat(-1, 2), 0, 1]))):
+        calls, entered = fraction_calls_on_slot_paths(
+            lambda: Sampler(1).invertible(algebra, 3, factors=4))
+        assert calls == {}, f"{algebra.describe()}: {calls}"
+        assert {"Sampler.invertible", "Poly.__add__"} <= entered
 
 
 def test_fraction_calls_cover_fractions_py():
@@ -582,10 +576,16 @@ def test_fraction_calls_cover_fractions_py():
     assert all(code.co_filename == fractions.__file__ for code in FRACTION_CALLS)
 
 
-def test_verify_propagation_request_calls_no_fraction_function(tmp_path):
-    # From argv to report, request 0 of verify-propagation reads and builds
-    # every rational on Fraction's slots: no function of fractions.py runs.
-    subcommand, doc = perfbench_request("verify-propagation")
+# Verify-trivial is not here: its request 0 makes 6 Fraction sums (42
+# calls into fractions.py with the helpers they call), each the Q sum a + b
+# of _elementary_additive, an identity's own side, which is Fraction
+# arithmetic by design.
+@pytest.mark.parametrize("workload", ["verify-propagation", "exactness-clutching",
+                                      "boundary-clutching"])
+def test_request_calls_no_fraction_function(tmp_path, workload):
+    # From argv to report, request 0 of the workload reads and builds every
+    # rational on Fraction's slots: no function of fractions.py runs.
+    subcommand, doc = perfbench_request(workload)
     request = tmp_path / "request0.json"
     request.write_text(json.dumps(doc))
     argv = [subcommand, "--spec", str(request)]

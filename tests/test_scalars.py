@@ -336,6 +336,113 @@ def test_poly_negation_matches_fraction(a):
     assert -(-p) == p
 
 
+# -- Poly and QuotElem sums and differences against a schoolbook sum ---------
+# Poly + and - build each coefficient from Fraction's slots; every result
+# must equal the Fraction sum, coefficient by coefficient, reduced and
+# stripped at the top, and so must QuotElem's, which add their reps.
+
+
+_SUM_MODULI = {
+    "x^2 - 1": [Fraction(-1), Fraction(0), Fraction(1)],
+    "x^3 - x/2 + 1/3": [Fraction(1, 3), Fraction(-1, 2), Fraction(0), Fraction(1)],
+}
+
+
+def _schoolbook_sum(a, b, sign):
+    """a + sign * b for two Fraction coefficient lists, trailing zeros
+    stripped."""
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    out = [x + sign * y for x, y in zip(a, b)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _assert_sums_match(pa, pb):
+    """pa + pb and pa - pb, and the same over each of _SUM_MODULI, match the
+    schoolbook sums of the coefficients."""
+    a, b = _fracs(pa), _fracs(pb)
+    _assert_matches(pa + pb, _schoolbook_sum(a, b, 1))
+    _assert_matches(pa - pb, _schoolbook_sum(a, b, -1))
+    for m in _SUM_MODULI.values():
+        modulus = _poly(m)
+        ea, eb = QuotElem(modulus, pa), QuotElem(modulus, pb)
+        ra, rb = _fracs(ea.rep), _fracs(eb.rep)
+        for got, sign in ((ea + eb, 1), (ea - eb, -1)):
+            assert got.modulus is modulus
+            _assert_matches(got.rep, _schoolbook_sum(ra, rb, sign))
+
+
+_BIG = Fraction(2 ** 127 - 1, 2 ** 63 + 1)
+
+
+@settings(max_examples=300)
+@given(_coeffs, _coeffs)
+@example(a=[], b=[])
+@example(a=[], b=[Fraction(1, 3), Fraction(-2)])
+@example(a=[Fraction(1, 3), Fraction(-2)], b=[])
+@example(a=[Fraction(1, 2)], b=[Fraction(1, 3), _BIG, -_BIG])
+@example(a=[_BIG, Fraction(2 ** 63 - 1, 3)], b=[Fraction(5)])
+def test_poly_sum_and_difference_match_schoolbook(a, b):
+    # unequal lengths both ways, the zero polynomial, zero coefficients and
+    # values near 2^63 and 2^127 all come from the strategy
+    _assert_sums_match(_poly(a), _poly(b))
+
+
+@settings(max_examples=200)
+@given(_coeffs, _coeffs, st.data())
+def test_poly_sum_and_difference_cancellations(a, b, data):
+    # b agrees with -a (for the sum) or with a (for the difference) on the
+    # top coefficients and at one more index: the result is stripped below
+    # the top ones and holds a reduced 0 at the inner one.
+    pa = _poly(a)
+    fa = _fracs(pa)
+    n = len(fa)
+    if not n:
+        return
+    top = data.draw(st.integers(1, n), label="top")
+    inner = data.draw(st.integers(0, n - 1), label="inner")
+    rest = (b + [Fraction(1)] * n)[:n]
+    for sign, got in ((1, lambda pb: pa + pb), (-1, lambda pb: pa - pb)):
+        cancel = [-sign * c for c in fa]
+        coeffs = rest[:n - top] + cancel[n - top:]
+        coeffs[inner] = cancel[inner]
+        pb = _poly(coeffs)
+        out = got(pb)
+        assert len(out.coeffs) <= n - top
+        if inner < len(out.coeffs):
+            assert out.coeffs[inner] == 0
+        _assert_sums_match(pa, pb)
+
+
+@settings(max_examples=200)
+@given(_coeffs, _coeffs)
+def test_poly_difference_is_sum_of_negation(a, b):
+    pa, pb = _poly(a), _poly(b)
+    _assert_matches(pa - pa, [])
+    assert pa - pb == pa + (-pb)
+    assert pb - pa == -(pa - pb)
+    assert (pa - pb) + pb == pa
+    for m in _SUM_MODULI.values():
+        modulus = _poly(m)
+        ea, eb = QuotElem(modulus, pa), QuotElem(modulus, pb)
+        _assert_matches((ea - ea).rep, [])
+        assert ea - eb == ea + (-eb)
+
+
+def test_poly_sum_examples():
+    f = Fraction
+    _assert_matches(Poly([1, 2, 3]) + Poly([1, 2, -3]), [f(2), f(4)])
+    _assert_matches(Poly([1, 2, 3]) - Poly([1, 5, 3]), [f(0), f(-3)])
+    _assert_matches(Poly([1]) - Poly([1, 0, rat(2, 3)]), [f(0), f(0), f(-2, 3)])
+    _assert_matches(Poly([rat(1, 6)]) + Poly([rat(1, 3)]), [f(1, 2)])
+    # 1/(2^63 - 1) - 1/(2^63 + 1) = 2 / (2^126 - 1)
+    _assert_matches(Poly([rat(1, 2 ** 63 - 1)]) - Poly([rat(1, 2 ** 63 + 1)]),
+                    [f(2, 2 ** 126 - 1)])
+    _assert_matches(_poly([_BIG]) + _poly([-_BIG, _BIG]), [f(0), _BIG])
+
+
 # -- Poly and QuotElem equality against tuple-of-Fraction equality -----------
 # Poly.__eq__ compares Fraction's two slots directly; it must agree with
 # comparing the coefficient tuples as Fractions, however each side was built.
