@@ -547,6 +547,18 @@ def test_boolean_diagonal_accepted(tmp_path, capsys, diagonal):
     assert SpecDocument.from_path(str(path)).algebra.diagonal is diagonal
 
 
+def test_string_integer_and_null_point_labels_accepted(tmp_path, capsys):
+    # Each kind of label names its own point, and the report echoes it.
+    doc = _with_matrix(_propagation(points=["a", 0, None], dist=[
+        ["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]), [[[[None, 0, "1/2"], ["a", "a", "1"]]]])
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    matrix = SpecDocument.from_path(str(path)).matrix("M")
+    assert matrix.rows[0][0].table == {(2, 1): rat(1, 2), (0, 0): rat(1)}
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["command"]["algebra"]["points"] == ["a", 0, None]
+
+
 def _clutching_with_leg(**j1):
     doc = _bundled("quotient_clutching.json")
     doc["diagram"]["j1"] = j1

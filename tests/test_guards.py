@@ -81,6 +81,7 @@ from test_cli import rejection_argv, rejection_rows
 from kcert import algebras, cli, matrices, mv, scalars
 from kcert.algebras import (
     Kernel,
+    LocalizedAlgebra,
     PolyAlgebra,
     PropagationAlgebra,
     PropagationSpace,
@@ -489,7 +490,8 @@ def slot_paths():
             PropagationSpace.__init__, PropagationSpace.signature,
             PropagationAlgebra._level_of, PropagationAlgebra.describe,
             QuotientAlgebra.describe, QuotientHom.apply_payload, Poly.__init__, Poly.const,
-            Poly.is_monic, Poly.__add__, Poly.__sub__, scalars._remainder, scalars._poly_of_ints, QuotElem.invert,
+            Poly.is_monic, Poly.__add__, Poly.__sub__, scalars._remainder,
+            scalars._poly_of_ints, QuotElem.invert,
             FilteredMatrix.__eq__, FilteredMatrix.__neg__, FilteredMatrix.first_mismatch,
             Sampler.invertible,
         )
@@ -567,6 +569,15 @@ def test_slot_path_guard_counts_fraction_members():
             lambda: Sampler(1).invertible(algebra, 3, factors=4))
         assert calls == {}, f"{algebra.describe()}: {calls}"
         assert {"Sampler.invertible", "Poly.__add__"} <= entered
+
+    # Over Q with the generic x + y * a, which is Fraction arithmetic and no
+    # slot path, the sampler's draw is charged with each call beneath it.
+    class GenericRowOperation(TrivialAlgebra):
+        _add_multiple = LocalizedAlgebra._add_multiple
+
+    calls, entered = fraction_calls_on_slot_paths(
+        lambda: Sampler(1).invertible(GenericRowOperation(), 3, factors=4))
+    assert calls[("Sampler.invertible", "forward")] > 0
 
 
 def test_fraction_calls_cover_fractions_py():
