@@ -27,9 +27,9 @@ entries' supports, so a zero entry costs nothing.
 
 Matrix products are fraction-free (cf. Bareiss, Math. Comp. 22, 1968):
 each operand is read once as integers over the lcm of its denominators,
-only nonzero entries are multiplied, and each result coefficient is built
-once by ``scalars._reduced(c, da * db)``, one gcd per coefficient instead
-of a reduced rational multiply and add per term.  Over Q the integers form
+only nonzero entries are multiplied, and each result entry is reduced once,
+one gcd per coefficient or per entry instead of a reduced rational multiply
+and add per term.  Over Q the integers form
 an n x n grid over the entries that are not the shared zero R0, an
 identity test that reads nothing.  Most zeros of the identity suite are
 R0: those of identities and zero blocks, of product entries, of row and
@@ -42,11 +42,13 @@ over Q[x] each entry accumulates an integer coefficient list, and over
 Q[x]/(m) that list is reduced mod m once per entry, which is exact because
 reduction mod m is a ring map.  That reduction is integer pseudo-division,
 the one reduction mod m in kcert (see scalars.py).  A Q[x] or Q[x]/(m)
-matrix carries its integer form in the private slot ``_ints`` (see
-_poly_ints and _poly_product).  The quotient hom keeps every entry of
+entry already holds its integers over one denominator (see scalars.Poly),
+so an operand is read as it is, rescaling only the entries whose
+denominator differs from the lcm (_poly_rows), and each product entry is
+built reduced, with no decode.  The quotient hom keeps every entry of
 degree < deg m as it is and reduces the others one at a time by its
-apply_payload, which reads only them as integers.
-These kernels read every rational through Fraction's two slots
+apply_payload.
+The Q and kernel products read every rational through Fraction's two slots
 ``_numerator`` and ``_denominator`` (see scalars.py), never by a Fraction
 method, and so do all of Kernel's arithmetic (a sum or product holds each
 value as an integer pair and builds it once by ``_reduced``) and the build
@@ -76,7 +78,7 @@ the draws do not depend on how it is computed.
 """
 
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from operator import eq, neg
 
 from .scalars import (
@@ -86,9 +88,8 @@ from .scalars import (
     R0,
     R1,
     Rat,
-    _integer_coeffs,
     _negated,
-    _poly_of_ints,
+    _poly_of,
     _reciprocal,
     _reduce_ints,
     _reduced,
@@ -561,11 +562,11 @@ class QuotientAlgebra(LocalizedAlgebra):
             max_level,
             QuotElem._reduced(modulus, Poly.zero()),
             QuotElem._reduced(modulus, Poly.one()),
-            modulus.coeffs,
+            (modulus.nums, modulus.den),
         )
         self.modulus = modulus
-        # e * m with integer coefficients, e the lcm of m's denominators.
-        self._m_int = _integer_coeffs(modulus.coeffs)[0]
+        # e * m with integer coefficients, e = den the lcm of m's denominators.
+        self._m_int = list(modulus.nums)
 
     def from_rational(self, value):
         return QuotElem(self.modulus, Poly.const(rat(value)))
@@ -589,7 +590,7 @@ class QuotientAlgebra(LocalizedAlgebra):
         modulus = self.modulus
         for _ in range(64):
             e = QuotElem._reduced(modulus, _random_poly(sampler, modulus.degree - 1))
-            if not e.rep.coeffs:
+            if not e.rep.nums:
                 continue
             try:
                 return e, e.invert()
@@ -672,8 +673,8 @@ class QuotientHom(FilteredHom):
         """The remainder of payload mod m, by integer pseudo-division over
         the target's integer form of m, or the target's shared zero."""
         target = self.target
-        rep = _remainder(payload.coeffs, target._m_int)
-        return QuotElem._reduced(target.modulus, rep) if rep.coeffs else target.zero()
+        rep = _remainder(payload, target._m_int)
+        return QuotElem._reduced(target.modulus, rep) if rep.nums else target.zero()
 
     def section_payload(self, payload):
         return payload.rep
@@ -690,7 +691,7 @@ class QuotientHom(FilteredHom):
         reduce = self.apply_payload
         return m._raw(target, tuple([
             tuple([
-                (keep(modulus, p) if len(p.coeffs) <= dm else reduce(p)) if p.coeffs else zero
+                (keep(modulus, p) if len(p.nums) <= dm else reduce(p)) if p.nums else zero
                 for p in row
             ])
             for row in m.rows
@@ -762,7 +763,7 @@ class InclusionHom(FilteredHom):
 
 # -- fraction-free product kernels ----------------------------------------------
 # An operand is read once: its common denominator is the lcm over all of its
-# rational coefficients, and each coefficient becomes the integer
+# denominators, and each coefficient becomes the integer
 # numerator * (den // denominator).
 
 
@@ -837,47 +838,37 @@ def _kernel_product(a, b, algebra):
     return tuple(out)
 
 
-def _poly_ints(m):
-    """The integer form of a Q[x] or Q[x]/(m) matrix, computed on first use
-    and carried on the matrix: per row the (column, integer coefficient
-    list) of each nonzero entry, over den, the lcm of all coefficient
-    denominators.  The lists are shared by every later reader, so none may
-    mutate them."""
-    ints = m._ints
-    if ints is None:
-        rows = m.rows
-        if m.algebra.modulus is not None:
-            rows = [[e.rep for e in row] for row in rows]
-        den = lcm(*[c._denominator for row in rows for p in row for c in p.coeffs])
-        ints = m._ints = [
-            [
-                (j, [c._numerator * (den // c._denominator) for c in p.coeffs])
-                for j, p in enumerate(row)
-                if p.coeffs
-            ]
-            for row in rows
-        ], den
-    return ints
+def _poly_rows(rows, quotient):
+    """Per row the (column, integer coefficients) of each nonzero Q[x] or
+    Q[x]/(m) entry, over den, the lcm of the entry denominators: an entry
+    over den is read as it is, and only the others are rescaled."""
+    if quotient:
+        rows = [[e.rep for e in row] for row in rows]
+    den = lcm(*{p.den for row in rows for p in row})
+    return [
+        [(j, p.nums if p.den == den else [c * (den // p.den) for c in p.nums])
+         for j, p in enumerate(row) if p.nums]
+        for row in rows
+    ], den
 
 
 def _poly_product(a, b):
     """Q[x] and Q[x]/(m): each entry accumulates an integer coefficient
-    list; over Q[x]/(m) the finished list is reduced mod m once.  The
-    product carries its own integer form, divided by the gcd of the common
-    denominator and all coefficients, unless a reduction scaled an entry."""
+    list over da * db; over Q[x]/(m) the finished list is reduced mod m
+    once.  Each entry is then built reduced by ``scalars._poly_of``, one
+    gcd of its denominator and coefficients; a zero is the algebra's shared
+    zero."""
     algebra = a.algebra
     modulus = algebra.modulus
-    na, da = _poly_ints(a)
-    nb, db = _poly_ints(b)
+    quotient = modulus is not None
+    na, da = _poly_rows(a.rows, quotient)
+    nb, db = _poly_rows(b.rows, quotient)
     d = da * db
-    if modulus is not None:
+    if quotient:
         m_int = algebra._m_int
     zero = algebra.zero()
     n = a.n
-    g = d
-    seed = True
     out = []
-    out_ints = []
     for arow in na:
         acc = [None] * n
         for k, p in arow:
@@ -893,33 +884,13 @@ def _poly_product(a, b):
                         for t, y in enumerate(q, s):
                             c[t] += x * y
         entries = []
-        ints = []
-        for j, c in enumerate(acc):
+        for c in acc:
             if c is None:
                 entries.append(zero)
-                continue
-            den = d
-            if modulus is not None:
-                scale = _reduce_ints(c, m_int)
-                if scale != 1:
-                    den *= scale
-                    seed = False
-            poly = _poly_of_ints(c, den)
-            if not poly.coeffs:
-                entries.append(zero)
-                continue
-            if g != 1:
-                g = gcd(g, *c)
-            ints.append((j, c))
-            entries.append(poly if modulus is None else QuotElem._reduced(modulus, poly))
+            elif quotient:
+                poly = _poly_of(c, d * _reduce_ints(c, m_int))
+                entries.append(QuotElem._reduced(modulus, poly) if poly.nums else zero)
+            else:
+                entries.append(_poly_of(c, d))
         out.append(tuple(entries))
-        out_ints.append(ints)
-    product = a._raw(algebra, tuple(out))
-    if seed:
-        # lcm_i(d / gcd(d, c_i)) = d / gcd(d, c_1, ..., c_k): this is the
-        # form _poly_ints would compute from the decoded entries.
-        if g != 1:
-            out_ints = [[(j, [v // g for v in c]) for j, c in row] for row in out_ints]
-        product._ints = out_ints, d // g
-    return product
-
+    return a._raw(algebra, tuple(out))

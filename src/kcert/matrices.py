@@ -44,7 +44,7 @@ def expect_equal(lhs, rhs, what, failure=CertificateFailure):
 
 
 class FilteredMatrix:
-    __slots__ = ("algebra", "n", "rows", "_level", "_ints")
+    __slots__ = ("algebra", "n", "rows", "_level")
 
     def __init__(self, algebra, rows):
         rows = tuple([tuple(row) for row in rows])
@@ -56,7 +56,6 @@ class FilteredMatrix:
         self.n = n
         self.rows = rows
         self._level = None
-        self._ints = None
 
     @classmethod
     def _raw(cls, algebra, rows):
@@ -66,7 +65,6 @@ class FilteredMatrix:
         m.n = len(rows)
         m.rows = rows
         m._level = None
-        m._ints = None
         return m
 
     # -- constructors ------------------------------------------------------

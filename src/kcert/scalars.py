@@ -7,19 +7,19 @@ always reduced, with a positive denominator, printing as "num/den"
 selects another, so the exact arithmetic every certificate rests on has a
 single implementation.
 
-A polynomial product is fraction-free: each operand's coefficients are
-scaled to integers over the lcm of its denominators, the integers are
-convolved, and each result coefficient is built once by ``_reduced(c, da *
-db)``, one gcd per coefficient instead of a reduced Fraction multiply and
-add per pair of coefficients.  Coefficients stay reduced rationals, so
-equality and encodings match a schoolbook product.  Q[x]/(m) has one
-reduction, integer pseudo-division (``_reduce_ints``): ``_remainder``
-reduces a representative by it and decodes it once, for QuotElem's
-constructor and product and for the quotient hom, and the matrix product
-kernel reduces each entry's integer list the same way.  An inverse in
-Q[x]/(m) is computed over the integers as well: QuotElem.invert solves the
-multiplication-by-rep system by Bareiss elimination, with no Euclid loop
-over Fraction coefficients.
+A Poly holds the unique reduced integer form of its polynomial: ``nums``,
+integer coefficients with no trailing zero, over one ``den`` > 0 with
+gcd(den, *nums) = 1.  Sums, differences, negation, equality and products
+work on these integers, and each result is reduced by one gcd of its
+denominator and coefficients (``_poly_of``); no coefficient becomes a
+rational.  ``coeffs`` decodes the reduced rationals for the encoders and
+``__str__``.  Q[x]/(m) has one reduction, integer pseudo-division
+(``_reduce_ints``): ``_remainder`` reduces a Poly's integers by it, for
+QuotElem's constructor and product and for the quotient hom, and the matrix
+product kernel reduces each entry's integer list the same way.  An inverse
+in Q[x]/(m) is computed over the integers as well: QuotElem.invert solves
+the multiplication-by-rep system by Bareiss elimination, with no Euclid
+loop over rational coefficients.
 
 Every rational that a kernel decodes from integers it computed, and every
 nonzero "p/q" that ``parse_rational`` reads from a spec (a zero is the
@@ -33,15 +33,15 @@ values have equal slots, so one loop over the slots compares them with no
 ``Fraction.__eq__`` call.
 
 Every hot path reads and builds a rational through these two slots, never
-by a Fraction method (all are Python code): here ``_integer_coeffs``,
-``_remainder``, ``encode_rational``, Poly sum, difference, negation and
-equality (and so QuotElem's), ``is_monic`` and the zero tests of a Poly's
-build and of an inverse; in algebras.py the product kernels,
-``_poly_ints``, the quotient hom, the Q row operation, Q-matrix equality
+by a Fraction method (all are Python code): here ``encode_rational``, the
+build of a Poly from rationals and the ``coeffs`` decode; in algebras.py
+the Q and kernel product kernels, the Q row operation, Q-matrix equality
 and negation, Kernel's arithmetic, the propagation unit inverse and the
 build of a propagation algebra, so a verify request over kernels, and an
-exactness or boundary request, calls no function of fractions.py.  A test
-pins ``Rat.__slots__``, and guards count the calls.
+exactness or boundary request, calls no function of fractions.py.  Poly
+arithmetic, QuotElem's and the Q[x] and Q[x]/(m) product kernel read no
+rational at all.  A test pins ``Rat.__slots__``, and guards count the calls
+and the ``coeffs`` decodes.
 """
 
 import re
@@ -124,22 +124,23 @@ def encode_rational(value):
 
 
 class Poly:
-    """Univariate polynomial over the scalars, coefficients lowest degree
-    first with no trailing zero; () is the zero polynomial."""
+    """Univariate polynomial over the scalars, held as its reduced integer
+    form: ``nums``, integer coefficients lowest degree first with no
+    trailing zero, over ``den`` > 0 with gcd(den, *nums) = 1, so equal
+    polynomials have equal forms.  () over 1 is the zero polynomial."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Rat) else rat(c) for c in coeffs]
         while cs and not cs[-1]._numerator:
             cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def _raw(cls, coeffs):
-        p = object.__new__(cls)
-        p.coeffs = coeffs
-        return p
+        # Over the lcm of reduced rationals' denominators the form is
+        # reduced: the highest power of each prime in den divides some
+        # coefficient's own denominator, and not its scaled numerator.
+        den = lcm(*[c._denominator for c in cs])
+        self.nums = tuple([c._numerator * (den // c._denominator) for c in cs])
+        self.den = den
 
     @classmethod
     def zero(cls):
@@ -152,54 +153,46 @@ class Poly:
     @classmethod
     def const(cls, value):
         v = rat(value)
-        return cls._raw((v,)) if v._numerator else _P_ZERO
+        return _poly((v._numerator,), v._denominator) if v._numerator else _P_ZERO
+
+    @property
+    def coeffs(self):
+        """The coefficients as reduced rationals, lowest degree first."""
+        den = self.den
+        return tuple([_reduced(c, den) if c else R0 for c in self.nums])
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_monic(self):
-        cs = self.coeffs
-        return bool(cs) and cs[-1]._numerator == 1 and cs[-1]._denominator == 1
+        nums = self.nums
+        return bool(nums) and nums[-1] == self.den
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __add__(self, other):
-        return _poly_sum(self.coeffs, other.coeffs, False)
+        return _poly_sum(self, other, False)
 
     def __sub__(self, other):
-        return _poly_sum(self.coeffs, other.coeffs, True)
+        return _poly_sum(self, other, True)
 
     def __neg__(self):
-        return Poly._raw(tuple([_negated(c) for c in self.coeffs]))
+        nums = self.nums
+        return _poly(tuple([-c for c in nums]), self.den) if nums else _P_ZERO
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
         if not a or not b:
             return _P_ZERO
-        na, da = _integer_coeffs(a)
-        nb, db = _integer_coeffs(b)
-        return _poly_of_ints(_int_product(na, nb), da * db)
+        return _poly_of(_int_product(a, b), self.den * other.den)
 
     def __eq__(self, other):
-        # Coefficients are reduced Fractions, so equal values have equal
-        # slots: one loop over the slots, with no Fraction.__eq__ call.
-        if self is other:
-            return True
-        if not isinstance(other, Poly):
-            return False
-        a, b = self.coeffs, other.coeffs
-        if a is b:
-            return True
-        if len(a) != len(b):
-            return False
-        for x, y in zip(a, b):
-            if x is not y and (
-                x._numerator != y._numerator or x._denominator != y._denominator
-            ):
-                return False
-        return True
+        # Both forms are reduced, so equal values have equal forms.
+        return self is other or (
+            isinstance(other, Poly) and self.den == other.den and self.nums == other.nums
+        )
 
     def __str__(self):
         if not self.coeffs:
@@ -220,61 +213,67 @@ class Poly:
         return f"Poly([{', '.join(str(c) for c in self.coeffs)}])"
 
 
-_P_ZERO = Poly._raw(())
-_P_ONE = Poly._raw((R1,))
+def _poly(nums, den):
+    """The Poly on a form that is already reduced."""
+    p = _new(Poly)
+    p.nums = nums
+    p.den = den
+    return p
 
 
-def _poly_sum(a, b, subtract):
-    """The Poly a + b, or a - b when subtract, for coefficient tuples a and
-    b: each shared coefficient is x.n * y.d +- y.n * x.d over x.d * y.d,
-    reduced by one gcd (a sum that cancels is the shared R0), and the tail
-    of a longer b is negated by ``_negated``.  Only equal lengths can cancel
-    at the top."""
-    out = []
-    for x, y in zip(a, b):
-        xn, xd = x._numerator, x._denominator
-        yn, yd = y._numerator, y._denominator
-        c = xn * yd - yn * xd if subtract else xn * yd + yn * xd
-        out.append(_reduced(c, xd * yd) if c else R0)
-    la, lb = len(a), len(b)
-    if la > lb:
-        out += a[lb:]
-    elif lb > la:
-        out += [_negated(y) for y in b[la:]] if subtract else b[la:]
-    else:
-        while out and not out[-1]._numerator:
-            out.pop()
-    return Poly._raw(tuple(out)) if out else _P_ZERO
+_P_ZERO = _poly((), 1)
+_P_ONE = _poly((1,), 1)
 
 
-def _integer_coeffs(coeffs):
-    """(ints, den) with coeffs[i] == ints[i] / den, den the lcm of the
-    coefficient denominators."""
-    den = lcm(*[c._denominator for c in coeffs])
-    if den == 1:
-        return [c._numerator for c in coeffs], 1
-    return [c._numerator * (den // c._denominator) for c in coeffs], den
-
-
-def _poly_of_ints(c, den):
+def _poly_of(c, den):
     """The Poly with coefficients c[i] / den, for an integer list c and
-    den > 0: trailing zeros are stripped from c in place, then each
-    coefficient is built once by ``_reduced``."""
+    den > 0, in its reduced form: trailing zeros are stripped from c in
+    place, and c and den are divided by one gcd(den, *c).  The zero
+    polynomial is the shared zero."""
     while c and not c[-1]:
         c.pop()
     if not c:
         return _P_ZERO
-    # A list, not a generator: tuple(<genexpr>) over-allocates and resizes,
-    # which churns the interpreter's tuple freelists and shows as peak RSS.
-    return Poly._raw(tuple([_reduced(v, den) if v else R0 for v in c]))
+    if den != 1:
+        g = gcd(den, *c)
+        if g != 1:
+            return _poly(tuple([v // g for v in c]), den // g)
+    return _poly(tuple(c), den)
 
 
-def _remainder(coeffs, m_int):
-    """The remainder mod m of the polynomial with coefficients coeffs, for
-    m_int the integer form of m (see _reduce_ints): the one reduction of
-    Q[x] -> Q[x]/(m), by integer pseudo-division and one decode."""
-    c, den = _integer_coeffs(coeffs)
-    return _poly_of_ints(c, den * _reduce_ints(c, m_int))
+def _poly_sum(a, b, subtract):
+    """The Poly a + b, or a - b when subtract: the two forms are brought to
+    one denominator, rescaling only a side whose den differs, the integers
+    are added, and the result is reduced by one gcd (see _poly_of).  Only
+    equal lengths can cancel at the top."""
+    x, y = a.nums, b.nums
+    den = a.den
+    if den != b.den:
+        g = gcd(den, b.den)
+        fx, fy = b.den // g, den // g
+        if fx != 1:
+            x = [v * fx for v in x]
+        if fy != 1:
+            y = [v * fy for v in y]
+        den *= fx
+    if subtract:
+        c = [u - v for u, v in zip(x, y)]
+    else:
+        c = [u + v for u, v in zip(x, y)]
+    la, lb = len(x), len(y)
+    if la > lb:
+        c += x[lb:]
+    elif lb > la:
+        c += [-v for v in y[la:]] if subtract else y[la:]
+    return _poly_of(c, den)
+
+
+def _remainder(p, m_int):
+    """The remainder mod m of the Poly p, for m_int the integer form of m
+    (see _reduce_ints): the one reduction of Q[x] -> Q[x]/(m), by integer
+    pseudo-division."""
+    c = list(p.nums)
+    return _poly_of(c, p.den * _reduce_ints(c, m_int))
 
 
 def _int_product(a, b):
@@ -356,7 +355,7 @@ class QuotElem:
     def __init__(self, modulus, rep):
         self.modulus = modulus
         if rep.degree >= modulus.degree:
-            rep = _remainder(rep.coeffs, _integer_coeffs(modulus.coeffs)[0])
+            rep = _remainder(rep, modulus.nums)
         self.rep = rep
 
     @classmethod
@@ -400,12 +399,15 @@ class QuotElem:
         Bareiss elimination.  It is singular exactly when gcd(rep, m) != 1,
         since its determinant is the resultant of m and rep."""
         modulus = self.modulus
-        if len(self.rep.coeffs) == 1:
-            return QuotElem._reduced(modulus, Poly._raw((_reciprocal(self.rep.coeffs[0]),)))
+        rep = self.rep
+        if len(rep.nums) == 1:
+            n = rep.nums[0]
+            inverse = _poly((-rep.den,), -n) if n < 0 else _poly((rep.den,), n)
+            return QuotElem._reduced(modulus, inverse)
         d = modulus.degree
-        m_int = _integer_coeffs(modulus.coeffs)[0]
-        col, scale = _integer_coeffs(self.rep.coeffs)
-        col = col + [0] * (d - len(col))
+        m_int = modulus.nums
+        scale = rep.den
+        col = list(rep.nums) + [0] * (d - len(rep.nums))
         cols = [col]
         scales = [scale]
         for _ in range(1, d):
@@ -422,10 +424,8 @@ class QuotElem:
         if det < 0:
             det = -det
             xs = [-x for x in xs]
-        out = [_reduced(x * k, det) if x else R0 for x, k in zip(xs, scales)]
-        while out and not out[-1]._numerator:
-            out.pop()
-        return QuotElem._reduced(modulus, Poly._raw(tuple(out)))
+        out = [x * k for x, k in zip(xs, scales)]
+        return QuotElem._reduced(modulus, _poly_of(out, det))
 
     def __eq__(self, other):
         return (

@@ -484,14 +484,14 @@ def slot_paths():
     paths = {
         f.__code__: f.__qualname__ for f in (
             algebras._rational_product, algebras._kernel_product, algebras._poly_product,
-            algebras._poly_ints, algebras._upper_unit_inverse, scalars._integer_coeffs,
+            algebras._upper_unit_inverse,
             scalars.encode_rational, scalars._negated, TrivialAlgebra._rows_equal,
             Kernel.__init__, Kernel.__add__, Kernel.__mul__, Kernel.__neg__, Kernel.__eq__,
             PropagationSpace.__init__, PropagationSpace.signature,
             PropagationAlgebra._level_of, PropagationAlgebra.describe,
             QuotientAlgebra.describe, QuotientHom.apply_payload, Poly.__init__, Poly.const,
             Poly.is_monic, Poly.__add__, Poly.__sub__, scalars._remainder,
-            scalars._poly_of_ints, QuotElem.invert,
+            scalars._poly_of, QuotElem.invert,
             FilteredMatrix.__eq__, FilteredMatrix.__neg__, FilteredMatrix.first_mismatch,
             Sampler.invertible,
         )
@@ -615,6 +615,44 @@ def test_request_calls_no_fraction_function(tmp_path, workload):
         sys.setprofile(previous)
     assert codes == [0]
     assert calls == {}, f"calls into fractions.py: {calls}"
+
+
+# Readers of Poly.coeffs, which decodes a polynomial's integer form into
+# rationals, in request 0: on exactness-clutching only the diagram's
+# description reads the modulus, and on boundary-clutching that and the
+# encoders of the 30 Q[x] entries of its printed matrices.  No product,
+# sum, reduction or comparison decodes.
+COEFFS_READS = {
+    "exactness-clutching": {"QuotientAlgebra.describe": 1},
+    "boundary-clutching": {"QuotientAlgebra.describe": 1, "PolyAlgebra.encode_payload": 30},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(COEFFS_READS))
+def test_only_describe_and_encoders_decode_coeffs(tmp_path, workload):
+    subcommand, doc = perfbench_request(workload)
+    request = tmp_path / "request0.json"
+    request.write_text(json.dumps(doc))
+    argv = [subcommand, "--spec", str(request)]
+    getter = Poly.coeffs.fget.__code__
+    names = {f.__code__: f.__qualname__ for f in (
+        QuotientAlgebra.describe, PolyAlgebra.encode_payload, QuotientAlgebra.encode_payload)}
+    reads, codes = {}, []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is getter:
+            caller = frame.f_back.f_code
+            name = names.get(caller, caller.co_name)
+            reads[name] = reads.get(name, 0) + 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        codes.append(run(argv, tmp_path / "report")[0])
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0]
+    assert reads == COEFFS_READS[workload]
 
 
 # Module-level src names and class members that nothing live in src reads,
@@ -1108,10 +1146,6 @@ LINE_ALLOWLIST = {
         ("return Rat(value, den)", "return Rat(value)"),
         "commands pass rationals; the sampler's table is built at import, and the tests "
         "build their rationals here (test_scalars.py::test_rational_arith_examples)"),
-    "scalars.Poly.__eq__": (
-        ("return False",),
-        "a polynomial is unequal to any other type "
-        "(test_scalars.py::test_poly_equality_equal_numerators_different_denominators)"),
     "scalars.Poly.__str__": (
         ("if not self.coeffs:", 'return "0"', "parts = []",
          "for i, c in enumerate(self.coeffs):", "if not c:", "continue", "if i == 0:",

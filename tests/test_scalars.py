@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcert.algebras import PolyAlgebra, QuotientAlgebra, QuotientHom
+from kcert.matrices import FilteredMatrix
 from kcert.scalars import (
     NotInvertible,
     Poly,
@@ -654,3 +655,166 @@ def test_quot_invert_non_integral_modulus_examples():
     # is irreducible over Q: every nonzero element is a unit
     with pytest.raises(NotInvertible):
         QuotElem(m, Poly.zero()).invert()
+
+
+# -- The reduced integer form of every result -----------------------------------
+# A Poly holds integers ``nums`` over one ``den``.  Every result of Poly and
+# QuotElem arithmetic, of invert, of the quotient hom (per payload and per
+# matrix) and of a matrix product over Q[x] and Q[x]/(m) must hold the unique
+# reduced form: den > 0, gcd(den, *nums) = 1 and no trailing zero, with a
+# zero result the shared zero.  Its coeffs must equal a schoolbook Fraction
+# result, and rebuilding it from its coeffs must give an equal Poly.
+
+def _fraction_rem(a, m):
+    """a mod m for Fraction coefficient lists and a monic m, by long
+    division, trailing zeros stripped."""
+    r = list(a)
+    dm = len(m) - 1
+    for i in range(len(r) - 1, dm - 1, -1):
+        q = r[i]
+        if q:
+            for k in range(dm + 1):
+                r[i - dm + k] -= q * m[k]
+    del r[dm:]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _assert_normal(p, expect):
+    """p holds the reduced integer form of the Fraction list expect."""
+    assert isinstance(p, Poly)
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.nums)
+    assert gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1]
+    if not p.nums:
+        assert p is Poly.zero()
+    _assert_matches(p, expect)
+    assert Poly(p.coeffs) == p
+
+
+def _assert_normal_elem(e, expect, algebra=None):
+    """The same for a QuotElem's rep; a zero that stands for an algebra's
+    zero is that shared element."""
+    _assert_normal(e.rep, expect)
+    if algebra is not None and not expect:
+        assert e is algebra.zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coeffs, _coeffs)
+@example(a=[], b=[])
+@example(a=[_BIG, Fraction(0), -_BIG], b=[Fraction(1, 3), _BIG])
+@example(a=[Fraction(2 ** 63 + 1, 2 ** 127 - 1)], b=[Fraction(2 ** 127 - 1, 2 ** 63 + 1)])
+def test_poly_and_quot_results_hold_the_reduced_form(a, b):
+    pa, pb = _poly(a), _poly(b)
+    fa, fb = _fracs(pa), _fracs(pb)
+    _assert_normal(pa + pb, _schoolbook_sum(fa, fb, 1))
+    _assert_normal(pa - pb, _schoolbook_sum(fa, fb, -1))
+    _assert_normal(pa - pa, [])
+    _assert_normal(pa * pb, _schoolbook(fa, fb))
+    _assert_normal(-pa, [-c for c in fa])
+    for m in _SUM_MODULI.values():
+        modulus = _poly(m)
+        target = QuotientAlgebra(modulus)
+        h = QuotientHom(PolyAlgebra(), target)
+        ea, eb = QuotElem(modulus, pa), QuotElem(modulus, pb)
+        ra, rb = _fraction_rem(fa, m), _fraction_rem(fb, m)
+        # The constructor keeps a rep of degree < deg m as it is.
+        _assert_matches(ea.rep, ra)
+        _assert_matches(eb.rep, rb)
+        _assert_normal_elem(ea + eb, _schoolbook_sum(ra, rb, 1))
+        _assert_normal_elem(ea - eb, _schoolbook_sum(ra, rb, -1))
+        _assert_normal_elem(ea * eb, _fraction_rem(_schoolbook(ra, rb), m))
+        _assert_normal_elem(-ea, [-c for c in ra])
+        _assert_normal_elem(h.apply_payload(pa), ra, target)
+        _assert_normal_elem(h.apply_payload(pa * pb), _fraction_rem(_schoolbook(fa, fb), m),
+                            target)
+        try:
+            inv = ea.invert()
+        except NotInvertible:
+            continue
+        # The inverse is the one element of degree < deg m whose product
+        # with ra is 1 mod m.
+        want = _fracs(inv.rep)
+        assert _fraction_rem(_schoolbook(ra, want), m) == [Fraction(1)]
+        _assert_normal_elem(inv, want)
+
+
+_NF_ALGEBRAS = {
+    "Q[x]": None,
+    "Q[x]/(x^2 - 1)": _SUM_MODULI["x^2 - 1"],
+    "Q[x]/(x^3 - x/2 + 1/3)": _SUM_MODULI["x^3 - x/2 + 1/3"],
+}
+_entry_coeffs = st.one_of(
+    st.just([]),
+    st.lists(st.tuples(_numerators, _denominators).map(lambda nd: Fraction(*nd)), max_size=4),
+)
+
+
+def _square(data, n):
+    return [[data.draw(_entry_coeffs) for _ in range(n)] for _ in range(n)]
+
+
+def _entry(algebra, fracs, k):
+    """A payload of the algebra with these coefficients; an empty list is
+    the shared zero, or for odd k a zero built afresh."""
+    if not fracs:
+        return algebra.zero() if k % 2 == 0 else algebra.parse_payload([])
+    p = _poly(fracs)
+    return p if algebra.modulus is None else QuotElem(algebra.modulus, p)
+
+
+@pytest.mark.parametrize("name", sorted(_NF_ALGEBRAS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matrix_products_and_images_hold_the_reduced_form(name, data):
+    m = _NF_ALGEBRAS[name]
+    algebra = PolyAlgebra() if m is None else QuotientAlgebra(_poly(m))
+    reduce = (lambda fracs: fracs) if m is None else (lambda fracs: _fraction_rem(fracs, m))
+    n = data.draw(st.integers(1, 3), label="n")
+    fa, fb = _square(data, n), _square(data, n)
+    a = FilteredMatrix(algebra, [[_entry(algebra, fa[i][j], i + j) for j in range(n)]
+                                 for i in range(n)])
+    b = FilteredMatrix(algebra, [[_entry(algebra, fb[i][j], i * j) for j in range(n)]
+                                 for i in range(n)])
+    ra = [[reduce(_fracs(_poly(c))) for c in row] for row in fa]
+    rb = [[reduce(_fracs(_poly(c))) for c in row] for row in fb]
+    product = a @ b
+    for i in range(n):
+        for j in range(n):
+            want = []
+            for k in range(n):
+                want = _schoolbook_sum(want, _schoolbook(ra[i][k], rb[k][j]), 1)
+            got = product.rows[i][j]
+            if m is None:
+                _assert_normal(got, want)
+                if not want:
+                    assert got is algebra.zero()
+            else:
+                _assert_normal_elem(got, reduce(want), algebra)
+    if m is not None:
+        h = QuotientHom(PolyAlgebra(), algebra)
+        source = FilteredMatrix(PolyAlgebra(), [[_entry(PolyAlgebra(), c, i + j)
+                                                 for j, c in enumerate(row)]
+                                                for i, row in enumerate(fa)])
+        image = h._apply_matrix(source)
+        for row, got_row in zip(fa, image.rows):
+            for c, got in zip(row, got_row):
+                _assert_normal_elem(got, _fraction_rem(_fracs(_poly(c)), m), algebra)
+
+
+@pytest.mark.parametrize("name", sorted(_NF_ALGEBRAS))
+def test_cancelling_product_entries_are_the_shared_zero(name):
+    # [p, p] times the column [q, -q] sums two nonzero products to zero.
+    m = _NF_ALGEBRAS[name]
+    algebra = PolyAlgebra() if m is None else QuotientAlgebra(_poly(m))
+    p = _entry(algebra, [Fraction(2 ** 63 + 1, 3), Fraction(-1, 2), Fraction(1)], 0)
+    q = _entry(algebra, [Fraction(1, 2 ** 127 - 1), Fraction(5)], 0)
+    z = algebra.zero()
+    product = FilteredMatrix(algebra, [[p, p], [z, p]]) @ FilteredMatrix(
+        algebra, [[q, z], [-q, q]])
+    assert product.rows[0][0] is z
+    assert product.rows[1][0] == -(p * q)
+    assert product.rows[0][1] == product.rows[1][1] == p * q
