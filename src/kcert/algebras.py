@@ -45,9 +45,10 @@ the one reduction mod m in kcert (see scalars.py).  A Q[x] or Q[x]/(m)
 entry already holds its integers over one denominator (see scalars.Poly),
 so an operand is read as it is, rescaling only the entries whose
 denominator differs from the lcm (_poly_rows), and each product entry is
-built reduced, with no decode.  The quotient hom keeps every entry of
-degree < deg m as it is and reduces the others one at a time by its
-apply_payload.
+built reduced, with no decode.  A Q[x]/(m) element is a Poly of degree
+< deg m, so the same Poly payload serves both rings; the modulus is held by
+the QuotientAlgebra alone.  The quotient hom keeps every entry of degree
+< deg m as it is and reduces the others one at a time.
 The Q and kernel products read every rational through Fraction's two slots
 ``_numerator`` and ``_denominator`` (see scalars.py), never by a Fraction
 method, and so do all of Kernel's arithmetic (a sum or product holds each
@@ -68,11 +69,12 @@ A full propagation unit is u = lam * 1 + N with N strictly upper
 triangular in the point order; u^-1 is built by back substitution, last
 point first (_upper_unit_inverse), each entry summed as an unreduced
 integer pair and built once by ``_reduced``.  Over Q[x]/(m) a drawn
-representative is inverted by QuotElem.invert, a Bareiss solve of the
-integer multiplication-by-rep system that rejects exactly the non-units.  An
-elementary row or column operation adds y * a per touched entry
-(_add_multiple): over Q as one integer sum over x.den * y.den * a.den and
-one reduced rational, read from and built on the slots, and on the other
+representative is inverted by ``scalars._quot_inverse``, a Bareiss solve
+of the integer multiplication-by-rep system that rejects exactly the
+non-units.  An elementary row or column operation adds y * a per touched
+entry (_add_multiple): over Q as one integer sum over x.den * y.den * a.den
+and one reduced rational, read from and built on the slots, over Q[x]/(m)
+as x plus the remainder of the Q[x] product y * a, and on the other
 carriers as the payloads' own x + y * a.  An exact inverse is unique, so
 the draws do not depend on how it is computed.
 """
@@ -84,12 +86,12 @@ from operator import eq, neg
 from .scalars import (
     NotInvertible,
     Poly,
-    QuotElem,
     R0,
     R1,
     Rat,
     _negated,
     _poly_of,
+    _quot_inverse,
     _reciprocal,
     _reduce_ints,
     _reduced,
@@ -549,7 +551,9 @@ class PolyAlgebra(LocalizedAlgebra):
 
 class QuotientAlgebra(LocalizedAlgebra):
     """Q[x]/(m) for a monic modulus m of degree >= 1, the overlap of a
-    quotient pullback; every element sits at max_level."""
+    quotient pullback; every element sits at max_level.  An element is its
+    reduced representative, a Poly of degree < deg m, and the modulus is
+    held here only."""
 
     __slots__ = ("modulus", "_m_int")
     kind = "quotient-pullback-leg"
@@ -557,46 +561,50 @@ class QuotientAlgebra(LocalizedAlgebra):
     def __init__(self, modulus, max_level=DEFAULT_MAX_LEVEL):
         if modulus.degree < 1 or not modulus.is_monic():
             raise ValueError("modulus must be monic of degree >= 1")
-        # 1 has degree 0 < deg m, so it is its own reduced representative.
-        super().__init__(
-            max_level,
-            QuotElem._reduced(modulus, Poly.zero()),
-            QuotElem._reduced(modulus, Poly.one()),
-            (modulus.nums, modulus.den),
-        )
+        # 0 and 1 have degree < deg m, so each is its own representative.
+        super().__init__(max_level, Poly.zero(), Poly.one(), (modulus.nums, modulus.den))
         self.modulus = modulus
         # e * m with integer coefficients, e = den the lcm of m's denominators.
         self._m_int = list(modulus.nums)
 
     def from_rational(self, value):
-        return QuotElem(self.modulus, Poly.const(rat(value)))
+        return Poly.const(rat(value))
 
     def accepts(self, payload):
-        return isinstance(payload, QuotElem) and payload.modulus == self.modulus
+        return isinstance(payload, Poly) and len(payload.nums) <= self.modulus.degree
 
     def encode_payload(self, payload):
-        return [encode_rational(c) for c in payload.rep.coeffs]
+        return [encode_rational(c) for c in payload.coeffs]
 
     def parse_payload(self, obj):
-        return QuotElem(self.modulus, _parse_poly(obj))
+        p = _parse_poly(obj)
+        return p if len(p.nums) <= self.modulus.degree else _remainder(p, self._m_int)
 
     def describe(self):
         return dict(super().describe(), modulus=[encode_rational(c) for c in self.modulus.coeffs])
 
     def _random_payload(self, sampler):
-        return QuotElem(self.modulus, _random_poly(sampler, 2))
+        p = _random_poly(sampler, 2)
+        return p if len(p.nums) <= self.modulus.degree else _remainder(p, self._m_int)
 
     def _random_unit(self, sampler):
         modulus = self.modulus
         for _ in range(64):
-            e = QuotElem._reduced(modulus, _random_poly(sampler, modulus.degree - 1))
-            if not e.rep.nums:
+            e = _random_poly(sampler, modulus.degree - 1)
+            if not e.nums:
                 continue
             try:
-                return e, e.invert()
+                return e, _quot_inverse(e, modulus)
             except NotInvertible:
                 continue
         return self.one(), self.one()
+
+    def _add_multiple(self, a, left=False):
+        """x + y * a reduced mod m, the same on both sides since Q[x]/(m) is
+        commutative: the one place a payload product must be the quotient
+        product."""
+        m_int = self._m_int
+        return lambda x, y: x + _remainder(y * a, m_int)
 
     def _product(self, a, b):
         return _poly_product(a, b)
@@ -671,30 +679,19 @@ class QuotientHom(FilteredHom):
 
     def apply_payload(self, payload):
         """The remainder of payload mod m, by integer pseudo-division over
-        the target's integer form of m, or the target's shared zero."""
-        target = self.target
-        rep = _remainder(payload, target._m_int)
-        return QuotElem._reduced(target.modulus, rep) if rep.nums else target.zero()
+        the target's integer form of m; a zero remainder is the shared zero."""
+        return _remainder(payload, self.target._m_int)
 
     def section_payload(self, payload):
-        return payload.rep
+        return payload
 
     def _apply_matrix(self, m):
-        """Entries of degree < deg m are kept as they are, under the target's
-        shared zero when they are zero; only the others are read as integers
-        and reduced (apply_payload)."""
-        target = self.target
-        modulus = target.modulus
-        dm = modulus.degree
-        zero = target.zero()
-        keep = QuotElem._reduced
+        """Entries of degree < deg m are kept as they are; only the others
+        are read as integers and reduced (apply_payload)."""
+        dm = self.target.modulus.degree
         reduce = self.apply_payload
-        return m._raw(target, tuple([
-            tuple([
-                (keep(modulus, p) if len(p.nums) <= dm else reduce(p)) if p.nums else zero
-                for p in row
-            ])
-            for row in m.rows
+        return m._raw(self.target, tuple([
+            tuple([p if len(p.nums) <= dm else reduce(p) for p in row]) for row in m.rows
         ]))
 
 
@@ -838,12 +835,10 @@ def _kernel_product(a, b, algebra):
     return tuple(out)
 
 
-def _poly_rows(rows, quotient):
+def _poly_rows(rows):
     """Per row the (column, integer coefficients) of each nonzero Q[x] or
     Q[x]/(m) entry, over den, the lcm of the entry denominators: an entry
     over den is read as it is, and only the others are rescaled."""
-    if quotient:
-        rows = [[e.rep for e in row] for row in rows]
     den = lcm(*{p.den for row in rows for p in row})
     return [
         [(j, p.nums if p.den == den else [c * (den // p.den) for c in p.nums])
@@ -859,10 +854,9 @@ def _poly_product(a, b):
     gcd of its denominator and coefficients; a zero is the algebra's shared
     zero."""
     algebra = a.algebra
-    modulus = algebra.modulus
-    quotient = modulus is not None
-    na, da = _poly_rows(a.rows, quotient)
-    nb, db = _poly_rows(b.rows, quotient)
+    quotient = algebra.modulus is not None
+    na, da = _poly_rows(a.rows)
+    nb, db = _poly_rows(b.rows)
     d = da * db
     if quotient:
         m_int = algebra._m_int
@@ -888,8 +882,7 @@ def _poly_product(a, b):
             if c is None:
                 entries.append(zero)
             elif quotient:
-                poly = _poly_of(c, d * _reduce_ints(c, m_int))
-                entries.append(QuotElem._reduced(modulus, poly) if poly.nums else zero)
+                entries.append(_poly_of(c, d * _reduce_ints(c, m_int)))
             else:
                 entries.append(_poly_of(c, d))
         out.append(tuple(entries))

@@ -11,9 +11,15 @@ failed, 2 spec error or a report that cannot be written.
 A JSON report is the text ``json.dumps(report, sort_keys=True, indent=2)``
 gives, written by ``_json_text`` instead: with ``indent`` set, Python's
 ``json`` runs its pure-Python encoder, about twice as slow on a boundary
-report.  Strings go through the same C escaper ``json`` uses."""
+report.  Strings go through the same C escaper ``json`` uses.
+
+A spec is read under Python's limit on the digits of an integer converted
+from text (an integer past it is a spec error), but the exact numbers a run
+derives from the spec may pass that limit: the run and its report are built
+with the limit lifted, and it is restored afterwards."""
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import sys
@@ -199,6 +205,21 @@ COMMANDS = {
 }
 
 
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift Python's limit on the digits of an integer converted to or from
+    text for the block, and restore it afterwards.  Where Python has no
+    limit, or it is lifted already, there is nothing to do."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 @functools.cache
 def _parser():
     """The argument parser, built on the first ``main`` call and reused:
@@ -225,13 +246,14 @@ def main(argv=None):
     started = time.monotonic()
     try:
         data = read_spec(args.spec)
-        report = COMMANDS[args.subcommand][0](args, SpecDocument.from_bytes(data))
-        report["command"]["spec_sha256"] = hashlib.sha256(data).hexdigest()
+        doc = SpecDocument.from_bytes(data)
+        with _int_digits_unlimited():
+            report = COMMANDS[args.subcommand][0](args, doc)
+            report["command"]["spec_sha256"] = hashlib.sha256(data).hexdigest()
+            _emit(report, args.format, args.report)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    try:
-        _emit(report, args.format, args.report)
     except OSError as exc:
         print(f"cannot write report: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,5 @@
-"""Exact scalar layer: rationals, univariate polynomials and quotient-ring
-elements over the rationals.
+"""Exact scalar layer: rationals and univariate polynomials over the
+rationals, and the reduction and inverse of Q[x]/(m).
 
 The rational type is ``fractions.Fraction``, exported as ``Rat``: immutable,
 always reduced, with a positive denominator, printing as "num/den"
@@ -13,13 +13,17 @@ gcd(den, *nums) = 1.  Sums, differences, negation, equality and products
 work on these integers, and each result is reduced by one gcd of its
 denominator and coefficients (``_poly_of``); no coefficient becomes a
 rational.  ``coeffs`` decodes the reduced rationals for the encoders and
-``__str__``.  Q[x]/(m) has one reduction, integer pseudo-division
-(``_reduce_ints``): ``_remainder`` reduces a Poly's integers by it, for
-QuotElem's constructor and product and for the quotient hom, and the matrix
-product kernel reduces each entry's integer list the same way.  An inverse
-in Q[x]/(m) is computed over the integers as well: QuotElem.invert solves
-the multiplication-by-rep system by Bareiss elimination, with no Euclid
-loop over rational coefficients.
+``__str__``.
+
+An element of Q[x]/(m) is its reduced representative, a Poly of degree
+< deg m; the modulus is held once, by its algebra.  Q[x]/(m) has one
+reduction, integer pseudo-division (``_reduce_ints``): ``_remainder``
+reduces a Poly's integers by it, for the quotient ring's parse, draws and
+row operation and for the quotient hom, and the matrix product kernel
+reduces each entry's integer list the same way.  An inverse in Q[x]/(m) is
+computed over the integers as well: ``_quot_inverse`` solves the
+multiplication-by-rep system by Bareiss elimination, with no Euclid loop
+over rational coefficients.
 
 Every rational that a kernel decodes from integers it computed, and every
 nonzero "p/q" that ``parse_rational`` reads from a spec (a zero is the
@@ -39,9 +43,9 @@ the Q and kernel product kernels, the Q row operation, Q-matrix equality
 and negation, Kernel's arithmetic, the propagation unit inverse and the
 build of a propagation algebra, so a verify request over kernels, and an
 exactness or boundary request, calls no function of fractions.py.  Poly
-arithmetic, QuotElem's and the Q[x] and Q[x]/(m) product kernel read no
-rational at all.  A test pins ``Rat.__slots__``, and guards count the calls
-and the ``coeffs`` decodes.
+arithmetic, the Q[x]/(m) reduction and inverse and the Q[x] and Q[x]/(m)
+product kernel read no rational at all.  A test pins ``Rat.__slots__``, and
+guards count the calls and the ``coeffs`` decodes.
 """
 
 import re
@@ -92,7 +96,7 @@ def _negated(v):
 
 
 class NotInvertible(Exception):
-    """Raised when a quotient-ring element has no multiplicative inverse."""
+    """Raised when an element of Q[x]/(m) has no multiplicative inverse."""
 
 
 def rat(value, den=None):
@@ -344,99 +348,39 @@ def _bareiss_solve(rows):
     return xs, det
 
 
-class QuotElem:
-    """Element of Q[x]/(m) for a monic modulus m of degree >= 1, stored as
-    the reduced representative.  The modulus is not checked here: every
-    element is built with the modulus of a QuotientAlgebra, which checked
-    it."""
+def _quot_inverse(rep, modulus):
+    """The inverse of rep, a Poly of degree < deg m, in Q[x]/(m) for a
+    monic modulus m, or NotInvertible when rep is zero or shares a factor
+    with m.
 
-    __slots__ = ("modulus", "rep")
-
-    def __init__(self, modulus, rep):
-        self.modulus = modulus
-        if rep.degree >= modulus.degree:
-            rep = _remainder(rep, modulus.nums)
-        self.rep = rep
-
-    @classmethod
-    def _reduced(cls, modulus, rep):
-        e = object.__new__(cls)
-        e.modulus = modulus
-        e.rep = rep
-        return e
-
-    def _check(self, other):
-        if not isinstance(other, QuotElem) or other.modulus != self.modulus:
-            raise ValueError("mixed quotient rings")
-
-    def __add__(self, other):
-        self._check(other)
-        return QuotElem._reduced(self.modulus, self.rep + other.rep)
-
-    def __sub__(self, other):
-        self._check(other)
-        return QuotElem._reduced(self.modulus, self.rep - other.rep)
-
-    def __neg__(self):
-        return QuotElem._reduced(self.modulus, -self.rep)
-
-    def __mul__(self, other):
-        self._check(other)
-        return QuotElem(self.modulus, self.rep * other.rep)
-
-    def __bool__(self):
-        return bool(self.rep)
-
-    def invert(self):
-        """Inverse in the quotient ring, or NotInvertible when the
-        representative shares a factor with the modulus.
-
-        The inverse s solves rep * s = 1 mod m, a d x d linear system over
-        the basis 1, x, ..., x^(d-1): column k is x^k * rep mod m.  Each
-        column is kept as integers times its own positive scale (the
-        denominator of rep, times e per pseudo-division step by a
-        non-integral m scaled to e * m), and the system is solved by
-        Bareiss elimination.  It is singular exactly when gcd(rep, m) != 1,
-        since its determinant is the resultant of m and rep."""
-        modulus = self.modulus
-        rep = self.rep
-        if len(rep.nums) == 1:
-            n = rep.nums[0]
-            inverse = _poly((-rep.den,), -n) if n < 0 else _poly((rep.den,), n)
-            return QuotElem._reduced(modulus, inverse)
-        d = modulus.degree
-        m_int = modulus.nums
-        scale = rep.den
-        col = list(rep.nums) + [0] * (d - len(rep.nums))
-        cols = [col]
-        scales = [scale]
-        for _ in range(1, d):
-            col = [0] + col
-            scale *= _reduce_ints(col, m_int)
-            cols.append(col)
-            scales.append(scale)
-        rows = [[c[r] for c in cols] + [0] for r in range(d)]
-        rows[0][d] = 1
-        solved = _bareiss_solve(rows)
-        if solved is None:
-            raise NotInvertible("representative shares a factor with the modulus")
-        xs, det = solved
-        if det < 0:
-            det = -det
-            xs = [-x for x in xs]
-        out = [x * k for x, k in zip(xs, scales)]
-        return QuotElem._reduced(modulus, _poly_of(out, det))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuotElem)
-            and (self.modulus is other.modulus or self.modulus == other.modulus)
-            and self.rep == other.rep
-        )
-
-    def __str__(self):
-        return f"[{self.rep}]"
-
-    def __repr__(self):
-        return f"QuotElem({self.modulus!r}, {self.rep!r})"
-
+    The inverse s solves rep * s = 1 mod m, a d x d linear system over the
+    basis 1, x, ..., x^(d-1): column k is x^k * rep mod m.  Each column is
+    kept as integers times its own positive scale (the denominator of rep,
+    times e per pseudo-division step by a non-integral m scaled to e * m),
+    and the system is solved by Bareiss elimination.  It is singular exactly
+    when gcd(rep, m) != 1, since its determinant is the resultant of m and
+    rep."""
+    if len(rep.nums) == 1:
+        n = rep.nums[0]
+        return _poly((-rep.den,), -n) if n < 0 else _poly((rep.den,), n)
+    d = modulus.degree
+    m_int = modulus.nums
+    scale = rep.den
+    col = list(rep.nums) + [0] * (d - len(rep.nums))
+    cols = [col]
+    scales = [scale]
+    for _ in range(1, d):
+        col = [0] + col
+        scale *= _reduce_ints(col, m_int)
+        cols.append(col)
+        scales.append(scale)
+    rows = [[c[r] for c in cols] + [0] for r in range(d)]
+    rows[0][d] = 1
+    solved = _bareiss_solve(rows)
+    if solved is None:
+        raise NotInvertible("representative shares a factor with the modulus")
+    xs, det = solved
+    if det < 0:
+        det = -det
+        xs = [-x for x in xs]
+    return _poly_of([x * k for x, k in zip(xs, scales)], det)

@@ -3,8 +3,8 @@
 The clutching and cover diagrams are read from the bundled specs; only what
 no spec holds is built here: a line of points as a propagation space, the
 three algebras the identity suite runs over, the trivial diagram with
-identity legs, scalar diagonals such as 2 and 1/2, and a space's radius
-schedule.  The CLI builds its
+identity legs, scalar diagonals such as 2 and 1/2, a space's radius
+schedule, and the product of two payloads in their algebra.  The CLI builds its
 algebras and diagrams from JSON specs alone."""
 
 from importlib import resources
@@ -20,6 +20,12 @@ from kcert.matrices import FilteredMatrix
 from kcert.mv import MVDiagram
 from kcert.scalars import Poly, rat
 from kcert.specdoc import SpecDocument
+
+
+def payload_product(algebra, a, b):
+    """a * b in the algebra: the one entry of a 1 x 1 matrix product, which
+    over Q[x]/(m) is the Q[x] product of the representatives reduced mod m."""
+    return (FilteredMatrix(algebra, ((a,),)) @ FilteredMatrix(algebra, ((b,),))).rows[0][0]
 
 
 def spec_path(name):

@@ -5,7 +5,7 @@ from importlib import resources
 from math import gcd
 
 import pytest
-from carriers import line_space, radius, scalar_diag, suite_algebras
+from carriers import line_space, payload_product, radius, scalar_diag, suite_algebras
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,7 @@ from kcert.algebras import (
     _upper_unit_inverse,
 )
 from kcert.identities import Sampler
-from kcert.matrices import FilteredMatrix, MatrixError, apply_hom_matrix
+from kcert.matrices import FilteredMatrix, MatrixError, apply_hom_matrix, elementary
 from kcert.scalars import Poly, parse_rational, rat
 from kcert.specdoc import parse_algebra, parse_diagram
 
@@ -157,16 +157,14 @@ def test_quotient_image_keeps_short_entries_and_reduces_long_ones(modulus):
         image = apply_hom_matrix(h, operand)
         # The short entries sit at columns 0 and 1 of rows 0 and 2.
         for r, c in ((0, 0), (0, 1), (2, 0), (2, 1)):
-            assert image.rows[r][c].rep is operand.rows[r][c]
+            assert image.rows[r][c] is operand.rows[r][c]
         for row, out in zip(operand.rows, image.rows):
             for p, q in zip(row, out):
-                if not p:
-                    assert q is h.target.zero()
-                elif p.degree < modulus.degree:
-                    assert q.rep is p
+                if p.degree < modulus.degree:
+                    assert q is p  # zeros too, the shared one and a fresh Poly([])
                 else:
                     assert q == h.apply_payload(p)
-                    assert q.rep.degree < modulus.degree
+                    assert q.degree < modulus.degree
                     if not q:
                         assert q is h.target.zero()
         assert image == FilteredMatrix(
@@ -182,7 +180,7 @@ def test_axiom4_and_linearity(all_algebras, kind):
     for _ in range(1000):
         a = sampler.payload(algebra)
         b = sampler.payload(algebra)
-        assert degree(a * b) >= max(0, min(degree(a), degree(b)) - 1)
+        assert degree(payload_product(algebra, a, b)) >= max(0, min(degree(a), degree(b)) - 1)
         assert degree(a + b) >= min(degree(a), degree(b))
 
 
@@ -200,7 +198,7 @@ def test_quotient_hom_and_section(quotient):
     x3 = Poly([0, 0, 0, 1])
     img = h.apply_payload(x3)
     assert quotient.accepts(img)
-    assert img.rep == Poly([0, 1])  # x^3 = x mod x^2 - 1
+    assert img == Poly([0, 1])  # x^3 = x mod x^2 - 1
     assert h.section_payload(quotient.one()) == Poly.one()
     assert h.apply_payload(h.section_payload(img)) == img
     assert quotient.degree(img) >= top.degree(x3)
@@ -246,7 +244,7 @@ def test_homs_are_unital_and_multiplicative(clutching, cover):
             for _ in range(100):
                 a = sampler.payload(hom.source)
                 b = sampler.payload(hom.source)
-                assert f(a * b) == f(a) * f(b)
+                assert f(a * b) == payload_product(hom.target, f(a), f(b))
                 assert f(a + b) == f(a) + f(b)
 
 
@@ -742,6 +740,19 @@ def test_propagation_membership(propagation):
     assert not diagonal.accepts(Kernel({(0, 3): rat(1)}))
     assert not propagation.accepts(Kernel({(0, 4): rat(1)}))
     assert not propagation.accepts(rat(1))
+
+
+def test_quotient_membership(quotient):
+    # An element of Q[x]/(m) is its representative, a Poly of degree
+    # < deg m; a longer Poly is no element, and elementary rejects it.
+    for rep in (Poly.zero(), Poly.one(), Poly([rat(-1, 2), rat(5, 3)])):
+        assert quotient.accepts(rep)
+    for long in (Poly([0, 0, 1]), Poly([-1, 0, 1]), Poly([0, 0, 0, 1])):
+        assert not quotient.accepts(long)
+        with pytest.raises(MatrixError, match="entry not in the algebra"):
+            elementary(quotient, 2, 0, 1, long)
+        assert quotient.accepts(QuotientHom(PolyAlgebra(), quotient).apply_payload(long))
+    assert not quotient.accepts(rat(1))
 
 
 def test_trivial_algebra_constructor():

@@ -35,11 +35,11 @@ from kcert.mv import (
     DoubleMismatch,
     glue_idempotents,
 )
-from kcert.scalars import Poly, QuotElem, rat
+from kcert.scalars import Poly, rat
 
 
 def _x_cert(diagram):
-    x_cls = QuotElem(diagram.lambda_prime.modulus, Poly([0, 1]))
+    x_cls = Poly([0, 1])
     m = FilteredMatrix(diagram.lambda_prime, ((x_cls,),))
     return InvertibleCert(m, m).verify()
 
@@ -144,7 +144,7 @@ def test_extended_reduces_to_second_form(clutching, sampler):
 def test_extended_block_diagonal(clutching):
     # m = 1, n = 1, U = diag(2, x): commutes with diag(0, 1)
     lp = clutching.lambda_prime
-    x_cls = QuotElem(lp.modulus, Poly([0, 1]))
+    x_cls = Poly([0, 1])
     two = lp.from_rational(rat(2))
     half = lp.from_rational(rat(1, 2))
     z = lp.zero()
@@ -221,7 +221,7 @@ def test_p_and_closed_form_match_the_products_by_e(clutching, sampler, size, m):
 
 def test_commuting_condition_rejected(clutching):
     lp = clutching.lambda_prime
-    x_cls = QuotElem(lp.modulus, Poly([0, 1]))
+    x_cls = Poly([0, 1])
     one = lp.one()
     z = lp.zero()
     u = InvertibleCert(

@@ -12,7 +12,7 @@ import kcert
 from kcert.cli import _json_text, main
 from kcert.identities import IDENTITY_NAMES
 from kcert.matrices import FilteredMatrix
-from kcert.scalars import Poly, QuotElem, rat
+from kcert.scalars import Poly, rat
 from kcert.specdoc import SpecDocument, SpecError
 
 
@@ -267,13 +267,13 @@ def test_verify_fails_every_identity_whose_product_drops_its_level(capsys, monke
 
 def test_verify_prints_quotient_residuals(tmp_path, capsys, monkeypatch):
     # A failed sample prints its residual's str: over Q[x]/(m) an element is
-    # its representative in brackets, a polynomial with its zero
-    # coefficients left out.  Every product gets -2x added at (0, 0).
+    # its representative, a polynomial printed with its zero coefficients
+    # left out.  Every product gets -2x added at (0, 0).
     product = FilteredMatrix.__matmul__
 
     def shifted(self, other):
         rows = [list(row) for row in product(self, other).rows]
-        rows[0][0] = rows[0][0] + QuotElem(self.algebra.modulus, Poly([0, -2]))
+        rows[0][0] = rows[0][0] + Poly([0, -2])
         return FilteredMatrix(self.algebra, rows)
 
     monkeypatch.setattr(FilteredMatrix, "__matmul__", shifted)
@@ -285,9 +285,9 @@ def test_verify_prints_quotient_residuals(tmp_path, capsys, monkeypatch):
     assert code == 1
     failures = [line for line in out.splitlines() if line.startswith("  failure: ")]
     assert failures == [f"  failure: mismatch at {at}, residual {residual}" for at, residual in (
-        ((0, 0), "[-2*x]"), ((0, 0), "[-4*x]"), ((1, 1), "[4*x]"), ((0, 0), "[-2*x]"),
-        ((0, 0), "[-24/77 + -46/77*x]"), ((0, 0), "[1 + -2*x]"), ((0, 0), "[-2*x]"),
-        ((0, 0), "[-2*x]"), ((0, 0), "[-6*x]"), ((0, 0), "[4 + -29/3*x]"), ((0, 0), "[-1*x]"),
+        ((0, 0), "-2*x"), ((0, 0), "-4*x"), ((1, 1), "4*x"), ((0, 0), "-2*x"),
+        ((0, 0), "-24/77 + -46/77*x"), ((0, 0), "1 + -2*x"), ((0, 0), "-2*x"),
+        ((0, 0), "-2*x"), ((0, 0), "-6*x"), ((0, 0), "4 + -29/3*x"), ((0, 0), "-1*x"),
     )]
     # Forms these residuals do not show: zero, x itself and higher powers.
     assert [str(Poly(cs)) for cs in ([], [0, 1], [1, 0, rat(-1, 2)], [0, 0, 0, 1])] == [
@@ -340,6 +340,36 @@ def test_integer_too_long_to_read_is_spec_error(tmp_path, capsys, digits):
     code, _, err = run_cli(capsys, "verify", "--spec", str(path))
     assert code == 2
     assert err.startswith("spec error: spec is not valid JSON: ")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python writes integers of any length"
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_integers_past_the_digit_limit_are_written(tmp_path, capsys, fmt):
+    # U = x is its own inverse mod x^2 - 1, and A = B = x + 10^3000 (x^2 - 1)
+    # lift it.  Every spec integer has at most 3,001 digits, within the
+    # limit a spec is read under, but the report's products of the lifts
+    # reach 6,001.  They are written in full, as under
+    # -X int_max_str_digits=0, and the limit is restored after the run.
+    with open(spec_path("quotient_clutching.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    big = str(10 ** 3000)
+    lift = {"algebra": "lambda1", "size": 1, "entries": [[["-" + big, "1", big]]]}
+    doc["matrices"] = {"U": doc["matrices"]["U"], "A": lift, "B": lift}
+    doc["command"] = {"name": "boundary", "u": "U", "lift_a": "A", "lift_b": "B"}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "boundary", "--spec", str(path), "--format", fmt)
+    assert (code, err.startswith("wall-clock: ")) == (0, True)
+    assert sys.get_int_max_str_digits() == limit
+    if fmt == "text":
+        assert out.endswith("result: pass\n")
+    else:
+        report = json.loads(out)
+        assert report["result"] == "pass"
+        assert max(len(token) for token in out.split('"')) > 6000
 
 
 def test_non_utf8_spec_is_spec_error(tmp_path, capsys):

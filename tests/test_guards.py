@@ -94,7 +94,7 @@ from kcert.drivers import boundary_report
 from kcert.identities import Sampler
 from kcert.kclasses import ExactnessReport
 from kcert.matrices import FilteredMatrix, InvertibleCert
-from kcert.scalars import Poly, QuotElem, rat
+from kcert.scalars import Poly, rat
 from kcert.specdoc import SpecDocument
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -407,7 +407,7 @@ BOUNDARY_M1_PRODUCTS = 23
 def test_extended_boundary_product_count(probe):
     diagram = clutching_diagram()
     lp, l1 = diagram.lambda_prime, diagram.lambda1
-    x = QuotElem(lp.modulus, Poly([0, 1]))
+    x = Poly([0, 1])
     two, half, z = lp.from_rational(rat(2)), lp.from_rational(rat(1, 2)), lp.zero()
     u = InvertibleCert(FilteredMatrix(lp, ((two, z), (z, x))),
                        FilteredMatrix(lp, ((half, z), (z, x))))
@@ -491,7 +491,7 @@ def slot_paths():
             PropagationAlgebra._level_of, PropagationAlgebra.describe,
             QuotientAlgebra.describe, QuotientHom.apply_payload, Poly.__init__, Poly.const,
             Poly.is_monic, Poly.__add__, Poly.__sub__, scalars._remainder,
-            scalars._poly_of, QuotElem.invert,
+            scalars._poly_of, scalars._quot_inverse,
             FilteredMatrix.__eq__, FilteredMatrix.__neg__, FilteredMatrix.first_mismatch,
             Sampler.invertible,
         )
@@ -1152,14 +1152,6 @@ LINE_ALLOWLIST = {
          "parts.append(str(c))", "elif i == 1:",
          'parts.append(f"{c}*x" if c != R1 else "x")',
          'parts.append(f"{c}*x^{i}" if c != R1 else f"x^{i}")', 'return " + ".join(parts)'),
-        "a residual's text, printed when a verify sample fails "
-        "(test_cli.py::test_verify_prints_quotient_residuals)"),
-    "scalars.QuotElem._check": (
-        ('raise ValueError("mixed quotient rings")',),
-        "elements of two rings would be added or multiplied by one modulus "
-        "(test_scalars.py::test_quot_arithmetic_needs_one_ring)"),
-    "scalars.QuotElem.__str__": (
-        ('return f"[{self.rep}]"',),
         "a residual's text, printed when a verify sample fails "
         "(test_cli.py::test_verify_prints_quotient_residuals)"),
     "specdoc.SpecDocument.from_bytes": (

@@ -41,7 +41,7 @@ from kcert.matrices import (
     split2,
 )
 from kcert.mv import DoubleMatrix, DoubleMismatch, normalize_difference
-from kcert.scalars import Poly, QuotElem, rat
+from kcert.scalars import Poly, rat
 from test_matrices import sampled_idempotent
 
 
@@ -51,7 +51,7 @@ def factors(cert):
 
 
 def _x_cert(diagram):
-    x_cls = QuotElem(diagram.lambda_prime.modulus, Poly([0, 1]))
+    x_cls = Poly([0, 1])
     m = FilteredMatrix(diagram.lambda_prime, ((x_cls,),))
     return InvertibleCert(m, m).verify()
 
@@ -121,7 +121,7 @@ def test_segments_on_cover(cover):
 
 def test_i_after_boundary_extended_variant(clutching):
     lp = clutching.lambda_prime
-    x_cls = QuotElem(lp.modulus, Poly([0, 1]))
+    x_cls = Poly([0, 1])
     z = lp.zero()
     two = lp.from_rational(rat(2))
     half = lp.from_rational(rat(1, 2))
@@ -389,6 +389,33 @@ def test_k0_middle_bad_witness_is_named_and_never_glued(clutching, monkeypatch):
     assert [c["name"] for c in report.checks if not c["ok"]] == [
         "witness: stabilized images conjugate"
     ]
+
+
+@pytest.mark.parametrize("name", ["clutching", "cover"])
+def test_k0_middle_with_a_nonzero_padding_idempotent(name, request, monkeypatch):
+    # gen_k0_middle pads with xi = 0, where the padding trivializer's
+    # c e c^-1 and e c c^-1 are both the scalar block e = 0 + 1, so that
+    # line cannot see its product order.  xi = [[1, 1], [0, 0]] is an
+    # idempotent with xi + (1 - xi) != e; the sampled witness v + 1, padded
+    # by one more 1, still conjugates the xi-stabilized images, and the
+    # segment passes every line and glues.
+    results = []
+
+    def padded(diagram, d1, d2, witness):
+        lam = diagram.lambda_prime
+        one, z = lam.one(), lam.zero()
+        xi = IdempotentCert(FilteredMatrix(lam, ((one, one), (z, z)))).verify()
+        results.append(exactness_k0_middle(diagram, d1, d2, K0MiddleWitness(xi, witness.v.pad(1))))
+        return results[-1]
+
+    monkeypatch.setattr(drivers, "exactness_k0_middle", padded)
+    for seed in range(4):
+        assert gen_k0_middle(request.getfixturevalue(name), Sampler(seed)).passed
+    for pre, report in results:
+        assert pre is not None
+        assert [c["name"] for c in report.checks] == [
+            "witness: stabilized images conjugate", "padding trivializer"]
+        assert report.passed
 
 
 def test_k0_middle_bad_padding_is_named_and_never_glued(clutching, monkeypatch):

@@ -1,9 +1,9 @@
 from fractions import Fraction
 from math import gcd
-from operator import add, sub
+from operator import add, matmul, sub
 
 import pytest
-from carriers import line_space, scalar_diag, suite_algebras
+from carriers import line_space, payload_product, scalar_diag, suite_algebras
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +36,7 @@ from kcert.matrices import (
 )
 from kcert.identities import Sampler
 from kcert.mv import DoubleMatrix
-from kcert.scalars import R0, Poly, QuotElem, parse_rational, rat
+from kcert.scalars import R0, Poly, _remainder, parse_rational, rat
 
 
 def sampled_idempotent(sampler, algebra, n):
@@ -88,6 +88,15 @@ def test_size_and_algebra_mismatch(trivial, quotient, sampler):
     c = sampler.matrix(quotient, 2)
     with pytest.raises(ValueError):
         a @ c
+    # One representative over x^2 - 1 and over x^2 + 1: elements of two
+    # rings, which no operation mixes and == tells apart.
+    other = QuotientAlgebra(Poly([1, 0, 1]))
+    rows = ((Poly([0, 1]),),)
+    d, e = FilteredMatrix(quotient, rows), FilteredMatrix(other, rows)
+    for op in (add, sub, matmul, FilteredMatrix.first_mismatch):
+        with pytest.raises(MatrixError, match="algebra mismatch"):
+            op(d, e)
+    assert d != e and e != d
 
 
 def test_sub_block_must_be_square(trivial, sampler):
@@ -152,7 +161,7 @@ def test_level_laws(kind, sampler):
 
 
 def test_elementary_laws(quotient):
-    x = Poly([0, 1])
+    x2 = Poly([0, 0, 1])  # in Q[x], but no representative mod x^2 - 1
     alg = quotient
     xe = alg.parse_payload(["0", "1"])
     e = elementary(alg, 3, 0, 2, xe)
@@ -166,7 +175,7 @@ def test_elementary_laws(quotient):
     with pytest.raises(MatrixError, match="off-diagonal"):
         elementary(alg, 3, 0, 3, alg.one())
     with pytest.raises(MatrixError, match="not in the algebra"):
-        elementary(alg, 3, 0, 1, x)
+        elementary(alg, 3, 0, 1, x2)
 
 
 def test_check_idempotent(trivial):
@@ -373,9 +382,11 @@ PARITY_ALGEBRAS = {
 
 def dense_product(a, b):
     """Textbook triple loop: every entry is zero + the sum over all k of
-    a[i][k] * b[k][j], zero terms included."""
+    a[i][k] * b[k][j], zero terms included; over Q[x]/(m) the sum of the
+    representatives' Q[x] products is reduced mod m once, at the end."""
     n = a.n
-    zero = a.algebra.zero()
+    algebra = a.algebra
+    zero = algebra.zero()
     rows = []
     for i in range(n):
         row = []
@@ -383,9 +394,11 @@ def dense_product(a, b):
             acc = zero
             for k in range(n):
                 acc = acc + a.rows[i][k] * b.rows[k][j]
+            if isinstance(algebra, QuotientAlgebra):
+                acc = _remainder(acc, algebra.modulus.nums)
             row.append(acc)
         rows.append(row)
-    return FilteredMatrix(a.algebra, rows)
+    return FilteredMatrix(algebra, rows)
 
 
 def assert_same_entries(got, want):
@@ -434,14 +447,14 @@ def test_zero_divisor_products_cancel_to_zero():
     algebra = suite_algebras()["quotient"]
     x_minus_1 = algebra.parse_payload(["-1", "1"])
     x_plus_1 = algebra.parse_payload(["1", "1"])
-    assert not x_minus_1 * x_plus_1
+    assert not payload_product(algebra, x_minus_1, x_plus_1)
     for n in range(1, 5):
         a = FilteredMatrix(algebra, [[x_minus_1] * n] * n)
         b = FilteredMatrix(algebra, [[x_plus_1] * n] * n)
         product = a @ b
         assert_same_entries(product, dense_product(a, b))
         assert product.is_zero()
-        assert all(isinstance(p, QuotElem) for row in product.rows for p in row)
+        assert all(p is algebra.zero() for row in product.rows for p in row)
 
 
 def test_cancelling_sums_give_zero():
@@ -514,7 +527,8 @@ def assert_add_multiple(algebra, a, xs, ys):
         for y in ys:
             if not y:
                 continue
-            for got, want in ((col(x, y), x + y * a), (row(x, y), x + a * y)):
+            for got, want in ((col(x, y), x + payload_product(algebra, y, a)),
+                              (row(x, y), x + payload_product(algebra, a, y))):
                 assert got == want and type(got) is type(want)
                 assert_canonical(got, algebra)
 
@@ -579,7 +593,7 @@ def _payloads(algebra):
     divisors = st.builds(
         lambda c, s: Poly([c, c * s]), _scalars.filter(bool), st.sampled_from((1, -1))
     )
-    return st.one_of(_polys, divisors).map(lambda p: QuotElem(m, p))
+    return st.one_of(_polys, divisors).map(lambda p: _remainder(p, m.nums))
 
 
 @st.composite
@@ -598,8 +612,6 @@ def _operands(draw, algebra, payloads=None):
 
 
 def _coefficients(payload):
-    if isinstance(payload, QuotElem):
-        payload = payload.rep
     if isinstance(payload, Poly):
         return payload.coeffs
     if isinstance(payload, Kernel):
@@ -610,9 +622,8 @@ def _coefficients(payload):
 def assert_canonical(payload, algebra):
     for c in _coefficients(payload):
         assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
-    if isinstance(payload, QuotElem):
-        assert payload.rep.degree < algebra.modulus.degree
-        payload = payload.rep
+    if isinstance(algebra, QuotientAlgebra):
+        assert payload.degree < algebra.modulus.degree
     if isinstance(payload, Poly):
         assert not payload.coeffs or payload.coeffs[-1]
         assert payload.den > 0 and gcd(payload.den, *payload.nums) == 1

@@ -24,12 +24,12 @@ from kcert.mv import (
     normalize_difference,
     whitehead_lift,
 )
-from kcert.scalars import Poly, QuotElem, rat
+from kcert.scalars import Poly, rat
 from test_matrices import sampled_idempotent
 
 
 def _x_cert(diagram):
-    x_cls = QuotElem(diagram.lambda_prime.modulus, Poly([0, 1]))
+    x_cls = Poly([0, 1])
     m = FilteredMatrix(diagram.lambda_prime, ((x_cls,),))
     return InvertibleCert(m, m).verify()
 

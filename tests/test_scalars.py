@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from carriers import payload_product
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,11 +12,12 @@ from kcert.matrices import FilteredMatrix
 from kcert.scalars import (
     NotInvertible,
     Poly,
-    QuotElem,
     R0,
     Rat,
+    _quot_inverse,
     _reciprocal,
     _reduced,
+    _remainder,
     encode_rational,
     parse_rational,
     rat,
@@ -46,7 +48,7 @@ def poly_divmod(a, divisor):
 def poly_egcd(a, b):
     """Extended gcd by the Euclid loop over Fraction coefficients: returns
     (g, s, t) with s*a + t*b = g, g monic or zero.  The reference for
-    QuotElem.invert, whose inverse is s when g = 1."""
+    _quot_inverse, whose inverse is s when g = 1."""
     r0, r1 = a, b
     s0, s1 = Poly.one(), Poly.zero()
     t0, t1 = Poly.zero(), Poly.one()
@@ -201,41 +203,31 @@ def test_poly_basics():
 def test_quot_reduce_examples():
     m = Poly([-1, 0, 1])  # x^2 - 1
     x = Poly([0, 1])
-    assert QuotElem(m, x * x).rep == Poly.one()
-    assert QuotElem(m, x).rep == x
-    assert QuotElem(m, x * x * x + x).rep == Poly([0, 2])
-
-
-def test_quot_arithmetic_needs_one_ring():
-    x = Poly([0, 1])
-    a, b = QuotElem(Poly([-1, 0, 1]), x), QuotElem(Poly([1, 0, 1]), x)
-    for op in (QuotElem.__add__, QuotElem.__sub__, QuotElem.__mul__):
-        with pytest.raises(ValueError, match="mixed quotient rings"):
-            op(a, b)
+    assert _remainder(x * x, m.nums) == Poly.one()
+    assert _remainder(x, m.nums) == x
+    assert _remainder(x * x * x + x, m.nums) == Poly([0, 2])
 
 
 def test_quot_invert_examples():
     m = Poly([-1, 0, 1])
-    x_cls = QuotElem(m, Poly([0, 1]))
-    inv = x_cls.invert()
-    assert inv == x_cls  # x * x = x^2 = 1
-    assert QuotElem(m, Poly.one()).invert() == QuotElem(m, Poly.one())
+    x = Poly([0, 1])
+    assert _quot_inverse(x, m) == x  # x * x = x^2 = 1
+    assert _quot_inverse(Poly.one(), m) == Poly.one()
     with pytest.raises(NotInvertible):
-        QuotElem(m, Poly([-1, 1])).invert()  # gcd(x - 1, x^2 - 1) = x - 1
+        _quot_inverse(Poly([-1, 1]), m)  # gcd(x - 1, x^2 - 1) = x - 1
 
 
 @settings(max_examples=100)
 @given(st.lists(st.integers(-5, 5), min_size=0, max_size=4))
 def test_quot_invert_matches_egcd_oracle(coeffs):
     m = Poly([-1, 0, 1])
-    e = QuotElem(m, Poly(coeffs))
-    g, _, _ = poly_egcd(e.rep, m)
+    e = _remainder(Poly(coeffs), m.nums)
+    g, _, _ = poly_egcd(e, m)
     if g.degree == 0:
-        prod = e * e.invert()
-        assert prod.rep == Poly.one()
+        assert _remainder(e * _quot_inverse(e, m), m.nums) == Poly.one()
     else:
         with pytest.raises(NotInvertible):
-            e.invert()
+            _quot_inverse(e, m)
 
 
 def test_egcd_bezout():
@@ -250,7 +242,7 @@ def test_values_transmit_between_workers():
     # immutable values pickle and round-trip exactly
     import pickle
 
-    for v in (rat(3, 7), rat(-2 ** 80, 9), Poly([1, 0, 2]), QuotElem(Poly([-1, 0, 1]), Poly([0, 1]))):
+    for v in (rat(3, 7), rat(-2 ** 80, 9), Poly([1, 0, 2]), Poly([rat(-1, 3), 0, rat(5, 2)])):
         assert pickle.loads(pickle.dumps(v)) == v
 
 
@@ -337,10 +329,11 @@ def test_poly_negation_matches_fraction(a):
     assert -(-p) == p
 
 
-# -- Poly and QuotElem sums and differences against a schoolbook sum ---------
+# -- Poly sums and differences against a schoolbook sum ----------------------
 # Poly + and - build each coefficient from Fraction's slots; every result
 # must equal the Fraction sum, coefficient by coefficient, reduced and
-# stripped at the top, and so must QuotElem's, which add their reps.
+# stripped at the top.  So must the sums of representatives mod m, which are
+# the sums of Q[x]/(m) and equal the representative of the Q[x] sum.
 
 
 _SUM_MODULI = {
@@ -367,12 +360,12 @@ def _assert_sums_match(pa, pb):
     _assert_matches(pa + pb, _schoolbook_sum(a, b, 1))
     _assert_matches(pa - pb, _schoolbook_sum(a, b, -1))
     for m in _SUM_MODULI.values():
-        modulus = _poly(m)
-        ea, eb = QuotElem(modulus, pa), QuotElem(modulus, pb)
-        ra, rb = _fracs(ea.rep), _fracs(eb.rep)
-        for got, sign in ((ea + eb, 1), (ea - eb, -1)):
-            assert got.modulus is modulus
-            _assert_matches(got.rep, _schoolbook_sum(ra, rb, sign))
+        m_int = _poly(m).nums
+        ea, eb = _remainder(pa, m_int), _remainder(pb, m_int)
+        ra, rb = _fracs(ea), _fracs(eb)
+        for got, whole, sign in ((ea + eb, pa + pb, 1), (ea - eb, pa - pb, -1)):
+            _assert_matches(got, _schoolbook_sum(ra, rb, sign))
+            assert got == _remainder(whole, m_int)
 
 
 _BIG = Fraction(2 ** 127 - 1, 2 ** 63 + 1)
@@ -426,10 +419,10 @@ def test_poly_difference_is_sum_of_negation(a, b):
     assert pb - pa == -(pa - pb)
     assert (pa - pb) + pb == pa
     for m in _SUM_MODULI.values():
-        modulus = _poly(m)
-        ea, eb = QuotElem(modulus, pa), QuotElem(modulus, pb)
-        _assert_matches((ea - ea).rep, [])
-        assert ea - eb == ea + (-eb)
+        m_int = _poly(m).nums
+        ea, eb = _remainder(pa, m_int), _remainder(pb, m_int)
+        assert ea - eb == ea + (-eb) == _remainder(pa - pb, m_int)
+        assert -ea == _remainder(-pa, m_int)
 
 
 def test_poly_sum_examples():
@@ -444,7 +437,7 @@ def test_poly_sum_examples():
     _assert_matches(_poly([_BIG]) + _poly([-_BIG, _BIG]), [f(0), _BIG])
 
 
-# -- Poly and QuotElem equality against tuple-of-Fraction equality -----------
+# -- Poly equality against tuple-of-Fraction equality -------------------------
 # Poly.__eq__ compares Fraction's two slots directly; it must agree with
 # comparing the coefficient tuples as Fractions, however each side was built.
 
@@ -465,11 +458,10 @@ def _assert_eq_agrees(p, q):
     assert (p == q) is want and (q == p) is want
     assert (p != q) is not want
     for modulus in (Poly([-1, 0, 1]), Poly([rat(1, 3), rat(-1, 2), 0, 1])):
-        # Equal moduli that are distinct objects.
-        x, y = QuotElem(modulus, p), QuotElem(Poly(list(modulus.coeffs)), q)
-        assert x.modulus is not y.modulus
-        assert (x == y) is (x.rep.coeffs == y.rep.coeffs)
-    assert QuotElem(Poly([-1, 0, 1]), p) != QuotElem(Poly([1, 0, 1]), p)
+        # Representatives reduced by equal moduli that are distinct objects.
+        x = _remainder(p, modulus.nums)
+        y = _remainder(q, Poly(list(modulus.coeffs)).nums)
+        assert (x == y) is (x.coeffs == y.coeffs)
 
 
 @settings(max_examples=200)
@@ -526,11 +518,12 @@ _MODULI = {
 def test_quot_mul_matches_schoolbook(name, a, b):
     m = _MODULI[name]
     modulus = _poly(m)
-    ea, eb = QuotElem(modulus, _poly(a)), QuotElem(modulus, _poly(b))
-    expect = _fracs(poly_divmod(_poly(_schoolbook(_fracs(ea.rep), _fracs(eb.rep))), modulus)[1])
-    prod = ea * eb
-    _assert_matches(prod.rep, expect)
-    assert prod == QuotElem(modulus, _poly(expect))
+    algebra = QuotientAlgebra(modulus)
+    ea, eb = _remainder(_poly(a), modulus.nums), _remainder(_poly(b), modulus.nums)
+    expect = _fracs(poly_divmod(_poly(_schoolbook(_fracs(ea), _fracs(eb))), modulus)[1])
+    prod = payload_product(algebra, ea, eb)
+    _assert_matches(prod, expect)
+    assert prod == _remainder(ea * eb, modulus.nums) == _remainder(_poly(expect), modulus.nums)
 
 
 @settings(max_examples=100)
@@ -538,16 +531,18 @@ def test_quot_mul_matches_schoolbook(name, a, b):
 def test_quot_mul_zero_divisors_cancel(c, d):
     # (1 + x)(1 - x) = 1 - x^2 is zero modulo x^2 - 1, for any scalings
     modulus = Poly([-1, 0, 1])
-    prod = QuotElem(modulus, Poly([c, c])) * QuotElem(modulus, Poly([d, -d]))
-    _assert_matches(prod.rep, [])
-    assert prod == QuotElem(modulus, Poly.zero())
+    a, b = Poly([c, c]), Poly([d, -d])
+    prod = payload_product(QuotientAlgebra(modulus), a, b)
+    _assert_matches(prod, [])
+    assert prod is Poly.zero()
+    assert _remainder(a * b, modulus.nums) is Poly.zero()
 
 
 # -- The one reduction mod m against the long-division reference -------------
-# QuotElem's constructor and product and the quotient hom all reduce by
-# integer pseudo-division; each remainder must be the long division's,
-# coefficient by coefficient.  x^2 - 1/3 and x^3 - x/2 + 1/3 are not
-# integral, so each pseudo-division step scales by 3 or 6.
+# The quotient ring's parse, its product kernel and the quotient hom all
+# reduce by integer pseudo-division; each remainder must be the long
+# division's, coefficient by coefficient.  x^2 - 1/3 and x^3 - x/2 + 1/3 are
+# not integral, so each pseudo-division step scales by 3 or 6.
 
 
 _REDUCTION_MODULI = {
@@ -568,17 +563,17 @@ def test_reduction_mod_m_matches_long_division(name, coeffs):
     expect = _fracs(poly_divmod(a, modulus)[1])
     h = QuotientHom(PolyAlgebra(), QuotientAlgebra(modulus))
     image = h.apply_payload(a)
-    _assert_matches(QuotElem(modulus, a).rep, expect)
-    _assert_matches(image.rep, expect)
+    _assert_matches(image, expect)
+    _assert_matches(h.target.parse_payload([encode_rational(c) for c in coeffs]), expect)
+    _assert_matches(payload_product(h.target, h.target.one(), image), expect)
     if not expect:
         assert image is h.target.zero()
     if a:
         # A nonzero multiple of m reduces to zero, the target's shared one.
         assert h.apply_payload(a * modulus) is h.target.zero()
-        assert QuotElem(modulus, a * modulus).rep == Poly.zero()
 
 
-# -- QuotElem.invert against the Euclid reference -----------------------------
+# -- _quot_inverse against the Euclid reference ------------------------------
 
 
 _INVERT_MODULI = {
@@ -596,19 +591,20 @@ _monic = st.builds(
 
 
 def _assert_inverts_like_egcd(modulus, rep):
-    """QuotElem.invert returns the Euclid inverse, or raises NotInvertible
-    exactly when the reference finds a nonconstant gcd or rep is zero."""
-    e = QuotElem(modulus, rep)
-    g, s, _ = poly_egcd(e.rep, modulus)
+    """_quot_inverse returns the Euclid inverse of rep's representative, or
+    raises NotInvertible exactly when the reference finds a nonconstant gcd
+    or rep is zero mod m."""
+    e = _remainder(rep, modulus.nums)
+    g, s, _ = poly_egcd(e, modulus)
     if not e or g.degree != 0:
         with pytest.raises(NotInvertible):
-            e.invert()
+            _quot_inverse(e, modulus)
         return False
-    inv = e.invert()
-    expect = QuotElem(modulus, s)
-    _assert_matches(inv.rep, _fracs(expect.rep))
+    inv = _quot_inverse(e, modulus)
+    expect = _remainder(s, modulus.nums)
+    _assert_matches(inv, _fracs(expect))
     assert inv == expect
-    assert (e * inv).rep == Poly.one()
+    assert payload_product(QuotientAlgebra(modulus), e, inv) == Poly.one()
     return True
 
 
@@ -630,12 +626,15 @@ def test_quot_invert_rejects_multiples_of_a_factor(name, a, b):
     # rep * (anything) shares rep's factors with the modulus; over x^2 - 1
     # the factors 1 + x and 1 - x are zero divisors
     modulus = _poly(_INVERT_MODULI[name])
-    e = QuotElem(modulus, _poly(a)) * QuotElem(modulus, _poly(b))
-    if not _assert_inverts_like_egcd(modulus, e.rep):
+    algebra = QuotientAlgebra(modulus)
+    ea, eb = _remainder(_poly(a), modulus.nums), _remainder(_poly(b), modulus.nums)
+    e = payload_product(algebra, ea, eb)
+    if not _assert_inverts_like_egcd(modulus, e):
         return
     # a unit times a unit is a unit, and the inverse of a product is the
     # product of the inverses
-    assert e.invert() == QuotElem(modulus, _poly(a)).invert() * QuotElem(modulus, _poly(b)).invert()
+    assert _quot_inverse(e, modulus) == payload_product(
+        algebra, _quot_inverse(ea, modulus), _quot_inverse(eb, modulus))
 
 
 @settings(max_examples=100)
@@ -654,15 +653,16 @@ def test_quot_invert_non_integral_modulus_examples():
     # x^3 - x/2 + 1/3 = 0 at no rational point (rational root test), so it
     # is irreducible over Q: every nonzero element is a unit
     with pytest.raises(NotInvertible):
-        QuotElem(m, Poly.zero()).invert()
+        _quot_inverse(Poly.zero(), m)
 
 
 # -- The reduced integer form of every result -----------------------------------
-# A Poly holds integers ``nums`` over one ``den``.  Every result of Poly and
-# QuotElem arithmetic, of invert, of the quotient hom (per payload and per
-# matrix) and of a matrix product over Q[x] and Q[x]/(m) must hold the unique
-# reduced form: den > 0, gcd(den, *nums) = 1 and no trailing zero, with a
-# zero result the shared zero.  Its coeffs must equal a schoolbook Fraction
+# A Poly holds integers ``nums`` over one ``den``.  Every result of Poly
+# arithmetic, of the Q[x]/(m) product, row operation and inverse, of the
+# quotient hom (per payload and per matrix) and of a matrix product over
+# Q[x] and Q[x]/(m) must hold the unique reduced form: den > 0,
+# gcd(den, *nums) = 1 and no trailing zero, with a zero result the shared
+# zero.  Its coeffs must equal a schoolbook Fraction
 # result, and rebuilding it from its coeffs must give an equal Poly.
 
 def _fraction_rem(a, m):
@@ -694,14 +694,6 @@ def _assert_normal(p, expect):
     assert Poly(p.coeffs) == p
 
 
-def _assert_normal_elem(e, expect, algebra=None):
-    """The same for a QuotElem's rep; a zero that stands for an algebra's
-    zero is that shared element."""
-    _assert_normal(e.rep, expect)
-    if algebra is not None and not expect:
-        assert e is algebra.zero()
-
-
 @settings(max_examples=200, deadline=None)
 @given(_coeffs, _coeffs)
 @example(a=[], b=[])
@@ -719,27 +711,28 @@ def test_poly_and_quot_results_hold_the_reduced_form(a, b):
         modulus = _poly(m)
         target = QuotientAlgebra(modulus)
         h = QuotientHom(PolyAlgebra(), target)
-        ea, eb = QuotElem(modulus, pa), QuotElem(modulus, pb)
+        ea, eb = h.apply_payload(pa), h.apply_payload(pb)
         ra, rb = _fraction_rem(fa, m), _fraction_rem(fb, m)
-        # The constructor keeps a rep of degree < deg m as it is.
-        _assert_matches(ea.rep, ra)
-        _assert_matches(eb.rep, rb)
-        _assert_normal_elem(ea + eb, _schoolbook_sum(ra, rb, 1))
-        _assert_normal_elem(ea - eb, _schoolbook_sum(ra, rb, -1))
-        _assert_normal_elem(ea * eb, _fraction_rem(_schoolbook(ra, rb), m))
-        _assert_normal_elem(-ea, [-c for c in ra])
-        _assert_normal_elem(h.apply_payload(pa), ra, target)
-        _assert_normal_elem(h.apply_payload(pa * pb), _fraction_rem(_schoolbook(fa, fb), m),
-                            target)
+        _assert_normal(ea, ra)
+        _assert_normal(eb, rb)
+        _assert_normal(ea + eb, _schoolbook_sum(ra, rb, 1))
+        _assert_normal(ea - eb, _schoolbook_sum(ra, rb, -1))
+        _assert_normal(payload_product(target, ea, eb), _fraction_rem(_schoolbook(ra, rb), m))
+        _assert_normal(-ea, [-c for c in ra])
+        _assert_normal(h.apply_payload(pa * pb), _fraction_rem(_schoolbook(fa, fb), m))
+        if eb:
+            # The row operation x + y * a, with y = eb and a = ea.
+            _assert_normal(target._add_multiple(ea)(eb, eb), _schoolbook_sum(
+                rb, _fraction_rem(_schoolbook(rb, ra), m), 1))
         try:
-            inv = ea.invert()
+            inv = _quot_inverse(ea, modulus)
         except NotInvertible:
             continue
         # The inverse is the one element of degree < deg m whose product
         # with ra is 1 mod m.
-        want = _fracs(inv.rep)
+        want = _fracs(inv)
         assert _fraction_rem(_schoolbook(ra, want), m) == [Fraction(1)]
-        _assert_normal_elem(inv, want)
+        _assert_normal(inv, want)
 
 
 _NF_ALGEBRAS = {
@@ -763,7 +756,7 @@ def _entry(algebra, fracs, k):
     if not fracs:
         return algebra.zero() if k % 2 == 0 else algebra.parse_payload([])
     p = _poly(fracs)
-    return p if algebra.modulus is None else QuotElem(algebra.modulus, p)
+    return p if algebra.modulus is None else _remainder(p, algebra.modulus.nums)
 
 
 @pytest.mark.parametrize("name", sorted(_NF_ALGEBRAS))
@@ -787,22 +780,19 @@ def test_matrix_products_and_images_hold_the_reduced_form(name, data):
             want = []
             for k in range(n):
                 want = _schoolbook_sum(want, _schoolbook(ra[i][k], rb[k][j]), 1)
-            got = product.rows[i][j]
-            if m is None:
-                _assert_normal(got, want)
-                if not want:
-                    assert got is algebra.zero()
-            else:
-                _assert_normal_elem(got, reduce(want), algebra)
+            _assert_normal(product.rows[i][j], reduce(want))
     if m is not None:
         h = QuotientHom(PolyAlgebra(), algebra)
         source = FilteredMatrix(PolyAlgebra(), [[_entry(PolyAlgebra(), c, i + j)
                                                  for j, c in enumerate(row)]
                                                 for i, row in enumerate(fa)])
         image = h._apply_matrix(source)
-        for row, got_row in zip(fa, image.rows):
-            for c, got in zip(row, got_row):
-                _assert_normal_elem(got, _fraction_rem(_fracs(_poly(c)), m), algebra)
+        for row, got_row in zip(source.rows, image.rows):
+            for p, got in zip(row, got_row):
+                if len(p.nums) < len(m):
+                    assert got is p  # already a representative, kept as it is
+                else:
+                    _assert_normal(got, _fraction_rem(_fracs(p), m))
 
 
 @pytest.mark.parametrize("name", sorted(_NF_ALGEBRAS))
@@ -815,6 +805,7 @@ def test_cancelling_product_entries_are_the_shared_zero(name):
     z = algebra.zero()
     product = FilteredMatrix(algebra, [[p, p], [z, p]]) @ FilteredMatrix(
         algebra, [[q, z], [-q, q]])
+    pq = payload_product(algebra, p, q)
     assert product.rows[0][0] is z
-    assert product.rows[1][0] == -(p * q)
-    assert product.rows[0][1] == product.rows[1][1] == p * q
+    assert product.rows[1][0] == -pq
+    assert product.rows[0][1] == product.rows[1][1] == pq
