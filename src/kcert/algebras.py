@@ -20,10 +20,11 @@ Algebras and homs are immutable after construction.  Each builds its
 structural signature, its zero and its one once, so ``==`` is an identity
 check or one tuple comparison and every identity matrix shares one unit
 payload, and a propagation algebra builds its table of per-pair levels
-once, so a kernel's degree is the lowest level over its support.  The
-carrier owns a matrix's level too (_matrix_level): without a level table it
-is max_level, and over kernels it is one pass over the union of the
-entries' supports, so a zero entry costs nothing.
+once, so a kernel's degree is the lowest level over its support.  A
+carrier's one level function is _matrix_level, the level of a matrix:
+without a level table it is max_level, and over kernels it is one pass over
+the union of the entries' supports, so a zero entry costs nothing.  A
+payload's degree is the level of the 1 x 1 matrix that holds it.
 
 Matrix products are fraction-free (cf. Bareiss, Math. Comp. 22, 1968):
 each operand is read once as integers over the lcm of its denominators,
@@ -248,9 +249,6 @@ class LocalizedAlgebra:
 
     __slots__ = ("max_level", "_sig", "_zero", "_one")
     kind = None
-    # Per-pair levels of a propagation algebra; without a table every
-    # payload sits at max_level.
-    _levels = None
     # Whether two rows of payloads are equal entrywise: the tuple ==, which
     # calls each payload's own __eq__.  A builtin, so it binds no self.
     _rows_equal = eq
@@ -279,13 +277,9 @@ class LocalizedAlgebra:
         return self._one
 
     def degree(self, payload):
-        """Largest mu <= max_level with payload in the mu-th subspace.  For a
-        kernel that is the lowest pair level over its support: the level is
-        monotone in the distance, so this is the level of the farthest reach."""
-        levels = self._levels
-        if levels is None:
-            return self.max_level
-        return min(map(levels.__getitem__, payload.table), default=self.max_level)
+        """Largest mu <= max_level with payload in the mu-th subspace: the
+        level of the 1 x 1 matrix that holds it."""
+        return self._matrix_level(((payload,),))
 
     def _matrix_level(self, rows):
         """The level of a matrix with these rows: the lowest entry degree,
@@ -404,7 +398,9 @@ class PropagationAlgebra(LocalizedAlgebra):
 
     def _matrix_level(self, rows):
         """One pass over every entry's support; a zero kernel has none, so it
-        adds nothing, just as its degree is max_level."""
+        adds nothing.  A kernel's degree is the lowest pair level over its
+        support: the level is monotone in the distance, so this is the level
+        of the farthest reach."""
         supports = chain.from_iterable([p.table for row in rows for p in row])
         return min(map(self._levels.__getitem__, supports), default=self.max_level)
 
@@ -521,7 +517,6 @@ class PolyAlgebra(LocalizedAlgebra):
 
     __slots__ = ()
     kind = "quotient-pullback-leg"
-    modulus = None
 
     def __init__(self, max_level=DEFAULT_MAX_LEVEL):
         super().__init__(max_level, Poly.zero(), Poly.one(), None)
@@ -546,7 +541,7 @@ class PolyAlgebra(LocalizedAlgebra):
         return Poly.const(v), Poly.const(_reciprocal(v))
 
     def _product(self, a, b):
-        return _poly_product(a, b)
+        return _poly_product(a, b, None)
 
 
 class QuotientAlgebra(LocalizedAlgebra):
@@ -555,7 +550,7 @@ class QuotientAlgebra(LocalizedAlgebra):
     reduced representative, a Poly of degree < deg m, and the modulus is
     held here only."""
 
-    __slots__ = ("modulus", "_m_int")
+    __slots__ = ("modulus",)
     kind = "quotient-pullback-leg"
 
     def __init__(self, modulus, max_level=DEFAULT_MAX_LEVEL):
@@ -564,8 +559,6 @@ class QuotientAlgebra(LocalizedAlgebra):
         # 0 and 1 have degree < deg m, so each is its own representative.
         super().__init__(max_level, Poly.zero(), Poly.one(), (modulus.nums, modulus.den))
         self.modulus = modulus
-        # e * m with integer coefficients, e = den the lcm of m's denominators.
-        self._m_int = list(modulus.nums)
 
     def from_rational(self, value):
         return Poly.const(rat(value))
@@ -578,14 +571,14 @@ class QuotientAlgebra(LocalizedAlgebra):
 
     def parse_payload(self, obj):
         p = _parse_poly(obj)
-        return p if len(p.nums) <= self.modulus.degree else _remainder(p, self._m_int)
+        return p if len(p.nums) <= self.modulus.degree else _remainder(p, self.modulus.nums)
 
     def describe(self):
         return dict(super().describe(), modulus=[encode_rational(c) for c in self.modulus.coeffs])
 
     def _random_payload(self, sampler):
         p = _random_poly(sampler, 2)
-        return p if len(p.nums) <= self.modulus.degree else _remainder(p, self._m_int)
+        return p if len(p.nums) <= self.modulus.degree else _remainder(p, self.modulus.nums)
 
     def _random_unit(self, sampler):
         modulus = self.modulus
@@ -603,11 +596,11 @@ class QuotientAlgebra(LocalizedAlgebra):
         """x + y * a reduced mod m, the same on both sides since Q[x]/(m) is
         commutative: the one place a payload product must be the quotient
         product."""
-        m_int = self._m_int
+        m_int = self.modulus.nums
         return lambda x, y: x + _remainder(y * a, m_int)
 
     def _product(self, a, b):
-        return _poly_product(a, b)
+        return _poly_product(a, b, self.modulus.nums)
 
 
 def _parse_poly(obj):
@@ -679,8 +672,9 @@ class QuotientHom(FilteredHom):
 
     def apply_payload(self, payload):
         """The remainder of payload mod m, by integer pseudo-division over
-        the target's integer form of m; a zero remainder is the shared zero."""
-        return _remainder(payload, self.target._m_int)
+        the integers of the target's modulus; a zero remainder is the shared
+        zero."""
+        return _remainder(payload, self.target.modulus.nums)
 
     def section_payload(self, payload):
         return payload
@@ -847,19 +841,17 @@ def _poly_rows(rows):
     ], den
 
 
-def _poly_product(a, b):
+def _poly_product(a, b, m_int):
     """Q[x] and Q[x]/(m): each entry accumulates an integer coefficient
-    list over da * db; over Q[x]/(m) the finished list is reduced mod m
-    once.  Each entry is then built reduced by ``scalars._poly_of``, one
-    gcd of its denominator and coefficients; a zero is the algebra's shared
+    list over da * db; given the integers m_int of a modulus (Q[x]/(m)),
+    the finished list is reduced mod m once, and given None (Q[x]) it is
+    not.  Each entry is then built reduced by ``scalars._poly_of``, one gcd
+    of its denominator and coefficients; a zero is the algebra's shared
     zero."""
     algebra = a.algebra
-    quotient = algebra.modulus is not None
     na, da = _poly_rows(a.rows)
     nb, db = _poly_rows(b.rows)
     d = da * db
-    if quotient:
-        m_int = algebra._m_int
     zero = algebra.zero()
     n = a.n
     out = []
@@ -881,7 +873,7 @@ def _poly_product(a, b):
         for c in acc:
             if c is None:
                 entries.append(zero)
-            elif quotient:
+            elif m_int is not None:
                 entries.append(_poly_of(c, d * _reduce_ints(c, m_int)))
             else:
                 entries.append(_poly_of(c, d))

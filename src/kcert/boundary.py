@@ -22,8 +22,9 @@ to compare and skips it: the construction needs only that S0 and S1 die,
 which it checks itself, and at m > 0 that j1(A) commutes with e (see
 boundary_extended_form).
 The construction comes in three stages, and each caller builds only the
-stage it reads: boundary_defects (S0, S1), boundary_l (adds the verified
-L) and boundary_extended_form (adds P and the doubles).  Every L is built
+stage it reads: boundary_defects (S0, S1, the one place they are built),
+boundary_l (adds the verified L, whose recipe checks that S0 and S1 die)
+and boundary_extended_form (adds P and the doubles).  Every L is built
 by one recipe, verified_l, from A, S0, S1 and the corner C = (1+S0)B.
 Each certificate equation is computed once: L's certificate checks
 L L^-1 = 1 only (see InvertibleCert.verify), e1 and e act as column
@@ -84,39 +85,31 @@ def checked_lifts(diagram, u, lift_a=None, lift_b=None, m=0):
     return lift_a, lift_b
 
 
-def _check_defects_die(diagram, s0, s1):
-    """Raise naming the first entry of S0, then S1, whose image in the
-    overlap ring is not zero."""
-    for tag, s in (("S0", s0), ("S1", s1)):
-        img = apply_hom_matrix(diagram.j1, s)
-        if not img.is_zero():
-            bad = img.first_mismatch(FilteredMatrix.zeros(diagram.lambda_prime, s.n))
-            raise CertificateFailure(f"{tag} does not die in the overlap ring", *bad)
-
-
 def boundary_defects(diagram, a, b):
-    """(S0, S1) = (1 - BA, 1 - AB) for lifts A, B, each checked to die in
-    the overlap ring."""
+    """(S0, S1) = (1 - BA, 1 - AB) for lifts A, B, unchecked: verified_l
+    checks that they die in the overlap ring."""
     ident = FilteredMatrix.identity(diagram.lambda1, a.n)
-    s0, s1 = ident - b @ a, ident - a @ b
-    _check_defects_die(diagram, s0, s1)
-    return s0, s1
+    return ident - b @ a, ident - a @ b
 
 
 def verified_l(diagram, a, s0, s1, corner):
     """L = [[S0, -C], [A, S1]] verified against its inverse
     [[S0, C], [-A, S1]], once S0 and S1 are checked to die in the overlap
-    ring; the caller passes S0 = 1 - BA, S1 = 1 - AB and C = (1+S0)B for
-    its lifts A, B.  The one recipe for L: boundary_l and both lift checks
+    ring, naming the first entry of S0, then S1, whose image is not zero;
+    the caller passes S0 = 1 - BA, S1 = 1 - AB and C = (1+S0)B for its
+    lifts A, B.  The one recipe for L: boundary_l and both lift checks
     build their L through it."""
-    _check_defects_die(diagram, s0, s1)
+    for tag, s in (("S0", s0), ("S1", s1)):
+        img = apply_hom_matrix(diagram.j1, s)
+        if not img.is_zero():
+            bad = img.first_mismatch(FilteredMatrix.zeros(diagram.lambda_prime, s.n))
+            raise CertificateFailure(f"{tag} does not die in the overlap ring", *bad)
     return InvertibleCert(block2(s0, -corner, a, s1), block2(s0, corner, -a, s1)).verify()
 
 
 def boundary_l(diagram, a, b):
     """(S0, S1, L) for lifts A, B, with L from verified_l."""
-    ident = FilteredMatrix.identity(diagram.lambda1, a.n)
-    s0, s1 = ident - b @ a, ident - a @ b
+    s0, s1 = boundary_defects(diagram, a, b)
     return s0, s1, verified_l(diagram, a, s0, s1, s0.plus_one() @ b)
 
 

@@ -131,7 +131,8 @@ def exactness_boundary_zero(diagram, u_tilde):
     lifts are the element and its inverse, so both defect matrices vanish
     and the double idempotent is literally the trivial block."""
     report = ExactnessReport("boundary_zero")
-    # The transition is j1(u~) itself, so the lifts need no check against it.
+    # The transition is j1(u~) itself, so the lifts need no check against
+    # it, and a zero matrix dies, so the two lines need no die check.
     s0, s1 = boundary_defects(diagram, u_tilde.m, u_tilde.m_inv)
     report.add("S0 = 0", s0.is_zero(), "S0 nonzero")
     report.add("S1 = 0", s1.is_zero(), "S1 nonzero")

@@ -7,7 +7,8 @@ record: building one checks only the shapes of its factors, and verify(),
 which recomputes the defining equations and returns the certificate, is the
 one check of its claim.  An inverse certificate recomputes m m^-1 = 1 only:
 square matrices over every carrier are Dedekind-finite, so m^-1 m = 1
-follows (see InvertibleCert.verify).  Levels are recomputed from entries;
+follows (see InvertibleCert.verify).  A level is recomputed from the
+entries on every read, by the carrier's _matrix_level, and never stored;
 the worst-case rule level(a.b) >= min(levels) - 1 is a lower bound the
 tests assert, never a substitute for recomputation.
 
@@ -44,7 +45,7 @@ def expect_equal(lhs, rhs, what, failure=CertificateFailure):
 
 
 class FilteredMatrix:
-    __slots__ = ("algebra", "n", "rows", "_level")
+    __slots__ = ("algebra", "n", "rows")
 
     def __init__(self, algebra, rows):
         rows = tuple([tuple(row) for row in rows])
@@ -55,7 +56,6 @@ class FilteredMatrix:
         self.algebra = algebra
         self.n = n
         self.rows = rows
-        self._level = None
 
     @classmethod
     def _raw(cls, algebra, rows):
@@ -64,7 +64,6 @@ class FilteredMatrix:
         m.algebra = algebra
         m.n = len(rows)
         m.rows = rows
-        m._level = None
         return m
 
     # -- constructors ------------------------------------------------------
@@ -91,9 +90,7 @@ class FilteredMatrix:
 
     @property
     def level(self):
-        if self._level is None:
-            self._level = self.algebra._matrix_level(self.rows)
-        return self._level
+        return self.algebra._matrix_level(self.rows)
 
     def _same(self, other):
         if not isinstance(other, FilteredMatrix):

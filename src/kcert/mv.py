@@ -41,7 +41,8 @@ class DoubleMismatch(CertificateFailure):
 
 class MVDiagram:
     """Two legs over an overlap ring; at least one leg is surjective and
-    carries a section, which is what every lifting argument uses."""
+    carries a section, which is what every lifting argument uses.  A
+    command builds one diagram, so diagrams compare by identity."""
 
     __slots__ = ("lambda1", "lambda2", "lambda_prime", "j1", "j2")
 
@@ -59,14 +60,6 @@ class MVDiagram:
         """True when the two legs coincide (carrier and map), the shape the
         kernel-recovery recipes assume."""
         return self.lambda1 == self.lambda2 and self.j1 == self.j2
-
-    def _components(self):
-        return (self.lambda1, self.lambda2, self.lambda_prime, self.j1, self.j2)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, MVDiagram) and self._components() == other._components()
 
     def describe(self):
         return {
@@ -142,7 +135,7 @@ class DoubleMatrix:
         return DoubleMatrix(self.diagram, self.m1 @ other.m1, self.m2 @ other.m2)
 
     def _same(self, other):
-        if not isinstance(other, DoubleMatrix) or other.diagram != self.diagram:
+        if not isinstance(other, DoubleMatrix) or other.diagram is not self.diagram:
             raise MatrixError("double matrices over different diagrams")
 
     def direct_sum(self, other):

@@ -7,6 +7,7 @@ Claimed levels are re-derived and rejected on mismatch."""
 import json
 
 from .algebras import (
+    DEFAULT_MAX_LEVEL,
     IdentityHom,
     InclusionHom,
     PolyAlgebra,
@@ -105,7 +106,7 @@ HOM_CLASSES = {h.type: h for h in (IdentityHom, QuotientHom, RestrictionHom, Inc
 def parse_algebra(obj, where="algebra"):
     _check_keys(obj, ALGEBRA_KEYS, where)
     kind = obj.get("kind")
-    max_level = obj.get("max_level", 16)
+    max_level = obj.get("max_level", DEFAULT_MAX_LEVEL)
     _require(is_json_int(max_level) and max_level >= 1, f"{where}: bad max_level")
     parse = ALGEBRA_PARSERS.get(kind) if isinstance(kind, str) else None
     _require(parse is not None, f"{where}: unknown kind {kind!r}")

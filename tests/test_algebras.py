@@ -338,7 +338,6 @@ def test_separately_parsed_homs_are_equal(spec):
     for h1, h2 in ((d1.j1, d2.j1), (d1.j2, d2.j2)):
         assert h1 is not h2
         assert h1 == h2
-    assert d1 == d2
 
 
 def _with_distance(spec, i, j, value):
@@ -680,6 +679,14 @@ def test_kernel_sum_and_difference_match_schoolbook(a, b, cancel):
         _assert_stored_values_canonical(built)
     zero = PropagationAlgebra(line_space(3)).zero()
     assert Kernel(a) - Kernel(a) is zero
+
+
+def test_kernel_equality_reads_every_key_and_value():
+    k = Kernel({(0, 1): rat(1), (1, 1): rat(2)})
+    assert k == Kernel({(1, 1): rat(2), (0, 1): rat(1)})
+    for other in (Kernel({(0, 1): rat(1)}), Kernel({(0, 1): rat(1), (1, 0): rat(2)}),
+                  Kernel({(0, 1): rat(1), (1, 1): rat(3)})):
+        assert k != other and other != k
 
 
 @st.composite

@@ -240,15 +240,20 @@ def test_verify_fails_every_identity_whose_product_drops_its_level(capsys, monke
     # block reports level 0 too: sum_product_both's built side is one.
     product, direct_sum = FilteredMatrix.__matmul__, FilteredMatrix.direct_sum
 
+    class LevelZero(FilteredMatrix):
+        """A faulted matrix, which reports level 0 whatever its entries."""
+
+        __slots__ = ()
+        level = 0
+
     def level_zero(self, other):
         out = product(self, other)
-        out._level = 0
-        return out
+        return LevelZero._raw(out.algebra, out.rows)
 
     def sum_keeps_level_zero(self, other):
         out = direct_sum(self, other)
-        if 0 in (self._level, other._level):
-            out._level = 0
+        if isinstance(self, LevelZero) or isinstance(other, LevelZero):
+            return LevelZero._raw(out.algebra, out.rows)
         return out
 
     monkeypatch.setattr(FilteredMatrix, "__matmul__", level_zero)

@@ -221,6 +221,7 @@ KERNEL_I_CHECKS = [
     "conjugating back restores p~",
     "un-stabilizing restores the normalized plus part",
 ]
+RECOVERED_BLOCK = "recovered block is the inverse-stabilized transition"
 
 
 def test_kernel_i_round_trip_clutching(clutching):
@@ -235,7 +236,7 @@ def test_kernel_i_round_trip_clutching(clutching):
     # check names are report bytes on failure
     assert [c["name"] for c in report.checks] == KERNEL_I_CHECKS
     assert [c["name"] for c in gen_kernel_i(clutching, Sampler(2)).checks] == (
-        KERNEL_I_CHECKS + ["recovered block is the (inverse-)stabilized transition"]
+        KERNEL_I_CHECKS + [RECOVERED_BLOCK]
     )
     block = phi.sub_block(2, 4, 2, 4)
     expected = u.m.direct_sum(FilteredMatrix.identity(clutching.lambda_prime, 1))
@@ -251,6 +252,29 @@ def test_kernel_i_round_trip_clutching(clutching):
         clutching, *checked_lifts(clutching, phi_cert, lift_a=v.m, lift_b=v.m_inv, m=m), m
     )
     assert out.p_double.level >= max(0, min(glued.double.level, minus.level) - 8)
+
+
+@pytest.mark.parametrize("name", ["clutching", "trivial_mv"])
+def test_kernel_i_fails_a_recovered_block_that_is_not_the_inverse(name, request, monkeypatch):
+    # Gluing U^-1 in place of U makes the recovered block diag(U, 1): every
+    # earlier line passes, and the last fails wherever U != U^-1.
+    diagram = request.getfixturevalue(name)
+    first_form, drawn = drivers.boundary_first_form, []
+
+    def glue_inverse(diagram, u):
+        drawn.append(u)
+        return first_form(diagram, u.inverse())
+
+    monkeypatch.setattr(drivers, "boundary_first_form", glue_inverse)
+    refused = 0
+    for seed in range(8):
+        report = gen_kernel_i(diagram, Sampler(seed))
+        involution = drawn[-1].m == drawn[-1].m_inv
+        assert [(c["name"], c["ok"]) for c in report.checks] == (
+            [(line, True) for line in KERNEL_I_CHECKS] + [(RECOVERED_BLOCK, involution)]
+        )
+        refused += not involution
+    assert refused
 
 
 def test_kernel_i_trivial_difference(trivial_mv):

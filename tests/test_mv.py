@@ -244,12 +244,12 @@ def test_double_invertible_rejects_disagreeing_legs(clutching, sampler):
     )
 
 
-def test_diagram_equality_is_structural(clutching, cover):
+def test_double_matrices_over_another_diagram_are_refused(clutching, cover):
+    # Diagrams compare by identity: a double over a separately parsed copy
+    # of the same diagram is refused as one over another diagram is.
     other = clutching_diagram()
     assert other is not clutching
-    assert other == clutching
-    assert cover != clutching
     one = DoubleMatrix.identity(clutching, 1)
-    assert (one @ DoubleMatrix.identity(other, 1)).first_mismatch(one) is None
-    with pytest.raises(MatrixError):
-        one @ DoubleMatrix.identity(cover, 1)
+    for diagram in (cover, other):
+        with pytest.raises(MatrixError):
+            one @ DoubleMatrix.identity(diagram, 1)

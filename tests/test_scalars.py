@@ -756,7 +756,7 @@ def _entry(algebra, fracs, k):
     if not fracs:
         return algebra.zero() if k % 2 == 0 else algebra.parse_payload([])
     p = _poly(fracs)
-    return p if algebra.modulus is None else _remainder(p, algebra.modulus.nums)
+    return _remainder(p, algebra.modulus.nums) if isinstance(algebra, QuotientAlgebra) else p
 
 
 @pytest.mark.parametrize("name", sorted(_NF_ALGEBRAS))
