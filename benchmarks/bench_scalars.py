@@ -144,7 +144,7 @@ def payload_rows():
     cubic = Poly([rat((3 * i + 1) % 7 - 3 or 1, i + 2) for i in range(4)])
     # Equal top coefficients, so the difference strips its top.
     near = Poly([*[rat(i - 3, 5) for i in range(6)], sextic.coeffs[-1]])
-    alg_a, alg_b = PropagationAlgebra(line_space(4, 4)), PropagationAlgebra(line_space(4, 4))
+    alg_a, alg_b = PropagationAlgebra(*line_space(4, 4)), PropagationAlgebra(*line_space(4, 4))
     assert alg_a is not alg_b
     return [
         ("Kernel product, 4 points", per_call_us(lambda: k * l, 2000)),
@@ -165,13 +165,13 @@ def matmul_rows():
         ("Q", TrivialAlgebra()),
         ("Q[x]", PolyAlgebra()),
         ("Q[x]/(x^2 - 1)", QuotientAlgebra(X2_MINUS_1)),
-        ("propagation, 4 points", PropagationAlgebra(line_space(4, 4))),
+        ("propagation, 4 points", PropagationAlgebra(*line_space(4, 4))),
     ):
         for size in (2, 4, 6):
             x, y = sampler.matrix(algebra, size), sampler.matrix(algebra, size)
             rows.append((f"FilteredMatrix @, {label}, n = {size}",
                          per_call_us(lambda: x @ y, 2000 // size)))
-    algebra = PropagationAlgebra(line_space(4, 4))
+    algebra = PropagationAlgebra(*line_space(4, 4))
     for size in (4, 8):
         x, y = (o_map(sampler.invertible(algebra, size // 2)).m for _ in range(2))
         rows.append((f"FilteredMatrix @, diag(u, u^-1), propagation, 4 points, n = {size}",
@@ -186,7 +186,7 @@ def matmul_rows():
                      per_call_us(lambda: x @ y, 2000 // size)))
     # Drawn last, so the rows above keep their draws.
     for label, algebra in (("Q", TrivialAlgebra()),
-                           ("propagation, 4 points", PropagationAlgebra(line_space(4, 4)))):
+                           ("propagation, 4 points", PropagationAlgebra(*line_space(4, 4)))):
         x, y = sampler.matrix(algebra, 4), sampler.matrix(algebra, 4)
         left, right = x @ y, x @ y
         assert left == right
@@ -236,15 +236,15 @@ def sampler_rows():
         ("Q", TrivialAlgebra()),
         ("Q[x]", PolyAlgebra()),
         ("Q[x]/(x^2 - 1)", QuotientAlgebra(X2_MINUS_1)),
-        ("propagation, 4 points", PropagationAlgebra(line_space(4, 4))),
+        ("propagation, 4 points", PropagationAlgebra(*line_space(4, 4))),
         ("diagonal propagation, 4 points",
-         PropagationAlgebra(line_space(4), diagonal=True)),
+         PropagationAlgebra(*line_space(4), diagonal=True)),
     ):
         rows.append((f"Sampler.unit, {label}", per_call_us(lambda: sampler.unit(algebra), 5000)))
     for label, algebra in (
         ("Q", TrivialAlgebra()),
         ("Q[x]/(x^2 - 1)", QuotientAlgebra(X2_MINUS_1)),
-        ("propagation, 4 points", PropagationAlgebra(line_space(4, 4))),
+        ("propagation, 4 points", PropagationAlgebra(*line_space(4, 4))),
     ):
         rows.append((f"Sampler.invertible, {label}, n = 4",
                      per_call_us(lambda: sampler.invertible(algebra, 4), 1000)))

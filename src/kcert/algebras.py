@@ -85,7 +85,6 @@ from math import lcm
 from operator import eq, neg
 
 from .scalars import (
-    NotInvertible,
     Poly,
     R0,
     R1,
@@ -185,62 +184,6 @@ def is_point_label(label):
     """A point label is a JSON string, integer or null.  Not a bool, which
     list.index would match to the point 1, nor a float, array or object."""
     return label is None or type(label) in (str, int)
-
-
-class PropagationSpace:
-    """Finite metric space with the geometric radius schedule r(mu) = R/2^mu."""
-
-    __slots__ = ("points", "dist", "radius_base")
-
-    def __init__(self, points, dist, radius_base):
-        points = tuple(points)
-        if len(set(points)) != len(points):
-            raise ValueError("duplicate points")
-        n = len(points)
-        d = tuple([tuple([rat(v) for v in row]) for row in dist])
-        if len(d) != n or any(len(row) != n for row in d):
-            raise ValueError("distance matrix shape mismatch")
-        # The distances as integers over den, their common denominator.
-        den = lcm(*[v._denominator for row in d for v in row])
-        e = [[v._numerator * (den // v._denominator) for v in row] for row in d]
-        for i in range(n):
-            if e[i][i]:
-                raise ValueError("nonzero diagonal distance")
-            for j in range(n):
-                if e[i][j] != e[j][i]:
-                    raise ValueError("distance matrix not symmetric")
-                for k in range(n):
-                    if e[i][j] > e[i][k] + e[k][j]:
-                        raise ValueError("triangle inequality fails")
-        R = rat(radius_base)
-        diam = max([x for row in e for x in row], default=0)
-        if R._numerator * den < diam * R._denominator:
-            raise ValueError("radius base must cover the diameter")
-        self.points = points
-        self.dist = d
-        self.radius_base = R
-
-    @property
-    def size(self):
-        return len(self.points)
-
-    def index_of(self, label):
-        # A spec's points are labels too (specdoc checks them), so list.index
-        # then matches only a label of the same kind: 1 never finds the point
-        # true, nor 1.0 the point 1.
-        if not is_point_label(label):
-            raise ValueError(f"bad point label {label!r}")
-        try:
-            return self.points.index(label)
-        except ValueError:
-            raise ValueError(f"unknown point {label!r}") from None
-
-    def signature(self):
-        return (
-            self.points,
-            tuple([tuple([encode_rational(v) for v in row]) for row in self.dist]),
-            encode_rational(self.radius_base),
-        )
 
 
 class LocalizedAlgebra:
@@ -366,25 +309,64 @@ class TrivialAlgebra(LocalizedAlgebra):
 
 
 class PropagationAlgebra(LocalizedAlgebra):
-    """Finite-support kernels on a PropagationSpace, filtered by reach; a
-    diagonal algebra holds only kernels supported on the diagonal."""
+    """Finite-support kernels on a finite metric space, filtered by reach
+    with the geometric radius schedule r(mu) = R/2^mu; a diagonal algebra
+    holds only kernels supported on the diagonal."""
 
-    __slots__ = ("space", "diagonal", "_levels", "_pairs")
+    __slots__ = ("points", "dist", "radius_base", "diagonal", "_levels", "_pairs")
     kind = "propagation"
 
-    def __init__(self, space, diagonal=False, max_level=DEFAULT_MAX_LEVEL):
+    def __init__(self, points, dist, radius_base, diagonal=False, max_level=DEFAULT_MAX_LEVEL):
+        points = tuple(points)
+        if len(set(points)) != len(points):
+            raise ValueError("duplicate points")
+        n = len(points)
+        d = tuple([tuple([rat(v) for v in row]) for row in dist])
+        if len(d) != n or any(len(row) != n for row in d):
+            raise ValueError("distance matrix shape mismatch")
+        # The distances as integers over den, their common denominator.
+        den = lcm(*[v._denominator for row in d for v in row])
+        e = [[v._numerator * (den // v._denominator) for v in row] for row in d]
+        for i in range(n):
+            if e[i][i]:
+                raise ValueError("nonzero diagonal distance")
+            for j in range(n):
+                if e[i][j] != e[j][i]:
+                    raise ValueError("distance matrix not symmetric")
+                for k in range(n):
+                    if e[i][j] > e[i][k] + e[k][j]:
+                        raise ValueError("triangle inequality fails")
+        R = rat(radius_base)
+        diam = max([x for row in e for x in row], default=0)
+        if R._numerator * den < diam * R._denominator:
+            raise ValueError("radius base must cover the diameter")
         diagonal = bool(diagonal)
-        one = Kernel._raw({(i, i): R1 for i in range(space.size)})
-        super().__init__(max_level, _K_ZERO, one, space.signature(), diagonal)
-        self.space = space
+        one = Kernel._raw({(i, i): R1 for i in range(n)})
+        signature = (
+            points,
+            tuple([tuple([encode_rational(v) for v in row]) for row in d]),
+            encode_rational(R),
+        )
+        super().__init__(max_level, _K_ZERO, one, signature, diagonal)
+        self.points = points
+        self.dist = d
+        self.radius_base = R
         self.diagonal = diagonal
-        n = space.size
-        self._levels = {
-            (i, j): self._level_of(space.dist[i][j]) for i in range(n) for j in range(n)
-        }
+        self._levels = {(i, j): self._level_of(d[i][j]) for i in range(n) for j in range(n)}
         # The point pair (i, j) at index i * n + j, the key _kernel_product
         # gives its integer sums.
         self._pairs = [(i, j) for i in range(n) for j in range(n)]
+
+    def index_of(self, label):
+        # A spec's points are labels too (specdoc checks them), so list.index
+        # then matches only a label of the same kind: 1 never finds the point
+        # true, nor 1.0 the point 1.
+        if not is_point_label(label):
+            raise ValueError(f"bad point label {label!r}")
+        try:
+            return self.points.index(label)
+        except ValueError:
+            raise ValueError(f"unknown point {label!r}") from None
 
     def _level_of(self, reach):
         """Largest mu <= max_level with reach <= r(mu) = R / 2^mu, else 0, and
@@ -392,7 +374,7 @@ class PropagationAlgebra(LocalizedAlgebra):
         bit length of the integer floor(R / reach), read on the slots."""
         if not reach._numerator:
             return self.max_level
-        R = self.space.radius_base
+        R = self.radius_base
         q = R._numerator * reach._denominator // (reach._numerator * R._denominator)
         return min(self.max_level, max(q.bit_length() - 1, 0))
 
@@ -408,12 +390,12 @@ class PropagationAlgebra(LocalizedAlgebra):
         v = rat(value)
         if not v:
             return _K_ZERO
-        return Kernel._raw({(i, i): v for i in range(self.space.size)})
+        return Kernel._raw({(i, i): v for i in range(len(self.points))})
 
     def accepts(self, payload):
         if not isinstance(payload, Kernel):
             return False
-        n = self.space.size
+        n = len(self.points)
         for (i, j) in payload.table:
             if not (0 <= i < n and 0 <= j < n):
                 return False
@@ -422,7 +404,7 @@ class PropagationAlgebra(LocalizedAlgebra):
         return True
 
     def encode_payload(self, payload):
-        points = self.space.points
+        points = self.points
         return [
             [points[i], points[j], encode_rational(v)]
             for (i, j), v in sorted(payload.table.items())
@@ -435,8 +417,8 @@ class PropagationAlgebra(LocalizedAlgebra):
         for triple in obj:
             if not isinstance(triple, list) or len(triple) != 3:
                 raise ValueError(f"bad kernel triple {triple!r}")
-            i = self.space.index_of(triple[0])
-            j = self.space.index_of(triple[1])
+            i = self.index_of(triple[0])
+            j = self.index_of(triple[1])
             if self.diagonal and i != j:
                 raise ValueError("off-diagonal entry in a diagonal algebra")
             if (i, j) in table:
@@ -445,12 +427,11 @@ class PropagationAlgebra(LocalizedAlgebra):
         return Kernel(table)
 
     def describe(self):
-        space = self.space
-        return dict(super().describe(), points=list(space.points),
-                    radius_base=encode_rational(space.radius_base), diagonal=self.diagonal)
+        return dict(super().describe(), points=list(self.points),
+                    radius_base=encode_rational(self.radius_base), diagonal=self.diagonal)
 
     def _random_payload(self, sampler):
-        n = self.space.size
+        n = len(self.points)
         table = {}
         below = sampler._below
         for _ in range(below(4)):
@@ -460,19 +441,18 @@ class PropagationAlgebra(LocalizedAlgebra):
         return Kernel(table)
 
     def _random_unit(self, sampler):
-        space = self.space
+        n = len(self.points)
         lam = sampler.rational(allow_zero=False)
         if self.diagonal:
             table = {}
             inv = {}
-            for i in range(space.size):
+            for i in range(n):
                 v = sampler.rational(allow_zero=False)
                 table[(i, i)] = v
                 inv[(i, i)] = _reciprocal(v)
             return Kernel._raw(table), Kernel._raw(inv)
         # lam * 1 + a nilpotent kernel N, strictly upper triangular in the
         # point order.
-        n = space.size
         nil = {}
         below = sampler._below
         for _ in range(below(3)):
@@ -586,10 +566,9 @@ class QuotientAlgebra(LocalizedAlgebra):
             e = _random_poly(sampler, modulus.degree - 1)
             if not e.nums:
                 continue
-            try:
-                return e, _quot_inverse(e, modulus)
-            except NotInvertible:
-                continue
+            inverse = _quot_inverse(e, modulus)
+            if inverse is not None:
+                return e, inverse
         return self.one(), self.one()
 
     def _add_multiple(self, a, left=False):
@@ -706,16 +685,16 @@ class RestrictionHom(FilteredHom):
             raise ValueError("restriction hom requires diagonal algebras")
         if source.max_level != target.max_level:
             raise ValueError("restriction hom must preserve max_level")
-        src, tgt = source.space, target.space
-        missing = [p for p in tgt.points if p not in src.points]
+        missing = [p for p in target.points if p not in source.points]
         if missing:
             raise ValueError(f"target points {missing} not in source space")
-        self._src_index = tuple(src.index_of(p) for p in tgt.points)
-        self._tgt_index = {src.index_of(p): k for k, p in enumerate(tgt.points)}
-        for a in range(tgt.size):
-            for b in range(tgt.size):
+        self._src_index = tuple(source.index_of(p) for p in target.points)
+        self._tgt_index = {source.index_of(p): k for k, p in enumerate(target.points)}
+        n = len(target.points)
+        for a in range(n):
+            for b in range(n):
                 ia, ib = self._src_index[a], self._src_index[b]
-                if tgt.dist[a][b] != src.dist[ia][ib]:
+                if target.dist[a][b] != source.dist[ia][ib]:
                     raise ValueError("restricted space must inherit the metric")
         super().__init__(source, target)
 
@@ -787,7 +766,7 @@ def _kernel_product(a, b, algebra):
     kept.  Each distinct sum is decoded once: a lam * 1 unit puts one value
     on every point, so sums repeat across pairs and entries.  The memo is
     local to the call because the denominator d differs between products."""
-    points = algebra.space.size
+    points = len(algebra.points)
     pairs = algebra._pairs
     zero = algebra.zero()
     da = lcm(*[v._denominator for row in a for p in row for v in p.table.values()])

@@ -159,14 +159,15 @@ def boundary_extended_form(diagram, a, b, m=0):
 
 
 def boundary_first_form(diagram, u):
-    """The gluing form: the double idempotent glued from (1_n, 1_n, U),
-    minus the trivial class of matching rank."""
+    """The gluing form: (double, u~, minus), the double idempotent glued from
+    (1_n, 1_n, U) with its lift u~ of diag(U, U^{-1}) (see
+    glue_idempotents), and minus the trivial class of matching rank."""
     n = u.n
     one = IdempotentCert(FilteredMatrix.identity(diagram.lambda1, n))
     one2 = IdempotentCert(FilteredMatrix.identity(diagram.lambda2, n))
-    glued = glue_idempotents(one, one2, u, diagram)
+    double, u_tilde = glue_idempotents(one, one2, u, diagram)
     minus = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * n + (0,) * n))
-    return glued, minus
+    return double, u_tilde, minus
 
 
 def _corner(base):

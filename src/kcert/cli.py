@@ -26,7 +26,7 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
 
-from .matrices import CertificateFailure, InvertibleCert, MatrixError
+from .matrices import InvertibleCert
 from .drivers import boundary_report, exactness_report, verify_report
 from .specdoc import SpecDocument, SpecError, is_json_int, read_spec
 
@@ -175,7 +175,7 @@ def _run_boundary(args, doc):
             doc.diagram, u, lift_a=lift_a, lift_b=lift_b, m=m,
             perturb_a=perturb_a, perturb_b=perturb_b,
         )
-    except (CertificateFailure, MatrixError, ValueError) as exc:
+    except ValueError as exc:
         raise SpecError(f"boundary inputs rejected: {exc}") from exc
 
 

@@ -16,7 +16,6 @@ from .boundary import (
 from .identities import IDENTITY_NAMES, Sampler, run_identity_suite
 from .kclasses import (
     ExactnessReport,
-    K0MiddleWitness,
     exactness_boundary_zero,
     exactness_boundary_zero_oshape,
     exactness_i_after_boundary,
@@ -153,8 +152,7 @@ def gen_k0_middle(diagram, sampler):
         apply_hom_invertible(diagram.j2, c2p).inverse()
     )
     xi = IdempotentCert(FilteredMatrix.zeros(diagram.lambda_prime, 1))
-    witness = K0MiddleWitness(xi, v.pad(1))
-    _, report = exactness_k0_middle(diagram, (plus1, minus1), (plus2, minus2), witness)
+    _, report = exactness_k0_middle(diagram, (plus1, minus1), (plus2, minus2), xi, v.pad(1))
     return report
 
 
@@ -201,7 +199,7 @@ def gen_kernel_boundary(diagram, sampler, corrupt=False):
     return report
 
 
-def kernel_i_witnesses(diagram, glued, n):
+def kernel_i_witnesses(diagram, u_tilde, n):
     """Trivializers for the first-form glued class [p(1,1,u)] - [1_n + 0_n]:
     a permutation aligns the scalar leg with the bottom block, and the
     recorded u-lift handles the conjugated leg."""
@@ -211,7 +209,7 @@ def kernel_i_witnesses(diagram, glued, n):
         + tuple(range(3 * n, 4 * n))
     )
     u1 = permutation_cert(diagram.lambda1, perm)
-    u2 = glued.u_tilde.direct_sum(
+    u2 = u_tilde.direct_sum(
         InvertibleCert.identity(diagram.lambda2, 2 * n)
     ).compose(permutation_cert(diagram.lambda2, perm))
     return u1, u2
@@ -220,9 +218,9 @@ def kernel_i_witnesses(diagram, glued, n):
 def gen_kernel_i(diagram, sampler):
     n = 1
     u = sampler.invertible(diagram.lambda_prime, n)
-    glued, minus = boundary_first_form(diagram, u)
-    u1, u2 = kernel_i_witnesses(diagram, glued, n)
-    phi, report = exactness_kernel_i(diagram, (glued.double, minus), u1, u2)
+    double, u_tilde, minus = boundary_first_form(diagram, u)
+    u1, u2 = kernel_i_witnesses(diagram, u_tilde, n)
+    phi, report = exactness_kernel_i(diagram, (double, minus), u1, u2)
     if phi is not None:
         block = phi.sub_block(2 * n, 4 * n, 2 * n, 4 * n)
         expected = u.m_inv.direct_sum(FilteredMatrix.identity(diagram.lambda_prime, n))

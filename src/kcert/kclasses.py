@@ -7,8 +7,6 @@ recorded conjugators and literal scalar blocks, and records it as a named
 check with its exact residual.
 """
 
-from collections import namedtuple
-
 from .boundary import boundary_defects, boundary_extended_form, checked_lifts, e_block
 from .matrices import (
     CertificateFailure,
@@ -81,18 +79,14 @@ class ExactnessReport:
         return all(check["ok"] for check in self.checks)
 
 
-K0MiddleWitness = namedtuple("K0MiddleWitness", ["xi", "v"])
-
-
-def exactness_k0_middle(diagram, d1, d2, witness):
+def exactness_k0_middle(diagram, d1, d2, xi, v):
     """Exactness at the leg pair: a matched pair of K0 differences comes from
-    a glued class.  The witness conjugates the xi-stabilized common forms
-    over the overlap ring; the recipe pads with xi and 1 - xi, rewrites the
-    padding as a scalar block and glues, and the glued double's verify()
-    certifies the glued class."""
+    a glued class.  The witness, an idempotent xi and an invertible v over
+    the overlap ring, conjugates the xi-stabilized common forms; the recipe
+    pads with xi and 1 - xi, rewrites the padding as a scalar block and
+    glues, and the glued double's verify() certifies the glued class."""
     report = ExactnessReport("k0_middle")
     q1, q2, n_minus = k0_common_form(d1, d2)
-    xi, v = witness
     k = xi.n
     j1q1 = apply_hom_matrix(diagram.j1, q1.p)
     j2q2 = apply_hom_matrix(diagram.j2, q2.p)
@@ -121,9 +115,9 @@ def exactness_k0_middle(diagram, d1, d2, witness):
     # t^-1 (v + 1) t carries j2(q2) + scalar to j1(q1) + scalar.  Glue's
     # verify() checks that conjugacy again, and its legs q1p + 0 and
     # u~ (q2p + 0) u~^-1 are glue's own formulas.
-    glued = glue_idempotents(q1p, q2p, u_final, diagram)
+    glued, _ = glue_idempotents(q1p, q2p, u_final, diagram)
     minus = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * (n_minus + k)))
-    return (glued.double, minus), report
+    return (glued, minus), report
 
 
 def exactness_boundary_zero(diagram, u_tilde):

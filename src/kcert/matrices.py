@@ -36,12 +36,13 @@ class CertificateFailure(ValueError):
         self.residual = residual
 
 
-def expect_equal(lhs, rhs, what, failure=CertificateFailure):
-    """Raise ``failure`` naming the first entry where lhs and rhs differ,
-    with its position and residual lhs - rhs; return None when equal."""
+def expect_equal(lhs, rhs, what):
+    """Raise CertificateFailure naming the first entry where lhs and rhs
+    differ, with its position and residual lhs - rhs; return None when
+    equal."""
     bad = lhs.first_mismatch(rhs)
     if bad is not None:
-        raise failure(f"{what} at {bad[0]}", *bad)
+        raise CertificateFailure(f"{what} at {bad[0]}", *bad)
 
 
 class FilteredMatrix:

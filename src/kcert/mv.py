@@ -19,10 +19,7 @@ surjective leg, the lifted factors multiply out to [[2a - aba, ab - 1],
 inverse for any a and b, not only when ab = 1: three products of size n.
 """
 
-from collections import namedtuple
-
 from .matrices import (
-    CertificateFailure,
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
@@ -33,10 +30,6 @@ from .matrices import (
     o_map,
     section_matrix,
 )
-
-
-class DoubleMismatch(CertificateFailure):
-    """The two legs disagree in the overlap ring."""
 
 
 class MVDiagram:
@@ -94,7 +87,6 @@ class DoubleMatrix:
             apply_hom_matrix(self.diagram.j1, self.m1),
             apply_hom_matrix(self.diagram.j2, self.m2),
             "legs disagree in the overlap ring",
-            DoubleMismatch,
         )
         return self
 
@@ -189,15 +181,13 @@ def lift_via_whitehead(u, leg):
     return lifted
 
 
-GluedIdempotent = namedtuple("GluedIdempotent", ["double", "u_tilde"])
-
-
 def glue_idempotents(p1, p2, u, diagram):
     """Given idempotents over the two legs whose overlap images are
     conjugate by u, produce the size-doubled double idempotent whose first
     leg is p1 + 0 and whose second leg is the recorded conjugate of
-    p2 + 0 by the lifted diag(u, u^{-1}).  The conjugacy is checked by the
-    glued double's verify(), which raises DoubleMismatch when it fails."""
+    p2 + 0 by the lifted diag(u, u^{-1}); returns (double, u~) with u~ that
+    lift.  The conjugacy is checked by the glued double's verify(), which
+    raises CertificateFailure when it fails."""
     n = p1.n
     u_tilde = lift_via_whitehead(u, diagram.j2)
     leg1 = p1.p.pad(n, fill=0)
@@ -209,7 +199,7 @@ def glue_idempotents(p1, p2, u, diagram):
     # j1(p1) + 0.  The legs disagree exactly where j1(p1) and u j2(p2) u^-1
     # do, first at the same entry and with the same residual.
     double = IdempotentCert(DoubleMatrix(diagram, leg1, leg2).verify()).verify()
-    return GluedIdempotent(double, u_tilde)
+    return double, u_tilde
 
 
 def normalize_difference(p1, p2):

@@ -95,10 +95,6 @@ def _negated(v):
     return r
 
 
-class NotInvertible(Exception):
-    """Raised when an element of Q[x]/(m) has no multiplicative inverse."""
-
-
 def rat(value, den=None):
     """Build a scalar from an int, a 'p/q' string, or another scalar."""
     if den is not None:
@@ -350,8 +346,7 @@ def _bareiss_solve(rows):
 
 def _quot_inverse(rep, modulus):
     """The inverse of rep, a Poly of degree < deg m, in Q[x]/(m) for a
-    monic modulus m, or NotInvertible when rep is zero or shares a factor
-    with m.
+    monic modulus m, or None when rep is zero or shares a factor with m.
 
     The inverse s solves rep * s = 1 mod m, a d x d linear system over the
     basis 1, x, ..., x^(d-1): column k is x^k * rep mod m.  Each column is
@@ -378,7 +373,7 @@ def _quot_inverse(rep, modulus):
     rows[0][d] = 1
     solved = _bareiss_solve(rows)
     if solved is None:
-        raise NotInvertible("representative shares a factor with the modulus")
+        return None
     xs, det = solved
     if det < 0:
         det = -det

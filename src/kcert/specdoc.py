@@ -12,7 +12,6 @@ from .algebras import (
     InclusionHom,
     PolyAlgebra,
     PropagationAlgebra,
-    PropagationSpace,
     QuotientAlgebra,
     QuotientHom,
     RestrictionHom,
@@ -28,8 +27,7 @@ class SpecError(Exception):
     """Schema violation; the CLI maps this to exit code 2."""
 
 
-ALGEBRA_KEYS = {"kind", "max_level", "points", "dist", "radius_base", "diagonal", "modulus"}
-HOM_KEYS = {"type", "source", "target"}
+HOM_KEYS = {"type"}
 MATRIX_KEYS = {"algebra", "size", "entries", "inverse", "level"}
 COMMAND_KEYS = {
     "name", "seed", "samples", "max_size", "u", "lift_a", "lift_b", "m",
@@ -79,8 +77,8 @@ def _propagation(obj, where, max_level):
     diagonal = obj.get("diagonal", False)
     _require(isinstance(diagonal, bool), f"{where}: diagonal must be true or false")
     rows = [[parse_rational(v) for v in row] for row in dist]
-    space = PropagationSpace(points, rows, parse_rational(obj.get("radius_base", "1")))
-    return PropagationAlgebra(space, diagonal=diagonal, max_level=max_level)
+    radius_base = parse_rational(obj.get("radius_base", "1"))
+    return PropagationAlgebra(points, rows, radius_base, diagonal, max_level)
 
 
 def _pullback_leg(obj, where, max_level):
@@ -93,13 +91,15 @@ def _pullback_leg(obj, where, max_level):
     )
 
 
-# The document's "kind" names the carrier; Q[x] and Q[x]/(m) share one,
-# told apart by the modulus.
+# The document's "kind" names the carrier and the keys its parser reads;
+# Q[x] and Q[x]/(m) share one, told apart by the modulus.
 ALGEBRA_PARSERS = {
-    TrivialAlgebra.kind: lambda obj, where, max_level: TrivialAlgebra(max_level),
-    PropagationAlgebra.kind: _propagation,
-    PolyAlgebra.kind: _pullback_leg,
+    TrivialAlgebra.kind: (lambda obj, where, max_level: TrivialAlgebra(max_level), set()),
+    PropagationAlgebra.kind: (_propagation, {"points", "dist", "radius_base", "diagonal"}),
+    PolyAlgebra.kind: (_pullback_leg, {"modulus"}),
 }
+# A key no kind reads is unknown; one that only another kind reads is foreign.
+ALGEBRA_KEYS = {"kind", "max_level"}.union(*[keys for _, keys in ALGEBRA_PARSERS.values()])
 HOM_CLASSES = {h.type: h for h in (IdentityHom, QuotientHom, RestrictionHom, InclusionHom)}
 
 
@@ -108,8 +108,10 @@ def parse_algebra(obj, where="algebra"):
     kind = obj.get("kind")
     max_level = obj.get("max_level", DEFAULT_MAX_LEVEL)
     _require(is_json_int(max_level) and max_level >= 1, f"{where}: bad max_level")
-    parse = ALGEBRA_PARSERS.get(kind) if isinstance(kind, str) else None
-    _require(parse is not None, f"{where}: unknown kind {kind!r}")
+    _require(isinstance(kind, str) and kind in ALGEBRA_PARSERS, f"{where}: unknown kind {kind!r}")
+    parse, keys = ALGEBRA_PARSERS[kind]
+    foreign = sorted(set(obj) - {"kind", "max_level"} - keys)
+    _require(not foreign, f"{where}: kind {kind!r} does not read keys {foreign}")
     try:
         return parse(obj, where, max_level)
     except (ValueError, TypeError) as exc:

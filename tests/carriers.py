@@ -1,18 +1,18 @@
 """Desk-scale carriers and diagrams for the tests and benchmarks/bench_scalars.py.
 
 The clutching and cover diagrams are read from the bundled specs; only what
-no spec holds is built here: a line of points as a propagation space, the
-three algebras the identity suite runs over, the trivial diagram with
-identity legs, scalar diagonals such as 2 and 1/2, a space's radius
-schedule, and the product of two payloads in their algebra.  The CLI builds its
-algebras and diagrams from JSON specs alone."""
+no spec holds is built here: a line of points as the metric space of a
+propagation algebra, the three algebras the identity suite runs over, the
+trivial diagram with identity legs, scalar diagonals such as 2 and 1/2, a
+propagation algebra's radius schedule, and the product of two payloads in
+their algebra.  The CLI builds its algebras and diagrams from JSON specs
+alone."""
 
 from importlib import resources
 
 from kcert.algebras import (
     IdentityHom,
     PropagationAlgebra,
-    PropagationSpace,
     QuotientAlgebra,
     TrivialAlgebra,
 )
@@ -46,19 +46,20 @@ def cover_diagram():
 
 
 def line_space(npoints=4, radius_base=None):
-    """Points 0..n-1 on a line with |i - j| distances; radius base defaults
-    to the diameter so the whole algebra sits at level 0 or above."""
+    """(points, dist, radius_base) of points 0..n-1 on a line with |i - j|
+    distances, the first arguments of PropagationAlgebra; radius base
+    defaults to the diameter so the whole algebra sits at level 0 or above."""
     if radius_base is None:
         radius_base = max(npoints - 1, 1)
     dist = [[rat(abs(i - j)) for j in range(npoints)] for i in range(npoints)]
-    return PropagationSpace(tuple(str(i) for i in range(npoints)), dist, radius_base)
+    return tuple(str(i) for i in range(npoints)), dist, radius_base
 
 
-def radius(space, mu):
-    """r(mu) = R / 2^mu, the space's radius schedule as Fraction arithmetic:
-    r(mu) + r(mu) = r(mu - 1) exactly.  The reference the level table,
-    which compares reach * 2^mu with R as integers, must reproduce."""
-    return space.radius_base / rat(2 ** mu)
+def radius(algebra, mu):
+    """r(mu) = R / 2^mu, a propagation algebra's radius schedule as Fraction
+    arithmetic: r(mu) + r(mu) = r(mu - 1) exactly.  The reference the level
+    table, which compares reach * 2^mu with R as integers, must reproduce."""
+    return algebra.radius_base / rat(2 ** mu)
 
 
 def suite_algebras():
@@ -67,7 +68,7 @@ def suite_algebras():
     return {
         "trivial": TrivialAlgebra(),
         "quotient": QuotientAlgebra(Poly([-1, 0, 1])),
-        "propagation": PropagationAlgebra(line_space(4, 4)),
+        "propagation": PropagationAlgebra(*line_space(4, 4)),
     }
 
 

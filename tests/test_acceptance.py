@@ -133,9 +133,9 @@ def test_criterion_3_axiom4_bookkeeping():
             b = sampler.payload(algebra)
             ab = payload_product(algebra, a, b)
             ok &= degree(ab) >= max(0, min(degree(a), degree(b)) - 1)
-    space = suite_algebras()["propagation"].space
+    propagation = suite_algebras()["propagation"]
     for mu in range(1, 17):
-        ok &= radius(space, mu) + radius(space, mu) == radius(space, mu - 1)
+        ok &= radius(propagation, mu) + radius(propagation, mu) == radius(propagation, mu - 1)
     _report("3 axiom4-bookkeeping", ok, "1000 pairs/instance + exact radius law")
 
 
@@ -212,9 +212,9 @@ def test_criterion_6_exactness_witnesses():
     )
     ok &= report.passed and pair is not None
     u = _x_cert(diagram)
-    glued, minus = boundary_first_form(diagram, u)
-    u1, u2 = kernel_i_witnesses(diagram, glued, 1)
-    phi, report = exactness_kernel_i(diagram, (glued.double, minus), u1, u2)
+    glued, u_tilde, minus = boundary_first_form(diagram, u)
+    u1, u2 = kernel_i_witnesses(diagram, u_tilde, 1)
+    phi, report = exactness_kernel_i(diagram, (glued, minus), u1, u2)
     ok &= report.passed
     ok &= phi.sub_block(2, 4, 2, 4) == u.m.direct_sum(
         FilteredMatrix.identity(diagram.lambda_prime, 1)

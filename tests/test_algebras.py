@@ -16,7 +16,6 @@ from kcert.algebras import (
     LocalizedAlgebra,
     PolyAlgebra,
     PropagationAlgebra,
-    PropagationSpace,
     QuotientAlgebra,
     QuotientHom,
     RestrictionHom,
@@ -30,9 +29,8 @@ from kcert.specdoc import parse_algebra, parse_diagram
 
 
 def test_radius_schedule_law(propagation):
-    space = propagation.space
     for mu in range(1, propagation.max_level + 1):
-        assert radius(space, mu) + radius(space, mu) == radius(space, mu - 1)
+        assert radius(propagation, mu) + radius(propagation, mu) == radius(propagation, mu - 1)
 
 
 # Three points on a line at 1/3 and 1/6: d(a, c) = 1/2 meets the triangle
@@ -43,8 +41,10 @@ _MICRO = rat(1, 10 ** 6)
 
 
 def _space(points, dist, radius_base):
-    return PropagationSpace(points, [[parse_rational(v) if isinstance(v, str) else v
-                                      for v in row] for row in dist], rat(radius_base))
+    """The propagation algebra on this metric space, distances given as
+    strings or scalars."""
+    return PropagationAlgebra(points, [[parse_rational(v) if isinstance(v, str) else v
+                                        for v in row] for row in dist], rat(radius_base))
 
 
 def _changed(dist, *entries):
@@ -64,9 +64,9 @@ _LINE_SIXTHS = (("a", "b", "c", "d"), [[abs(x - y) for y in (0, rat(1, 3), rat(1
 @pytest.mark.parametrize("case", [_THIRDS, _LINE_SIXTHS], ids=["thirds", "line-sixths"])
 def test_space_checks_hold_with_equality(case):
     points, dist, radius_base = case
-    space = _space(points, dist, radius_base)
-    assert space.radius_base == parse_rational(radius_base)
-    assert max(v for row in space.dist for v in row) == space.radius_base
+    algebra = _space(points, dist, radius_base)
+    assert algebra.radius_base == parse_rational(radius_base)
+    assert max(v for row in algebra.dist for v in row) == algebra.radius_base
 
 
 _, _D, _R = _THIRDS
@@ -96,7 +96,7 @@ def test_space_validation():
 
 def test_degree_examples_three_point_line():
     # d(i, j) = |i - j|, R = 4: r(2) = 1 >= 1 > r(3) = 1/2.
-    alg = PropagationAlgebra(line_space(3, 4))
+    alg = PropagationAlgebra(*line_space(3, 4))
     nn = Kernel({(0, 1): rat(1), (1, 0): rat(1), (1, 2): rat(1), (2, 1): rat(1)})
     assert alg.accepts(nn)
     assert alg.degree(nn) == 2
@@ -205,8 +205,8 @@ def test_quotient_hom_and_section(quotient):
 
 
 def test_restriction_hom_roundtrip():
-    whole = PropagationAlgebra(line_space(5), diagonal=True)
-    sub = PropagationAlgebra(line_space(3), diagonal=True)
+    whole = PropagationAlgebra(*line_space(5), diagonal=True)
+    sub = PropagationAlgebra(*line_space(3), diagonal=True)
     # points "0","1","2" with the inherited metric
     h = RestrictionHom(whole, sub)
     f = Kernel({(0, 0): rat(2), (3, 3): rat(5)})
@@ -218,8 +218,8 @@ def test_restriction_hom_roundtrip():
 
 
 def test_restriction_requires_diagonal():
-    whole = PropagationAlgebra(line_space(5))
-    sub = PropagationAlgebra(line_space(3))
+    whole = PropagationAlgebra(*line_space(5))
+    sub = PropagationAlgebra(*line_space(3))
     with pytest.raises(ValueError):
         RestrictionHom(whole, sub)
 
@@ -266,8 +266,8 @@ def test_element_encoding_round_trip(all_algebras):
 
 def test_same_carrier_different_schedules():
     # The same metric space wrapped with two radius bases filters differently.
-    a_fine = PropagationAlgebra(line_space(3, 4))
-    a_coarse = PropagationAlgebra(line_space(3, 8))
+    a_fine = PropagationAlgebra(*line_space(3, 4))
+    a_coarse = PropagationAlgebra(*line_space(3, 8))
     k = Kernel({(0, 1): rat(1), (1, 0): rat(1)})
     assert a_fine.degree(k) == 2
     assert a_coarse.degree(k) == 3
@@ -275,10 +275,8 @@ def test_same_carrier_different_schedules():
 
 def test_support_addition_law(propagation, sampler):
     # composition reaches at most the sum of the supports' reaches
-    space = propagation.space
-
     def reach(payload):
-        return max((space.dist[i][j] for (i, j) in payload.table), default=rat(0))
+        return max((propagation.dist[i][j] for (i, j) in payload.table), default=rat(0))
 
     for _ in range(200):
         a = sampler.payload(propagation)
@@ -389,11 +387,12 @@ def test_changed_leg_gives_unequal_homs():
 
 
 def _diagonal(space, max_level=16):
-    return PropagationAlgebra(space, diagonal=True, max_level=max_level)
+    """The diagonal algebra on space, a (points, dist, radius_base) triple."""
+    return PropagationAlgebra(*space, diagonal=True, max_level=max_level)
 
 
 def _two_points(d):
-    return PropagationSpace(("0", "1"), [[0, d], [d, 0]], 4)
+    return ("0", "1"), [[0, d], [d, 0]], 4
 
 
 INVALID_HOMS = {
@@ -411,7 +410,7 @@ INVALID_HOMS = {
         "must preserve max_level"),
     "restriction-foreign-point": (
         RestrictionHom, lambda: (_diagonal(line_space(5)), _diagonal(
-            PropagationSpace(("0", "9"), [[0, 1], [1, 0]], 4))),
+            (("0", "9"), [[0, 1], [1, 0]], 4))),
         "not in source space"),
     "restriction-metric": (
         RestrictionHom, lambda: (_diagonal(line_space(5)), _diagonal(_two_points(2))),
@@ -481,18 +480,17 @@ def reference_degree(algebra, payload):
     schedule: the definition the level table must reproduce."""
     if not payload:
         return algebra.max_level
-    space = algebra.space
     reach = rat(0)
     for (i, j) in payload.table:
-        d = space.dist[i][j]
+        d = algebra.dist[i][j]
         if d > reach:
             reach = d
     if not reach:
         return algebra.max_level
-    if reach > radius(space, 0):
+    if reach > radius(algebra, 0):
         return 0
     mu = 0
-    while mu < algebra.max_level and radius(space, mu + 1) >= reach:
+    while mu < algebra.max_level and radius(algebra, mu + 1) >= reach:
         mu += 1
     return mu
 
@@ -500,7 +498,7 @@ def reference_degree(algebra, payload):
 def _third_space():
     # non-integer distances, and a zero distance between distinct points
     third, half = rat(1, 3), rat(3, 2)
-    return PropagationSpace(
+    return (
         ("a", "b", "c", "d"),
         [[0, third, half, half],
          [third, 0, half, half],
@@ -526,9 +524,8 @@ SATURATING = {("line4", 1), ("line4-R4", 1), ("line6", 1), ("thirds", 1)}
 @pytest.mark.parametrize("max_level", [1, 3, 16])
 @pytest.mark.parametrize("space_name", sorted(DEGREE_SPACES))
 def test_degree_table_matches_reach_loop(space_name, max_level):
-    space = DEGREE_SPACES[space_name]()
-    algebra = PropagationAlgebra(space, max_level=max_level)
-    n = space.size
+    algebra = PropagationAlgebra(*DEGREE_SPACES[space_name](), max_level=max_level)
+    n = len(algebra.points)
     pairs = [(i, j) for i in range(n) for j in range(n)]
     rng = random.Random(f"{space_name}-{max_level}")
     kernels = [Kernel({}), Kernel({(i, i): rat(i + 1) for i in range(n)})]
@@ -541,7 +538,7 @@ def test_degree_table_matches_reach_loop(space_name, max_level):
     for k in kernels:
         want = reference_degree(algebra, k)
         assert algebra.degree(k) == want, k
-        saturated |= want == max_level and any(space.dist[i][j] for i, j in k.table)
+        saturated |= want == max_level and any(algebra.dist[i][j] for i, j in k.table)
     # there the schedule stops at max_level while r(max_level) still covers a reach
     assert saturated == ((space_name, max_level) in SATURATING)
 
@@ -581,7 +578,7 @@ def _nilpotents(draw):
 @given(_nilpotents())
 def test_upper_unit_inverse_matches_series(case):
     n, lam, nil = case
-    algebra = PropagationAlgebra(line_space(n))
+    algebra = PropagationAlgebra(*line_space(n))
     u = algebra.from_rational(lam) + Kernel(nil)
     inv = _upper_unit_inverse(lam, nil, n)
     assert inv == _series_inverse(algebra, lam, nil)
@@ -662,7 +659,7 @@ def test_kernel_product_matches_schoolbook(case):
     assert product.table == _school_product(a, b)
     _assert_stored_values_canonical(product)
     if not product.table:
-        assert product is PropagationAlgebra(line_space(3)).zero()
+        assert product is PropagationAlgebra(*line_space(3)).zero()
 
 
 @settings(max_examples=150)
@@ -677,7 +674,7 @@ def test_kernel_sum_and_difference_match_schoolbook(a, b, cancel):
                         (-Kernel(b), negated)):
         assert built.table == want
         _assert_stored_values_canonical(built)
-    zero = PropagationAlgebra(line_space(3)).zero()
+    zero = PropagationAlgebra(*line_space(3)).zero()
     assert Kernel(a) - Kernel(a) is zero
 
 
@@ -738,9 +735,10 @@ def test_quotient_unit_draw_falls_back_to_one():
 
 
 def test_propagation_membership(propagation):
-    # A kernel is in the algebra when its points are the space's, and, in a
+    # A kernel is in the algebra when its points are the algebra's, and, in a
     # diagonal algebra, when it sits on the diagonal.
-    diagonal = PropagationAlgebra(propagation.space, diagonal=True)
+    diagonal = PropagationAlgebra(
+        propagation.points, propagation.dist, propagation.radius_base, diagonal=True)
     one = Kernel({(0, 0): rat(1)})
     assert propagation.accepts(one) and diagonal.accepts(one)
     assert propagation.accepts(Kernel({(0, 3): rat(1)}))

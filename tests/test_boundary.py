@@ -30,11 +30,7 @@ from kcert.matrices import (
     section_matrix,
     split2,
 )
-from kcert.mv import (
-    DoubleMatrix,
-    DoubleMismatch,
-    glue_idempotents,
-)
+from kcert.mv import DoubleMatrix, glue_idempotents
 from kcert.scalars import Poly, rat
 
 
@@ -249,17 +245,18 @@ def test_inverse_lifts_shape(clutching, sampler):
     assert out.p_double.p.first_mismatch(out.minus.p) is None
 
 
-def test_first_form_matches_second_up_to_certificates(clutching):
+def test_first_form_is_a_verified_double_idempotent(clutching):
+    # Each first form alone: no comparison with the extended form.
     u = _x_cert(clutching)
-    glued, minus = boundary_first_form(clutching, u)
-    glued.double.p.verify()
-    glued.double.verify()
+    glued, _, minus = boundary_first_form(clutching, u)
+    glued.p.verify()
+    glued.verify()
     assert minus.p.m1 == FilteredMatrix.diag_bits(clutching.lambda1, (1, 0))
     # stabilized transition glues to the same certified shape
     stab = u.pad(1)
-    glued2, _ = boundary_first_form(clutching, stab)
-    glued2.double.p.verify()
-    glued2.double.verify()
+    glued2, _, _ = boundary_first_form(clutching, stab)
+    glued2.p.verify()
+    glued2.verify()
 
 
 def test_lift_independence_a(clutching, sampler):
@@ -589,28 +586,26 @@ def _wrong_alternative_l():
     boundary_alt_lifting(_T, u, *checked_lifts(_T, u), InvertibleCert.identity(_T.lambda1, 2))
 
 
-@pytest.mark.parametrize("build,cls,message,position,residual", [
-    (_bad_inverse, CertificateFailure, "inverse certificate fails at (0, 1)", (0, 1), 1),
-    (_not_idempotent, CertificateFailure, "idempotent certificate fails at (1, 1)", (1, 1), 2),
-    (_legs_disagree, DoubleMismatch, "legs disagree in the overlap ring at (1, 0)",
-     (1, 0), -3),
-    (_double_not_idempotent, CertificateFailure,
+@pytest.mark.parametrize("build,message,position,residual", [
+    (_bad_inverse, "inverse certificate fails at (0, 1)", (0, 1), 1),
+    (_not_idempotent, "idempotent certificate fails at (1, 1)", (1, 1), 2),
+    (_legs_disagree, "legs disagree in the overlap ring at (1, 0)", (1, 0), -3),
+    (_double_not_idempotent,
      "idempotent certificate fails at ('leg2', (0, 0))", ("leg2", (0, 0)),
      Poly([0, 0, -1, 0, 1])),
-    (_wrong_lift_a, CertificateFailure, "lift A has the wrong image at (1, 0)", (1, 0), 1),
-    (_wrong_lift_b, CertificateFailure, "lift B has the wrong image at (0, 1)", (0, 1), 5),
-    (_u_not_commuting, CertificateFailure,
+    (_wrong_lift_a, "lift A has the wrong image at (1, 0)", (1, 0), 1),
+    (_wrong_lift_b, "lift B has the wrong image at (0, 1)", (0, 1), 5),
+    (_u_not_commuting,
      "U must commute with the stabilization block, fails at (0, 1)", (0, 1), 1),
-    (_non_conjugate_gluing, DoubleMismatch,
-     "legs disagree in the overlap ring at (0, 0)", (0, 0), 1),
-    (_wrong_alternative_l, CertificateFailure,
+    (_non_conjugate_gluing, "legs disagree in the overlap ring at (0, 0)", (0, 0), 1),
+    (_wrong_alternative_l,
      "alternative L does not lift the block rotation at (0, 0)", (0, 0), 1),
 ], ids=["inverse", "idempotent", "legs-disagree", "double-idempotent", "lift-a", "lift-b",
         "stabilization-block", "gluing", "alternative-l"])
-def test_failure_names_first_differing_entry(build, cls, message, position, residual):
+def test_failure_names_first_differing_entry(build, message, position, residual):
     with pytest.raises(CertificateFailure) as err:
         build()
-    assert type(err.value) is cls
+    assert type(err.value) is CertificateFailure
     assert str(err.value) == message
     assert err.value.position == position
     assert err.value.residual == residual

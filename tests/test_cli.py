@@ -886,6 +886,17 @@ REJECTIONS = [
                  "spec error: algebra: triangle inequality fails", id="dist-triangle"),
     pytest.param("verify", _propagation(radius_base="1/2"),
                  "spec error: algebra: radius base must cover the diameter", id="radius-base"),
+    # A key that only another kind reads: each ran as if it were absent.
+    pytest.param("verify", {"algebra": {"kind": "trivial", "modulus": ["-1", "0", "1"],
+                                        "points": ["a"], "diagonal": True}},
+                 "spec error: algebra: kind 'trivial' does not read keys "
+                 "['diagonal', 'modulus', 'points']", id="trivial-foreign-keys"),
+    pytest.param("verify", {"algebra": dict(_Q_X, points=["a"], dist=[["0"]])},
+                 "spec error: algebra: kind 'quotient-pullback-leg' does not read keys "
+                 "['dist', 'points']", id="pullback-leg-foreign-keys"),
+    pytest.param("verify", _propagation(modulus=["-1", "0", "1"]),
+                 "spec error: algebra: kind 'propagation' does not read keys ['modulus']",
+                 id="propagation-foreign-key"),
     pytest.param("verify", _kernel_entry("1"),
                  "spec error: matrix M: row 0: propagation element must be a list of triples",
                  id="kernel-not-list"),
@@ -939,6 +950,13 @@ REJECTIONS = [
     pytest.param("exactness", _legs(_line(["a", "b", "c"]), _line(["a", "c"]), "restriction"),
                  "spec error: diagram.j1: restricted space must inherit the metric",
                  id="restriction-metric"),
+    # A hom's source and target are the diagram's roles; none is read.
+    pytest.param("exactness", {"diagram": {
+        "lambda1": _Q_X, "lambda2": _Q_X, "lambda_prime": _Q_X,
+        "j1": {"type": "identity", "source": "lambda2", "target": "nowhere"},
+        "j2": {"type": "identity"}}},
+                 "spec error: diagram.j1 has unknown keys ['source', 'target']",
+                 id="hom-source-target"),
     pytest.param("exactness", _legs(_Q_X, _Q_X_MOD, "scalar-inclusion"),
                  "spec error: diagram.j1: scalar inclusion needs the trivial source",
                  id="inclusion-source"),

@@ -84,7 +84,6 @@ from kcert.algebras import (
     LocalizedAlgebra,
     PolyAlgebra,
     PropagationAlgebra,
-    PropagationSpace,
     QuotientAlgebra,
     QuotientHom,
     TrivialAlgebra,
@@ -132,7 +131,7 @@ def dies_mod_x2_minus_1(algebra):
 def dies_off_cover_overlap(algebra):
     """The unit kernel at the first point outside propagation_cover.json's
     overlap {"2"}, which both restriction legs drop; none on the overlap."""
-    outside = [i for i, point in enumerate(algebra.space.points) if point != "2"]
+    outside = [i for i, point in enumerate(algebra.points) if point != "2"]
     return Kernel({(outside[0], outside[0]): rat(1)}) if outside else None
 
 
@@ -488,8 +487,7 @@ def slot_paths():
             algebras._upper_unit_inverse,
             scalars.encode_rational, scalars._negated, TrivialAlgebra._rows_equal,
             Kernel.__init__, Kernel.__add__, Kernel.__mul__, Kernel.__neg__, Kernel.__eq__,
-            PropagationSpace.__init__, PropagationSpace.signature,
-            PropagationAlgebra._level_of, PropagationAlgebra.describe,
+            PropagationAlgebra.__init__, PropagationAlgebra._level_of, PropagationAlgebra.describe,
             QuotientAlgebra.describe, QuotientHom.apply_payload, Poly.__init__, Poly.const,
             Poly.is_monic, Poly.__add__, Poly.__sub__, scalars._remainder,
             scalars._poly_of, scalars._quot_inverse,

@@ -176,8 +176,8 @@ def _digest(obj):
 def _unit_draw_algebras():
     return {
         **suite_algebras(),
-        "diagonal": PropagationAlgebra(line_space(4), diagonal=True),
-        "one-point": PropagationAlgebra(line_space(1)),
+        "diagonal": PropagationAlgebra(*line_space(4), diagonal=True),
+        "one-point": PropagationAlgebra(*line_space(1)),
     }
 
 
@@ -293,7 +293,7 @@ def test_below_matches_randrange_draw_by_draw():
         assert sampler.rng.random() == reference.random()
     # An empty range raises, as randrange does, instead of drawing forever;
     # a propagation algebra on no points reaches it through a payload draw.
-    empty = PropagationAlgebra(line_space(0))
+    empty = PropagationAlgebra(*line_space(0))
     for n in (0, -1, -4):
         with pytest.raises(ValueError):
             Sampler(0)._below(n)

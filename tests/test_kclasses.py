@@ -19,7 +19,6 @@ from kcert.drivers import (
 )
 from kcert.identities import Sampler
 from kcert.kclasses import (
-    K0MiddleWitness,
     exactness_boundary_zero,
     exactness_i_after_boundary,
     exactness_k0_middle,
@@ -40,7 +39,7 @@ from kcert.matrices import (
     o_blocks,
     split2,
 )
-from kcert.mv import DoubleMatrix, DoubleMismatch, normalize_difference
+from kcert.mv import DoubleMatrix, normalize_difference
 from kcert.scalars import Poly, rat
 from test_matrices import sampled_idempotent
 
@@ -229,9 +228,9 @@ def test_kernel_i_round_trip_clutching(clutching):
     trivializers, and recover a transition whose scalar-block cut is the
     stabilized clutching function."""
     u = _x_cert(clutching)
-    glued, minus = boundary_first_form(clutching, u)
-    u1, u2 = kernel_i_witnesses(clutching, glued, 1)
-    phi, report = exactness_kernel_i(clutching, (glued.double, minus), u1, u2)
+    glued, u_tilde, minus = boundary_first_form(clutching, u)
+    u1, u2 = kernel_i_witnesses(clutching, u_tilde, 1)
+    phi, report = exactness_kernel_i(clutching, (glued, minus), u1, u2)
     assert report.passed
     # check names are report bytes on failure
     assert [c["name"] for c in report.checks] == KERNEL_I_CHECKS
@@ -251,7 +250,7 @@ def test_kernel_i_round_trip_clutching(clutching):
     out = boundary_extended_form(
         clutching, *checked_lifts(clutching, phi_cert, lift_a=v.m, lift_b=v.m_inv, m=m), m
     )
-    assert out.p_double.level >= max(0, min(glued.double.level, minus.level) - 8)
+    assert out.p_double.level >= max(0, min(glued.level, minus.level) - 8)
 
 
 @pytest.mark.parametrize("name", ["clutching", "trivial_mv"])
@@ -363,13 +362,13 @@ def test_k0_glue_push_reglue_round_trip(clutching):
     segment with the trivial witness, since its legs agree literally in the
     overlap ring."""
     u = _x_cert(clutching)
-    glued, minus = boundary_first_form(clutching, u)
+    glued, _, minus = boundary_first_form(clutching, u)
     d1 = (
-        IdempotentCert(glued.double.p.m1),
+        IdempotentCert(glued.p.m1),
         IdempotentCert(minus.p.m1),
     )
     d2 = (
-        IdempotentCert(glued.double.p.m2),
+        IdempotentCert(glued.p.m2),
         IdempotentCert(minus.p.m2),
     )
     from kcert.mv import k0_common_form
@@ -378,10 +377,8 @@ def test_k0_glue_push_reglue_round_trip(clutching):
     xi = IdempotentCert(
         FilteredMatrix.zeros(clutching.lambda_prime, 1)
     )
-    witness = K0MiddleWitness(
-        xi, InvertibleCert.identity(clutching.lambda_prime, q1.n + 1)
-    )
-    pre, report = exactness_k0_middle(clutching, d1, d2, witness)
+    v = InvertibleCert.identity(clutching.lambda_prime, q1.n + 1)
+    pre, report = exactness_k0_middle(clutching, d1, d2, xi, v)
     assert report.passed
     plus, _ = pre
     plus.verify()
@@ -393,13 +390,12 @@ def test_k0_middle_bad_witness_is_named_and_never_glued(clutching, monkeypatch):
     # line and returns before it glues.
     results = []
 
-    def break_witness(diagram, d1, d2, witness):
-        xi, v = witness
+    def break_witness(diagram, d1, d2, xi, v):
         lam = diagram.lambda_prime
         e = InvertibleCert(elementary(lam, v.n, 0, v.n - 1, lam.one()),
                            elementary(lam, v.n, 0, v.n - 1, -lam.one()))
         bad = v.compose(e)
-        results.append(exactness_k0_middle(diagram, d1, d2, K0MiddleWitness(xi, bad)))
+        results.append(exactness_k0_middle(diagram, d1, d2, xi, bad))
         return results[-1]
 
     def no_gluing(*args):
@@ -425,11 +421,11 @@ def test_k0_middle_with_a_nonzero_padding_idempotent(name, request, monkeypatch)
     # segment passes every line and glues.
     results = []
 
-    def padded(diagram, d1, d2, witness):
+    def padded(diagram, d1, d2, _, v):
         lam = diagram.lambda_prime
         one, z = lam.one(), lam.zero()
         xi = IdempotentCert(FilteredMatrix(lam, ((one, one), (z, z)))).verify()
-        results.append(exactness_k0_middle(diagram, d1, d2, K0MiddleWitness(xi, witness.v.pad(1))))
+        results.append(exactness_k0_middle(diagram, d1, d2, xi, v.pad(1)))
         return results[-1]
 
     monkeypatch.setattr(drivers, "exactness_k0_middle", padded)
@@ -448,10 +444,10 @@ def test_k0_middle_bad_padding_is_named_and_never_glued(clutching, monkeypatch):
     # one line that fails, and the segment returns before it glues.
     results = []
 
-    def bad_padding(diagram, d1, d2, witness):
+    def bad_padding(diagram, d1, d2, _, v):
         lam = diagram.lambda_prime
         xi = IdempotentCert(FilteredMatrix(lam, ((lam.from_rational(rat(2)),),)))
-        results.append(exactness_k0_middle(diagram, d1, d2, K0MiddleWitness(xi, witness.v)))
+        results.append(exactness_k0_middle(diagram, d1, d2, xi, v))
         return results[-1]
 
     def no_gluing(*args):
@@ -471,7 +467,8 @@ def test_double_mismatch_position_reported(clutching):
     try:
         DoubleMatrix(clutching, x, one).verify()
         assert False, "mismatch must raise"
-    except DoubleMismatch as exc:
+    except CertificateFailure as exc:
+        assert str(exc).startswith("legs disagree in the overlap ring at ")
         assert exc.position == (0, 0)
         assert exc.residual is not None
 
@@ -560,16 +557,15 @@ def test_implied_exactness_claims_hold(name, request, monkeypatch):
     j1, j2 = diagram.j1, diagram.j2
     # k0_middle: composite conjugation, the glued double idempotent, and
     # both leg recoveries.
-    for (q1p, q2p, u_final, _), _, glued in calls["glue_idempotents"]:
+    for (q1p, q2p, u_final, _), _, (glued, u_tilde) in calls["glue_idempotents"]:
         assert apply_hom_matrix(j1, q1p.p) == (
             u_final.m @ apply_hom_matrix(j2, q2p.p) @ u_final.m_inv
         )
-        glued.double.verify()
-        glued.double.p.verify()
+        glued.verify()
+        glued.p.verify()
         big = q1p.n
-        assert glued.double.p.m1 == q1p.p.pad(big, fill=0)
-        u_tilde = glued.u_tilde
-        assert glued.double.p.m2 == u_tilde.m @ q2p.p.pad(big, fill=0) @ u_tilde.m_inv
+        assert glued.p.m1 == q1p.p.pad(big, fill=0)
+        assert glued.p.m2 == u_tilde.m @ q2p.p.pad(big, fill=0) @ u_tilde.m_inv
     # boundary_zero, which builds no L or P: L is invertible (built and
     # verified here, with its other side) and the boundary class is the
     # literal zero difference.

@@ -135,7 +135,7 @@ def test_level_laws(kind, sampler):
     algebra = {
         **suite_algebras(),
         "poly": PolyAlgebra(),
-        "diagonal propagation": PropagationAlgebra(line_space(4), diagonal=True),
+        "diagonal propagation": PropagationAlgebra(*line_space(4), diagonal=True),
     }[kind]
     empty = FilteredMatrix.zeros(algebra, 0)
     assert empty.n == 0 and empty.level == algebra.max_level
@@ -330,7 +330,7 @@ ONE_SIDED_ALGEBRAS = {
     "Q[x]": PolyAlgebra,
     "Q[x]/(x^2-1)": lambda: suite_algebras()["quotient"],
     "kernels": lambda: suite_algebras()["propagation"],
-    "diagonal kernels": lambda: PropagationAlgebra(line_space(4), diagonal=True),
+    "diagonal kernels": lambda: PropagationAlgebra(*line_space(4), diagonal=True),
 }
 
 
@@ -376,7 +376,7 @@ PARITY_ALGEBRAS = {
     "Q[x]/(x^2-1)": lambda: suite_algebras()["quotient"],
     "kernels": lambda: suite_algebras()["propagation"],
     "Q[x]/(x^3-x/2+1/3)": lambda: QuotientAlgebra(Poly([rat(1, 3), rat(-1, 2), 0, 1])),
-    "diagonal kernels": lambda: PropagationAlgebra(line_space(4), diagonal=True),
+    "diagonal kernels": lambda: PropagationAlgebra(*line_space(4), diagonal=True),
 }
 
 
@@ -580,7 +580,7 @@ def _payloads(algebra):
     if isinstance(algebra, TrivialAlgebra):
         return _scalars
     if isinstance(algebra, PropagationAlgebra):
-        points = range(algebra.space.size)
+        points = range(len(algebra.points))
         keys = (
             st.sampled_from(points).map(lambda i: (i, i))
             if algebra.diagonal
@@ -872,5 +872,5 @@ def test_kernel_equality_is_entrywise_fraction_equality(data):
     assert (a == b) is (want_a == want_b)
     assert (-a == -b) is (want_a == want_b)
     assert (-a).table == {k: -v for k, v in want_a.items()}
-    m = FilteredMatrix(PropagationAlgebra(line_space(4, 4)), ((a,),))
+    m = FilteredMatrix(PropagationAlgebra(*line_space(4, 4)), ((a,),))
     assert (m == FilteredMatrix(m.algebra, ((b,),))) is (want_a == want_b)
