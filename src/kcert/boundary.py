@@ -57,7 +57,7 @@ from .matrices import (
 from .mv import DoubleMatrix, glue_idempotents
 
 
-BoundaryOutput = namedtuple("BoundaryOutput", ["s0", "s1", "l", "p", "p_double", "e2", "minus"])
+BoundaryOutput = namedtuple("BoundaryOutput", ["s0", "s1", "l", "p", "p_double", "minus"])
 
 
 def e_block(algebra, m, n):
@@ -149,13 +149,9 @@ def boundary_extended_form(diagram, a, b, m=0):
     # its line "phi commutes with the scalar block" and returns before
     # this build when that fails.  The boundary report's "double matrix
     # constraint" line verifies the legs.
-    p_double = IdempotentCert(DoubleMatrix(diagram, p_mat, e2_leg2))
-    minus = IdempotentCert(
-        DoubleMatrix(diagram, e_block(diagram.lambda1, size + m, n), e2_leg2)
-    )
-    return BoundaryOutput(
-        s0=s0, s1=s1, l=l, p=p, p_double=p_double, e2=e2_leg2, minus=minus
-    )
+    p_double = DoubleMatrix(diagram, p_mat, e2_leg2)
+    minus = DoubleMatrix(diagram, e_block(diagram.lambda1, size + m, n), e2_leg2)
+    return BoundaryOutput(s0=s0, s1=s1, l=l, p=p, p_double=p_double, minus=minus)
 
 
 def boundary_first_form(diagram, u):
@@ -166,8 +162,7 @@ def boundary_first_form(diagram, u):
     one = IdempotentCert(FilteredMatrix.identity(diagram.lambda1, n))
     one2 = IdempotentCert(FilteredMatrix.identity(diagram.lambda2, n))
     double, u_tilde = glue_idempotents(one, one2, u, diagram)
-    minus = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * n + (0,) * n))
-    return double, u_tilde, minus
+    return double, u_tilde, DoubleMatrix.diag_bits(diagram, (1,) * n + (0,) * n)
 
 
 def _corner(base):

@@ -99,19 +99,18 @@ def boundary_report(diagram, u, lift_a=None, lift_b=None, m=0,
     }
     if out is not None:
         log.run("P certifies idempotent", out.p.verify)
-        # P_double^2 = P_double is P^2 = P on leg 1, checked on the line
-        # above, and e2^2 = e2 on leg 2, a 0/1 diagonal; what is left to
-        # check is that the legs agree.
-        log.run("double matrix constraint", out.p_double.p.verify)
+        # P_double's legs are P, whose P^2 = P is the line above, and the
+        # 0/1 diagonal e2; what is left to check is that the legs agree.
+        log.run("double matrix constraint", out.p_double.verify)
         report["s0"] = encode_matrix(out.s0)
         report["s1"] = encode_matrix(out.s1)
         report["l"] = encode_matrix(out.l.m)
         report["l_inv"] = encode_matrix(out.l.m_inv)
         report["p"] = encode_matrix(out.p.p)
-        report["p_double"] = encode_double(out.p_double.p)
+        report["p_double"] = encode_double(out.p_double)
         report["class"] = {
             "plus": report["p_double"],
-            "minus": encode_double(out.minus.p),
+            "minus": encode_double(out.minus),
         }
         report["levels"] = {
             "input": u.level,

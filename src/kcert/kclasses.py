@@ -1,6 +1,7 @@
 """The six-term exactness witness suite.
 
-A K0 difference is a plain (plus, minus) pair of idempotent certificates.
+A K0 difference is a plain (plus, minus) pair of idempotent certificates
+over one leg, or of double matrices over the pullback.
 Class equality is never decided, only certified: each segment states its
 "=" as an exact matrix equality between explicit representatives, through
 recorded conjugators and literal scalar blocks, and records it as a named
@@ -15,17 +16,18 @@ from .matrices import (
     InvertibleCert,
     apply_hom_matrix,
     block2,
+    expect_equal,
     involution_cert,
     o_blocks,
     split2,
 )
 from .mv import (
     DoubleMatrix,
-    double_invertible,
     glue_idempotents,
     k0_common_form,
     lift_via_whitehead,
     normalize_difference,
+    on_legs,
 )
 
 
@@ -116,8 +118,7 @@ def exactness_k0_middle(diagram, d1, d2, xi, v):
     # verify() checks that conjugacy again, and its legs q1p + 0 and
     # u~ (q2p + 0) u~^-1 are glue's own formulas.
     glued, _ = glue_idempotents(q1p, q2p, u_final, diagram)
-    minus = IdempotentCert(DoubleMatrix.diag_bits(diagram, (1,) * (n_minus + k)))
-    return (glued, minus), report
+    return (glued, DoubleMatrix.diag_bits(diagram, (1,) * (n_minus + k))), report
 
 
 def exactness_boundary_zero(diagram, u_tilde):
@@ -166,7 +167,7 @@ def exactness_i_after_boundary(diagram, u, m=0):
         "leg1: P = (L.swap) e2 (L.swap)^-1",
         out.p.p.first_mismatch(conj.m @ e2_leg1 @ conj.m_inv),
     )
-    # Leg 2 is out.e2 itself, the literal scalar block.
+    # Leg 2 is out.p_double.m2 itself, the literal scalar block.
     return report
 
 
@@ -184,7 +185,8 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
     u1, u2 = witness
     out = boundary_extended_form(diagram, *checked_lifts(diagram, u, lift_a, lift_b))
     try:
-        double_invertible(diagram, u1, u2)
+        DoubleMatrix(diagram, u1.m, u2.m).verify()
+        DoubleMatrix(diagram, u1.m_inv, u2.m_inv).verify()
     except CertificateFailure as exc:
         report.add("witness is a double invertible", False, exc)
         return None, report
@@ -194,8 +196,9 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
         "witness trivializes leg1", out.p.p.first_mismatch(u1.m @ e2 @ u1.m_inv)
     ):
         return None, report
+    e2_leg2 = out.p_double.m2
     if not report.require(
-        "witness fixes leg2", out.p_double.p.m2.first_mismatch(u2.m @ out.e2 @ u2.m_inv)
+        "witness fixes leg2", e2_leg2.first_mismatch(u2.m @ e2_leg2 @ u2.m_inv)
     ):
         return None, report
     # Conjugating back by U1^{-1} sends the first leg to the literal e2.  Leg 2
@@ -222,13 +225,14 @@ def exactness_kernel_boundary(diagram, u, witness, lift_a=None, lift_b=None):
 
 def exactness_kernel_i(diagram, d, u1, u2):
     """Kernel of the legs: a double K0 difference killed by both legs is a
-    boundary.  Normalize the difference to p~ = plus + (1 - minus), conjugate
-    by (u2^{-1}, u2^{-1}); the second leg becomes the literal scalar block, phi
-    = j1(u2^{-1} u1) commutes with it, and the lifts u2^{-1} u1, u1^{-1} u2
-    have vanishing defects, so the extended boundary of phi reproduces the
-    input class with every step certified.  Returns (phi, report): phi is
-    the matrix j1(u2^{-1} u1), or None after a failed line.  No line reads
-    the image of u1^{-1} u2, so it is not mapped."""
+    boundary.  The difference is a pair (plus, minus) of double matrices,
+    and each step runs on the legs.  Normalize it to p~ = plus + (1 - minus),
+    conjugate each leg by u2^{-1}; the second leg becomes the literal scalar
+    block, phi = j1(u2^{-1} u1) commutes with it, and the lifts u2^{-1} u1,
+    u1^{-1} u2 have vanishing defects, so the extended boundary of phi
+    reproduces the input class with every step certified.  Returns
+    (phi, report): phi is the matrix j1(u2^{-1} u1), or None after a failed
+    line.  No line reads the image of u1^{-1} u2, so it is not mapped."""
     report = ExactnessReport("kernel_i")
     if not diagram.same_legs:
         report.add("diagram has equal legs", False, "recipe assumes equal legs")
@@ -236,27 +240,27 @@ def exactness_kernel_i(diagram, d, u1, u2):
     report.add("diagram has equal legs", True)
     plus, minus = d
     m_sz, n_sz = plus.n, minus.n
-    p_tilde, _ = normalize_difference(plus, minus)
+    p1, p2 = (
+        normalize_difference(IdempotentCert(p), IdempotentCert(q))[0]
+        for p, q in ((plus.m1, minus.m1), (plus.m2, minus.m2))
+    )
     total = m_sz + n_sz
     eps = e_block(diagram.lambda1, m_sz, n_sz)
     report.require(
-        "witness u1 trivializes leg1",
-        p_tilde.p.m1.first_mismatch(u1.m @ eps @ u1.m_inv),
+        "witness u1 trivializes leg1", p1.p.first_mismatch(u1.m @ eps @ u1.m_inv)
     )
     report.require(
-        "witness u2 trivializes leg2",
-        p_tilde.p.m2.first_mismatch(u2.m @ eps @ u2.m_inv),
+        "witness u2 trivializes leg2", p2.p.first_mismatch(u2.m @ eps @ u2.m_inv)
     )
     if not report.passed:
         return None, report
-    back = InvertibleCert(
-        DoubleMatrix(diagram, u2.m_inv, u2.m_inv), DoubleMatrix(diagram, u2.m, u2.m)
-    )
-    p_tt = IdempotentCert(back.m @ p_tilde.p @ back.m_inv)
+    # Each leg conjugated by u2^-1: the same matrix on both legs, as the
+    # legs are equal.
+    tt1, tt2 = (IdempotentCert(u2.m_inv @ p.p @ u2.m) for p in (p1, p2))
     v = u2.inverse().compose(u1)
     # Leg 1 needs no line: it is u2^-1 (u1 eps u1^-1) u2 = V eps V^-1 by the
     # witness line for u1, which returned early if it failed.
-    report.require("conjugated leg2 is literal eps", p_tt.p.m2.first_mismatch(eps))
+    report.require("conjugated leg2 is literal eps", tt2.p.first_mismatch(eps))
     phi = apply_hom_matrix(diagram.j1, v.m)
     eps_prime = e_block(diagram.lambda_prime, m_sz, n_sz)
     report.require(
@@ -277,41 +281,45 @@ def exactness_kernel_i(diagram, d, u1, u2):
     report.require(
         "boundary block reproduces conjugated class (leg1)",
         out.p.p.first_mismatch(
-            FilteredMatrix.zeros(diagram.lambda1, total).direct_sum(p_tt.p.m1)
+            FilteredMatrix.zeros(diagram.lambda1, total).direct_sum(tt1.p)
         ),
     )
     # Leg 2 needs no line: the boundary's leg 2 is e_block(lambda2, total +
     # m, n) = 0_total + eps, and "conjugated leg2 is literal eps" passed
-    # before the return above, so 0_total + p_tt's leg 2 is the same block.
+    # before the return above, so 0_total + tt2 is the same block.
 
-    # Chain back to the input class: un-conjugate, then un-normalize.
-    # back's legs are one matrix over equal legs, so its inverse is a double
-    # invertible.  p_tt was built as back p~ back^-1, so conjugating it by
-    # back^-1 gives (u2 u2^-1) p~ (u2 u2^-1) on each leg, which is p~ once
-    # back^-1's verify has checked u2 u2^-1 = 1 (and so u2^-1 u2 = 1, see
-    # InvertibleCert.verify).
-    report.run("conjugating back restores p~", back.inverse().verify)
-    # What is left is [p~] - [1_n] = [plus] - [minus]: 1_m + W conjugates
-    # plus + diag(0_n, 1_n) onto p~ + minus = plus + (1 - minus) + minus,
-    # with the trivializer W = [[minus, 1 - minus], [1 - minus, minus]].  W
-    # is built leg by leg by one recipe, so its legs agree as minus's do, and
-    # W = W^-1, which conj's verify checks; so W diag(1_n, 0_n) W =
-    # minus + (1 - minus) follows from the lower block, and the minus part
-    # trivializes.
-    w1, w2 = (involution_cert(IdempotentCert(leg)) for leg in (minus.p.m1, minus.p.m2))
-    trivializer = InvertibleCert(
-        DoubleMatrix(diagram, w1.m, w2.m), DoubleMatrix(diagram, w1.m_inv, w2.m_inv)
+    # Chain back to the input class: un-conjugate, then un-normalize.  Each
+    # leg was conjugated by u2^-1 alone, so conjugating back by u2 gives
+    # (u2 u2^-1) p~ (u2 u2^-1) on each leg, which is p~ once u2's verify has
+    # checked u2 u2^-1 = 1 (and so u2^-1 u2 = 1, see InvertibleCert.verify).
+    report.run("conjugating back restores p~", u2.verify)
+    # What is left is [p~] - [1_n] = [plus] - [minus]: on each leg, 1_m + W
+    # conjugates plus + diag(0_n, 1_n) onto p~ + minus = plus + (1 - minus)
+    # + minus, with the trivializer W = [[minus, 1 - minus], [1 - minus,
+    # minus]].  W is built leg by leg by one recipe, so its legs agree as
+    # minus's do, and W = W^-1, which the conjugator's verify checks; so
+    # W diag(1_n, 0_n) W = minus + (1 - minus) follows from the lower
+    # block, and the minus part trivializes.
+    conj1, conj2 = (
+        InvertibleCert.identity(q.algebra, m_sz).direct_sum(involution_cert(IdempotentCert(q)))
+        for q in (minus.m1, minus.m2)
     )
-    ident = DoubleMatrix.identity(diagram, m_sz)
-    lower = DoubleMatrix.diag_bits(diagram, (0,) * n_sz + (1,) * n_sz)
-    conj = InvertibleCert(ident, ident).direct_sum(trivializer)
+
+    def restores(leg):
+        conj, p, plus_leg, minus_leg = leg
+        lower = e_block(minus_leg.algebra, n_sz, n_sz)
+        rhs = conj.m @ plus_leg.direct_sum(lower) @ conj.m_inv
+        expect_equal(p.p.direct_sum(minus_leg), rhs, "un-stabilizing fails")
+
     try:
-        conj.verify()
+        on_legs(InvertibleCert.verify, conj1, conj2)
     except CertificateFailure as exc:
         mismatch = str(exc)
     else:
-        mismatch = p_tilde.p.direct_sum(minus.p).first_mismatch(
-            conj.m @ plus.p.direct_sum(lower) @ conj.m_inv
-        )
+        try:
+            on_legs(restores, (conj1, p1, plus.m1, minus.m1), (conj2, p2, plus.m2, minus.m2))
+            mismatch = None
+        except CertificateFailure as exc:
+            mismatch = exc.position, exc.residual
     report.require("un-stabilizing restores the normalized plus part", mismatch)
     return phi, report

@@ -211,14 +211,10 @@ def split2(m):
 
 
 class InvertibleCert:
-    """An invertible matrix carried together with its explicit inverse.
-
-    The matrices may be of any square type with ``algebra``, ``n``,
-    ``level``, ``@``, ``direct_sum``, ``first_mismatch`` and a classmethod
-    ``identity(algebra, n)``: a FilteredMatrix, or a double matrix over a
-    pullback diagram.  pad() also needs the matrices' ``pad``, which only a
-    FilteredMatrix has.  verify() recomputes m m^-1 = 1, which implies
-    m^-1 m = 1 (see verify).  There is no ``==``: compare the factors."""
+    """An invertible FilteredMatrix carried together with its explicit
+    inverse.  verify() recomputes m m^-1 = 1, which implies m^-1 m = 1 (see
+    verify).  There is no ``==``: compare the factors.  Over a pullback,
+    one certificate per leg makes the claim (see mv.on_legs)."""
 
     __slots__ = ("m", "m_inv")
 
@@ -247,9 +243,8 @@ class InvertibleCert:
         # unit, so m has a two-sided inverse (adj m / det m), and a right
         # inverse equals it.  A matrix of propagation kernels on N points is
         # an nN x nN rational matrix, with the same product and unit, and
-        # rational matrices are the commutative case.  A double matrix
-        # multiplies leg by leg, so each leg is one of these.
-        ident = type(self.m).identity(self.m.algebra, self.m.n)
+        # rational matrices are the commutative case.
+        ident = FilteredMatrix.identity(self.m.algebra, self.m.n)
         expect_equal(self.m @ self.m_inv, ident, "inverse certificate fails")
         return self
 
@@ -273,10 +268,8 @@ class InvertibleCert:
 
 
 class IdempotentCert:
-    """An idempotent matrix; verify() recomputes p @ p == p.
-
-    Takes the same matrix types as InvertibleCert; complement() also needs
-    ``-``, and pad() needs a FilteredMatrix."""
+    """An idempotent FilteredMatrix; verify() recomputes p @ p == p.  Over a
+    pullback, one certificate per leg makes the claim (see mv.on_legs)."""
 
     __slots__ = ("p",)
 
@@ -301,7 +294,7 @@ class IdempotentCert:
 
     def complement(self):
         """1 - p, also idempotent."""
-        return IdempotentCert(type(self.p).identity(self.p.algebra, self.p.n) - self.p)
+        return IdempotentCert(FilteredMatrix.identity(self.p.algebra, self.p.n) - self.p)
 
     def pad(self, k):
         return IdempotentCert(self.p.pad(k, fill=0)) if k else self

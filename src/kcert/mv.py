@@ -1,12 +1,11 @@
 """Pullback diagrams, double matrices, and constructive gluing.
 
-The pullback ring is never materialized: a double matrix is a pair over the
-two legs whose images in the overlap ring agree exactly (Milnor's
-patching), which its verify() checks; building one checks only the shapes
-of its legs, as building a certificate does.  Its operations act legwise
-and its algebra is the diagram, so an idempotent or invertible over the
-pullback is a plain IdempotentCert or InvertibleCert whose matrices are
-double matrices.
+The pullback ring is never materialized: a double matrix is a checked pair
+over the two legs whose images in the overlap ring agree exactly (Milnor's
+patching).  Its verify() is its one claim; building one checks only the
+shapes of its legs, as building a certificate does.  It has no arithmetic:
+a construction over the pullback works on the legs, with certificates over
+FilteredMatrix, and on_legs names the leg of a failed claim.
 
 Gluing idempotents lifts diag(u, u^{-1}) for the transition invertible u
 and conjugates the second leg by the lift; that the two idempotents are
@@ -20,6 +19,7 @@ inverse for any a and b, not only when ab = 1: three products of size n.
 """
 
 from .matrices import (
+    CertificateFailure,
     FilteredMatrix,
     IdempotentCert,
     InvertibleCert,
@@ -66,10 +66,9 @@ class MVDiagram:
 
 class DoubleMatrix:
     """A pair (m1, m2) with j1*(m1) = j2*(m2) exactly: a square matrix over
-    the pullback, whose algebra is the diagram.  Every operation acts
-    legwise, so the certificate classes take it as they take a
-    FilteredMatrix.  verify() compares the two overlap images; there is no
-    ``==``, and first_mismatch compares two double matrices."""
+    the pullback.  verify() compares the two overlap images, and is the one
+    claim of the pair; there is no arithmetic and no ``==``.  A claim about
+    the pair is made on its legs (see on_legs)."""
 
     __slots__ = ("diagram", "m1", "m2")
 
@@ -91,10 +90,6 @@ class DoubleMatrix:
         return self
 
     @property
-    def algebra(self):
-        return self.diagram
-
-    @property
     def n(self):
         return self.m1.n
 
@@ -110,51 +105,19 @@ class DoubleMatrix:
             FilteredMatrix.diag_bits(diagram.lambda2, bits),
         )
 
-    @classmethod
-    def identity(cls, diagram, n):
-        return cls(
-            diagram,
-            FilteredMatrix.identity(diagram.lambda1, n),
-            FilteredMatrix.identity(diagram.lambda2, n),
-        )
 
-    def __sub__(self, other):
-        self._same(other)
-        return DoubleMatrix(self.diagram, self.m1 - other.m1, self.m2 - other.m2)
-
-    def __matmul__(self, other):
-        self._same(other)
-        return DoubleMatrix(self.diagram, self.m1 @ other.m1, self.m2 @ other.m2)
-
-    def _same(self, other):
-        if not isinstance(other, DoubleMatrix) or other.diagram is not self.diagram:
-            raise MatrixError("double matrices over different diagrams")
-
-    def direct_sum(self, other):
-        self._same(other)
-        return DoubleMatrix(
-            self.diagram, self.m1.direct_sum(other.m1), self.m2.direct_sum(other.m2)
-        )
-
-    def first_mismatch(self, other):
-        """((leg, (i, j)), residual) of the first differing entry, or None."""
-        self._same(other)
-        for leg, mine, theirs in (("leg1", self.m1, other.m1), ("leg2", self.m2, other.m2)):
-            bad = mine.first_mismatch(theirs)
-            if bad is not None:
-                return (leg, bad[0]), bad[1]
-        return None
-
-
-def double_invertible(diagram, cert1, cert2):
-    """Invertible certificate over the pullback from one certificate per
-    leg, with the forward and the inverse pair each verified to agree in
-    the overlap ring.  A pairing that needs no such check is built as
-    InvertibleCert(DoubleMatrix(...), DoubleMatrix(...))."""
-    return InvertibleCert(
-        DoubleMatrix(diagram, cert1.m, cert2.m).verify(),
-        DoubleMatrix(diagram, cert1.m_inv, cert2.m_inv).verify(),
-    )
+def on_legs(check, leg1, leg2):
+    """check(leg1), then check(leg2): one claim over the pullback, made leg by
+    leg, each failing through expect_equal.  A failure at (i, j) is raised
+    again at (leg, (i, j)), and its message names that position; this is
+    the one place a position names its leg."""
+    for leg, value in (("leg1", leg1), ("leg2", leg2)):
+        try:
+            check(value)
+        except CertificateFailure as exc:
+            where = (leg, exc.position)
+            what = str(exc).removesuffix(f" at {exc.position}")
+            raise CertificateFailure(f"{what} at {where}", where, exc.residual) from None
 
 
 def whitehead_lift(a, b):
@@ -186,8 +149,8 @@ def glue_idempotents(p1, p2, u, diagram):
     conjugate by u, produce the size-doubled double idempotent whose first
     leg is p1 + 0 and whose second leg is the recorded conjugate of
     p2 + 0 by the lifted diag(u, u^{-1}); returns (double, u~) with u~ that
-    lift.  The conjugacy is checked by the glued double's verify(), which
-    raises CertificateFailure when it fails."""
+    lift.  The conjugacy is checked by the double's verify(), then each leg
+    is verified idempotent; either raises CertificateFailure when it fails."""
     n = p1.n
     u_tilde = lift_via_whitehead(u, diagram.j2)
     leg1 = p1.p.pad(n, fill=0)
@@ -198,7 +161,8 @@ def glue_idempotents(p1, p2, u, diagram):
     # is a ring map, so j2(leg2) = (u j2(p2) u^-1) + 0 while j1(leg1) =
     # j1(p1) + 0.  The legs disagree exactly where j1(p1) and u j2(p2) u^-1
     # do, first at the same entry and with the same residual.
-    double = IdempotentCert(DoubleMatrix(diagram, leg1, leg2).verify()).verify()
+    double = DoubleMatrix(diagram, leg1, leg2).verify()
+    on_legs(IdempotentCert.verify, IdempotentCert(leg1), IdempotentCert(leg2))
     return double, u_tilde
 
 

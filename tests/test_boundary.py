@@ -5,6 +5,7 @@ import pytest
 from carriers import clutching_diagram, scalar_diag, spec_path, trivial_diagram
 from test_acceptance import check_lift_conjugator, perturbed_boundary
 from test_guards import perfbench_request
+from test_mv import legs, verify_double_idempotent
 
 from kcert import boundary, drivers
 from kcert.algebras import Kernel
@@ -56,7 +57,7 @@ def test_trivial_diagram_invertible_lift_gives_zero(trivial_mv):
     )
     out = boundary_extended_form(trivial_mv, a, b)
     assert out.s0.is_zero() and out.s1.is_zero()
-    assert out.p_double.p.first_mismatch(out.minus.p) is None  # the literal zero difference
+    assert legs(out.p_double) == legs(out.minus)  # the literal zero difference
 
 
 def test_clutching_boundary_closed_form(clutching):
@@ -68,8 +69,7 @@ def test_clutching_boundary_closed_form(clutching):
     assert out.s0 == FilteredMatrix(clutching.lambda1, ((one_minus_x2,),))
     assert out.s1 == FilteredMatrix(clutching.lambda1, ((one_minus_x2,),))
     out.p.verify()
-    out.p_double.p.verify()
-    out.p_double.verify()
+    verify_double_idempotent(out.p_double)
     # closed form checked inside; cross-check the intertwining laws directly
     assert out.s1 @ a == a @ out.s0
     ident = FilteredMatrix.identity(clutching.lambda1, 1)
@@ -95,8 +95,7 @@ def test_intertwining_for_arbitrary_lifts(clutching, sampler):
         )
         out = boundary_extended_form(clutching, a, b)
         out.p.verify()
-        out.p_double.p.verify()
-        out.p_double.verify()
+        verify_double_idempotent(out.p_double)
         assert out.s1 @ a == a @ out.s0
         ident = FilteredMatrix.identity(clutching.lambda1, 1)
         assert a @ (out.s0.plus_one() @ b) == ident - out.s1 @ out.s1
@@ -150,8 +149,7 @@ def test_extended_block_diagonal(clutching):
     ).verify()
     out = boundary_extended_form(clutching, *checked_lifts(clutching, u, m=1), 1)
     out.p.verify()
-    out.p_double.p.verify()
-    out.p_double.verify()
+    verify_double_idempotent(out.p_double)
     # the m-padding must not change the certified class content: the
     # e-block cuts the x-part exactly as the m = 0 boundary of x does
     x1 = _x_cert(clutching)
@@ -242,21 +240,19 @@ def test_inverse_lifts_shape(clutching, sampler):
     a, b = checked_lifts(clutching, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv, m=1)
     out = boundary_extended_form(clutching, a, b, 1)
     assert out.s0.is_zero() and out.s1.is_zero()
-    assert out.p_double.p.first_mismatch(out.minus.p) is None
+    assert legs(out.p_double) == legs(out.minus)
 
 
 def test_first_form_is_a_verified_double_idempotent(clutching):
     # Each first form alone: no comparison with the extended form.
     u = _x_cert(clutching)
     glued, _, minus = boundary_first_form(clutching, u)
-    glued.p.verify()
-    glued.verify()
-    assert minus.p.m1 == FilteredMatrix.diag_bits(clutching.lambda1, (1, 0))
+    verify_double_idempotent(glued)
+    assert minus.m1 == FilteredMatrix.diag_bits(clutching.lambda1, (1, 0))
     # stabilized transition glues to the same certified shape
     stab = u.pad(1)
     glued2, _, _ = boundary_first_form(clutching, stab)
-    glued2.p.verify()
-    glued2.verify()
+    verify_double_idempotent(glued2)
 
 
 def test_lift_independence_a(clutching, sampler):
@@ -555,9 +551,12 @@ def _legs_disagree():
 
 
 def _double_not_idempotent():
+    # x^2 is 1 in the overlap ring, so the legs of the glued double agree;
+    # gluing then verifies each leg idempotent, and leg 2 is diag(x^2, 0).
     c = clutching_diagram()
     x2 = FilteredMatrix(c.lambda2, ((Poly([0, 0, 1]),),))
-    IdempotentCert(DoubleMatrix(c, FilteredMatrix.identity(c.lambda1, 1), x2).verify()).verify()
+    one = IdempotentCert(FilteredMatrix.identity(c.lambda1, 1))
+    glue_idempotents(one, IdempotentCert(x2), InvertibleCert.identity(c.lambda_prime, 1), c)
 
 
 def _wrong_lift_a():

@@ -439,8 +439,9 @@ def test_extended_boundary_product_count(probe):
 # o_blocks now verifies the halves once, one product.  88 while kernel_i
 # checked that phi commutes with the scalar block twice, on its own line
 # and again among the checks of the lifts v, v^-1, whose image phi is:
-# -2 for that second phi e and e phi.
-EXACTNESS_PRODUCTS = 86
+# -2 for that second phi e and e phi.  86 while kernel_i conjugated back
+# by a double certificate whose legs were both u2: -1 for verifying u2 once.
+EXACTNESS_PRODUCTS = 85
 
 
 def test_exactness_product_count(tmp_path, probe):
@@ -1071,7 +1072,8 @@ LINE_ALLOWLIST = {
         f"{_FAULT_SWEEP})"),
     "kclasses.exactness_kernel_i": (
         ('report.add("diagram has equal legs", False, "recipe assumes equal legs")', _RETURN,
-         "except CertificateFailure as exc:", "mismatch = str(exc)"),
+         "except CertificateFailure as exc:", "mismatch = str(exc)",
+         "mismatch = exc.position, exc.residual"),
         "the driver skips unequal legs, where the recipe would read a witness it cannot "
         "check (test_kclasses.py::test_kernel_i_needs_same_legs); a wrong witness fails "
         f"(::test_unstabilizing_residual, and {_FAULT_SWEEP})"),
@@ -1125,14 +1127,13 @@ LINE_ALLOWLIST = {
          'raise MatrixError("double matrix legs must share the size")'),
         "an unverified double would read its legs as another pair "
         "(test_mv.py::test_double_matrix_checks_its_legs)"),
-    "mv.DoubleMatrix._same": (
-        ('raise MatrixError("double matrices over different diagrams")',),
-        "legwise operations would mix diagrams "
-        "(test_mv.py::test_double_matrices_over_another_diagram_are_refused)"),
-    "mv.DoubleMatrix.first_mismatch": (
-        ("return (leg, bad[0]), bad[1]",),
-        "a double certificate fails only under a faulted product "
-        "(test_boundary.py::test_failure_names_first_differing_entry, and "
+    "mv.on_legs": (
+        ("except CertificateFailure as exc:", "where = (leg, exc.position)",
+         'what = str(exc).removesuffix(f" at {exc.position}")',
+         'raise CertificateFailure(f"{what} at {where}", where, exc.residual) from None'),
+        "a claim made leg by leg fails only under a faulted product "
+        "(test_boundary.py::test_failure_names_first_differing_entry, "
+        "test_mv.py::test_wrong_double_inverse_names_the_leg, and "
         f"{_FAULT_SWEEP})"),
     "mv.lift_via_whitehead": (
         ('raise ValueError("lifting requires a surjective leg")',),
@@ -1157,7 +1158,7 @@ LINE_ALLOWLIST = {
     "specdoc.SpecDocument.from_path": (
         ("return cls.from_bytes(read_spec(path))",),
         "read by perfbench/run.py and tests/carriers.py "
-        "(test_mv.py::test_double_matrices_over_another_diagram_are_refused)"),
+        "(every test that takes the clutching or cover fixture of tests/conftest.py)"),
 }
 
 

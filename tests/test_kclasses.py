@@ -42,6 +42,7 @@ from kcert.matrices import (
 from kcert.mv import DoubleMatrix, normalize_difference
 from kcert.scalars import Poly, rat
 from test_matrices import sampled_idempotent
+from test_mv import legs, verify_double_idempotent
 
 
 def factors(cert):
@@ -277,7 +278,7 @@ def test_kernel_i_fails_a_recovered_block_that_is_not_the_inverse(name, request,
 
 
 def test_kernel_i_trivial_difference(trivial_mv):
-    one = IdempotentCert(DoubleMatrix.diag_bits(trivial_mv, (1,)))
+    one = DoubleMatrix.diag_bits(trivial_mv, (1,))
     # witnesses: the plus part normalizes to diag(1, 0); align with diag(0, 1)
     from kcert.matrices import permutation_cert
 
@@ -295,9 +296,9 @@ def _kernel_i_with_plus_part(trivial_mv, monkeypatch, wrong):
     from kcert import kclasses
     from kcert.matrices import permutation_cert
 
-    pair = IdempotentCert(DoubleMatrix.diag_bits(trivial_mv, (1, 0)))
+    pair = DoubleMatrix.diag_bits(trivial_mv, (1, 0))
     if wrong:
-        swapped = IdempotentCert(DoubleMatrix.diag_bits(trivial_mv, (0, 1)))
+        swapped = IdempotentCert(FilteredMatrix.diag_bits(trivial_mv.lambda1, (0, 1)))
         monkeypatch.setattr(
             kclasses, "normalize_difference", lambda _, p2: normalize_difference(swapped, p2)
         )
@@ -364,12 +365,12 @@ def test_k0_glue_push_reglue_round_trip(clutching):
     u = _x_cert(clutching)
     glued, _, minus = boundary_first_form(clutching, u)
     d1 = (
-        IdempotentCert(glued.p.m1),
-        IdempotentCert(minus.p.m1),
+        IdempotentCert(glued.m1),
+        IdempotentCert(minus.m1),
     )
     d2 = (
-        IdempotentCert(glued.p.m2),
-        IdempotentCert(minus.p.m2),
+        IdempotentCert(glued.m2),
+        IdempotentCert(minus.m2),
     )
     from kcert.mv import k0_common_form
 
@@ -381,7 +382,7 @@ def test_k0_glue_push_reglue_round_trip(clutching):
     pre, report = exactness_k0_middle(clutching, d1, d2, xi, v)
     assert report.passed
     plus, _ = pre
-    plus.verify()
+    verify_double_idempotent(plus)
 
 
 def test_k0_middle_bad_witness_is_named_and_never_glued(clutching, monkeypatch):
@@ -474,24 +475,23 @@ def test_double_mismatch_position_reported(clutching):
 
 
 def _o_double(clutching, junk):
-    """Double invertible diag(2, 1/2) on leg1; on leg2 the same plus an
-    off-diagonal entry that dies in the overlap ring, so leg2 is not
-    O-shaped unless the entry is zero."""
+    """Leg certificates of the double invertible diag(2, 1/2) on leg1; on
+    leg2 the same plus an off-diagonal entry that dies in the overlap ring,
+    so leg2 is not O-shaped unless the entry is zero."""
     l1, l2 = clutching.lambda1, clutching.lambda2
     two, half, zero = Poly([2]), Poly([rat(1, 2)]), l1.zero()
     k = Poly(junk)
-    return InvertibleCert(
-        DoubleMatrix(
-            clutching,
-            FilteredMatrix(l1, ((two, zero), (zero, half))),
-            FilteredMatrix(l2, ((two, k), (zero, half))),
-        ).verify(),
-        DoubleMatrix(
-            clutching,
-            FilteredMatrix(l1, ((half, zero), (zero, two))),
-            FilteredMatrix(l2, ((half, -k), (zero, two))),
-        ).verify(),
+    leg1 = InvertibleCert(
+        FilteredMatrix(l1, ((two, zero), (zero, half))),
+        FilteredMatrix(l1, ((half, zero), (zero, two))),
     ).verify()
+    leg2 = InvertibleCert(
+        FilteredMatrix(l2, ((two, k), (zero, half))),
+        FilteredMatrix(l2, ((half, -k), (zero, two))),
+    ).verify()
+    DoubleMatrix(clutching, leg1.m, leg2.m).verify()
+    DoubleMatrix(clutching, leg1.m_inv, leg2.m_inv).verify()
+    return leg1, leg2
 
 
 @pytest.mark.parametrize(
@@ -500,8 +500,7 @@ def _o_double(clutching, junk):
 def test_o_absorb_of_double_needs_both_legs_o_shaped(clutching, junk, passes):
     # o_blocks reads a certificate over one ring, so a double is O-shaped
     # when each leg's certificate is.
-    xi = _o_double(clutching, junk)
-    leg1, leg2 = InvertibleCert(xi.m.m1, xi.m_inv.m1), InvertibleCert(xi.m.m2, xi.m_inv.m2)
+    leg1, leg2 = _o_double(clutching, junk)
     assert o_blocks(leg1).m == split2(leg1.m)[0]
     if passes:
         assert o_blocks(leg2).m == split2(leg2.m)[0]
@@ -561,11 +560,10 @@ def test_implied_exactness_claims_hold(name, request, monkeypatch):
         assert apply_hom_matrix(j1, q1p.p) == (
             u_final.m @ apply_hom_matrix(j2, q2p.p) @ u_final.m_inv
         )
-        glued.verify()
-        glued.p.verify()
+        verify_double_idempotent(glued)
         big = q1p.n
-        assert glued.p.m1 == q1p.p.pad(big, fill=0)
-        assert glued.p.m2 == u_tilde.m @ q2p.p.pad(big, fill=0) @ u_tilde.m_inv
+        assert glued.m1 == q1p.p.pad(big, fill=0)
+        assert glued.m2 == u_tilde.m @ q2p.p.pad(big, fill=0) @ u_tilde.m_inv
     # boundary_zero, which builds no L or P: L is invertible (built and
     # verified here, with its other side) and the boundary class is the
     # literal zero difference.
@@ -575,30 +573,34 @@ def test_implied_exactness_claims_hold(name, request, monkeypatch):
             diagram, *checked_lifts(diagram, u, lift_a=u_tilde.m, lift_b=u_tilde.m_inv)
         )
         assert out.l.m_inv @ out.l.m == FilteredMatrix.identity(diagram.lambda1, 2 * u.n)
-        assert out.p_double.p.first_mismatch(out.minus.p) is None
+        assert legs(out.p_double) == legs(out.minus)
     # i_after_boundary: leg 2 is the literal e2.
     for (_, u), _, _ in calls["exactness_i_after_boundary"]:
         out = boundary_extended_form(diagram, *checked_lifts(diagram, u))
-        assert out.p_double.p.m2 == e_block(diagram.lambda2, u.n, u.n)
+        assert out.p_double.m2 == e_block(diagram.lambda2, u.n, u.n)
     # kernel_boundary: the normal form's leg 2 is V e2 V^-1, V = U1^-1 U2.
     for (_, u, (u1, u2)), lifts, _ in calls["exactness_kernel_boundary"]:
         out = boundary_extended_form(diagram, *checked_lifts(diagram, u, **lifts))
         v = u1.inverse().compose(u2)
-        assert u1.m_inv @ out.p_double.p.m2 @ u1.m == v.m @ out.e2 @ v.m_inv
+        e2 = out.p_double.m2
+        assert u1.m_inv @ e2 @ u1.m == v.m @ e2 @ v.m_inv
     # kernel_i: the conjugated leg 1 is V eps V^-1, V = u2^-1 u1, the
     # boundary of phi has S1 = 0, and it reproduces the conjugated leg 2.
     for (_, (plus, minus), u1, u2), _, (phi, _) in calls["exactness_kernel_i"]:
-        p_tilde, _ = normalize_difference(plus, minus)
+        p1, p2 = (
+            normalize_difference(IdempotentCert(p), IdempotentCert(q))[0].p
+            for p, q in ((plus.m1, minus.m1), (plus.m2, minus.m2))
+        )
         eps = e_block(diagram.lambda1, plus.n, minus.n)
         v = u2.inverse().compose(u1)
-        assert u2.m_inv @ p_tilde.p.m1 @ u2.m == v.m @ eps @ v.m_inv
+        assert u2.m_inv @ p1 @ u2.m == v.m @ eps @ v.m_inv
         phi_cert = apply_hom_invertible(j1, v)
         assert phi == phi_cert.m
         lifts = checked_lifts(diagram, phi_cert, lift_a=v.m, lift_b=v.m_inv, m=plus.n)
         out = boundary_extended_form(diagram, *lifts, plus.n)
         assert out.s1.is_zero()
         total = plus.n + minus.n
-        assert out.p_double.p.m2 == FilteredMatrix.zeros(diagram.lambda2, total).direct_sum(
-            u2.m_inv @ p_tilde.p.m2 @ u2.m
+        assert out.p_double.m2 == FilteredMatrix.zeros(diagram.lambda2, total).direct_sum(
+            u2.m_inv @ p2 @ u2.m
         )
     assert all(len(calls[attr]) == IMPLIED_CLAIM_SEEDS for attr in calls)

@@ -1,8 +1,12 @@
 import pytest
-from carriers import clutching_diagram, scalar_diag
+from carriers import scalar_diag
 
+from kcert import kclasses
 from kcert.algebras import InclusionHom
+from kcert.boundary import boundary_first_form
+from kcert.drivers import kernel_boundary_witness, kernel_i_witnesses
 from kcert.identities import whitehead_product
+from kcert.kclasses import exactness_kernel_boundary, exactness_kernel_i
 from kcert.matrices import (
     CertificateFailure,
     FilteredMatrix,
@@ -11,19 +15,19 @@ from kcert.matrices import (
     MatrixError,
     apply_hom_matrix,
     block2,
+    involution_cert,
     o_map,
     section_matrix,
 )
 from kcert.mv import (
     DoubleMatrix,
     MVDiagram,
-    double_invertible,
     glue_idempotents,
     lift_via_whitehead,
     normalize_difference,
     whitehead_lift,
 )
-from kcert.scalars import Poly, rat
+from kcert.scalars import Poly
 from test_matrices import sampled_idempotent
 
 
@@ -33,13 +37,17 @@ def _x_cert(diagram):
     return InvertibleCert(m, m).verify()
 
 
-def _verify_double(cert):
-    """Recheck the pullback constraint of every matrix of a certificate over
-    double matrices, then the certificate itself."""
-    mats = (cert.p,) if isinstance(cert, IdempotentCert) else (cert.m, cert.m_inv)
-    for mat in mats:
-        mat.verify()
-    return cert.verify()
+def legs(double):
+    """The two legs of a double matrix, to compare."""
+    return double.m1, double.m2
+
+
+def verify_double_idempotent(double):
+    """Recheck the pullback constraint of a double matrix, then that each
+    leg is idempotent."""
+    double.verify()
+    for leg in legs(double):
+        IdempotentCert(leg).verify()
 
 
 def test_double_matrix_examples(clutching):
@@ -121,9 +129,9 @@ def test_glue_trivial_units(clutching):
     one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1))
     unit = InvertibleCert.identity(clutching.lambda_prime, 1)
     glued, _ = glue_idempotents(one1, one2, unit, clutching)
-    _verify_double(glued)
-    assert glued.p.m1 == FilteredMatrix.diag_bits(clutching.lambda1, (1, 0))
-    assert glued.p.m2 == FilteredMatrix.diag_bits(clutching.lambda2, (1, 0))
+    verify_double_idempotent(glued)
+    assert glued.m1 == FilteredMatrix.diag_bits(clutching.lambda1, (1, 0))
+    assert glued.m2 == FilteredMatrix.diag_bits(clutching.lambda2, (1, 0))
 
 
 def test_glue_clutching_idempotent(clutching):
@@ -131,11 +139,11 @@ def test_glue_clutching_idempotent(clutching):
     one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1))
     u = _x_cert(clutching)
     glued, u_tilde = glue_idempotents(one1, one2, u, clutching)
-    _verify_double(glued)
+    verify_double_idempotent(glued)
     # leg1 is the literal stabilization, leg2 the recorded conjugate
-    assert glued.p.m1 == one1.p.pad(1, fill=0)
+    assert glued.m1 == one1.p.pad(1, fill=0)
     expect = u_tilde.m @ one2.p.pad(1, fill=0) @ u_tilde.m_inv
-    assert glued.p.m2 == expect
+    assert glued.m2 == expect
     assert glued.level >= max(0, min(one1.level, one2.level, u.level) - 4)
 
 
@@ -148,14 +156,17 @@ def test_glue_precondition_failure(clutching, sampler):
 
 
 def test_glue_conjugated_by_double_matches_normal_form(clutching, sampler):
-    # conjugating the glued idempotent by a double invertible keeps both
-    # legs certifying and the double constraint intact
+    # conjugating each leg of the glued idempotent by the legs of a double
+    # invertible keeps both legs certifying and the double constraint intact
     one1 = IdempotentCert(FilteredMatrix.identity(clutching.lambda1, 1))
     one2 = IdempotentCert(FilteredMatrix.identity(clutching.lambda2, 1))
     glued, _ = glue_idempotents(one1, one2, _x_cert(clutching), clutching)
     w = sampler.invertible(clutching.lambda1, 2)
-    dw = double_invertible(clutching, w, w)
-    _verify_double(IdempotentCert(dw.m @ glued.p @ dw.m_inv).verify())
+    DoubleMatrix(clutching, w.m, w.m).verify()
+    DoubleMatrix(clutching, w.m_inv, w.m_inv).verify()
+    verify_double_idempotent(
+        DoubleMatrix(clutching, *(w.m @ leg @ w.m_inv for leg in legs(glued)))
+    )
 
 
 def test_normalize_difference(trivial, sampler):
@@ -182,16 +193,7 @@ def test_cover_diagram_gluing(cover, sampler):
         FilteredMatrix(cover.lambda_prime, ((unit_inv,),)),
     ).verify()
     glued, _ = glue_idempotents(one1, one2, u, cover)
-    _verify_double(glued)
-
-
-def _poly_double(diagram, leg1, leg2):
-    """1x1 double matrix from two coefficient lists."""
-    return DoubleMatrix(
-        diagram,
-        FilteredMatrix(diagram.lambda1, ((Poly(leg1),),)),
-        FilteredMatrix(diagram.lambda2, ((Poly(leg2),),)),
-    ).verify()
+    verify_double_idempotent(glued)
 
 
 @pytest.mark.parametrize("leg1,leg2,bad_leg", [
@@ -199,56 +201,67 @@ def _poly_double(diagram, leg1, leg2):
     ([1], [0, 0, 1], "leg2"),
 ], ids=["leg1", "leg2"])
 def test_non_idempotent_double_names_the_leg(clutching, leg1, leg2, bad_leg):
-    p = _poly_double(clutching, leg1, leg2)
+    # The legs of the glued double are p1 + 0 and p2 + 0 (the lift of
+    # diag(1, 1) is 1), so they agree, and gluing names the leg that is not
+    # idempotent.
+    p1 = IdempotentCert(FilteredMatrix(clutching.lambda1, ((Poly(leg1),),)))
+    p2 = IdempotentCert(FilteredMatrix(clutching.lambda2, ((Poly(leg2),),)))
+    unit = InvertibleCert.identity(clutching.lambda_prime, 1)
     with pytest.raises(CertificateFailure) as err:
-        IdempotentCert(p).verify()
+        glue_idempotents(p1, p2, unit, clutching)
     assert err.value.position == (bad_leg, (0, 0))
-    assert err.value.residual is not None
-    assert bad_leg in str(err.value)
+    assert err.value.residual == Poly([0, 0, -1, 0, 1])
+    assert str(err.value) == f"idempotent certificate fails at {(bad_leg, (0, 0))}"
 
 
-@pytest.mark.parametrize("inv1,inv2,bad_leg", [
-    # 1/2 + (x^2 - 1) has the overlap image of 1/2, but it is no inverse of 2
-    ([rat(-1, 2), 0, 1], [rat(1, 2)], "leg1"),
-    ([rat(1, 2)], [rat(-1, 2), 0, 1], "leg2"),
-], ids=["leg1", "leg2"])
-def test_wrong_double_inverse_names_the_leg(clutching, inv1, inv2, bad_leg):
-    two = _poly_double(clutching, [2], [2])
-    with pytest.raises(CertificateFailure) as err:
-        InvertibleCert(two, _poly_double(clutching, inv1, inv2)).verify()
-    assert err.value.position == (bad_leg, (0, 0))
-    assert str(err.value).startswith("inverse certificate fails at ")
+@pytest.mark.parametrize("bad_leg", ["leg1", "leg2"])
+def test_wrong_double_inverse_names_the_leg(clutching, monkeypatch, bad_leg):
+    # kernel_i verifies its un-stabilizing conjugator 1_2 + W on each leg.
+    # A trivializer W that claims 2W as its inverse on one leg fails there,
+    # at the first entry of the W block, and the line names that leg.
+    forged_leg = ("leg1", "leg2").index(bad_leg)
+    built = []
 
+    def forged(p):
+        w = involution_cert(p)
+        built.append(w)
+        return InvertibleCert(w.m, w.m_inv + w.m_inv) if len(built) == forged_leg + 1 else w
 
-def test_double_certificates_use_double_identity(clutching):
-    half = _poly_double(clutching, [rat(1, 2)], [rat(1, 2)])
-    cert = InvertibleCert(_poly_double(clutching, [2], [2]), half).verify()
-    assert cert.algebra == clutching
-    p = IdempotentCert(_poly_double(clutching, [1], [1])).verify()
-    assert p.complement().p.first_mismatch(DoubleMatrix.diag_bits(clutching, (0,))) is None
-
-
-def test_double_invertible_rejects_disagreeing_legs(clutching, sampler):
-    s = sampler.invertible(clutching.lambda1, 1)
-    two = InvertibleCert(
-        scalar_diag(clutching.lambda2, 2, 1),
-        scalar_diag(clutching.lambda2, rat(1, 2), 1),
-    ).verify()
-    with pytest.raises(CertificateFailure, match="^legs disagree in the overlap ring at "):
-        double_invertible(clutching, s, s.compose(two))
-    # built directly, the pair is taken as given: building checks only shapes
-    bad = s.compose(two)
-    InvertibleCert(
-        DoubleMatrix(clutching, s.m, bad.m), DoubleMatrix(clutching, s.m_inv, bad.m_inv)
+    monkeypatch.setattr(kclasses, "involution_cert", forged)
+    glued, u_tilde, minus = boundary_first_form(clutching, _x_cert(clutching))
+    u1, u2 = kernel_i_witnesses(clutching, u_tilde, 1)
+    _, report = exactness_kernel_i(clutching, (glued, minus), u1, u2)
+    assert len(built) == 2
+    assert [c["name"] for c in report.checks if not c["ok"]] == [
+        "un-stabilizing restores the normalized plus part"
+    ]
+    assert report.checks[-1]["residual"] == (
+        f"inverse certificate fails at {(bad_leg, (2, 2))}"
     )
 
 
+def test_double_invertible_rejects_disagreeing_legs(clutching, sampler):
+    # kernel_boundary's witness is a double invertible when its forward legs
+    # and its inverse legs each agree in the overlap ring.  A witness whose
+    # legs disagree in the forward factor is test_kclasses.py's
+    # test_kernel_boundary_rejects_disagreeing_witness_legs; here only the
+    # inverse of leg 2 is off by 2, and the witness is refused all the same.
+    u_tilde = sampler.invertible(clutching.lambda1, 2)
+    u, w = kernel_boundary_witness(clutching, u_tilde)
+    bad = InvertibleCert(w.m, w.m_inv @ scalar_diag(clutching.lambda2, 2, w.n))
+    pair, report = exactness_kernel_boundary(
+        clutching, u, (w, bad), lift_a=u_tilde.m, lift_b=u_tilde.m_inv
+    )
+    assert pair is None
+    last = report.checks[-1]
+    assert last["name"] == "witness is a double invertible" and not last["ok"]
+    assert last["residual"].startswith("legs disagree in the overlap ring at ")
+
+
 def test_double_matrices_over_another_diagram_are_refused(clutching, cover):
-    # Diagrams compare by identity: a double over a separately parsed copy
-    # of the same diagram is refused as one over another diagram is.
-    other = clutching_diagram()
-    assert other is not clutching
-    one = DoubleMatrix.identity(clutching, 1)
-    for diagram in (cover, other):
-        with pytest.raises(MatrixError):
-            one @ DoubleMatrix.identity(diagram, 1)
+    # Legs over the clutching diagram's algebras are no double over the cover.
+    one1 = FilteredMatrix.identity(clutching.lambda1, 1)
+    one2 = FilteredMatrix.identity(clutching.lambda2, 1)
+    DoubleMatrix(clutching, one1, one2)
+    with pytest.raises(MatrixError, match="legs over the wrong algebras"):
+        DoubleMatrix(cover, one1, one2)
